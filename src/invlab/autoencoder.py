@@ -12,6 +12,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import DimensionError, FitError, InvalidParameterError
+from .optim import central_difference
 from .rng import derive_rng
 
 
@@ -20,7 +21,6 @@ class AutoencoderInterface(ABC):
 
     image_shape: tuple[int, int, int]
     latent_dim: int
-    supports_exact_vjp: bool = False
 
     def _check_image(self, x: np.ndarray, name: str = "x") -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -43,24 +43,15 @@ class AutoencoderInterface(ABC):
         """Image reconstruction from the latent (no clamping)."""
 
     def decoder_vjp(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """vᵀ·(∂decode/∂z); central finite differences with h = 1e-4·(1+|z_i|)."""
+        """vᵀ·(∂decode/∂z) by `central_difference`."""
         z = self._check_latent(z)
         v = self._check_image(v, "v")
-        out = np.empty_like(z)
-        for i in range(z.size):
-            h = 1e-4 * (1.0 + abs(z[i]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[i] += h
-            zm[i] -= h
-            out[i] = float(np.sum(v * self.decode(zp)) - np.sum(v * self.decode(zm))) / (2.0 * h)
-        return out
+        return central_difference(lambda zz: float(np.sum(v * self.decode(zz))), z)
 
 
 class IdentityAutoencoder(AutoencoderInterface):
     """encode = flatten, decode = unflatten; round trip is bit-exact."""
 
-    supports_exact_vjp = True
 
     def __init__(self, image_shape: tuple[int, int, int]):
         h, w, c = image_shape
@@ -92,7 +83,6 @@ class LinearAutoencoder(AutoencoderInterface):
     stays idempotent.
     """
 
-    supports_exact_vjp = True
 
     def __init__(
         self,

@@ -155,6 +155,11 @@ def parse_method(name: str) -> tuple[str, bool]:
     return base, len(parts) == 2
 
 
+def base_methods(methods) -> tuple:
+    """Method names with '+ilb' stripped, first occurrences kept in order."""
+    return tuple(dict.fromkeys(parse_method(m)[0] for m in methods))
+
+
 @dataclass(frozen=True)
 class BenchmarkRow:
     """One (instance, method) result; metric fields hold 'error' on failure."""
@@ -184,8 +189,7 @@ class BenchmarkBackends:
         self.sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
         self.grid = make_uniform_grid(self.sched, cfg.steps)
         self.images = _load_instance_images(cfg)
-        fit_images = make_shapes(cfg.autoencoder["fit_count"], cfg.seed,
-                                 ds["height"], ds["width"], tag="fit")
+        fit_images = make_fit_images(cfg)
         self.ae = build_autoencoder(cfg, fit_images)
         self.model = build_denoiser(cfg, self.sched, self.ae, fit_images)
         self.perc = RandomConvPerceptual((ds["height"], ds["width"], 1),
@@ -205,20 +209,39 @@ class BenchmarkBackends:
                          guidance_w=self.cfg.guidance)
 
 
+def load_dataset_file(path, kind: str) -> dict:
+    """The dataset stored at `path`; ConfigError unless it exists and holds `kind`."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"dataset file {path} does not exist")
+    payload = load_dataset(path)
+    if payload["kind"] != kind:
+        raise ConfigError(f"dataset file {path} holds kind {payload['kind']!r}, need {kind}")
+    return payload
+
+
 def _load_instance_images(cfg: RunConfig) -> np.ndarray:
     ds = cfg.dataset
     if ds.get("path"):
-        path = Path(ds["path"])
-        if not path.exists():
-            raise ConfigError(f"dataset file {path} does not exist")
-        payload = load_dataset(path)
-        if payload["kind"] != "shapes":
-            raise ConfigError(f"dataset file {path} holds kind {payload['kind']!r}, need shapes")
+        payload = load_dataset_file(ds["path"], "shapes")
         if payload["n"] < ds["count"]:
             raise ConfigError(
-                f"dataset file {path} has {payload['n']} images, config wants {ds['count']}")
+                f"dataset file {ds['path']} has {payload['n']} images, config wants {ds['count']}")
         return payload["images"][: ds["count"]]
     return make_shapes(ds["count"], cfg.seed, ds["height"], ds["width"])
+
+
+def make_fit_images(cfg: RunConfig) -> np.ndarray:
+    """The seeded images the autoencoder and the MLP denoiser are fitted on."""
+    ds = cfg.dataset
+    return make_shapes(cfg.autoencoder["fit_count"], cfg.seed, ds["height"], ds["width"],
+                       tag="fit")
+
+
+def mlp_train_config(cfg: RunConfig) -> MlpTrainConfig:
+    train = cfg.denoiser["train"]
+    return MlpTrainConfig(width=train["width"], max_epochs=train["max_epochs"],
+                          batch_size=train["batch_size"], lr=train["lr"], seed=cfg.seed)
 
 
 def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
@@ -257,37 +280,44 @@ def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
         if not path.exists():
             raise ConfigError(f"denoiser file {path} does not exist")
         return load_model(path)
-    train = section["train"]
-    latents = np.stack([ae.encode(img) for img in fit_images[: train["count"]]])
-    tc = MlpTrainConfig(width=train["width"], max_epochs=train["max_epochs"],
-                        batch_size=train["batch_size"], lr=train["lr"], seed=cfg.seed)
-    return train_mlp_denoiser(latents, sched, tc)
+    count, fit_count = section["train"]["count"], cfg.autoencoder["fit_count"]
+    if count > fit_count:
+        raise ConfigError(f"denoiser.train.count {count} exceeds autoencoder.fit_count "
+                          f"{fit_count}, the number of fit images")
+    latents = np.stack([ae.encode(img) for img in fit_images[:count]])
+    return train_mlp_denoiser(latents, sched, mlp_train_config(cfg))
+
+
+def start_latent(b: BenchmarkBackends, x0: np.ndarray, use_ilb: bool) -> np.ndarray:
+    """The image's latent: boosted by ILB when asked, else the plain encoding."""
+    if use_ilb:
+        return ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, b.ilb_cfg, b.condition)[0]
+    return b.ae.encode(x0)
+
+
+def invert_latent(b: BenchmarkBackends, z0: np.ndarray, base: str):
+    """Invert z0 over the grid with a base method; returns (trajectory, step reports)."""
+    if base == "ddim":
+        return ddim_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition,
+                                      b.cfg.guidance), []
+    return lbo_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition,
+                                 b.lbo_cfg(LBO_MODES[base]))
+
+
+def replay(b: BenchmarkBackends, z_t: np.ndarray):
+    """The generation trajectory from z_t at t_train down to 0."""
+    return generate_trajectory(b.model, b.sched, b.grid, z_t, b.condition, b.cfg.guidance)
 
 
 def evaluate_instance(backends: BenchmarkBackends, instance_id: int, method: str) -> BenchmarkRow:
     """One pipeline pass: (optional boosting) -> invert -> replay -> decode -> score."""
-    cfg = backends.cfg
     started = time.perf_counter()
     base, use_ilb = parse_method(method)
     x0 = backends.images[instance_id]
-    c = backends.condition
-    if use_ilb:
-        z0, _ = ilb_optimize(x0, backends.ae, backends.model, backends.sched,
-                             backends.perc, backends.ilb_cfg, c)
-    else:
-        z0 = backends.ae.encode(x0)
-    if base == "ddim":
-        traj = ddim_invert_trajectory(backends.model, backends.sched, backends.grid,
-                                      z0, c, cfg.guidance)
-        mean_iters = 0.0
-    else:
-        traj, reports = lbo_invert_trajectory(
-            backends.model, backends.sched, backends.grid, z0, c,
-            backends.lbo_cfg(LBO_MODES[base]))
-        mean_iters = float(np.mean([r.iters for r in reports]))
-    gen = generate_trajectory(backends.model, backends.sched, backends.grid,
-                              traj.latent_at(backends.sched.t_train), c, cfg.guidance)
-    z0_back = gen.latent_at(0)
+    z0 = start_latent(backends, x0, use_ilb)
+    traj, reports = invert_latent(backends, z0, base)
+    mean_iters = float(np.mean([r.iters for r in reports])) if reports else 0.0
+    z0_back = replay(backends, traj.latent_at(backends.sched.t_train)).latent_at(0)
     denom = float(np.linalg.norm(z0))
     rel = float(np.linalg.norm(z0_back - z0)) / (denom if denom > 0 else 1.0)
     xh = np.clip(backends.ae.decode(z0_back), 0.0, 1.0)
@@ -296,7 +326,7 @@ def evaluate_instance(backends: BenchmarkBackends, instance_id: int, method: str
         psnr_db=psnr(x0, xh), ssim=ssim(x0, xh),
         perceptual=backends.perc.distance(x0, xh),
         roundtrip_l2_rel=rel, mean_lbo_iters=mean_iters,
-        wall_ms=(time.perf_counter() - started) * 1e3 if cfg.record_timing else 0.0)
+        wall_ms=(time.perf_counter() - started) * 1e3 if backends.cfg.record_timing else 0.0)
 
 
 def _run_instance(backends: BenchmarkBackends, instance_id: int, method: str) -> BenchmarkRow:

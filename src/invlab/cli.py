@@ -17,15 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import fit_linear_autoencoder
-from .benchmark import (LBO_MODES, BenchmarkBackends, RunConfig, build_autoencoder,
-                        evaluate_instance, load_config, parse_method, run_benchmark)
-from .data import gen_dataset, load_dataset, make_gauss_mixture, make_shapes, save_dataset
-from .denoiser import MlpTrainConfig, train_mlp_denoiser
-from .dynamics import ddim_invert_trajectory, generate_trajectory
+from .benchmark import (BenchmarkBackends, RunConfig, base_methods, build_autoencoder,
+                        build_denoiser, evaluate_instance, invert_latent, load_config,
+                        load_dataset_file, make_fit_images, mlp_train_config, parse_method,
+                        replay, run_benchmark, start_latent)
+from .data import gen_dataset, make_gauss_mixture, save_dataset
+from .denoiser import train_mlp_denoiser
 from .errors import ConfigError, InvlabError
 from .ilb import ilb_loss_and_grad, ilb_optimize
-from .lbo import lbo_invert_trajectory, objective_and_grad
+from .lbo import objective_and_grad
 from .metrics import trajectory_divergence
 from .modelio import save_model
 from .optim import gradient_check
@@ -69,13 +69,7 @@ def _resolve_config(args) -> RunConfig:
     if args.dt is not None:
         cfg = replace(cfg, ilb={**cfg.ilb, "dt": args.dt})
     if args.no_ilb:
-        methods, seen = [], set()
-        for m in cfg.methods:
-            base, _ = parse_method(m)
-            if base not in seen:
-                seen.add(base)
-                methods.append(base)
-        cfg = replace(cfg, methods=tuple(methods))
+        cfg = replace(cfg, methods=base_methods(cfg.methods))
     return cfg
 
 
@@ -106,21 +100,18 @@ def cmd_train_denoiser(cfg: RunConfig, args, out: Path) -> dict:
     if cfg.denoiser["kind"] != "mlp":
         raise ConfigError(f"train-denoiser needs denoiser.kind 'mlp', got {cfg.denoiser['kind']!r}")
     sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
-    train = cfg.denoiser["train"]
     ds = cfg.dataset
     if ds["kind"] == "gauss2d":
         if ds.get("path"):
-            payload = load_dataset(ds["path"])
+            payload = load_dataset_file(ds["path"], "gauss2d")
             data, labels = payload["samples"], payload["labels"]
         else:
             data, labels, _ = make_gauss_mixture(ds["count"], cfg.seed)
+        model = train_mlp_denoiser(data, sched, mlp_train_config(cfg), labels)
     else:
-        fit_images = make_shapes(train["count"], cfg.seed, ds["height"], ds["width"], tag="fit")
-        ae = build_autoencoder(cfg, fit_images)
-        data, labels = np.stack([ae.encode(im) for im in fit_images]), None
-    tc = MlpTrainConfig(width=train["width"], max_epochs=train["max_epochs"],
-                        batch_size=train["batch_size"], lr=train["lr"], seed=cfg.seed)
-    model = train_mlp_denoiser(data, sched, tc, labels)
+        fit_images = make_fit_images(cfg)
+        model = build_denoiser(replace(cfg, denoiser={**cfg.denoiser, "path": None}), sched,
+                               build_autoencoder(cfg, fit_images), fit_images)
     path = out / "denoiser.labmdl"
     save_model(model, path)
     return {"written": str(path), "final_loss": model.final_loss,
@@ -133,12 +124,8 @@ def cmd_train_autoencoder(cfg: RunConfig, args, out: Path) -> dict:
     if cfg.autoencoder["kind"] != "linear":
         raise ConfigError(
             f"train-autoencoder needs autoencoder.kind 'linear', got {cfg.autoencoder['kind']!r}")
-    ds = cfg.dataset
-    fit_images = make_shapes(cfg.autoencoder["fit_count"], cfg.seed,
-                             ds["height"], ds["width"], tag="fit")
-    n_pix = int(np.prod(fit_images.shape[1:]))
-    latent_dim = max(1, int(round(cfg.autoencoder["latent_frac"] * n_pix)))
-    ae = fit_linear_autoencoder(fit_images, latent_dim)
+    ae = build_autoencoder(replace(cfg, autoencoder={**cfg.autoencoder, "path": None}),
+                           make_fit_images(cfg))
     path = out / "autoencoder.labmdl"
     save_model(ae, path)
     return {"written": str(path), "latent_dim": ae.latent_dim,
@@ -149,7 +136,7 @@ def cmd_sample(cfg: RunConfig, args, out: Path) -> dict:
     """Generate from seeded Gaussian noise and decode the result."""
     b = BenchmarkBackends(cfg)
     z_t = derive_rng(cfg.seed, "sample").standard_normal(b.ae.latent_dim)
-    traj = generate_trajectory(b.model, b.sched, b.grid, z_t, b.condition, cfg.guidance)
+    traj = replay(b, z_t)
     image = np.clip(b.ae.decode(traj.latent_at(0)), 0.0, 1.0)
     traj_path = out / "trajectory.json"
     _write_json(traj_path, traj.to_json_dict())
@@ -163,15 +150,7 @@ def cmd_invert(cfg: RunConfig, args, out: Path) -> dict:
     b = BenchmarkBackends(cfg)
     method = _method_arg(args)
     base, use_ilb = parse_method(method)
-    x0 = b.images[0]
-    z0 = (ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, b.ilb_cfg, b.condition)[0]
-          if use_ilb else b.ae.encode(x0))
-    if base == "ddim":
-        traj, reports = ddim_invert_trajectory(
-            b.model, b.sched, b.grid, z0, b.condition, cfg.guidance), []
-    else:
-        traj, reports = lbo_invert_trajectory(
-            b.model, b.sched, b.grid, z0, b.condition, b.lbo_cfg(LBO_MODES[base]))
+    traj, reports = invert_latent(b, start_latent(b, b.images[0], use_ilb), base)
     traj_path = out / "trajectory.json"
     _write_json(traj_path, traj.to_json_dict())
     rep_path = out / "step_reports.json"
@@ -253,27 +232,14 @@ def cmd_report_plot_data(cfg: RunConfig, args, out: Path) -> dict:
     if args.method:
         cfg = replace(cfg, methods=(_method_arg(args),))
     b = BenchmarkBackends(cfg)
-    x0 = b.images[0]
-    z0 = b.ae.encode(x0)
+    z0 = b.ae.encode(b.images[0])
     path = out / "divergence.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(("method", "t", "l2_divergence"))
-        seen = set()
-        for name in cfg.methods:
-            base, _ = parse_method(name)
-            if base in seen:
-                continue
-            seen.add(base)
-            if base == "ddim":
-                inv = ddim_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition,
-                                             cfg.guidance)
-            else:
-                inv, _ = lbo_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition,
-                                               b.lbo_cfg(LBO_MODES[base]))
-            gen = generate_trajectory(b.model, b.sched, b.grid,
-                                      inv.latent_at(b.sched.t_train), b.condition, cfg.guidance)
-            div = trajectory_divergence(inv, gen)
+        for base in base_methods(cfg.methods):
+            inv, _ = invert_latent(b, z0, base)
+            div = trajectory_divergence(inv, replay(b, inv.latent_at(b.sched.t_train)))
             for t, value in zip(inv.timesteps(), div):
                 writer.writerow((base, t, value))
     return {"written": str(path)}

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameterError,
     TrainingFailureError,
 )
-from .optim import AdamState, adam_step
+from .optim import AdamState, adam_step, central_difference
 from .rng import derive_rng
 from .schedule import NoiseSchedule
 
@@ -85,7 +85,6 @@ class DenoiserInterface(ABC):
     """The ε-predictor contract: pure eval plus a vector–Jacobian product."""
 
     latent_dim: int
-    supports_exact_vjp: bool = False
 
     def _check_vec(self, x: np.ndarray, name: str) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -100,24 +99,15 @@ class DenoiserInterface(ABC):
         """Predicted noise for latent z at timestep t under condition c."""
 
     def vjp(self, z: np.ndarray, t: int, c: Condition, v: np.ndarray) -> np.ndarray:
-        """vᵀ·(∂eval/∂z); central finite differences with h = 1e-4·(1+|z_i|)."""
+        """vᵀ·(∂eval/∂z) by `central_difference`."""
         z = self._check_vec(z, "z")
         v = self._check_vec(v, "v")
-        out = np.empty_like(z)
-        for i in range(z.size):
-            h = 1e-4 * (1.0 + abs(z[i]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[i] += h
-            zm[i] -= h
-            out[i] = float(v @ self.eval(zp, t, c) - v @ self.eval(zm, t, c)) / (2.0 * h)
-        return out
+        return central_difference(lambda zz: float(v @ self.eval(zz, t, c)), z)
 
 
 class ConstantDenoiser(DenoiserInterface):
     """F(z, t, c) == value for every input; Jacobian is zero."""
 
-    supports_exact_vjp = True
 
     def __init__(self, latent_dim: int, value: float | np.ndarray = 0.0):
         self.latent_dim = int(latent_dim)
@@ -142,7 +132,6 @@ class ConstantDenoiser(DenoiserInterface):
 class ScalingDenoiser(DenoiserInterface):
     """F(z, t, c) = scale · z at every timestep; Jacobian is scale·I."""
 
-    supports_exact_vjp = True
 
     def __init__(self, latent_dim: int, scale: float):
         self.latent_dim = int(latent_dim)
@@ -167,7 +156,6 @@ class LinearGaussianDenoiser(DenoiserInterface):
     coincide.
     """
 
-    supports_exact_vjp = True
 
     def __init__(self, mu: np.ndarray, sigma: np.ndarray, sched: NoiseSchedule):
         mu = np.asarray(mu, dtype=np.float64)
@@ -234,7 +222,6 @@ class MlpDenoiser(DenoiserInterface):
     hidden pre-activation. Embedding conditions must match the hidden width.
     """
 
-    supports_exact_vjp = True
 
     def __init__(
         self,

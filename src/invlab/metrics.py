@@ -17,6 +17,7 @@ from scipy.signal import convolve2d, correlate2d
 
 from .dynamics import GENERATION, INVERSION, Trajectory
 from .errors import DimensionError, GridMismatchError, InvalidParameterError
+from .optim import central_difference
 
 
 @dataclass(frozen=True)
@@ -43,21 +44,8 @@ class PerceptualMetricInterface(ABC):
         ...
 
     def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """∂distance/∂y; central finite differences with h = 1e-4·(1+|y_i|)."""
-        y = np.asarray(y, dtype=np.float64)
-        out = np.empty_like(y)
-        flat = out.ravel()
-        yflat = y.ravel()
-        for i in range(yflat.size):
-            h = 1e-4 * (1.0 + abs(yflat[i]))
-            yp = y.copy().ravel()
-            ym = y.copy().ravel()
-            yp[i] += h
-            ym[i] -= h
-            flat[i] = (
-                self.distance(x, yp.reshape(y.shape)) - self.distance(x, ym.reshape(y.shape))
-            ) / (2.0 * h)
-        return out
+        """∂distance/∂y by `central_difference`."""
+        return central_difference(lambda yy: self.distance(x, yy), y)
 
 
 def _as_images(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

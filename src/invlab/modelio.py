@@ -165,11 +165,18 @@ def load_model(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"unreadable header in {path}: {e}") from None
     off += hlen
+    if not isinstance(header, dict):
+        raise FormatError(f"header in {path} is not a JSON object")
     kind = header.get("kind")
     if kind not in _LOADERS:
         raise FormatError(f"unknown model kind {kind!r} in {path}")
+    entries = header.get("arrays")
+    if not isinstance(entries, list):
+        raise FormatError(f"header in {path} has no array list")
     arrays = {}
-    for entry in header["arrays"]:
+    for entry in entries:
+        if not (isinstance(entry, dict) and "name" in entry and "shape" in entry):
+            raise FormatError(f"array entry {entry!r} in {path} needs a name and a shape")
         shape = tuple(int(s) for s in entry["shape"])
         n = int(np.prod(shape)) if shape else 1
         nbytes = n * 8

@@ -1,4 +1,4 @@
-"""Shared Adam optimizer and finite-difference gradient checker.
+"""Shared Adam optimizer, central differences and the gradient checker.
 
 Adam is the standard bias-corrected form:
 
@@ -50,24 +50,45 @@ def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.nda
     return x_next, replace(state, m=m, v=v, step_count=k)
 
 
+def central_difference(
+    f: Callable[[np.ndarray], float],
+    x: np.ndarray,
+    h_rel: float = _CENTRAL_STEP,
+) -> np.ndarray:
+    """Central-difference gradient of the scalar function f at x, shaped like x.
+
+    Coordinate i steps by h_i = h_rel·(1+|x_i|). The default h_rel = eps^(1/3)
+    ≈ 6.06e-6 (float64) balances the two error terms of a central difference:
+    truncation, which grows as h², and round-off, which grows as |f|·eps/h. A
+    smaller step lets round-off dominate. A floor remains at any step:
+    round-off alone adds a relative error of up to about |f|·eps^(2/3)/|g_i|,
+    with eps^(2/3) ≈ 3.7e-11.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for i in range(flat.size):
+        h = h_rel * (1.0 + abs(flat[i]))
+        xp = flat.copy()
+        xm = flat.copy()
+        xp[i] += h
+        xm[i] -= h
+        out[i] = (f(xp.reshape(x.shape)) - f(xm.reshape(x.shape))) / (2.0 * h)
+    return out.reshape(x.shape)
+
+
 def gradient_check(
     f: Callable[[np.ndarray], float],
     grad_f: np.ndarray,
     x: np.ndarray,
     h_rel: float = _CENTRAL_STEP,
 ) -> float:
-    """Max relative error of grad_f against central differences of f at x.
+    """Max relative error of grad_f against `central_difference(f, x, h_rel)`.
 
-    Per-coordinate step h_i = h_rel·(1+|x_i|); relative error uses the
-    finite-difference value as reference with an absolute floor of 1e-12.
-
-    The default h_rel = eps^(1/3) ≈ 6.06e-6 (float64) balances the two error
-    terms of a central difference: truncation, which grows as h², and
-    round-off, which grows as |f|·eps/h. A smaller step lets round-off
-    dominate. A floor remains at any step: round-off alone adds a relative
-    error of up to about |f|·eps^(2/3)/|g_i|, with eps^(2/3) ≈ 3.7e-11, so on a
-    coordinate where |g_i| is much smaller than |f|·eps^(2/3) the relative
-    error is dominated by round-off rather than by a fault in grad_f.
+    The relative error uses the finite-difference value as reference with an
+    absolute floor of 1e-12. On a coordinate where |g_i| is much smaller than
+    |f|·eps^(2/3) it is dominated by the differences' round-off rather than by
+    a fault in grad_f.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_f = np.asarray(grad_f, dtype=np.float64)
@@ -75,19 +96,12 @@ def gradient_check(
         raise InvalidInputError(
             f"gradient shape {grad_f.shape} does not match probe shape {x.shape}"
         )
+    fd = central_difference(f, x, h_rel).ravel()
+    bad = np.flatnonzero(~np.isfinite(fd))
+    if bad.size:
+        raise DivergenceError(
+            f"non-finite evaluation during gradient check at coordinate {bad[0]}")
     worst = 0.0
-    flat = x.ravel()
-    for i in range(flat.size):
-        h = h_rel * (1.0 + abs(flat[i]))
-        xp = x.copy().ravel()
-        xm = x.copy().ravel()
-        xp[i] += h
-        xm[i] -= h
-        fp = f(xp.reshape(x.shape))
-        fm = f(xm.reshape(x.shape))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise DivergenceError(f"non-finite evaluation during gradient check at coordinate {i}")
-        fd = (fp - fm) / (2.0 * h)
-        err = abs(grad_f.ravel()[i] - fd) / max(abs(fd), 1e-12)
-        worst = max(worst, err)
+    for g, d in zip(grad_f.ravel(), fd):
+        worst = max(worst, abs(g - d) / max(abs(d), 1e-12))
     return float(worst)

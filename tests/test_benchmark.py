@@ -158,6 +158,14 @@ def test_identity_autoencoder_and_mlp_denoiser_kinds():
     assert backends.model.latent_dim == 64  # identity latent is the flat image
 
 
+def test_mlp_train_count_above_fit_count_rejected():
+    doc = dict(SMALL_DOC)
+    doc["autoencoder"] = {"fit_count": 16}
+    doc["denoiser"] = {"kind": "mlp", "train": {"count": 17}}
+    with pytest.raises(ConfigError, match="exceeds autoencoder.fit_count"):
+        BenchmarkBackends(config_from_json_dict(doc))
+
+
 def test_ilb_dt_defaults_to_grid_stride():
     backends = BenchmarkBackends(config_from_json_dict(SMALL_DOC))
     assert backends.ilb_cfg.dt == 10  # t_train=60 over 6 steps

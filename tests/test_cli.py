@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from invlab.benchmark import BenchmarkBackends, RunConfig, config_from_json_dict
 from invlab.cli import main
+from invlab.data import gen_dataset, save_dataset
 from invlab.modelio import load_model
 
 SMALL = {
@@ -111,13 +113,22 @@ def test_train_autoencoder_writes_loadable_model(capsys, small_cfg, tmp_path):
     assert code == 0 and doc["latent_dim"] == 16  # quarter of 8*8 pixels
     ae = load_model(tmp_path / "o" / "autoencoder.labmdl")
     assert ae.latent_dim == 16 and ae.image_shape == (8, 8, 1)
+    # on the default config the saved model is the one the benchmark builds
+    code, _ = run_cli(capsys, "train-autoencoder", "--seed", "7", "--out", str(tmp_path / "d"))
+    assert code == 0
+    saved = load_model(tmp_path / "d" / "autoencoder.labmdl")
+    built = BenchmarkBackends(RunConfig(seed=7)).ae
+    assert built.leak is not None
+    for name in ("w", "mean", "leak"):
+        np.testing.assert_array_equal(getattr(saved, name), getattr(built, name))
 
 
 def test_train_denoiser_writes_loadable_model(capsys, tmp_path):
     doc = dict(SMALL)
+    doc["autoencoder"] = {"fit_count": 32}
     doc["denoiser"] = {
         "kind": "mlp",
-        "train": {"count": 8, "width": 8, "max_epochs": 2, "batch_size": 4},
+        "train": {"count": 16, "width": 8, "max_epochs": 2, "batch_size": 4},
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
@@ -127,6 +138,24 @@ def test_train_denoiser_writes_loadable_model(capsys, tmp_path):
     assert res["trained_epochs"] == 2 and np.isfinite(res["final_loss"])
     model = load_model(tmp_path / "o" / "denoiser.labmdl")
     assert model.latent_dim == res["latent_dim"]
+    # the autoencoder under the training latents is fitted on all fit_count images
+    built = BenchmarkBackends(config_from_json_dict(doc)).model
+    assert model.params.keys() == built.params.keys()
+    for name, value in built.params.items():
+        np.testing.assert_array_equal(model.params[name], value)
+
+
+def test_train_denoiser_rejects_dataset_file_of_another_kind(capsys, tmp_path):
+    save_dataset(gen_dataset("shapes", 2, 0, {"height": 8, "width": 8}), tmp_path / "s.json")
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "dataset": {"kind": "gauss2d", "count": 2, "path": str(tmp_path / "s.json")},
+        "denoiser": {"kind": "mlp"},
+    }))
+    code, doc = run_cli(capsys, "train-denoiser", "--config", str(path),
+                        "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "config-error"
+    assert "need gauss2d" in doc["message"]
 
 
 def test_sample_writes_trajectory_and_image(capsys, small_cfg, tmp_path):

@@ -125,7 +125,6 @@ def test_gaussian_rejects_bad_covariance(toy3):
 class _CondGate(DenoiserInterface):
     """Returns ones under any conditional input and zeros unconditionally."""
 
-    supports_exact_vjp = True
 
     def __init__(self, latent_dim):
         self.latent_dim = latent_dim

@@ -224,7 +224,6 @@ def test_config_validation():
 class _SabotageDenoiser(DenoiserInterface):
     """Finite for the first few calls, then emits NaN to simulate blowup."""
 
-    supports_exact_vjp = True
 
     def __init__(self, latent_dim, good_calls):
         self.latent_dim = latent_dim

@@ -159,11 +159,18 @@ def test_unknown_kind_rejected(tmp_path):
 
 
 def test_garbled_header_rejected(tmp_path):
-    blob = b"{not json"
-    path = tmp_path / "garbled.labmdl"
-    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
-    with pytest.raises(FormatError):
-        load_model(path)
+    cases = {
+        "not-json": b"{not json",
+        "not-an-object": b"[1, 2]",
+        "no-manifest": b'{"kind": "identity-autoencoder"}',
+        "entry-without-name": b'{"arrays": [{"shape": [3]}], "kind": "linear-gaussian-denoiser"}',
+        "entry-without-shape": b'{"arrays": [{"name": "mu"}], "kind": "linear-gaussian-denoiser"}',
+    }
+    for name, blob in cases.items():
+        path = tmp_path / f"{name}.labmdl"
+        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(FormatError):
+            load_model(path)
 
 
 def test_unsupported_model_type_rejected(tmp_path):
