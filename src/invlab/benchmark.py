@@ -16,8 +16,9 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .autoencoder import IdentityAutoencoder, fit_linear_autoencoder
 from .data import load_dataset, make_shapes
 from .denoiser import Condition, LinearGaussianDenoiser, MlpTrainConfig, train_mlp_denoiser
 from .dynamics import ddim_invert_trajectory, generate_trajectory
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameterError, InvlabError
 from .ilb import IlbConfig, ilb_optimize
 from .lbo import LboConfig, lbo_invert_trajectory
 from .metrics import psnr, ssim
@@ -41,33 +42,56 @@ CSV_FIELDS = ("method", "instance_id", "psnr_db", "ssim", "perceptual",
               "roundtrip_l2_rel", "mean_lbo_iters", "wall_ms")
 
 
-def _default_dataset():
-    return {"kind": "shapes", "count": 20, "height": 16, "width": 16, "path": None}
+@dataclass(frozen=True)
+class DatasetSection:
+    kind: str = "shapes"
+    count: int = 20
+    height: int = 16
+    width: int = 16
+    path: Optional[str] = None
 
 
-def _default_denoiser():
-    return {
-        "kind": "analytic",
-        "path": None,
-        "mu_scale": 0.5,
-        "eig_min": 0.7,
-        "eig_max": 1.5,
-        "train": {"count": 64, "width": 64, "max_epochs": 60, "batch_size": 32, "lr": 1e-3},
-    }
+@dataclass(frozen=True)
+class TrainSection:
+    count: int = 64
+    width: int = 64
+    max_epochs: int = 60
+    batch_size: int = 32
+    lr: float = 1e-3
 
 
-def _default_autoencoder():
-    return {"kind": "linear", "path": None, "latent_frac": 0.25, "fit_count": 64,
-            "leak_scale": 1.8}
+@dataclass(frozen=True)
+class DenoiserSection:
+    kind: str = "analytic"
+    path: Optional[str] = None
+    mu_scale: float = 0.5
+    eig_min: float = 0.7
+    eig_max: float = 1.5
+    train: TrainSection = TrainSection()
 
 
-def _default_lbo():
-    return {"max_iters": None, "tol": 1e-8, "lr": 1e-3, "n_grad_warmup": 5}
+@dataclass(frozen=True)
+class AutoencoderSection:
+    kind: str = "linear"
+    path: Optional[str] = None
+    latent_frac: float = 0.25
+    fit_count: int = 64
+    leak_scale: float = 1.8
 
 
-def _default_ilb():
-    return {"lr": 0.1, "max_iters": 100, "rel_tol": 1e-5, "dt": None,
-            "use_reg": True, "weights": [1.0, 1.0, 1.0]}
+@dataclass(frozen=True)
+class PerceptualSection:
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class LboSection:
+    """LboConfig without the mode, which each method picks."""
+
+    max_iters: Optional[int] = None  # None: the mode's own budget
+    tol: float = LboConfig.tol
+    lr: float = LboConfig.lr
+    n_grad_warmup: int = LboConfig.n_grad_warmup
 
 
 @dataclass(frozen=True)
@@ -77,16 +101,15 @@ class RunConfig:
     beta_start: float = 1e-4
     beta_end: float = 0.05
     steps: int = 50
-    guidance: float = 1.0
     record_timing: bool = False
     n_workers: int = 1
-    methods: tuple = ("ddim", "lbo-n", "lbo-n+ilb")
-    dataset: dict = field(default_factory=_default_dataset)
-    denoiser: dict = field(default_factory=_default_denoiser)
-    autoencoder: dict = field(default_factory=_default_autoencoder)
-    perceptual: dict = field(default_factory=lambda: {"seed": 0})
-    lbo: dict = field(default_factory=_default_lbo)
-    ilb: dict = field(default_factory=_default_ilb)
+    methods: tuple[str, ...] = ("ddim", "lbo-n", "lbo-n+ilb")
+    dataset: DatasetSection = DatasetSection()
+    denoiser: DenoiserSection = DenoiserSection()
+    autoencoder: AutoencoderSection = AutoencoderSection()
+    perceptual: PerceptualSection = PerceptualSection()
+    lbo: LboSection = LboSection()
+    ilb: IlbConfig = IlbConfig()
 
     def __post_init__(self):
         for name in self.methods:
@@ -94,44 +117,45 @@ class RunConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "t_train": self.t_train,
-            "beta_start": self.beta_start,
-            "beta_end": self.beta_end,
-            "steps": self.steps,
-            "guidance": self.guidance,
-            "record_timing": self.record_timing,
-            "n_workers": self.n_workers,
-            "methods": list(self.methods),
-            "dataset": dict(self.dataset),
-            "denoiser": {k: (dict(v) if isinstance(v, dict) else v)
-                         for k, v in self.denoiser.items()},
-            "autoencoder": dict(self.autoencoder),
-            "perceptual": dict(self.perceptual),
-            "lbo": dict(self.lbo),
-            "ilb": dict(self.ilb),
-        }
+        return json.loads(json.dumps(asdict(self)))  # tuples become lists
 
 
-def _merge_section(defaults: dict, override: dict, path: str) -> dict:
-    out = dict(defaults)
-    for key, value in override.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {path}{key!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge_section(defaults[key], value, f"{path}{key}.")
-        else:
-            out[key] = value
-    return out
+def _parse_section(cls, doc, prefix: str):
+    """A `cls` from a JSON object; each value is checked against its annotation."""
+    section = prefix.rstrip(".")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {section or 'document'} must be a JSON object, got {doc!r}",
+                          key=section)
+    hints = get_type_hints(cls)
+    for key in doc:
+        if key not in hints:
+            raise ConfigError(f"unknown config key {prefix}{key!r}", key=prefix + key)
+    values = {key: _parse_value(hints[key], value, prefix + key) for key, value in doc.items()}
+    try:
+        return cls(**values)
+    except InvalidParameterError as e:
+        raise ConfigError(f"config section {section}: {e}", key=section) from None
+
+
+def _parse_value(tp, value, key: str):
+    if is_dataclass(tp):
+        return _parse_section(tp, value, key + ".")
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _parse_value(args[0], value, key)
+    if origin is tuple and isinstance(value, (list, tuple)):  # tuple[X, ...]
+        return tuple(_parse_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    if tp is float and type(value) is int:
+        return float(value)
+    if origin is tuple or type(value) is not tp:  # bool is not accepted as int
+        expected = "list" if origin is tuple else tp.__name__
+        raise ConfigError(f"config key {key} must be {expected}, got {value!r}", key=key)
+    return value
 
 
 def config_from_json_dict(doc: dict) -> RunConfig:
-    """Defaults deep-merged with the document; unknown keys are rejected."""
-    base = RunConfig().to_json_dict()
-    merged = _merge_section(base, doc, "")
-    merged["methods"] = tuple(merged["methods"])
-    return RunConfig(**merged)
+    """Defaults overridden by the document; a bad key is a ConfigError naming its path."""
+    return _parse_section(RunConfig, doc, "")
 
 
 def load_config(path) -> RunConfig:
@@ -140,8 +164,6 @@ def load_config(path) -> RunConfig:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
     return config_from_json_dict(doc)
 
 
@@ -183,8 +205,8 @@ class BenchmarkBackends:
 
     def __init__(self, cfg: RunConfig):
         ds = cfg.dataset
-        if ds["kind"] != "shapes":
-            raise ConfigError(f"benchmark needs an image dataset, got kind {ds['kind']!r}")
+        if ds.kind != "shapes":
+            raise ConfigError(f"benchmark needs an image dataset, got kind {ds.kind!r}")
         self.cfg = cfg
         self.sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
         self.grid = make_uniform_grid(self.sched, cfg.steps)
@@ -192,21 +214,13 @@ class BenchmarkBackends:
         fit_images = make_fit_images(cfg)
         self.ae = build_autoencoder(cfg, fit_images)
         self.model = build_denoiser(cfg, self.sched, self.ae, fit_images)
-        self.perc = RandomConvPerceptual((ds["height"], ds["width"], 1),
-                                         seed=cfg.perceptual["seed"])
+        self.perc = RandomConvPerceptual((ds.height, ds.width, 1), seed=cfg.perceptual.seed)
         self.condition = Condition.unconditional()
-        stride = cfg.t_train // cfg.steps
-        self.ilb_cfg = IlbConfig(
-            lr=cfg.ilb["lr"], max_iters=cfg.ilb["max_iters"], rel_tol=cfg.ilb["rel_tol"],
-            dt=cfg.ilb["dt"] if cfg.ilb["dt"] is not None else max(stride, 1),
-            use_reg=cfg.ilb["use_reg"], weights=tuple(cfg.ilb["weights"]),
-            guidance_w=cfg.guidance)
+        stride = max(cfg.t_train // cfg.steps, 1)
+        self.ilb_cfg = replace(cfg.ilb, dt=cfg.ilb.dt if cfg.ilb.dt is not None else stride)
 
     def lbo_cfg(self, mode: str) -> LboConfig:
-        s = self.cfg.lbo
-        return LboConfig(mode=mode, max_iters=s["max_iters"], tol=s["tol"],
-                         lr=s["lr"], n_grad_warmup=s["n_grad_warmup"],
-                         guidance_w=self.cfg.guidance)
+        return LboConfig(mode=mode, **asdict(self.cfg.lbo))
 
 
 def load_dataset_file(path, kind: str) -> dict:
@@ -222,65 +236,64 @@ def load_dataset_file(path, kind: str) -> dict:
 
 def _load_instance_images(cfg: RunConfig) -> np.ndarray:
     ds = cfg.dataset
-    if ds.get("path"):
-        payload = load_dataset_file(ds["path"], "shapes")
-        if payload["n"] < ds["count"]:
+    if ds.path:
+        payload = load_dataset_file(ds.path, "shapes")
+        if payload["n"] < ds.count:
             raise ConfigError(
-                f"dataset file {ds['path']} has {payload['n']} images, config wants {ds['count']}")
-        return payload["images"][: ds["count"]]
-    return make_shapes(ds["count"], cfg.seed, ds["height"], ds["width"])
+                f"dataset file {ds.path} has {payload['n']} images, config wants {ds.count}")
+        return payload["images"][: ds.count]
+    return make_shapes(ds.count, cfg.seed, ds.height, ds.width)
 
 
 def make_fit_images(cfg: RunConfig) -> np.ndarray:
     """The seeded images the autoencoder and the MLP denoiser are fitted on."""
     ds = cfg.dataset
-    return make_shapes(cfg.autoencoder["fit_count"], cfg.seed, ds["height"], ds["width"],
-                       tag="fit")
+    return make_shapes(cfg.autoencoder.fit_count, cfg.seed, ds.height, ds.width, tag="fit")
 
 
 def mlp_train_config(cfg: RunConfig) -> MlpTrainConfig:
-    train = cfg.denoiser["train"]
-    return MlpTrainConfig(width=train["width"], max_epochs=train["max_epochs"],
-                          batch_size=train["batch_size"], lr=train["lr"], seed=cfg.seed)
+    train = cfg.denoiser.train
+    return MlpTrainConfig(width=train.width, max_epochs=train.max_epochs,
+                          batch_size=train.batch_size, lr=train.lr, seed=cfg.seed)
 
 
 def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
     section = cfg.autoencoder
     shape = fit_images.shape[1:]
-    if section["kind"] == "identity":
+    if section.kind == "identity":
         return IdentityAutoencoder(shape)
-    if section["kind"] != "linear":
-        raise ConfigError(f"unknown autoencoder kind {section['kind']!r}")
-    if section.get("path"):
-        path = Path(section["path"])
+    if section.kind != "linear":
+        raise ConfigError(f"unknown autoencoder kind {section.kind!r}")
+    if section.path:
+        path = Path(section.path)
         if not path.exists():
             raise ConfigError(f"autoencoder file {path} does not exist")
         return load_model(path)
     n_pix = int(np.prod(shape))
-    latent_dim = max(1, int(round(section["latent_frac"] * n_pix)))
+    latent_dim = max(1, int(round(section.latent_frac * n_pix)))
     return fit_linear_autoencoder(fit_images, latent_dim,
-                                  leak_scale=section["leak_scale"], seed=cfg.seed)
+                                  leak_scale=section.leak_scale, seed=cfg.seed)
 
 
 def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
     section = cfg.denoiser
-    if section["kind"] == "analytic":
+    if section.kind == "analytic":
         rng = derive_rng(cfg.seed, "analytic-model")
         d = ae.latent_dim
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        eig = np.linspace(section["eig_min"], section["eig_max"], d)
+        eig = np.linspace(section.eig_min, section.eig_max, d)
         sigma = q @ np.diag(eig) @ q.T
         sigma = 0.5 * (sigma + sigma.T)
-        mu = section["mu_scale"] * rng.standard_normal(d)
+        mu = section.mu_scale * rng.standard_normal(d)
         return LinearGaussianDenoiser(mu, sigma, sched)
-    if section["kind"] != "mlp":
-        raise ConfigError(f"unknown denoiser kind {section['kind']!r}")
-    if section.get("path"):
-        path = Path(section["path"])
+    if section.kind != "mlp":
+        raise ConfigError(f"unknown denoiser kind {section.kind!r}")
+    if section.path:
+        path = Path(section.path)
         if not path.exists():
             raise ConfigError(f"denoiser file {path} does not exist")
         return load_model(path)
-    count, fit_count = section["train"]["count"], cfg.autoencoder["fit_count"]
+    count, fit_count = section.train.count, cfg.autoencoder.fit_count
     if count > fit_count:
         raise ConfigError(f"denoiser.train.count {count} exceeds autoencoder.fit_count "
                           f"{fit_count}, the number of fit images")
@@ -298,15 +311,14 @@ def start_latent(b: BenchmarkBackends, x0: np.ndarray, use_ilb: bool) -> np.ndar
 def invert_latent(b: BenchmarkBackends, z0: np.ndarray, base: str):
     """Invert z0 over the grid with a base method; returns (trajectory, step reports)."""
     if base == "ddim":
-        return ddim_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition,
-                                      b.cfg.guidance), []
+        return ddim_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition), []
     return lbo_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition,
                                  b.lbo_cfg(LBO_MODES[base]))
 
 
 def replay(b: BenchmarkBackends, z_t: np.ndarray):
     """The generation trajectory from z_t at t_train down to 0."""
-    return generate_trajectory(b.model, b.sched, b.grid, z_t, b.condition, b.cfg.guidance)
+    return generate_trajectory(b.model, b.sched, b.grid, z_t, b.condition)
 
 
 def evaluate_instance(backends: BenchmarkBackends, instance_id: int, method: str) -> BenchmarkRow:
@@ -332,7 +344,7 @@ def evaluate_instance(backends: BenchmarkBackends, instance_id: int, method: str
 def _run_instance(backends: BenchmarkBackends, instance_id: int, method: str) -> BenchmarkRow:
     try:
         return evaluate_instance(backends, instance_id, method)
-    except Exception:
+    except InvlabError:
         return BenchmarkRow(method=method, instance_id=instance_id,
                             psnr_db="error", ssim="error", perceptual="error",
                             roundtrip_l2_rel="error", mean_lbo_iters="error", wall_ms=0.0)
@@ -371,7 +383,7 @@ def run_benchmark(cfg: RunConfig, out_dir, n_workers: int | None = None):
         raise ConfigError("benchmark needs a nonempty method list")
     backends = BenchmarkBackends(cfg)
     workers = n_workers if n_workers is not None else cfg.n_workers
-    units = [(i, m) for i in range(cfg.dataset["count"]) for m in cfg.methods]
+    units = [(i, m) for i in range(cfg.dataset.count) for m in cfg.methods]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda u: _run_instance(backends, *u), units))

@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", default="out", help="artifact directory")
     common.add_argument("--method", metavar="NAME", help="inversion method, e.g. lbo-n+ilb")
     common.add_argument("--steps", type=int, metavar="S", help="override inference grid size")
-    common.add_argument("--guidance", type=float, metavar="W", help="override guidance weight")
     common.add_argument("--dt", type=int, metavar="K", help="override boosting skip timestep")
     common.add_argument("--no-ilb", action="store_true", help="drop '+ilb' from methods")
 
@@ -64,10 +63,8 @@ def _resolve_config(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.steps is not None:
         cfg = replace(cfg, steps=args.steps)
-    if args.guidance is not None:
-        cfg = replace(cfg, guidance=args.guidance)
     if args.dt is not None:
-        cfg = replace(cfg, ilb={**cfg.ilb, "dt": args.dt})
+        cfg = replace(cfg, ilb=replace(cfg.ilb, dt=args.dt))
     if args.no_ilb:
         cfg = replace(cfg, methods=base_methods(cfg.methods))
     return cfg
@@ -88,29 +85,29 @@ def _write_json(path: Path, payload) -> None:
 def cmd_gen_data(cfg: RunConfig, args, out: Path) -> dict:
     """Write the config's dataset as a canonical JSON file."""
     ds = cfg.dataset
-    params = {"height": ds["height"], "width": ds["width"]} if ds["kind"] == "shapes" else {}
-    payload = gen_dataset(ds["kind"], ds["count"], cfg.seed, params)
-    path = out / f"{ds['kind']}.json"
+    params = {"height": ds.height, "width": ds.width} if ds.kind == "shapes" else {}
+    payload = gen_dataset(ds.kind, ds.count, cfg.seed, params)
+    path = out / f"{ds.kind}.json"
     save_dataset(payload, path)
-    return {"written": str(path), "kind": ds["kind"], "n": ds["count"]}
+    return {"written": str(path), "kind": ds.kind, "n": ds.count}
 
 
 def cmd_train_denoiser(cfg: RunConfig, args, out: Path) -> dict:
     """Fit the MLP noise predictor on the config's dataset and persist it."""
-    if cfg.denoiser["kind"] != "mlp":
-        raise ConfigError(f"train-denoiser needs denoiser.kind 'mlp', got {cfg.denoiser['kind']!r}")
+    if cfg.denoiser.kind != "mlp":
+        raise ConfigError(f"train-denoiser needs denoiser.kind 'mlp', got {cfg.denoiser.kind!r}")
     sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
     ds = cfg.dataset
-    if ds["kind"] == "gauss2d":
-        if ds.get("path"):
-            payload = load_dataset_file(ds["path"], "gauss2d")
+    if ds.kind == "gauss2d":
+        if ds.path:
+            payload = load_dataset_file(ds.path, "gauss2d")
             data, labels = payload["samples"], payload["labels"]
         else:
-            data, labels, _ = make_gauss_mixture(ds["count"], cfg.seed)
+            data, labels, _ = make_gauss_mixture(ds.count, cfg.seed)
         model = train_mlp_denoiser(data, sched, mlp_train_config(cfg), labels)
     else:
         fit_images = make_fit_images(cfg)
-        model = build_denoiser(replace(cfg, denoiser={**cfg.denoiser, "path": None}), sched,
+        model = build_denoiser(replace(cfg, denoiser=replace(cfg.denoiser, path=None)), sched,
                                build_autoencoder(cfg, fit_images), fit_images)
     path = out / "denoiser.labmdl"
     save_model(model, path)
@@ -121,10 +118,10 @@ def cmd_train_denoiser(cfg: RunConfig, args, out: Path) -> dict:
 
 def cmd_train_autoencoder(cfg: RunConfig, args, out: Path) -> dict:
     """Fit the linear autoencoder on the config's images and persist it."""
-    if cfg.autoencoder["kind"] != "linear":
+    if cfg.autoencoder.kind != "linear":
         raise ConfigError(
-            f"train-autoencoder needs autoencoder.kind 'linear', got {cfg.autoencoder['kind']!r}")
-    ae = build_autoencoder(replace(cfg, autoencoder={**cfg.autoencoder, "path": None}),
+            f"train-autoencoder needs autoencoder.kind 'linear', got {cfg.autoencoder.kind!r}")
+    ae = build_autoencoder(replace(cfg, autoencoder=replace(cfg.autoencoder, path=None)),
                            make_fit_images(cfg))
     path = out / "autoencoder.labmdl"
     save_model(ae, path)
@@ -207,10 +204,8 @@ def cmd_gradcheck(cfg: RunConfig, args, out: Path) -> dict:
         z_prev = rng.standard_normal(d)
         bias = 0.1 * rng.standard_normal(d)
         errors["lbo_objective"] = max(errors["lbo_objective"], gradient_check(
-            lambda x: objective_and_grad(b.model, b.sched, z_prev, t_prev, t, c,
-                                         cfg.guidance, x)[0],
-            objective_and_grad(b.model, b.sched, z_prev, t_prev, t, c,
-                               cfg.guidance, bias)[1], bias))
+            lambda x: objective_and_grad(b.model, b.sched, z_prev, t_prev, t, c, 1.0, x)[0],
+            objective_and_grad(b.model, b.sched, z_prev, t_prev, t, c, 1.0, bias)[1], bias))
         x0 = b.images[probe % len(b.images)]
         z0 = b.ae.encode(x0) + 0.05 * rng.standard_normal(d)
         errors["ilb_total"] = max(errors["ilb_total"], gradient_check(

@@ -270,25 +270,17 @@ class MlpDenoiser(DenoiserInterface):
             )
         return c.v
 
-    def _forward(self, z: np.ndarray, t: int, c: Condition):
-        p = self.params
-        self.sched._check_t(t)
-        h1 = np.tanh(p["w1"] @ z + p["b1"] + p["temb"][t - 1] + self.condition_row(c))
-        h2 = np.tanh(p["w2"] @ h1 + p["b2"])
-        return h1, h2, p["w3"] @ h2 + p["b3"]
-
     def eval(self, z, t, c):
         z = self._check_vec(z, "z")
-        return self._forward(z, t, c)[2]
+        self.sched._check_t(t)
+        return _batch_forward(self.params, z, t - 1, self.condition_row(c))[2]
 
     def vjp(self, z, t, c, v):
         z = self._check_vec(z, "z")
         v = self._check_vec(v, "v")
-        p = self.params
-        h1, h2, _ = self._forward(z, t, c)
-        u = (p["w3"].T @ v) * (1.0 - h2 * h2)
-        u = (p["w2"].T @ u) * (1.0 - h1 * h1)
-        return p["w1"].T @ u
+        self.sched._check_t(t)
+        h1, h2, _ = _batch_forward(self.params, z, t - 1, self.condition_row(c))
+        return _hidden_backward(self.params, h1, h2, v)[1] @ self.params["w1"]
 
 
 def cfg_eval(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition, w: float) -> np.ndarray:
@@ -346,7 +338,7 @@ def _unflatten(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarr
 
 
 def _batch_forward(p, z, t_idx, cond_rows):
-    """Batched forward pass; returns caches needed for the parameter gradient."""
+    """Forward pass over rows of z, or one (d,) row; returns the hidden layers too."""
     h1p = z @ p["w1"].T + p["b1"] + p["temb"][t_idx] + cond_rows
     h1 = np.tanh(h1p)
     h2p = h1 @ p["w2"].T + p["b2"]
@@ -355,20 +347,20 @@ def _batch_forward(p, z, t_idx, cond_rows):
     return h1, h2, out
 
 
-def _batch_backward(p, z, t_idx, cond_idx, h1, h2, d_out, t_train, n_cemb):
-    """Parameter gradients of a batch loss whose output gradient is d_out."""
-    g = {}
-    g["w3"] = d_out.T @ h2
-    g["b3"] = d_out.sum(axis=0)
+def _hidden_backward(p, h1, h2, d_out):
+    """Gradients at both hidden pre-activations, for output gradient d_out."""
     d_h2 = (d_out @ p["w3"]) * (1.0 - h2 * h2)
-    g["w2"] = d_h2.T @ h1
-    g["b2"] = d_h2.sum(axis=0)
-    d_h1 = (d_h2 @ p["w2"]) * (1.0 - h1 * h1)
-    g["w1"] = d_h1.T @ z
-    g["b1"] = d_h1.sum(axis=0)
-    g["temb"] = np.zeros((t_train, p["temb"].shape[1]))
+    return d_h2, (d_h2 @ p["w2"]) * (1.0 - h1 * h1)
+
+
+def _batch_backward(p, z, t_idx, cond_idx, h1, h2, d_out):
+    """Parameter gradients of a batch loss whose output gradient is d_out."""
+    d_h2, d_h1 = _hidden_backward(p, h1, h2, d_out)
+    g = {"w3": d_out.T @ h2, "b3": d_out.sum(axis=0),
+         "w2": d_h2.T @ h1, "b2": d_h2.sum(axis=0),
+         "w1": d_h1.T @ z, "b1": d_h1.sum(axis=0),
+         "temb": np.zeros_like(p["temb"]), "cemb": np.zeros_like(p["cemb"])}
     np.add.at(g["temb"], t_idx, d_h1)
-    g["cemb"] = np.zeros((n_cemb, p["cemb"].shape[1]))
     np.add.at(g["cemb"], cond_idx, d_h1)
     return g
 
@@ -476,9 +468,7 @@ def train_mlp_denoiser(
                     f"training loss became non-finite at epoch {epoch}", epoch=epoch
                 )
             d_out = 2.0 * resid / resid.size
-            grads = _batch_backward(
-                params, zt, t - 1, cond_idx, h1, h2, d_out, sched.t_train, n_classes + 1
-            )
+            grads = _batch_backward(params, zt, t - 1, cond_idx, h1, h2, d_out)
             flat, state = adam_step(state, flat, _flatten(grads))
             params = _unflatten(flat, shapes)
         epochs_run = epoch + 1

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .autoencoder import AutoencoderInterface
-from .denoiser import Condition, DenoiserInterface, cfg_eval, cfg_vjp
+from .denoiser import Condition, DenoiserInterface, cfg_eval
 from .errors import BoundsError, DivergenceError, InvalidParameterError
 from .metrics import PerceptualMetricInterface, ssim, ssim_with_grad
 from .optim import AdamState, adam_step
@@ -32,8 +32,7 @@ class IlbConfig:
     rel_tol: float = 1e-5
     dt: Optional[int] = None
     use_reg: bool = True
-    weights: tuple = (1.0, 1.0, 1.0)
-    guidance_w: float = 1.0
+    weights: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -119,16 +118,16 @@ def _con_value_and_grad(x0, z, ae, perc, weights):
     return value, ae.decoder_vjp(z, gx)
 
 
-def _reg_value_and_grad(model, sched, z, dt, c, w):
+def _reg_value_and_grad(model, sched, z, dt, c):
     phi, psi = skip_coefficients(sched, dt)
-    z_dt = (1.0 / phi) * z - (psi / phi) * cfg_eval(model, z, dt, c, w)
-    z_rt = phi * z_dt + psi * cfg_eval(model, z_dt, dt, c, w)
+    z_dt = (1.0 / phi) * z - (psi / phi) * model.eval(z, dt, c)
+    z_rt = phi * z_dt + psi * model.eval(z_dt, dt, c)
     r = z - z_rt
     value = float(np.mean(np.abs(r)))
     s = np.sign(r) / r.size
     # chain through both denoiser evaluations of the round trip
-    u = phi * s + psi * cfg_vjp(model, z_dt, dt, c, w, s)
-    grad = s - ((1.0 / phi) * u - (psi / phi) * cfg_vjp(model, z, dt, c, w, u))
+    u = phi * s + psi * model.vjp(z_dt, dt, c, s)
+    grad = s - ((1.0 / phi) * u - (psi / phi) * model.vjp(z, dt, c, u))
     return value, grad
 
 
@@ -142,7 +141,7 @@ def ilb_loss_and_grad(x0: np.ndarray, z0: np.ndarray, ae: AutoencoderInterface,
     from the total and its gradient.
     """
     l_con, g_con = _con_value_and_grad(x0, z0, ae, perc, cfg.weights)
-    l_reg, g_reg = _reg_value_and_grad(model, sched, z0, cfg.dt, c, cfg.guidance_w)
+    l_reg, g_reg = _reg_value_and_grad(model, sched, z0, cfg.dt, c)
     if cfg.use_reg:
         return l_con, l_reg, l_con + l_reg, g_con + g_reg
     return l_con, l_reg, l_con, g_con

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from invlab.benchmark import (
     run_benchmark,
 )
 from invlab.autoencoder import IdentityAutoencoder
+from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
 from invlab.denoiser import MlpDenoiser
-from invlab.errors import ConfigError
+from invlab.errors import ConfigError, DivergenceError
 
 SMALL_DOC = {
     "seed": 3,
@@ -57,8 +60,8 @@ def test_runconfig_defaults_and_validation():
     cfg = RunConfig()
     assert cfg.methods == ("ddim", "lbo-n", "lbo-n+ilb")
     assert cfg.steps == 50 and cfg.t_train == 100
-    assert cfg.dataset["kind"] == "shapes"
-    assert cfg.autoencoder["leak_scale"] == 1.8
+    assert cfg.dataset.kind == "shapes"
+    assert cfg.autoencoder.leak_scale == 1.8
     with pytest.raises(ConfigError):
         RunConfig(methods=("ddim", "nope"))
     # lists are normalized to tuples so the config hashes/compares cleanly
@@ -67,9 +70,9 @@ def test_runconfig_defaults_and_validation():
 
 def test_config_merge_is_deep_and_strict():
     cfg = config_from_json_dict({"denoiser": {"train": {"lr": 0.5}}})
-    assert cfg.denoiser["train"]["lr"] == 0.5
-    assert cfg.denoiser["train"]["width"] == 64  # sibling default survives
-    assert cfg.denoiser["kind"] == "analytic"
+    assert cfg.denoiser.train.lr == 0.5
+    assert cfg.denoiser.train.width == 64  # sibling default survives
+    assert cfg.denoiser.kind == "analytic"
     with pytest.raises(ConfigError, match="bogus"):
         config_from_json_dict({"bogus": 1})
     with pytest.raises(ConfigError, match=r"denoiser\.train\..momentum"):
@@ -95,11 +98,68 @@ def test_config_json_round_trip():
     assert config_from_json_dict(cfg.to_json_dict()) == cfg
 
 
+# (key path, a value of the wrong type for it)
+ILL_TYPED = [
+    ("seed", "0"), ("t_train", 100.0), ("beta_start", "1e-4"), ("beta_end", None),
+    ("steps", "10"), ("record_timing", 1), ("n_workers", True), ("methods", "ddim"),
+    ("methods", [1]),
+    ("dataset", 5), ("dataset.kind", 5), ("dataset.count", 2.0), ("dataset.height", "16"),
+    ("dataset.width", None), ("dataset.path", 3),
+    ("denoiser.kind", None), ("denoiser.path", 1), ("denoiser.mu_scale", "0.5"),
+    ("denoiser.eig_min", True), ("denoiser.eig_max", [1.5]), ("denoiser.train", [64]),
+    ("denoiser.train.count", 8.5), ("denoiser.train.width", "64"),
+    ("denoiser.train.max_epochs", False), ("denoiser.train.batch_size", None),
+    ("denoiser.train.lr", "fast"),
+    ("autoencoder.kind", 1), ("autoencoder.path", ["a"]), ("autoencoder.latent_frac", "1/4"),
+    ("autoencoder.fit_count", 64.0), ("autoencoder.leak_scale", False),
+    ("perceptual.seed", "0"),
+    ("lbo.max_iters", 1.5), ("lbo.tol", "1e-8"), ("lbo.lr", None), ("lbo.n_grad_warmup", True),
+    ("ilb.lr", "0.1"), ("ilb.max_iters", 10.0), ("ilb.rel_tol", None), ("ilb.dt", "5"),
+    ("ilb.use_reg", "yes"), ("ilb.weights", 1.0), ("ilb.weights", [1.0, "1", 1.0]),
+]
+
+
+def _nest(path, value):
+    head, _, rest = path.partition(".")
+    return {head: _nest(rest, value) if rest else value}
+
+
+def _lookup(doc, path):
+    for key in path.split("."):
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("path,value", ILL_TYPED)
+def test_ill_typed_config_value_is_config_error(path, value, tmp_path, capsys):
+    with pytest.raises(ConfigError, match=re.escape(path)) as err:
+        config_from_json_dict(_nest(path, value))
+    assert err.value.context["key"].startswith(path)
+    # the CLI reports it as a config-error, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_nest(path, value)))
+    assert main(["roundtrip", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["code"] == "config-error" and path in doc["message"]
+    # the key's own default, as written to JSON, loads back to the same config
+    default = _lookup(RunConfig().to_json_dict(), path)
+    cfg = config_from_json_dict(_nest(path, default))
+    assert cfg == RunConfig() and config_from_json_dict(cfg.to_json_dict()) == cfg
+
+
+def test_config_accepts_int_for_float_and_checks_ilb_at_load():
+    cfg = config_from_json_dict({"ilb": {"lr": 1, "weights": [1, 0, 2]}})
+    assert cfg.ilb.lr == 1.0 and isinstance(cfg.ilb.lr, float)
+    assert cfg.ilb.weights == (1.0, 0.0, 2.0)
+    with pytest.raises(ConfigError, match="ilb: lr must be > 0"):
+        config_from_json_dict({"ilb": {"lr": 0}})
+
+
 # ---------------------------------------------------------------- backends
 
 
 def test_benchmark_requires_image_dataset():
-    cfg = RunConfig(dataset={**RunConfig().dataset, "kind": "gauss2d"})
+    cfg = RunConfig(dataset=replace(RunConfig().dataset, kind="gauss2d"))
     with pytest.raises(ConfigError, match="image dataset"):
         BenchmarkBackends(cfg)
 
@@ -135,14 +195,11 @@ def test_dataset_from_file(tmp_path):
 
 
 def test_unknown_backend_kinds_rejected():
-    base = config_from_json_dict(SMALL_DOC).to_json_dict()
-    base["autoencoder"]["kind"] = "conv"
+    base = config_from_json_dict(SMALL_DOC)
     with pytest.raises(ConfigError, match="autoencoder kind"):
-        BenchmarkBackends(RunConfig(**{**base, "methods": tuple(base["methods"])}))
-    base["autoencoder"]["kind"] = "linear"
-    base["denoiser"]["kind"] = "unet"
+        BenchmarkBackends(replace(base, autoencoder=replace(base.autoencoder, kind="conv")))
     with pytest.raises(ConfigError, match="denoiser kind"):
-        BenchmarkBackends(RunConfig(**{**base, "methods": tuple(base["methods"])}))
+        BenchmarkBackends(replace(base, denoiser=replace(base.denoiser, kind="unet")))
 
 
 def test_identity_autoencoder_and_mlp_denoiser_kinds():
@@ -179,7 +236,7 @@ def test_ilb_dt_defaults_to_grid_stride():
 
 def test_rows_cover_grid_sorted(small_run):
     cfg, _, rows, _ = small_run
-    assert len(rows) == cfg.dataset["count"] * len(cfg.methods)
+    assert len(rows) == cfg.dataset.count * len(cfg.methods)
     keys = [(r.instance_id, r.method) for r in rows]
     assert keys == sorted(keys)
     for r in rows:
@@ -207,7 +264,7 @@ def test_summary_structure(small_run):
     assert summary["config"] == cfg.to_json_dict()
     assert set(summary["per_method"]) == set(cfg.methods)
     for stats in summary["per_method"].values():
-        assert stats["n_ok"] == cfg.dataset["count"] and stats["n_error"] == 0
+        assert stats["n_ok"] == cfg.dataset.count and stats["n_error"] == 0
     assert set(summary["upper_bound"]) == {"mean_psnr_db", "mean_ssim", "mean_perceptual"}
     on_disk = json.loads((out / "summary.json").read_text())
     assert on_disk == summary
@@ -257,11 +314,22 @@ def test_record_timing_populates_wall_ms(tmp_path):
     assert rows[0].wall_ms > 0.0
 
 
-def test_failed_instance_becomes_error_row():
+def test_failed_instance_becomes_error_row(monkeypatch):
     backends = BenchmarkBackends(config_from_json_dict(SMALL_DOC))
-    row = _run_instance(backends, 99, "ddim")  # out of range index
+
+    def diverge(backends, instance_id, method):
+        raise DivergenceError("non-finite loss", iteration=3)
+
+    monkeypatch.setattr("invlab.benchmark.evaluate_instance", diverge)
+    row = _run_instance(backends, 1, "ddim")
     assert row.psnr_db == "error" and row.roundtrip_l2_rel == "error"
-    assert row.instance_id == 99 and row.method == "ddim"
+    assert row.instance_id == 1 and row.method == "ddim"
+
+
+def test_programming_error_in_instance_propagates():
+    backends = BenchmarkBackends(config_from_json_dict(SMALL_DOC))
+    with pytest.raises(IndexError):
+        _run_instance(backends, 99, "ddim")  # out of range index
 
 
 def test_method_means_with_errors():

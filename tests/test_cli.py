@@ -254,12 +254,12 @@ def test_report_plot_data_dedups_methods(capsys, tmp_path):
 def test_benchmark_command_and_flag_overrides(capsys, small_cfg, tmp_path):
     code, doc = run_cli(capsys, "benchmark", "--config", small_cfg,
                         "--out", str(tmp_path / "o"),
-                        "--steps", "4", "--guidance", "2.5",
+                        "--steps", "4",
                         "--dt", "5", "--seed", "123")
     assert code == 0 and doc["rows"] == 4  # 2 instances x 2 methods
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     echoed = summary["config"]
-    assert echoed["steps"] == 4 and echoed["guidance"] == 2.5
+    assert echoed["steps"] == 4
     assert echoed["ilb"]["dt"] == 5 and echoed["seed"] == 123
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from invlab import (
     BoundsError,
-    Condition,
     ConstantDenoiser,
     DenoiserInterface,
     DivergenceError,

@@ -6,7 +6,6 @@ import pytest
 from invlab import (
     AdamState,
     Condition,
-    ConstantDenoiser,
     DivergenceError,
     InvalidParameterError,
     LboConfig,

@@ -17,7 +17,6 @@ from invlab import (
     ddim_invert_trajectory,
     generate_trajectory,
     gradient_check,
-    make_linear_schedule,
     make_uniform_grid,
     psnr,
     ssim,
