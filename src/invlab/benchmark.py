@@ -115,9 +115,16 @@ class RunConfig:
         for name in self.methods:
             parse_method(name)
         object.__setattr__(self, "methods", tuple(self.methods))
+        _check_n_workers(self.n_workers)
 
     def to_json_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))  # tuples become lists
+
+
+def _check_n_workers(n_workers: int) -> int:
+    if n_workers < 1:
+        raise ConfigError(f"n_workers must be >= 1, got {n_workers}", key="n_workers")
+    return n_workers
 
 
 def _parse_section(cls, doc, prefix: str):
@@ -382,7 +389,7 @@ def run_benchmark(cfg: RunConfig, out_dir, n_workers: int | None = None):
     if not cfg.methods:
         raise ConfigError("benchmark needs a nonempty method list")
     backends = BenchmarkBackends(cfg)
-    workers = n_workers if n_workers is not None else cfg.n_workers
+    workers = cfg.n_workers if n_workers is None else _check_n_workers(n_workers)
     units = [(i, m) for i in range(cfg.dataset.count) for m in cfg.methods]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

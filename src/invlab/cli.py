@@ -39,8 +39,15 @@ class GradcheckFailure(InvlabError):
     code = "gradcheck-failed"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as a ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}", usage=self.format_usage().strip())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="run config JSON")
     common.add_argument("--seed", type=int, metavar="N", help="override config seed")
     common.add_argument("--out", metavar="DIR", default="out", help="artifact directory")
@@ -49,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--dt", type=int, metavar="K", help="override boosting skip timestep")
     common.add_argument("--no-ilb", action="store_true", help="drop '+ilb' from methods")
 
-    parser = argparse.ArgumentParser(prog="invlab", description=__doc__)
+    parser = _Parser(prog="invlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=fn.__doc__)
@@ -264,8 +271,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

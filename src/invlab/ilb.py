@@ -113,8 +113,9 @@ def _con_value_and_grad(x0, z, ae, perc, weights):
         value -= w2 * s_val
         gx -= w2 * s_grad
     if w3 != 0.0:
-        value += w3 * perc.distance(x0, xh)
-        gx += w3 * perc.grad_y(x0, xh)
+        p_val, p_grad = perc.value_and_grad(x0, xh)
+        value += w3 * p_val
+        gx += w3 * p_grad
     return value, ae.decoder_vjp(z, gx)
 
 

@@ -2,18 +2,19 @@
 
 SSIM uses a 7×7 Gaussian window (σ=1.5) over valid positions with
 C1=(0.01·range)², C2=(0.03·range)²; images smaller than the window fall back
-to global single-window statistics. `ssim_with_grad` returns the analytic
-gradient with respect to the second image so losses can differentiate through
-the metric.
+to global single-window statistics. The window is separable, so it is applied
+as a product with one band matrix per image axis. `ssim_with_grad` returns the
+analytic gradient with respect to the second image so losses can differentiate
+through the metric.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import convolve2d, correlate2d
 
 from .dynamics import GENERATION, INVERSION, Trajectory
 from .errors import DimensionError, GridMismatchError, InvalidParameterError
@@ -47,6 +48,10 @@ class PerceptualMetricInterface(ABC):
         """∂distance/∂y by `central_difference`."""
         return central_difference(lambda yy: self.distance(x, yy), y)
 
+    def value_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """(distance(x, y), grad_y(x, y)); override to share work between the two."""
+        return self.distance(x, y), self.grad_y(x, y)
+
 
 def _as_images(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
@@ -67,91 +72,86 @@ def psnr(x: np.ndarray, y: np.ndarray, data_range: float = 1.0) -> float:
     return float(10.0 * np.log10(data_range * data_range / mse))
 
 
-def _gaussian_window(size: int = 7, sigma: float = 1.5) -> np.ndarray:
+def _gaussian_taps(size: int = 7, sigma: float = 1.5) -> np.ndarray:
     r = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(r * r) / (2.0 * sigma * sigma))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
+
+
+def _window_matrix(n: int, taps: np.ndarray) -> np.ndarray:
+    """(n - k + 1, n) band matrix for k taps: row i holds them in columns i..i+k-1."""
+    k = len(taps)
+    m = np.zeros((n - k + 1, n))
+    for i in range(n - k + 1):
+        m[i, i:i + k] = taps
+    return m
 
 
 class _WindowOps:
-    """Windowed-mean operator and its adjoint for one 2-D image plane.
+    """Windowed-mean operator and its adjoint on a stack of (..., h, w) planes.
 
-    Windowed mode is valid-position correlation with the Gaussian kernel;
-    global mode is the plain mean over all pixels (single 1×1 output).
+    Windowed mode is valid-position correlation with the separable Gaussian,
+    R @ P @ C.T with one band matrix per axis; global mode is the plain mean
+    over all pixels (a single 1×1 output), i.e. R and C are rows of 1/h, 1/w.
     """
 
-    def __init__(self, height: int, width: int, win: np.ndarray):
-        self.h, self.w = height, width
-        self.win = win
-        self.global_mode = height < win.shape[0] or width < win.shape[1]
+    def __init__(self, height: int, width: int):
+        taps = _gaussian_taps()
+        if height < len(taps) or width < len(taps):
+            self.rows = np.full((1, height), 1.0 / height)
+            self.cols = np.full((1, width), 1.0 / width)
+        else:
+            self.rows = _window_matrix(height, taps)
+            self.cols = _window_matrix(width, taps)
+        # _window_ops shares one instance per size with every caller and thread
+        self.rows.setflags(write=False)
+        self.cols.setflags(write=False)
 
-    def apply(self, plane: np.ndarray) -> np.ndarray:
-        if self.global_mode:
-            return np.array([[plane.mean()]])
-        return correlate2d(plane, self.win, mode="valid")
+    def apply(self, planes: np.ndarray) -> np.ndarray:
+        return self.rows @ planes @ self.cols.T
 
-    def adjoint(self, grad_map: np.ndarray) -> np.ndarray:
-        if self.global_mode:
-            return np.full((self.h, self.w), float(grad_map[0, 0]) / (self.h * self.w))
-        return convolve2d(grad_map, self.win, mode="full")
+    def adjoint(self, grad_maps: np.ndarray) -> np.ndarray:
+        return self.rows.T @ grad_maps @ self.cols
 
 
-def _channel_planes(x: np.ndarray):
-    if x.ndim == 2:
-        yield x
-    else:
-        for ch in range(x.shape[2]):
-            yield x[:, :, ch]
+@lru_cache(maxsize=16)
+def _window_ops(height: int, width: int) -> _WindowOps:
+    return _WindowOps(height, width)
 
 
 def _ssim_impl(x: np.ndarray, y: np.ndarray, data_range: float, want_grad: bool):
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-    win = _gaussian_window()
-    h, w = x.shape[0], x.shape[1]
-    ops = _WindowOps(h, w, win)
-    planes = list(zip(_channel_planes(x), _channel_planes(y)))
-    grad = np.zeros_like(y) if want_grad else None
-    total = 0.0
-    count = 0
-    for ch, (xp, yp) in enumerate(planes):
-        mu_x = ops.apply(xp)
-        mu_y = ops.apply(yp)
-        m2x = ops.apply(xp * xp)
-        m2y = ops.apply(yp * yp)
-        mxy = ops.apply(xp * yp)
-        var_x = m2x - mu_x * mu_x
-        var_y = m2y - mu_y * mu_y
-        cov = mxy - mu_x * mu_y
-        a1 = 2.0 * mu_x * mu_y + c1
-        a2 = 2.0 * cov + c2
-        b1 = mu_x * mu_x + mu_y * mu_y + c1
-        b2 = var_x + var_y + c2
-        smap = (a1 * a2) / (b1 * b2)
-        total += smap.sum()
-        count += smap.size
-        if want_grad:
-            # d(smap)/d{mu_y, var_y, cov}, then back through the window means
-            d_a1 = a2 / (b1 * b2)
-            d_b1 = -smap / b1
-            d_b2 = -smap / b2
-            d_a2 = a1 / (b1 * b2)
-            d_mu_y = 2.0 * mu_x * d_a1 + 2.0 * mu_y * d_b1
-            d_var_y = d_b2
-            d_cov = 2.0 * d_a2
-            g1 = d_mu_y + d_var_y * (-2.0 * mu_y) + d_cov * (-mu_x)  # via mean(y)
-            g2 = d_var_y  # via mean(y²)
-            g3 = d_cov  # via mean(x·y)
-            gplane = ops.adjoint(g1) + ops.adjoint(g2) * (2.0 * yp) + ops.adjoint(g3) * xp
-            if y.ndim == 2:
-                grad += gplane
-            else:
-                grad[:, :, ch] += gplane
-    value = float(total / count)
-    if want_grad:
-        return value, grad / count
-    return value, None
+    # (c, h, w) channel planes; a 2-D image is one plane
+    xp = np.moveaxis(x.reshape(x.shape[:2] + (-1,)), 2, 0)
+    yp = np.moveaxis(y.reshape(y.shape[:2] + (-1,)), 2, 0)
+    ops = _window_ops(x.shape[0], x.shape[1])
+    mu_x, mu_y, m2x, m2y, mxy = ops.apply(np.stack([xp, yp, xp * xp, yp * yp, xp * yp]))
+    var_x = m2x - mu_x * mu_x
+    var_y = m2y - mu_y * mu_y
+    cov = mxy - mu_x * mu_y
+    a1 = 2.0 * mu_x * mu_y + c1
+    a2 = 2.0 * cov + c2
+    b1 = mu_x * mu_x + mu_y * mu_y + c1
+    b2 = var_x + var_y + c2
+    smap = (a1 * a2) / (b1 * b2)
+    value = float(smap.mean())
+    if not want_grad:
+        return value, None
+    # d(smap)/d{mu_y, var_y, cov}, then back through the window means
+    d_a1 = a2 / (b1 * b2)
+    d_b1 = -smap / b1
+    d_b2 = -smap / b2
+    d_a2 = a1 / (b1 * b2)
+    d_mu_y = 2.0 * mu_x * d_a1 + 2.0 * mu_y * d_b1
+    d_var_y = d_b2
+    d_cov = 2.0 * d_a2
+    g1 = d_mu_y + d_var_y * (-2.0 * mu_y) + d_cov * (-mu_x)  # via mean(y)
+    g2 = d_var_y  # via mean(y²)
+    g3 = d_cov  # via mean(x·y)
+    a_1, a_2, a_3 = ops.adjoint(np.stack([g1, g2, g3]))
+    gplanes = (a_1 + a_2 * (2.0 * yp) + a_3 * xp) / smap.size
+    return value, np.moveaxis(gplanes, 0, 2).reshape(y.shape)
 
 
 def ssim(x: np.ndarray, y: np.ndarray, data_range: float = 1.0) -> float:

@@ -12,7 +12,7 @@ while staying exactly differentiable by hand.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import convolve2d, correlate2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 from .metrics import PerceptualMetricInterface
@@ -22,25 +22,27 @@ _NORM_EPS = 1e-10
 
 
 def _conv_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x: (c_in, h, w), kernels: (c_out, c_in, 3, 3) -> (c_out, h-2, w-2)."""
-    c_out = kernels.shape[0]
-    h, w = x.shape[1] - 2, x.shape[2] - 2
-    out = np.empty((c_out, h, w))
-    for o in range(c_out):
-        acc = np.zeros((h, w))
-        for i in range(x.shape[0]):
-            acc += correlate2d(x[i], kernels[o, i], mode="valid")
-        out[o] = acc + bias[o]
-    return out
+    """x: (c_in, h, w), kernels: (c_out, c_in, 3, 3) -> (c_out, h-2, w-2).
+
+    Valid cross-correlation as one contraction over the 3×3 patches (im2col).
+    """
+    patches = sliding_window_view(x, (3, 3), axis=(1, 2))  # (c_in, h-2, w-2, 3, 3)
+    return np.tensordot(kernels, patches, axes=([1, 2, 3], [0, 3, 4])) + bias[:, None, None]
 
 
-def _conv_input_vjp(u: np.ndarray, kernels: np.ndarray, in_shape: tuple) -> np.ndarray:
-    """Adjoint of _conv_forward with respect to its input."""
-    grad = np.zeros(in_shape)
-    for o in range(kernels.shape[0]):
-        for i in range(in_shape[0]):
-            grad[i] += convolve2d(u[o], kernels[o, i], mode="full")
-    return grad
+def _conv_input_vjp(u: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Adjoint of _conv_forward with respect to its input: (c_out, h, w) -> (c_in, h+2, w+2).
+
+    Full convolution, i.e. valid correlation of the zero-padded map with the
+    flipped kernels.
+    """
+    padded = np.pad(u, ((0, 0), (2, 2), (2, 2)))
+    patches = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (c_out, h+2, w+2, 3, 3)
+    return np.tensordot(kernels[:, :, ::-1, ::-1], patches, axes=([0, 2, 3], [0, 3, 4]))
+
+
+def _feature_distance(gx1, gx2, gy1, gy2) -> float:
+    return float(np.mean((gx1 - gy1) ** 2) + np.mean((gx2 - gy2) ** 2))
 
 
 def _normalize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,18 +99,22 @@ class RandomConvPerceptual(PerceptualMetricInterface):
         y = self._check(y)
         _, gx1, _, _, gx2, _ = self._features(x)
         _, gy1, _, _, gy2, _ = self._features(y)
-        return float(np.mean((gx1 - gy1) ** 2) + np.mean((gx2 - gy2) ** 2))
+        return _feature_distance(gx1, gx2, gy1, gy2)
 
-    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def value_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """One feature pass per image and one adjoint pass."""
         x = self._check(x)
         y = self._check(y)
         _, gx1, _, _, gx2, _ = self._features(x)
         f1, gy1, s1, f2, gy2, s2 = self._features(y)
+        value = _feature_distance(gx1, gx2, gy1, gy2)
         u_g1 = 2.0 * (gy1 - gx1) / gy1.size
         u_g2 = 2.0 * (gy2 - gx2) / gy2.size
         u_pre2 = _normalize_vjp(f2, s2, u_g2) * (1.0 - f2 * f2)
         # f1 feeds both its own distance term and the second conv layer
-        u_f1 = _normalize_vjp(f1, s1, u_g1) + _conv_input_vjp(u_pre2, self.k2, f1.shape)
+        u_f1 = _normalize_vjp(f1, s1, u_g1) + _conv_input_vjp(u_pre2, self.k2)
         u_pre1 = u_f1 * (1.0 - f1 * f1)
-        grad = _conv_input_vjp(u_pre1, self.k1, (self.image_shape[2],) + self.image_shape[:2])
-        return np.moveaxis(grad, 0, 2)
+        return value, np.moveaxis(_conv_input_vjp(u_pre1, self.k1), 0, 2)
+
+    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(x, y)[1]

@@ -155,6 +155,18 @@ def test_config_accepts_int_for_float_and_checks_ilb_at_load():
         config_from_json_dict({"ilb": {"lr": 0}})
 
 
+@pytest.mark.parametrize("n_workers", [0, -3])
+def test_n_workers_below_one_rejected(n_workers, tmp_path):
+    with pytest.raises(ConfigError, match="n_workers") as err:
+        config_from_json_dict({"n_workers": n_workers})
+    assert err.value.context["key"] == "n_workers"
+    cfg = config_from_json_dict(SMALL_DOC)
+    with pytest.raises(ConfigError, match="n_workers") as err:
+        run_benchmark(cfg, tmp_path, n_workers=n_workers)
+    assert err.value.context["key"] == "n_workers"
+    assert not (tmp_path / "benchmark.csv").exists()
+
+
 # ---------------------------------------------------------------- backends
 
 

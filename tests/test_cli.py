@@ -87,6 +87,28 @@ def test_bad_method_flag_exits_2(capsys, small_cfg, tmp_path):
     assert code == 2 and doc["code"] == "config-error"
 
 
+@pytest.mark.parametrize("argv", [
+    ["roundtrip", "--guidance", "2"],  # unknown flag
+    ["roundtrip", "--seed", "x"],  # ill-typed flag value
+    ["bogus"],  # unknown subcommand
+    [],  # no subcommand
+])
+def test_rejected_command_line_prints_json_and_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2 and doc["code"] == "config-error"
+    assert doc["message"].startswith("invlab") and "usage" in doc["context"]
+    assert captured.err == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["roundtrip", "--help"])
+    assert exit_.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- commands
 
 

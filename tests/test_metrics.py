@@ -23,6 +23,7 @@ from invlab import (
     ssim_with_grad,
     trajectory_divergence,
 )
+from invlab.perceptual import _conv_forward, _conv_input_vjp
 
 
 def test_psnr_identical_images_is_infinite():
@@ -101,6 +102,33 @@ def test_ssim_with_grad_value_matches_ssim():
     val, grad = ssim_with_grad(x, y)
     assert val == pytest.approx(ssim(x, y), abs=1e-14)
     assert grad.shape == y.shape
+
+
+def _reference_ssim(x, y, c1=1e-4, c2=9e-4):
+    """Mean SSIM over valid 7×7 positions, one window and channel at a time."""
+    r = np.arange(7) - 3.0
+    win = np.exp(-(r[:, None] ** 2 + r[None, :] ** 2) / (2.0 * 1.5 ** 2))
+    win /= win.sum()
+    vals = []
+    for ch in range(x.shape[2]):
+        for i in range(x.shape[0] - 6):
+            for j in range(x.shape[1] - 6):
+                px, py = x[i:i + 7, j:j + 7, ch], y[i:i + 7, j:j + 7, ch]
+                mx, my = np.sum(win * px), np.sum(win * py)
+                vx = np.sum(win * px * px) - mx * mx
+                vy = np.sum(win * py * py) - my * my
+                cov = np.sum(win * px * py) - mx * my
+                vals.append((2 * mx * my + c1) * (2 * cov + c2)
+                            / ((mx * mx + my * my + c1) * (vx + vy + c2)))
+    return float(np.mean(vals))
+
+
+@pytest.mark.parametrize("shape", [(7, 7, 1), (12, 9, 2), (8, 15, 3)])
+def test_ssim_matches_direct_loop(shape):
+    rng = np.random.default_rng(18)
+    x = rng.random(shape)
+    y = rng.random(shape)
+    assert ssim(x, y) == pytest.approx(_reference_ssim(x, y), rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(16, 16, 1), (5, 5, 1)])
@@ -187,6 +215,81 @@ def test_perceptual_interface_default_gradient():
     y = rng.random((6, 6, 1))
     grad = m.grad_y(x, y)
     np.testing.assert_allclose(grad, 2.0 * (y - x) / y.size, atol=1e-6)
+
+
+def test_perceptual_interface_default_value_and_grad():
+    m = _MseMetric()
+    rng = np.random.default_rng(13)
+    x = rng.random((6, 5, 2))
+    y = rng.random((6, 5, 2))
+    value, grad = m.value_and_grad(x, y)
+    assert value == m.distance(x, y)
+    assert np.array_equal(grad, m.grad_y(x, y))
+
+
+def _reference_conv(x, kernels, bias):
+    """Valid cross-correlation written as the defining sum, one output at a time."""
+    c_out, c_in = kernels.shape[:2]
+    h, w = x.shape[1] - 2, x.shape[2] - 2
+    out = np.empty((c_out, h, w))
+    for o in range(c_out):
+        for r in range(h):
+            for q in range(w):
+                out[o, r, q] = bias[o] + sum(
+                    x[i, r + a, q + b] * kernels[o, i, a, b]
+                    for i in range(c_in) for a in range(3) for b in range(3))
+    return out
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w", [(1, 8, 8, 8), (3, 4, 7, 5), (2, 3, 3, 6)])
+def test_conv_forward_matches_direct_loop(c_in, c_out, h, w):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((c_in, h, w))
+    kernels = rng.standard_normal((c_out, c_in, 3, 3))
+    bias = rng.standard_normal(c_out)
+    out = _conv_forward(x, kernels, bias)
+    assert out.shape == (c_out, h - 2, w - 2)
+    np.testing.assert_allclose(out, _reference_conv(x, kernels, bias), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w", [(1, 8, 8, 8), (3, 4, 7, 5), (2, 3, 3, 6)])
+def test_conv_input_vjp_is_the_adjoint(c_in, c_out, h, w):
+    # <conv(x), u> = <x, vjp(u)> for the bias-free (linear) convolution
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((c_in, h, w))
+    u = rng.standard_normal((c_out, h - 2, w - 2))
+    kernels = rng.standard_normal((c_out, c_in, 3, 3))
+    back = _conv_input_vjp(u, kernels)
+    assert back.shape == x.shape
+    lhs = np.sum(_conv_forward(x, kernels, np.zeros(c_out)) * u)
+    assert lhs == pytest.approx(np.sum(x * back), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(16, 12, 3), (9, 7, 2)])
+def test_perceptual_value_and_grad_off_square(shape):
+    perc = RandomConvPerceptual(shape, seed=2)
+    rng = np.random.default_rng(16)
+    x = rng.random(shape)
+    y = rng.random(shape)
+    value, grad = perc.value_and_grad(x, y)
+    assert value == perc.distance(x, y)
+    assert np.array_equal(grad, perc.grad_y(x, y))
+    err = gradient_check(lambda q: perc.distance(x, q.reshape(shape)), grad.reshape(-1),
+                         y.reshape(-1))
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(16, 12, 3), (9, 7, 2), (6, 9, 2), (11, 8)])
+def test_ssim_gradient_off_square(shape):
+    # non-square multichannel windowed images, the global path (6 < 7 rows)
+    # and a 2-D image without a channel axis
+    rng = np.random.default_rng(17)
+    x = rng.random(shape)
+    y = rng.random(shape)
+    value, grad = ssim_with_grad(x, y)
+    assert value == ssim(x, y) and grad.shape == shape
+    err = gradient_check(lambda q: ssim(x, q.reshape(shape)), grad.reshape(-1), y.reshape(-1))
+    assert err < 1e-6
 
 
 def test_metric_report_fields():
