@@ -178,26 +178,30 @@ class LinearGaussianDenoiser(DenoiserInterface):
         self.sched = sched
         self._lam = lam
         self._q = q
-        for arr in (self.mu, self.sigma, self._lam, self._q):
+        # per-timestep tables, row t−1 for timestep t: sqrt(ᾱ_t), sqrt(1−ᾱ_t)
+        # and the eigenvalues λ·ᾱ_t + (1−ᾱ_t) of Σ_t
+        ab = sched.alpha_bars[:, None]
+        self._sqrt_ab = np.sqrt(ab)
+        self._sqrt_1mab = np.sqrt(1.0 - ab)
+        self._spectra = lam * ab + (1.0 - ab)
+        for arr in (self.mu, self.sigma, self._lam, self._q,
+                    self._sqrt_ab, self._sqrt_1mab, self._spectra):
             arr.setflags(write=False)
-
-    def _spectrum(self, t: int) -> tuple[float, np.ndarray]:
-        ab = self.sched.alpha_bar(t)
-        return ab, self._lam * ab + (1.0 - ab)  # eigenvalues of Σ_t
 
     def eval(self, z, t, c):
         z = self._check_vec(z, "z")
-        ab, d_t = self._spectrum(t)
-        centered = z - np.sqrt(ab) * self.mu
-        w = self._q.T @ centered / d_t
-        return np.sqrt(1.0 - ab) * (self._q @ w)
+        self.sched._check_t(t)
+        i = t - 1
+        w = self._q.T @ (z - self._sqrt_ab[i, 0] * self.mu) / self._spectra[i]
+        return self._sqrt_1mab[i, 0] * (self._q @ w)
 
     def vjp(self, z, t, c, v):
         self._check_vec(z, "z")
         v = self._check_vec(v, "v")
-        ab, d_t = self._spectrum(t)
-        w = self._q.T @ v / d_t
-        return np.sqrt(1.0 - ab) * (self._q @ w)
+        self.sched._check_t(t)
+        i = t - 1
+        w = self._q.T @ v / self._spectra[i]
+        return self._sqrt_1mab[i, 0] * (self._q @ w)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,14 @@ iteration counts and residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .denoiser import Condition, DenoiserInterface, cfg_eval, cfg_vjp
-from .dynamics import INVERSION, Trajectory, ddim_invert_step, generate_step
+from .dynamics import INVERSION, Trajectory, ddim_invert_step
 from .errors import DivergenceError, InvalidParameterError
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, TimestepGrid, coefficients
@@ -78,7 +79,13 @@ def bias_target(model: DenoiserInterface, sched: NoiseSchedule, z: np.ndarray,
     At the true preimage, generate_step lands exactly on z_prev and the
     returned value equals z − z_prev.
     """
-    return z - generate_step(model, sched, z, t, t_prev, c, w)
+    z = np.asarray(z, dtype=np.float64)
+    return _bias_target(model, coefficients(sched, t, t_prev), z, t, c, w)
+
+
+def _bias_target(model, co, z, t, c, w):
+    # generate_step's deterministic transition, with its coefficients in hand
+    return z - (co.phi * z + co.psi * cfg_eval(model, z, t, c, w))
 
 
 def lbo_numerical_iterate(model: DenoiserInterface, sched: NoiseSchedule,
@@ -88,21 +95,25 @@ def lbo_numerical_iterate(model: DenoiserInterface, sched: NoiseSchedule,
 
     A fixed point b* makes (z_prev, z_prev + b*) an exact generation pair.
     """
-    b_next = bias_target(model, sched, z_prev + b, t, t_prev, c, w)
-    if not np.all(np.isfinite(b_next)):
+    return _numerical_sweep(model, coefficients(sched, t, t_prev), z_prev, t, c, w, b)
+
+
+def _numerical_sweep(model, co, z_prev, t, c, w, b):
+    b_next = _bias_target(model, co, z_prev + b, t, c, w)
+    if not np.isfinite(b_next).all():
         raise DivergenceError("numerical sweep produced non-finite bias", t=t)
     return b_next
 
 
-def _numerical_loop(model, sched, z_prev, t_prev, t, c, w, b, budget, tol):
+def _numerical_loop(model, co, z_prev, t, c, w, b, budget, tol):
     iters = 0
     residual = float("inf")
     while iters < budget and residual >= tol:
         try:
-            b_next = lbo_numerical_iterate(model, sched, z_prev, t_prev, t, c, w, b)
+            b_next = _numerical_sweep(model, co, z_prev, t, c, w, b)
         except DivergenceError as e:
             raise DivergenceError(str(e), t=t, iteration=iters + 1) from None
-        residual = float(np.max(np.abs(b_next - b)))
+        residual = float(np.abs(b_next - b).max())
         b = b_next
         iters += 1
     return b, iters, residual
@@ -114,12 +125,16 @@ def objective_and_grad(model, sched, z_prev, t_prev, t, c, w, b):
     b − bias_target(z_prev + b) telescopes to generate_step(z_prev+b) − z_prev,
     so the chain rule only passes through one denoiser evaluation.
     """
-    co = coefficients(sched, t, t_prev)
+    return _objective_and_grad(model, coefficients(sched, t, t_prev), z_prev, t, c, w, b)
+
+
+def _objective_and_grad(model, co, z_prev, t, c, w, b):
     z = z_prev + b
     r = co.phi * z + co.psi * cfg_eval(model, z, t, c, w) - z_prev
     s = np.sign(r)
     grad = (co.phi * s + co.psi * cfg_vjp(model, z, t, c, w, s)) / r.size
-    return float(np.mean(np.abs(r))), grad
+    # add.reduce / size is np.mean's own arithmetic without its dispatch
+    return float(np.add.reduce(np.abs(r)) / r.size), grad
 
 
 def lbo_gradient_iterate(model: DenoiserInterface, sched: NoiseSchedule,
@@ -127,22 +142,24 @@ def lbo_gradient_iterate(model: DenoiserInterface, sched: NoiseSchedule,
                          w: float, b: np.ndarray, state: AdamState
                          ) -> tuple[np.ndarray, AdamState, float]:
     """One Adam step on J(b); returns (b_next, state, J at the pre-step b)."""
-    value, grad = objective_and_grad(model, sched, z_prev, t_prev, t, c, w, b)
-    if not np.isfinite(value):
+    return _gradient_iterate(model, coefficients(sched, t, t_prev), z_prev, t, c, w, b, state)
+
+
+def _gradient_iterate(model, co, z_prev, t, c, w, b, state):
+    value, grad = _objective_and_grad(model, co, z_prev, t, c, w, b)
+    if not math.isfinite(value):
         raise DivergenceError("gradient objective became non-finite", t=t)
     b_next, state = adam_step(state, b, grad)
     return b_next, state, value
 
 
-def _gradient_loop(model, sched, z_prev, t_prev, t, c, w, b, budget, tol, lr,
-                   check_tol=True):
+def _gradient_loop(model, co, z_prev, t, c, w, b, budget, tol, lr, check_tol=True):
     state = AdamState(lr=lr)
     iters = 0
     residual = float("inf")
     while iters < budget and (not check_tol or residual >= tol):
         try:
-            b, state, residual = lbo_gradient_iterate(
-                model, sched, z_prev, t_prev, t, c, w, b, state)
+            b, state, residual = _gradient_iterate(model, co, z_prev, t, c, w, b, state)
         except DivergenceError as e:
             raise DivergenceError(str(e), t=t, iteration=iters + 1) from None
         iters += 1
@@ -155,25 +172,26 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
     """Invert one transition; returns (z_t, step report).
 
     With max_iters=0 this returns the unrefined one-shot inversion unchanged.
+    The step coefficients are looked up once and shared by every iteration.
     """
     w = cfg.guidance_w
     y0 = ddim_invert_step(model, sched, z_prev, t_prev, t, c, w)
     if cfg.max_iters == 0:
         return y0, LboStepReport(t=t, iters=0, residual=float("inf"), converged=False)
+    co = coefficients(sched, t, t_prev)
     b = y0 - z_prev
     if cfg.mode == "numerical":
         b, iters, residual = _numerical_loop(
-            model, sched, z_prev, t_prev, t, c, w, b, cfg.max_iters, cfg.tol)
+            model, co, z_prev, t, c, w, b, cfg.max_iters, cfg.tol)
     elif cfg.mode == "gradient":
         b, iters, residual = _gradient_loop(
-            model, sched, z_prev, t_prev, t, c, w, b, cfg.max_iters, cfg.tol, cfg.lr)
+            model, co, z_prev, t, c, w, b, cfg.max_iters, cfg.tol, cfg.lr)
     else:
         warmup = min(cfg.n_grad_warmup, cfg.max_iters)
         b, g_iters, _ = _gradient_loop(
-            model, sched, z_prev, t_prev, t, c, w, b, warmup, cfg.tol, cfg.lr,
-            check_tol=False)
+            model, co, z_prev, t, c, w, b, warmup, cfg.tol, cfg.lr, check_tol=False)
         b, n_iters, residual = _numerical_loop(
-            model, sched, z_prev, t_prev, t, c, w, b, cfg.max_iters - warmup, cfg.tol)
+            model, co, z_prev, t, c, w, b, cfg.max_iters - warmup, cfg.tol)
         iters = g_iters + n_iters
     return z_prev + b, LboStepReport(
         t=t, iters=iters, residual=residual, converged=residual < cfg.tol)

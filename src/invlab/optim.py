@@ -9,7 +9,7 @@ Adam is the standard bias-corrected form:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,7 @@ def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.nda
         raise InvalidInputError(
             f"grad shape {grad.shape} does not match x shape {x.shape}"
         )
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise DivergenceError("non-finite gradient passed to adam_step")
     m = state.m if state.m is not None else np.zeros_like(x)
     v = state.v if state.v is not None else np.zeros_like(x)
@@ -47,7 +47,8 @@ def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.nda
     m_hat = m / (1.0 - state.beta1**k)
     v_hat = v / (1.0 - state.beta2**k)
     x_next = x - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return x_next, replace(state, m=m, v=v, step_count=k)
+    # a direct constructor call costs a fraction of dataclasses.replace
+    return x_next, AdamState(state.lr, m, v, k, state.beta1, state.beta2, state.epsilon)
 
 
 def central_difference(

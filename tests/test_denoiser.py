@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invlab import (
+    BoundsError,
     Condition,
     ConstantDenoiser,
     DenoiserInterface,
@@ -120,6 +121,38 @@ def test_gaussian_rejects_bad_covariance(toy3):
         LinearGaussianDenoiser(np.zeros(2), np.array([[1.0, 0.0], [0.0, -2.0]]), toy3)
     with pytest.raises(DimensionError):
         LinearGaussianDenoiser(np.zeros(3), np.eye(2), toy3)
+
+
+def test_gaussian_tables_give_the_spectral_form_bits(gauss_nd, default_sched, uncond):
+    # the per-timestep tables hold what the straightforward per-call form computes
+    lam, q = np.linalg.eigh(gauss_nd.sigma)
+    rng = np.random.default_rng(12)
+    for t in range(1, default_sched.t_train + 1):
+        z, v = rng.standard_normal(4), rng.standard_normal(4)
+        ab = default_sched.alpha_bar(t)
+        d_t = lam * ab + (1.0 - ab)
+        eval_ref = np.sqrt(1.0 - ab) * (q @ (q.T @ (z - np.sqrt(ab) * gauss_nd.mu) / d_t))
+        vjp_ref = np.sqrt(1.0 - ab) * (q @ (q.T @ v / d_t))
+        assert np.array_equal(gauss_nd.eval(z, t, uncond), eval_ref)
+        assert np.array_equal(gauss_nd.vjp(z, t, uncond, v), vjp_ref)
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "mlp"])
+def test_timestep_outside_schedule_rejected(backend, uncond):
+    if backend == "gaussian":
+        sched = make_linear_schedule(20, 1e-3, 0.05)
+        model = LinearGaussianDenoiser(np.zeros(2), np.eye(2), sched)
+    else:
+        model, sched = _tiny_mlp()
+    z, v = np.array([0.4, -0.2]), np.array([1.0, 0.5])
+    for t in (0, sched.t_train + 1):
+        with pytest.raises(BoundsError):
+            model.eval(z, t, uncond)
+        with pytest.raises(BoundsError):
+            model.vjp(z, t, uncond, v)
+    for t in (1, sched.t_train):
+        assert np.all(np.isfinite(model.eval(z, t, uncond)))
+        assert np.all(np.isfinite(model.vjp(z, t, uncond, v)))
 
 
 class _CondGate(DenoiserInterface):

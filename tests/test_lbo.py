@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+import invlab.dynamics
+import invlab.lbo
 from invlab import (
     AdamState,
     Condition,
     DivergenceError,
     InvalidParameterError,
     LboConfig,
+    LinearGaussianDenoiser,
     MlpTrainConfig,
     ScalingDenoiser,
     bias_target,
+    cfg_vjp,
+    coefficients,
     ddim_invert_step,
     ddim_invert_trajectory,
     generate_step,
@@ -93,6 +98,19 @@ def test_numerical_iterate_raises_on_blowup(toy3, uncond):
     assert exc.value.context.get("iteration", 0) >= 1
 
 
+@pytest.mark.parametrize("mode,scale", [("gradient", 1e200), ("hybrid", 1e22), ("hybrid", 1e200)])
+def test_gradient_and_hybrid_blowup_name_step_and_iteration(toy3, uncond, mode, scale):
+    # Adam moves b by about lr per step, so at scale 1e22 J stays finite (~1e42)
+    # and gradient mode never diverges; at 1e200 J overflows on its first
+    # evaluation. Hybrid at 1e22 blows up in its numerical tail after warm-up.
+    wild = ScalingDenoiser(1, scale)
+    cfg = LboConfig(mode=mode, max_iters=20)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
+        lbo_invert_step(wild, toy3, ONE, 1, 2, uncond, cfg)
+    assert exc.value.context["t"] == 2
+    assert exc.value.context["iteration"] >= 1
+
+
 def test_gradient_iterate_stationary_at_solution(toy3, stub0, uncond):
     # F = 0: the one-shot bias is exact, J = 0, gradient = 0, b unchanged
     b = init_bias(stub0, toy3, ONE, 1, 2, uncond)
@@ -124,6 +142,27 @@ def test_objective_gradient_matches_finite_differences(gauss_nd, default_sched, 
 
     _, grad = objective_and_grad(gauss_nd, default_sched, z_prev, 30, 40, uncond, 1.0, b)
     assert gradient_check(j, grad, b) < 1e-4
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "mlp"])
+def test_objective_is_the_straightforward_form_bit_for_bit(
+        default_sched, tiny_mlp, backend):
+    if backend == "gaussian":
+        # d = 5: dividing by a power of two would hide a reordered mean
+        a = np.random.default_rng(7).standard_normal((5, 5))
+        model = LinearGaussianDenoiser(np.ones(5), a @ a.T + np.eye(5), default_sched)
+        sched, c, w, t_prev, t = default_sched, Condition.unconditional(), 1.0, 30, 40
+    else:
+        (model, sched), c, w, t_prev, t = tiny_mlp, Condition.class_label(0), 3.0, 4, 10
+    rng = np.random.default_rng(8)
+    z_prev = rng.standard_normal(model.latent_dim)
+    b = 0.1 * rng.standard_normal(model.latent_dim)
+    co = coefficients(sched, t, t_prev)
+    r = generate_step(model, sched, z_prev + b, t, t_prev, c, w) - z_prev
+    s = np.sign(r)
+    value, grad = objective_and_grad(model, sched, z_prev, t_prev, t, c, w, b)
+    assert value == float(np.mean(np.abs(r)))
+    assert np.array_equal(grad, (co.phi * s + co.psi * cfg_vjp(model, z_prev + b, t, c, w, s)) / r.size)
 
 
 def test_invert_step_numerical_hand_fixed_point(toy3, stub_half, uncond):
@@ -260,3 +299,80 @@ def test_guidance_weight_changes_conditional_inversion(uncond):
     a, _ = lbo_invert_step(model, sched, z, 5, 10, c, LboConfig(guidance_w=1.0))
     b, _ = lbo_invert_step(model, sched, z, 5, 10, c, LboConfig(guidance_w=3.0))
     assert not np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def tiny_mlp():
+    sched = make_linear_schedule(20, 1e-3, 0.05)
+    data, labels, _ = make_gauss_mixture(48, seed=9)
+    return train_mlp_denoiser(data, sched, MlpTrainConfig(width=16, max_epochs=4, seed=0),
+                              labels), sched
+
+
+def _reference_step(model, sched, z_prev, t_prev, t, c, cfg):
+    """lbo_invert_step written out with the public per-iteration functions."""
+    w = cfg.guidance_w
+    b = init_bias(model, sched, z_prev, t_prev, t, c, w)
+    iters, residual = 0, np.inf
+    if cfg.mode != "numerical":
+        budget = cfg.max_iters if cfg.mode == "gradient" else min(cfg.n_grad_warmup, cfg.max_iters)
+        state = AdamState(lr=cfg.lr)
+        while iters < budget and (cfg.mode == "hybrid" or residual >= cfg.tol):
+            b, state, residual = lbo_gradient_iterate(
+                model, sched, z_prev, t_prev, t, c, w, b, state)
+            iters += 1
+    if cfg.mode != "gradient":
+        residual = np.inf
+        while iters < cfg.max_iters and residual >= cfg.tol:
+            b_next = lbo_numerical_iterate(model, sched, z_prev, t_prev, t, c, w, b)
+            residual = float(np.max(np.abs(b_next - b)))
+            b = b_next
+            iters += 1
+    return z_prev + b, iters, residual
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "mlp"])
+@pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
+def test_invert_step_is_bit_identical_to_the_public_iterates(
+        gauss_nd, default_sched, tiny_mlp, backend, mode):
+    if backend == "gaussian":
+        model, sched, c, w = gauss_nd, default_sched, Condition.unconditional(), 1.0
+        z = np.array([0.3, -1.2, 0.7, 0.1])
+        pairs = [(0, 2), (30, 40), (60, 100)]
+    else:
+        (model, sched), c, w = tiny_mlp, Condition.class_label(1), 3.0
+        z = np.array([0.4, -0.2])
+        pairs = [(0, 4), (4, 10), (10, 20)]
+    # the default budget and tolerance, then a budget that runs out first
+    for cfg in (LboConfig(mode=mode, guidance_w=w),
+                LboConfig(mode=mode, guidance_w=w, max_iters=7, tol=1e-30)):
+        for t_prev, t in pairs:
+            z_t, rep = lbo_invert_step(model, sched, z, t_prev, t, c, cfg)
+            ref_z, ref_iters, ref_residual = _reference_step(model, sched, z, t_prev, t, c, cfg)
+            assert np.array_equal(z_t, ref_z)
+            assert (rep.iters, rep.residual) == (ref_iters, ref_residual)
+            z = z_t
+
+
+@pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
+def test_coefficients_looked_up_per_step_not_per_iteration(
+        gauss_nd, default_sched, uncond, monkeypatch, mode):
+    # the one-shot start looks them up through dynamics, the loops through lbo
+    real = invlab.lbo.coefficients
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invlab.lbo, "coefficients", counting)
+    monkeypatch.setattr(invlab.dynamics, "coefficients", counting)
+    z = np.array([0.3, -1.2, 0.7, 0.1])
+    per_step = []
+    for max_iters in (1, 15):
+        calls.clear()
+        _, rep = lbo_invert_step(gauss_nd, default_sched, z, 30, 40, uncond,
+                                 LboConfig(mode=mode, max_iters=max_iters, tol=1e-30))
+        assert rep.iters >= min(max_iters, 6)
+        per_step.append(len(calls))
+    assert per_step[0] == per_step[1]

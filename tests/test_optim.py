@@ -18,6 +18,15 @@ def test_first_step_magnitude():
     assert state.step_count == 0  # input state untouched
 
 
+def test_next_state_keeps_hyperparameters():
+    state = AdamState(lr=0.02, beta1=0.5, beta2=0.75, epsilon=1e-3)
+    x1, s1 = adam_step(state, np.array([1.0, 2.0]), np.array([0.5, -1.0]))
+    s2 = adam_step(s1, x1, np.array([0.25, 0.5]))[1]
+    assert (s2.lr, s2.beta1, s2.beta2, s2.epsilon) == (0.02, 0.5, 0.75, 1e-3)
+    assert s2.step_count == 2
+    np.testing.assert_array_equal(s2.m, 0.5 * s1.m + 0.5 * np.array([0.25, 0.5]))
+
+
 def test_step_direction_follows_sign():
     state = AdamState(lr=0.01)
     x = np.array([0.0, 0.0, 0.0])
