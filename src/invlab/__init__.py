@@ -24,7 +24,7 @@ from .ilb import (IlbConfig, IlbReport, consistency_loss, ilb_loss_and_grad, ilb
 from .lbo import (LboConfig, LboStepReport, bias_target, init_bias,
                   lbo_gradient_iterate, lbo_invert_step, lbo_invert_trajectory,
                   lbo_numerical_iterate, objective_and_grad)
-from .metrics import (MetricReport, PerceptualMetricInterface, psnr, ssim, ssim_with_grad,
+from .metrics import (PerceptualMetricInterface, psnr, ssim, ssim_with_grad,
                       trajectory_divergence)
 from .modelio import load_model, save_model
 from .optim import AdamState, adam_step, gradient_check

@@ -105,14 +105,15 @@ def _numerical_sweep(model, co, z_prev, t, c, w, b):
     return b_next
 
 
-def _numerical_loop(model, co, z_prev, t, c, w, b, budget, tol):
+def _numerical_loop(model, co, z_prev, t, c, w, b, budget, tol, spent=0):
+    # spent: iterations the step ran before this loop, so an error names the step's iteration
     iters = 0
     residual = float("inf")
     while iters < budget and residual >= tol:
         try:
             b_next = _numerical_sweep(model, co, z_prev, t, c, w, b)
         except DivergenceError as e:
-            raise DivergenceError(str(e), t=t, iteration=iters + 1) from None
+            raise DivergenceError(str(e), t=t, iteration=spent + iters + 1) from None
         residual = float(np.abs(b_next - b).max())
         b = b_next
         iters += 1
@@ -191,7 +192,7 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
         b, g_iters, _ = _gradient_loop(
             model, co, z_prev, t, c, w, b, warmup, cfg.tol, cfg.lr, check_tol=False)
         b, n_iters, residual = _numerical_loop(
-            model, co, z_prev, t, c, w, b, cfg.max_iters - warmup, cfg.tol)
+            model, co, z_prev, t, c, w, b, cfg.max_iters - warmup, cfg.tol, spent=g_iters)
         iters = g_iters + n_iters
     return z_prev + b, LboStepReport(
         t=t, iters=iters, residual=residual, converged=residual < cfg.tol)

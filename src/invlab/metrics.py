@@ -11,7 +11,6 @@ through the metric.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,22 +18,6 @@ import numpy as np
 from .dynamics import GENERATION, INVERSION, Trajectory
 from .errors import DimensionError, GridMismatchError, InvalidParameterError
 from .optim import central_difference
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    psnr_db: float
-    ssim: float
-    perceptual: float
-    roundtrip_l2_rel: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "psnr_db": self.psnr_db,
-            "ssim": self.ssim,
-            "perceptual": self.perceptual,
-            "roundtrip_l2_rel": self.roundtrip_l2_rel,
-        }
 
 
 class PerceptualMetricInterface(ABC):
@@ -123,8 +106,8 @@ def _ssim_impl(x: np.ndarray, y: np.ndarray, data_range: float, want_grad: bool)
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
     # (c, h, w) channel planes; a 2-D image is one plane
-    xp = np.moveaxis(x.reshape(x.shape[:2] + (-1,)), 2, 0)
-    yp = np.moveaxis(y.reshape(y.shape[:2] + (-1,)), 2, 0)
+    xp = x.reshape(x.shape[:2] + (-1,)).transpose(2, 0, 1)
+    yp = y.reshape(y.shape[:2] + (-1,)).transpose(2, 0, 1)
     ops = _window_ops(x.shape[0], x.shape[1])
     mu_x, mu_y, m2x, m2y, mxy = ops.apply(np.stack([xp, yp, xp * xp, yp * yp, xp * yp]))
     var_x = m2x - mu_x * mu_x
@@ -151,7 +134,7 @@ def _ssim_impl(x: np.ndarray, y: np.ndarray, data_range: float, want_grad: bool)
     g3 = d_cov  # via mean(x·y)
     a_1, a_2, a_3 = ops.adjoint(np.stack([g1, g2, g3]))
     gplanes = (a_1 + a_2 * (2.0 * yp) + a_3 * xp) / smap.size
-    return value, np.moveaxis(gplanes, 0, 2).reshape(y.shape)
+    return value, gplanes.transpose(1, 2, 0).reshape(y.shape)
 
 
 def ssim(x: np.ndarray, y: np.ndarray, data_range: float = 1.0) -> float:

@@ -11,34 +11,68 @@ while staying exactly differentiable by hand.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 from .metrics import PerceptualMetricInterface
 from .rng import derive_rng
 
 _NORM_EPS = 1e-10
+_ZERO = np.zeros(1)
+
+
+@lru_cache(maxsize=32)
+def _patch_index(c: int, h: int, w: int, pad: int) -> np.ndarray:
+    """(c·9, positions) flat indices of the 3×3 patches of a (c, h, w) map zero-padded by pad.
+
+    Row ci·9 + ki·3 + kj, column i·w_out + j reads map[ci, i+ki−pad, j+kj−pad];
+    a padded position reads index c·h·w, the single zero `_patches` appends
+    after the flattened map. Rows and columns are laid out as np.tensordot
+    lays out the windows it contracts, so the matmuls round as tensordot does.
+    """
+    h_out, w_out = h + 2 * pad - 2, w + 2 * pad - 2
+    # broadcast over axes (ci, ki, kj, i, j)
+    ci = np.arange(c)[:, None, None, None, None]
+    rows = np.arange(3)[:, None, None, None] + np.arange(h_out)[:, None] - pad
+    cols = np.arange(3)[:, None, None] + np.arange(w_out) - pad
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    index = np.where(inside, ci * (h * w) + rows * w + cols, c * h * w)
+    index = index.reshape(c * 9, h_out * w_out)
+    # lru_cache hands the same table to every caller and thread
+    index.setflags(write=False)
+    return index
+
+
+def _patches(x: np.ndarray, pad: int) -> np.ndarray:
+    """im2col of a (c, h, w) map zero-padded by pad: one gather through `_patch_index`."""
+    c, h, w = x.shape
+    flat = np.concatenate((x.reshape(-1), _ZERO))
+    return flat[_patch_index(c, h, w, pad)]
 
 
 def _conv_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """x: (c_in, h, w), kernels: (c_out, c_in, 3, 3) -> (c_out, h-2, w-2).
 
-    Valid cross-correlation as one contraction over the 3×3 patches (im2col).
+    Valid cross-correlation as one matmul over the 3×3 patches (im2col).
     """
-    patches = sliding_window_view(x, (3, 3), axis=(1, 2))  # (c_in, h-2, w-2, 3, 3)
-    return np.tensordot(kernels, patches, axes=([1, 2, 3], [0, 3, 4])) + bias[:, None, None]
+    c_out = kernels.shape[0]
+    _, h, w = x.shape
+    out = kernels.reshape(c_out, -1) @ _patches(x, 0) + bias[:, None]
+    return out.reshape(c_out, h - 2, w - 2)
 
 
 def _conv_input_vjp(u: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Adjoint of _conv_forward with respect to its input: (c_out, h, w) -> (c_in, h+2, w+2).
 
-    Full convolution, i.e. valid correlation of the zero-padded map with the
-    flipped kernels.
+    Full convolution, i.e. valid correlation of the map zero-padded by 2 with
+    the flipped kernels, their in and out channel axes swapped.
     """
-    padded = np.pad(u, ((0, 0), (2, 2), (2, 2)))
-    patches = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (c_out, h+2, w+2, 3, 3)
-    return np.tensordot(kernels[:, :, ::-1, ::-1], patches, axes=([0, 2, 3], [0, 3, 4]))
+    c_in = kernels.shape[1]
+    _, h, w = u.shape
+    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+    return (flipped @ _patches(u, 2)).reshape(c_in, h + 2, w + 2)
 
 
 def _feature_distance(gx1, gx2, gy1, gy2) -> float:
@@ -87,7 +121,7 @@ class RandomConvPerceptual(PerceptualMetricInterface):
         return img
 
     def _features(self, img: np.ndarray):
-        x = np.moveaxis(img, 2, 0)
+        x = img.transpose(2, 0, 1)
         f1 = np.tanh(_conv_forward(x, self.k1, self.b1))
         f2 = np.tanh(_conv_forward(f1, self.k2, self.b2))
         g1, s1 = _normalize(f1)
@@ -114,7 +148,7 @@ class RandomConvPerceptual(PerceptualMetricInterface):
         # f1 feeds both its own distance term and the second conv layer
         u_f1 = _normalize_vjp(f1, s1, u_g1) + _conv_input_vjp(u_pre2, self.k2)
         u_pre1 = u_f1 * (1.0 - f1 * f1)
-        return value, np.moveaxis(_conv_input_vjp(u_pre1, self.k1), 0, 2)
+        return value, _conv_input_vjp(u_pre1, self.k1).transpose(1, 2, 0)
 
     def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.value_and_grad(x, y)[1]

@@ -111,6 +111,15 @@ def test_gradient_and_hybrid_blowup_name_step_and_iteration(toy3, uncond, mode, 
     assert exc.value.context["iteration"] >= 1
 
 
+def test_hybrid_blowup_counts_iterations_from_the_start_of_the_step(toy3, uncond):
+    # 5 Adam warm-up iterations, then the numerical tail overflows on its 14th
+    wild = ScalingDenoiser(1, 1e22)
+    cfg = LboConfig(mode="hybrid", max_iters=20)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
+        lbo_invert_step(wild, toy3, ONE, 1, 2, uncond, cfg)
+    assert exc.value.context["iteration"] == 19
+
+
 def test_gradient_iterate_stationary_at_solution(toy3, stub0, uncond):
     # F = 0: the one-shot bias is exact, J = 0, gradient = 0, b unchanged
     b = init_bias(stub0, toy3, ONE, 1, 2, uncond)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from invlab import (
     GridMismatchError,
     InvalidParameterError,
     LinearGaussianDenoiser,
-    MetricReport,
     PerceptualMetricInterface,
     RandomConvPerceptual,
     ddim_invert_trajectory,
@@ -23,7 +23,8 @@ from invlab import (
     ssim_with_grad,
     trajectory_divergence,
 )
-from invlab.perceptual import _conv_forward, _conv_input_vjp
+import invlab.perceptual
+from invlab.perceptual import _conv_forward, _conv_input_vjp, _patch_index
 
 
 def test_psnr_identical_images_is_infinite():
@@ -279,6 +280,52 @@ def test_perceptual_value_and_grad_off_square(shape):
     assert err < 1e-6
 
 
+def _windowed_conv_forward(x, kernels, bias):
+    # sliding_window_view + tensordot: the bit-level reference for the gather tables
+    patches = sliding_window_view(x, (3, 3), axis=(1, 2))
+    return np.tensordot(kernels, patches, axes=([1, 2, 3], [0, 3, 4])) + bias[:, None, None]
+
+
+def _windowed_conv_input_vjp(u, kernels):
+    padded = np.pad(u, ((0, 0), (2, 2), (2, 2)))
+    patches = sliding_window_view(padded, (3, 3), axis=(1, 2))
+    return np.tensordot(kernels[:, :, ::-1, ::-1], patches, axes=([0, 2, 3], [0, 3, 4]))
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 1), (16, 12, 3), (9, 7, 2), (5, 5, 1)])
+def test_gather_convolutions_are_bit_identical_to_windowed_contractions(shape, monkeypatch):
+    perc = RandomConvPerceptual(shape, seed=4)
+    rng = np.random.default_rng(18)
+    x = rng.random(shape)
+    y = rng.random(shape)
+    h, w, _ = shape
+    img = x.transpose(2, 0, 1)
+    f1 = np.tanh(_conv_forward(img, perc.k1, perc.b1))
+    u1 = rng.standard_normal((perc.widths[0], h - 2, w - 2))
+    u2 = rng.standard_normal((perc.widths[1], h - 4, w - 4))
+    assert np.array_equal(_conv_forward(img, perc.k1, perc.b1),
+                          _windowed_conv_forward(img, perc.k1, perc.b1))
+    assert np.array_equal(_conv_forward(f1, perc.k2, perc.b2),
+                          _windowed_conv_forward(f1, perc.k2, perc.b2))
+    assert np.array_equal(_conv_input_vjp(u1, perc.k1), _windowed_conv_input_vjp(u1, perc.k1))
+    assert np.array_equal(_conv_input_vjp(u2, perc.k2), _windowed_conv_input_vjp(u2, perc.k2))
+    distance = perc.distance(x, y)
+    value, grad = perc.value_and_grad(x, y)
+    monkeypatch.setattr(invlab.perceptual, "_conv_forward", _windowed_conv_forward)
+    monkeypatch.setattr(invlab.perceptual, "_conv_input_vjp", _windowed_conv_input_vjp)
+    assert distance == perc.distance(x, y)
+    ref_value, ref_grad = perc.value_and_grad(x, y)
+    assert value == ref_value and np.array_equal(grad, ref_grad)
+
+
+def test_patch_index_tables_are_cached_and_read_only():
+    table = _patch_index(2, 6, 5, 2)
+    assert table.shape == (2 * 9, 8 * 7) and not table.flags.writeable
+    assert _patch_index(2, 6, 5, 2) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
+
+
 @pytest.mark.parametrize("shape", [(16, 12, 3), (9, 7, 2), (6, 9, 2), (11, 8)])
 def test_ssim_gradient_off_square(shape):
     # non-square multichannel windowed images, the global path (6 < 7 rows)
@@ -290,11 +337,6 @@ def test_ssim_gradient_off_square(shape):
     assert value == ssim(x, y) and grad.shape == shape
     err = gradient_check(lambda q: ssim(x, q.reshape(shape)), grad.reshape(-1), y.reshape(-1))
     assert err < 1e-6
-
-
-def test_metric_report_fields():
-    r = MetricReport(psnr_db=20.0, ssim=0.9, perceptual=0.01, roundtrip_l2_rel=0.1)
-    assert r.psnr_db == 20.0 and r.roundtrip_l2_rel == 0.1
 
 
 def _paired_trajectories(model, sched, s, z0, c):
