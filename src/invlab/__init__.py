@@ -14,11 +14,11 @@ from .data import gen_dataset, load_dataset, make_gauss_mixture, make_shapes, sa
 from .denoiser import (Condition, ConstantDenoiser, DenoiserInterface, LinearGaussianDenoiser,
                        MlpDenoiser, MlpTrainConfig, ScalingDenoiser, cfg_eval, cfg_vjp,
                        train_mlp_denoiser)
-from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, forward_noise,
-                       forward_step, generate_step, generate_trajectory)
+from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, generate_step,
+                       generate_trajectory)
 from .errors import (BoundsError, ConfigError, DimensionError, DivergenceError, FitError,
                      FormatError, GridMismatchError, InvalidInputError, InvalidParameterError,
-                     InvlabError, MissingNoiseError, OrderingError, TrainingFailureError)
+                     InvlabError, OrderingError, TrainingFailureError)
 from .ilb import (IlbConfig, IlbReport, consistency_loss, ilb_loss_and_grad, ilb_optimize,
                   regularization_loss, skip_roundtrip)
 from .lbo import (LboConfig, LboStepReport, bias_target, init_bias,

@@ -217,14 +217,16 @@ class BenchmarkBackends:
         self.cfg = cfg
         self.sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
         self.grid = make_uniform_grid(self.sched, cfg.steps)
+        dt = cfg.ilb.dt if cfg.ilb.dt is not None else max(cfg.t_train // cfg.steps, 1)
+        if not 1 <= dt <= cfg.t_train:
+            raise ConfigError(f"ilb.dt {dt} outside [1, {cfg.t_train}]", key="ilb.dt")
+        self.ilb_cfg = replace(cfg.ilb, dt=dt)
         self.images = _load_instance_images(cfg)
         fit_images = make_fit_images(cfg)
         self.ae = build_autoencoder(cfg, fit_images)
         self.model = build_denoiser(cfg, self.sched, self.ae, fit_images)
         self.perc = RandomConvPerceptual((ds.height, ds.width, 1), seed=cfg.perceptual.seed)
         self.condition = Condition.unconditional()
-        stride = max(cfg.t_train // cfg.steps, 1)
-        self.ilb_cfg = replace(cfg.ilb, dt=cfg.ilb.dt if cfg.ilb.dt is not None else stride)
 
     def lbo_cfg(self, mode: str) -> LboConfig:
         return LboConfig(mode=mode, **asdict(self.cfg.lbo))

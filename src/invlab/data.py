@@ -11,13 +11,22 @@ produces the same bytes.
 from __future__ import annotations
 
 import json
+import operator
+from functools import partial
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import FormatError, InvalidParameterError
 from .rng import derive_rng
 
 KINDS = ("gauss2d", "shapes")
+# the keys a dataset file of each kind must hold, each with the reader of its value
+_FILE_KEYS = {
+    "gauss2d": {"samples": partial(np.asarray, dtype=np.float64),
+                "labels": partial(np.asarray, dtype=np.int64),
+                "means": partial(np.asarray, dtype=np.float64)},
+    "shapes": {"n": operator.index, "images": partial(np.asarray, dtype=np.float64)},
+}
 
 
 def _pick_level(rng) -> float:
@@ -159,14 +168,23 @@ def save_dataset(payload: dict, path) -> None:
 
 
 def load_dataset(path) -> dict:
+    """The payload stored at `path`, its arrays as NumPy; FormatError if malformed."""
     with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("kind") == "shapes":
-        payload["images"] = np.asarray(payload["images"], dtype=np.float64)
-    elif payload.get("kind") == "gauss2d":
-        payload["samples"] = np.asarray(payload["samples"], dtype=np.float64)
-        payload["labels"] = np.asarray(payload["labels"], dtype=np.int64)
-        payload["means"] = np.asarray(payload["means"], dtype=np.float64)
-    else:
-        raise InvalidParameterError(f"unknown dataset kind {payload.get('kind')!r} in {path}")
+        try:
+            payload = json.load(f)
+        except ValueError as e:  # invalid JSON or invalid UTF-8
+            raise FormatError(f"dataset file {path} is not valid JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"dataset file {path} does not hold a JSON object")
+    kind = payload.get("kind")
+    if kind not in KINDS:
+        raise InvalidParameterError(f"unknown dataset kind {kind!r} in {path}")
+    missing = [key for key in _FILE_KEYS[kind] if key not in payload]
+    if missing:
+        raise FormatError(f"{kind} dataset file {path} lacks {missing}")
+    for key, read in _FILE_KEYS[kind].items():
+        try:
+            payload[key] = read(payload[key])
+        except (TypeError, ValueError) as e:
+            raise FormatError(f"{key!r} in dataset file {path} is malformed: {e}") from None
     return payload

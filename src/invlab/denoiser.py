@@ -34,16 +34,14 @@ from .schedule import NoiseSchedule
 
 UNCONDITIONAL = "unconditional"
 CLASS_LABEL = "class"
-EMBEDDING = "embedding"
 
 
 @dataclass(frozen=True)
 class Condition:
-    """Conditioning input: unconditional, a class id, or a raw embedding row."""
+    """Conditioning input: unconditional, or a class id."""
 
     variant: str
     k: int | None = None
-    v: np.ndarray | None = None
 
     @staticmethod
     def unconditional() -> "Condition":
@@ -55,19 +53,10 @@ class Condition:
             raise InvalidParameterError(f"class label must be >= 0, got {k}", k=k)
         return Condition(variant=CLASS_LABEL, k=int(k))
 
-    @staticmethod
-    def embedding(v: np.ndarray) -> "Condition":
-        arr = np.asarray(v, dtype=np.float64)
-        if arr.ndim != 1:
-            raise InvalidParameterError("embedding condition must be a 1-D vector")
-        return Condition(variant=EMBEDDING, v=arr)
-
     def to_json_dict(self) -> dict:
         if self.variant == UNCONDITIONAL:
             return {"variant": UNCONDITIONAL}
-        if self.variant == CLASS_LABEL:
-            return {"variant": CLASS_LABEL, "k": self.k}
-        return {"variant": EMBEDDING, "v": list(map(float, self.v))}
+        return {"variant": CLASS_LABEL, "k": self.k}
 
     @staticmethod
     def from_json_dict(d: dict) -> "Condition":
@@ -76,8 +65,6 @@ class Condition:
             return Condition.unconditional()
         if variant == CLASS_LABEL:
             return Condition.class_label(int(d["k"]))
-        if variant == EMBEDDING:
-            return Condition.embedding(np.asarray(d["v"], dtype=np.float64))
         raise InvalidParameterError(f"unknown condition variant {variant!r}")
 
 
@@ -211,19 +198,17 @@ class MlpTrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 0
-    target_loss: float | None = None
-    p_uncond: float = 0.1
-    holdout_frac: float = 0.0
-    n_eval: int = 256
-    resample_noise: bool = True  # False = fixed (t, ε) pairs, pure memorization
 
+
+_N_EVAL = 256  # probe rows behind MlpDenoiser.final_loss
+_P_UNCOND = 0.1  # share of labeled training rows shown unconditionally
 
 _PARAM_ORDER = ("w1", "b1", "temb", "cemb", "w2", "b2", "w3", "b3")
 
 
 class MlpDenoiser(DenoiserInterface):
     """Two-hidden-layer tanh MLP; timestep/class embeddings enter the first
-    hidden pre-activation. Embedding conditions must match the hidden width.
+    hidden pre-activation.
     """
 
 
@@ -262,17 +247,11 @@ class MlpDenoiser(DenoiserInterface):
     def condition_row(self, c: Condition) -> np.ndarray:
         if c.variant == UNCONDITIONAL:
             return self.params["cemb"][0]
-        if c.variant == CLASS_LABEL:
-            if not 0 <= c.k < self.n_classes:
-                raise InvalidParameterError(
-                    f"class label {c.k} outside [0, {self.n_classes})", k=c.k
-                )
-            return self.params["cemb"][c.k + 1]
-        if c.v.shape != (self.width,):
-            raise DimensionError(
-                f"embedding condition has shape {c.v.shape}, expected ({self.width},)"
+        if not 0 <= c.k < self.n_classes:
+            raise InvalidParameterError(
+                f"class label {c.k} outside [0, {self.n_classes})", k=c.k
             )
-        return c.v
+        return self.params["cemb"][c.k + 1]
 
     def eval(self, z, t, c):
         z = self._check_vec(z, "z")
@@ -379,7 +358,7 @@ def train_mlp_denoiser(
 
     Draws (t, ε) per example, forms z_t = sqrt(ᾱ_t)·x + sqrt(1−ᾱ_t)·ε and
     regresses the prediction onto ε (mean squared error per coordinate).
-    Stops early once the held-out probe loss drops below cfg.target_loss.
+    final_loss is that loss on a fixed seeded probe set, after the last epoch.
     Fully seeded: the same config and data give bit-identical weights.
     """
     data = np.asarray(data, dtype=np.float64)
@@ -402,68 +381,26 @@ def train_mlp_denoiser(
     shapes = {k: params[k].shape for k in _PARAM_ORDER}
     flat = _flatten(params)
     state = AdamState(lr=cfg.lr)
-
-    split_rng = derive_rng(cfg.seed, "split")
-    perm = split_rng.permutation(n)
-    n_hold = int(round(cfg.holdout_frac * n))
-    hold_idx = perm[:n_hold] if n_hold > 0 else perm
-    train_idx = perm[n_hold:] if n_hold > 0 else perm
-    if train_idx.size == 0:
-        raise InvalidInputError("holdout fraction leaves no training rows")
-
-    fixed = None
-    if not cfg.resample_noise:
-        frng = derive_rng(cfg.seed, "fixed-noise")
-        fixed = (
-            frng.integers(1, sched.t_train + 1, size=train_idx.size),
-            frng.standard_normal((train_idx.size, latent_dim)),
-        )
-
-    if fixed is not None:
-        # memorization regime: the probe is the fixed training set itself,
-        # so the reported loss is the full-batch training loss
-        probe_x = data[train_idx]
-        probe_t, probe_eps = fixed
-        probe_cond = labels[train_idx] + 1 if labels is not None else np.zeros(train_idx.size, dtype=np.int64)
-    else:
-        eval_rng = derive_rng(cfg.seed, "eval")
-        probe_rows = hold_idx[eval_rng.integers(0, hold_idx.size, size=cfg.n_eval)]
-        probe_x = data[probe_rows]
-        probe_t = eval_rng.integers(1, sched.t_train + 1, size=cfg.n_eval)
-        probe_eps = eval_rng.standard_normal((cfg.n_eval, latent_dim))
-        probe_cond = labels[probe_rows] + 1 if labels is not None else np.zeros(cfg.n_eval, dtype=np.int64)
-
+    rows_order = derive_rng(cfg.seed, "split").permutation(n)
     ab = np.concatenate([[1.0], np.asarray(sched.alpha_bars)])  # ᾱ indexed by t
 
-    def holdout_loss(p) -> float:
-        zt = np.sqrt(ab[probe_t])[:, None] * probe_x + np.sqrt(1.0 - ab[probe_t])[:, None] * probe_eps
-        _, _, pred = _batch_forward(p, zt, probe_t - 1, p["cemb"][probe_cond])
-        return float(np.mean((pred - probe_eps) ** 2))
+    def noised(x, t, eps):
+        return np.sqrt(ab[t])[:, None] * x + np.sqrt(1.0 - ab[t])[:, None] * eps
 
-    achieved = holdout_loss(params)
-    epochs_run = 0
+    bs = min(cfg.batch_size, n)
     for epoch in range(cfg.max_epochs):
-        order_rng = derive_rng(cfg.seed, "order", epoch)
-        order = order_rng.permutation(train_idx.size)
-        bs = min(cfg.batch_size, train_idx.size)
-        for bstart in range(0, train_idx.size, bs):
-            rows = train_idx[order[bstart : bstart + bs]]
-            pos = order[bstart : bstart + bs]
-            x = data[rows]
-            if fixed is not None:
-                t = fixed[0][pos]
-                eps = fixed[1][pos]
-                cond_idx = labels[rows] + 1 if labels is not None else np.zeros(rows.size, dtype=np.int64)
+        order = derive_rng(cfg.seed, "order", epoch).permutation(n)
+        for bstart in range(0, n, bs):
+            rows = rows_order[order[bstart : bstart + bs]]
+            brng = derive_rng(cfg.seed, "noise", epoch, bstart)
+            t = brng.integers(1, sched.t_train + 1, size=rows.size)
+            eps = brng.standard_normal((rows.size, latent_dim))
+            if labels is not None:
+                cond_idx = labels[rows] + 1
+                cond_idx = np.where(brng.random(rows.size) < _P_UNCOND, 0, cond_idx)
             else:
-                brng = derive_rng(cfg.seed, "noise", epoch, bstart)
-                t = brng.integers(1, sched.t_train + 1, size=rows.size)
-                eps = brng.standard_normal((rows.size, latent_dim))
-                if labels is not None:
-                    cond_idx = labels[rows] + 1
-                    cond_idx = np.where(brng.random(rows.size) < cfg.p_uncond, 0, cond_idx)
-                else:
-                    cond_idx = np.zeros(rows.size, dtype=np.int64)
-            zt = np.sqrt(ab[t])[:, None] * x + np.sqrt(1.0 - ab[t])[:, None] * eps
+                cond_idx = np.zeros(rows.size, dtype=np.int64)
+            zt = noised(data[rows], t, eps)
             h1, h2, pred = _batch_forward(params, zt, t - 1, params["cemb"][cond_idx])
             resid = pred - eps
             loss = float(np.mean(resid**2))
@@ -475,10 +412,15 @@ def train_mlp_denoiser(
             grads = _batch_backward(params, zt, t - 1, cond_idx, h1, h2, d_out)
             flat, state = adam_step(state, flat, _flatten(grads))
             params = _unflatten(flat, shapes)
-        epochs_run = epoch + 1
-        achieved = holdout_loss(params)
-        if cfg.target_loss is not None and achieved < cfg.target_loss:
-            break
+
+    eval_rng = derive_rng(cfg.seed, "eval")
+    probe_rows = rows_order[eval_rng.integers(0, n, size=_N_EVAL)]
+    probe_t = eval_rng.integers(1, sched.t_train + 1, size=_N_EVAL)
+    probe_eps = eval_rng.standard_normal((_N_EVAL, latent_dim))
+    probe_cond = labels[probe_rows] + 1 if labels is not None else np.zeros(_N_EVAL, dtype=np.int64)
+    zt = noised(data[probe_rows], probe_t, probe_eps)
+    probe_pred = _batch_forward(params, zt, probe_t - 1, params["cemb"][probe_cond])[2]
+    final_loss = float(np.mean((probe_pred - probe_eps) ** 2))
 
     return MlpDenoiser(
         params=params,
@@ -486,6 +428,6 @@ def train_mlp_denoiser(
         latent_dim=latent_dim,
         n_classes=n_classes,
         seed=cfg.seed,
-        final_loss=achieved,
-        trained_epochs=epochs_run,
+        final_loss=final_loss,
+        trained_epochs=max(cfg.max_epochs, 0),
     )

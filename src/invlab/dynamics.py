@@ -1,8 +1,8 @@
-"""Forward noising and the deterministic generation / inversion dynamics.
+"""The deterministic generation / inversion dynamics.
 
 One backward transition on the grid pair (t_prev, t) is
 
-    z_{t_prev} = φ_t·z_t + ψ_t·F̂(z_t, t, C) + σ_t·ε        (generation)
+    z_{t_prev} = φ_t·z_t + ψ_t·F̂(z_t, t, C)                (generation)
     z_t       = (1/φ_t)·z_{t_prev} − (ψ_t/φ_t)·F̂(z_{t_prev}, t, C)   (inversion)
 
 with F̂ the guided prediction. The inversion step evaluates the model at the
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Condition, DenoiserInterface, cfg_eval
-from .errors import DimensionError, InvalidParameterError, MissingNoiseError
+from .errors import InvalidParameterError
 from .schedule import NoiseSchedule, TimestepGrid, coefficients
 
 GENERATION = "generation"
@@ -64,28 +64,6 @@ class Trajectory:
         }
 
 
-def _check_shapes(a: np.ndarray, b: np.ndarray, names: str) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"{names}: shapes {a.shape} and {b.shape} differ")
-    return a, b
-
-
-def forward_noise(sched: NoiseSchedule, z0: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
-    """Closed-form jump to step t: sqrt(ᾱ_t)·z0 + sqrt(1−ᾱ_t)·eps."""
-    z0, eps = _check_shapes(z0, eps, "z0/eps")
-    ab = sched.alpha_bar(t)
-    return np.sqrt(ab) * z0 + np.sqrt(1.0 - ab) * eps
-
-
-def forward_step(sched: NoiseSchedule, z_prev: np.ndarray, t: int, eps: np.ndarray) -> np.ndarray:
-    """Single Markov step: sqrt(1−β_t)·z_{t−1} + sqrt(β_t)·eps."""
-    z_prev, eps = _check_shapes(z_prev, eps, "z_prev/eps")
-    beta = sched.beta(t)
-    return np.sqrt(1.0 - beta) * z_prev + np.sqrt(beta) * eps
-
-
 def generate_step(
     model: DenoiserInterface,
     sched: NoiseSchedule,
@@ -94,19 +72,11 @@ def generate_step(
     t_prev: int,
     c: Condition,
     w: float = 1.0,
-    eta: float = 0.0,
-    eps: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One backward transition t -> t_prev; eta=0 is fully deterministic."""
+    """One backward transition t -> t_prev."""
     z_t = np.asarray(z_t, dtype=np.float64)
-    co = coefficients(sched, t, t_prev, eta)
-    out = co.phi * z_t + co.psi * cfg_eval(model, z_t, t, c, w)
-    if eta > 0.0:
-        if eps is None:
-            raise MissingNoiseError("eta > 0 requires an eps sample")
-        _, eps = _check_shapes(z_t, eps, "z_t/eps")
-        out = out + co.sigma * eps
-    return out
+    co = coefficients(sched, t, t_prev)
+    return co.phi * z_t + co.psi * cfg_eval(model, z_t, t, c, w)
 
 
 def ddim_invert_step(
@@ -121,7 +91,7 @@ def ddim_invert_step(
     """One inversion transition t_prev -> t (exact algebraic reversal of the
     deterministic generation step under the adjacent-step approximation)."""
     z_prev = np.asarray(z_prev, dtype=np.float64)
-    co = coefficients(sched, t, t_prev, 0.0)
+    co = coefficients(sched, t, t_prev)
     return (1.0 / co.phi) * z_prev - (co.psi / co.phi) * cfg_eval(model, z_prev, t, c, w)
 
 

@@ -40,10 +40,6 @@ class InvalidInputError(InvlabError):
     code = "invalid-input"
 
 
-class MissingNoiseError(InvlabError):
-    code = "missing-noise"
-
-
 class TrainingFailureError(InvlabError):
     code = "training-failure"
 

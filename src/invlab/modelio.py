@@ -177,7 +177,10 @@ def load_model(path):
     for entry in entries:
         if not (isinstance(entry, dict) and "name" in entry and "shape" in entry):
             raise FormatError(f"array entry {entry!r} in {path} needs a name and a shape")
-        shape = tuple(int(s) for s in entry["shape"])
+        shape = entry["shape"]
+        if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
+            raise FormatError(f"array entry {entry!r} in {path} has a malformed shape")
+        shape = tuple(shape)
         n = int(np.prod(shape)) if shape else 1
         nbytes = n * 8
         if len(raw) < off + nbytes:
@@ -186,4 +189,7 @@ def load_model(path):
         off += nbytes
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes in {path}")
-    return _LOADERS[kind](header, arrays)
+    try:
+        return _LOADERS[kind](header, arrays)
+    except (KeyError, TypeError, ValueError) as e:  # a missing or ill-typed field or array
+        raise FormatError(f"{kind} model in {path} is malformed: {e!r}") from None

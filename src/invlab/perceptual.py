@@ -86,10 +86,10 @@ def _normalize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normalize_vjp(f: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-    eta = s + _NORM_EPS
+    den = s + _NORM_EPS
     dot = np.sum(u * f, axis=0, keepdims=True)
-    scale = np.where(s > _NORM_EPS, dot / (eta * eta * np.maximum(s, _NORM_EPS)), 0.0)
-    return u / eta - f * scale
+    scale = np.where(s > _NORM_EPS, dot / (den * den * np.maximum(s, _NORM_EPS)), 0.0)
+    return u / den - f * scale
 
 
 class RandomConvPerceptual(PerceptualMetricInterface):

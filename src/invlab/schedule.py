@@ -5,8 +5,7 @@ A schedule is the sequence β_1..β_T with cumulative products
 transition of the sampler/inverter is governed by
 
     φ_t   = sqrt(ᾱ_{t_prev}/ᾱ_t)
-    σ_t   = eta·sqrt(β_t·(1−ᾱ_{t_prev})/(1−ᾱ_t))
-    ψ_t   = sqrt(1−ᾱ_{t_prev}−σ_t²) − sqrt((1−ᾱ_t)·ᾱ_{t_prev}/ᾱ_t)
+    ψ_t   = sqrt(1−ᾱ_{t_prev}) − sqrt((1−ᾱ_t)·ᾱ_{t_prev}/ᾱ_t)
 
 where (t_prev, t) is a grid-adjacent pair of the strided inference grid.
 """
@@ -55,11 +54,10 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class StepCoefficients:
-    """(φ, ψ, σ) for one grid transition t_prev -> t."""
+    """(φ, ψ) for one grid transition t_prev -> t."""
 
     phi: float
     psi: float
-    sigma: float
     t: int
     t_prev: int
 
@@ -98,34 +96,28 @@ def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> No
     return NoiseSchedule(betas=betas, alpha_bars=alpha_bars, t_train=t_train)
 
 
-def coefficients(sched: NoiseSchedule, t: int, t_prev: int, eta: float = 0.0) -> StepCoefficients:
-    """(φ, ψ, σ) for the transition t_prev -> t; eta=0 is the deterministic case."""
+def coefficients(sched: NoiseSchedule, t: int, t_prev: int) -> StepCoefficients:
+    """(φ, ψ) for the transition t_prev -> t."""
     if t_prev >= t:
         raise OrderingError(f"t_prev must be < t, got t_prev={t_prev}, t={t}", t=t, t_prev=t_prev)
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidParameterError(f"eta must lie in [0, 1], got {eta}", eta=eta)
     if t_prev < 0:
         raise BoundsError(f"t_prev must be >= 0, got {t_prev}", t_prev=t_prev)
     ab_t = sched.alpha_bar(t)
     ab_p = sched.alpha_bar(t_prev)
     phi = np.sqrt(ab_p / ab_t)
-    sigma = eta * np.sqrt(sched.beta(t) * (1.0 - ab_p) / (1.0 - ab_t))
-    psi = np.sqrt(1.0 - ab_p - sigma * sigma) - np.sqrt((1.0 - ab_t) * ab_p / ab_t)
-    return StepCoefficients(phi=float(phi), psi=float(psi), sigma=float(sigma), t=t, t_prev=t_prev)
+    psi = np.sqrt(1.0 - ab_p) - np.sqrt((1.0 - ab_t) * ab_p / ab_t)
+    return StepCoefficients(phi=float(phi), psi=float(psi), t=t, t_prev=t_prev)
 
 
 def skip_coefficients(sched: NoiseSchedule, dt: int) -> tuple[float, float]:
     """(φ_{0,δt}, ψ_{0,δt}) of the direct 0 -> δt jump.
 
-    With ᾱ_0 = 1 these reduce to φ = ᾱ_{δt}^{-1/2}, ψ = −sqrt((1−ᾱ_{δt})/ᾱ_{δt});
-    identical to coefficients(t=δt, t_prev=0, eta=0).
+    With ᾱ_0 = 1 these reduce to φ = ᾱ_{δt}^{-1/2}, ψ = −sqrt((1−ᾱ_{δt})/ᾱ_{δt}).
     """
     if not 1 <= dt <= sched.t_train:
         raise BoundsError(f"dt {dt} outside [1, {sched.t_train}]", dt=dt)
-    ab = sched.alpha_bar(dt)
-    phi = np.sqrt(1.0 / ab)
-    psi = -np.sqrt((1.0 - ab) * 1.0 / ab)
-    return float(phi), float(psi)
+    co = coefficients(sched, dt, 0)
+    return co.phi, co.psi
 
 
 def make_uniform_grid(sched: NoiseSchedule, s: int) -> TimestepGrid:

@@ -243,6 +243,21 @@ def test_ilb_dt_defaults_to_grid_stride():
     assert BenchmarkBackends(config_from_json_dict(doc)).ilb_cfg.dt == 3
 
 
+@pytest.mark.parametrize("dt", [0, 61])  # SMALL_DOC's t_train is 60
+def test_ilb_dt_outside_schedule_is_config_error(dt, tmp_path, capsys):
+    cfg = config_from_json_dict({**SMALL_DOC, "ilb": {"dt": dt}})
+    with pytest.raises(ConfigError, match="ilb.dt") as err:
+        run_benchmark(cfg, tmp_path)
+    assert err.value.context["key"] == "ilb.dt"
+    assert not (tmp_path / "benchmark.csv").exists()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMALL_DOC))
+    assert main(["benchmark", "--config", str(path), "--dt", str(dt),
+                 "--out", str(tmp_path / "cli")]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["code"] == "config-error" and out["context"]["key"] == "ilb.dt"
+
+
 # ---------------------------------------------------------------- runs
 
 

@@ -180,6 +180,17 @@ def test_train_denoiser_rejects_dataset_file_of_another_kind(capsys, tmp_path):
     assert "need gauss2d" in doc["message"]
 
 
+@pytest.mark.parametrize("command,kind", [("train-denoiser", "gauss2d"), ("roundtrip", "shapes")])
+def test_malformed_dataset_file_exits_2(capsys, tmp_path, command, kind):
+    (tmp_path / "d.json").write_text(json.dumps({"kind": kind, "n": 3}))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "dataset": {"kind": kind, "count": 2, "height": 8,
+                                                     "width": 8, "path": str(tmp_path / "d.json")},
+                                "denoiser": {"kind": "mlp"}}))
+    code, doc = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "format-error"
+
+
 def test_sample_writes_trajectory_and_image(capsys, small_cfg, tmp_path):
     code, doc = run_cli(capsys, "sample", "--config", small_cfg,
                         "--out", str(tmp_path / "o"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from invlab import (
+    FormatError,
     InvalidParameterError,
     gen_dataset,
     load_dataset,
@@ -120,4 +121,21 @@ def test_load_dataset_rejects_unknown_kind(tmp_path):
     path = tmp_path / "weird.json"
     path.write_text('{"kind": "mystery"}\n')
     with pytest.raises(InvalidParameterError):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "[1, 2]",
+    '{"kind": "shapes", "n": 3}',
+    '{"kind": "shapes", "images": []}',
+    '{"kind": "shapes", "n": "3", "images": []}',
+    '{"kind": "shapes", "n": 1, "images": [[1], [1, 2]]}',
+    '{"kind": "gauss2d", "samples": [[0.0, 1.0]], "labels": [0]}',
+    '{"kind": "gauss2d", "samples": [["a", 1.0]], "labels": [0], "means": [[0.0, 0.0]]}',
+])
+def test_load_dataset_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(FormatError):
         load_dataset(path)

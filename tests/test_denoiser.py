@@ -34,18 +34,11 @@ EIGHT_POINTS = np.array(
 def test_condition_variants_and_json():
     u = Condition.unconditional()
     k = Condition.class_label(2)
-    e = Condition.embedding(np.array([1.0, -2.0]))
     assert u.variant == "unconditional" and k.k == 2
-    for c in (u, k, e):
-        back = Condition.from_json_dict(c.to_json_dict())
-        assert back.variant == c.variant
-        assert back.k == c.k
-        if c.v is not None:
-            np.testing.assert_array_equal(back.v, c.v)
+    for c in (u, k):
+        assert Condition.from_json_dict(c.to_json_dict()) == c
     with pytest.raises(InvalidParameterError):
         Condition.class_label(-1)
-    with pytest.raises(InvalidParameterError):
-        Condition.embedding(np.zeros((2, 2)))
     with pytest.raises(InvalidParameterError):
         Condition.from_json_dict({"variant": "mystery"})
 
@@ -202,17 +195,6 @@ def _tiny_mlp(seed=0):
     return train_mlp_denoiser(data, sched, cfg, labels), sched
 
 
-def test_mlp_overfit_eight_points():
-    # memorization regime: fixed (t, eps) pairs, loss measured on them; frozen config
-    sched = make_linear_schedule(100, 1e-4, 0.05)
-    cfg = MlpTrainConfig(
-        width=64, max_epochs=120, batch_size=8, lr=1e-2, seed=0,
-        p_uncond=0.0, resample_noise=False,
-    )
-    model = train_mlp_denoiser(EIGHT_POINTS, sched, cfg)
-    assert model.final_loss < 1e-2
-
-
 def test_mlp_train_determinism():
     a, _ = _tiny_mlp(seed=3)
     b, _ = _tiny_mlp(seed=3)
@@ -234,18 +216,10 @@ def test_mlp_rejects_empty_and_misshapen_data():
 
 def test_mlp_divergence_names_epoch():
     sched = make_linear_schedule(10, 1e-3, 0.05)
-    cfg = MlpTrainConfig(width=8, max_epochs=10, batch_size=4, lr=1e200, seed=0, resample_noise=False)
+    cfg = MlpTrainConfig(width=8, max_epochs=10, batch_size=4, lr=1e200, seed=0)
     with np.errstate(over="ignore"), pytest.raises(TrainingFailureError) as exc:
         train_mlp_denoiser(EIGHT_POINTS[:4], sched, cfg)
     assert "epoch" in str(exc.value)
-
-
-def test_mlp_target_loss_stops_early():
-    sched = make_linear_schedule(10, 1e-3, 0.05)
-    data, labels, _ = make_gauss_mixture(32, seed=1)
-    cfg = MlpTrainConfig(width=8, max_epochs=50, seed=0, target_loss=10.0)
-    model = train_mlp_denoiser(data, sched, cfg, labels)
-    assert model.trained_epochs < 50
 
 
 def test_mlp_eval_pure_and_class_sensitivity(uncond):
@@ -256,8 +230,6 @@ def test_mlp_eval_pure_and_class_sensitivity(uncond):
     assert not np.array_equal(model.eval(z, 5, c0), model.eval(z, 5, c1))
     with pytest.raises(InvalidParameterError):
         model.eval(z, 5, Condition.class_label(99))
-    with pytest.raises(DimensionError):
-        model.eval(z, 5, Condition.embedding(np.zeros(3)))
 
 
 def test_mlp_vjp_matches_finite_differences(uncond):

@@ -1,4 +1,4 @@
-"""Forward noising and the deterministic backward/forward transition maps."""
+"""The deterministic backward/forward transition maps."""
 
 import numpy as np
 import pytest
@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from invlab import (
     Condition,
     ConstantDenoiser,
-    DimensionError,
     InvalidParameterError,
-    MissingNoiseError,
     ScalingDenoiser,
     TimestepGrid,
     coefficients,
     ddim_invert_step,
     ddim_invert_trajectory,
-    forward_noise,
-    forward_step,
     generate_step,
     generate_trajectory,
     make_linear_schedule,
@@ -25,45 +21,6 @@ from invlab import (
 )
 
 ONE = np.array([1.0])
-
-
-def test_forward_noise_hand_values(toy3):
-    # sqrt(0.81)*1 + sqrt(0.19)*1 and the noise-free case, frozen
-    assert forward_noise(toy3, ONE, 2, ONE)[0] == pytest.approx(1.3358898943540674, abs=1e-15)
-    assert forward_noise(toy3, ONE, 2, np.zeros(1))[0] == pytest.approx(0.9, abs=1e-15)
-    # t=0 is the identity jump
-    np.testing.assert_array_equal(forward_noise(toy3, ONE, 0, np.zeros(1)), ONE)
-
-
-def test_forward_step_chain_matches_closed_form(toy3):
-    # noise-free Markov chain: z1 = sqrt(0.9), z2 = sqrt(0.81) = 0.9
-    z1 = forward_step(toy3, ONE, 1, np.zeros(1))
-    assert z1[0] == pytest.approx(0.9486832980505138, abs=1e-15)
-    z2 = forward_step(toy3, z1, 2, np.zeros(1))
-    assert z2[0] == pytest.approx(0.9, abs=1e-14)
-
-
-def test_forward_step_pure_noise(toy3):
-    got = forward_step(toy3, np.zeros(1), 2, ONE)
-    assert got[0] == pytest.approx(np.sqrt(0.1), abs=1e-15)
-
-
-def test_forward_shapes_must_agree(toy3):
-    with pytest.raises(DimensionError):
-        forward_noise(toy3, np.zeros(2), 1, np.zeros(3))
-    with pytest.raises(DimensionError):
-        forward_step(toy3, np.zeros(2), 1, np.zeros(3))
-
-
-def test_iterated_steps_equal_closed_form(default_sched):
-    # acceptance-style identity at unit scale: eps = 0 throughout
-    rng = np.random.default_rng(0)
-    z0 = rng.standard_normal(3)
-    z = z0.copy()
-    for t in range(1, 101):
-        z = forward_step(default_sched, z, t, np.zeros(3))
-        closed = forward_noise(default_sched, z0, t, np.zeros(3))
-        np.testing.assert_allclose(z, closed, atol=1e-12)
 
 
 def test_generate_step_stub_zero(toy3, stub0, uncond):
@@ -93,25 +50,6 @@ def test_state_dependent_model_breaks_the_identity(toy3, unit_gauss1, uncond):
     up = ddim_invert_step(unit_gauss1, toy3, z, 0, 2, uncond)
     down = generate_step(unit_gauss1, toy3, up, 2, 0, uncond)
     assert abs(down[0] - z[0]) > 1e-6
-
-
-def test_eta_requires_noise(toy3, stub0, uncond):
-    with pytest.raises(MissingNoiseError):
-        generate_step(stub0, toy3, ONE, 2, 1, uncond, eta=0.5)
-
-
-def test_eta_zero_ignores_eps(toy3, stub0, uncond):
-    a = generate_step(stub0, toy3, ONE, 2, 1, uncond, eta=0.0)
-    b = generate_step(stub0, toy3, ONE, 2, 1, uncond, eta=0.0, eps=np.full(1, 9.9))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_eta_one_adds_scaled_noise(toy3, stub_half, uncond):
-    co = coefficients(toy3, 2, 1, eta=1.0)
-    eps = np.array([2.0])
-    got = generate_step(stub_half, toy3, ONE, 2, 1, uncond, eta=1.0, eps=eps)
-    expect = co.phi * 1.0 + co.psi * 0.5 + co.sigma * 2.0
-    assert got[0] == pytest.approx(expect, abs=1e-15)
 
 
 def test_generation_trajectory_telescopes(toy3, stub0, uncond):

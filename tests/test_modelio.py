@@ -165,6 +165,14 @@ def test_garbled_header_rejected(tmp_path):
         "no-manifest": b'{"kind": "identity-autoencoder"}',
         "entry-without-name": b'{"arrays": [{"shape": [3]}], "kind": "linear-gaussian-denoiser"}',
         "entry-without-shape": b'{"arrays": [{"name": "mu"}], "kind": "linear-gaussian-denoiser"}',
+        "shape-not-ints": b'{"arrays": [{"name": "mu", "shape": ["a"]}], '
+                          b'"kind": "linear-gaussian-denoiser"}',
+        "no-dims": b'{"arrays": [], "kind": "identity-autoencoder"}',
+        "no-mu": b'{"arrays": [], "dims": {"latent_dim": 0}, '
+                 b'"kind": "linear-gaussian-denoiser", "schedule": {"t_train": 0}}',
+        "no-w1": b'{"arrays": [], "dims": {"latent_dim": 2, "n_classes": 0}, '
+                 b'"kind": "mlp-denoiser", "seed": 0}',
+        "dims-not-an-object": b'{"arrays": [], "dims": [5, 6, 1], "kind": "identity-autoencoder"}',
     }
     for name, blob in cases.items():
         path = tmp_path / f"{name}.labmdl"

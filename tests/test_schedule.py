@@ -80,7 +80,6 @@ def test_coefficients_hand_values(toy3):
     co = coefficients(toy3, t=2, t_prev=1)
     assert co.phi == pytest.approx(1.0540925533894598, abs=1e-15)
     assert co.psi == pytest.approx(-0.1432405257195028, abs=1e-15)
-    assert co.sigma == 0.0
     assert (co.t, co.t_prev) == (2, 1)
 
 
@@ -91,27 +90,11 @@ def test_coefficients_to_step_zero(toy3):
     assert co.psi == pytest.approx(-0.33333333333333326, abs=1e-15)
 
 
-def test_coefficients_stochastic_sigma(toy3):
-    # eta=1: sigma = sqrt(beta_2 * (1 - abar_1) / (1 - abar_2)), frozen
-    co = coefficients(toy3, t=2, t_prev=1, eta=1.0)
-    assert co.sigma == pytest.approx(0.22941573387056177, abs=1e-15)
-    # sigma is linear in eta
-    half = coefficients(toy3, t=2, t_prev=1, eta=0.5)
-    assert half.sigma == pytest.approx(0.5 * co.sigma, abs=1e-16)
-    # eta > 0 shrinks psi relative to the deterministic case
-    det = coefficients(toy3, t=2, t_prev=1)
-    assert co.psi < det.psi
-
-
-def test_coefficients_rejects_bad_order_and_eta(toy3):
+def test_coefficients_rejects_bad_order_and_bounds(toy3):
     with pytest.raises(OrderingError):
         coefficients(toy3, t=1, t_prev=2)
     with pytest.raises(OrderingError):
         coefficients(toy3, t=2, t_prev=2)
-    with pytest.raises(InvalidParameterError):
-        coefficients(toy3, t=2, t_prev=1, eta=1.5)
-    with pytest.raises(InvalidParameterError):
-        coefficients(toy3, t=2, t_prev=1, eta=-0.1)
     with pytest.raises(BoundsError):
         coefficients(toy3, t=2, t_prev=-1)
 
@@ -123,12 +106,10 @@ def test_skip_coefficients_hand_values(toy3):
     assert psi == pytest.approx(-0.48432210483785254, abs=1e-15)
 
 
-def test_skip_coefficients_match_transition_form(toy3):
-    for dt in (1, 2, 3):
-        phi, psi = skip_coefficients(toy3, dt)
-        co = coefficients(toy3, t=dt, t_prev=0)
-        assert phi == pytest.approx(co.phi, abs=1e-15)
-        assert psi == pytest.approx(co.psi, abs=1e-15)
+def test_skip_coefficients_match_transition_form(default_sched):
+    for dt in range(1, default_sched.t_train + 1):
+        co = coefficients(default_sched, t=dt, t_prev=0)
+        assert skip_coefficients(default_sched, dt) == (co.phi, co.psi)
 
 
 def test_skip_coefficients_bounds(toy3):
@@ -195,10 +176,3 @@ def test_coefficient_identity(t_train, data):
     ab_p = sched.alpha_bar(t_prev)
     rhs = math.sqrt(ab_t) * (math.sqrt(1.0 / ab_t - 1.0) - math.sqrt(1.0 / ab_p - 1.0))
     assert -co.psi / co.phi == pytest.approx(rhs, abs=1e-12)
-
-
-@given(st.integers(1, 60))
-def test_deterministic_sigma_is_zero(t):
-    sched = make_linear_schedule(60, 1e-4, 0.05)
-    co = coefficients(sched, t=t, t_prev=0)
-    assert co.sigma == 0.0
