@@ -24,7 +24,8 @@ import numpy as np
 
 from .autoencoder import IdentityAutoencoder, fit_linear_autoencoder
 from .data import load_dataset, make_shapes
-from .denoiser import Condition, LinearGaussianDenoiser, MlpTrainConfig, train_mlp_denoiser
+from .denoiser import (Condition, LinearGaussianDenoiser, MlpTrainConfig, check_train_ranges,
+                       train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
 from .errors import ConfigError, InvalidParameterError, InvlabError
 from .ilb import IlbConfig, ilb_optimize
@@ -58,6 +59,9 @@ class TrainSection:
     max_epochs: int = 60
     batch_size: int = 32
     lr: float = 1e-3
+
+    def __post_init__(self):
+        check_train_ranges(**asdict(self))
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,9 @@ def _parse_section(cls, doc, prefix: str):
     try:
         return cls(**values)
     except InvalidParameterError as e:
+        if "field" in e.context:  # the error names the offending key
+            key = prefix + e.context["field"]
+            raise ConfigError(f"config key {key}: {e}", key=key) from None
         raise ConfigError(f"config section {section}: {e}", key=section) from None
 
 

@@ -13,10 +13,16 @@ Backends:
 
 Classifier-free guidance blends conditional and unconditional predictions:
 ε̂ = ε_u + w·(ε_c − ε_u); w=1 short-circuits to the conditional evaluation.
+
+`linearize(z, t, c)` returns the prediction at z together with its pullback
+v ↦ vᵀ·(∂eval/∂z), so a solver that needs both at one point pays for one
+forward pass.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -90,6 +96,13 @@ class DenoiserInterface(ABC):
         z = self._check_vec(z, "z")
         v = self._check_vec(v, "v")
         return central_difference(lambda zz: float(v @ self.eval(zz, t, c)), z)
+
+    def linearize(self, z: np.ndarray, t: int, c: Condition):
+        """(eval(z, t, c), v ↦ vjp(z, t, c, v)), equal to the two calls bit for bit.
+
+        Override to share the forward pass between the prediction and its pullbacks.
+        """
+        return self.eval(z, t, c), functools.partial(self.vjp, z, t, c)
 
 
 class ConstantDenoiser(DenoiserInterface):
@@ -184,11 +197,34 @@ class LinearGaussianDenoiser(DenoiserInterface):
 
     def vjp(self, z, t, c, v):
         self._check_vec(z, "z")
-        v = self._check_vec(v, "v")
         self.sched._check_t(t)
-        i = t - 1
+        return self._pullback(t - 1, v)
+
+    def linearize(self, z, t, c):
+        # eval checks z and t, so the pullback checks only v
+        return self.eval(z, t, c), functools.partial(self._pullback, t - 1)
+
+    def _pullback(self, i, v):
+        v = self._check_vec(v, "v")
+        # the Jacobian sqrt(1−ᾱ_t)·Σ_t^{-1} is symmetric, so vᵀJ is Jv
         w = self._q.T @ v / self._spectra[i]
         return self._sqrt_1mab[i, 0] * (self._q @ w)
+
+
+def check_train_ranges(**values) -> None:
+    """InvalidParameterError naming the first training value out of range.
+
+    count, width and batch_size must be >= 1, max_epochs >= 0 and lr > 0;
+    the error's context["field"] is the value's name.
+    """
+    for name, value in values.items():
+        if name == "lr":
+            ok, need = value > 0, "> 0"
+        else:
+            low = 0 if name == "max_epochs" else 1
+            ok, need = value >= low, f">= {low}"
+        if not ok:
+            raise InvalidParameterError(f"{name} must be {need}, got {value!r}", field=name)
 
 
 @dataclass(frozen=True)
@@ -198,6 +234,10 @@ class MlpTrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        check_train_ranges(width=self.width, max_epochs=self.max_epochs,
+                           batch_size=self.batch_size, lr=self.lr)
 
 
 _N_EVAL = 256  # probe rows behind MlpDenoiser.final_loss
@@ -254,16 +294,29 @@ class MlpDenoiser(DenoiserInterface):
         return self.params["cemb"][c.k + 1]
 
     def eval(self, z, t, c):
-        z = self._check_vec(z, "z")
-        self.sched._check_t(t)
-        return _batch_forward(self.params, z, t - 1, self.condition_row(c))[2]
+        return self._forward(z, t, c)[2]
 
     def vjp(self, z, t, c, v):
+        h1, h2, _ = self._forward(z, t, c)
+        return self._pullback(h1, h2, v)
+
+    def linearize(self, z, t, c):
+        h1, h2, eps = self._forward(z, t, c)
+        return eps, functools.partial(self._pullback, h1, h2)
+
+    def _forward(self, z, t, c):
         z = self._check_vec(z, "z")
-        v = self._check_vec(v, "v")
         self.sched._check_t(t)
-        h1, h2, _ = _batch_forward(self.params, z, t - 1, self.condition_row(c))
-        return _hidden_backward(self.params, h1, h2, v)[1] @ self.params["w1"]
+        return _batch_forward(self.params, z, t - 1, self.condition_row(c))
+
+    def _pullback(self, h1, h2, v):
+        d_h1 = _hidden_backward(self.params, h1, h2, self._check_vec(v, "v"))[1]
+        return d_h1 @ self.params["w1"]
+
+
+def _guided(u, c, w):
+    """The guidance blend u + w·(c − u) of two predictions or two pullbacks."""
+    return u + w * (c - u)
 
 
 def cfg_eval(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition, w: float) -> np.ndarray:
@@ -273,21 +326,29 @@ def cfg_eval(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition, w: f
     eps_u = model.eval(z, t, Condition.unconditional())
     if w == 0.0:
         return eps_u
-    eps_c = model.eval(z, t, c)
-    return eps_u + w * (eps_c - eps_u)
+    return _guided(eps_u, model.eval(z, t, c), w)
+
+
+def cfg_linearize(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition, w: float):
+    """(cfg_eval(z, t, c, w), v ↦ cfg_vjp(z, t, c, w, v)) from one linearization per condition."""
+    if w == 1.0:
+        return model.linearize(z, t, c)
+    eps_u, back_u = model.linearize(z, t, Condition.unconditional())
+    if w == 0.0:
+        return eps_u, back_u
+    eps_c, back_c = model.linearize(z, t, c)
+
+    def pullback(v):
+        return _guided(back_u(v), back_c(v), w)
+
+    return _guided(eps_u, eps_c, w), pullback
 
 
 def cfg_vjp(
     model: DenoiserInterface, z: np.ndarray, t: int, c: Condition, w: float, v: np.ndarray
 ) -> np.ndarray:
     """vjp of cfg_eval with respect to z (the blend is affine in the two evals)."""
-    if w == 1.0:
-        return model.vjp(z, t, c, v)
-    vjp_u = model.vjp(z, t, Condition.unconditional(), v)
-    if w == 0.0:
-        return vjp_u
-    vjp_c = model.vjp(z, t, c, v)
-    return vjp_u + w * (vjp_c - vjp_u)
+    return cfg_linearize(model, z, t, c, w)[1](v)
 
 
 def _init_params(rng: np.random.Generator, latent_dim: int, width: int, t_train: int, n_classes: int):
@@ -314,7 +375,7 @@ def _unflatten(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarr
     out = {}
     pos = 0
     for k in _PARAM_ORDER:
-        n = int(np.prod(shapes[k]))
+        n = math.prod(shapes[k])
         out[k] = flat[pos : pos + n].reshape(shapes[k])
         pos += n
     return out
@@ -339,13 +400,18 @@ def _hidden_backward(p, h1, h2, d_out):
 def _batch_backward(p, z, t_idx, cond_idx, h1, h2, d_out):
     """Parameter gradients of a batch loss whose output gradient is d_out."""
     d_h2, d_h1 = _hidden_backward(p, h1, h2, d_out)
-    g = {"w3": d_out.T @ h2, "b3": d_out.sum(axis=0),
-         "w2": d_h2.T @ h1, "b2": d_h2.sum(axis=0),
-         "w1": d_h1.T @ z, "b1": d_h1.sum(axis=0),
-         "temb": np.zeros_like(p["temb"]), "cemb": np.zeros_like(p["cemb"])}
-    np.add.at(g["temb"], t_idx, d_h1)
-    np.add.at(g["cemb"], cond_idx, d_h1)
-    return g
+    # scatter d_h1's rows onto the timestep rows, then the class rows, of the
+    # stacked embedding tables: bincount adds each bin's weights in input order,
+    # so every sum has np.add.at's order and bits
+    n_t, width = p["temb"].shape
+    rows = np.concatenate((t_idx, n_t + cond_idx))
+    emb = np.bincount((rows[:, None] * width + np.arange(width)).ravel(),
+                      weights=np.concatenate((d_h1, d_h1)).ravel(),
+                      minlength=(n_t + p["cemb"].shape[0]) * width).reshape(-1, width)
+    return {"w3": d_out.T @ h2, "b3": d_out.sum(axis=0),
+            "w2": d_h2.T @ h1, "b2": d_h2.sum(axis=0),
+            "w1": d_h1.T @ z, "b1": d_h1.sum(axis=0),
+            "temb": emb[:n_t], "cemb": emb[n_t:]}
 
 
 def train_mlp_denoiser(
@@ -429,5 +495,5 @@ def train_mlp_denoiser(
         n_classes=n_classes,
         seed=cfg.seed,
         final_loss=final_loss,
-        trained_epochs=max(cfg.max_epochs, 0),
+        trained_epochs=cfg.max_epochs,
     )

@@ -102,7 +102,8 @@ def regularization_loss(model: DenoiserInterface, sched: NoiseSchedule, z0: np.n
     return float(np.mean(np.abs(z0 - skip_roundtrip(model, sched, z0, dt, c, w))))
 
 
-def _con_value_and_grad(x0, z, ae, perc, weights):
+def _con_value_and_grad(x0, z, ae, perc_ref, weights):
+    # perc_ref is perc.reference(x0): y ↦ (perc.distance(x0, y), ∂/∂y)
     w1, w2, w3 = weights
     xh = ae.decode(z)
     r = x0 - xh
@@ -113,7 +114,7 @@ def _con_value_and_grad(x0, z, ae, perc, weights):
         value -= w2 * s_val
         gx -= w2 * s_grad
     if w3 != 0.0:
-        p_val, p_grad = perc.value_and_grad(x0, xh)
+        p_val, p_grad = perc_ref(xh)
         value += w3 * p_val
         gx += w3 * p_grad
     return value, ae.decoder_vjp(z, gx)
@@ -121,14 +122,16 @@ def _con_value_and_grad(x0, z, ae, perc, weights):
 
 def _reg_value_and_grad(model, sched, z, dt, c):
     phi, psi = skip_coefficients(sched, dt)
-    z_dt = (1.0 / phi) * z - (psi / phi) * model.eval(z, dt, c)
-    z_rt = phi * z_dt + psi * model.eval(z_dt, dt, c)
+    eps, back = model.linearize(z, dt, c)
+    z_dt = (1.0 / phi) * z - (psi / phi) * eps
+    eps_dt, back_dt = model.linearize(z_dt, dt, c)
+    z_rt = phi * z_dt + psi * eps_dt
     r = z - z_rt
     value = float(np.mean(np.abs(r)))
     s = np.sign(r) / r.size
     # chain through both denoiser evaluations of the round trip
-    u = phi * s + psi * model.vjp(z_dt, dt, c, s)
-    grad = s - ((1.0 / phi) * u - (psi / phi) * model.vjp(z, dt, c, u))
+    u = phi * s + psi * back_dt(s)
+    grad = s - ((1.0 / phi) * u - (psi / phi) * back(u))
     return value, grad
 
 
@@ -141,7 +144,11 @@ def ilb_loss_and_grad(x0: np.ndarray, z0: np.ndarray, ae: AutoencoderInterface,
     The regularizer is always evaluated; with use_reg=False it is excluded
     from the total and its gradient.
     """
-    l_con, g_con = _con_value_and_grad(x0, z0, ae, perc, cfg.weights)
+    return _loss_and_grad(x0, z0, ae, model, sched, perc.reference(x0), cfg, c)
+
+
+def _loss_and_grad(x0, z0, ae, model, sched, perc_ref, cfg, c):
+    l_con, g_con = _con_value_and_grad(x0, z0, ae, perc_ref, cfg.weights)
     l_reg, g_reg = _reg_value_and_grad(model, sched, z0, cfg.dt, c)
     if cfg.use_reg:
         return l_con, l_reg, l_con + l_reg, g_con + g_reg
@@ -165,10 +172,12 @@ def ilb_optimize(x0: np.ndarray, ae: AutoencoderInterface, model: DenoiserInterf
     if cfg.dt is None:
         raise InvalidParameterError("cfg.dt must be set (one inference-grid stride)")
 
-    def evaluate(z):
-        return ilb_loss_and_grad(x0, z, ae, model, sched, perc, cfg, c)
-
     z = ae.encode(x0)
+    perc_ref = perc.reference(x0)  # x0's share of the perceptual metric, once per run
+
+    def evaluate(z):
+        return _loss_and_grad(x0, z, ae, model, sched, perc_ref, cfg, c)
+
     l_con, l_reg, total, grad = evaluate(z)
     if not np.isfinite(total):
         raise DivergenceError("non-finite loss at the initial point", iteration=0)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .denoiser import Condition, DenoiserInterface, cfg_eval, cfg_vjp
+from .denoiser import Condition, DenoiserInterface, cfg_eval, cfg_linearize
 from .dynamics import INVERSION, Trajectory, ddim_invert_step
 from .errors import DivergenceError, InvalidParameterError
 from .optim import AdamState, adam_step
@@ -131,9 +131,10 @@ def objective_and_grad(model, sched, z_prev, t_prev, t, c, w, b):
 
 def _objective_and_grad(model, co, z_prev, t, c, w, b):
     z = z_prev + b
-    r = co.phi * z + co.psi * cfg_eval(model, z, t, c, w) - z_prev
+    eps, pullback = cfg_linearize(model, z, t, c, w)
+    r = co.phi * z + co.psi * eps - z_prev
     s = np.sign(r)
-    grad = (co.phi * s + co.psi * cfg_vjp(model, z, t, c, w, s)) / r.size
+    grad = (co.phi * s + co.psi * pullback(s)) / r.size
     # add.reduce / size is np.mean's own arithmetic without its dispatch
     return float(np.add.reduce(np.abs(r)) / r.size), grad
 

@@ -11,7 +11,8 @@ through the metric.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +35,10 @@ class PerceptualMetricInterface(ABC):
     def value_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """(distance(x, y), grad_y(x, y)); override to share work between the two."""
         return self.distance(x, y), self.grad_y(x, y)
+
+    def reference(self, x: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+        """y ↦ value_and_grad(x, y) with x fixed; override to compute x's share once."""
+        return partial(self.value_and_grad, x)
 
 
 def _as_images(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

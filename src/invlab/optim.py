@@ -42,13 +42,26 @@ def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.nda
     m = state.m if state.m is not None else np.zeros_like(x)
     v = state.v if state.v is not None else np.zeros_like(x)
     k = state.step_count + 1
-    m = state.beta1 * m + (1.0 - state.beta1) * grad
-    v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**k)
-    v_hat = v / (1.0 - state.beta2**k)
-    x_next = x - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    b1, b2 = state.beta1, state.beta2
+    # The docstring's formula one operation at a time, in its order, so the
+    # bits are the formula's. The new m, v and x_next and one scratch array are
+    # the only allocations: on a large x every temporary costs fresh pages.
+    m_next = np.multiply(b1, m)
+    tmp = np.multiply(1.0 - b1, grad)
+    m_next += tmp
+    v_next = np.multiply(b2, v)
+    np.multiply(1.0 - b2, grad, out=tmp)
+    tmp *= grad
+    v_next += tmp
+    np.divide(v_next, 1.0 - b2**k, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.epsilon
+    x_next = np.divide(m_next, 1.0 - b1**k)
+    x_next *= state.lr
+    x_next /= tmp
+    np.subtract(x, x_next, out=x_next)
     # a direct constructor call costs a fraction of dataclasses.replace
-    return x_next, AdamState(state.lr, m, v, k, state.beta1, state.beta2, state.epsilon)
+    return x_next, AdamState(state.lr, m_next, v_next, k, b1, b2, state.epsilon)
 
 
 def central_difference(

@@ -11,7 +11,7 @@ while staying exactly differentiable by hand.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -129,18 +129,23 @@ class RandomConvPerceptual(PerceptualMetricInterface):
         return f1, g1, s1, f2, g2, s2
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        x = self._check(x)
-        y = self._check(y)
-        _, gx1, _, _, gx2, _ = self._features(x)
-        _, gy1, _, _, gy2, _ = self._features(y)
-        return _feature_distance(gx1, gx2, gy1, gy2)
+        return _feature_distance(*self._target(x), *self._target(y))
 
     def value_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """One feature pass per image and one adjoint pass."""
-        x = self._check(x)
-        y = self._check(y)
-        _, gx1, _, _, gx2, _ = self._features(x)
-        f1, gy1, s1, f2, gy2, s2 = self._features(y)
+        return self._against(self._target(x), y)
+
+    def reference(self, x: np.ndarray):
+        """y ↦ value_and_grad(x, y), with x's features computed here, once."""
+        return partial(self._against, self._target(x))
+
+    def _target(self, x: np.ndarray):
+        _, gx1, _, _, gx2, _ = self._features(self._check(x))
+        return gx1, gx2
+
+    def _against(self, target, y: np.ndarray) -> tuple[float, np.ndarray]:
+        gx1, gx2 = target
+        f1, gy1, s1, f2, gy2, s2 = self._features(self._check(y))
         value = _feature_distance(gx1, gx2, gy1, gy2)
         u_g1 = 2.0 * (gy1 - gx1) / gy1.size
         u_g2 = 2.0 * (gy2 - gx2) / gy2.size

@@ -12,6 +12,7 @@ where (t_prev, t) is a grid-adjacent pair of the strided inference grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,10 @@ def coefficients(sched: NoiseSchedule, t: int, t_prev: int) -> StepCoefficients:
         raise BoundsError(f"t_prev must be >= 0, got {t_prev}", t_prev=t_prev)
     ab_t = sched.alpha_bar(t)
     ab_p = sched.alpha_bar(t_prev)
-    phi = np.sqrt(ab_p / ab_t)
-    psi = np.sqrt(1.0 - ab_p) - np.sqrt((1.0 - ab_t) * ab_p / ab_t)
-    return StepCoefficients(phi=float(phi), psi=float(psi), t=t, t_prev=t_prev)
+    # math.sqrt on Python floats: IEEE sqrt is correctly rounded, as np.sqrt's is
+    phi = math.sqrt(ab_p / ab_t)
+    psi = math.sqrt(1.0 - ab_p) - math.sqrt((1.0 - ab_t) * ab_p / ab_t)
+    return StepCoefficients(phi, psi, t, t_prev)
 
 
 def skip_coefficients(sched: NoiseSchedule, dt: int) -> tuple[float, float]:

@@ -23,8 +23,10 @@ from invlab.benchmark import (
 from invlab.autoencoder import IdentityAutoencoder
 from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
-from invlab.denoiser import MlpDenoiser
+from invlab.denoiser import DenoiserInterface, LinearGaussianDenoiser, MlpDenoiser
 from invlab.errors import ConfigError, DivergenceError
+from invlab.metrics import PerceptualMetricInterface
+from invlab.perceptual import RandomConvPerceptual
 
 SMALL_DOC = {
     "seed": 3,
@@ -367,3 +369,41 @@ def test_method_means_with_errors():
     assert stats["mean_psnr_db"] == 10.0
     all_bad = _method_means([bad])["ddim"]
     assert all_bad["mean_psnr_db"] is None
+
+
+@pytest.mark.parametrize("field,value", [("count", 0), ("width", 0), ("max_epochs", -1),
+                                         ("batch_size", 0), ("lr", 0.0), ("lr", -0.5)])
+def test_train_value_out_of_range_is_config_error(field, value):
+    key = f"denoiser.train.{field}"
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        config_from_json_dict({"denoiser": {"kind": "mlp", "train": {field: value}}})
+    assert err.value.context["key"] == key
+    # the smallest accepted values load
+    edge = {"count": 1, "width": 1, "max_epochs": 0, "batch_size": 1, "lr": 1e-12}
+    assert config_from_json_dict({"denoiser": {"train": edge}}).denoiser.train.max_epochs == 0
+
+
+TINY_MLP_DOC = {
+    "seed": 2,
+    "steps": 4,
+    "t_train": 40,
+    "dataset": {"count": 2, "height": 8, "width": 8},
+    "autoencoder": {"fit_count": 16},
+    "denoiser": {"kind": "mlp", "train": {"count": 16, "width": 8, "max_epochs": 3}},
+    "ilb": {"max_iters": 6},
+    "methods": ["lbo-g", "lbo-h", "lbo-n+ilb"],
+}
+
+
+@pytest.mark.parametrize("kind", ["mlp", "analytic"])
+def test_shared_forward_passes_write_the_same_bytes(kind, tmp_path, monkeypatch):
+    doc = {**TINY_MLP_DOC, "denoiser": {**TINY_MLP_DOC["denoiser"], "kind": kind}}
+    cfg = config_from_json_dict(doc)
+    run_benchmark(cfg, tmp_path / "shared")
+    # the interface defaults: eval then vjp, and the perceptual metric's x recomputed per call
+    monkeypatch.setattr(MlpDenoiser, "linearize", DenoiserInterface.linearize)
+    monkeypatch.setattr(LinearGaussianDenoiser, "linearize", DenoiserInterface.linearize)
+    monkeypatch.setattr(RandomConvPerceptual, "reference", PerceptualMetricInterface.reference)
+    run_benchmark(cfg, tmp_path / "separate")
+    for name in ("benchmark.csv", "summary.json"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "separate" / name).read_bytes()

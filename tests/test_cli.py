@@ -321,3 +321,14 @@ def test_no_ilb_strips_and_dedups(capsys, tmp_path):
     code, res = run_cli(capsys, "roundtrip", "--config", str(path), "--no-ilb",
                         "--method", "lbo-n+ilb", "--out", str(tmp_path / "r"))
     assert code == 0 and res["method"] == "lbo-n"
+
+
+@pytest.mark.parametrize("field,value", [("batch_size", 0), ("width", 0), ("lr", -1.0)])
+def test_train_denoiser_out_of_range_value_exits_2(capsys, tmp_path, field, value):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "denoiser": {"kind": "mlp", "train": {field: value}}}))
+    code, doc = run_cli(capsys, "train-denoiser", "--config", str(path),
+                        "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "config-error"
+    assert doc["context"]["key"] == f"denoiser.train.{field}"
+    assert f"denoiser.train.{field}" in doc["message"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import invlab.denoiser
 from invlab import (
     BoundsError,
     Condition,
@@ -18,6 +19,7 @@ from invlab import (
     ScalingDenoiser,
     TrainingFailureError,
     cfg_eval,
+    cfg_linearize,
     cfg_vjp,
     gradient_check,
     make_gauss_mixture,
@@ -292,3 +294,94 @@ def test_unit_gaussian_scales_input(t, seed):
         np.sqrt(1.0 - sched.alpha_bar(t)) * z,
         atol=1e-12,
     )
+
+
+class _TanhOnly(DenoiserInterface):
+    """Implements eval alone, so vjp and linearize are the interface's defaults."""
+
+    def __init__(self, latent_dim):
+        self.latent_dim = latent_dim
+
+    def eval(self, z, t, c):
+        z = self._check_vec(z, "z")
+        return np.tanh(0.3 * t * z) + z[::-1]
+
+
+def _linearize_cases(gauss_nd):
+    mlp, _ = _tiny_mlp()
+    rng = np.random.default_rng(21)
+    z2, z4 = rng.standard_normal(2), rng.standard_normal(4)
+    return [
+        (ConstantDenoiser(2, 0.7), z2, Condition.unconditional()),
+        (ScalingDenoiser(2, -1.5), z2, Condition.unconditional()),
+        (gauss_nd, z4, Condition.unconditional()),
+        (mlp, z2, Condition.unconditional()),
+        (mlp, z2, Condition.class_label(1)),
+        (_TanhOnly(2), z2, Condition.unconditional()),
+    ]
+
+
+def test_linearize_is_eval_and_vjp_bit_for_bit(gauss_nd):
+    rng = np.random.default_rng(22)
+    for model, z, c in _linearize_cases(gauss_nd):
+        eps, pullback = model.linearize(z, 7, c)
+        assert np.array_equal(eps, model.eval(z, 7, c))
+        # one linearization point serves several pullbacks
+        for _ in range(3):
+            v = rng.standard_normal(z.shape)
+            assert np.array_equal(pullback(v), model.vjp(z, 7, c, v))
+        with pytest.raises(DimensionError):
+            pullback(np.zeros(z.size + 1))
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
+def test_cfg_linearize_is_cfg_eval_and_cfg_vjp_bit_for_bit(w, gauss_nd):
+    rng = np.random.default_rng(23)
+    for model, z, c in _linearize_cases(gauss_nd):
+        eps, pullback = cfg_linearize(model, z, 7, c, w)
+        assert np.array_equal(eps, cfg_eval(model, z, 7, c, w))
+        v = rng.standard_normal(z.shape)
+        assert np.array_equal(pullback(v), cfg_vjp(model, z, 7, c, w, v))
+        # the blend of the two plain vjps, in cfg_eval's form
+        vjp_u = model.vjp(z, 7, Condition.unconditional(), v)
+        blend = vjp_u + w * (model.vjp(z, 7, c, v) - vjp_u)
+        assert np.array_equal(pullback(v), model.vjp(z, 7, c, v) if w == 1.0 else blend)
+
+
+def test_mlp_linearize_runs_one_forward_pass(monkeypatch, uncond):
+    model, _ = _tiny_mlp()
+    calls = []
+    inner = invlab.denoiser._batch_forward
+    monkeypatch.setattr(invlab.denoiser, "_batch_forward",
+                        lambda *a: calls.append(1) or inner(*a))
+    _, pullback = model.linearize(np.array([0.1, 0.2]), 4, uncond)
+    pullback(np.ones(2))
+    pullback(np.array([0.5, -1.0]))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field,value", [("width", 0), ("max_epochs", -1),
+                                         ("batch_size", 0), ("lr", 0.0), ("lr", -1e-3)])
+def test_mlp_train_config_rejects_out_of_range(field, value):
+    with pytest.raises(InvalidParameterError, match=field) as err:
+        MlpTrainConfig(**{field: value})
+    assert err.value.context["field"] == field
+    # the smallest accepted values
+    MlpTrainConfig(width=1, max_epochs=0, batch_size=1, lr=1e-12)
+
+
+def test_embedding_scatter_is_add_at_with_repeated_rows():
+    rng = np.random.default_rng(24)
+    p = invlab.denoiser._init_params(rng, 3, 5, 20, 2)
+    z = rng.standard_normal((9, 3))
+    t_idx = np.array([4, 4, 0, 19, 4, 7, 0, 7, 4])  # repeated rows
+    cond_idx = np.array([1, 0, 1, 1, 2, 0, 2, 1, 1])
+    h1, h2, out = invlab.denoiser._batch_forward(p, z, t_idx, p["cemb"][cond_idx])
+    d_out = rng.standard_normal(out.shape)
+    g = invlab.denoiser._batch_backward(p, z, t_idx, cond_idx, h1, h2, d_out)
+    d_h1 = invlab.denoiser._hidden_backward(p, h1, h2, d_out)[1]
+    for name, idx in (("temb", t_idx), ("cemb", cond_idx)):
+        ref = np.zeros_like(p[name])
+        np.add.at(ref, idx, d_h1)
+        assert g[name].shape == ref.shape
+        assert np.array_equal(g[name], ref)

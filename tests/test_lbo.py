@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import invlab.denoiser
 import invlab.dynamics
 import invlab.lbo
 from invlab import (
@@ -15,6 +16,7 @@ from invlab import (
     MlpTrainConfig,
     ScalingDenoiser,
     bias_target,
+    cfg_eval,
     cfg_vjp,
     coefficients,
     ddim_invert_step,
@@ -385,3 +387,30 @@ def test_coefficients_looked_up_per_step_not_per_iteration(
         assert rep.iters >= min(max_iters, 6)
         per_step.append(len(calls))
     assert per_step[0] == per_step[1]
+
+
+def _count_forward_passes(monkeypatch):
+    calls = []
+    inner = invlab.denoiser._batch_forward
+    monkeypatch.setattr(invlab.denoiser, "_batch_forward",
+                        lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+@pytest.mark.parametrize("w", [1.0, 3.0])
+def test_objective_and_grad_runs_one_forward_pass_per_condition(tiny_mlp, monkeypatch, w):
+    model, sched = tiny_mlp
+    c = Condition.class_label(1)
+    z_prev, b = np.array([0.4, -0.2]), np.array([0.01, 0.02])
+    co = coefficients(sched, 10, 5)
+    value, grad = invlab.lbo._objective_and_grad(model, co, z_prev, 10, c, w, b)
+    calls = _count_forward_passes(monkeypatch)
+    again = invlab.lbo._objective_and_grad(model, co, z_prev, 10, c, w, b)
+    # one MLP forward pass per evaluated condition, where eval then vjp took two
+    assert len(calls) == (1 if w == 1.0 else 2)
+    assert again[0] == value and np.array_equal(again[1], grad)
+    # the same bits as the separate eval and vjp
+    z = z_prev + b
+    r = co.phi * z + co.psi * cfg_eval(model, z, 10, c, w) - z_prev
+    s = np.sign(r)
+    assert np.array_equal(grad, (co.phi * s + co.psi * cfg_vjp(model, z, 10, c, w, s)) / r.size)

@@ -382,3 +382,32 @@ def test_ssim_upper_bound(seed):
     x = rng.random((7, 7, 1))
     y = rng.random((7, 7, 1))
     assert ssim(x, y) <= 1.0 + 1e-12
+
+
+def test_perceptual_reference_is_value_and_grad_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for shape in ((16, 16, 1), (9, 7, 2)):
+        perc = RandomConvPerceptual(shape, seed=4)
+        x = rng.random(shape)
+        ref = perc.reference(x)
+        # one binding serves many second images and holds no state between them
+        for _ in range(3):
+            y = rng.random(shape)
+            value, grad = ref(y)
+            assert value == perc.distance(x, y)
+            assert np.array_equal(grad, perc.value_and_grad(x, y)[1])
+            assert np.array_equal(grad, perc.grad_y(x, y))
+        with pytest.raises(DimensionError):
+            ref(np.zeros((5, 5, 1)))
+        with pytest.raises(DimensionError):
+            perc.reference(np.zeros((5, 5, 1)))
+
+
+def test_perceptual_interface_default_reference():
+    m = _MseMetric()
+    rng = np.random.default_rng(14)
+    x = rng.random((6, 5, 2))
+    y = rng.random((6, 5, 2))
+    value, grad = m.reference(x)(y)
+    assert value == m.distance(x, y)
+    assert np.array_equal(grad, m.value_and_grad(x, y)[1])

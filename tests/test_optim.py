@@ -136,3 +136,40 @@ def test_gradient_check_linear_functions_exact(dim, seed):
     x = rng.standard_normal(dim)
     err = gradient_check(lambda z: float(a @ z), a, x)
     assert err < 1e-6
+
+
+def _adam_formula(state, x, grad):
+    """The update as the module docstring writes it, one expression per line."""
+    m = state.m if state.m is not None else np.zeros_like(x)
+    v = state.v if state.v is not None else np.zeros_like(x)
+    k = state.step_count + 1
+    m = state.beta1 * m + (1.0 - state.beta1) * grad
+    v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
+    m_hat = m / (1.0 - state.beta1**k)
+    v_hat = v / (1.0 - state.beta2**k)
+    x_next = x - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return x_next, AdamState(state.lr, m, v, k, state.beta1, state.beta2, state.epsilon)
+
+
+
+@pytest.mark.parametrize("n", [64, 20_000])
+def test_adam_step_is_the_formula_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = ref_x = rng.standard_normal(n)
+    state = ref_state = AdamState(lr=3e-3)
+    for _ in range(5):
+        grad = rng.standard_normal(n) * rng.choice([1e-9, 1.0, 1e6], size=n)
+        grad[:3] = (0.0, -0.0, 1e-300)
+        inputs = [a for a in (x, state.m, state.v) if a is not None]
+        saved = [a.copy() for a in inputs]
+        x, state = adam_step(state, x, grad)
+        ref_x, ref_state = _adam_formula(ref_state, ref_x, grad)
+        # tobytes tells -0.0 from 0.0
+        assert x.tobytes() == ref_x.tobytes()
+        assert state.m.tobytes() == ref_state.m.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
+        assert state.step_count == ref_state.step_count
+        # the input point and moments are left as they were
+        for a, copy in zip(inputs, saved):
+            assert a.tobytes() == copy.tobytes()
+            assert a is not x and a is not state.m and a is not state.v

@@ -176,3 +176,16 @@ def test_coefficient_identity(t_train, data):
     ab_p = sched.alpha_bar(t_prev)
     rhs = math.sqrt(ab_t) * (math.sqrt(1.0 / ab_t - 1.0) - math.sqrt(1.0 / ab_p - 1.0))
     assert -co.psi / co.phi == pytest.approx(rhs, abs=1e-12)
+
+
+def test_coefficients_are_the_numpy_sqrt_form_bit_for_bit(toy3, default_sched):
+    for sched in (toy3, default_sched):
+        for t in range(1, sched.t_train + 1):
+            ab_t = sched.alpha_bar(t)
+            for t_prev in range(t):
+                ab_p = sched.alpha_bar(t_prev)
+                co = coefficients(sched, t, t_prev)
+                assert co.phi == float(np.sqrt(ab_p / ab_t))
+                assert co.psi == float(np.sqrt(1.0 - ab_p) - np.sqrt((1.0 - ab_t) * ab_p / ab_t))
+                assert (co.t, co.t_prev) == (t, t_prev)
+                assert type(co.phi) is float and type(co.psi) is float
