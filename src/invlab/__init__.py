@@ -21,9 +21,9 @@ from .errors import (BoundsError, ConfigError, DimensionError, DivergenceError, 
                      InvlabError, OrderingError, TrainingFailureError)
 from .ilb import (IlbConfig, IlbReport, consistency_loss, ilb_loss_and_grad, ilb_optimize,
                   regularization_loss, skip_roundtrip)
-from .lbo import (LboConfig, LboStepReport, bias_target, init_bias,
-                  lbo_gradient_iterate, lbo_invert_step, lbo_invert_trajectory,
-                  lbo_numerical_iterate, objective_and_grad)
+from .lbo import (LboConfig, LboStepReport, bias_target, lbo_gradient_iterate,
+                  lbo_invert_step, lbo_invert_trajectory, lbo_numerical_iterate,
+                  objective_and_grad)
 from .metrics import (PerceptualMetricInterface, psnr, ssim, ssim_with_grad,
                       trajectory_divergence)
 from .modelio import load_model, save_model

@@ -22,10 +22,10 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .autoencoder import IdentityAutoencoder, fit_linear_autoencoder
+from .autoencoder import AutoencoderInterface, IdentityAutoencoder, fit_linear_autoencoder
 from .data import load_dataset, make_shapes
-from .denoiser import (Condition, LinearGaussianDenoiser, MlpTrainConfig, check_train_ranges,
-                       train_mlp_denoiser)
+from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig,
+                       check_train_ranges, train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
 from .errors import ConfigError, InvalidParameterError, InvlabError
 from .ilb import IlbConfig, ilb_optimize
@@ -82,6 +82,11 @@ class AutoencoderSection:
     fit_count: int = 64
     leak_scale: float = 1.8
 
+    def __post_init__(self):
+        if not 0.0 < self.latent_frac <= 1.0:
+            raise InvalidParameterError(
+                f"latent_frac must lie in (0, 1], got {self.latent_frac!r}", field="latent_frac")
+
 
 @dataclass(frozen=True)
 class PerceptualSection:
@@ -96,6 +101,9 @@ class LboSection:
     tol: float = LboConfig.tol
     lr: float = LboConfig.lr
     n_grad_warmup: int = LboConfig.n_grad_warmup
+
+    def __post_init__(self):
+        LboConfig(**asdict(self))  # its range checks, under the default mode
 
 
 @dataclass(frozen=True)
@@ -273,6 +281,17 @@ def mlp_train_config(cfg: RunConfig) -> MlpTrainConfig:
                           batch_size=train.batch_size, lr=train.lr, seed=cfg.seed)
 
 
+def _load_model_file(path, iface, key: str):
+    """The model stored at `path`; ConfigError naming `key` unless it is an `iface`."""
+    if not Path(path).exists():
+        raise ConfigError(f"{key} {path} does not exist", key=key)
+    model = load_model(path)
+    if not isinstance(model, iface):
+        raise ConfigError(f"{key} {path} holds a {type(model).__name__}, "
+                          f"not a {iface.__name__}", key=key)
+    return model
+
+
 def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
     section = cfg.autoencoder
     shape = fit_images.shape[1:]
@@ -281,10 +300,11 @@ def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
     if section.kind != "linear":
         raise ConfigError(f"unknown autoencoder kind {section.kind!r}")
     if section.path:
-        path = Path(section.path)
-        if not path.exists():
-            raise ConfigError(f"autoencoder file {path} does not exist")
-        return load_model(path)
+        ae = _load_model_file(section.path, AutoencoderInterface, "autoencoder.path")
+        if ae.image_shape != shape:
+            raise ConfigError(f"autoencoder.path {section.path} takes {ae.image_shape} images, "
+                              f"the dataset has {shape}", key="autoencoder.path")
+        return ae
     n_pix = int(np.prod(shape))
     latent_dim = max(1, int(round(section.latent_frac * n_pix)))
     return fit_linear_autoencoder(fit_images, latent_dim,
@@ -305,10 +325,14 @@ def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
     if section.kind != "mlp":
         raise ConfigError(f"unknown denoiser kind {section.kind!r}")
     if section.path:
-        path = Path(section.path)
-        if not path.exists():
-            raise ConfigError(f"denoiser file {path} does not exist")
-        return load_model(path)
+        model = _load_model_file(section.path, DenoiserInterface, "denoiser.path")
+        if model.latent_dim != ae.latent_dim:
+            raise ConfigError(f"denoiser.path {section.path} has latent_dim {model.latent_dim}, "
+                              f"the autoencoder {ae.latent_dim}", key="denoiser.path")
+        if not np.array_equal(model.sched.betas, sched.betas):
+            raise ConfigError(f"denoiser.path {section.path} was trained on another noise "
+                              "schedule (t_train, beta_start, beta_end)", key="denoiser.path")
+        return model
     count, fit_count = section.train.count, cfg.autoencoder.fit_count
     if count > fit_count:
         raise ConfigError(f"denoiser.train.count {count} exceeds autoencoder.fit_count "

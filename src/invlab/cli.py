@@ -30,7 +30,7 @@ from .metrics import trajectory_divergence
 from .modelio import save_model
 from .optim import gradient_check
 from .rng import derive_rng
-from .schedule import make_linear_schedule
+from .schedule import coefficients, make_linear_schedule
 
 GRADCHECK_TOL = 1e-4
 
@@ -200,6 +200,7 @@ def cmd_gradcheck(cfg: RunConfig, args, out: Path) -> dict:
     d = b.ae.latent_dim
     c = b.condition
     t_prev, t = b.grid.transitions()[-1]
+    co = coefficients(b.sched, t, t_prev)
     errors = {"model_vjp": 0.0, "lbo_objective": 0.0, "ilb_total": 0.0}
     for probe in range(5):
         rng = derive_rng(cfg.seed, "gradcheck", probe)
@@ -211,8 +212,8 @@ def cmd_gradcheck(cfg: RunConfig, args, out: Path) -> dict:
         z_prev = rng.standard_normal(d)
         bias = 0.1 * rng.standard_normal(d)
         errors["lbo_objective"] = max(errors["lbo_objective"], gradient_check(
-            lambda x: objective_and_grad(b.model, b.sched, z_prev, t_prev, t, c, 1.0, x)[0],
-            objective_and_grad(b.model, b.sched, z_prev, t_prev, t, c, 1.0, bias)[1], bias))
+            lambda x: objective_and_grad(b.model, co, z_prev, c, 1.0, x)[0],
+            objective_and_grad(b.model, co, z_prev, c, 1.0, bias)[1], bias))
         x0 = b.images[probe % len(b.images)]
         z0 = b.ae.encode(x0) + 0.05 * rng.standard_normal(d)
         errors["ilb_total"] = max(errors["ilb_total"], gradient_check(

@@ -7,6 +7,9 @@ One backward transition on the grid pair (t_prev, t) is
 
 with F̂ the guided prediction. The inversion step evaluates the model at the
 *target* timestep t; for a constant model the two maps are exact inverses.
+
+Both steps take the transition as its `StepCoefficients` (φ, ψ, t, t_prev);
+only the grid walkers look coefficients up, once per transition.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .denoiser import Condition, DenoiserInterface, cfg_eval
 from .errors import InvalidParameterError
-from .schedule import NoiseSchedule, TimestepGrid, coefficients
+from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
 GENERATION = "generation"
 INVERSION = "inversion"
@@ -64,35 +67,19 @@ class Trajectory:
         }
 
 
-def generate_step(
-    model: DenoiserInterface,
-    sched: NoiseSchedule,
-    z_t: np.ndarray,
-    t: int,
-    t_prev: int,
-    c: Condition,
-    w: float = 1.0,
-) -> np.ndarray:
-    """One backward transition t -> t_prev."""
+def generate_step(model: DenoiserInterface, co: StepCoefficients, z_t: np.ndarray,
+                  c: Condition, w: float = 1.0) -> np.ndarray:
+    """One backward transition co.t -> co.t_prev."""
     z_t = np.asarray(z_t, dtype=np.float64)
-    co = coefficients(sched, t, t_prev)
-    return co.phi * z_t + co.psi * cfg_eval(model, z_t, t, c, w)
+    return co.phi * z_t + co.psi * cfg_eval(model, z_t, co.t, c, w)
 
 
-def ddim_invert_step(
-    model: DenoiserInterface,
-    sched: NoiseSchedule,
-    z_prev: np.ndarray,
-    t_prev: int,
-    t: int,
-    c: Condition,
-    w: float = 1.0,
-) -> np.ndarray:
-    """One inversion transition t_prev -> t (exact algebraic reversal of the
-    deterministic generation step under the adjacent-step approximation)."""
+def ddim_invert_step(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
+                     c: Condition, w: float = 1.0) -> np.ndarray:
+    """One inversion transition co.t_prev -> co.t (exact algebraic reversal of
+    the deterministic generation step under the adjacent-step approximation)."""
     z_prev = np.asarray(z_prev, dtype=np.float64)
-    co = coefficients(sched, t, t_prev)
-    return (1.0 / co.phi) * z_prev - (co.psi / co.phi) * cfg_eval(model, z_prev, t, c, w)
+    return (1.0 / co.phi) * z_prev - (co.psi / co.phi) * cfg_eval(model, z_prev, co.t, c, w)
 
 
 def generate_trajectory(
@@ -108,9 +95,8 @@ def generate_trajectory(
         raise InvalidParameterError("grid is empty")
     z = np.asarray(z_T, dtype=np.float64)
     entries = [(grid.steps[-1], z.copy())]
-    transitions = grid.transitions()
-    for t_prev, t in reversed(transitions):
-        z = generate_step(model, sched, z, t, t_prev, c, w)
+    for t_prev, t in reversed(grid.transitions()):
+        z = generate_step(model, coefficients(sched, t, t_prev), z, c, w)
         entries.append((t_prev, z.copy()))
     return Trajectory(
         entries=tuple(entries), direction=GENERATION, grid=grid, guidance=float(w), condition=c
@@ -131,7 +117,7 @@ def ddim_invert_trajectory(
     z = np.asarray(z_0, dtype=np.float64)
     entries = [(0, z.copy())]
     for t_prev, t in grid.transitions():
-        z = ddim_invert_step(model, sched, z, t_prev, t, c, w)
+        z = ddim_invert_step(model, coefficients(sched, t, t_prev), z, c, w)
         entries.append((t, z.copy()))
     return Trajectory(
         entries=tuple(entries), direction=INVERSION, grid=grid, guidance=float(w), condition=c

@@ -16,11 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .autoencoder import AutoencoderInterface
-from .denoiser import Condition, DenoiserInterface, cfg_eval
+from .denoiser import Condition, DenoiserInterface
+from .dynamics import ddim_invert_step, generate_step
 from .errors import BoundsError, DivergenceError, InvalidParameterError
 from .metrics import PerceptualMetricInterface, ssim, ssim_with_grad
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, skip_coefficients
+from .schedule import NoiseSchedule, StepCoefficients, skip_coefficients
 
 _STALL_LIMIT = 5
 
@@ -90,9 +91,8 @@ def consistency_loss(x0: np.ndarray, z0: np.ndarray, ae: AutoencoderInterface,
 def skip_roundtrip(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,
                    dt: int, c: Condition, w: float = 1.0) -> np.ndarray:
     """Jump z0 up to timestep δt and straight back, both legs through F̂(·, δt)."""
-    phi, psi = skip_coefficients(sched, dt)
-    z_dt = (1.0 / phi) * z0 - (psi / phi) * cfg_eval(model, z0, dt, c, w)
-    return phi * z_dt + psi * cfg_eval(model, z_dt, dt, c, w)
+    co = StepCoefficients(*skip_coefficients(sched, dt), dt, 0)
+    return generate_step(model, co, ddim_invert_step(model, co, z0, c, w), c, w)
 
 
 def regularization_loss(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,

@@ -10,7 +10,9 @@ bias b = z_t − z_prev and three refinement modes are offered:
   hybrid     a few gradient steps to settle into the basin, then numerical
 
 All modes start from the one-shot inversion bias and report per-step
-iteration counts and residuals.
+iteration counts and residuals. The per-iteration functions take the
+transition as its `StepCoefficients` and are the bodies the loops run;
+`lbo_invert_step` looks the coefficients up once per step.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .denoiser import Condition, DenoiserInterface, cfg_eval, cfg_linearize
-from .dynamics import INVERSION, Trajectory, ddim_invert_step
+from .denoiser import Condition, DenoiserInterface, cfg_linearize
+from .dynamics import INVERSION, Trajectory, ddim_invert_step, generate_step
 from .errors import DivergenceError, InvalidParameterError
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, TimestepGrid, coefficients
+from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
 _MODES = ("numerical", "gradient", "hybrid")
 _DEFAULT_ITERS = {"numerical": 15, "gradient": 20, "hybrid": 15}
@@ -46,13 +48,15 @@ class LboConfig:
         if self.max_iters is None:
             object.__setattr__(self, "max_iters", _DEFAULT_ITERS[self.mode])
         if not isinstance(self.max_iters, int) or self.max_iters < 0:
-            raise InvalidParameterError(f"max_iters must be a non-negative int, got {self.max_iters}")
-        if self.tol <= 0:
-            raise InvalidParameterError(f"tol must be > 0, got {self.tol}")
-        if self.lr <= 0:
-            raise InvalidParameterError(f"lr must be > 0, got {self.lr}")
+            raise InvalidParameterError(
+                f"max_iters must be a non-negative int, got {self.max_iters}", field="max_iters")
+        if not self.tol > 0:  # NaN too
+            raise InvalidParameterError(f"tol must be > 0, got {self.tol}", field="tol")
+        if not self.lr > 0:
+            raise InvalidParameterError(f"lr must be > 0, got {self.lr}", field="lr")
         if self.n_grad_warmup < 0:
-            raise InvalidParameterError(f"n_grad_warmup must be >= 0, got {self.n_grad_warmup}")
+            raise InvalidParameterError(
+                f"n_grad_warmup must be >= 0, got {self.n_grad_warmup}", field="n_grad_warmup")
 
 
 @dataclass(frozen=True)
@@ -66,72 +70,52 @@ class LboStepReport:
         return {"t": self.t, "iters": self.iters, "residual": self.residual, "converged": self.converged}
 
 
-def init_bias(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.ndarray,
-              t_prev: int, t: int, c: Condition, w: float = 1.0) -> np.ndarray:
-    """Bias implied by the one-shot reverse step: invert(z_prev) − z_prev."""
-    return ddim_invert_step(model, sched, z_prev, t_prev, t, c, w) - z_prev
-
-
-def bias_target(model: DenoiserInterface, sched: NoiseSchedule, z: np.ndarray,
-                t: int, t_prev: int, c: Condition, w: float = 1.0) -> np.ndarray:
+def bias_target(model: DenoiserInterface, co: StepCoefficients, z: np.ndarray,
+                c: Condition, w: float = 1.0) -> np.ndarray:
     """Bias that candidate z would need to be self-consistent: z − generate(z).
 
     At the true preimage, generate_step lands exactly on z_prev and the
     returned value equals z − z_prev.
     """
-    z = np.asarray(z, dtype=np.float64)
-    return _bias_target(model, coefficients(sched, t, t_prev), z, t, c, w)
+    return z - generate_step(model, co, z, c, w)
 
 
-def _bias_target(model, co, z, t, c, w):
-    # generate_step's deterministic transition, with its coefficients in hand
-    return z - (co.phi * z + co.psi * cfg_eval(model, z, t, c, w))
-
-
-def lbo_numerical_iterate(model: DenoiserInterface, sched: NoiseSchedule,
-                          z_prev: np.ndarray, t_prev: int, t: int, c: Condition,
-                          w: float, b: np.ndarray) -> np.ndarray:
+def lbo_numerical_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
+                          c: Condition, w: float, b: np.ndarray) -> np.ndarray:
     """One fixed-point sweep b ← bias_target(z_prev + b).
 
     A fixed point b* makes (z_prev, z_prev + b*) an exact generation pair.
     """
-    return _numerical_sweep(model, coefficients(sched, t, t_prev), z_prev, t, c, w, b)
-
-
-def _numerical_sweep(model, co, z_prev, t, c, w, b):
-    b_next = _bias_target(model, co, z_prev + b, t, c, w)
+    b_next = bias_target(model, co, z_prev + b, c, w)
     if not np.isfinite(b_next).all():
-        raise DivergenceError("numerical sweep produced non-finite bias", t=t)
+        raise DivergenceError("numerical sweep produced non-finite bias", t=co.t)
     return b_next
 
 
-def _numerical_loop(model, co, z_prev, t, c, w, b, budget, tol, spent=0):
+def _numerical_loop(model, co, z_prev, c, w, b, budget, tol, spent=0):
     # spent: iterations the step ran before this loop, so an error names the step's iteration
     iters = 0
     residual = float("inf")
     while iters < budget and residual >= tol:
         try:
-            b_next = _numerical_sweep(model, co, z_prev, t, c, w, b)
+            b_next = lbo_numerical_iterate(model, co, z_prev, c, w, b)
         except DivergenceError as e:
-            raise DivergenceError(str(e), t=t, iteration=spent + iters + 1) from None
+            raise DivergenceError(str(e), t=co.t, iteration=spent + iters + 1) from None
         residual = float(np.abs(b_next - b).max())
         b = b_next
         iters += 1
     return b, iters, residual
 
 
-def objective_and_grad(model, sched, z_prev, t_prev, t, c, w, b):
+def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
+                       c: Condition, w: float, b: np.ndarray) -> tuple[float, np.ndarray]:
     """J(b) = mean|G(z_prev+b) − z_prev| and its exact gradient.
 
     b − bias_target(z_prev + b) telescopes to generate_step(z_prev+b) − z_prev,
     so the chain rule only passes through one denoiser evaluation.
     """
-    return _objective_and_grad(model, coefficients(sched, t, t_prev), z_prev, t, c, w, b)
-
-
-def _objective_and_grad(model, co, z_prev, t, c, w, b):
     z = z_prev + b
-    eps, pullback = cfg_linearize(model, z, t, c, w)
+    eps, pullback = cfg_linearize(model, z, co.t, c, w)
     r = co.phi * z + co.psi * eps - z_prev
     s = np.sign(r)
     grad = (co.phi * s + co.psi * pullback(s)) / r.size
@@ -139,31 +123,26 @@ def _objective_and_grad(model, co, z_prev, t, c, w, b):
     return float(np.add.reduce(np.abs(r)) / r.size), grad
 
 
-def lbo_gradient_iterate(model: DenoiserInterface, sched: NoiseSchedule,
-                         z_prev: np.ndarray, t_prev: int, t: int, c: Condition,
-                         w: float, b: np.ndarray, state: AdamState
-                         ) -> tuple[np.ndarray, AdamState, float]:
+def lbo_gradient_iterate(model: DenoiserInterface, co: StepCoefficients,
+                         z_prev: np.ndarray, c: Condition, w: float, b: np.ndarray,
+                         state: AdamState) -> tuple[np.ndarray, AdamState, float]:
     """One Adam step on J(b); returns (b_next, state, J at the pre-step b)."""
-    return _gradient_iterate(model, coefficients(sched, t, t_prev), z_prev, t, c, w, b, state)
-
-
-def _gradient_iterate(model, co, z_prev, t, c, w, b, state):
-    value, grad = _objective_and_grad(model, co, z_prev, t, c, w, b)
+    value, grad = objective_and_grad(model, co, z_prev, c, w, b)
     if not math.isfinite(value):
-        raise DivergenceError("gradient objective became non-finite", t=t)
+        raise DivergenceError("gradient objective became non-finite", t=co.t)
     b_next, state = adam_step(state, b, grad)
     return b_next, state, value
 
 
-def _gradient_loop(model, co, z_prev, t, c, w, b, budget, tol, lr, check_tol=True):
+def _gradient_loop(model, co, z_prev, c, w, b, budget, tol, lr, check_tol=True):
     state = AdamState(lr=lr)
     iters = 0
     residual = float("inf")
     while iters < budget and (not check_tol or residual >= tol):
         try:
-            b, state, residual = _gradient_iterate(model, co, z_prev, t, c, w, b, state)
+            b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, w, b, state)
         except DivergenceError as e:
-            raise DivergenceError(str(e), t=t, iteration=iters + 1) from None
+            raise DivergenceError(str(e), t=co.t, iteration=iters + 1) from None
         iters += 1
     return b, iters, residual
 
@@ -174,26 +153,27 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
     """Invert one transition; returns (z_t, step report).
 
     With max_iters=0 this returns the unrefined one-shot inversion unchanged.
-    The step coefficients are looked up once and shared by every iteration.
+    The step coefficients are looked up once and shared by the one-shot start
+    and every iteration.
     """
     w = cfg.guidance_w
-    y0 = ddim_invert_step(model, sched, z_prev, t_prev, t, c, w)
+    co = coefficients(sched, t, t_prev)
+    y0 = ddim_invert_step(model, co, z_prev, c, w)
     if cfg.max_iters == 0:
         return y0, LboStepReport(t=t, iters=0, residual=float("inf"), converged=False)
-    co = coefficients(sched, t, t_prev)
     b = y0 - z_prev
     if cfg.mode == "numerical":
         b, iters, residual = _numerical_loop(
-            model, co, z_prev, t, c, w, b, cfg.max_iters, cfg.tol)
+            model, co, z_prev, c, w, b, cfg.max_iters, cfg.tol)
     elif cfg.mode == "gradient":
         b, iters, residual = _gradient_loop(
-            model, co, z_prev, t, c, w, b, cfg.max_iters, cfg.tol, cfg.lr)
+            model, co, z_prev, c, w, b, cfg.max_iters, cfg.tol, cfg.lr)
     else:
         warmup = min(cfg.n_grad_warmup, cfg.max_iters)
         b, g_iters, _ = _gradient_loop(
-            model, co, z_prev, t, c, w, b, warmup, cfg.tol, cfg.lr, check_tol=False)
+            model, co, z_prev, c, w, b, warmup, cfg.tol, cfg.lr, check_tol=False)
         b, n_iters, residual = _numerical_loop(
-            model, co, z_prev, t, c, w, b, cfg.max_iters - warmup, cfg.tol, spent=g_iters)
+            model, co, z_prev, c, w, b, cfg.max_iters - warmup, cfg.tol, spent=g_iters)
         iters = g_iters + n_iters
     return z_prev + b, LboStepReport(
         t=t, iters=iters, residual=residual, converged=residual < cfg.tol)

@@ -127,12 +127,11 @@ def test_criterion_02_constant_denoiser_exactness(sched100, grid50):
     worst = 0.0
     for t_prev, t in grid50.transitions():
         z = rng.standard_normal(4)
-        up = ddim_invert_step(model, sched100, z, t_prev, t, UNCOND)
-        worst = max(worst, float(np.max(np.abs(
-            generate_step(model, sched100, up, t, t_prev, UNCOND) - z))))
-        down = generate_step(model, sched100, z, t, t_prev, UNCOND)
-        worst = max(worst, float(np.max(np.abs(
-            ddim_invert_step(model, sched100, down, t_prev, t, UNCOND) - z))))
+        co = coefficients(sched100, t, t_prev)
+        up = ddim_invert_step(model, co, z, UNCOND)
+        worst = max(worst, float(np.max(np.abs(generate_step(model, co, up, UNCOND) - z))))
+        down = generate_step(model, co, z, UNCOND)
+        worst = max(worst, float(np.max(np.abs(ddim_invert_step(model, co, down, UNCOND) - z))))
     z0 = rng.standard_normal(4)
     inv = ddim_invert_trajectory(model, sched100, grid50, z0, UNCOND)
     gen = generate_trajectory(model, sched100, grid50, inv.latent_at(100), UNCOND)
@@ -171,9 +170,10 @@ def test_criterion_03_gradient_fidelity():
             model.vjp(z, t, UNCOND, v), z))
         z_prev = rng.standard_normal(16)
         bias = 0.1 * rng.standard_normal(16)
+        co = coefficients(sched, t, t_prev)
         worst["lbo"] = max(worst["lbo"], gradient_check(
-            lambda x: objective_and_grad(model, sched, z_prev, t_prev, t, UNCOND, 1.0, x)[0],
-            objective_and_grad(model, sched, z_prev, t_prev, t, UNCOND, 1.0, bias)[1], bias))
+            lambda x: objective_and_grad(model, co, z_prev, UNCOND, 1.0, x)[0],
+            objective_and_grad(model, co, z_prev, UNCOND, 1.0, bias)[1], bias))
         x0 = images[probe % len(images)]
         z0 = ae.encode(x0) + 0.05 * rng.standard_normal(16)
         worst["ilb"] = max(worst["ilb"], gradient_check(
@@ -200,7 +200,8 @@ def test_criterion_04_fixed_point_certificate(sched100, grid50):
         worst_iters = max(worst_iters, max(r.iters for r in reports))
         worst_res = max(worst_res, max(r.residual for r in reports))
         for t_prev, t in grid50.transitions():
-            back = generate_step(model, sched100, traj.latent_at(t), t, t_prev, UNCOND)
+            co = coefficients(sched100, t, t_prev)
+            back = generate_step(model, co, traj.latent_at(t), UNCOND)
             worst_replay = max(worst_replay, float(np.max(np.abs(back - traj.latent_at(t_prev)))))
         rel = _roundtrip_rel(model, sched100, grid50, z0, traj)
         rel_ddim = _roundtrip_rel(

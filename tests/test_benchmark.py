@@ -26,6 +26,7 @@ from invlab.data import gen_dataset, save_dataset
 from invlab.denoiser import DenoiserInterface, LinearGaussianDenoiser, MlpDenoiser
 from invlab.errors import ConfigError, DivergenceError
 from invlab.metrics import PerceptualMetricInterface
+from invlab.modelio import save_model
 from invlab.perceptual import RandomConvPerceptual
 
 SMALL_DOC = {
@@ -383,6 +384,28 @@ def test_train_value_out_of_range_is_config_error(field, value):
     assert config_from_json_dict({"denoiser": {"train": edge}}).denoiser.train.max_epochs == 0
 
 
+@pytest.mark.parametrize("field,value", [("max_iters", -1), ("tol", 0.0), ("tol", float("nan")),
+                                         ("lr", 0.0), ("lr", float("nan")), ("n_grad_warmup", -1)])
+def test_lbo_value_out_of_range_is_config_error(field, value):
+    key = f"lbo.{field}"
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        config_from_json_dict({"lbo": {field: value}, "methods": ["lbo-n"]})
+    assert err.value.context["key"] == key
+    # the smallest accepted values load
+    edge = {"max_iters": 0, "tol": 1e-300, "lr": 1e-300, "n_grad_warmup": 0}
+    assert config_from_json_dict({"lbo": edge}).lbo.max_iters == 0
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, 1.5])
+def test_latent_frac_outside_unit_interval_is_config_error(value):
+    with pytest.raises(ConfigError, match="autoencoder.latent_frac") as err:
+        config_from_json_dict({"autoencoder": {"latent_frac": value}})
+    assert err.value.context["key"] == "autoencoder.latent_frac"
+    # a latent as large as the image still builds
+    cfg = config_from_json_dict({**SMALL_DOC, "autoencoder": {"fit_count": 16, "latent_frac": 1}})
+    assert BenchmarkBackends(cfg).ae.latent_dim == 64
+
+
 TINY_MLP_DOC = {
     "seed": 2,
     "steps": 4,
@@ -407,3 +430,49 @@ def test_shared_forward_passes_write_the_same_bytes(kind, tmp_path, monkeypatch)
     run_benchmark(cfg, tmp_path / "separate")
     for name in ("benchmark.csv", "summary.json"):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "separate" / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """The denoiser and autoencoder files of a run of TINY_MLP_DOC."""
+    backends = BenchmarkBackends(config_from_json_dict(TINY_MLP_DOC))
+    out = tmp_path_factory.mktemp("models")
+    save_model(backends.model, out / "denoiser.labmdl")
+    save_model(backends.ae, out / "autoencoder.labmdl")
+    return backends, str(out / "denoiser.labmdl"), str(out / "autoencoder.labmdl")
+
+
+def test_model_files_of_the_run_load(model_files):
+    trained, den, ae = model_files
+    doc = {**TINY_MLP_DOC, "denoiser": {"kind": "mlp", "path": den},
+           "autoencoder": {"fit_count": 16, "path": ae}}
+    loaded = BenchmarkBackends(config_from_json_dict(doc))
+    np.testing.assert_array_equal(loaded.ae.w, trained.ae.w)
+    for name, value in trained.model.params.items():
+        np.testing.assert_array_equal(loaded.model.params[name], value)
+
+
+# (what the run changes, which file goes where, the key the error names)
+MISMATCHED_FILES = [
+    ({}, {"denoiser": "ae"}, "denoiser.path"),  # an autoencoder file as the denoiser
+    ({}, {"autoencoder": "den"}, "autoencoder.path"),  # and the other way round
+    ({"autoencoder": {"fit_count": 16, "latent_frac": 0.5}}, {"denoiser": "den"},
+     "denoiser.path"),  # 32-dimensional latents for a 16-dimensional model
+    ({"t_train": 50}, {"denoiser": "den"}, "denoiser.path"),  # another noise schedule
+    ({"beta_end": 0.04}, {"denoiser": "den"}, "denoiser.path"),  # same t_train, other betas
+    ({"dataset": {"count": 2, "height": 12, "width": 8}}, {"autoencoder": "ae"},
+     "autoencoder.path"),  # fitted on 8x8 images, run on 12x8
+]
+
+
+@pytest.mark.parametrize("change,files,key", MISMATCHED_FILES)
+def test_model_file_that_does_not_fit_the_run_is_config_error(model_files, change, files, key):
+    _, den, ae = model_files
+    doc = {**TINY_MLP_DOC, **change}
+    for section, which in files.items():
+        kind = {"denoiser": "mlp", "autoencoder": "linear"}[section]
+        doc[section] = {**doc.get(section, {}), "kind": kind,
+                        "path": {"den": den, "ae": ae}[which]}
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        BenchmarkBackends(config_from_json_dict(doc))
+    assert err.value.context["key"] == key

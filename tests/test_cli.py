@@ -332,3 +332,24 @@ def test_train_denoiser_out_of_range_value_exits_2(capsys, tmp_path, field, valu
     assert code == 2 and doc["code"] == "config-error"
     assert doc["context"]["key"] == f"denoiser.train.{field}"
     assert f"denoiser.train.{field}" in doc["message"]
+
+
+def test_model_file_of_the_wrong_kind_exits_2(capsys, small_cfg, tmp_path):
+    code, _ = run_cli(capsys, "train-autoencoder", "--config", small_cfg,
+                      "--out", str(tmp_path / "o"))
+    assert code == 0
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "denoiser": {
+        "kind": "mlp", "path": str(tmp_path / "o" / "autoencoder.labmdl")}}))
+    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "r"))
+    assert code == 2 and doc["code"] == "config-error"
+    assert doc["context"]["key"] == "denoiser.path" and "LinearAutoencoder" in doc["message"]
+
+
+def test_lbo_value_out_of_range_exits_2(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "lbo": {"max_iters": -1}, "methods": ["lbo-n"]}))
+    code, doc = run_cli(capsys, "benchmark", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "config-error"
+    assert doc["context"]["key"] == "lbo.max_iters" and "lbo.max_iters" in doc["message"]
+    assert not (tmp_path / "o" / "benchmark.csv").exists()

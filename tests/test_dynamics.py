@@ -24,31 +24,36 @@ ONE = np.array([1.0])
 
 
 def test_generate_step_stub_zero(toy3, stub0, uncond):
-    got = generate_step(stub0, toy3, ONE, 2, 1, uncond)
+    got = generate_step(stub0, coefficients(toy3, 2, 1), ONE, uncond)
     assert got[0] == pytest.approx(1.0540925533894598, abs=1e-15)
 
 
 def test_invert_step_stub_zero(toy3, stub0, uncond):
-    got = ddim_invert_step(stub0, toy3, ONE, 1, 2, uncond)
+    co = coefficients(toy3, 2, 1)
+    got = ddim_invert_step(stub0, co, ONE, uncond)
     assert got[0] == pytest.approx(0.9486832980505138, abs=1e-15)
+    assert ddim_invert_step(stub0, co, np.zeros(1), uncond)[0] == 0.0
 
 
 def test_constant_model_steps_are_exact_inverses(toy3, uncond):
     m = ConstantDenoiser(1, 0.35)
     z = np.array([0.8])
-    back = generate_step(m, toy3, z, 3, 1, uncond)
-    again = ddim_invert_step(m, toy3, back, 1, 3, uncond)
+    co = coefficients(toy3, 3, 1)
+    back = generate_step(m, co, z, uncond)
+    again = ddim_invert_step(m, co, back, uncond)
     np.testing.assert_allclose(again, z, atol=1e-12)
-    fwd = ddim_invert_step(m, toy3, z, 0, 2, uncond)
-    down = generate_step(m, toy3, fwd, 2, 0, uncond)
+    co = coefficients(toy3, 2, 0)
+    fwd = ddim_invert_step(m, co, z, uncond)
+    down = generate_step(m, co, fwd, uncond)
     np.testing.assert_allclose(down, z, atol=1e-12)
 
 
 def test_state_dependent_model_breaks_the_identity(toy3, unit_gauss1, uncond):
     # inversion evaluates at the target step, so the round trip has a gap
     z = np.array([0.8])
-    up = ddim_invert_step(unit_gauss1, toy3, z, 0, 2, uncond)
-    down = generate_step(unit_gauss1, toy3, up, 2, 0, uncond)
+    co = coefficients(toy3, 2, 0)
+    up = ddim_invert_step(unit_gauss1, co, z, uncond)
+    down = generate_step(unit_gauss1, co, up, uncond)
     assert abs(down[0] - z[0]) > 1e-6
 
 
@@ -123,6 +128,7 @@ def test_single_constant_transition_invertible(t, z0, fval):
     m = ConstantDenoiser(1, fval)
     c = Condition.unconditional()
     z = np.array([z0])
-    up = ddim_invert_step(m, sched, z, t - 1, t, c)
-    back = generate_step(m, sched, up, t, t - 1, c)
+    co = coefficients(sched, t, t - 1)
+    up = ddim_invert_step(m, co, z, c)
+    back = generate_step(m, co, up, c)
     np.testing.assert_allclose(back, z, atol=1e-10)

@@ -16,8 +16,11 @@ from invlab import (
     LinearGaussianDenoiser,
     MlpTrainConfig,
     RandomConvPerceptual,
+    StepCoefficients,
     consistency_loss,
+    ddim_invert_step,
     fit_linear_autoencoder,
+    generate_step,
     gradient_check,
     ilb_loss_and_grad,
     ilb_optimize,
@@ -86,6 +89,10 @@ def test_skip_roundtrip_hand_composition(toy3, unit_gauss1, uncond):
     assert z_dt == pytest.approx(1.09, abs=1e-12)
     got = skip_roundtrip(unit_gauss1, toy3, z0, 2, uncond)
     assert got[0] == pytest.approx(0.981, abs=1e-12)
+    # the inversion step, then the generation step, over the 0 -> dt skip
+    co = StepCoefficients(*skip_coefficients(toy3, 2), 2, 0)
+    up = ddim_invert_step(unit_gauss1, co, z0, uncond)
+    assert np.array_equal(got, generate_step(unit_gauss1, co, up, uncond))
     reg = regularization_loss(unit_gauss1, toy3, z0, 2, uncond)
     assert reg == pytest.approx(0.019, abs=1e-12)
 

@@ -24,7 +24,6 @@ from invlab import (
     generate_step,
     generate_trajectory,
     gradient_check,
-    init_bias,
     lbo_gradient_iterate,
     lbo_invert_step,
     lbo_invert_trajectory,
@@ -44,47 +43,34 @@ BSTAR = 0.01784041101132872
 CONTRACTION = 0.017527709470291558
 
 
-def test_init_bias_hand_value(toy3, stub0, uncond):
-    got = init_bias(stub0, toy3, ONE, 1, 2, uncond)
-    assert got[0] == pytest.approx(-0.05131670194948623, abs=1e-15)
-    assert init_bias(stub0, toy3, np.zeros(1), 1, 2, uncond)[0] == 0.0
-
-
-def test_init_bias_is_one_shot_inversion_offset(gauss_nd, default_sched, uncond):
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(4)
-    got = init_bias(gauss_nd, default_sched, z, 30, 40, uncond)
-    expect = ddim_invert_step(gauss_nd, default_sched, z, 30, 40, uncond) - z
-    np.testing.assert_array_equal(got, expect)
-
-
 def test_bias_target_hand_values(toy3, stub0, stub_half, uncond):
-    got0 = bias_target(stub0, toy3, ONE, 2, 1, uncond)
+    got0 = bias_target(stub0, coefficients(toy3, 2, 1), ONE, uncond)
     assert got0[0] == pytest.approx(1.0 - 1.0540925533894598, abs=1e-15)
-    got_half = bias_target(stub_half, toy3, ONE, 2, 1, uncond)
+    got_half = bias_target(stub_half, coefficients(toy3, 2, 1), ONE, uncond)
     assert got_half[0] == pytest.approx(CONTRACTION, abs=1e-15)
 
 
 def test_bias_target_complements_generation(gauss_nd, default_sched, uncond):
     rng = np.random.default_rng(1)
     z = rng.standard_normal(4)
-    got = bias_target(gauss_nd, default_sched, z, 50, 40, uncond)
-    expect = z - generate_step(gauss_nd, default_sched, z, 50, 40, uncond)
+    co = coefficients(default_sched, 50, 40)
+    got = bias_target(gauss_nd, co, z, uncond)
+    expect = z - generate_step(gauss_nd, co, z, uncond)
     np.testing.assert_array_equal(got, expect)
 
 
 def test_numerical_iterate_holds_fixed_point(toy3, stub_half, uncond):
     b = np.array([BSTAR])
-    b_next = lbo_numerical_iterate(stub_half, toy3, ONE, 1, 2, uncond, 1.0, b)
+    b_next = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE, uncond, 1.0, b)
     assert abs(b_next[0] - BSTAR) <= 1e-15
 
 
 def test_numerical_iterates_contract_geometrically(toy3, stub_half, uncond):
     # affine map: successive residuals shrink by the contraction factor
-    b = init_bias(stub_half, toy3, ONE, 1, 2, uncond)
+    b = ddim_invert_step(stub_half, coefficients(toy3, 2, 1), ONE, uncond) - ONE
     residuals = []
     for _ in range(4):
-        b_next = lbo_numerical_iterate(stub_half, toy3, ONE, 1, 2, uncond, 1.0, b)
+        b_next = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE, uncond, 1.0, b)
         residuals.append(abs(float(b_next[0] - b[0])))
         b = b_next
     ratios = [r2 / r1 for r1, r2 in zip(residuals, residuals[1:]) if r1 > 1e-14]
@@ -124,9 +110,9 @@ def test_hybrid_blowup_counts_iterations_from_the_start_of_the_step(toy3, uncond
 
 def test_gradient_iterate_stationary_at_solution(toy3, stub0, uncond):
     # F = 0: the one-shot bias is exact, J = 0, gradient = 0, b unchanged
-    b = init_bias(stub0, toy3, ONE, 1, 2, uncond)
+    b = ddim_invert_step(stub0, coefficients(toy3, 2, 1), ONE, uncond) - ONE
     b_next, state, value = lbo_gradient_iterate(
-        stub0, toy3, ONE, 1, 2, uncond, 1.0, b, AdamState(lr=1e-3)
+        stub0, coefficients(toy3, 2, 1), ONE, uncond, 1.0, b, AdamState(lr=1e-3)
     )
     assert value == 0.0
     np.testing.assert_array_equal(b_next, b)
@@ -134,9 +120,9 @@ def test_gradient_iterate_stationary_at_solution(toy3, stub0, uncond):
 
 
 def test_gradient_iterate_descends(toy3, stub_half, uncond):
-    b = init_bias(stub_half, toy3, ONE, 1, 2, uncond)
+    b = ddim_invert_step(stub_half, coefficients(toy3, 2, 1), ONE, uncond) - ONE
     b_next, _, value = lbo_gradient_iterate(
-        stub_half, toy3, ONE, 1, 2, uncond, 1.0, b, AdamState(lr=1e-3)
+        stub_half, coefficients(toy3, 2, 1), ONE, uncond, 1.0, b, AdamState(lr=1e-3)
     )
     assert value > 0.0
     assert abs(b_next[0] - BSTAR) < abs(b[0] - BSTAR)
@@ -147,11 +133,13 @@ def test_objective_gradient_matches_finite_differences(gauss_nd, default_sched, 
     z_prev = rng.standard_normal(4)
     b = 0.1 * rng.standard_normal(4)
 
+    co = coefficients(default_sched, 40, 30)
+
     def j(bb):
-        val, _ = objective_and_grad(gauss_nd, default_sched, z_prev, 30, 40, uncond, 1.0, bb)
+        val, _ = objective_and_grad(gauss_nd, co, z_prev, uncond, 1.0, bb)
         return val
 
-    _, grad = objective_and_grad(gauss_nd, default_sched, z_prev, 30, 40, uncond, 1.0, b)
+    _, grad = objective_and_grad(gauss_nd, co, z_prev, uncond, 1.0, b)
     assert gradient_check(j, grad, b) < 1e-4
 
 
@@ -169,9 +157,9 @@ def test_objective_is_the_straightforward_form_bit_for_bit(
     z_prev = rng.standard_normal(model.latent_dim)
     b = 0.1 * rng.standard_normal(model.latent_dim)
     co = coefficients(sched, t, t_prev)
-    r = generate_step(model, sched, z_prev + b, t, t_prev, c, w) - z_prev
+    r = generate_step(model, co, z_prev + b, c, w) - z_prev
     s = np.sign(r)
-    value, grad = objective_and_grad(model, sched, z_prev, t_prev, t, c, w, b)
+    value, grad = objective_and_grad(model, co, z_prev, c, w, b)
     assert value == float(np.mean(np.abs(r)))
     assert np.array_equal(grad, (co.phi * s + co.psi * cfg_vjp(model, z_prev + b, t, c, w, s)) / r.size)
 
@@ -191,7 +179,8 @@ def test_invert_step_stub_zero_converges_immediately(toy3, stub0, uncond, mode, 
     assert rep.converged
     assert rep.iters <= iters_cap
     assert rep.residual <= 1e-14
-    np.testing.assert_allclose(z_t, ddim_invert_step(stub0, toy3, ONE, 1, 2, uncond), atol=1e-14)
+    np.testing.assert_allclose(z_t, ddim_invert_step(stub0, coefficients(toy3, 2, 1), ONE, uncond),
+                               atol=1e-14)
 
 
 def test_invert_step_hybrid_stub_zero(toy3, stub0, uncond):
@@ -210,7 +199,8 @@ def test_zero_budget_is_one_shot_inversion(gauss_nd, default_sched, uncond, mode
     z = rng.standard_normal(4)
     cfg = LboConfig(mode=mode, max_iters=0)
     z_t, rep = lbo_invert_step(gauss_nd, default_sched, z, 30, 40, uncond, cfg)
-    np.testing.assert_array_equal(z_t, ddim_invert_step(gauss_nd, default_sched, z, 30, 40, uncond))
+    np.testing.assert_array_equal(
+        z_t, ddim_invert_step(gauss_nd, coefficients(default_sched, 40, 30), z, uncond))
     assert rep.iters == 0 and rep.residual == np.inf and not rep.converged
 
 
@@ -252,7 +242,7 @@ def test_single_step_replay_within_tolerance(gauss_nd, default_sched, uncond):
     for t_prev, t in [(0, 2), (30, 40), (98, 100)]:
         z_t, rep = lbo_invert_step(gauss_nd, default_sched, z_prev, t_prev, t, uncond, cfg)
         assert rep.converged
-        back = generate_step(gauss_nd, default_sched, z_t, t, t_prev, uncond)
+        back = generate_step(gauss_nd, coefficients(default_sched, t, t_prev), z_t, uncond)
         assert np.max(np.abs(back - z_prev)) <= 10.0 * tol
 
 
@@ -323,19 +313,19 @@ def tiny_mlp():
 def _reference_step(model, sched, z_prev, t_prev, t, c, cfg):
     """lbo_invert_step written out with the public per-iteration functions."""
     w = cfg.guidance_w
-    b = init_bias(model, sched, z_prev, t_prev, t, c, w)
+    co = coefficients(sched, t, t_prev)
+    b = ddim_invert_step(model, co, z_prev, c, w) - z_prev
     iters, residual = 0, np.inf
     if cfg.mode != "numerical":
         budget = cfg.max_iters if cfg.mode == "gradient" else min(cfg.n_grad_warmup, cfg.max_iters)
         state = AdamState(lr=cfg.lr)
         while iters < budget and (cfg.mode == "hybrid" or residual >= cfg.tol):
-            b, state, residual = lbo_gradient_iterate(
-                model, sched, z_prev, t_prev, t, c, w, b, state)
+            b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, w, b, state)
             iters += 1
     if cfg.mode != "gradient":
         residual = np.inf
         while iters < cfg.max_iters and residual >= cfg.tol:
-            b_next = lbo_numerical_iterate(model, sched, z_prev, t_prev, t, c, w, b)
+            b_next = lbo_numerical_iterate(model, co, z_prev, c, w, b)
             residual = float(np.max(np.abs(b_next - b)))
             b = b_next
             iters += 1
@@ -368,7 +358,7 @@ def test_invert_step_is_bit_identical_to_the_public_iterates(
 @pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
 def test_coefficients_looked_up_per_step_not_per_iteration(
         gauss_nd, default_sched, uncond, monkeypatch, mode):
-    # the one-shot start looks them up through dynamics, the loops through lbo
+    # one lookup serves the one-shot start and every iteration of the loops
     real = invlab.lbo.coefficients
     calls = []
 
@@ -386,7 +376,7 @@ def test_coefficients_looked_up_per_step_not_per_iteration(
                                  LboConfig(mode=mode, max_iters=max_iters, tol=1e-30))
         assert rep.iters >= min(max_iters, 6)
         per_step.append(len(calls))
-    assert per_step[0] == per_step[1]
+    assert per_step == [1, 1]
 
 
 def _count_forward_passes(monkeypatch):
@@ -403,9 +393,9 @@ def test_objective_and_grad_runs_one_forward_pass_per_condition(tiny_mlp, monkey
     c = Condition.class_label(1)
     z_prev, b = np.array([0.4, -0.2]), np.array([0.01, 0.02])
     co = coefficients(sched, 10, 5)
-    value, grad = invlab.lbo._objective_and_grad(model, co, z_prev, 10, c, w, b)
+    value, grad = objective_and_grad(model, co, z_prev, c, w, b)
     calls = _count_forward_passes(monkeypatch)
-    again = invlab.lbo._objective_and_grad(model, co, z_prev, 10, c, w, b)
+    again = objective_and_grad(model, co, z_prev, c, w, b)
     # one MLP forward pass per evaluated condition, where eval then vjp took two
     assert len(calls) == (1 if w == 1.0 else 2)
     assert again[0] == value and np.array_equal(again[1], grad)
