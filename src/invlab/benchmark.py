@@ -3,11 +3,10 @@
 Per instance and method the pipeline is: encode (optionally refined by latent
 boosting) -> inversion to z_T -> deterministic generation replay -> decode ->
 metrics against the source image. Every random choice derives from the master
-seed and the instance id, so rows are reproducible independently of execution
-order; results are sorted by (instance_id, method) before writing and the
-CSV/JSON bytes are identical whether instances run serially or in a thread
-pool. Wall-clock timing is recorded only on request because timings are the
-one quantity that cannot be byte-reproducible; the default writes 0.0.
+seed and the instance id, so no row depends on the rows run before it. Rows
+run one after another in (instance_id, method) order, the order they are
+written in. Wall-clock timing is recorded only on request because timings are
+the one quantity that cannot be byte-reproducible; the default writes 0.0.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -38,9 +36,6 @@ from .schedule import make_linear_schedule, make_uniform_grid
 
 BASE_METHODS = ("ddim", "lbo-g", "lbo-n", "lbo-h")
 LBO_MODES = {"lbo-g": "gradient", "lbo-n": "numerical", "lbo-h": "hybrid"}
-
-CSV_FIELDS = ("method", "instance_id", "psnr_db", "ssim", "perceptual",
-              "roundtrip_l2_rel", "mean_lbo_iters", "wall_ms")
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,7 @@ class RunConfig:
     beta_end: float = 0.05
     steps: int = 50
     record_timing: bool = False
-    n_workers: int = 1
+    n_workers: int = 1  # rows run serially; only 1 is accepted
     methods: tuple[str, ...] = ("ddim", "lbo-n", "lbo-n+ilb")
     dataset: DatasetSection = DatasetSection()
     denoiser: DenoiserSection = DenoiserSection()
@@ -127,16 +122,12 @@ class RunConfig:
         for name in self.methods:
             parse_method(name)
         object.__setattr__(self, "methods", tuple(self.methods))
-        _check_n_workers(self.n_workers)
+        if self.n_workers != 1:
+            raise ConfigError(f"n_workers must be 1 (rows run serially), got {self.n_workers}",
+                              key="n_workers")
 
     def to_json_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))  # tuples become lists
-
-
-def _check_n_workers(n_workers: int) -> int:
-    if n_workers < 1:
-        raise ConfigError(f"n_workers must be >= 1, got {n_workers}", key="n_workers")
-    return n_workers
 
 
 def _parse_section(cls, doc, prefix: str):
@@ -206,7 +197,12 @@ def base_methods(methods) -> tuple:
 
 @dataclass(frozen=True)
 class BenchmarkRow:
-    """One (instance, method) result; metric fields hold 'error' on failure."""
+    """One (instance, method) result. Its fields are the CSV columns, in order.
+
+    Between the two keys and the timing come the metric columns, which all hold
+    'error' on a failed row; the first three are the image scores that
+    `score_latent` returns.
+    """
 
     method: str
     instance_id: int
@@ -217,13 +213,14 @@ class BenchmarkRow:
     mean_lbo_iters: float | str
     wall_ms: float
 
-    def as_csv_tuple(self) -> tuple:
-        return (self.method, self.instance_id, self.psnr_db, self.ssim, self.perceptual,
-                self.roundtrip_l2_rel, self.mean_lbo_iters, self.wall_ms)
+
+CSV_FIELDS = tuple(f.name for f in fields(BenchmarkRow))
+METRIC_FIELDS = CSV_FIELDS[2:-1]
+IMAGE_SCORES = METRIC_FIELDS[:3]
 
 
 class BenchmarkBackends:
-    """Immutable bundle built once per run and shared across worker threads."""
+    """Immutable bundle built once per run and shared by its rows."""
 
     def __init__(self, cfg: RunConfig):
         ds = cfg.dataset
@@ -260,13 +257,20 @@ def load_dataset_file(path, kind: str) -> dict:
 
 def _load_instance_images(cfg: RunConfig) -> np.ndarray:
     ds = cfg.dataset
-    if ds.path:
-        payload = load_dataset_file(ds.path, "shapes")
-        if payload["n"] < ds.count:
-            raise ConfigError(
-                f"dataset file {ds.path} has {payload['n']} images, config wants {ds.count}")
-        return payload["images"][: ds.count]
-    return make_shapes(ds.count, cfg.seed, ds.height, ds.width)
+    if not ds.path:
+        return make_shapes(ds.count, cfg.seed, ds.height, ds.width)
+    payload = load_dataset_file(ds.path, "shapes")
+    if payload["n"] < ds.count:
+        raise ConfigError(f"dataset.path {ds.path} has {payload['n']} images, config wants "
+                          f"{ds.count}", key="dataset.path")
+    images = payload["images"][: ds.count]
+    if images.shape[1:3] != (ds.height, ds.width):
+        raise ConfigError(f"dataset.path {ds.path} holds {images.shape[1]}x{images.shape[2]} "
+                          f"images, config wants {ds.height}x{ds.width}", key="dataset.path")
+    if not np.all((images >= 0.0) & (images <= 1.0)):  # NaN fails both
+        raise ConfigError(f"dataset.path {ds.path} has pixels that are non-finite or outside "
+                          "[0, 1]", key="dataset.path")
+    return images
 
 
 def make_fit_images(cfg: RunConfig) -> np.ndarray:
@@ -361,6 +365,12 @@ def replay(b: BenchmarkBackends, z_t: np.ndarray):
     return generate_trajectory(b.model, b.sched, b.grid, z_t, b.condition)
 
 
+def score_latent(backends: BenchmarkBackends, x0: np.ndarray, z0: np.ndarray) -> tuple:
+    """The IMAGE_SCORES (PSNR, SSIM, perceptual distance) of the decoded z0 against x0."""
+    xh = np.clip(backends.ae.decode(z0), 0.0, 1.0)
+    return psnr(x0, xh), ssim(x0, xh), backends.perc.distance(x0, xh)
+
+
 def evaluate_instance(backends: BenchmarkBackends, instance_id: int, method: str) -> BenchmarkRow:
     """One pipeline pass: (optional boosting) -> invert -> replay -> decode -> score."""
     started = time.perf_counter()
@@ -372,64 +382,47 @@ def evaluate_instance(backends: BenchmarkBackends, instance_id: int, method: str
     z0_back = replay(backends, traj.latent_at(backends.sched.t_train)).latent_at(0)
     denom = float(np.linalg.norm(z0))
     rel = float(np.linalg.norm(z0_back - z0)) / (denom if denom > 0 else 1.0)
-    xh = np.clip(backends.ae.decode(z0_back), 0.0, 1.0)
-    return BenchmarkRow(
-        method=method, instance_id=instance_id,
-        psnr_db=psnr(x0, xh), ssim=ssim(x0, xh),
-        perceptual=backends.perc.distance(x0, xh),
-        roundtrip_l2_rel=rel, mean_lbo_iters=mean_iters,
-        wall_ms=(time.perf_counter() - started) * 1e3 if backends.cfg.record_timing else 0.0)
+    scores = score_latent(backends, x0, z0_back)
+    elapsed_ms = (time.perf_counter() - started) * 1e3 if backends.cfg.record_timing else 0.0
+    return BenchmarkRow(method, instance_id, *scores, rel, mean_iters, elapsed_ms)
 
 
 def _run_instance(backends: BenchmarkBackends, instance_id: int, method: str) -> BenchmarkRow:
     try:
         return evaluate_instance(backends, instance_id, method)
     except InvlabError:
-        return BenchmarkRow(method=method, instance_id=instance_id,
-                            psnr_db="error", ssim="error", perceptual="error",
-                            roundtrip_l2_rel="error", mean_lbo_iters="error", wall_ms=0.0)
+        return BenchmarkRow(method, instance_id, *["error"] * len(METRIC_FIELDS), 0.0)
 
 
 def _method_means(rows: list) -> dict:
     out = {}
     for method in sorted({r.method for r in rows}):
-        ok = [r for r in rows if r.method == method and r.psnr_db != "error"]
-        n_err = sum(1 for r in rows if r.method == method and r.psnr_db == "error")
-        stats = {"n_ok": len(ok), "n_error": n_err}
-        for name in ("psnr_db", "ssim", "perceptual", "roundtrip_l2_rel", "mean_lbo_iters"):
+        mine = [r for r in rows if r.method == method]
+        ok = [r for r in mine if "error" not in astuple(r)]
+        stats = {"n_ok": len(ok), "n_error": len(mine) - len(ok)}
+        for name in METRIC_FIELDS:
             stats["mean_" + name] = float(np.mean([getattr(r, name) for r in ok])) if ok else None
         out[method] = stats
     return out
 
 
 def _upper_bound(backends: BenchmarkBackends) -> dict:
-    """Metrics of the plain autoencoder round trip, the best any inversion can do."""
-    vals = {"psnr_db": [], "ssim": [], "perceptual": []}
-    for x0 in backends.images:
-        xh = np.clip(backends.ae.decode(backends.ae.encode(x0)), 0.0, 1.0)
-        vals["psnr_db"].append(psnr(x0, xh))
-        vals["ssim"].append(ssim(x0, xh))
-        vals["perceptual"].append(backends.perc.distance(x0, xh))
-    return {"mean_" + k: float(np.mean(v)) for k, v in vals.items()}
+    """Image scores of the plain autoencoder round trip, the best any inversion can do."""
+    scores = [score_latent(backends, x0, backends.ae.encode(x0)) for x0 in backends.images]
+    return {"mean_" + name: float(np.mean(col)) for name, col in zip(IMAGE_SCORES, zip(*scores))}
 
 
-def run_benchmark(cfg: RunConfig, out_dir, n_workers: int | None = None):
+def run_benchmark(cfg: RunConfig, out_dir):
     """Execute the full grid and write benchmark.csv + summary.json.
 
-    Returns (rows, summary). Rows are sorted by (instance_id, method); with
-    record_timing off the written bytes depend only on the config.
+    Returns (rows, summary). Rows run and are written in (instance_id, method)
+    order; with record_timing off the written bytes depend only on the config.
     """
     if not cfg.methods:
         raise ConfigError("benchmark needs a nonempty method list")
     backends = BenchmarkBackends(cfg)
-    workers = cfg.n_workers if n_workers is None else _check_n_workers(n_workers)
-    units = [(i, m) for i in range(cfg.dataset.count) for m in cfg.methods]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda u: _run_instance(backends, *u), units))
-    else:
-        rows = [_run_instance(backends, *u) for u in units]
-    rows.sort(key=lambda r: (r.instance_id, r.method))
+    rows = [_run_instance(backends, i, m)
+            for i in range(cfg.dataset.count) for m in sorted(cfg.methods)]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -437,8 +430,7 @@ def run_benchmark(cfg: RunConfig, out_dir, n_workers: int | None = None):
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_FIELDS)
-        for row in rows:
-            writer.writerow(row.as_csv_tuple())
+        writer.writerows(astuple(row) for row in rows)
     summary = {
         "config": cfg.to_json_dict(),
         "per_method": _method_means(rows),

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmark import (BenchmarkBackends, RunConfig, base_methods, build_autoencoder,
-                        build_denoiser, evaluate_instance, invert_latent, load_config,
-                        load_dataset_file, make_fit_images, mlp_train_config, parse_method,
-                        replay, run_benchmark, start_latent)
+from .benchmark import (METRIC_FIELDS, BenchmarkBackends, RunConfig, base_methods,
+                        build_autoencoder, build_denoiser, evaluate_instance, invert_latent,
+                        load_config, load_dataset_file, make_fit_images, mlp_train_config,
+                        parse_method, replay, run_benchmark, start_latent)
 from .data import gen_dataset, make_gauss_mixture, save_dataset
 from .denoiser import train_mlp_denoiser
 from .errors import ConfigError, InvlabError
@@ -187,9 +187,7 @@ def cmd_roundtrip(cfg: RunConfig, args, out: Path) -> dict:
     b = BenchmarkBackends(cfg)
     method = _method_arg(args)
     row = evaluate_instance(b, 0, method)
-    result = {"method": method, "psnr_db": row.psnr_db, "ssim": row.ssim,
-              "perceptual": row.perceptual, "roundtrip_l2_rel": row.roundtrip_l2_rel,
-              "mean_lbo_iters": row.mean_lbo_iters}
+    result = {"method": method, **{name: getattr(row, name) for name in METRIC_FIELDS}}
     _write_json(out / "roundtrip.json", result)
     return result
 

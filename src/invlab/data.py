@@ -187,4 +187,9 @@ def load_dataset(path) -> dict:
             payload[key] = read(payload[key])
         except (TypeError, ValueError) as e:
             raise FormatError(f"{key!r} in dataset file {path} is malformed: {e}") from None
+    if kind == "shapes":
+        shape = payload["images"].shape
+        if len(shape) != 4 or shape[0] != payload["n"] or shape[3] != 1:
+            raise FormatError(f"shapes dataset file {path} holds images of shape {shape}, "
+                              f"need (n, h, w, 1) with n = {payload['n']}")
     return payload

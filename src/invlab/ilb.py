@@ -36,15 +36,16 @@ class IlbConfig:
     weights: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise InvalidParameterError(f"lr must be > 0, got {self.lr}")
+        if not self.lr > 0:  # NaN too
+            raise InvalidParameterError(f"lr must be > 0, got {self.lr}", field="lr")
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise InvalidParameterError(f"max_iters must be a positive int, got {self.max_iters}")
-        if self.rel_tol <= 0:
-            raise InvalidParameterError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if len(self.weights) != 3 or any(w < 0 for w in self.weights):
             raise InvalidParameterError(
-                f"weights must be three non-negative reals, got {self.weights}")
+                f"max_iters must be a positive int, got {self.max_iters}", field="max_iters")
+        if not self.rel_tol > 0:
+            raise InvalidParameterError(f"rel_tol must be > 0, got {self.rel_tol}", field="rel_tol")
+        if len(self.weights) != 3 or not all(w >= 0 for w in self.weights):
+            raise InvalidParameterError(
+                f"weights must be three non-negative reals, got {self.weights}", field="weights")
 
 
 @dataclass(frozen=True)

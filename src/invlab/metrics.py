@@ -91,7 +91,7 @@ class _WindowOps:
         else:
             self.rows = _window_matrix(height, taps)
             self.cols = _window_matrix(width, taps)
-        # _window_ops shares one instance per size with every caller and thread
+        # _window_ops shares one instance per size with every caller
         self.rows.setflags(write=False)
         self.cols.setflags(write=False)
 

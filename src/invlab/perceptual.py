@@ -40,7 +40,7 @@ def _patch_index(c: int, h: int, w: int, pad: int) -> np.ndarray:
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
     index = np.where(inside, ci * (h * w) + rows * w + cols, c * h * w)
     index = index.reshape(c * 9, h_out * w_out)
-    # lru_cache hands the same table to every caller and thread
+    # lru_cache hands the same table to every caller
     index.setflags(write=False)
     return index
 

@@ -16,6 +16,7 @@ from invlab.benchmark import (
     _method_means,
     _run_instance,
     config_from_json_dict,
+    evaluate_instance,
     load_config,
     parse_method,
     run_benchmark,
@@ -154,20 +155,15 @@ def test_config_accepts_int_for_float_and_checks_ilb_at_load():
     cfg = config_from_json_dict({"ilb": {"lr": 1, "weights": [1, 0, 2]}})
     assert cfg.ilb.lr == 1.0 and isinstance(cfg.ilb.lr, float)
     assert cfg.ilb.weights == (1.0, 0.0, 2.0)
-    with pytest.raises(ConfigError, match="ilb: lr must be > 0"):
+    with pytest.raises(ConfigError, match=r"ilb\.lr: lr must be > 0"):
         config_from_json_dict({"ilb": {"lr": 0}})
 
 
-@pytest.mark.parametrize("n_workers", [0, -3])
-def test_n_workers_below_one_rejected(n_workers, tmp_path):
+@pytest.mark.parametrize("n_workers", [0, -3, 2])
+def test_n_workers_other_than_one_rejected(n_workers):
     with pytest.raises(ConfigError, match="n_workers") as err:
         config_from_json_dict({"n_workers": n_workers})
     assert err.value.context["key"] == "n_workers"
-    cfg = config_from_json_dict(SMALL_DOC)
-    with pytest.raises(ConfigError, match="n_workers") as err:
-        run_benchmark(cfg, tmp_path, n_workers=n_workers)
-    assert err.value.context["key"] == "n_workers"
-    assert not (tmp_path / "benchmark.csv").exists()
 
 
 # ---------------------------------------------------------------- backends
@@ -207,6 +203,32 @@ def test_dataset_from_file(tmp_path):
     doc["dataset"] = {"count": 2, "path": str(tmp_path / "gauss.json")}
     with pytest.raises(ConfigError, match="need shapes"):
         BenchmarkBackends(config_from_json_dict(doc))
+
+
+# (a pixel value written into the file's first 8x8 image, the run's image size)
+UNFIT_IMAGES = [
+    (None, (12, 8)),
+    (None, (8, 12)),
+    (float("nan"), (8, 8)),
+    (float("inf"), (8, 8)),
+    (1.5, (8, 8)),
+    (-0.1, (8, 8)),
+]
+
+
+@pytest.mark.parametrize("pixel,size", UNFIT_IMAGES,
+                         ids=["height", "width", "nan", "inf", "above-1", "below-0"])
+def test_dataset_file_that_does_not_fit_the_run_is_config_error(pixel, size, tmp_path):
+    payload = gen_dataset("shapes", n=2, seed=5, params={"height": 8, "width": 8})
+    if pixel is not None:
+        payload["images"][0][3][4][0] = pixel
+    save_dataset(payload, tmp_path / "imgs.json")
+    height, width = size
+    doc = {**SMALL_DOC, "dataset": {"count": 2, "height": height, "width": width,
+                                    "path": str(tmp_path / "imgs.json")}}
+    with pytest.raises(ConfigError, match="dataset.path") as err:
+        BenchmarkBackends(config_from_json_dict(doc))
+    assert err.value.context["key"] == "dataset.path"
 
 
 def test_unknown_backend_kinds_rejected():
@@ -310,14 +332,25 @@ def test_exact_inversion_beats_one_shot(small_run):
         summary["upper_bound"]["mean_psnr_db"], rel=1e-9)
 
 
-def test_bytes_identical_across_reruns_and_workers(small_run, tmp_path):
+def test_bytes_identical_across_reruns(small_run, tmp_path):
     cfg, out, _, _ = small_run
-    run_benchmark(cfg, tmp_path / "serial")
-    run_benchmark(cfg, tmp_path / "pool", n_workers=3)
+    run_benchmark(cfg, tmp_path / "again")
     for name in ("benchmark.csv", "summary.json"):
-        ref = (out / name).read_bytes()
-        assert (tmp_path / "serial" / name).read_bytes() == ref
-        assert (tmp_path / "pool" / name).read_bytes() == ref
+        assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_rows_run_in_the_order_they_are_written(tmp_path, monkeypatch):
+    ran = []
+
+    def record(backends, instance_id, method):
+        ran.append((instance_id, method))
+        return evaluate_instance(backends, instance_id, method)
+
+    monkeypatch.setattr("invlab.benchmark.evaluate_instance", record)
+    cfg = config_from_json_dict({**SMALL_DOC, "methods": ["lbo-n", "ddim"]})
+    rows, _ = run_benchmark(cfg, tmp_path)
+    assert ran == [(r.instance_id, r.method) for r in rows]
+    assert ran == [(i, m) for i in range(3) for m in ("ddim", "lbo-n")]
 
 
 def test_latent_boosting_raises_psnr(tmp_path):
@@ -394,6 +427,23 @@ def test_lbo_value_out_of_range_is_config_error(field, value):
     # the smallest accepted values load
     edge = {"max_iters": 0, "tol": 1e-300, "lr": 1e-300, "n_grad_warmup": 0}
     assert config_from_json_dict({"lbo": edge}).lbo.max_iters == 0
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field,value", [("lr", NAN), ("lr", 0.0), ("rel_tol", NAN),
+                                         ("rel_tol", -1.0), ("max_iters", 0),
+                                         ("weights", [1.0, NAN, 1.0]),
+                                         ("weights", [1.0, 1.0, -0.5])])
+def test_ilb_value_out_of_range_is_config_error(field, value):
+    key = f"ilb.{field}"
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        config_from_json_dict({"ilb": {field: value}, "methods": ["lbo-n+ilb"]})
+    assert err.value.context["key"] == key
+    # the smallest accepted values load
+    edge = {"lr": 1e-300, "rel_tol": 1e-300, "max_iters": 1, "weights": [0.0, 0.0, 0.0]}
+    assert config_from_json_dict({"ilb": edge}).ilb.max_iters == 1
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, 1.5])

@@ -353,3 +353,25 @@ def test_lbo_value_out_of_range_exits_2(capsys, tmp_path):
     assert code == 2 and doc["code"] == "config-error"
     assert doc["context"]["key"] == "lbo.max_iters" and "lbo.max_iters" in doc["message"]
     assert not (tmp_path / "o" / "benchmark.csv").exists()
+
+
+# (what the 8x8 file claims or holds, the run's image size, the error it exits with)
+UNFIT_DATASETS = [
+    ({"n": 5}, (8, 8), "format-error"),
+    ({}, (12, 12), "config-error"),
+    ({"images": [[[[float("nan")]] * 8] * 8] * 3}, (8, 8), "config-error"),
+]
+
+
+@pytest.mark.parametrize("change,size,error", UNFIT_DATASETS)
+def test_dataset_file_that_does_not_fit_exits_2(capsys, tmp_path, change, size, error):
+    payload = gen_dataset("shapes", 3, seed=1, params={"height": 8, "width": 8})
+    save_dataset({**payload, **change}, tmp_path / "d.json")
+    path = tmp_path / "run.json"
+    dataset = {"count": 2, "height": size[0], "width": size[1], "path": str(tmp_path / "d.json")}
+    path.write_text(json.dumps({**SMALL, "dataset": dataset}))
+    code, doc = run_cli(capsys, "benchmark", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == error
+    if error == "config-error":
+        assert doc["context"]["key"] == "dataset.path"
+    assert not (tmp_path / "o" / "benchmark.csv").exists()

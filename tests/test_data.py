@@ -131,6 +131,10 @@ def test_load_dataset_rejects_unknown_kind(tmp_path):
     '{"kind": "shapes", "images": []}',
     '{"kind": "shapes", "n": "3", "images": []}',
     '{"kind": "shapes", "n": 1, "images": [[1], [1, 2]]}',
+    '{"kind": "shapes", "n": 2, "images": [[[[0.5]]]]}',
+    '{"kind": "shapes", "n": 1, "images": [[[[0.5]]], [[[0.5]]]]}',
+    '{"kind": "shapes", "n": 1, "images": [[[0.5]]]}',
+    '{"kind": "shapes", "n": 1, "images": [[[[0.5, 0.5]]]]}',
     '{"kind": "gauss2d", "samples": [[0.0, 1.0]], "labels": [0]}',
     '{"kind": "gauss2d", "samples": [["a", 1.0]], "labels": [0], "means": [[0.0, 0.0]]}',
 ])

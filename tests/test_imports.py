@@ -1,4 +1,9 @@
-"""Every module uses each name it imports; there is no linter to say so."""
+"""Lint rules checked on the source, since there is no linter to say so.
+
+Every module uses each name it imports, and no module under src/invlab
+catches everything: a bare `except:` or one naming Exception or BaseException
+would turn a programming bug into a quiet result.
+"""
 
 import ast
 from pathlib import Path
@@ -6,8 +11,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = [p for p in sorted((ROOT / "src" / "invlab").glob("*.py")) if p.name != "__init__.py"]
+SOURCES = sorted((ROOT / "src" / "invlab").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES += sorted((ROOT / "tests").glob("*.py"))
+BROAD = {"Exception", "BaseException"}
 
 
 def unused_imports(source: str) -> list:
@@ -28,3 +35,27 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def broad_excepts(source: str) -> list:
+    """Line numbers of handlers that catch everything or name Exception/BaseException."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(c is None or (isinstance(c, ast.Name) and c.id in BROAD) for c in caught):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_checker_flags_a_broad_except():
+    source = ("try:\n    f()\nexcept:\n    pass\n"
+              "try:\n    f()\nexcept (KeyError, Exception):\n    pass\n"
+              "try:\n    f()\nexcept BaseException as e:\n    pass\n"
+              "try:\n    f()\nexcept (KeyError, ValueError):\n    pass\n")
+    assert broad_excepts(source) == [3, 7, 11]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_broad_except(path):
+    assert broad_excepts(path.read_text(encoding="utf-8")) == []
