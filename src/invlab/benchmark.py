@@ -201,7 +201,8 @@ class BenchmarkRow:
 
     Between the two keys and the timing come the metric columns, which all hold
     'error' on a failed row; the first three are the image scores that
-    `score_latent` returns.
+    `score_latent` returns. A failed row names its error's code and message in
+    the last two columns, which are empty on every other row.
     """
 
     method: str
@@ -212,10 +213,12 @@ class BenchmarkRow:
     roundtrip_l2_rel: float | str
     mean_lbo_iters: float | str
     wall_ms: float
+    error_code: str = ""
+    error_message: str = ""
 
 
 CSV_FIELDS = tuple(f.name for f in fields(BenchmarkRow))
-METRIC_FIELDS = CSV_FIELDS[2:-1]
+METRIC_FIELDS = CSV_FIELDS[2:CSV_FIELDS.index("wall_ms")]
 IMAGE_SCORES = METRIC_FIELDS[:3]
 
 
@@ -390,8 +393,9 @@ def evaluate_instance(backends: BenchmarkBackends, instance_id: int, method: str
 def _run_instance(backends: BenchmarkBackends, instance_id: int, method: str) -> BenchmarkRow:
     try:
         return evaluate_instance(backends, instance_id, method)
-    except InvlabError:
-        return BenchmarkRow(method, instance_id, *["error"] * len(METRIC_FIELDS), 0.0)
+    except InvlabError as e:
+        return BenchmarkRow(method, instance_id, *["error"] * len(METRIC_FIELDS), 0.0,
+                            e.code, str(e))
 
 
 def _method_means(rows: list) -> dict:

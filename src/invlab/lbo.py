@@ -10,8 +10,10 @@ bias b = z_t − z_prev and three refinement modes are offered:
   hybrid     a few gradient steps to settle into the basin, then numerical
 
 All modes start from the one-shot inversion bias and report per-step
-iteration counts and residuals. The per-iteration functions take the
-transition as its `StepCoefficients` and are the bodies the loops run;
+iteration counts and residuals. They share one loop in `lbo_invert_step`:
+its first iterations are Adam steps (all of them in gradient mode, the
+warm-up in hybrid mode, none in numerical mode) and the rest are sweeps. The
+per-iteration functions take the transition as its `StepCoefficients`;
 `lbo_invert_step` looks the coefficients up once per step.
 """
 
@@ -92,21 +94,6 @@ def lbo_numerical_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev
     return b_next
 
 
-def _numerical_loop(model, co, z_prev, c, w, b, budget, tol, spent=0):
-    # spent: iterations the step ran before this loop, so an error names the step's iteration
-    iters = 0
-    residual = float("inf")
-    while iters < budget and residual >= tol:
-        try:
-            b_next = lbo_numerical_iterate(model, co, z_prev, c, w, b)
-        except DivergenceError as e:
-            raise DivergenceError(str(e), t=co.t, iteration=spent + iters + 1) from None
-        residual = float(np.abs(b_next - b).max())
-        b = b_next
-        iters += 1
-    return b, iters, residual
-
-
 def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
                        c: Condition, w: float, b: np.ndarray) -> tuple[float, np.ndarray]:
     """J(b) = mean|G(z_prev+b) − z_prev| and its exact gradient.
@@ -134,19 +121,6 @@ def lbo_gradient_iterate(model: DenoiserInterface, co: StepCoefficients,
     return b_next, state, value
 
 
-def _gradient_loop(model, co, z_prev, c, w, b, budget, tol, lr, check_tol=True):
-    state = AdamState(lr=lr)
-    iters = 0
-    residual = float("inf")
-    while iters < budget and (not check_tol or residual >= tol):
-        try:
-            b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, w, b, state)
-        except DivergenceError as e:
-            raise DivergenceError(str(e), t=co.t, iteration=iters + 1) from None
-        iters += 1
-    return b, iters, residual
-
-
 def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.ndarray,
                     t_prev: int, t: int, c: Condition,
                     cfg: LboConfig = LboConfig()) -> tuple[np.ndarray, LboStepReport]:
@@ -162,21 +136,26 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
     if cfg.max_iters == 0:
         return y0, LboStepReport(t=t, iters=0, residual=float("inf"), converged=False)
     b = y0 - z_prev
-    if cfg.mode == "numerical":
-        b, iters, residual = _numerical_loop(
-            model, co, z_prev, c, w, b, cfg.max_iters, cfg.tol)
-    elif cfg.mode == "gradient":
-        b, iters, residual = _gradient_loop(
-            model, co, z_prev, c, w, b, cfg.max_iters, cfg.tol, cfg.lr)
-    else:
-        warmup = min(cfg.n_grad_warmup, cfg.max_iters)
-        b, g_iters, _ = _gradient_loop(
-            model, co, z_prev, c, w, b, warmup, cfg.tol, cfg.lr, check_tol=False)
-        b, n_iters, residual = _numerical_loop(
-            model, co, z_prev, c, w, b, cfg.max_iters - warmup, cfg.tol, spent=g_iters)
-        iters = g_iters + n_iters
+    n_adam = {"gradient": cfg.max_iters,
+              "hybrid": min(cfg.n_grad_warmup, cfg.max_iters)}.get(cfg.mode, 0)
+    state = AdamState(lr=cfg.lr)
+    residual = float("inf")  # hybrid's warm-up leaves it here
+    k = 0
+    while k < cfg.max_iters and residual >= cfg.tol:
+        k += 1
+        try:
+            if k <= n_adam:
+                b, state, value = lbo_gradient_iterate(model, co, z_prev, c, w, b, state)
+                if cfg.mode == "gradient":
+                    residual = value
+            else:
+                b_next = lbo_numerical_iterate(model, co, z_prev, c, w, b)
+                residual = float(np.abs(b_next - b).max())
+                b = b_next
+        except DivergenceError as e:
+            raise DivergenceError(str(e), t=t, iteration=k) from None
     return z_prev + b, LboStepReport(
-        t=t, iters=iters, residual=residual, converged=residual < cfg.tol)
+        t=t, iters=k, residual=residual, converged=residual < cfg.tol)
 
 
 def lbo_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule,

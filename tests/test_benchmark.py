@@ -1,6 +1,7 @@
 """Benchmark harness: config handling, reproducibility, row semantics."""
 
 import csv
+import importlib
 import json
 import re
 from dataclasses import replace
@@ -353,6 +354,36 @@ def test_rows_run_in_the_order_they_are_written(tmp_path, monkeypatch):
     assert ran == [(i, m) for i in range(3) for m in ("ddim", "lbo-n")]
 
 
+# The module globals that invbench's tracer rebinds to time and count each layer
+TRACED_NAMES = [f"invlab.benchmark.{name}" for name in (
+    "evaluate_instance", "make_shapes", "build_autoencoder", "build_denoiser",
+    "RandomConvPerceptual", "ilb_optimize", "lbo_invert_trajectory", "ddim_invert_trajectory",
+    "generate_trajectory", "psnr", "ssim")] + [
+    "invlab.ilb.ssim_with_grad", "invlab.ilb.adam_step", "invlab.ilb.skip_coefficients",
+    "invlab.lbo.adam_step", "invlab.lbo.coefficients", "invlab.dynamics.coefficients"]
+
+
+def test_pipeline_calls_every_traced_name_through_its_module(tmp_path, monkeypatch):
+    # a name bound locally (imported elsewhere, or cached in a closure) would be missed
+    calls = dict.fromkeys(TRACED_NAMES, 0)
+
+    def counting(path, inner):
+        def wrapper(*args, **kwargs):
+            calls[path] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for path in TRACED_NAMES:
+        module, name = path.rsplit(".", 1)
+        monkeypatch.setattr(path, counting(path, getattr(importlib.import_module(module), name)))
+    doc = {**SMALL_DOC, "dataset": {"count": 1, "height": 8, "width": 8},
+           "ilb": {"max_iters": 2},
+           "methods": ["ddim", "lbo-n", "lbo-g", "lbo-h", "lbo-n+ilb"]}
+    rows, _ = run_benchmark(config_from_json_dict(doc), tmp_path)
+    assert all(r.error_code == "" for r in rows)
+    assert [path for path, n in calls.items() if n == 0] == []
+
+
 def test_latent_boosting_raises_psnr(tmp_path):
     cfg = config_from_json_dict({
         "seed": 11, "steps": 8, "t_train": 80,
@@ -387,6 +418,7 @@ def test_failed_instance_becomes_error_row(monkeypatch):
     row = _run_instance(backends, 1, "ddim")
     assert row.psnr_db == "error" and row.roundtrip_l2_rel == "error"
     assert row.instance_id == 1 and row.method == "ddim"
+    assert (row.error_code, row.error_message) == ("divergence", "non-finite loss")
 
 
 def test_programming_error_in_instance_propagates():

@@ -83,7 +83,7 @@ def test_numerical_iterate_raises_on_blowup(toy3, uncond):
     cfg = LboConfig(mode="numerical", max_iters=20)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
         lbo_invert_step(wild, toy3, ONE, 1, 2, uncond, cfg)
-    assert exc.value.context.get("iteration", 0) >= 1
+    assert exc.value.context["iteration"] == 14
 
 
 @pytest.mark.parametrize("mode,scale", [("gradient", 1e200), ("hybrid", 1e22), ("hybrid", 1e200)])
@@ -96,7 +96,8 @@ def test_gradient_and_hybrid_blowup_name_step_and_iteration(toy3, uncond, mode, 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
         lbo_invert_step(wild, toy3, ONE, 1, 2, uncond, cfg)
     assert exc.value.context["t"] == 2
-    assert exc.value.context["iteration"] >= 1
+    # the first Adam step at 1e200; the 14th sweep after 5 warm-up steps at 1e22
+    assert exc.value.context["iteration"] == (19 if scale == 1e22 else 1)
 
 
 def test_hybrid_blowup_counts_iterations_from_the_start_of_the_step(toy3, uncond):
@@ -191,6 +192,10 @@ def test_invert_step_hybrid_stub_zero(toy3, stub0, uncond):
     cfg0 = LboConfig(mode="hybrid", max_iters=10, n_grad_warmup=0)
     _, rep0 = lbo_invert_step(stub0, toy3, ONE, 1, 2, uncond, cfg0)
     assert rep0.converged and rep0.iters == 1
+    # a budget inside the warm-up: no sweep runs, so there is no residual
+    short = LboConfig(mode="hybrid", max_iters=3, n_grad_warmup=5)
+    _, rep_short = lbo_invert_step(stub0, toy3, ONE, 1, 2, uncond, short)
+    assert rep_short.iters == 3 and rep_short.residual == np.inf and not rep_short.converged
 
 
 @pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
@@ -358,7 +363,7 @@ def test_invert_step_is_bit_identical_to_the_public_iterates(
 @pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
 def test_coefficients_looked_up_per_step_not_per_iteration(
         gauss_nd, default_sched, uncond, monkeypatch, mode):
-    # one lookup serves the one-shot start and every iteration of the loops
+    # one lookup serves the one-shot start and every iteration of the loop
     real = invlab.lbo.coefficients
     calls = []
 
