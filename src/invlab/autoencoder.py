@@ -3,6 +3,7 @@
 Images are float64 arrays of shape (height, width, channels) with values in
 [0, 1]; latents are flat float64 vectors. Decoding never clamps; clamping to
 [0, 1] happens only at metric/export time so optimization stays smooth.
+Codecs implement `encode`, `decode` and the decoder's pullback `decoder_vjp`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import DimensionError, FitError, InvalidParameterError
-from .optim import central_difference
 from .rng import derive_rng
 
 
@@ -42,11 +42,9 @@ class AutoencoderInterface(ABC):
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Image reconstruction from the latent (no clamping)."""
 
+    @abstractmethod
     def decoder_vjp(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """vᵀ·(∂decode/∂z) by `central_difference`."""
-        z = self._check_latent(z)
-        v = self._check_image(v, "v")
-        return central_difference(lambda zz: float(np.sum(v * self.decode(zz))), z)
+        """vᵀ·(∂decode/∂z) for an image-shaped v."""
 
 
 class IdentityAutoencoder(AutoencoderInterface):

@@ -46,6 +46,10 @@ class DatasetSection:
     width: int = 16
     path: Optional[str] = None
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise InvalidParameterError(f"count must be >= 1, got {self.count!r}", field="count")
+
 
 @dataclass(frozen=True)
 class TrainSection:
@@ -125,6 +129,12 @@ class RunConfig:
         if self.n_workers != 1:
             raise ConfigError(f"n_workers must be 1 (rows run serially), got {self.n_workers}",
                               key="n_workers")
+        try:  # the range checks of the schedule and grid the run builds
+            make_uniform_grid(make_linear_schedule(self.t_train, self.beta_start, self.beta_end),
+                              self.steps)
+        except InvalidParameterError as e:
+            key = e.context["field"]
+            raise ConfigError(f"config key {key}: {e}", key=key) from None
 
     def to_json_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))  # tuples become lists

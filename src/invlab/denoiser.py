@@ -1,4 +1,4 @@
-"""Noise predictors F(z, t, C) with an input-gradient (vjp) contract.
+"""Noise predictors F(z, t, C) that implement `eval` and `linearize`.
 
 Backends:
   - ConstantDenoiser / ScalingDenoiser: trivial stubs for algebra tests.
@@ -16,7 +16,7 @@ Classifier-free guidance blends conditional and unconditional predictions:
 
 `linearize(z, t, c)` returns the prediction at z together with its pullback
 v ↦ vᵀ·(∂eval/∂z), so a solver that needs both at one point pays for one
-forward pass.
+forward pass; `vjp` applies that pullback once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     TrainingFailureError,
 )
-from .optim import AdamState, adam_step, central_difference
+from .optim import AdamState, adam_step
 from .rng import derive_rng
 from .schedule import NoiseSchedule
 
@@ -75,7 +75,7 @@ class Condition:
 
 
 class DenoiserInterface(ABC):
-    """The ε-predictor contract: pure eval plus a vector–Jacobian product."""
+    """The ε-predictor contract: pure eval plus its linearization."""
 
     latent_dim: int
 
@@ -91,18 +91,16 @@ class DenoiserInterface(ABC):
     def eval(self, z: np.ndarray, t: int, c: Condition) -> np.ndarray:
         """Predicted noise for latent z at timestep t under condition c."""
 
-    def vjp(self, z: np.ndarray, t: int, c: Condition, v: np.ndarray) -> np.ndarray:
-        """vᵀ·(∂eval/∂z) by `central_difference`."""
-        z = self._check_vec(z, "z")
-        v = self._check_vec(v, "v")
-        return central_difference(lambda zz: float(v @ self.eval(zz, t, c)), z)
-
+    @abstractmethod
     def linearize(self, z: np.ndarray, t: int, c: Condition):
-        """(eval(z, t, c), v ↦ vjp(z, t, c, v)), equal to the two calls bit for bit.
+        """(eval(z, t, c), v ↦ vᵀ·(∂eval/∂z)): the prediction and its pullback at z.
 
-        Override to share the forward pass between the prediction and its pullbacks.
+        The prediction equals eval's bit for bit, and the pullback checks v's shape.
         """
-        return self.eval(z, t, c), functools.partial(self.vjp, z, t, c)
+
+    def vjp(self, z: np.ndarray, t: int, c: Condition, v: np.ndarray) -> np.ndarray:
+        """vᵀ·(∂eval/∂z), the pullback of `linearize`."""
+        return self.linearize(z, t, c)[1](v)
 
 
 class ConstantDenoiser(DenoiserInterface):
@@ -123,10 +121,8 @@ class ConstantDenoiser(DenoiserInterface):
         self._check_vec(z, "z")
         return self.value.copy()
 
-    def vjp(self, z, t, c, v):
-        self._check_vec(z, "z")
-        self._check_vec(v, "v")
-        return np.zeros(self.latent_dim)
+    def linearize(self, z, t, c):
+        return self.eval(z, t, c), lambda v: np.zeros_like(self._check_vec(v, "v"))
 
 
 class ScalingDenoiser(DenoiserInterface):
@@ -141,10 +137,8 @@ class ScalingDenoiser(DenoiserInterface):
         z = self._check_vec(z, "z")
         return self.scale * z
 
-    def vjp(self, z, t, c, v):
-        self._check_vec(z, "z")
-        v = self._check_vec(v, "v")
-        return self.scale * v
+    def linearize(self, z, t, c):
+        return self.eval(z, t, c), lambda v: self.scale * self._check_vec(v, "v")
 
 
 class LinearGaussianDenoiser(DenoiserInterface):
@@ -194,11 +188,6 @@ class LinearGaussianDenoiser(DenoiserInterface):
         i = t - 1
         w = self._q.T @ (z - self._sqrt_ab[i, 0] * self.mu) / self._spectra[i]
         return self._sqrt_1mab[i, 0] * (self._q @ w)
-
-    def vjp(self, z, t, c, v):
-        self._check_vec(z, "z")
-        self.sched._check_t(t)
-        return self._pullback(t - 1, v)
 
     def linearize(self, z, t, c):
         # eval checks z and t, so the pullback checks only v
@@ -295,10 +284,6 @@ class MlpDenoiser(DenoiserInterface):
 
     def eval(self, z, t, c):
         return self._forward(z, t, c)[2]
-
-    def vjp(self, z, t, c, v):
-        h1, h2, _ = self._forward(z, t, c)
-        return self._pullback(h1, h2, v)
 
     def linearize(self, z, t, c):
         h1, h2, eps = self._forward(z, t, c)

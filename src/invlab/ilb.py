@@ -19,7 +19,7 @@ from .autoencoder import AutoencoderInterface
 from .denoiser import Condition, DenoiserInterface
 from .dynamics import ddim_invert_step, generate_step
 from .errors import BoundsError, DivergenceError, InvalidParameterError
-from .metrics import PerceptualMetricInterface, ssim, ssim_with_grad
+from .metrics import PerceptualMetricInterface, ssim_with_grad
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, StepCoefficients, skip_coefficients
 
@@ -79,14 +79,7 @@ def consistency_loss(x0: np.ndarray, z0: np.ndarray, ae: AutoencoderInterface,
                      perc: PerceptualMetricInterface, weights: tuple = (1.0, 1.0, 1.0)) -> float:
     """w_l1·mean|x0 − D(z0)| − w_ssim·SSIM(x0, D(z0)) + w_perc·perc(x0, D(z0))."""
     x0 = np.asarray(x0, dtype=np.float64)
-    xh = ae.decode(z0)
-    w1, w2, w3 = weights
-    out = w1 * float(np.mean(np.abs(x0 - xh)))
-    if w2 != 0.0:
-        out -= w2 * ssim(x0, xh)
-    if w3 != 0.0:
-        out += w3 * perc.distance(x0, xh)
-    return out
+    return _con_value_and_grad(x0, z0, ae, perc.reference(x0), weights)[0]
 
 
 def skip_roundtrip(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,
@@ -97,10 +90,9 @@ def skip_roundtrip(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarra
 
 
 def regularization_loss(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,
-                        dt: int, c: Condition, w: float = 1.0) -> float:
+                        dt: int, c: Condition) -> float:
     """mean|z0 − skip_roundtrip(z0)|; zero when the round trip is exact."""
-    z0 = np.asarray(z0, dtype=np.float64)
-    return float(np.mean(np.abs(z0 - skip_roundtrip(model, sched, z0, dt, c, w))))
+    return _reg_value_and_grad(model, sched, np.asarray(z0, dtype=np.float64), dt, c)[0]
 
 
 def _con_value_and_grad(x0, z, ae, perc_ref, weights):
@@ -168,7 +160,7 @@ def ilb_optimize(x0: np.ndarray, ae: AutoencoderInterface, model: DenoiserInterf
     steps of relative improvement below rel_tol.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    if x0.min() < 0.0 or x0.max() > 1.0:
+    if not np.all((x0 >= 0.0) & (x0 <= 1.0)):  # NaN fails both
         raise BoundsError(f"x0 must lie in [0, 1], got range [{x0.min()}, {x0.max()}]")
     if cfg.dt is None:
         raise InvalidParameterError("cfg.dt must be set (one inference-grid stride)")

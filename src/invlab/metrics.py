@@ -6,19 +6,20 @@ to global single-window statistics. The window is separable, so it is applied
 as a product with one band matrix per image axis. `ssim_with_grad` returns the
 analytic gradient with respect to the second image so losses can differentiate
 through the metric.
+A perceptual metric implements `distance` and `reference(x)`, y ↦ (distance,
+gradient); `grad_y` reads that gradient.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import GENERATION, INVERSION, Trajectory
 from .errors import DimensionError, GridMismatchError, InvalidParameterError
-from .optim import central_difference
 
 
 class PerceptualMetricInterface(ABC):
@@ -28,17 +29,13 @@ class PerceptualMetricInterface(ABC):
     def distance(self, x: np.ndarray, y: np.ndarray) -> float:
         ...
 
-    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """∂distance/∂y by `central_difference`."""
-        return central_difference(lambda yy: self.distance(x, yy), y)
-
-    def value_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """(distance(x, y), grad_y(x, y)); override to share work between the two."""
-        return self.distance(x, y), self.grad_y(x, y)
-
+    @abstractmethod
     def reference(self, x: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-        """y ↦ value_and_grad(x, y) with x fixed; override to compute x's share once."""
-        return partial(self.value_and_grad, x)
+        """y ↦ (distance(x, y), ∂distance/∂y) with x fixed, its share computed once."""
+
+    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """∂distance/∂y, the gradient half of `reference`."""
+        return self.reference(x)(y)[1]
 
 
 def _as_images(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -131,12 +131,8 @@ class RandomConvPerceptual(PerceptualMetricInterface):
     def distance(self, x: np.ndarray, y: np.ndarray) -> float:
         return _feature_distance(*self._target(x), *self._target(y))
 
-    def value_and_grad(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """One feature pass per image and one adjoint pass."""
-        return self._against(self._target(x), y)
-
     def reference(self, x: np.ndarray):
-        """y ↦ value_and_grad(x, y), with x's features computed here, once."""
+        """y ↦ (distance(x, y), ∂/∂y): x's features once, one pass and its adjoint per y."""
         return partial(self._against, self._target(x))
 
     def _target(self, x: np.ndarray):
@@ -154,6 +150,3 @@ class RandomConvPerceptual(PerceptualMetricInterface):
         u_f1 = _normalize_vjp(f1, s1, u_g1) + _conv_input_vjp(u_pre2, self.k2)
         u_pre1 = u_f1 * (1.0 - f1 * f1)
         return value, _conv_input_vjp(u_pre1, self.k1).transpose(1, 2, 0)
-
-    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(x, y)[1]

@@ -85,12 +85,13 @@ class TimestepGrid:
 def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Schedule with β linearly interpolated from beta_start to beta_end."""
     if t_train < 1:
-        raise InvalidParameterError(f"t_train must be >= 1, got {t_train}", t_train=t_train)
+        raise InvalidParameterError(f"t_train must be >= 1, got {t_train}", field="t_train")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise InvalidParameterError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})",
             beta_start=beta_start,
             beta_end=beta_end,
+            field="beta_end" if 0.0 < beta_start < 1.0 else "beta_start",
         )
     betas = np.linspace(beta_start, beta_end, t_train, dtype=np.float64)
     alpha_bars = np.cumprod(1.0 - betas)
@@ -125,8 +126,7 @@ def skip_coefficients(sched: NoiseSchedule, dt: int) -> tuple[float, float]:
 def make_uniform_grid(sched: NoiseSchedule, s: int) -> TimestepGrid:
     """s evenly strided steps ending at t_train."""
     if not 1 <= s <= sched.t_train:
-        raise InvalidParameterError(
-            f"grid size {s} outside [1, {sched.t_train}]", s=s, t_train=sched.t_train
-        )
+        raise InvalidParameterError(f"grid size {s} outside [1, {sched.t_train}]",
+                                    s=s, t_train=sched.t_train, field="steps")
     steps = tuple(sched.t_train * (k + 1) // s for k in range(s))
     return TimestepGrid(steps=steps)

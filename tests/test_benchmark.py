@@ -25,9 +25,8 @@ from invlab.benchmark import (
 from invlab.autoencoder import IdentityAutoencoder
 from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
-from invlab.denoiser import DenoiserInterface, LinearGaussianDenoiser, MlpDenoiser
+from invlab.denoiser import LinearGaussianDenoiser, MlpDenoiser
 from invlab.errors import ConfigError, DivergenceError
-from invlab.metrics import PerceptualMetricInterface
 from invlab.modelio import save_model
 from invlab.perceptual import RandomConvPerceptual
 
@@ -384,6 +383,20 @@ def test_pipeline_calls_every_traced_name_through_its_module(tmp_path, monkeypat
     assert [path for path, n in calls.items() if n == 0] == []
 
 
+# The backend methods that invbench's tracer wraps on the objects the run builds
+PROXIED_METHODS = {"model": ("eval", "vjp"), "ae": ("encode", "decode", "decoder_vjp"),
+                   "perc": ("distance", "grad_y")}
+
+
+@pytest.mark.parametrize("kind", ["analytic", "mlp"])
+def test_backends_keep_every_proxied_method(kind):
+    doc = {**TINY_MLP_DOC, "denoiser": {**TINY_MLP_DOC["denoiser"], "kind": kind}}
+    b = BenchmarkBackends(config_from_json_dict(doc))
+    missing = [f"{attr}.{name}" for attr, names in PROXIED_METHODS.items() for name in names
+               if not callable(getattr(getattr(b, attr), name, None))]
+    assert missing == []
+
+
 def test_latent_boosting_raises_psnr(tmp_path):
     cfg = config_from_json_dict({
         "seed": 11, "steps": 8, "t_train": 80,
@@ -461,6 +474,21 @@ def test_lbo_value_out_of_range_is_config_error(field, value):
     assert config_from_json_dict({"lbo": edge}).lbo.max_iters == 0
 
 
+@pytest.mark.parametrize("doc,key", [({"steps": 0}, "steps"), ({"steps": 101}, "steps"),
+                                     ({"t_train": 0}, "t_train"),
+                                     ({"beta_start": 0.0}, "beta_start"),
+                                     ({"beta_start": 0.1, "beta_end": 0.05}, "beta_end"),
+                                     ({"beta_end": 1.0}, "beta_end"),
+                                     ({"dataset": {"count": 0}}, "dataset.count")])
+def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        config_from_json_dict(doc)
+    assert err.value.context["key"] == key
+    # the smallest accepted values load
+    edge = {"t_train": 1, "steps": 1, "beta_start": 0.5, "beta_end": 0.5, "dataset": {"count": 1}}
+    assert config_from_json_dict(edge).steps == 1
+
+
 NAN = float("nan")
 
 
@@ -505,10 +533,18 @@ def test_shared_forward_passes_write_the_same_bytes(kind, tmp_path, monkeypatch)
     doc = {**TINY_MLP_DOC, "denoiser": {**TINY_MLP_DOC["denoiser"], "kind": kind}}
     cfg = config_from_json_dict(doc)
     run_benchmark(cfg, tmp_path / "shared")
-    # the interface defaults: eval then vjp, and the perceptual metric's x recomputed per call
-    monkeypatch.setattr(MlpDenoiser, "linearize", DenoiserInterface.linearize)
-    monkeypatch.setattr(LinearGaussianDenoiser, "linearize", DenoiserInterface.linearize)
-    monkeypatch.setattr(RandomConvPerceptual, "reference", PerceptualMetricInterface.reference)
+    # separate paths: eval, then a fresh linearization per pullback; distance, then x's
+    # features recomputed for each gradient
+    for cls in (MlpDenoiser, LinearGaussianDenoiser):
+        def linearize(self, z, t, c, shared=cls.linearize):
+            return self.eval(z, t, c), lambda v: shared(self, z, t, c)[1](v)
+        monkeypatch.setattr(cls, "linearize", linearize)
+    shared_reference = RandomConvPerceptual.reference
+
+    def reference(self, x):
+        return lambda y: (self.distance(x, y), shared_reference(self, x)(y)[1])
+
+    monkeypatch.setattr(RandomConvPerceptual, "reference", reference)
     run_benchmark(cfg, tmp_path / "separate")
     for name in ("benchmark.csv", "summary.json"):
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "separate" / name).read_bytes()

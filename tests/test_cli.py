@@ -355,6 +355,13 @@ def test_lbo_value_out_of_range_exits_2(capsys, tmp_path):
     assert not (tmp_path / "o" / "benchmark.csv").exists()
 
 
+def test_steps_flag_beyond_t_train_exits_2(capsys, small_cfg, tmp_path):
+    code, doc = run_cli(capsys, "benchmark", "--config", small_cfg, "--steps", "500",
+                        "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "config-error"
+    assert doc["context"]["key"] == "steps" and "steps" in doc["message"]
+
+
 # (what the 8x8 file claims or holds, the run's image size, the error it exits with)
 UNFIT_DATASETS = [
     ({"n": 5}, (8, 8), "format-error"),

@@ -213,6 +213,10 @@ def test_optimize_input_validation(x0, ident, perc, uncond):
     model = ConstantDenoiser(64, 0.0)
     with pytest.raises(BoundsError):
         ilb_optimize(x0 + 5.0, ident, model, sched, perc, IlbConfig(dt=2), uncond)
+    nan_pixel = x0.copy()
+    nan_pixel[3, 4, 0] = np.nan
+    with pytest.raises(BoundsError):
+        ilb_optimize(nan_pixel, ident, model, sched, perc, IlbConfig(dt=2), uncond)
     with pytest.raises(InvalidParameterError):
         ilb_optimize(x0, ident, model, sched, perc, IlbConfig(dt=None), uncond)
     with pytest.raises(BoundsError):
@@ -247,8 +251,8 @@ class _SabotageDenoiser(DenoiserInterface):
             return np.full(self.latent_dim, np.nan)
         return np.zeros(self.latent_dim)
 
-    def vjp(self, z, t, c, v):
-        return np.zeros(self.latent_dim)
+    def linearize(self, z, t, c):
+        return self.eval(z, t, c), lambda v: np.zeros(self.latent_dim)
 
 
 def test_divergence_reports_iteration(x0, ident, perc, uncond):
