@@ -13,7 +13,7 @@ from .benchmark import (BenchmarkRow, RunConfig, config_from_json_dict, load_con
 from .data import gen_dataset, load_dataset, make_gauss_mixture, make_shapes, save_dataset
 from .denoiser import (Condition, ConstantDenoiser, DenoiserInterface, LinearGaussianDenoiser,
                        MlpDenoiser, MlpTrainConfig, ScalingDenoiser, cfg_eval, cfg_linearize,
-                       cfg_vjp, train_mlp_denoiser)
+                       train_mlp_denoiser)
 from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, generate_step,
                        generate_trajectory)
 from .errors import (BoundsError, ConfigError, DimensionError, DivergenceError, FitError,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -38,6 +39,12 @@ BASE_METHODS = ("ddim", "lbo-g", "lbo-n", "lbo-h")
 LBO_MODES = {"lbo-g": "gradient", "lbo-n": "numerical", "lbo-h": "hybrid"}
 
 
+def _require(ok: bool, field: str, value, need: str) -> None:
+    """InvalidParameterError naming `field` unless ok; a section's range check."""
+    if not ok:
+        raise InvalidParameterError(f"{field} must be {need}, got {value!r}", field=field)
+
+
 @dataclass(frozen=True)
 class DatasetSection:
     kind: str = "shapes"
@@ -47,8 +54,10 @@ class DatasetSection:
     path: Optional[str] = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidParameterError(f"count must be >= 1, got {self.count!r}", field="count")
+        _require(self.count >= 1, "count", self.count, ">= 1")
+        # make_shapes' smallest disc and the perceptual metric's layers need 5x5
+        _require(self.height >= 5, "height", self.height, ">= 5")
+        _require(self.width >= 5, "width", self.width, ">= 5")
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,11 @@ class DenoiserSection:
     eig_max: float = 1.5
     train: TrainSection = TrainSection()
 
+    def __post_init__(self):
+        _require(math.isfinite(self.mu_scale), "mu_scale", self.mu_scale, "finite")
+        _require(0.0 < self.eig_min < math.inf, "eig_min", self.eig_min, "finite and > 0")
+        _require(0.0 < self.eig_max < math.inf, "eig_max", self.eig_max, "finite and > 0")
+
 
 @dataclass(frozen=True)
 class AutoencoderSection:
@@ -82,9 +96,10 @@ class AutoencoderSection:
     leak_scale: float = 1.8
 
     def __post_init__(self):
-        if not 0.0 < self.latent_frac <= 1.0:
-            raise InvalidParameterError(
-                f"latent_frac must lie in (0, 1], got {self.latent_frac!r}", field="latent_frac")
+        _require(0.0 < self.latent_frac <= 1.0, "latent_frac", self.latent_frac, "in (0, 1]")
+        _require(self.fit_count >= 2, "fit_count", self.fit_count, ">= 2")
+        _require(0.0 <= self.leak_scale < math.inf, "leak_scale", self.leak_scale,
+                 "finite and >= 0")
 
 
 @dataclass(frozen=True)

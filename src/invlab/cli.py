@@ -210,8 +210,8 @@ def cmd_gradcheck(cfg: RunConfig, args, out: Path) -> dict:
         z_prev = rng.standard_normal(d)
         bias = 0.1 * rng.standard_normal(d)
         errors["lbo_objective"] = max(errors["lbo_objective"], gradient_check(
-            lambda x: objective_and_grad(b.model, co, z_prev, c, 1.0, x)[0],
-            objective_and_grad(b.model, co, z_prev, c, 1.0, bias)[1], bias))
+            lambda x: objective_and_grad(b.model, co, z_prev, c, x)[0],
+            objective_and_grad(b.model, co, z_prev, c, bias)[1], bias))
         x0 = b.images[probe % len(b.images)]
         z0 = b.ae.encode(x0) + 0.05 * rng.standard_normal(d)
         errors["ilb_total"] = max(errors["ilb_total"], gradient_check(

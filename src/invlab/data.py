@@ -81,8 +81,8 @@ def make_shapes(n: int, seed: int, height: int = 16, width: int = 16,
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if height < 4 or width < 4:
-        raise InvalidParameterError(f"images must be at least 4x4, got {height}x{width}")
+    if height < 5 or width < 5:  # the disc radius is drawn from [2, min(h, w)/2.5]
+        raise InvalidParameterError(f"images must be at least 5x5, got {height}x{width}")
     out = np.empty((n, height, width, 1))
     for i in range(n):
         rng = derive_rng(seed, tag, i)

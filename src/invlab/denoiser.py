@@ -12,7 +12,9 @@ Backends:
     and bit-reproducible.
 
 Classifier-free guidance blends conditional and unconditional predictions:
-ε̂ = ε_u + w·(ε_c − ε_u); w=1 short-circuits to the conditional evaluation.
+ε̂ = ε_u + w·(ε_c − ε_u). The weight w belongs to the `Condition`, so every
+step made under one condition uses one guided prediction; w=1 (always so for
+the unconditional condition) short-circuits to the conditional evaluation.
 
 `linearize(z, t, c)` returns the prediction at z together with its pullback
 v ↦ vᵀ·(∂eval/∂z), so a solver that needs both at one point pays for one
@@ -44,34 +46,28 @@ CLASS_LABEL = "class"
 
 @dataclass(frozen=True)
 class Condition:
-    """Conditioning input: unconditional, or a class id."""
+    """Conditioning input: unconditional, or a class id with its guidance weight w."""
 
     variant: str
     k: int | None = None
+    w: float = 1.0
 
     @staticmethod
     def unconditional() -> "Condition":
         return Condition(variant=UNCONDITIONAL)
 
     @staticmethod
-    def class_label(k: int) -> "Condition":
+    def class_label(k: int, w: float = 1.0) -> "Condition":
         if k < 0:
             raise InvalidParameterError(f"class label must be >= 0, got {k}", k=k)
-        return Condition(variant=CLASS_LABEL, k=int(k))
+        if not math.isfinite(w):
+            raise InvalidParameterError(f"guidance weight must be finite, got {w}", field="w")
+        return Condition(variant=CLASS_LABEL, k=int(k), w=float(w))
 
     def to_json_dict(self) -> dict:
         if self.variant == UNCONDITIONAL:
             return {"variant": UNCONDITIONAL}
         return {"variant": CLASS_LABEL, "k": self.k}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Condition":
-        variant = d.get("variant")
-        if variant == UNCONDITIONAL:
-            return Condition.unconditional()
-        if variant == CLASS_LABEL:
-            return Condition.class_label(int(d["k"]))
-        raise InvalidParameterError(f"unknown condition variant {variant!r}")
 
 
 class DenoiserInterface(ABC):
@@ -304,36 +300,32 @@ def _guided(u, c, w):
     return u + w * (c - u)
 
 
-def cfg_eval(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition, w: float) -> np.ndarray:
-    """Guided prediction ε_u + w·(ε_c − ε_u); w=1 returns eval(z, t, c) bit-exactly."""
-    if w == 1.0:
+def cfg_eval(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition) -> np.ndarray:
+    """Guided prediction ε_u + c.w·(ε_c − ε_u); w=1 returns eval(z, t, c) bit-exactly."""
+    if c.w == 1.0:
         return model.eval(z, t, c)
     eps_u = model.eval(z, t, Condition.unconditional())
-    if w == 0.0:
+    if c.w == 0.0:
         return eps_u
-    return _guided(eps_u, model.eval(z, t, c), w)
+    return _guided(eps_u, model.eval(z, t, c), c.w)
 
 
-def cfg_linearize(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition, w: float):
-    """(cfg_eval(z, t, c, w), v ↦ cfg_vjp(z, t, c, w, v)) from one linearization per condition."""
-    if w == 1.0:
+def cfg_linearize(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition):
+    """(cfg_eval(z, t, c), its pullback) from one linearization per condition.
+
+    w=1 returns model.linearize(z, t, c) itself, as cfg_eval returns eval's.
+    """
+    if c.w == 1.0:
         return model.linearize(z, t, c)
     eps_u, back_u = model.linearize(z, t, Condition.unconditional())
-    if w == 0.0:
+    if c.w == 0.0:
         return eps_u, back_u
     eps_c, back_c = model.linearize(z, t, c)
 
     def pullback(v):
-        return _guided(back_u(v), back_c(v), w)
+        return _guided(back_u(v), back_c(v), c.w)
 
-    return _guided(eps_u, eps_c, w), pullback
-
-
-def cfg_vjp(
-    model: DenoiserInterface, z: np.ndarray, t: int, c: Condition, w: float, v: np.ndarray
-) -> np.ndarray:
-    """vjp of cfg_eval with respect to z (the blend is affine in the two evals)."""
-    return cfg_linearize(model, z, t, c, w)[1](v)
+    return _guided(eps_u, eps_c, c.w), pullback
 
 
 def _init_params(rng: np.random.Generator, latent_dim: int, width: int, t_train: int, n_classes: int):

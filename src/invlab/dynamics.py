@@ -5,8 +5,9 @@ One backward transition on the grid pair (t_prev, t) is
     z_{t_prev} = φ_t·z_t + ψ_t·F̂(z_t, t, C)                (generation)
     z_t       = (1/φ_t)·z_{t_prev} − (ψ_t/φ_t)·F̂(z_{t_prev}, t, C)   (inversion)
 
-with F̂ the guided prediction. The inversion step evaluates the model at the
-*target* timestep t; for a constant model the two maps are exact inverses.
+with F̂ the guided prediction under C, whose guidance weight C.w is part of
+the condition. The inversion step evaluates the model at the *target* timestep
+t; for a constant model the two maps are exact inverses.
 
 Both steps take the transition as its `StepCoefficients` (φ, ψ, t, t_prev);
 only the grid walkers look coefficients up, once per transition.
@@ -37,7 +38,6 @@ class Trajectory:
     entries: tuple[tuple[int, np.ndarray], ...]
     direction: str
     grid: TimestepGrid
-    guidance: float
     condition: Condition
 
     def timesteps(self) -> tuple[int, ...]:
@@ -60,7 +60,7 @@ class Trajectory:
     def to_json_dict(self) -> dict:
         return {
             "direction": self.direction,
-            "guidance": self.guidance,
+            "guidance": self.condition.w,
             "condition": self.condition.to_json_dict(),
             "grid": list(self.grid.steps),
             "entries": [{"t": t, "z": list(map(float, z))} for t, z in self.entries],
@@ -68,18 +68,18 @@ class Trajectory:
 
 
 def generate_step(model: DenoiserInterface, co: StepCoefficients, z_t: np.ndarray,
-                  c: Condition, w: float = 1.0) -> np.ndarray:
+                  c: Condition) -> np.ndarray:
     """One backward transition co.t -> co.t_prev."""
     z_t = np.asarray(z_t, dtype=np.float64)
-    return co.phi * z_t + co.psi * cfg_eval(model, z_t, co.t, c, w)
+    return co.phi * z_t + co.psi * cfg_eval(model, z_t, co.t, c)
 
 
 def ddim_invert_step(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
-                     c: Condition, w: float = 1.0) -> np.ndarray:
+                     c: Condition) -> np.ndarray:
     """One inversion transition co.t_prev -> co.t (exact algebraic reversal of
     the deterministic generation step under the adjacent-step approximation)."""
     z_prev = np.asarray(z_prev, dtype=np.float64)
-    return (1.0 / co.phi) * z_prev - (co.psi / co.phi) * cfg_eval(model, z_prev, co.t, c, w)
+    return (1.0 / co.phi) * z_prev - (co.psi / co.phi) * cfg_eval(model, z_prev, co.t, c)
 
 
 def generate_trajectory(
@@ -88,7 +88,6 @@ def generate_trajectory(
     grid: TimestepGrid,
     z_T: np.ndarray,
     c: Condition,
-    w: float = 1.0,
 ) -> Trajectory:
     """Full deterministic sweep from z_T down to z_0 along the grid."""
     if len(grid) == 0:
@@ -96,11 +95,9 @@ def generate_trajectory(
     z = np.asarray(z_T, dtype=np.float64)
     entries = [(grid.steps[-1], z.copy())]
     for t_prev, t in reversed(grid.transitions()):
-        z = generate_step(model, coefficients(sched, t, t_prev), z, c, w)
+        z = generate_step(model, coefficients(sched, t, t_prev), z, c)
         entries.append((t_prev, z.copy()))
-    return Trajectory(
-        entries=tuple(entries), direction=GENERATION, grid=grid, guidance=float(w), condition=c
-    )
+    return Trajectory(entries=tuple(entries), direction=GENERATION, grid=grid, condition=c)
 
 
 def ddim_invert_trajectory(
@@ -109,7 +106,6 @@ def ddim_invert_trajectory(
     grid: TimestepGrid,
     z_0: np.ndarray,
     c: Condition,
-    w: float = 1.0,
 ) -> Trajectory:
     """Full inversion sweep from z_0 up to z_T along the grid."""
     if len(grid) == 0:
@@ -117,8 +113,6 @@ def ddim_invert_trajectory(
     z = np.asarray(z_0, dtype=np.float64)
     entries = [(0, z.copy())]
     for t_prev, t in grid.transitions():
-        z = ddim_invert_step(model, coefficients(sched, t, t_prev), z, c, w)
+        z = ddim_invert_step(model, coefficients(sched, t, t_prev), z, c)
         entries.append((t, z.copy()))
-    return Trajectory(
-        entries=tuple(entries), direction=INVERSION, grid=grid, guidance=float(w), condition=c
-    )
+    return Trajectory(entries=tuple(entries), direction=INVERSION, grid=grid, condition=c)

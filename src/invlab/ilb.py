@@ -4,8 +4,8 @@ The image latent is the handoff point between pixel space and the diffusion
 trajectory, so it gets optimized on two fronts at once: a consistency loss
 (L1 − SSIM + perceptual, weighted) between the source image and D(z_0), and a
 round-trip regularizer mean|z_0 − z0_rt| where z0_rt runs z_0 up to a small
-timestep δt and straight back with the same denoiser. Adam drives the sum;
-the best iterate seen wins, not the last one.
+timestep δt and straight back under the same guided prediction. Adam drives
+the sum; the best iterate seen wins, not the last one.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .autoencoder import AutoencoderInterface
-from .denoiser import Condition, DenoiserInterface
+from .denoiser import Condition, DenoiserInterface, cfg_linearize
 from .dynamics import ddim_invert_step, generate_step
 from .errors import BoundsError, DivergenceError, InvalidParameterError
 from .metrics import PerceptualMetricInterface, ssim_with_grad
 from .optim import AdamState, adam_step
-from .schedule import NoiseSchedule, StepCoefficients, skip_coefficients
+from .schedule import NoiseSchedule, skip_coefficients
 
 _STALL_LIMIT = 5
 
@@ -83,10 +83,10 @@ def consistency_loss(x0: np.ndarray, z0: np.ndarray, ae: AutoencoderInterface,
 
 
 def skip_roundtrip(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,
-                   dt: int, c: Condition, w: float = 1.0) -> np.ndarray:
+                   dt: int, c: Condition) -> np.ndarray:
     """Jump z0 up to timestep δt and straight back, both legs through F̂(·, δt)."""
-    co = StepCoefficients(*skip_coefficients(sched, dt), dt, 0)
-    return generate_step(model, co, ddim_invert_step(model, co, z0, c, w), c, w)
+    co = skip_coefficients(sched, dt)
+    return generate_step(model, co, ddim_invert_step(model, co, z0, c), c)
 
 
 def regularization_loss(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,
@@ -114,17 +114,17 @@ def _con_value_and_grad(x0, z, ae, perc_ref, weights):
 
 
 def _reg_value_and_grad(model, sched, z, dt, c):
-    phi, psi = skip_coefficients(sched, dt)
-    eps, back = model.linearize(z, dt, c)
-    z_dt = (1.0 / phi) * z - (psi / phi) * eps
-    eps_dt, back_dt = model.linearize(z_dt, dt, c)
-    z_rt = phi * z_dt + psi * eps_dt
+    co = skip_coefficients(sched, dt)
+    eps, back = cfg_linearize(model, z, dt, c)
+    z_dt = (1.0 / co.phi) * z - (co.psi / co.phi) * eps
+    eps_dt, back_dt = cfg_linearize(model, z_dt, dt, c)
+    z_rt = co.phi * z_dt + co.psi * eps_dt
     r = z - z_rt
     value = float(np.mean(np.abs(r)))
     s = np.sign(r) / r.size
-    # chain through both denoiser evaluations of the round trip
-    u = phi * s + psi * back_dt(s)
-    grad = s - ((1.0 / phi) * u - (psi / phi) * back(u))
+    # chain through both guided predictions of the round trip
+    u = co.phi * s + co.psi * back_dt(s)
+    grad = s - ((1.0 / co.phi) * u - (co.psi / co.phi) * back(u))
     return value, grad
 
 

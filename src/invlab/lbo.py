@@ -1,7 +1,9 @@
 """Per-step latent bias optimization for inverting deterministic sampling.
 
-One generation transition maps z_t to z_prev = φ·z_t + ψ·F̂(z_t, t, C).
-Inverting it exactly means solving a fixed-point problem in z_t; the plain
+One generation transition maps z_t to z_prev = φ·z_t + ψ·F̂(z_t, t, C), with
+F̂ guided by the weight C.w that the condition carries, so inversion and the
+replay that checks it run under one guided prediction. Inverting the
+transition exactly means solving a fixed-point problem in z_t; the plain
 reverse step approximates F̂ at the wrong point. Here the unknown is the
 bias b = z_t − z_prev and three refinement modes are offered:
 
@@ -42,7 +44,6 @@ class LboConfig:
     tol: float = 1e-8
     lr: float = 1e-3
     n_grad_warmup: int = 5
-    guidance_w: float = 1.0
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -73,36 +74,36 @@ class LboStepReport:
 
 
 def bias_target(model: DenoiserInterface, co: StepCoefficients, z: np.ndarray,
-                c: Condition, w: float = 1.0) -> np.ndarray:
+                c: Condition) -> np.ndarray:
     """Bias that candidate z would need to be self-consistent: z − generate(z).
 
     At the true preimage, generate_step lands exactly on z_prev and the
     returned value equals z − z_prev.
     """
-    return z - generate_step(model, co, z, c, w)
+    return z - generate_step(model, co, z, c)
 
 
 def lbo_numerical_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
-                          c: Condition, w: float, b: np.ndarray) -> np.ndarray:
+                          c: Condition, b: np.ndarray) -> np.ndarray:
     """One fixed-point sweep b ← bias_target(z_prev + b).
 
     A fixed point b* makes (z_prev, z_prev + b*) an exact generation pair.
     """
-    b_next = bias_target(model, co, z_prev + b, c, w)
+    b_next = bias_target(model, co, z_prev + b, c)
     if not np.isfinite(b_next).all():
         raise DivergenceError("numerical sweep produced non-finite bias", t=co.t)
     return b_next
 
 
 def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
-                       c: Condition, w: float, b: np.ndarray) -> tuple[float, np.ndarray]:
+                       c: Condition, b: np.ndarray) -> tuple[float, np.ndarray]:
     """J(b) = mean|G(z_prev+b) − z_prev| and its exact gradient.
 
     b − bias_target(z_prev + b) telescopes to generate_step(z_prev+b) − z_prev,
     so the chain rule only passes through one denoiser evaluation.
     """
     z = z_prev + b
-    eps, pullback = cfg_linearize(model, z, co.t, c, w)
+    eps, pullback = cfg_linearize(model, z, co.t, c)
     r = co.phi * z + co.psi * eps - z_prev
     s = np.sign(r)
     grad = (co.phi * s + co.psi * pullback(s)) / r.size
@@ -111,10 +112,10 @@ def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: n
 
 
 def lbo_gradient_iterate(model: DenoiserInterface, co: StepCoefficients,
-                         z_prev: np.ndarray, c: Condition, w: float, b: np.ndarray,
+                         z_prev: np.ndarray, c: Condition, b: np.ndarray,
                          state: AdamState) -> tuple[np.ndarray, AdamState, float]:
     """One Adam step on J(b); returns (b_next, state, J at the pre-step b)."""
-    value, grad = objective_and_grad(model, co, z_prev, c, w, b)
+    value, grad = objective_and_grad(model, co, z_prev, c, b)
     if not math.isfinite(value):
         raise DivergenceError("gradient objective became non-finite", t=co.t)
     b_next, state = adam_step(state, b, grad)
@@ -130,9 +131,8 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
     The step coefficients are looked up once and shared by the one-shot start
     and every iteration.
     """
-    w = cfg.guidance_w
     co = coefficients(sched, t, t_prev)
-    y0 = ddim_invert_step(model, co, z_prev, c, w)
+    y0 = ddim_invert_step(model, co, z_prev, c)
     if cfg.max_iters == 0:
         return y0, LboStepReport(t=t, iters=0, residual=float("inf"), converged=False)
     b = y0 - z_prev
@@ -145,11 +145,11 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
         k += 1
         try:
             if k <= n_adam:
-                b, state, value = lbo_gradient_iterate(model, co, z_prev, c, w, b, state)
+                b, state, value = lbo_gradient_iterate(model, co, z_prev, c, b, state)
                 if cfg.mode == "gradient":
                     residual = value
             else:
-                b_next = lbo_numerical_iterate(model, co, z_prev, c, w, b)
+                b_next = lbo_numerical_iterate(model, co, z_prev, c, b)
                 residual = float(np.abs(b_next - b).max())
                 b = b_next
         except DivergenceError as e:
@@ -170,6 +170,5 @@ def lbo_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule,
         z, rep = lbo_invert_step(model, sched, z, t_prev, t, c, cfg)
         entries.append((t, z.copy()))
         reports.append(rep)
-    traj = Trajectory(entries=tuple(entries), direction=INVERSION, grid=grid,
-                      guidance=cfg.guidance_w, condition=c)
+    traj = Trajectory(entries=tuple(entries), direction=INVERSION, grid=grid, condition=c)
     return traj, reports

@@ -112,15 +112,14 @@ def coefficients(sched: NoiseSchedule, t: int, t_prev: int) -> StepCoefficients:
     return StepCoefficients(phi, psi, t, t_prev)
 
 
-def skip_coefficients(sched: NoiseSchedule, dt: int) -> tuple[float, float]:
-    """(φ_{0,δt}, ψ_{0,δt}) of the direct 0 -> δt jump.
+def skip_coefficients(sched: NoiseSchedule, dt: int) -> StepCoefficients:
+    """The coefficients of the direct 0 -> δt jump.
 
     With ᾱ_0 = 1 these reduce to φ = ᾱ_{δt}^{-1/2}, ψ = −sqrt((1−ᾱ_{δt})/ᾱ_{δt}).
     """
     if not 1 <= dt <= sched.t_train:
         raise BoundsError(f"dt {dt} outside [1, {sched.t_train}]", dt=dt)
-    co = coefficients(sched, dt, 0)
-    return co.phi, co.psi
+    return coefficients(sched, dt, 0)
 
 
 def make_uniform_grid(sched: NoiseSchedule, s: int) -> TimestepGrid:

@@ -172,8 +172,8 @@ def test_criterion_03_gradient_fidelity():
         bias = 0.1 * rng.standard_normal(16)
         co = coefficients(sched, t, t_prev)
         worst["lbo"] = max(worst["lbo"], gradient_check(
-            lambda x: objective_and_grad(model, co, z_prev, UNCOND, 1.0, x)[0],
-            objective_and_grad(model, co, z_prev, UNCOND, 1.0, bias)[1], bias))
+            lambda x: objective_and_grad(model, co, z_prev, UNCOND, x)[0],
+            objective_and_grad(model, co, z_prev, UNCOND, bias)[1], bias))
         x0 = images[probe % len(images)]
         z0 = ae.encode(x0) + 0.05 * rng.standard_normal(16)
         worst["ilb"] = max(worst["ilb"], gradient_check(

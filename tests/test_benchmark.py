@@ -474,22 +474,43 @@ def test_lbo_value_out_of_range_is_config_error(field, value):
     assert config_from_json_dict({"lbo": edge}).lbo.max_iters == 0
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("doc,key", [({"steps": 0}, "steps"), ({"steps": 101}, "steps"),
                                      ({"t_train": 0}, "t_train"),
                                      ({"beta_start": 0.0}, "beta_start"),
                                      ({"beta_start": 0.1, "beta_end": 0.05}, "beta_end"),
                                      ({"beta_end": 1.0}, "beta_end"),
-                                     ({"dataset": {"count": 0}}, "dataset.count")])
+                                     ({"dataset": {"count": 0}}, "dataset.count"),
+                                     ({"dataset": {"height": 4}}, "dataset.height"),
+                                     ({"dataset": {"height": 3}}, "dataset.height"),
+                                     ({"dataset": {"width": 4}}, "dataset.width"),
+                                     ({"denoiser": {"mu_scale": NAN}}, "denoiser.mu_scale"),
+                                     ({"denoiser": {"mu_scale": -INF}}, "denoiser.mu_scale"),
+                                     ({"denoiser": {"eig_min": 0.0}}, "denoiser.eig_min"),
+                                     ({"denoiser": {"eig_min": NAN}}, "denoiser.eig_min"),
+                                     ({"denoiser": {"eig_max": INF}}, "denoiser.eig_max"),
+                                     ({"denoiser": {"eig_max": -1.0}}, "denoiser.eig_max"),
+                                     ({"autoencoder": {"fit_count": 1}}, "autoencoder.fit_count"),
+                                     ({"autoencoder": {"leak_scale": NAN}},
+                                      "autoencoder.leak_scale"),
+                                     ({"autoencoder": {"leak_scale": -0.5}},
+                                      "autoencoder.leak_scale"),
+                                     ({"autoencoder": {"leak_scale": INF}},
+                                      "autoencoder.leak_scale")])
 def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)) as err:
         config_from_json_dict(doc)
     assert err.value.context["key"] == key
     # the smallest accepted values load
-    edge = {"t_train": 1, "steps": 1, "beta_start": 0.5, "beta_end": 0.5, "dataset": {"count": 1}}
+    edge = {"t_train": 1, "steps": 1, "beta_start": 0.5, "beta_end": 0.5,
+            "dataset": {"count": 1, "height": 5, "width": 5},
+            "denoiser": {"mu_scale": -1e300, "eig_min": 1e-300, "eig_max": 1e-300},
+            "autoencoder": {"fit_count": 2, "leak_scale": 0.0}}
     assert config_from_json_dict(edge).steps == 1
 
 
-NAN = float("nan")
 
 
 @pytest.mark.parametrize("field,value", [("lr", NAN), ("lr", 0.0), ("rel_tol", NAN),

@@ -20,7 +20,6 @@ from invlab import (
     TrainingFailureError,
     cfg_eval,
     cfg_linearize,
-    cfg_vjp,
     gradient_check,
     make_gauss_mixture,
     make_linear_schedule,
@@ -37,12 +36,19 @@ def test_condition_variants_and_json():
     u = Condition.unconditional()
     k = Condition.class_label(2)
     assert u.variant == "unconditional" and k.k == 2
-    for c in (u, k):
-        assert Condition.from_json_dict(c.to_json_dict()) == c
+    # the guidance weight defaults to 1, and an unconditional condition has no other
+    assert u.w == k.w == 1.0 and Condition.class_label(2, 3).w == 3.0
+    assert u.to_json_dict() == {"variant": "unconditional"}
+    assert k.to_json_dict() == {"variant": "class", "k": 2}
     with pytest.raises(InvalidParameterError):
         Condition.class_label(-1)
-    with pytest.raises(InvalidParameterError):
-        Condition.from_json_dict({"variant": "mystery"})
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
+def test_class_label_rejects_a_non_finite_guidance_weight(w):
+    with pytest.raises(InvalidParameterError, match="guidance weight") as err:
+        Condition.class_label(1, w)
+    assert err.value.code == "invalid-parameter" and err.value.context["field"] == "w"
 
 
 def test_constant_denoiser(uncond):
@@ -168,25 +174,16 @@ class _CondGate(DenoiserInterface):
 
 def test_cfg_eval_blend(uncond):
     m = _CondGate(2)
-    c = Condition.class_label(0)
     z = np.zeros(2)
-    np.testing.assert_array_equal(cfg_eval(m, z, 3, c, 7.5), np.full(2, 7.5))
-    np.testing.assert_array_equal(cfg_eval(m, z, 3, c, 0.0), np.zeros(2))
+    np.testing.assert_array_equal(cfg_eval(m, z, 3, Condition.class_label(0, 7.5)), np.full(2, 7.5))
+    np.testing.assert_array_equal(cfg_eval(m, z, 3, Condition.class_label(0, 0.0)), np.zeros(2))
 
 
 def test_cfg_eval_unit_guidance_short_circuits(gauss_nd, uncond):
     # w=1 must be bit-identical to a single conditional evaluation
     z = np.array([0.2, 0.4, -1.0, 0.9])
     np.testing.assert_array_equal(
-        cfg_eval(gauss_nd, z, 25, uncond, 1.0), gauss_nd.eval(z, 25, uncond)
-    )
-
-
-def test_cfg_vjp_unit_guidance_short_circuits(gauss_nd, uncond):
-    z = np.array([0.2, 0.4, -1.0, 0.9])
-    v = np.array([1.0, 0.0, -2.0, 0.5])
-    np.testing.assert_array_equal(
-        cfg_vjp(gauss_nd, z, 25, uncond, 1.0, v), gauss_nd.vjp(z, 25, uncond, v)
+        cfg_eval(gauss_nd, z, 25, uncond), gauss_nd.eval(z, 25, uncond)
     )
 
 
@@ -261,14 +258,13 @@ def test_mlp_vjp_linearity(uncond):
 def test_cfg_blend_with_trained_mlp(uncond):
     model, _ = _tiny_mlp()
     z = np.array([0.2, -0.3])
-    c = Condition.class_label(1)
-    w = 2.5
-    expect = model.eval(z, 6, uncond) + w * (model.eval(z, 6, c) - model.eval(z, 6, uncond))
-    np.testing.assert_allclose(cfg_eval(model, z, 6, c, w), expect, atol=1e-14)
+    c = Condition.class_label(1, 2.5)
+    expect = model.eval(z, 6, uncond) + c.w * (model.eval(z, 6, c) - model.eval(z, 6, uncond))
+    np.testing.assert_allclose(cfg_eval(model, z, 6, c), expect, atol=1e-14)
     v = np.array([0.7, 1.1])
     err = gradient_check(
-        lambda x: float(v @ cfg_eval(model, x, 6, c, w)),
-        cfg_vjp(model, z, 6, c, w, v),
+        lambda x: float(v @ cfg_eval(model, x, 6, c)),
+        cfg_linearize(model, z, 6, c)[1](v),
         z,
     )
     assert err < 1e-4
@@ -324,15 +320,16 @@ def test_linearize_is_eval_and_vjp_bit_for_bit(gauss_nd):
 @pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
 def test_cfg_linearize_is_cfg_eval_and_cfg_vjp_bit_for_bit(w, gauss_nd):
     rng = np.random.default_rng(23)
-    for model, z, c in _linearize_cases(gauss_nd):
-        eps, pullback = cfg_linearize(model, z, 7, c, w)
-        assert np.array_equal(eps, cfg_eval(model, z, 7, c, w))
-        v = rng.standard_normal(z.shape)
-        assert np.array_equal(pullback(v), cfg_vjp(model, z, 7, c, w, v))
-        # the blend of the two plain vjps, in cfg_eval's form
-        vjp_u = model.vjp(z, 7, Condition.unconditional(), v)
-        blend = vjp_u + w * (model.vjp(z, 7, c, v) - vjp_u)
-        assert np.array_equal(pullback(v), model.vjp(z, 7, c, v) if w == 1.0 else blend)
+    for model, z, case_c in _linearize_cases(gauss_nd):
+        # and class 1 under weight w, which the stubs and the oracle ignore
+        for c in (case_c, Condition.class_label(1, w)):
+            eps, pullback = cfg_linearize(model, z, 7, c)
+            assert np.array_equal(eps, cfg_eval(model, z, 7, c))
+            v = rng.standard_normal(z.shape)
+            # the blend of the two plain vjps, in cfg_eval's form
+            vjp_u = model.vjp(z, 7, Condition.unconditional(), v)
+            blend = vjp_u + c.w * (model.vjp(z, 7, c, v) - vjp_u)
+            assert np.array_equal(pullback(v), model.vjp(z, 7, c, v) if c.w == 1.0 else blend)
 
 
 def test_mlp_linearize_runs_one_forward_pass(monkeypatch, uncond):

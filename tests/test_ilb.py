@@ -7,6 +7,7 @@ import invlab.denoiser
 import invlab.ilb
 from invlab import (
     BoundsError,
+    Condition,
     ConstantDenoiser,
     DenoiserInterface,
     DivergenceError,
@@ -16,7 +17,6 @@ from invlab import (
     LinearGaussianDenoiser,
     MlpTrainConfig,
     RandomConvPerceptual,
-    StepCoefficients,
     consistency_loss,
     ddim_invert_step,
     fit_linear_autoencoder,
@@ -24,6 +24,7 @@ from invlab import (
     gradient_check,
     ilb_loss_and_grad,
     ilb_optimize,
+    make_gauss_mixture,
     make_linear_schedule,
     make_shapes,
     regularization_loss,
@@ -90,7 +91,7 @@ def test_skip_roundtrip_hand_composition(toy3, unit_gauss1, uncond):
     got = skip_roundtrip(unit_gauss1, toy3, z0, 2, uncond)
     assert got[0] == pytest.approx(0.981, abs=1e-12)
     # the inversion step, then the generation step, over the 0 -> dt skip
-    co = StepCoefficients(*skip_coefficients(toy3, 2), 2, 0)
+    co = skip_coefficients(toy3, 2)
     up = ddim_invert_step(unit_gauss1, co, z0, uncond)
     assert np.array_equal(got, generate_step(unit_gauss1, co, up, uncond))
     reg = regularization_loss(unit_gauss1, toy3, z0, 2, uncond)
@@ -139,6 +140,33 @@ def test_loss_and_grad_matches_finite_differences(uncond):
 
     _, _, _, grad = ilb_loss_and_grad(x0, z0, ae, model, sched, perc, cfg, uncond)
     assert gradient_check(total, grad, z0) < 1e-4
+
+
+def test_guided_regularizer_is_the_guided_skip_round_trip():
+    # a labelled MLP under a guided class condition: the regularizer and its
+    # gradient use the same guided prediction as skip_roundtrip
+    sched = make_linear_schedule(20, 1e-3, 0.05)
+    data, labels, _ = make_gauss_mixture(48, seed=9)
+    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=16, max_epochs=4, seed=0), labels)
+    imgs = make_shapes(8, seed=3, height=8, width=8)
+    ae = fit_linear_autoencoder(imgs, latent_dim=2)
+    perc = RandomConvPerceptual(SHAPE, seed=0)
+    # no L1 term: with a 2-d latent some decoded pixel sits on its kink
+    cfg = IlbConfig(dt=2, weights=(0.0, 1.0, 1.0))
+    c = Condition.class_label(1, 3.0)
+    rng = np.random.default_rng(11)
+    for x0 in imgs[:3]:
+        z0 = ae.encode(x0) + 0.05 * rng.standard_normal(2)
+        reg = regularization_loss(model, sched, z0, 2, c)
+        assert reg == float(np.mean(np.abs(z0 - skip_roundtrip(model, sched, z0, 2, c))))
+        assert reg != regularization_loss(model, sched, z0, 2, Condition.class_label(1))
+
+        def total(z):
+            return ilb_loss_and_grad(x0, z, ae, model, sched, perc, cfg, c)[2]
+
+        _, l_reg, _, grad = ilb_loss_and_grad(x0, z0, ae, model, sched, perc, cfg, c)
+        assert l_reg == reg
+        assert gradient_check(total, grad, z0) < 1e-4
 
 
 def test_loss_and_grad_without_regularizer(uncond):
@@ -302,7 +330,8 @@ def test_regularizer_runs_one_forward_pass_per_round_trip_leg(monkeypatch, uncon
     assert again[0] == value and np.array_equal(again[1], grad)
     monkeypatch.undo()
     # the same bits as the round trip chained through separate evals and vjps
-    phi, psi = skip_coefficients(sched, 2)
+    co = skip_coefficients(sched, 2)
+    phi, psi = co.phi, co.psi
     z_dt = (1.0 / phi) * z - (psi / phi) * model.eval(z, 2, uncond)
     r = z - (phi * z_dt + psi * model.eval(z_dt, 2, uncond))
     s = np.sign(r) / r.size

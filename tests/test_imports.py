@@ -1,8 +1,8 @@
 """Lint rules checked on the source, since there is no linter to say so.
 
-Every module uses each name it imports, and no module under src/invlab
-catches everything: a bare `except:` or one naming Exception or BaseException
-would turn a programming bug into a quiet result.
+Every module uses each name it imports, and no module under src/invlab or
+invbench catches everything: a bare `except:` or one naming Exception or
+BaseException would turn a programming bug into a quiet result.
 """
 
 import ast
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "invlab").glob("*.py"))
+BENCH = sorted((ROOT / "invbench").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "invlab").glob("*.py")) + BENCH
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 BROAD = {"Exception", "BaseException"}

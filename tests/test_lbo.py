@@ -17,7 +17,7 @@ from invlab import (
     ScalingDenoiser,
     bias_target,
     cfg_eval,
-    cfg_vjp,
+    cfg_linearize,
     coefficients,
     ddim_invert_step,
     ddim_invert_trajectory,
@@ -61,7 +61,7 @@ def test_bias_target_complements_generation(gauss_nd, default_sched, uncond):
 
 def test_numerical_iterate_holds_fixed_point(toy3, stub_half, uncond):
     b = np.array([BSTAR])
-    b_next = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE, uncond, 1.0, b)
+    b_next = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE, uncond, b)
     assert abs(b_next[0] - BSTAR) <= 1e-15
 
 
@@ -70,7 +70,7 @@ def test_numerical_iterates_contract_geometrically(toy3, stub_half, uncond):
     b = ddim_invert_step(stub_half, coefficients(toy3, 2, 1), ONE, uncond) - ONE
     residuals = []
     for _ in range(4):
-        b_next = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE, uncond, 1.0, b)
+        b_next = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE, uncond, b)
         residuals.append(abs(float(b_next[0] - b[0])))
         b = b_next
     ratios = [r2 / r1 for r1, r2 in zip(residuals, residuals[1:]) if r1 > 1e-14]
@@ -113,7 +113,7 @@ def test_gradient_iterate_stationary_at_solution(toy3, stub0, uncond):
     # F = 0: the one-shot bias is exact, J = 0, gradient = 0, b unchanged
     b = ddim_invert_step(stub0, coefficients(toy3, 2, 1), ONE, uncond) - ONE
     b_next, state, value = lbo_gradient_iterate(
-        stub0, coefficients(toy3, 2, 1), ONE, uncond, 1.0, b, AdamState(lr=1e-3)
+        stub0, coefficients(toy3, 2, 1), ONE, uncond, b, AdamState(lr=1e-3)
     )
     assert value == 0.0
     np.testing.assert_array_equal(b_next, b)
@@ -123,7 +123,7 @@ def test_gradient_iterate_stationary_at_solution(toy3, stub0, uncond):
 def test_gradient_iterate_descends(toy3, stub_half, uncond):
     b = ddim_invert_step(stub_half, coefficients(toy3, 2, 1), ONE, uncond) - ONE
     b_next, _, value = lbo_gradient_iterate(
-        stub_half, coefficients(toy3, 2, 1), ONE, uncond, 1.0, b, AdamState(lr=1e-3)
+        stub_half, coefficients(toy3, 2, 1), ONE, uncond, b, AdamState(lr=1e-3)
     )
     assert value > 0.0
     assert abs(b_next[0] - BSTAR) < abs(b[0] - BSTAR)
@@ -137,10 +137,10 @@ def test_objective_gradient_matches_finite_differences(gauss_nd, default_sched, 
     co = coefficients(default_sched, 40, 30)
 
     def j(bb):
-        val, _ = objective_and_grad(gauss_nd, co, z_prev, uncond, 1.0, bb)
+        val, _ = objective_and_grad(gauss_nd, co, z_prev, uncond, bb)
         return val
 
-    _, grad = objective_and_grad(gauss_nd, co, z_prev, uncond, 1.0, b)
+    _, grad = objective_and_grad(gauss_nd, co, z_prev, uncond, b)
     assert gradient_check(j, grad, b) < 1e-4
 
 
@@ -151,18 +151,19 @@ def test_objective_is_the_straightforward_form_bit_for_bit(
         # d = 5: dividing by a power of two would hide a reordered mean
         a = np.random.default_rng(7).standard_normal((5, 5))
         model = LinearGaussianDenoiser(np.ones(5), a @ a.T + np.eye(5), default_sched)
-        sched, c, w, t_prev, t = default_sched, Condition.unconditional(), 1.0, 30, 40
+        sched, c, t_prev, t = default_sched, Condition.unconditional(), 30, 40
     else:
-        (model, sched), c, w, t_prev, t = tiny_mlp, Condition.class_label(0), 3.0, 4, 10
+        (model, sched), c, t_prev, t = tiny_mlp, Condition.class_label(0, 3.0), 4, 10
     rng = np.random.default_rng(8)
     z_prev = rng.standard_normal(model.latent_dim)
     b = 0.1 * rng.standard_normal(model.latent_dim)
     co = coefficients(sched, t, t_prev)
-    r = generate_step(model, co, z_prev + b, c, w) - z_prev
+    r = generate_step(model, co, z_prev + b, c) - z_prev
     s = np.sign(r)
-    value, grad = objective_and_grad(model, co, z_prev, c, w, b)
+    value, grad = objective_and_grad(model, co, z_prev, c, b)
     assert value == float(np.mean(np.abs(r)))
-    assert np.array_equal(grad, (co.phi * s + co.psi * cfg_vjp(model, z_prev + b, t, c, w, s)) / r.size)
+    pullback = cfg_linearize(model, z_prev + b, t, c)[1]
+    assert np.array_equal(grad, (co.phi * s + co.psi * pullback(s)) / r.size)
 
 
 def test_invert_step_numerical_hand_fixed_point(toy3, stub_half, uncond):
@@ -300,10 +301,9 @@ def test_guidance_weight_changes_conditional_inversion(uncond):
     sched = make_linear_schedule(20, 1e-3, 0.05)
     data, labels, _ = make_gauss_mixture(48, seed=9)
     model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=16, max_epochs=4, seed=0), labels)
-    c = Condition.class_label(0)
     z = np.array([0.4, -0.2])
-    a, _ = lbo_invert_step(model, sched, z, 5, 10, c, LboConfig(guidance_w=1.0))
-    b, _ = lbo_invert_step(model, sched, z, 5, 10, c, LboConfig(guidance_w=3.0))
+    a, _ = lbo_invert_step(model, sched, z, 5, 10, Condition.class_label(1))
+    b, _ = lbo_invert_step(model, sched, z, 5, 10, Condition.class_label(1, 3.0))
     assert not np.array_equal(a, b)
 
 
@@ -315,22 +315,33 @@ def tiny_mlp():
                               labels), sched
 
 
+def test_trajectory_json_guidance_is_the_condition_weight(tiny_mlp):
+    model, sched = tiny_mlp
+    grid = make_uniform_grid(sched, 4)
+    z = np.array([0.4, -0.2])
+    for c in (Condition.unconditional(), Condition.class_label(1), Condition.class_label(1, 3)):
+        for traj in (generate_trajectory(model, sched, grid, z, c),
+                     ddim_invert_trajectory(model, sched, grid, z, c),
+                     lbo_invert_trajectory(model, sched, grid, z, c)[0]):
+            guidance = traj.to_json_dict()["guidance"]
+            assert guidance == c.w and type(guidance) is float
+
+
 def _reference_step(model, sched, z_prev, t_prev, t, c, cfg):
     """lbo_invert_step written out with the public per-iteration functions."""
-    w = cfg.guidance_w
     co = coefficients(sched, t, t_prev)
-    b = ddim_invert_step(model, co, z_prev, c, w) - z_prev
+    b = ddim_invert_step(model, co, z_prev, c) - z_prev
     iters, residual = 0, np.inf
     if cfg.mode != "numerical":
         budget = cfg.max_iters if cfg.mode == "gradient" else min(cfg.n_grad_warmup, cfg.max_iters)
         state = AdamState(lr=cfg.lr)
         while iters < budget and (cfg.mode == "hybrid" or residual >= cfg.tol):
-            b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, w, b, state)
+            b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, b, state)
             iters += 1
     if cfg.mode != "gradient":
         residual = np.inf
         while iters < cfg.max_iters and residual >= cfg.tol:
-            b_next = lbo_numerical_iterate(model, co, z_prev, c, w, b)
+            b_next = lbo_numerical_iterate(model, co, z_prev, c, b)
             residual = float(np.max(np.abs(b_next - b)))
             b = b_next
             iters += 1
@@ -342,16 +353,15 @@ def _reference_step(model, sched, z_prev, t_prev, t, c, cfg):
 def test_invert_step_is_bit_identical_to_the_public_iterates(
         gauss_nd, default_sched, tiny_mlp, backend, mode):
     if backend == "gaussian":
-        model, sched, c, w = gauss_nd, default_sched, Condition.unconditional(), 1.0
+        model, sched, c = gauss_nd, default_sched, Condition.unconditional()
         z = np.array([0.3, -1.2, 0.7, 0.1])
         pairs = [(0, 2), (30, 40), (60, 100)]
     else:
-        (model, sched), c, w = tiny_mlp, Condition.class_label(1), 3.0
+        (model, sched), c = tiny_mlp, Condition.class_label(1, 3.0)
         z = np.array([0.4, -0.2])
         pairs = [(0, 4), (4, 10), (10, 20)]
     # the default budget and tolerance, then a budget that runs out first
-    for cfg in (LboConfig(mode=mode, guidance_w=w),
-                LboConfig(mode=mode, guidance_w=w, max_iters=7, tol=1e-30)):
+    for cfg in (LboConfig(mode=mode), LboConfig(mode=mode, max_iters=7, tol=1e-30)):
         for t_prev, t in pairs:
             z_t, rep = lbo_invert_step(model, sched, z, t_prev, t, c, cfg)
             ref_z, ref_iters, ref_residual = _reference_step(model, sched, z, t_prev, t, c, cfg)
@@ -395,17 +405,19 @@ def _count_forward_passes(monkeypatch):
 @pytest.mark.parametrize("w", [1.0, 3.0])
 def test_objective_and_grad_runs_one_forward_pass_per_condition(tiny_mlp, monkeypatch, w):
     model, sched = tiny_mlp
-    c = Condition.class_label(1)
+    c = Condition.class_label(1, w)
     z_prev, b = np.array([0.4, -0.2]), np.array([0.01, 0.02])
     co = coefficients(sched, 10, 5)
-    value, grad = objective_and_grad(model, co, z_prev, c, w, b)
+    value, grad = objective_and_grad(model, co, z_prev, c, b)
     calls = _count_forward_passes(monkeypatch)
-    again = objective_and_grad(model, co, z_prev, c, w, b)
+    again = objective_and_grad(model, co, z_prev, c, b)
     # one MLP forward pass per evaluated condition, where eval then vjp took two
     assert len(calls) == (1 if w == 1.0 else 2)
     assert again[0] == value and np.array_equal(again[1], grad)
     # the same bits as the separate eval and vjp
     z = z_prev + b
-    r = co.phi * z + co.psi * cfg_eval(model, z, 10, c, w) - z_prev
+    r = co.phi * z + co.psi * cfg_eval(model, z, 10, c) - z_prev
     s = np.sign(r)
-    assert np.array_equal(grad, (co.phi * s + co.psi * cfg_vjp(model, z, 10, c, w, s)) / r.size)
+    vjp_u = model.vjp(z, 10, Condition.unconditional(), s)
+    vjp_g = model.vjp(z, 10, c, s) if w == 1.0 else vjp_u + w * (model.vjp(z, 10, c, s) - vjp_u)
+    assert np.array_equal(grad, (co.phi * s + co.psi * vjp_g) / r.size)

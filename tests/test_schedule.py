@@ -101,15 +101,17 @@ def test_coefficients_rejects_bad_order_and_bounds(toy3):
 
 def test_skip_coefficients_hand_values(toy3):
     # direct 0 -> 2 jump: phi = 1/sqrt(0.81), psi = -sqrt(0.19/0.81)
-    phi, psi = skip_coefficients(toy3, 2)
-    assert phi == pytest.approx(1.1111111111111112, abs=1e-15)
-    assert psi == pytest.approx(-0.48432210483785254, abs=1e-15)
+    co = skip_coefficients(toy3, 2)
+    assert co.phi == pytest.approx(1.1111111111111112, abs=1e-15)
+    assert co.psi == pytest.approx(-0.48432210483785254, abs=1e-15)
+    assert (co.t, co.t_prev) == (2, 0)
 
 
 def test_skip_coefficients_match_transition_form(default_sched):
     for dt in range(1, default_sched.t_train + 1):
         co = coefficients(default_sched, t=dt, t_prev=0)
-        assert skip_coefficients(default_sched, dt) == (co.phi, co.psi)
+        skip = skip_coefficients(default_sched, dt)
+        assert (skip.phi, skip.psi) == (co.phi, co.psi)
 
 
 def test_skip_coefficients_bounds(toy3):
