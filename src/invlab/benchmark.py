@@ -22,11 +22,11 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .autoencoder import AutoencoderInterface, IdentityAutoencoder, fit_linear_autoencoder
-from .data import load_dataset, make_shapes
+from .data import KINDS, load_dataset, make_shapes
 from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig,
-                       check_train_ranges, train_mlp_denoiser)
+                       train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
-from .errors import ConfigError, InvalidParameterError, InvlabError
+from .errors import ConfigError, InvalidParameterError, InvlabError, require
 from .ilb import IlbConfig, ilb_optimize
 from .lbo import LboConfig, lbo_invert_trajectory
 from .metrics import psnr, ssim
@@ -39,12 +39,6 @@ BASE_METHODS = ("ddim", "lbo-g", "lbo-n", "lbo-h")
 LBO_MODES = {"lbo-g": "gradient", "lbo-n": "numerical", "lbo-h": "hybrid"}
 
 
-def _require(ok: bool, field: str, value, need: str) -> None:
-    """InvalidParameterError naming `field` unless ok; a section's range check."""
-    if not ok:
-        raise InvalidParameterError(f"{field} must be {need}, got {value!r}", field=field)
-
-
 @dataclass(frozen=True)
 class DatasetSection:
     kind: str = "shapes"
@@ -54,10 +48,11 @@ class DatasetSection:
     path: Optional[str] = None
 
     def __post_init__(self):
-        _require(self.count >= 1, "count", self.count, ">= 1")
+        require(self.kind in KINDS, "kind", self.kind, f"one of {KINDS}")
+        require(self.count >= 1, "count", self.count, ">= 1")
         # make_shapes' smallest disc and the perceptual metric's layers need 5x5
-        _require(self.height >= 5, "height", self.height, ">= 5")
-        _require(self.width >= 5, "width", self.width, ">= 5")
+        require(self.height >= 5, "height", self.height, ">= 5")
+        require(self.width >= 5, "width", self.width, ">= 5")
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,8 @@ class TrainSection:
     lr: float = 1e-3
 
     def __post_init__(self):
-        check_train_ranges(**asdict(self))
+        require(self.count >= 1, "count", self.count, ">= 1")
+        MlpTrainConfig(self.width, self.max_epochs, self.batch_size, self.lr)  # its range checks
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,10 @@ class DenoiserSection:
     train: TrainSection = TrainSection()
 
     def __post_init__(self):
-        _require(math.isfinite(self.mu_scale), "mu_scale", self.mu_scale, "finite")
-        _require(0.0 < self.eig_min < math.inf, "eig_min", self.eig_min, "finite and > 0")
-        _require(0.0 < self.eig_max < math.inf, "eig_max", self.eig_max, "finite and > 0")
+        require(self.kind in ("analytic", "mlp"), "kind", self.kind, "'analytic' or 'mlp'")
+        require(math.isfinite(self.mu_scale), "mu_scale", self.mu_scale, "finite")
+        require(0.0 < self.eig_min < math.inf, "eig_min", self.eig_min, "finite and > 0")
+        require(0.0 < self.eig_max < math.inf, "eig_max", self.eig_max, "finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -96,10 +93,11 @@ class AutoencoderSection:
     leak_scale: float = 1.8
 
     def __post_init__(self):
-        _require(0.0 < self.latent_frac <= 1.0, "latent_frac", self.latent_frac, "in (0, 1]")
-        _require(self.fit_count >= 2, "fit_count", self.fit_count, ">= 2")
-        _require(0.0 <= self.leak_scale < math.inf, "leak_scale", self.leak_scale,
-                 "finite and >= 0")
+        require(self.kind in ("linear", "identity"), "kind", self.kind, "'linear' or 'identity'")
+        require(0.0 < self.latent_frac <= 1.0, "latent_frac", self.latent_frac, "in (0, 1]")
+        require(self.fit_count >= 2, "fit_count", self.fit_count, ">= 2")
+        require(0.0 <= self.leak_scale < math.inf, "leak_scale", self.leak_scale,
+                "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,15 +139,12 @@ class RunConfig:
         for name in self.methods:
             parse_method(name)
         object.__setattr__(self, "methods", tuple(self.methods))
-        if self.n_workers != 1:
-            raise ConfigError(f"n_workers must be 1 (rows run serially), got {self.n_workers}",
-                              key="n_workers")
-        try:  # the range checks of the schedule and grid the run builds
-            make_uniform_grid(make_linear_schedule(self.t_train, self.beta_start, self.beta_end),
-                              self.steps)
-        except InvalidParameterError as e:
-            key = e.context["field"]
-            raise ConfigError(f"config key {key}: {e}", key=key) from None
+        require(self.n_workers == 1, "n_workers", self.n_workers, "1 (rows run serially)")
+        # the range checks of the schedule and grid the run builds
+        make_uniform_grid(make_linear_schedule(self.t_train, self.beta_start, self.beta_end),
+                          self.steps)
+        require(self.ilb.dt is None or 1 <= self.ilb.dt <= self.t_train, "ilb.dt", self.ilb.dt,
+                f"in [1, t_train = {self.t_train}]")
 
     def to_json_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))  # tuples become lists
@@ -211,7 +206,8 @@ def parse_method(name: str) -> tuple[str, bool]:
     base = parts[0]
     if base not in BASE_METHODS or len(parts) > 2 or (len(parts) == 2 and parts[1] != "ilb"):
         raise ConfigError(
-            f"unknown method {name!r}; expected one of {BASE_METHODS} with optional '+ilb'")
+            f"unknown method {name!r}; expected one of {BASE_METHODS} with optional '+ilb'",
+            key="methods")
     return base, len(parts) == 2
 
 
@@ -253,13 +249,12 @@ class BenchmarkBackends:
     def __init__(self, cfg: RunConfig):
         ds = cfg.dataset
         if ds.kind != "shapes":
-            raise ConfigError(f"benchmark needs an image dataset, got kind {ds.kind!r}")
+            raise ConfigError(f"benchmark needs an image dataset, got kind {ds.kind!r}",
+                              key="dataset.kind")
         self.cfg = cfg
         self.sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
         self.grid = make_uniform_grid(self.sched, cfg.steps)
         dt = cfg.ilb.dt if cfg.ilb.dt is not None else max(cfg.t_train // cfg.steps, 1)
-        if not 1 <= dt <= cfg.t_train:
-            raise ConfigError(f"ilb.dt {dt} outside [1, {cfg.t_train}]", key="ilb.dt")
         self.ilb_cfg = replace(cfg.ilb, dt=dt)
         self.images = _load_instance_images(cfg)
         fit_images = make_fit_images(cfg)
@@ -329,8 +324,6 @@ def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
     shape = fit_images.shape[1:]
     if section.kind == "identity":
         return IdentityAutoencoder(shape)
-    if section.kind != "linear":
-        raise ConfigError(f"unknown autoencoder kind {section.kind!r}")
     if section.path:
         ae = _load_model_file(section.path, AutoencoderInterface, "autoencoder.path")
         if ae.image_shape != shape:
@@ -354,8 +347,6 @@ def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
         sigma = 0.5 * (sigma + sigma.T)
         mu = section.mu_scale * rng.standard_normal(d)
         return LinearGaussianDenoiser(mu, sigma, sched)
-    if section.kind != "mlp":
-        raise ConfigError(f"unknown denoiser kind {section.kind!r}")
     if section.path:
         model = _load_model_file(section.path, DenoiserInterface, "denoiser.path")
         if model.latent_dim != ae.latent_dim:
@@ -368,7 +359,7 @@ def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
     count, fit_count = section.train.count, cfg.autoencoder.fit_count
     if count > fit_count:
         raise ConfigError(f"denoiser.train.count {count} exceeds autoencoder.fit_count "
-                          f"{fit_count}, the number of fit images")
+                          f"{fit_count}, the number of fit images", key="denoiser.train.count")
     latents = np.stack([ae.encode(img) for img in fit_images[:count]])
     return train_mlp_denoiser(latents, sched, mlp_train_config(cfg))
 

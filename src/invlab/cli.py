@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import (METRIC_FIELDS, BenchmarkBackends, RunConfig, base_methods,
-                        build_autoencoder, build_denoiser, evaluate_instance, invert_latent,
-                        load_config, load_dataset_file, make_fit_images, mlp_train_config,
-                        parse_method, replay, run_benchmark, start_latent)
+                        build_autoencoder, build_denoiser, config_from_json_dict,
+                        evaluate_instance, invert_latent, load_config, load_dataset_file,
+                        make_fit_images, mlp_train_config, parse_method, replay, run_benchmark,
+                        start_latent)
 from .data import gen_dataset, make_gauss_mixture, save_dataset
 from .denoiser import train_mlp_denoiser
 from .errors import ConfigError, InvlabError
@@ -65,16 +66,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The config file with the flags written over it, parsed and checked as one document."""
     cfg = load_config(args.config) if args.config else RunConfig()
+    doc = cfg.to_json_dict()
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        doc["seed"] = args.seed
     if args.steps is not None:
-        cfg = replace(cfg, steps=args.steps)
+        doc["steps"] = args.steps
     if args.dt is not None:
-        cfg = replace(cfg, ilb=replace(cfg.ilb, dt=args.dt))
+        doc["ilb"]["dt"] = args.dt
     if args.no_ilb:
-        cfg = replace(cfg, methods=base_methods(cfg.methods))
-    return cfg
+        doc["methods"] = list(base_methods(cfg.methods))
+    return config_from_json_dict(doc)
 
 
 def _method_arg(args, default: str = "ddim") -> str:
@@ -92,8 +95,7 @@ def _write_json(path: Path, payload) -> None:
 def cmd_gen_data(cfg: RunConfig, args, out: Path) -> dict:
     """Write the config's dataset as a canonical JSON file."""
     ds = cfg.dataset
-    params = {"height": ds.height, "width": ds.width} if ds.kind == "shapes" else {}
-    payload = gen_dataset(ds.kind, ds.count, cfg.seed, params)
+    payload = gen_dataset(ds.kind, ds.count, cfg.seed, ds.height, ds.width)
     path = out / f"{ds.kind}.json"
     save_dataset(payload, path)
     return {"written": str(path), "kind": ds.kind, "n": ds.count}
@@ -102,7 +104,8 @@ def cmd_gen_data(cfg: RunConfig, args, out: Path) -> dict:
 def cmd_train_denoiser(cfg: RunConfig, args, out: Path) -> dict:
     """Fit the MLP noise predictor on the config's dataset and persist it."""
     if cfg.denoiser.kind != "mlp":
-        raise ConfigError(f"train-denoiser needs denoiser.kind 'mlp', got {cfg.denoiser.kind!r}")
+        raise ConfigError(f"train-denoiser needs denoiser.kind 'mlp', got {cfg.denoiser.kind!r}",
+                          key="denoiser.kind")
     sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
     ds = cfg.dataset
     if ds.kind == "gauss2d":
@@ -127,7 +130,8 @@ def cmd_train_autoencoder(cfg: RunConfig, args, out: Path) -> dict:
     """Fit the linear autoencoder on the config's images and persist it."""
     if cfg.autoencoder.kind != "linear":
         raise ConfigError(
-            f"train-autoencoder needs autoencoder.kind 'linear', got {cfg.autoencoder.kind!r}")
+            f"train-autoencoder needs autoencoder.kind 'linear', got {cfg.autoencoder.kind!r}",
+            key="autoencoder.kind")
     ae = build_autoencoder(replace(cfg, autoencoder=replace(cfg.autoencoder, path=None)),
                            make_fit_images(cfg))
     path = out / "autoencoder.labmdl"

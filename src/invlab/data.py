@@ -4,7 +4,7 @@ Two kinds: "shapes" renders small grayscale images of random rectangles,
 discs and ramps (with large exactly-flat 0.0/1.0 regions, so clamping after
 a lossy decode has something to bite on), and "gauss2d" draws labeled
 samples from a Gaussian mixture for denoiser training. Files are JSON with
-sorted keys and compact separators, so one (kind, n, seed, params) always
+sorted keys and compact separators, so one (kind, n, seed, size) always
 produces the same bytes.
 """
 
@@ -27,6 +27,8 @@ _FILE_KEYS = {
                 "means": partial(np.asarray, dtype=np.float64)},
     "shapes": {"n": operator.index, "images": partial(np.asarray, dtype=np.float64)},
 }
+# the mixture every gauss2d dataset file is drawn from, recorded in the file
+_GAUSS_PARAMS = {"dim": 2, "n_classes": 3, "spread": 2.0, "noise": 0.35}
 
 
 def _pick_level(rng) -> float:
@@ -117,13 +119,9 @@ def make_gauss_mixture(n: int, seed: int, dim: int = 2, n_classes: int = 3,
     return samples, labels.astype(np.int64), means
 
 
-def gen_dataset(kind: str, n: int, seed: int, params: dict | None = None) -> dict:
-    """Dataset payload ready for canonical JSON serialization."""
-    params = dict(params or {})
+def gen_dataset(kind: str, n: int, seed: int, height: int = 16, width: int = 16) -> dict:
+    """Dataset payload ready for canonical JSON serialization; gauss2d ignores the size."""
     if kind == "shapes":
-        height = int(params.pop("height", 16))
-        width = int(params.pop("width", 16))
-        _reject_extra(params)
         images = make_shapes(n, seed, height, width)
         return {
             "kind": "shapes",
@@ -135,30 +133,17 @@ def gen_dataset(kind: str, n: int, seed: int, params: dict | None = None) -> dic
             "images": images.tolist(),
         }
     if kind == "gauss2d":
-        dim = int(params.pop("dim", 2))
-        n_classes = int(params.pop("n_classes", 3))
-        spread = float(params.pop("spread", 2.0))
-        noise = float(params.pop("noise", 0.35))
-        _reject_extra(params)
-        samples, labels, means = make_gauss_mixture(n, seed, dim, n_classes, spread, noise)
+        samples, labels, means = make_gauss_mixture(n, seed, **_GAUSS_PARAMS)
         return {
             "kind": "gauss2d",
             "n": n,
             "seed": seed,
-            "dim": dim,
-            "n_classes": n_classes,
-            "spread": spread,
-            "noise": noise,
+            **_GAUSS_PARAMS,
             "means": means.tolist(),
             "samples": samples.tolist(),
             "labels": labels.tolist(),
         }
     raise InvalidParameterError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
-
-
-def _reject_extra(params: dict) -> None:
-    if params:
-        raise InvalidParameterError(f"unknown dataset params: {sorted(params)}")
 
 
 def save_dataset(payload: dict, path) -> None:

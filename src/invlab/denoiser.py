@@ -35,6 +35,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     TrainingFailureError,
+    require,
 )
 from .optim import AdamState, adam_step
 from .rng import derive_rng
@@ -196,22 +197,6 @@ class LinearGaussianDenoiser(DenoiserInterface):
         return self._sqrt_1mab[i, 0] * (self._q @ w)
 
 
-def check_train_ranges(**values) -> None:
-    """InvalidParameterError naming the first training value out of range.
-
-    count, width and batch_size must be >= 1, max_epochs >= 0 and lr > 0;
-    the error's context["field"] is the value's name.
-    """
-    for name, value in values.items():
-        if name == "lr":
-            ok, need = value > 0, "> 0"
-        else:
-            low = 0 if name == "max_epochs" else 1
-            ok, need = value >= low, f">= {low}"
-        if not ok:
-            raise InvalidParameterError(f"{name} must be {need}, got {value!r}", field=name)
-
-
 @dataclass(frozen=True)
 class MlpTrainConfig:
     width: int = 64
@@ -221,8 +206,13 @@ class MlpTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_train_ranges(width=self.width, max_epochs=self.max_epochs,
-                           batch_size=self.batch_size, lr=self.lr)
+        # type(...) is int: bool passes isinstance(..., int)
+        require(type(self.width) is int and self.width >= 1, "width", self.width, "an int >= 1")
+        require(type(self.max_epochs) is int and self.max_epochs >= 0, "max_epochs",
+                self.max_epochs, "an int >= 0")
+        require(type(self.batch_size) is int and self.batch_size >= 1, "batch_size",
+                self.batch_size, "an int >= 1")
+        require(self.lr > 0, "lr", self.lr, "> 0")  # NaN fails too
 
 
 _N_EVAL = 256  # probe rows behind MlpDenoiser.final_loss

@@ -24,6 +24,12 @@ class InvalidParameterError(InvlabError):
     code = "invalid-parameter"
 
 
+def require(ok: bool, field: str, value, need: str) -> None:
+    """InvalidParameterError naming `field` unless ok: the one form of a range check."""
+    if not ok:
+        raise InvalidParameterError(f"{field} must be {need}, got {value!r}", field=field)
+
+
 class OrderingError(InvlabError):
     code = "ordering-error"
 

@@ -18,7 +18,7 @@ import numpy as np
 from .autoencoder import AutoencoderInterface
 from .denoiser import Condition, DenoiserInterface, cfg_linearize
 from .dynamics import ddim_invert_step, generate_step
-from .errors import BoundsError, DivergenceError, InvalidParameterError
+from .errors import BoundsError, DivergenceError, InvalidParameterError, require
 from .metrics import PerceptualMetricInterface, ssim_with_grad
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, skip_coefficients
@@ -36,16 +36,15 @@ class IlbConfig:
     weights: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if not self.lr > 0:  # NaN too
-            raise InvalidParameterError(f"lr must be > 0, got {self.lr}", field="lr")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
-            raise InvalidParameterError(
-                f"max_iters must be a positive int, got {self.max_iters}", field="max_iters")
-        if not self.rel_tol > 0:
-            raise InvalidParameterError(f"rel_tol must be > 0, got {self.rel_tol}", field="rel_tol")
-        if len(self.weights) != 3 or not all(w >= 0 for w in self.weights):
-            raise InvalidParameterError(
-                f"weights must be three non-negative reals, got {self.weights}", field="weights")
+        require(self.lr > 0, "lr", self.lr, "> 0")  # NaN fails too
+        # type(...) is int: bool passes isinstance(..., int)
+        require(type(self.max_iters) is int and self.max_iters >= 1, "max_iters",
+                self.max_iters, "an int >= 1")
+        require(self.rel_tol > 0, "rel_tol", self.rel_tol, "> 0")
+        # its range needs the schedule: RunConfig checks it, skip_coefficients at use
+        require(self.dt is None or type(self.dt) is int, "dt", self.dt, "None or an int")
+        require(len(self.weights) == 3 and all(w >= 0 for w in self.weights), "weights",
+                self.weights, "three non-negative reals")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .denoiser import Condition, DenoiserInterface, cfg_linearize
 from .dynamics import INVERSION, Trajectory, ddim_invert_step, generate_step
-from .errors import DivergenceError, InvalidParameterError
+from .errors import DivergenceError, require
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
@@ -46,20 +46,16 @@ class LboConfig:
     n_grad_warmup: int = 5
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise InvalidParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        require(self.mode in _MODES, "mode", self.mode, f"one of {_MODES}")
         if self.max_iters is None:
             object.__setattr__(self, "max_iters", _DEFAULT_ITERS[self.mode])
-        if not isinstance(self.max_iters, int) or self.max_iters < 0:
-            raise InvalidParameterError(
-                f"max_iters must be a non-negative int, got {self.max_iters}", field="max_iters")
-        if not self.tol > 0:  # NaN too
-            raise InvalidParameterError(f"tol must be > 0, got {self.tol}", field="tol")
-        if not self.lr > 0:
-            raise InvalidParameterError(f"lr must be > 0, got {self.lr}", field="lr")
-        if self.n_grad_warmup < 0:
-            raise InvalidParameterError(
-                f"n_grad_warmup must be >= 0, got {self.n_grad_warmup}", field="n_grad_warmup")
+        # type(...) is int: bool passes isinstance(..., int)
+        require(type(self.max_iters) is int and self.max_iters >= 0, "max_iters",
+                self.max_iters, "an int >= 0")
+        require(self.tol > 0, "tol", self.tol, "> 0")  # NaN fails too
+        require(self.lr > 0, "lr", self.lr, "> 0")
+        require(type(self.n_grad_warmup) is int and self.n_grad_warmup >= 0, "n_grad_warmup",
+                self.n_grad_warmup, "an int >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Reconstruction and alignment metrics.
 
-SSIM uses a 7×7 Gaussian window (σ=1.5) over valid positions with
-C1=(0.01·range)², C2=(0.03·range)²; images smaller than the window fall back
+Images take values in [0, 1]. SSIM uses a 7×7 Gaussian window (σ=1.5) over
+valid positions with C1=0.01², C2=0.03²; images smaller than the window fall back
 to global single-window statistics. The window is separable, so it is applied
 as a product with one band matrix per image axis. `ssim_with_grad` returns the
 analytic gradient with respect to the second image so losses can differentiate
@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import GENERATION, INVERSION, Trajectory
-from .errors import DimensionError, GridMismatchError, InvalidParameterError
+from .errors import DimensionError, GridMismatchError
 
 
 class PerceptualMetricInterface(ABC):
@@ -46,15 +46,13 @@ def _as_images(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def psnr(x: np.ndarray, y: np.ndarray, data_range: float = 1.0) -> float:
-    """10·log10(range²/MSE); +inf for identical inputs."""
-    if data_range <= 0:
-        raise InvalidParameterError(f"data_range must be > 0, got {data_range}")
+def psnr(x: np.ndarray, y: np.ndarray) -> float:
+    """10·log10(1/MSE) for the range [0, 1]; +inf for identical inputs."""
     x, y = _as_images(x, y)
     mse = float(np.mean((x - y) ** 2))
     if mse == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(data_range * data_range / mse))
+    return float(10.0 * np.log10(1.0 / mse))
 
 
 def _gaussian_taps(size: int = 7, sigma: float = 1.5) -> np.ndarray:
@@ -104,9 +102,9 @@ def _window_ops(height: int, width: int) -> _WindowOps:
     return _WindowOps(height, width)
 
 
-def _ssim_impl(x: np.ndarray, y: np.ndarray, data_range: float, want_grad: bool):
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
+def _ssim_impl(x: np.ndarray, y: np.ndarray, want_grad: bool):
+    c1 = 0.01**2
+    c2 = 0.03**2
     # (c, h, w) channel planes; a 2-D image is one plane
     xp = x.reshape(x.shape[:2] + (-1,)).transpose(2, 0, 1)
     yp = y.reshape(y.shape[:2] + (-1,)).transpose(2, 0, 1)
@@ -139,16 +137,16 @@ def _ssim_impl(x: np.ndarray, y: np.ndarray, data_range: float, want_grad: bool)
     return value, gplanes.transpose(1, 2, 0).reshape(y.shape)
 
 
-def ssim(x: np.ndarray, y: np.ndarray, data_range: float = 1.0) -> float:
+def ssim(x: np.ndarray, y: np.ndarray) -> float:
     """Mean local structural similarity over valid window positions."""
     x, y = _as_images(x, y)
-    return _ssim_impl(x, y, data_range, want_grad=False)[0]
+    return _ssim_impl(x, y, want_grad=False)[0]
 
 
-def ssim_with_grad(x: np.ndarray, y: np.ndarray, data_range: float = 1.0):
+def ssim_with_grad(x: np.ndarray, y: np.ndarray):
     """(ssim value, ∂ssim/∂y) with the analytic window-adjoint gradient."""
     x, y = _as_images(x, y)
-    return _ssim_impl(x, y, data_range, want_grad=True)
+    return _ssim_impl(x, y, want_grad=True)
 
 
 def trajectory_divergence(inv: Trajectory, gen: Trajectory) -> np.ndarray:

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 _CENTRAL_STEP = float(np.finfo(np.float64).eps ** (1.0 / 3.0))
 
 
@@ -25,9 +28,6 @@ class AdamState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
@@ -42,36 +42,31 @@ def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.nda
     m = state.m if state.m is not None else np.zeros_like(x)
     v = state.v if state.v is not None else np.zeros_like(x)
     k = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
     # The docstring's formula one operation at a time, in its order, so the
     # bits are the formula's. The new m, v and x_next and one scratch array are
     # the only allocations: on a large x every temporary costs fresh pages.
-    m_next = np.multiply(b1, m)
-    tmp = np.multiply(1.0 - b1, grad)
+    m_next = np.multiply(BETA1, m)
+    tmp = np.multiply(1.0 - BETA1, grad)
     m_next += tmp
-    v_next = np.multiply(b2, v)
-    np.multiply(1.0 - b2, grad, out=tmp)
+    v_next = np.multiply(BETA2, v)
+    np.multiply(1.0 - BETA2, grad, out=tmp)
     tmp *= grad
     v_next += tmp
-    np.divide(v_next, 1.0 - b2**k, out=tmp)
+    np.divide(v_next, 1.0 - BETA2**k, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.epsilon
-    x_next = np.divide(m_next, 1.0 - b1**k)
+    tmp += EPSILON
+    x_next = np.divide(m_next, 1.0 - BETA1**k)
     x_next *= state.lr
     x_next /= tmp
     np.subtract(x, x_next, out=x_next)
     # a direct constructor call costs a fraction of dataclasses.replace
-    return x_next, AdamState(state.lr, m_next, v_next, k, b1, b2, state.epsilon)
+    return x_next, AdamState(state.lr, m_next, v_next, k)
 
 
-def central_difference(
-    f: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    h_rel: float = _CENTRAL_STEP,
-) -> np.ndarray:
+def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of the scalar function f at x, shaped like x.
 
-    Coordinate i steps by h_i = h_rel·(1+|x_i|). The default h_rel = eps^(1/3)
+    Coordinate i steps by h_i = h·(1+|x_i|). The relative step h = eps^(1/3)
     ≈ 6.06e-6 (float64) balances the two error terms of a central difference:
     truncation, which grows as h², and round-off, which grows as |f|·eps/h. A
     smaller step lets round-off dominate. A floor remains at any step:
@@ -82,7 +77,7 @@ def central_difference(
     flat = x.ravel()
     out = np.empty(flat.size)
     for i in range(flat.size):
-        h = h_rel * (1.0 + abs(flat[i]))
+        h = _CENTRAL_STEP * (1.0 + abs(flat[i]))
         xp = flat.copy()
         xm = flat.copy()
         xp[i] += h
@@ -91,13 +86,8 @@ def central_difference(
     return out.reshape(x.shape)
 
 
-def gradient_check(
-    f: Callable[[np.ndarray], float],
-    grad_f: np.ndarray,
-    x: np.ndarray,
-    h_rel: float = _CENTRAL_STEP,
-) -> float:
-    """Max relative error of grad_f against `central_difference(f, x, h_rel)`.
+def gradient_check(f: Callable[[np.ndarray], float], grad_f: np.ndarray, x: np.ndarray) -> float:
+    """Max relative error of grad_f against `central_difference(f, x)`.
 
     The relative error uses the finite-difference value as reference with an
     absolute floor of 1e-12. On a coordinate where |g_i| is much smaller than
@@ -110,7 +100,7 @@ def gradient_check(
         raise InvalidInputError(
             f"gradient shape {grad_f.shape} does not match probe shape {x.shape}"
         )
-    fd = central_difference(f, x, h_rel).ravel()
+    fd = central_difference(f, x).ravel()
     bad = np.flatnonzero(~np.isfinite(fd))
     if bad.size:
         raise DivergenceError(

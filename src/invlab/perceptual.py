@@ -20,6 +20,7 @@ from .metrics import PerceptualMetricInterface
 from .rng import derive_rng
 
 _NORM_EPS = 1e-10
+_WIDTHS = (8, 16)  # output channels of the two conv layers
 _ZERO = np.zeros(1)
 
 
@@ -95,7 +96,7 @@ def _normalize_vjp(f: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
 class RandomConvPerceptual(PerceptualMetricInterface):
     """Frozen-random two-layer conv feature distance on (h, w, c) images."""
 
-    def __init__(self, image_shape: tuple, seed: int = 0, widths: tuple = (8, 16)):
+    def __init__(self, image_shape: tuple, seed: int = 0):
         if len(image_shape) != 3:
             raise DimensionError(f"image_shape must be (h, w, c), got {image_shape}")
         h, w, c = image_shape
@@ -104,9 +105,8 @@ class RandomConvPerceptual(PerceptualMetricInterface):
             raise DimensionError(f"images must be at least 5x5, got {h}x{w}")
         self.image_shape = (int(h), int(w), int(c))
         self.seed = int(seed)
-        self.widths = (int(widths[0]), int(widths[1]))
         rng = derive_rng(self.seed, "perceptual-init")
-        c1, c2 = self.widths
+        c1, c2 = _WIDTHS
         self.k1 = rng.normal(0.0, np.sqrt(2.0 / (c * 9)), size=(c1, c, 3, 3))
         self.b1 = rng.normal(0.0, 0.1, size=c1)
         self.k2 = rng.normal(0.0, np.sqrt(2.0 / (c1 * 9)), size=(c2, c1, 3, 3))

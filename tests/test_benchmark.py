@@ -56,8 +56,9 @@ def test_parse_method():
     assert parse_method("lbo-h") == ("lbo-h", False)
     assert parse_method("lbo-n+ilb") == ("lbo-n", True)
     for bad in ("lbo-x", "ddim+foo", "lbo-n+ilb+ilb", "", "+ilb"):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             parse_method(bad)
+        assert err.value.context["key"] == "methods"
 
 
 def test_runconfig_defaults_and_validation():
@@ -171,8 +172,9 @@ def test_n_workers_other_than_one_rejected(n_workers):
 
 def test_benchmark_requires_image_dataset():
     cfg = RunConfig(dataset=replace(RunConfig().dataset, kind="gauss2d"))
-    with pytest.raises(ConfigError, match="image dataset"):
+    with pytest.raises(ConfigError, match="image dataset") as err:
         BenchmarkBackends(cfg)
+    assert err.value.context["key"] == "dataset.kind"
 
 
 def test_empty_method_list_rejected(tmp_path):
@@ -181,7 +183,7 @@ def test_empty_method_list_rejected(tmp_path):
 
 
 def test_dataset_from_file(tmp_path):
-    payload = gen_dataset("shapes", n=4, seed=5, params={"height": 8, "width": 8})
+    payload = gen_dataset("shapes", n=4, seed=5, height=8, width=8)
     path = tmp_path / "imgs.json"
     save_dataset(payload, path)
 
@@ -219,7 +221,7 @@ UNFIT_IMAGES = [
 @pytest.mark.parametrize("pixel,size", UNFIT_IMAGES,
                          ids=["height", "width", "nan", "inf", "above-1", "below-0"])
 def test_dataset_file_that_does_not_fit_the_run_is_config_error(pixel, size, tmp_path):
-    payload = gen_dataset("shapes", n=2, seed=5, params={"height": 8, "width": 8})
+    payload = gen_dataset("shapes", n=2, seed=5, height=8, width=8)
     if pixel is not None:
         payload["images"][0][3][4][0] = pixel
     save_dataset(payload, tmp_path / "imgs.json")
@@ -232,11 +234,10 @@ def test_dataset_file_that_does_not_fit_the_run_is_config_error(pixel, size, tmp
 
 
 def test_unknown_backend_kinds_rejected():
-    base = config_from_json_dict(SMALL_DOC)
-    with pytest.raises(ConfigError, match="autoencoder kind"):
-        BenchmarkBackends(replace(base, autoencoder=replace(base.autoencoder, kind="conv")))
-    with pytest.raises(ConfigError, match="denoiser kind"):
-        BenchmarkBackends(replace(base, denoiser=replace(base.denoiser, kind="unet")))
+    for key in ("dataset.kind", "denoiser.kind", "autoencoder.kind"):
+        with pytest.raises(ConfigError, match=re.escape(key)) as err:
+            config_from_json_dict({**SMALL_DOC, **_nest(key, "bogus")})
+        assert err.value.context["key"] == key
 
 
 def test_identity_autoencoder_and_mlp_denoiser_kinds():
@@ -256,8 +257,9 @@ def test_mlp_train_count_above_fit_count_rejected():
     doc = dict(SMALL_DOC)
     doc["autoencoder"] = {"fit_count": 16}
     doc["denoiser"] = {"kind": "mlp", "train": {"count": 17}}
-    with pytest.raises(ConfigError, match="exceeds autoencoder.fit_count"):
+    with pytest.raises(ConfigError, match="exceeds autoencoder.fit_count") as err:
         BenchmarkBackends(config_from_json_dict(doc))
+    assert err.value.context["key"] == "denoiser.train.count"
 
 
 def test_ilb_dt_defaults_to_grid_stride():
@@ -270,17 +272,16 @@ def test_ilb_dt_defaults_to_grid_stride():
 
 @pytest.mark.parametrize("dt", [0, 61])  # SMALL_DOC's t_train is 60
 def test_ilb_dt_outside_schedule_is_config_error(dt, tmp_path, capsys):
-    cfg = config_from_json_dict({**SMALL_DOC, "ilb": {"dt": dt}})
-    with pytest.raises(ConfigError, match="ilb.dt") as err:
-        run_benchmark(cfg, tmp_path)
+    with pytest.raises(ConfigError, match=r"ilb\.dt must be in \[1, t_train = 60\]") as err:
+        config_from_json_dict({**SMALL_DOC, "ilb": {"dt": dt}})
     assert err.value.context["key"] == "ilb.dt"
-    assert not (tmp_path / "benchmark.csv").exists()
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL_DOC))
     assert main(["benchmark", "--config", str(path), "--dt", str(dt),
                  "--out", str(tmp_path / "cli")]) == 2
     out = json.loads(capsys.readouterr().out)
     assert out["code"] == "config-error" and out["context"]["key"] == "ilb.dt"
+    assert not (tmp_path / "cli" / "benchmark.csv").exists()
 
 
 # ---------------------------------------------------------------- runs

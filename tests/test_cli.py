@@ -70,7 +70,8 @@ def test_unknown_dataset_kind_exits_2(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, err = run_cli(capsys, "gen-data", "--config", str(path),
                         "--out", str(tmp_path / "o"))
-    assert code == 2 and err["code"] == "invalid-parameter"
+    assert code == 2 and err["code"] == "config-error"
+    assert err["context"]["key"] == "dataset.kind"
 
 
 def test_unwritable_out_exits_3(capsys, small_cfg, tmp_path):
@@ -168,7 +169,7 @@ def test_train_denoiser_writes_loadable_model(capsys, tmp_path):
 
 
 def test_train_denoiser_rejects_dataset_file_of_another_kind(capsys, tmp_path):
-    save_dataset(gen_dataset("shapes", 2, 0, {"height": 8, "width": 8}), tmp_path / "s.json")
+    save_dataset(gen_dataset("shapes", 2, 0, height=8, width=8), tmp_path / "s.json")
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
         "dataset": {"kind": "gauss2d", "count": 2, "path": str(tmp_path / "s.json")},
@@ -372,7 +373,7 @@ UNFIT_DATASETS = [
 
 @pytest.mark.parametrize("change,size,error", UNFIT_DATASETS)
 def test_dataset_file_that_does_not_fit_exits_2(capsys, tmp_path, change, size, error):
-    payload = gen_dataset("shapes", 3, seed=1, params={"height": 8, "width": 8})
+    payload = gen_dataset("shapes", 3, seed=1, height=8, width=8)
     save_dataset({**payload, **change}, tmp_path / "d.json")
     path = tmp_path / "run.json"
     dataset = {"count": 2, "height": size[0], "width": size[1], "path": str(tmp_path / "d.json")}

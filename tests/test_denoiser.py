@@ -345,7 +345,9 @@ def test_mlp_linearize_runs_one_forward_pass(monkeypatch, uncond):
 
 
 @pytest.mark.parametrize("field,value", [("width", 0), ("max_epochs", -1),
-                                         ("batch_size", 0), ("lr", 0.0), ("lr", -1e-3)])
+                                         ("batch_size", 0), ("lr", 0.0), ("lr", -1e-3),
+                                         ("width", True), ("max_epochs", True),
+                                         ("batch_size", True)])
 def test_mlp_train_config_rejects_out_of_range(field, value):
     with pytest.raises(InvalidParameterError, match=field) as err:
         MlpTrainConfig(**{field: value})

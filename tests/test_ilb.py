@@ -256,6 +256,10 @@ def test_config_validation():
         IlbConfig(lr=0.0)
     with pytest.raises(InvalidParameterError):
         IlbConfig(max_iters=0)
+    for field in ("max_iters", "dt"):  # bool is not an int here
+        with pytest.raises(InvalidParameterError, match=field) as err:
+            IlbConfig(**{field: True})
+        assert err.value.context["field"] == field
     with pytest.raises(InvalidParameterError):
         IlbConfig(rel_tol=0.0)
     with pytest.raises(InvalidParameterError):

@@ -2,7 +2,9 @@
 
 Every module uses each name it imports, and no module under src/invlab or
 invbench catches everything: a bare `except:` or one naming Exception or
-BaseException would turn a programming bug into a quiet result.
+BaseException would turn a programming bug into a quiet result. No
+`__post_init__` under src/invlab raises by itself: a value's check goes through
+`errors.require`, so every bad value is reported in one form that names it.
 """
 
 import ast
@@ -12,7 +14,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = sorted((ROOT / "invbench").glob("*.py"))
-SOURCES = sorted((ROOT / "src" / "invlab").glob("*.py")) + BENCH
+PACKAGE = sorted((ROOT / "src" / "invlab").glob("*.py"))
+SOURCES = PACKAGE + BENCH
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 BROAD = {"Exception", "BaseException"}
@@ -60,3 +63,24 @@ def test_checker_flags_a_broad_except():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_broad_except(path):
     assert broad_excepts(path.read_text(encoding="utf-8")) == []
+
+
+def raising_post_inits(source: str) -> list:
+    """Line numbers of raise statements inside a __post_init__."""
+    return [node.lineno
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+            for node in ast.walk(fn) if isinstance(node, ast.Raise)]
+
+
+def test_checker_flags_a_raise_in_post_init():
+    source = ("class A:\n    def __post_init__(self):\n        if self.x < 0:\n"
+              "            raise ValueError(self.x)\n"
+              "class B:\n    def __post_init__(self):\n        require(self.x >= 0)\n"
+              "    def check(self):\n        raise ValueError(self.x)\n")
+    assert raising_post_inits(source) == [4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_post_init_checks_go_through_require(path):
+    assert raising_post_inits(path.read_text(encoding="utf-8")) == []

@@ -221,6 +221,10 @@ def test_config_validation():
         LboConfig(lr=-1e-3)
     with pytest.raises(InvalidParameterError):
         LboConfig(n_grad_warmup=-2)
+    for field in ("max_iters", "n_grad_warmup"):  # bool is not an int here
+        with pytest.raises(InvalidParameterError, match=field) as err:
+            LboConfig(**{field: True})
+        assert err.value.context["field"] == field
     assert LboConfig(mode="gradient").max_iters == 20
 
 

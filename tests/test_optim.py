@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invlab import AdamState, DivergenceError, InvalidInputError, adam_step, gradient_check
+from invlab.optim import BETA1, BETA2, EPSILON
 
 
 def test_first_step_magnitude():
@@ -19,12 +20,13 @@ def test_first_step_magnitude():
 
 
 def test_next_state_keeps_hyperparameters():
-    state = AdamState(lr=0.02, beta1=0.5, beta2=0.75, epsilon=1e-3)
+    state = AdamState(lr=0.02)
     x1, s1 = adam_step(state, np.array([1.0, 2.0]), np.array([0.5, -1.0]))
     s2 = adam_step(s1, x1, np.array([0.25, 0.5]))[1]
-    assert (s2.lr, s2.beta1, s2.beta2, s2.epsilon) == (0.02, 0.5, 0.75, 1e-3)
+    assert s2.lr == 0.02
     assert s2.step_count == 2
-    np.testing.assert_array_equal(s2.m, 0.5 * s1.m + 0.5 * np.array([0.25, 0.5]))
+    g = np.array([0.25, 0.5])
+    np.testing.assert_array_equal(s2.m, BETA1 * s1.m + (1.0 - BETA1) * g)
 
 
 def test_step_direction_follows_sign():
@@ -143,12 +145,12 @@ def _adam_formula(state, x, grad):
     m = state.m if state.m is not None else np.zeros_like(x)
     v = state.v if state.v is not None else np.zeros_like(x)
     k = state.step_count + 1
-    m = state.beta1 * m + (1.0 - state.beta1) * grad
-    v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**k)
-    v_hat = v / (1.0 - state.beta2**k)
-    x_next = x - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return x_next, AdamState(state.lr, m, v, k, state.beta1, state.beta2, state.epsilon)
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**k)
+    v_hat = v / (1.0 - BETA2**k)
+    x_next = x - state.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+    return x_next, AdamState(state.lr, m, v, k)
 
 
 
