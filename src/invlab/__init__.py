@@ -10,7 +10,7 @@ from .autoencoder import (AutoencoderInterface, IdentityAutoencoder, LinearAutoe
                           fit_linear_autoencoder)
 from .benchmark import (BenchmarkRow, RunConfig, config_from_json_dict, load_config,
                         parse_method, run_benchmark)
-from .data import gen_dataset, load_dataset, make_gauss_mixture, make_shapes, save_dataset
+from .data import gen_dataset, load_dataset, make_shapes, save_dataset
 from .denoiser import (Condition, ConstantDenoiser, DenoiserInterface, LinearGaussianDenoiser,
                        MlpDenoiser, MlpTrainConfig, ScalingDenoiser, cfg_eval, cfg_linearize,
                        train_mlp_denoiser)

@@ -94,6 +94,9 @@ class LinearAutoencoder(AutoencoderInterface):
         pixel_count = int(h * wd * c)
         w = np.asarray(w, dtype=np.float64)
         mean = np.asarray(mean, dtype=np.float64)
+        leak = None if leak is None else np.asarray(leak, dtype=np.float64)
+        if not all(np.all(np.isfinite(a)) for a in (w, mean, leak) if a is not None):
+            raise InvalidParameterError("W, mean and leak must be finite")
         if w.ndim != 2 or w.shape[1] != pixel_count:
             raise DimensionError(f"W shape {w.shape} incompatible with {pixel_count} pixels")
         if w.shape[0] > pixel_count:
@@ -104,12 +107,11 @@ class LinearAutoencoder(AutoencoderInterface):
         if not np.allclose(gram, np.eye(w.shape[0]), rtol=0.0, atol=1e-10):
             raise InvalidParameterError("rows of W must be orthonormal to 1e-10")
         if leak is not None:
-            leak = np.asarray(leak, dtype=np.float64)
             if leak.shape != w.shape:
                 raise DimensionError(f"leak shape {leak.shape} != W shape {w.shape}")
             # rows must avoid the retained subspace or the round trip stops
-            # being idempotent
-            if np.abs(leak @ w.T).max() > 1e-10:
+            # being idempotent; rounding in leak @ W^T grows with the leak's size
+            if np.abs(leak @ w.T).max() > 1e-10 * max(1.0, np.abs(leak).max()):
                 raise InvalidParameterError("leak rows must be orthogonal to rows of W")
         self.latent_dim = w.shape[0]
         self.w = w

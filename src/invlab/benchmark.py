@@ -22,11 +22,11 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .autoencoder import AutoencoderInterface, IdentityAutoencoder, fit_linear_autoencoder
-from .data import KINDS, load_dataset, make_shapes
+from .data import load_dataset, make_shapes
 from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig,
                        train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
-from .errors import ConfigError, InvalidParameterError, InvlabError, require
+from .errors import ConfigError, FormatError, InvalidParameterError, InvlabError, require
 from .ilb import IlbConfig, ilb_optimize
 from .lbo import LboConfig, lbo_invert_trajectory
 from .metrics import psnr, ssim
@@ -41,14 +41,12 @@ LBO_MODES = {"lbo-g": "gradient", "lbo-n": "numerical", "lbo-h": "hybrid"}
 
 @dataclass(frozen=True)
 class DatasetSection:
-    kind: str = "shapes"
     count: int = 20
     height: int = 16
     width: int = 16
     path: Optional[str] = None
 
     def __post_init__(self):
-        require(self.kind in KINDS, "kind", self.kind, f"one of {KINDS}")
         require(self.count >= 1, "count", self.count, ">= 1")
         # make_shapes' smallest disc and the perceptual metric's layers need 5x5
         require(self.height >= 5, "height", self.height, ">= 5")
@@ -82,6 +80,9 @@ class DenoiserSection:
         require(math.isfinite(self.mu_scale), "mu_scale", self.mu_scale, "finite")
         require(0.0 < self.eig_min < math.inf, "eig_min", self.eig_min, "finite and > 0")
         require(0.0 < self.eig_max < math.inf, "eig_max", self.eig_max, "finite and > 0")
+        # below this ratio, rounding in the built covariance can make it indefinite
+        require(self.eig_min >= 1e-9 * self.eig_max, "eig_min", self.eig_min,
+                f">= 1e-9 * eig_max = {1e-9 * self.eig_max!r}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,7 @@ def _parse_section(cls, doc, prefix: str):
     hints = get_type_hints(cls)
     for key in doc:
         if key not in hints:
-            raise ConfigError(f"unknown config key {prefix}{key!r}", key=prefix + key)
+            raise ConfigError(f"unknown config key {prefix + key!r}", key=prefix + key)
     values = {key: _parse_value(hints[key], value, prefix + key) for key, value in doc.items()}
     try:
         return cls(**values)
@@ -248,9 +249,6 @@ class BenchmarkBackends:
 
     def __init__(self, cfg: RunConfig):
         ds = cfg.dataset
-        if ds.kind != "shapes":
-            raise ConfigError(f"benchmark needs an image dataset, got kind {ds.kind!r}",
-                              key="dataset.kind")
         self.cfg = cfg
         self.sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
         self.grid = make_uniform_grid(self.sched, cfg.steps)
@@ -267,22 +265,13 @@ class BenchmarkBackends:
         return LboConfig(mode=mode, **asdict(self.cfg.lbo))
 
 
-def load_dataset_file(path, kind: str) -> dict:
-    """The dataset stored at `path`; ConfigError unless it exists and holds `kind`."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"dataset file {path} does not exist")
-    payload = load_dataset(path)
-    if payload["kind"] != kind:
-        raise ConfigError(f"dataset file {path} holds kind {payload['kind']!r}, need {kind}")
-    return payload
-
-
 def _load_instance_images(cfg: RunConfig) -> np.ndarray:
     ds = cfg.dataset
     if not ds.path:
         return make_shapes(ds.count, cfg.seed, ds.height, ds.width)
-    payload = load_dataset_file(ds.path, "shapes")
+    if not Path(ds.path).exists():
+        raise ConfigError(f"dataset.path {ds.path} does not exist", key="dataset.path")
+    payload = load_dataset(ds.path)
     if payload["n"] < ds.count:
         raise ConfigError(f"dataset.path {ds.path} has {payload['n']} images, config wants "
                           f"{ds.count}", key="dataset.path")
@@ -302,17 +291,14 @@ def make_fit_images(cfg: RunConfig) -> np.ndarray:
     return make_shapes(cfg.autoencoder.fit_count, cfg.seed, ds.height, ds.width, tag="fit")
 
 
-def mlp_train_config(cfg: RunConfig) -> MlpTrainConfig:
-    train = cfg.denoiser.train
-    return MlpTrainConfig(width=train.width, max_epochs=train.max_epochs,
-                          batch_size=train.batch_size, lr=train.lr, seed=cfg.seed)
-
-
 def _load_model_file(path, iface, key: str):
-    """The model stored at `path`; ConfigError naming `key` unless it is an `iface`."""
+    """The model stored at `path`; an error naming `key` unless it is a well-formed `iface`."""
     if not Path(path).exists():
         raise ConfigError(f"{key} {path} does not exist", key=key)
-    model = load_model(path)
+    try:
+        model = load_model(path)
+    except FormatError as e:
+        raise FormatError(f"{key}: {e}", key=key) from None
     if not isinstance(model, iface):
         raise ConfigError(f"{key} {path} holds a {type(model).__name__}, "
                           f"not a {iface.__name__}", key=key)
@@ -356,12 +342,13 @@ def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
             raise ConfigError(f"denoiser.path {section.path} was trained on another noise "
                               "schedule (t_train, beta_start, beta_end)", key="denoiser.path")
         return model
-    count, fit_count = section.train.count, cfg.autoencoder.fit_count
-    if count > fit_count:
-        raise ConfigError(f"denoiser.train.count {count} exceeds autoencoder.fit_count "
+    train, fit_count = section.train, cfg.autoencoder.fit_count
+    if train.count > fit_count:
+        raise ConfigError(f"denoiser.train.count {train.count} exceeds autoencoder.fit_count "
                           f"{fit_count}, the number of fit images", key="denoiser.train.count")
-    latents = np.stack([ae.encode(img) for img in fit_images[:count]])
-    return train_mlp_denoiser(latents, sched, mlp_train_config(cfg))
+    latents = np.stack([ae.encode(img) for img in fit_images[:train.count]])
+    return train_mlp_denoiser(latents, sched, MlpTrainConfig(
+        train.width, train.max_epochs, train.batch_size, train.lr, seed=cfg.seed))
 
 
 def start_latent(b: BenchmarkBackends, x0: np.ndarray, use_ilb: bool) -> np.ndarray:

@@ -19,11 +19,9 @@ import numpy as np
 
 from .benchmark import (METRIC_FIELDS, BenchmarkBackends, RunConfig, base_methods,
                         build_autoencoder, build_denoiser, config_from_json_dict,
-                        evaluate_instance, invert_latent, load_config, load_dataset_file,
-                        make_fit_images, mlp_train_config, parse_method, replay, run_benchmark,
-                        start_latent)
-from .data import gen_dataset, make_gauss_mixture, save_dataset
-from .denoiser import train_mlp_denoiser
+                        evaluate_instance, invert_latent, load_config, make_fit_images,
+                        parse_method, replay, run_benchmark, start_latent)
+from .data import gen_dataset, save_dataset
 from .errors import ConfigError, InvlabError
 from .ilb import ilb_loss_and_grad, ilb_optimize
 from .lbo import objective_and_grad
@@ -95,30 +93,21 @@ def _write_json(path: Path, payload) -> None:
 def cmd_gen_data(cfg: RunConfig, args, out: Path) -> dict:
     """Write the config's dataset as a canonical JSON file."""
     ds = cfg.dataset
-    payload = gen_dataset(ds.kind, ds.count, cfg.seed, ds.height, ds.width)
-    path = out / f"{ds.kind}.json"
+    payload = gen_dataset(ds.count, cfg.seed, ds.height, ds.width)
+    path = out / "shapes.json"
     save_dataset(payload, path)
-    return {"written": str(path), "kind": ds.kind, "n": ds.count}
+    return {"written": str(path), "kind": payload["kind"], "n": ds.count}
 
 
 def cmd_train_denoiser(cfg: RunConfig, args, out: Path) -> dict:
-    """Fit the MLP noise predictor on the config's dataset and persist it."""
+    """Fit the MLP noise predictor on the encoded fit images and persist it."""
     if cfg.denoiser.kind != "mlp":
         raise ConfigError(f"train-denoiser needs denoiser.kind 'mlp', got {cfg.denoiser.kind!r}",
                           key="denoiser.kind")
     sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
-    ds = cfg.dataset
-    if ds.kind == "gauss2d":
-        if ds.path:
-            payload = load_dataset_file(ds.path, "gauss2d")
-            data, labels = payload["samples"], payload["labels"]
-        else:
-            data, labels, _ = make_gauss_mixture(ds.count, cfg.seed)
-        model = train_mlp_denoiser(data, sched, mlp_train_config(cfg), labels)
-    else:
-        fit_images = make_fit_images(cfg)
-        model = build_denoiser(replace(cfg, denoiser=replace(cfg.denoiser, path=None)), sched,
-                               build_autoencoder(cfg, fit_images), fit_images)
+    fit_images = make_fit_images(cfg)
+    model = build_denoiser(replace(cfg, denoiser=replace(cfg.denoiser, path=None)), sched,
+                           build_autoencoder(cfg, fit_images), fit_images)
     path = out / "denoiser.labmdl"
     save_model(model, path)
     return {"written": str(path), "final_loss": model.final_loss,

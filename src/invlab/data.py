@@ -1,11 +1,10 @@
-"""Procedural datasets and their canonical JSON on-disk form.
+"""The procedural image dataset and its canonical JSON on-disk form.
 
-Two kinds: "shapes" renders small grayscale images of random rectangles,
-discs and ramps (with large exactly-flat 0.0/1.0 regions, so clamping after
-a lossy decode has something to bite on), and "gauss2d" draws labeled
-samples from a Gaussian mixture for denoiser training. Files are JSON with
-sorted keys and compact separators, so one (kind, n, seed, size) always
-produces the same bytes.
+`make_shapes` renders small grayscale images of random rectangles, discs and
+ramps, with large exactly-flat 0.0/1.0 regions, so clamping after a lossy
+decode has something to bite on. A dataset file holds such images under
+"kind": "shapes". Files are JSON with sorted keys and compact separators, so
+one (n, seed, size) always produces the same bytes.
 """
 
 from __future__ import annotations
@@ -19,16 +18,8 @@ import numpy as np
 from .errors import FormatError, InvalidParameterError
 from .rng import derive_rng
 
-KINDS = ("gauss2d", "shapes")
-# the keys a dataset file of each kind must hold, each with the reader of its value
-_FILE_KEYS = {
-    "gauss2d": {"samples": partial(np.asarray, dtype=np.float64),
-                "labels": partial(np.asarray, dtype=np.int64),
-                "means": partial(np.asarray, dtype=np.float64)},
-    "shapes": {"n": operator.index, "images": partial(np.asarray, dtype=np.float64)},
-}
-# the mixture every gauss2d dataset file is drawn from, recorded in the file
-_GAUSS_PARAMS = {"dim": 2, "n_classes": 3, "spread": 2.0, "noise": 0.35}
+# the keys a dataset file must hold, each with the reader of its value
+_FILE_KEYS = {"n": operator.index, "images": partial(np.asarray, dtype=np.float64)}
 
 
 def _pick_level(rng) -> float:
@@ -97,53 +88,17 @@ def make_shapes(n: int, seed: int, height: int = 16, width: int = 16,
     return out
 
 
-def make_gauss_mixture(n: int, seed: int, dim: int = 2, n_classes: int = 3,
-                       spread: float = 2.0, noise: float = 0.35):
-    """Labeled mixture draws: (samples (n, dim), labels (n,), means (k, dim)).
-
-    Class means sit on a circle in the first two coordinates; remaining
-    coordinates are zero-mean. Component covariance is noise²·I.
-    """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if dim < 1 or n_classes < 1:
-        raise InvalidParameterError(f"need dim >= 1 and n_classes >= 1, got {dim}, {n_classes}")
-    angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
-    means = np.zeros((n_classes, dim))
-    means[:, 0] = spread * np.cos(angles)
-    if dim > 1:
-        means[:, 1] = spread * np.sin(angles)
-    rng = derive_rng(seed, "gauss2d")
-    labels = rng.integers(0, n_classes, size=n)
-    samples = means[labels] + noise * rng.standard_normal((n, dim))
-    return samples, labels.astype(np.int64), means
-
-
-def gen_dataset(kind: str, n: int, seed: int, height: int = 16, width: int = 16) -> dict:
-    """Dataset payload ready for canonical JSON serialization; gauss2d ignores the size."""
-    if kind == "shapes":
-        images = make_shapes(n, seed, height, width)
-        return {
-            "kind": "shapes",
-            "n": n,
-            "seed": seed,
-            "height": height,
-            "width": width,
-            "channels": 1,
-            "images": images.tolist(),
-        }
-    if kind == "gauss2d":
-        samples, labels, means = make_gauss_mixture(n, seed, **_GAUSS_PARAMS)
-        return {
-            "kind": "gauss2d",
-            "n": n,
-            "seed": seed,
-            **_GAUSS_PARAMS,
-            "means": means.tolist(),
-            "samples": samples.tolist(),
-            "labels": labels.tolist(),
-        }
-    raise InvalidParameterError(f"unknown dataset kind {kind!r}; expected one of {KINDS}")
+def gen_dataset(n: int, seed: int, height: int = 16, width: int = 16) -> dict:
+    """The shapes dataset payload, ready for canonical JSON serialization."""
+    return {
+        "kind": "shapes",
+        "n": n,
+        "seed": seed,
+        "height": height,
+        "width": width,
+        "channels": 1,
+        "images": make_shapes(n, seed, height, width).tolist(),
+    }
 
 
 def save_dataset(payload: dict, path) -> None:
@@ -161,20 +116,18 @@ def load_dataset(path) -> dict:
             raise FormatError(f"dataset file {path} is not valid JSON: {e}") from None
     if not isinstance(payload, dict):
         raise FormatError(f"dataset file {path} does not hold a JSON object")
-    kind = payload.get("kind")
-    if kind not in KINDS:
-        raise InvalidParameterError(f"unknown dataset kind {kind!r} in {path}")
-    missing = [key for key in _FILE_KEYS[kind] if key not in payload]
+    if payload.get("kind") != "shapes":
+        raise FormatError(f"dataset file {path} holds kind {payload.get('kind')!r}, not 'shapes'")
+    missing = [key for key in _FILE_KEYS if key not in payload]
     if missing:
-        raise FormatError(f"{kind} dataset file {path} lacks {missing}")
-    for key, read in _FILE_KEYS[kind].items():
+        raise FormatError(f"dataset file {path} lacks {missing}")
+    for key, read in _FILE_KEYS.items():
         try:
             payload[key] = read(payload[key])
         except (TypeError, ValueError) as e:
             raise FormatError(f"{key!r} in dataset file {path} is malformed: {e}") from None
-    if kind == "shapes":
-        shape = payload["images"].shape
-        if len(shape) != 4 or shape[0] != payload["n"] or shape[3] != 1:
-            raise FormatError(f"shapes dataset file {path} holds images of shape {shape}, "
-                              f"need (n, h, w, 1) with n = {payload['n']}")
+    shape = payload["images"].shape
+    if len(shape) != 4 or shape[0] != payload["n"] or shape[3] != 1:
+        raise FormatError(f"dataset file {path} holds images of shape {shape}, "
+                          f"need (n, h, w, 1) with n = {payload['n']}")
     return payload

@@ -151,6 +151,8 @@ class LinearGaussianDenoiser(DenoiserInterface):
     def __init__(self, mu: np.ndarray, sigma: np.ndarray, sched: NoiseSchedule):
         mu = np.asarray(mu, dtype=np.float64)
         sigma = np.asarray(sigma, dtype=np.float64)
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+            raise InvalidParameterError("mu and sigma must be finite")
         if mu.ndim != 1:
             raise InvalidParameterError("mu must be a 1-D vector")
         d = mu.shape[0]
@@ -248,16 +250,18 @@ class MlpDenoiser(DenoiserInterface):
         self.sched = sched
         self.latent_dim = int(latent_dim)
         self.n_classes = int(n_classes)
-        self.width = self.params["b1"].shape[0]
+        self.width = self.params["b1"].size
         self.seed = int(seed)
         self.final_loss = final_loss
         self.trained_epochs = int(trained_epochs)
-        if self.params["w1"].shape != (self.width, self.latent_dim):
-            raise DimensionError("w1 shape inconsistent with declared dims")
-        if self.params["temb"].shape != (sched.t_train, self.width):
-            raise DimensionError("timestep embedding table shape inconsistent")
-        if self.params["cemb"].shape != (self.n_classes + 1, self.width):
-            raise DimensionError("class embedding table shape inconsistent")
+        d, width = self.latent_dim, self.width
+        shapes = {"w1": (width, d), "b1": (width,), "temb": (sched.t_train, width),
+                  "cemb": (self.n_classes + 1, width), "w2": (width, width), "b2": (width,),
+                  "w3": (d, width), "b3": (d,)}
+        wrong = [k for k in _PARAM_ORDER if self.params[k].shape != shapes[k]]
+        if wrong:
+            raise DimensionError(f"parameter arrays {wrong} do not fit latent_dim {d}, width "
+                                 f"{width}, {self.n_classes} classes and {sched.t_train} timesteps")
 
     def condition_row(self, c: Condition) -> np.ndarray:
         if c.variant == UNCONDITIONAL:

@@ -9,13 +9,14 @@ schedule travels as its beta array so any schedule round-trips exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
 from .autoencoder import IdentityAutoencoder, LinearAutoencoder
 from .denoiser import _PARAM_ORDER, LinearGaussianDenoiser, MlpDenoiser
-from .errors import FormatError
+from .errors import FormatError, InvlabError
 from .schedule import NoiseSchedule
 
 MAGIC = b"LABMDL1\n"
@@ -168,21 +169,21 @@ def load_model(path):
     if not isinstance(header, dict):
         raise FormatError(f"header in {path} is not a JSON object")
     kind = header.get("kind")
-    if kind not in _LOADERS:
+    if not (isinstance(kind, str) and kind in _LOADERS):
         raise FormatError(f"unknown model kind {kind!r} in {path}")
     entries = header.get("arrays")
     if not isinstance(entries, list):
         raise FormatError(f"header in {path} has no array list")
     arrays = {}
     for entry in entries:
-        if not (isinstance(entry, dict) and "name" in entry and "shape" in entry):
-            raise FormatError(f"array entry {entry!r} in {path} needs a name and a shape")
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and "shape" in entry):
+            raise FormatError(f"array entry {entry!r} in {path} needs a string name and a shape")
         shape = entry["shape"]
         if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
             raise FormatError(f"array entry {entry!r} in {path} has a malformed shape")
         shape = tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
-        nbytes = n * 8
+        nbytes = math.prod(shape) * 8  # exact, where np.prod would wrap around
         if len(raw) < off + nbytes:
             raise FormatError(f"truncated array {entry['name']!r} in {path}")
         arrays[entry["name"]] = np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy()
@@ -191,5 +192,6 @@ def load_model(path):
         raise FormatError(f"{len(raw) - off} trailing bytes in {path}")
     try:
         return _LOADERS[kind](header, arrays)
-    except (KeyError, TypeError, ValueError) as e:  # a missing or ill-typed field or array
+    except (InvlabError, KeyError, TypeError, ValueError, OverflowError) as e:
+        # a missing or ill-typed field or array, or values the model's own checks refuse
         raise FormatError(f"{kind} model in {path} is malformed: {e!r}") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, InvalidParameterError, OrderingError
+from .errors import BoundsError, InvalidParameterError, OrderingError, require
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,11 @@ class NoiseSchedule:
     t_train: int
 
     def __post_init__(self):
+        # a schedule read from a model file has had none of make_linear_schedule's checks
+        require(self.t_train >= 1 and self.betas.shape == (self.t_train,), "betas",
+                self.betas.shape, f"one per timestep, t_train = {self.t_train} >= 1")
+        require(bool(np.all((self.betas > 0.0) & (self.betas < 1.0))), "betas",
+                (float(self.betas.min()), float(self.betas.max())), "in (0, 1)")
         self.betas.setflags(write=False)
         self.alpha_bars.setflags(write=False)
 

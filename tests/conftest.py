@@ -1,4 +1,8 @@
-"""Shared fixtures: small schedules, stub denoisers, hypothesis profile."""
+"""Shared fixtures: small schedules, stub denoisers, 2-d mixture MLPs, model-file
+surgery, hypothesis profile."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,10 +11,14 @@ from hypothesis import HealthCheck, settings
 from invlab import (
     Condition,
     ConstantDenoiser,
+    InvalidParameterError,
     LinearGaussianDenoiser,
+    MlpTrainConfig,
     ScalingDenoiser,
+    derive_rng,
     make_linear_schedule,
     make_uniform_grid,
+    train_mlp_denoiser,
 )
 
 settings.register_profile(
@@ -68,3 +76,51 @@ def gauss_nd(default_sched):
 @pytest.fixture
 def grid50(default_sched):
     return make_uniform_grid(default_sched, 50)
+
+
+def make_gauss_mixture(n: int, seed: int, dim: int = 2, n_classes: int = 3,
+                       spread: float = 2.0, noise: float = 0.35):
+    """Labeled mixture draws: (samples (n, dim), labels (n,), means (k, dim)).
+
+    Class means sit on a circle in the first two coordinates; remaining
+    coordinates are zero-mean. Component covariance is noise²·I.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    if dim < 1 or n_classes < 1:
+        raise InvalidParameterError(f"need dim >= 1 and n_classes >= 1, got {dim}, {n_classes}")
+    angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
+    means = np.zeros((n_classes, dim))
+    means[:, 0] = spread * np.cos(angles)
+    if dim > 1:
+        means[:, 1] = spread * np.sin(angles)
+    rng = derive_rng(seed, "gauss2d")
+    labels = rng.integers(0, n_classes, size=n)
+    samples = means[labels] + noise * rng.standard_normal((n, dim))
+    return samples, labels.astype(np.int64), means
+
+
+def train_tiny_mlp(seed: int = 0):
+    """A labelled width-16 MLP on 48 mixture draws, and its 20-step schedule."""
+    sched = make_linear_schedule(20, 1e-3, 0.05)
+    data, labels, _ = make_gauss_mixture(48, seed=9)
+    cfg = MlpTrainConfig(width=16, max_epochs=4, seed=seed)
+    return train_mlp_denoiser(data, sched, cfg, labels), sched
+
+
+@pytest.fixture(scope="session")
+def tiny_mlp():
+    return train_tiny_mlp()
+
+
+def read_model_file(path):
+    """(header, the raw array bytes) of a saved model file."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16:16 + hlen]), raw[16 + hlen:]
+
+
+def write_model_file(path, header, body: bytes) -> None:
+    """A model file holding `header` and the raw array bytes `body`."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(b"LABMDL1\n" + struct.pack("<Q", len(blob)) + blob + body)

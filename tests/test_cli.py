@@ -2,14 +2,17 @@
 
 import csv
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from conftest import read_model_file, write_model_file
 
-from invlab.benchmark import BenchmarkBackends, RunConfig, config_from_json_dict
+from invlab.benchmark import METRIC_FIELDS, BenchmarkBackends, RunConfig, config_from_json_dict
 from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
-from invlab.modelio import load_model
+from invlab.modelio import load_model, save_model
 
 SMALL = {
     "seed": 3,
@@ -120,16 +123,6 @@ def test_gen_data_is_deterministic(capsys, small_cfg, tmp_path):
         (tmp_path / "b" / "shapes.json").read_bytes()
 
 
-def test_gen_data_gauss_kind(capsys, tmp_path):
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps({"dataset": {"kind": "gauss2d", "count": 12}}))
-    code, doc = run_cli(capsys, "gen-data", "--config", str(path),
-                        "--out", str(tmp_path / "o"))
-    assert code == 0
-    payload = json.loads((tmp_path / "o" / "gauss2d.json").read_text())
-    assert payload["kind"] == "gauss2d" and payload["n"] == 12
-
-
 def test_train_autoencoder_writes_loadable_model(capsys, small_cfg, tmp_path):
     code, doc = run_cli(capsys, "train-autoencoder", "--config", small_cfg,
                         "--out", str(tmp_path / "o"))
@@ -168,28 +161,17 @@ def test_train_denoiser_writes_loadable_model(capsys, tmp_path):
         np.testing.assert_array_equal(model.params[name], value)
 
 
-def test_train_denoiser_rejects_dataset_file_of_another_kind(capsys, tmp_path):
-    save_dataset(gen_dataset("shapes", 2, 0, height=8, width=8), tmp_path / "s.json")
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({
-        "dataset": {"kind": "gauss2d", "count": 2, "path": str(tmp_path / "s.json")},
-        "denoiser": {"kind": "mlp"},
-    }))
-    code, doc = run_cli(capsys, "train-denoiser", "--config", str(path),
-                        "--out", str(tmp_path / "o"))
-    assert code == 2 and doc["code"] == "config-error"
-    assert "need gauss2d" in doc["message"]
-
-
-@pytest.mark.parametrize("command,kind", [("train-denoiser", "gauss2d"), ("roundtrip", "shapes")])
+# a shapes file without images, and a file of a kind that is not shapes
+@pytest.mark.parametrize("command,kind", [("roundtrip", "shapes"), ("benchmark", "gauss2d")])
 def test_malformed_dataset_file_exits_2(capsys, tmp_path, command, kind):
     (tmp_path / "d.json").write_text(json.dumps({"kind": kind, "n": 3}))
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({**SMALL, "dataset": {"kind": kind, "count": 2, "height": 8,
-                                                     "width": 8, "path": str(tmp_path / "d.json")},
+    path.write_text(json.dumps({**SMALL, "dataset": {"count": 2, "height": 8, "width": 8,
+                                                     "path": str(tmp_path / "d.json")},
                                 "denoiser": {"kind": "mlp"}}))
     code, doc = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
     assert code == 2 and doc["code"] == "format-error"
+    assert str(tmp_path / "d.json") in doc["message"]
 
 
 def test_sample_writes_trajectory_and_image(capsys, small_cfg, tmp_path):
@@ -373,7 +355,7 @@ UNFIT_DATASETS = [
 
 @pytest.mark.parametrize("change,size,error", UNFIT_DATASETS)
 def test_dataset_file_that_does_not_fit_exits_2(capsys, tmp_path, change, size, error):
-    payload = gen_dataset("shapes", 3, seed=1, height=8, width=8)
+    payload = gen_dataset(3, seed=1, height=8, width=8)
     save_dataset({**payload, **change}, tmp_path / "d.json")
     path = tmp_path / "run.json"
     dataset = {"count": 2, "height": size[0], "width": size[1], "path": str(tmp_path / "d.json")}
@@ -383,3 +365,73 @@ def test_dataset_file_that_does_not_fit_exits_2(capsys, tmp_path, change, size, 
     if error == "config-error":
         assert doc["context"]["key"] == "dataset.path"
     assert not (tmp_path / "o" / "benchmark.csv").exists()
+
+
+# ---------------------------------------------------------------- model files
+
+
+def _model_files(capsys, small_cfg, tmp_path):
+    """The SMALL run's leaky autoencoder and analytic denoiser, saved; (ae path, denoiser path)."""
+    code, _ = run_cli(capsys, "train-autoencoder", "--config", small_cfg,
+                      "--out", str(tmp_path / "m"))
+    assert code == 0
+    den = tmp_path / "m" / "denoiser.labmdl"
+    save_model(BenchmarkBackends(config_from_json_dict(SMALL)).model, den)
+    return tmp_path / "m" / "autoencoder.labmdl", den
+
+
+def _config_using(tmp_path, ae, den=None) -> str:
+    doc = {**SMALL, "autoencoder": {"fit_count": 16, "path": str(ae)}}
+    if den:
+        doc["denoiser"] = {"kind": "mlp", "path": str(den)}
+    (tmp_path / "uses.json").write_text(json.dumps(doc))
+    return str(tmp_path / "uses.json")
+
+
+def test_model_file_whose_kind_is_not_a_string_exits_2(capsys, small_cfg, tmp_path):
+    ae, _ = _model_files(capsys, small_cfg, tmp_path)
+    header, body = read_model_file(ae)
+    write_model_file(ae, {**header, "kind": ["x"]}, body)
+    code, doc = run_cli(capsys, "roundtrip", "--config", _config_using(tmp_path, ae),
+                        "--out", str(tmp_path / "r"))
+    assert code == 2 and doc["code"] == "format-error"
+    assert doc["context"]["key"] == "autoencoder.path" and str(ae) in doc["message"]
+
+
+@pytest.mark.parametrize("key,array", [("autoencoder.path", "w"), ("autoencoder.path", "mean"),
+                                       ("autoencoder.path", "leak"), ("denoiser.path", "mu"),
+                                       ("denoiser.path", "sigma"), ("denoiser.path", "betas")])
+def test_non_finite_model_array_exits_2(capsys, small_cfg, tmp_path, key, array):
+    files = dict(zip(("autoencoder.path", "denoiser.path"),
+                     _model_files(capsys, small_cfg, tmp_path)))
+    cfg = _config_using(tmp_path, files["autoencoder.path"], files["denoiser.path"])
+    # the files as saved run
+    code, _ = run_cli(capsys, "roundtrip", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert code == 0
+    header, body = read_model_file(files[key])
+    offset = 0
+    for entry in header["arrays"]:
+        if entry["name"] == array:
+            break
+        offset += 8 * math.prod(entry["shape"])
+    body = body[:offset] + struct.pack("<d", math.nan) + body[offset + 8:]
+    write_model_file(files[key], header, body)
+    code, doc = run_cli(capsys, "roundtrip", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert code == 2 and doc["code"] == "format-error"
+    assert doc["context"]["key"] == key and str(files[key]) in doc["message"]
+
+
+def test_large_leak_scale_runs_with_finite_metrics(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "autoencoder": {"fit_count": 16, "leak_scale": 1e6}}))
+    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
+
+
+def test_eig_min_too_small_for_eig_max_exits_2(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "denoiser": {"eig_min": 1e-16, "eig_max": 1.0}}))
+    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "config-error"
+    assert doc["context"]["key"] == "denoiser.eig_min" and "denoiser.eig_min" in doc["message"]

@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from conftest import make_gauss_mixture
 
 from invlab import (
     FormatError,
     InvalidParameterError,
     gen_dataset,
     load_dataset,
-    make_gauss_mixture,
     make_shapes,
     save_dataset,
 )
@@ -73,7 +73,7 @@ def test_gauss_mixture_determinism_and_errors():
 
 
 def test_gen_dataset_shapes_payload():
-    d = gen_dataset("shapes", 3, seed=5, height=8, width=8)
+    d = gen_dataset(3, seed=5, height=8, width=8)
     assert d["kind"] == "shapes"
     assert (d["n"], d["height"], d["width"], d["channels"]) == (3, 8, 8, 1)
     assert np.asarray(d["images"]).shape == (3, 8, 8, 1)
@@ -81,42 +81,37 @@ def test_gen_dataset_shapes_payload():
 
 def test_gen_dataset_rejects_bad_inputs():
     with pytest.raises(InvalidParameterError):
-        gen_dataset("spirals", 3, seed=1)
+        gen_dataset(0, seed=1)
     with pytest.raises(InvalidParameterError):
-        gen_dataset("shapes", 0, seed=1)
+        gen_dataset(3, seed=1, height=4)
 
 
 def test_dataset_file_bytes_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_dataset(gen_dataset("shapes", 4, seed=11), p1)
-    save_dataset(gen_dataset("shapes", 4, seed=11), p2)
+    save_dataset(gen_dataset(4, seed=11), p1)
+    save_dataset(gen_dataset(4, seed=11), p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().endswith(b"\n")
 
 
 def test_dataset_round_trip_shapes(tmp_path):
     path = tmp_path / "shapes.json"
-    d = gen_dataset("shapes", 4, seed=11)
+    d = gen_dataset(4, seed=11)
     save_dataset(d, path)
     back = load_dataset(path)
     np.testing.assert_array_equal(back["images"], np.asarray(d["images"]))
     assert back["seed"] == 11
 
 
-def test_dataset_round_trip_gauss(tmp_path):
-    path = tmp_path / "gauss.json"
-    d = gen_dataset("gauss2d", 30, seed=2)
-    save_dataset(d, path)
-    back = load_dataset(path)
-    np.testing.assert_array_equal(back["samples"], np.asarray(d["samples"]))
-    np.testing.assert_array_equal(back["labels"], np.asarray(d["labels"]))
-    assert back["labels"].dtype == np.int64
-
-
 def test_load_dataset_rejects_unknown_kind(tmp_path):
     path = tmp_path / "weird.json"
-    path.write_text('{"kind": "mystery"}\n')
-    with pytest.raises(InvalidParameterError):
+    for kind in ('"mystery"', '"gauss2d"', '["shapes"]', "null"):
+        path.write_text(f'{{"kind": {kind}, "n": 1, "images": [[[[0.5]]]]}}\n')
+        with pytest.raises(FormatError, match="weird.json"):
+            load_dataset(path)
+    # a file without a kind is refused too
+    path.write_text('{"n": 1, "images": [[[[0.5]]]]}\n')
+    with pytest.raises(FormatError, match="weird.json"):
         load_dataset(path)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import train_tiny_mlp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from invlab import (
     cfg_eval,
     cfg_linearize,
     gradient_check,
-    make_gauss_mixture,
     make_linear_schedule,
     train_mlp_denoiser,
 )
@@ -139,12 +139,12 @@ def test_gaussian_tables_give_the_spectral_form_bits(gauss_nd, default_sched, un
 
 
 @pytest.mark.parametrize("backend", ["gaussian", "mlp"])
-def test_timestep_outside_schedule_rejected(backend, uncond):
+def test_timestep_outside_schedule_rejected(backend, uncond, tiny_mlp):
     if backend == "gaussian":
         sched = make_linear_schedule(20, 1e-3, 0.05)
         model = LinearGaussianDenoiser(np.zeros(2), np.eye(2), sched)
     else:
-        model, sched = _tiny_mlp()
+        model, sched = tiny_mlp
     z, v = np.array([0.4, -0.2]), np.array([1.0, 0.5])
     for t in (0, sched.t_train + 1):
         with pytest.raises(BoundsError):
@@ -187,19 +187,12 @@ def test_cfg_eval_unit_guidance_short_circuits(gauss_nd, uncond):
     )
 
 
-def _tiny_mlp(seed=0):
-    sched = make_linear_schedule(20, 1e-3, 0.05)
-    data, labels, _ = make_gauss_mixture(48, seed=9)
-    cfg = MlpTrainConfig(width=16, max_epochs=4, seed=seed)
-    return train_mlp_denoiser(data, sched, cfg, labels), sched
-
-
 def test_mlp_train_determinism():
-    a, _ = _tiny_mlp(seed=3)
-    b, _ = _tiny_mlp(seed=3)
+    a, _ = train_tiny_mlp(seed=3)
+    b, _ = train_tiny_mlp(seed=3)
     for k in a.params:
         np.testing.assert_array_equal(a.params[k], b.params[k])
-    c, _ = _tiny_mlp(seed=4)
+    c, _ = train_tiny_mlp(seed=4)
     assert any(not np.array_equal(a.params[k], c.params[k]) for k in a.params)
 
 
@@ -221,8 +214,8 @@ def test_mlp_divergence_names_epoch():
     assert "epoch" in str(exc.value)
 
 
-def test_mlp_eval_pure_and_class_sensitivity(uncond):
-    model, _ = _tiny_mlp()
+def test_mlp_eval_pure_and_class_sensitivity(uncond, tiny_mlp):
+    model, _ = tiny_mlp
     z = np.array([0.3, -0.8])
     np.testing.assert_array_equal(model.eval(z, 5, uncond), model.eval(z, 5, uncond))
     c0, c1 = Condition.class_label(0), Condition.class_label(1)
@@ -231,8 +224,8 @@ def test_mlp_eval_pure_and_class_sensitivity(uncond):
         model.eval(z, 5, Condition.class_label(99))
 
 
-def test_mlp_vjp_matches_finite_differences(uncond):
-    model, _ = _tiny_mlp()
+def test_mlp_vjp_matches_finite_differences(uncond, tiny_mlp):
+    model, _ = tiny_mlp
     rng = np.random.default_rng(2)
     for trial in range(5):
         z = rng.standard_normal(2)
@@ -245,8 +238,8 @@ def test_mlp_vjp_matches_finite_differences(uncond):
         assert err < 1e-4, f"trial {trial}: {err}"
 
 
-def test_mlp_vjp_linearity(uncond):
-    model, _ = _tiny_mlp()
+def test_mlp_vjp_linearity(uncond, tiny_mlp):
+    model, _ = tiny_mlp
     z = np.array([0.4, 0.1])
     v1 = np.array([1.0, -1.0])
     v2 = np.array([0.5, 2.0])
@@ -255,8 +248,8 @@ def test_mlp_vjp_linearity(uncond):
     np.testing.assert_allclose(combo, parts, atol=1e-10)
 
 
-def test_cfg_blend_with_trained_mlp(uncond):
-    model, _ = _tiny_mlp()
+def test_cfg_blend_with_trained_mlp(uncond, tiny_mlp):
+    model, _ = tiny_mlp
     z = np.array([0.2, -0.3])
     c = Condition.class_label(1, 2.5)
     expect = model.eval(z, 6, uncond) + c.w * (model.eval(z, 6, c) - model.eval(z, 6, uncond))
@@ -291,8 +284,7 @@ def test_unit_gaussian_scales_input(t, seed):
     )
 
 
-def _linearize_cases(gauss_nd):
-    mlp, _ = _tiny_mlp()
+def _linearize_cases(gauss_nd, mlp):
     rng = np.random.default_rng(21)
     z2, z4 = rng.standard_normal(2), rng.standard_normal(4)
     return [
@@ -304,9 +296,9 @@ def _linearize_cases(gauss_nd):
     ]
 
 
-def test_linearize_is_eval_and_vjp_bit_for_bit(gauss_nd):
+def test_linearize_is_eval_and_vjp_bit_for_bit(gauss_nd, tiny_mlp):
     rng = np.random.default_rng(22)
-    for model, z, c in _linearize_cases(gauss_nd):
+    for model, z, c in _linearize_cases(gauss_nd, tiny_mlp[0]):
         eps, pullback = model.linearize(z, 7, c)
         assert np.array_equal(eps, model.eval(z, 7, c))
         # one linearization point serves several pullbacks
@@ -318,9 +310,9 @@ def test_linearize_is_eval_and_vjp_bit_for_bit(gauss_nd):
 
 
 @pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
-def test_cfg_linearize_is_cfg_eval_and_cfg_vjp_bit_for_bit(w, gauss_nd):
+def test_cfg_linearize_is_cfg_eval_and_cfg_vjp_bit_for_bit(w, gauss_nd, tiny_mlp):
     rng = np.random.default_rng(23)
-    for model, z, case_c in _linearize_cases(gauss_nd):
+    for model, z, case_c in _linearize_cases(gauss_nd, tiny_mlp[0]):
         # and class 1 under weight w, which the stubs and the oracle ignore
         for c in (case_c, Condition.class_label(1, w)):
             eps, pullback = cfg_linearize(model, z, 7, c)
@@ -332,8 +324,8 @@ def test_cfg_linearize_is_cfg_eval_and_cfg_vjp_bit_for_bit(w, gauss_nd):
             assert np.array_equal(pullback(v), model.vjp(z, 7, c, v) if c.w == 1.0 else blend)
 
 
-def test_mlp_linearize_runs_one_forward_pass(monkeypatch, uncond):
-    model, _ = _tiny_mlp()
+def test_mlp_linearize_runs_one_forward_pass(monkeypatch, uncond, tiny_mlp):
+    model, _ = tiny_mlp
     calls = []
     inner = invlab.denoiser._batch_forward
     monkeypatch.setattr(invlab.denoiser, "_batch_forward",

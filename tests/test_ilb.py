@@ -24,7 +24,6 @@ from invlab import (
     gradient_check,
     ilb_loss_and_grad,
     ilb_optimize,
-    make_gauss_mixture,
     make_linear_schedule,
     make_shapes,
     regularization_loss,
@@ -142,12 +141,10 @@ def test_loss_and_grad_matches_finite_differences(uncond):
     assert gradient_check(total, grad, z0) < 1e-4
 
 
-def test_guided_regularizer_is_the_guided_skip_round_trip():
+def test_guided_regularizer_is_the_guided_skip_round_trip(tiny_mlp):
     # a labelled MLP under a guided class condition: the regularizer and its
     # gradient use the same guided prediction as skip_roundtrip
-    sched = make_linear_schedule(20, 1e-3, 0.05)
-    data, labels, _ = make_gauss_mixture(48, seed=9)
-    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=16, max_epochs=4, seed=0), labels)
+    model, sched = tiny_mlp
     imgs = make_shapes(8, seed=3, height=8, width=8)
     ae = fit_linear_autoencoder(imgs, latent_dim=2)
     perc = RandomConvPerceptual(SHAPE, seed=0)

@@ -13,7 +13,6 @@ from invlab import (
     InvalidParameterError,
     LboConfig,
     LinearGaussianDenoiser,
-    MlpTrainConfig,
     ScalingDenoiser,
     bias_target,
     cfg_eval,
@@ -28,11 +27,8 @@ from invlab import (
     lbo_invert_step,
     lbo_invert_trajectory,
     lbo_numerical_iterate,
-    make_gauss_mixture,
-    make_linear_schedule,
     make_uniform_grid,
     objective_and_grad,
-    train_mlp_denoiser,
 )
 
 ONE = np.array([1.0])
@@ -301,22 +297,12 @@ def test_modes_agree_on_smooth_model(gauss_nd, default_sched, uncond):
     assert rel_g < 1e-3
 
 
-def test_guidance_weight_changes_conditional_inversion(uncond):
-    sched = make_linear_schedule(20, 1e-3, 0.05)
-    data, labels, _ = make_gauss_mixture(48, seed=9)
-    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=16, max_epochs=4, seed=0), labels)
+def test_guidance_weight_changes_conditional_inversion(tiny_mlp):
+    model, sched = tiny_mlp
     z = np.array([0.4, -0.2])
     a, _ = lbo_invert_step(model, sched, z, 5, 10, Condition.class_label(1))
     b, _ = lbo_invert_step(model, sched, z, 5, 10, Condition.class_label(1, 3.0))
     assert not np.array_equal(a, b)
-
-
-@pytest.fixture(scope="module")
-def tiny_mlp():
-    sched = make_linear_schedule(20, 1e-3, 0.05)
-    data, labels, _ = make_gauss_mixture(48, seed=9)
-    return train_mlp_denoiser(data, sched, MlpTrainConfig(width=16, max_epochs=4, seed=0),
-                              labels), sched
 
 
 def test_trajectory_json_guidance_is_the_condition_weight(tiny_mlp):

@@ -1,25 +1,32 @@
-"""Binary model container: round trips and corrupt-file handling."""
+"""Binary model container: round trips, corrupt-file handling, mutated-file properties."""
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from conftest import make_gauss_mixture, read_model_file, write_model_file
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlab import (
+    AutoencoderInterface,
     Condition,
+    DenoiserInterface,
     FormatError,
     IdentityAutoencoder,
+    InvlabError,
     LinearGaussianDenoiser,
     MlpTrainConfig,
     fit_linear_autoencoder,
     load_model,
-    make_gauss_mixture,
     make_linear_schedule,
     make_shapes,
     save_model,
     train_mlp_denoiser,
 )
+from invlab import benchmark
 
 MAGIC = b"LABMDL1\n"
 
@@ -181,6 +188,86 @@ def test_garbled_header_rejected(tmp_path):
             load_model(path)
 
 
+def test_mlp_array_of_the_wrong_shape_rejected(tmp_path, tiny_mlp):
+    # w3 stored transposed holds as many values, so only its shape gives it away
+    path = tmp_path / "mlp.labmdl"
+    save_model(tiny_mlp[0], path)
+    header, body = read_model_file(path)
+    next(e for e in header["arrays"] if e["name"] == "w3")["shape"].reverse()
+    write_model_file(path, header, body)
+    with pytest.raises(FormatError, match="w3"):
+        load_model(path)
+
+
 def test_unsupported_model_type_rejected(tmp_path):
     with pytest.raises(FormatError):
         save_model(object(), tmp_path / "nope.labmdl")
+
+
+# ---------------------------------------------------------------- mutated files
+
+# any JSON value, NaN and the infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory, tiny_mlp):
+    """{kind: (path, interface, config key)}, one saved model of each kind."""
+    imgs = make_shapes(20, seed=3, height=8, width=8)
+    models = {"mlp-denoiser": (tiny_mlp[0], DenoiserInterface, "denoiser.path"),
+              "linear-gaussian-denoiser": (_gauss_model(), DenoiserInterface, "denoiser.path"),
+              "linear-autoencoder": (fit_linear_autoencoder(imgs, latent_dim=10, leak_scale=1.8),
+                                     AutoencoderInterface, "autoencoder.path"),
+              "identity-autoencoder": (IdentityAutoencoder((5, 6, 1)), AutoencoderInterface,
+                                       "autoencoder.path")}
+    out = tmp_path_factory.mktemp("models")
+    for kind, (model, iface, key) in models.items():
+        save_model(model, out / kind)
+        models[kind] = (out / kind, iface, key)
+    return models
+
+
+def _leaves(doc, path=()):
+    """The paths to every scalar and every empty container in a JSON document."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    paths = [leaf for key, value in children for leaf in _leaves(value, path + (key,))]
+    return paths or [path]
+
+
+def _arrays(model):
+    """Every array a loaded model holds, its schedule's included."""
+    found = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    found += list(getattr(model, "params", {}).values())
+    if getattr(model, "sched", None) is not None:
+        found += [model.sched.betas, model.sched.alpha_bars]
+    return found
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.data())
+def test_mutated_model_file_loads_finite_or_fails_naming_its_key(model_files, data):
+    path, iface, key = model_files[data.draw(st.sampled_from(sorted(model_files)))]
+    header, body = read_model_file(path)
+    if body and data.draw(st.booleans()):  # one array entry becomes NaN or infinite
+        i = 8 * data.draw(st.integers(0, len(body) // 8 - 1))
+        value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        body = body[:i] + struct.pack("<d", value) + body[i + 8:]
+    else:  # one header leaf becomes any JSON value
+        *parents, last = data.draw(st.sampled_from(_leaves(header)))
+        node = header
+        for step in parents:
+            node = node[step]
+        node[last] = data.draw(JSON_VALUES)
+    mutated = path.with_suffix(".mutated")
+    write_model_file(mutated, header, body)
+    try:
+        model = benchmark._load_model_file(mutated, iface, key)
+    except InvlabError as e:
+        assert e.context["key"] == key
+    else:
+        assert all(np.all(np.isfinite(a)) for a in _arrays(model))
