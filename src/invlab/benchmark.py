@@ -66,6 +66,9 @@ class TrainSection:
         MlpTrainConfig(self.width, self.max_epochs, self.batch_size, self.lr)  # its range checks
 
 
+_MAX_SCALE = 1e6  # bound on |denoiser.mu_scale| and autoencoder.leak_scale
+
+
 @dataclass(frozen=True)
 class DenoiserSection:
     kind: str = "analytic"
@@ -77,7 +80,9 @@ class DenoiserSection:
 
     def __post_init__(self):
         require(self.kind in ("analytic", "mlp"), "kind", self.kind, "'analytic' or 'mlp'")
-        require(math.isfinite(self.mu_scale), "mu_scale", self.mu_scale, "finite")
+        # larger scales overflow the built mean or the round-trip norms
+        require(abs(self.mu_scale) <= _MAX_SCALE, "mu_scale", self.mu_scale,
+                f"finite with |mu_scale| <= {_MAX_SCALE:g}")
         require(0.0 < self.eig_min < math.inf, "eig_min", self.eig_min, "finite and > 0")
         require(0.0 < self.eig_max < math.inf, "eig_max", self.eig_max, "finite and > 0")
         # below this ratio, rounding in the built covariance can make it indefinite
@@ -97,8 +102,8 @@ class AutoencoderSection:
         require(self.kind in ("linear", "identity"), "kind", self.kind, "'linear' or 'identity'")
         require(0.0 < self.latent_frac <= 1.0, "latent_frac", self.latent_frac, "in (0, 1]")
         require(self.fit_count >= 2, "fit_count", self.fit_count, ">= 2")
-        require(0.0 <= self.leak_scale < math.inf, "leak_scale", self.leak_scale,
-                "finite and >= 0")
+        require(0.0 <= self.leak_scale <= _MAX_SCALE, "leak_scale", self.leak_scale,
+                f"in [0, {_MAX_SCALE:g}]")
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,20 @@ class ScalingDenoiser(DenoiserInterface):
 
 
 class LinearGaussianDenoiser(DenoiserInterface):
-    """Exact ε-predictor for Gaussian data; affine in z, so the per-timestep
-    Jacobian sqrt(1−ᾱ_t)·Σ_t^{-1} is constant and the vjp is exact.
+    """Exact ε-predictor for Gaussian data: at each timestep t an affine map
+    F*(z, t) = J_t·z − o_t, so the Jacobian J_t = sqrt(1−ᾱ_t)·Σ_t^{-1} is
+    constant and the vjp is exact.
+
+    With Σ = Q·diag(λ)·Qᵀ (eigh of sigma), the map at t is built as
+
+        s_t = sqrt(1−ᾱ_t) / (λ·ᾱ_t + (1−ᾱ_t))
+        J_t = (Q·s_t) @ Qᵀ           (Q's columns scaled by s_t)
+        o_t = J_t @ (sqrt(ᾱ_t)·mu)
+
+    on the first call at t, after the bounds check, and kept read-only in a
+    dict keyed by t. eval is then `J_t @ z − o_t` and the pullback `v @ J_t`,
+    the exact transpose: rounding leaves J_t not quite symmetric. The maps
+    cost one d×d array per timestep the model has been evaluated at.
 
     Conditions are accepted and ignored: the oracle models a single
     unconditional distribution, so conditional and unconditional predictions
@@ -171,32 +183,38 @@ class LinearGaussianDenoiser(DenoiserInterface):
         self.sched = sched
         self._lam = lam
         self._q = q
-        # per-timestep tables, row t−1 for timestep t: sqrt(ᾱ_t), sqrt(1−ᾱ_t)
-        # and the eigenvalues λ·ᾱ_t + (1−ᾱ_t) of Σ_t
-        ab = sched.alpha_bars[:, None]
-        self._sqrt_ab = np.sqrt(ab)
-        self._sqrt_1mab = np.sqrt(1.0 - ab)
-        self._spectra = lam * ab + (1.0 - ab)
-        for arr in (self.mu, self.sigma, self._lam, self._q,
-                    self._sqrt_ab, self._sqrt_1mab, self._spectra):
+        for arr in (self.mu, self.sigma, self._lam, self._q):
             arr.setflags(write=False)
+        self._maps: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # t -> (J_t, o_t)
+
+    def _affine_map(self, t):
+        """(J_t, o_t), built on the first call at t by the class docstring's formula."""
+        try:
+            return self._maps[t]
+        except KeyError:
+            pass
+        self.sched._check_t(t)
+        ab = self.sched.alpha_bars[t - 1]
+        s = np.sqrt(1.0 - ab) / (self._lam * ab + (1.0 - ab))
+        jac = (self._q * s) @ self._q.T
+        off = jac @ (np.sqrt(ab) * self.mu)
+        jac.setflags(write=False)
+        off.setflags(write=False)
+        self._maps[t] = jac, off
+        return jac, off
 
     def eval(self, z, t, c):
         z = self._check_vec(z, "z")
-        self.sched._check_t(t)
-        i = t - 1
-        w = self._q.T @ (z - self._sqrt_ab[i, 0] * self.mu) / self._spectra[i]
-        return self._sqrt_1mab[i, 0] * (self._q @ w)
+        jac, off = self._affine_map(t)
+        return jac @ z - off
 
     def linearize(self, z, t, c):
-        # eval checks z and t, so the pullback checks only v
-        return self.eval(z, t, c), functools.partial(self._pullback, t - 1)
+        z = self._check_vec(z, "z")
+        jac, off = self._affine_map(t)
+        return jac @ z - off, functools.partial(self._pullback, jac)
 
-    def _pullback(self, i, v):
-        v = self._check_vec(v, "v")
-        # the Jacobian sqrt(1−ᾱ_t)·Σ_t^{-1} is symmetric, so vᵀJ is Jv
-        w = self._q.T @ v / self._spectra[i]
-        return self._sqrt_1mab[i, 0] * (self._q @ w)
+    def _pullback(self, jac, v):
+        return self._check_vec(v, "v") @ jac
 
 
 @dataclass(frozen=True)

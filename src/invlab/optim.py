@@ -9,6 +9,7 @@ Adam is the standard bias-corrected form:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,12 +23,47 @@ EPSILON = 1e-8
 _CENTRAL_STEP = float(np.finfo(np.float64).eps ** (1.0 / 3.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AdamState:
+    """Learning rate, step count and both moments.
+
+    m and v are the rows of one (2, …) array, `moments`, so adam_step updates
+    both with one operation per stage of the formula. `moments` is None
+    before the first step.
+    """
+
     lr: float
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    step_count: int = 0
+    moments: np.ndarray | None
+    step_count: int
+
+    def __init__(self, lr: float, m: np.ndarray | None = None, v: np.ndarray | None = None,
+                 step_count: int = 0):
+        # m and v come together, or not at all
+        _set_fields(self, lr, None if m is None and v is None else np.stack((m, v)), step_count)
+
+    @property
+    def m(self) -> np.ndarray | None:
+        return None if self.moments is None else self.moments[0]
+
+    @property
+    def v(self) -> np.ndarray | None:
+        return None if self.moments is None else self.moments[1]
+
+
+def _set_fields(state: AdamState, lr: float, moments: np.ndarray | None,
+                step_count: int) -> AdamState:
+    object.__setattr__(state, "lr", lr)
+    object.__setattr__(state, "moments", moments)
+    object.__setattr__(state, "step_count", step_count)
+    return state
+
+
+@functools.cache
+def _rates(ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(β1, β2) and (1−β1, 1−β2) as read-only columns broadcasting over (2, …) moments."""
+    rates = np.array([[BETA1, 1.0 - BETA1], [BETA2, 1.0 - BETA2]]).reshape((2, 2) + (1,) * ndim)
+    rates.setflags(write=False)
+    return rates[:, 0], rates[:, 1]
 
 
 def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
@@ -39,28 +75,29 @@ def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.nda
         )
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite gradient passed to adam_step")
-    m = state.m if state.m is not None else np.zeros_like(x)
-    v = state.v if state.v is not None else np.zeros_like(x)
+    moments = state.moments if state.moments is not None else np.zeros((2,) + x.shape)
     k = state.step_count + 1
     # The docstring's formula one operation at a time, in its order, so the
-    # bits are the formula's. The new m, v and x_next and one scratch array are
-    # the only allocations: on a large x every temporary costs fresh pages.
-    m_next = np.multiply(BETA1, m)
-    tmp = np.multiply(1.0 - BETA1, grad)
-    m_next += tmp
-    v_next = np.multiply(BETA2, v)
-    np.multiply(1.0 - BETA2, grad, out=tmp)
-    tmp *= grad
-    v_next += tmp
-    np.divide(v_next, 1.0 - BETA2**k, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += EPSILON
-    x_next = np.divide(m_next, 1.0 - BETA1**k)
+    # bits are the formula's. m and v share each operation as rows of one
+    # array: β·(m, v) + (1−β)·(g, g), with the second row's term times g.
+    decay, gain = _rates(x.ndim)
+    step = np.multiply(gain, grad)
+    v_step = step[1]
+    v_step *= grad
+    moments_next = np.multiply(decay, moments)
+    moments_next += step
+    # step is spent, so its first row holds sqrt(v̂) + ε; x_next is the only
+    # other new array
+    denom = step[0]
+    np.divide(moments_next[1], 1.0 - BETA2**k, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += EPSILON
+    x_next = np.divide(moments_next[0], 1.0 - BETA1**k)
     x_next *= state.lr
-    x_next /= tmp
+    x_next /= denom
     np.subtract(x, x_next, out=x_next)
-    # a direct constructor call costs a fraction of dataclasses.replace
-    return x_next, AdamState(state.lr, m_next, v_next, k)
+    # _set_fields on a bare instance skips the constructor's stacking
+    return x_next, _set_fields(object.__new__(AdamState), state.lr, moments_next, k)
 
 
 def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:

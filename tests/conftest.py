@@ -113,6 +113,22 @@ def tiny_mlp():
     return train_tiny_mlp()
 
 
+def spectral_form(model, t):
+    """(eval, pullback) of a LinearGaussianDenoiser at t, applied per call in
+    Σ's eigenbasis: sqrt(1−ᾱ_t)·Q·diag(1/(λ·ᾱ_t + 1 − ᾱ_t))·Qᵀ."""
+    lam, q = np.linalg.eigh(model.sigma)
+    ab = model.sched.alpha_bar(t)
+    d_t = lam * ab + (1.0 - ab)
+
+    def eval_(z):
+        return np.sqrt(1.0 - ab) * (q @ (q.T @ (z - np.sqrt(ab) * model.mu) / d_t))
+
+    def pullback(v):
+        return np.sqrt(1.0 - ab) * (q @ (q.T @ v / d_t))
+
+    return eval_, pullback
+
+
 def read_model_file(path):
     """(header, the raw array bytes) of a saved model file."""
     raw = path.read_bytes()

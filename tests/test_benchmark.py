@@ -489,6 +489,10 @@ NAN, INF = float("nan"), float("inf")
                                      ({"autoencoder": {"leak_scale": -0.5}},
                                       "autoencoder.leak_scale"),
                                      ({"autoencoder": {"leak_scale": INF}},
+                                      "autoencoder.leak_scale"),
+                                     ({"denoiser": {"mu_scale": -1.000001e6}},
+                                      "denoiser.mu_scale"),
+                                     ({"autoencoder": {"leak_scale": 1.000001e6}},
                                       "autoencoder.leak_scale")])
 def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)) as err:
@@ -497,7 +501,7 @@ def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
     # the smallest accepted values load
     edge = {"t_train": 1, "steps": 1, "beta_start": 0.5, "beta_end": 0.5,
             "dataset": {"count": 1, "height": 5, "width": 5},
-            "denoiser": {"mu_scale": -1e300, "eig_min": 1e-300, "eig_max": 1e-300},
+            "denoiser": {"mu_scale": -1e6, "eig_min": 1e-300, "eig_max": 1e-300},
             "autoencoder": {"fit_count": 2, "leak_scale": 0.0}}
     assert config_from_json_dict(edge).steps == 1
 

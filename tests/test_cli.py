@@ -429,6 +429,29 @@ def test_large_leak_scale_runs_with_finite_metrics(capsys, tmp_path):
     assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
 
 
+@pytest.mark.parametrize("section,key,value", [("denoiser", "mu_scale", 1e308),
+                                               ("denoiser", "mu_scale", 1e200),
+                                               ("autoencoder", "leak_scale", 1e300)])
+def test_scale_past_its_bound_exits_2_naming_its_key(capsys, tmp_path, section, key, value):
+    # past 1e6 the built mean overflows, or the round trip scores as inf or NaN
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, section: {**SMALL.get(section, {}), key: value}}))
+    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "config-error"
+    assert doc["context"]["key"] == f"{section}.{key}" and f"{section}.{key}" in doc["message"]
+
+
+@pytest.mark.parametrize("method", ["lbo-n", "lbo-n+ilb", "lbo-g"])
+@pytest.mark.parametrize("mu_scale", [-1e6, 1e6])
+def test_mu_scale_at_its_bound_runs_with_finite_metrics(capsys, tmp_path, mu_scale, method):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "denoiser": {"mu_scale": mu_scale}}))
+    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--method", method,
+                        "--out", str(tmp_path / "o"))
+    assert code == 0
+    assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
+
+
 def test_eig_min_too_small_for_eig_max_exits_2(capsys, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({**SMALL, "denoiser": {"eig_min": 1e-16, "eig_max": 1.0}}))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import train_tiny_mlp
+from conftest import spectral_form, train_tiny_mlp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -124,18 +124,33 @@ def test_gaussian_rejects_bad_covariance(toy3):
         LinearGaussianDenoiser(np.zeros(3), np.eye(2), toy3)
 
 
-def test_gaussian_tables_give_the_spectral_form_bits(gauss_nd, default_sched, uncond):
-    # the per-timestep tables hold what the straightforward per-call form computes
+def _max_rel(a, ref):
+    return float(np.abs(a - ref).max() / np.abs(ref).max())
+
+
+def test_gaussian_eval_and_vjp_are_the_affine_map_bits(gauss_nd, default_sched, uncond):
+    # J_t and o_t rebuilt from the docstring's formula; eval and vjp apply them
+    # exactly, and agree with the per-call spectral form to rounding
     lam, q = np.linalg.eigh(gauss_nd.sigma)
     rng = np.random.default_rng(12)
     for t in range(1, default_sched.t_train + 1):
         z, v = rng.standard_normal(4), rng.standard_normal(4)
-        ab = default_sched.alpha_bar(t)
-        d_t = lam * ab + (1.0 - ab)
-        eval_ref = np.sqrt(1.0 - ab) * (q @ (q.T @ (z - np.sqrt(ab) * gauss_nd.mu) / d_t))
-        vjp_ref = np.sqrt(1.0 - ab) * (q @ (q.T @ v / d_t))
-        assert np.array_equal(gauss_nd.eval(z, t, uncond), eval_ref)
-        assert np.array_equal(gauss_nd.vjp(z, t, uncond, v), vjp_ref)
+        ab = default_sched.alpha_bars[t - 1]
+        jac = (q * (np.sqrt(1.0 - ab) / (lam * ab + (1.0 - ab)))) @ q.T
+        off = jac @ (np.sqrt(ab) * gauss_nd.mu)
+        got_eval, got_vjp = gauss_nd.eval(z, t, uncond), gauss_nd.vjp(z, t, uncond, v)
+        assert got_eval.tobytes() == (jac @ z - off).tobytes()
+        assert got_vjp.tobytes() == (v @ jac).tobytes()
+        eval_ref, pullback_ref = spectral_form(gauss_nd, t)
+        assert _max_rel(got_eval, eval_ref(z)) <= 1e-12
+        assert _max_rel(got_vjp, pullback_ref(v)) <= 1e-12
+
+
+def test_gaussian_maps_are_read_only(gauss_nd, uncond):
+    gauss_nd.eval(np.zeros(4), 30, uncond)
+    for arr in gauss_nd._maps[30]:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 @pytest.mark.parametrize("backend", ["gaussian", "mlp"])

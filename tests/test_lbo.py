@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import spectral_form
 
 import invlab.denoiser
 import invlab.dynamics
 import invlab.lbo
 from invlab import (
     AdamState,
+    BoundsError,
     Condition,
     DivergenceError,
     InvalidParameterError,
@@ -30,6 +32,7 @@ from invlab import (
     make_uniform_grid,
     objective_and_grad,
 )
+from invlab.optim import BETA1, BETA2, EPSILON
 
 ONE = np.array([1.0])
 
@@ -250,6 +253,56 @@ def test_single_step_replay_within_tolerance(gauss_nd, default_sched, uncond):
         assert rep.converged
         back = generate_step(gauss_nd, coefficients(default_sched, t, t_prev), z_t, uncond)
         assert np.max(np.abs(back - z_prev)) <= 10.0 * tol
+
+
+def test_oracle_keeps_one_map_per_grid_timestep(gauss_nd, default_sched, grid50, uncond):
+    z0 = np.array([0.3, -0.1, 0.8, 0.0])
+    traj, _ = lbo_invert_trajectory(gauss_nd, default_sched, grid50, z0, uncond)
+    assert sorted(gauss_nd._maps) == list(grid50.steps)
+    maps = dict(gauss_nd._maps)
+    # another inversion and the replay evaluate at the same timesteps: no new maps
+    lbo_invert_trajectory(gauss_nd, default_sched, grid50, 2.0 * z0, uncond,
+                          LboConfig(mode="gradient"))
+    generate_trajectory(gauss_nd, default_sched, grid50, traj.end, uncond)
+    assert gauss_nd._maps.keys() == maps.keys()
+    assert all(gauss_nd._maps[t] is maps[t] for t in maps)
+    # a timestep outside the schedule fails its bounds check before any map is built
+    for t in (0, default_sched.t_train + 1):
+        with pytest.raises(BoundsError):
+            gauss_nd.eval(z0, t, uncond)
+        with pytest.raises(BoundsError):
+            gauss_nd.linearize(z0, t, uncond)
+    assert len(gauss_nd._maps) == len(grid50)
+
+
+def test_gradient_step_on_the_oracle_matches_the_spectral_formula(
+        gauss_nd, default_sched, uncond):
+    # the hot loop against the per-call spectral oracle and Adam as its docstring writes it
+    cfg = LboConfig(mode="gradient")
+    z_prev = np.random.default_rng(6).standard_normal(4)
+    for t_prev, t in [(0, 2), (30, 40), (98, 100)]:
+        z_t, rep = lbo_invert_step(gauss_nd, default_sched, z_prev, t_prev, t, uncond, cfg)
+        co = coefficients(default_sched, t, t_prev)
+        eval_, pullback = spectral_form(gauss_nd, t)
+        b = (1.0 / co.phi) * z_prev - (co.psi / co.phi) * eval_(z_prev) - z_prev
+        m, v = np.zeros(4), np.zeros(4)
+        k, value = 0, np.inf
+        while k < cfg.max_iters and value >= cfg.tol:
+            k += 1
+            z = z_prev + b
+            r = co.phi * z + co.psi * eval_(z) - z_prev
+            s = np.sign(r)
+            g = (co.phi * s + co.psi * pullback(s)) / r.size
+            value = float(np.mean(np.abs(r)))
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
+            m_hat, v_hat = m / (1.0 - BETA1**k), v / (1.0 - BETA2**k)
+            b = b - cfg.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
+        ref = z_prev + b
+        assert rep.iters == k
+        assert abs(rep.residual - value) <= 1e-12 * value
+        assert np.abs(z_t - ref).max() <= 1e-12 * np.abs(ref).max()
+        z_prev = z_t
 
 
 def test_trajectory_determinism(gauss_nd, default_sched, uncond):
