@@ -115,10 +115,9 @@ class LinearAutoencoder(AutoencoderInterface):
                 raise InvalidParameterError("leak rows must be orthogonal to rows of W")
         self.latent_dim = w.shape[0]
         self.w = w
-        self.w_pinv = w.T
         self.mean = mean
         self.leak = leak
-        for arr in (self.w, self.w_pinv, self.mean):
+        for arr in (self.w, self.mean):
             arr.setflags(write=False)
         if leak is not None:
             leak.setflags(write=False)
@@ -133,7 +132,7 @@ class LinearAutoencoder(AutoencoderInterface):
 
     def decode(self, z):
         z = self._check_latent(z)
-        return (self.w_pinv @ z + self.mean).reshape(self.image_shape)
+        return (self.w.T @ z + self.mean).reshape(self.image_shape)
 
     def decoder_vjp(self, z, v):
         self._check_latent(z)

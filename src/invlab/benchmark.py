@@ -107,11 +107,6 @@ class AutoencoderSection:
 
 
 @dataclass(frozen=True)
-class PerceptualSection:
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class LboSection:
     """LboConfig without the mode, which each method picks."""
 
@@ -137,7 +132,6 @@ class RunConfig:
     dataset: DatasetSection = DatasetSection()
     denoiser: DenoiserSection = DenoiserSection()
     autoencoder: AutoencoderSection = AutoencoderSection()
-    perceptual: PerceptualSection = PerceptualSection()
     lbo: LboSection = LboSection()
     ilb: IlbConfig = IlbConfig()
 
@@ -263,7 +257,7 @@ class BenchmarkBackends:
         fit_images = make_fit_images(cfg)
         self.ae = build_autoencoder(cfg, fit_images)
         self.model = build_denoiser(cfg, self.sched, self.ae, fit_images)
-        self.perc = RandomConvPerceptual((ds.height, ds.width, 1), seed=cfg.perceptual.seed)
+        self.perc = RandomConvPerceptual((ds.height, ds.width, 1))
         self.condition = Condition.unconditional()
 
     def lbo_cfg(self, mode: str) -> LboConfig:
@@ -276,11 +270,11 @@ def _load_instance_images(cfg: RunConfig) -> np.ndarray:
         return make_shapes(ds.count, cfg.seed, ds.height, ds.width)
     if not Path(ds.path).exists():
         raise ConfigError(f"dataset.path {ds.path} does not exist", key="dataset.path")
-    payload = load_dataset(ds.path)
-    if payload["n"] < ds.count:
-        raise ConfigError(f"dataset.path {ds.path} has {payload['n']} images, config wants "
+    images = load_dataset(ds.path)["images"]
+    if len(images) < ds.count:
+        raise ConfigError(f"dataset.path {ds.path} has {len(images)} images, config wants "
                           f"{ds.count}", key="dataset.path")
-    images = payload["images"][: ds.count]
+    images = images[: ds.count]
     if images.shape[1:3] != (ds.height, ds.width):
         raise ConfigError(f"dataset.path {ds.path} holds {images.shape[1]}x{images.shape[2]} "
                           f"images, config wants {ds.height}x{ds.width}", key="dataset.path")
@@ -313,14 +307,14 @@ def _load_model_file(path, iface, key: str):
 def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
     section = cfg.autoencoder
     shape = fit_images.shape[1:]
-    if section.kind == "identity":
-        return IdentityAutoencoder(shape)
-    if section.path:
+    if section.path:  # a set path wins over kind
         ae = _load_model_file(section.path, AutoencoderInterface, "autoencoder.path")
         if ae.image_shape != shape:
             raise ConfigError(f"autoencoder.path {section.path} takes {ae.image_shape} images, "
                               f"the dataset has {shape}", key="autoencoder.path")
         return ae
+    if section.kind == "identity":
+        return IdentityAutoencoder(shape)
     n_pix = int(np.prod(shape))
     latent_dim = max(1, int(round(section.latent_frac * n_pix)))
     return fit_linear_autoencoder(fit_images, latent_dim,
@@ -329,6 +323,15 @@ def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
 
 def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
     section = cfg.denoiser
+    if section.path:  # a set path wins over kind
+        model = _load_model_file(section.path, DenoiserInterface, "denoiser.path")
+        if model.latent_dim != ae.latent_dim:
+            raise ConfigError(f"denoiser.path {section.path} has latent_dim {model.latent_dim}, "
+                              f"the autoencoder {ae.latent_dim}", key="denoiser.path")
+        if not np.array_equal(model.sched.betas, sched.betas):
+            raise ConfigError(f"denoiser.path {section.path} was trained on another noise "
+                              "schedule (t_train, beta_start, beta_end)", key="denoiser.path")
+        return model
     if section.kind == "analytic":
         rng = derive_rng(cfg.seed, "analytic-model")
         d = ae.latent_dim
@@ -338,15 +341,6 @@ def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
         sigma = 0.5 * (sigma + sigma.T)
         mu = section.mu_scale * rng.standard_normal(d)
         return LinearGaussianDenoiser(mu, sigma, sched)
-    if section.path:
-        model = _load_model_file(section.path, DenoiserInterface, "denoiser.path")
-        if model.latent_dim != ae.latent_dim:
-            raise ConfigError(f"denoiser.path {section.path} has latent_dim {model.latent_dim}, "
-                              f"the autoencoder {ae.latent_dim}", key="denoiser.path")
-        if not np.array_equal(model.sched.betas, sched.betas):
-            raise ConfigError(f"denoiser.path {section.path} was trained on another noise "
-                              "schedule (t_train, beta_start, beta_end)", key="denoiser.path")
-        return model
     train, fit_count = section.train, cfg.autoencoder.fit_count
     if train.count > fit_count:
         raise ConfigError(f"denoiser.train.count {train.count} exceeds autoencoder.fit_count "

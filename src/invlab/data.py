@@ -2,24 +2,20 @@
 
 `make_shapes` renders small grayscale images of random rectangles, discs and
 ramps, with large exactly-flat 0.0/1.0 regions, so clamping after a lossy
-decode has something to bite on. A dataset file holds such images under
-"kind": "shapes". Files are JSON with sorted keys and compact separators, so
-one (n, seed, size) always produces the same bytes.
+decode has something to bite on. A dataset file holds "kind": "shapes", the
+seed and the images; their count and size are the images' shape. Files are
+JSON with sorted keys and compact separators, so one (n, seed, size) always
+produces the same bytes.
 """
 
 from __future__ import annotations
 
 import json
-import operator
-from functools import partial
 
 import numpy as np
 
 from .errors import FormatError, InvalidParameterError
 from .rng import derive_rng
-
-# the keys a dataset file must hold, each with the reader of its value
-_FILE_KEYS = {"n": operator.index, "images": partial(np.asarray, dtype=np.float64)}
 
 
 def _pick_level(rng) -> float:
@@ -90,15 +86,7 @@ def make_shapes(n: int, seed: int, height: int = 16, width: int = 16,
 
 def gen_dataset(n: int, seed: int, height: int = 16, width: int = 16) -> dict:
     """The shapes dataset payload, ready for canonical JSON serialization."""
-    return {
-        "kind": "shapes",
-        "n": n,
-        "seed": seed,
-        "height": height,
-        "width": width,
-        "channels": 1,
-        "images": make_shapes(n, seed, height, width).tolist(),
-    }
+    return {"kind": "shapes", "seed": seed, "images": make_shapes(n, seed, height, width).tolist()}
 
 
 def save_dataset(payload: dict, path) -> None:
@@ -118,16 +106,13 @@ def load_dataset(path) -> dict:
         raise FormatError(f"dataset file {path} does not hold a JSON object")
     if payload.get("kind") != "shapes":
         raise FormatError(f"dataset file {path} holds kind {payload.get('kind')!r}, not 'shapes'")
-    missing = [key for key in _FILE_KEYS if key not in payload]
-    if missing:
-        raise FormatError(f"dataset file {path} lacks {missing}")
-    for key, read in _FILE_KEYS.items():
-        try:
-            payload[key] = read(payload[key])
-        except (TypeError, ValueError) as e:
-            raise FormatError(f"{key!r} in dataset file {path} is malformed: {e}") from None
-    shape = payload["images"].shape
-    if len(shape) != 4 or shape[0] != payload["n"] or shape[3] != 1:
-        raise FormatError(f"dataset file {path} holds images of shape {shape}, "
-                          f"need (n, h, w, 1) with n = {payload['n']}")
-    return payload
+    if "images" not in payload:
+        raise FormatError(f"dataset file {path} lacks 'images'")
+    try:
+        images = np.asarray(payload["images"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as e:  # ragged, or not numbers
+        raise FormatError(f"'images' in dataset file {path} is malformed: {e}") from None
+    if images.ndim != 4 or images.shape[3] != 1:
+        raise FormatError(f"dataset file {path} holds images of shape {images.shape}, "
+                          "need (n, h, w, 1)")
+    return {**payload, "images": images}

@@ -243,7 +243,9 @@ _PARAM_ORDER = ("w1", "b1", "temb", "cemb", "w2", "b2", "w3", "b3")
 
 class MlpDenoiser(DenoiserInterface):
     """Two-hidden-layer tanh MLP; timestep/class embeddings enter the first
-    hidden pre-activation.
+    hidden pre-activation. The sizes come from the arrays: latent_dim from b3,
+    width from b1 and n_classes from cemb's rows, one of which is the
+    unconditional row.
     """
 
 
@@ -251,8 +253,6 @@ class MlpDenoiser(DenoiserInterface):
         self,
         params: dict[str, np.ndarray],
         sched: NoiseSchedule,
-        latent_dim: int,
-        n_classes: int,
         seed: int = 0,
         final_loss: float | None = None,
         trained_epochs: int = 0,
@@ -260,26 +260,26 @@ class MlpDenoiser(DenoiserInterface):
         missing = [k for k in _PARAM_ORDER if k not in params]
         if missing:
             raise InvalidInputError(f"missing parameter arrays: {missing}")
-        self.params = {k: np.asarray(params[k], dtype=np.float64) for k in _PARAM_ORDER}
-        for arr in self.params.values():
+        self.params = p = {k: np.asarray(params[k], dtype=np.float64) for k in _PARAM_ORDER}
+        for arr in p.values():
             if not np.all(np.isfinite(arr)):
                 raise InvalidInputError("model parameters must be finite")
             arr.setflags(write=False)
         self.sched = sched
-        self.latent_dim = int(latent_dim)
-        self.n_classes = int(n_classes)
-        self.width = self.params["b1"].size
+        self.latent_dim, self.width = d, width = p["b3"].size, p["b1"].size
+        rows = p["cemb"].shape[0] if p["cemb"].ndim else 0
+        self.n_classes = max(rows, 1) - 1  # row 0, the unconditional one, must be there
         self.seed = int(seed)
         self.final_loss = final_loss
         self.trained_epochs = int(trained_epochs)
-        d, width = self.latent_dim, self.width
         shapes = {"w1": (width, d), "b1": (width,), "temb": (sched.t_train, width),
                   "cemb": (self.n_classes + 1, width), "w2": (width, width), "b2": (width,),
                   "w3": (d, width), "b3": (d,)}
-        wrong = [k for k in _PARAM_ORDER if self.params[k].shape != shapes[k]]
+        wrong = [k for k in _PARAM_ORDER if p[k].shape != shapes[k]]
         if wrong:
-            raise DimensionError(f"parameter arrays {wrong} do not fit latent_dim {d}, width "
-                                 f"{width}, {self.n_classes} classes and {sched.t_train} timesteps")
+            raise DimensionError(f"parameter arrays {wrong} do not fit latent_dim {d} (b3), "
+                                 f"width {width} (b1), {self.n_classes} classes (cemb) and "
+                                 f"{sched.t_train} timesteps")
 
     def condition_row(self, c: Condition) -> np.ndarray:
         if c.variant == UNCONDITIONAL:
@@ -477,12 +477,5 @@ def train_mlp_denoiser(
     probe_pred = _batch_forward(params, zt, probe_t - 1, params["cemb"][probe_cond])[2]
     final_loss = float(np.mean((probe_pred - probe_eps) ** 2))
 
-    return MlpDenoiser(
-        params=params,
-        sched=sched,
-        latent_dim=latent_dim,
-        n_classes=n_classes,
-        seed=cfg.seed,
-        final_loss=final_loss,
-        trained_epochs=cfg.max_epochs,
-    )
+    return MlpDenoiser(params, sched, seed=cfg.seed, final_loss=final_loss,
+                       trained_epochs=cfg.max_epochs)

@@ -1,9 +1,10 @@
 """Binary container for trained models.
 
 Layout: the 8-byte magic "LABMDL1\\n", an 8-byte little-endian header length,
-a JSON header (kind, dims, schedule parameters, seed, array manifest), then
-each manifest array as raw little-endian float64 in declared order. The
-schedule travels as its beta array so any schedule round-trips exactly.
+a JSON header (kind, the fields the arrays cannot give, array manifest), then
+each manifest array as raw little-endian float64 in declared order. Sizes are
+read off the arrays, and a denoiser's schedule travels as its beta array, so
+any schedule round-trips exactly. Loaders ignore header keys they do not read.
 """
 
 from __future__ import annotations
@@ -22,124 +23,63 @@ from .schedule import NoiseSchedule
 MAGIC = b"LABMDL1\n"
 
 
-def _schedule_payload(sched: NoiseSchedule) -> tuple[dict, list]:
-    return {"t_train": sched.t_train}, [("betas", np.asarray(sched.betas))]
-
-
-def _schedule_from(header: dict, arrays: dict) -> NoiseSchedule:
-    betas = arrays["betas"]
-    return NoiseSchedule(
-        betas=betas,
-        alpha_bars=np.cumprod(1.0 - betas),
-        t_train=int(header["schedule"]["t_train"]),
-    )
-
-
 def _mlp_payload(model: MlpDenoiser):
-    header = {
-        "kind": "mlp-denoiser",
-        "dims": {
-            "latent_dim": model.latent_dim,
-            "n_classes": model.n_classes,
-            "width": int(model.width),
-        },
-        "seed": model.seed,
-        "final_loss": model.final_loss,
-        "trained_epochs": model.trained_epochs,
-    }
+    header = {"seed": model.seed, "final_loss": model.final_loss,
+              "trained_epochs": model.trained_epochs}
     arrays = [(name, model.params[name]) for name in _PARAM_ORDER]
-    return header, arrays
+    return header, arrays + [("betas", model.sched.betas)]
 
 
 def _mlp_load(header: dict, arrays: dict) -> MlpDenoiser:
-    return MlpDenoiser(
-        params={name: arrays[name] for name in _PARAM_ORDER},
-        sched=_schedule_from(header, arrays),
-        latent_dim=int(header["dims"]["latent_dim"]),
-        n_classes=int(header["dims"]["n_classes"]),
-        seed=int(header["seed"]),
-        final_loss=header.get("final_loss"),
-        trained_epochs=int(header.get("trained_epochs", 0)),
-    )
+    return MlpDenoiser(arrays, NoiseSchedule(arrays["betas"]), seed=int(header["seed"]),
+                       final_loss=header.get("final_loss"),
+                       trained_epochs=int(header.get("trained_epochs", 0)))
 
 
 def _gauss_payload(model: LinearGaussianDenoiser):
-    header = {
-        "kind": "linear-gaussian-denoiser",
-        "dims": {"latent_dim": model.latent_dim},
-        "seed": 0,
-    }
-    return header, [("mu", model.mu), ("sigma", model.sigma)]
+    return {}, [("mu", model.mu), ("sigma", model.sigma), ("betas", model.sched.betas)]
 
 
 def _gauss_load(header: dict, arrays: dict) -> LinearGaussianDenoiser:
-    return LinearGaussianDenoiser(arrays["mu"], arrays["sigma"], _schedule_from(header, arrays))
+    return LinearGaussianDenoiser(arrays["mu"], arrays["sigma"], NoiseSchedule(arrays["betas"]))
+
+
+def _dims(model) -> dict:
+    return {"dims": {"image_shape": list(model.image_shape)}}
 
 
 def _linear_ae_payload(model: LinearAutoencoder):
-    header = {
-        "kind": "linear-autoencoder",
-        "dims": {"image_shape": list(model.image_shape), "latent_dim": model.latent_dim},
-        "seed": 0,
-    }
     arrays = [("w", model.w), ("mean", model.mean)]
     if model.leak is not None:
         arrays.append(("leak", model.leak))
-    return header, arrays
+    return _dims(model), arrays
 
 
 def _linear_ae_load(header: dict, arrays: dict) -> LinearAutoencoder:
-    return LinearAutoencoder(
-        arrays["w"],
-        arrays["mean"],
-        tuple(header["dims"]["image_shape"]),
-        leak=arrays.get("leak"),
-    )
-
-
-def _identity_ae_payload(model: IdentityAutoencoder):
-    header = {
-        "kind": "identity-autoencoder",
-        "dims": {"image_shape": list(model.image_shape)},
-        "seed": 0,
-    }
-    return header, []
+    return LinearAutoencoder(arrays["w"], arrays["mean"], tuple(header["dims"]["image_shape"]),
+                             leak=arrays.get("leak"))
 
 
 def _identity_ae_load(header: dict, arrays: dict) -> IdentityAutoencoder:
     return IdentityAutoencoder(tuple(header["dims"]["image_shape"]))
 
 
-_LOADERS = {
-    "mlp-denoiser": _mlp_load,
-    "linear-gaussian-denoiser": _gauss_load,
-    "linear-autoencoder": _linear_ae_load,
-    "identity-autoencoder": _identity_ae_load,
+# kind -> (class, (header fields, [(array name, array)]) of a model, loader of (header, arrays))
+_CODECS = {
+    "mlp-denoiser": (MlpDenoiser, _mlp_payload, _mlp_load),
+    "linear-gaussian-denoiser": (LinearGaussianDenoiser, _gauss_payload, _gauss_load),
+    "linear-autoencoder": (LinearAutoencoder, _linear_ae_payload, _linear_ae_load),
+    "identity-autoencoder": (IdentityAutoencoder, lambda m: (_dims(m), []), _identity_ae_load),
 }
 
 
-def _payload_for(model):
-    if isinstance(model, MlpDenoiser):
-        header, arrays = _mlp_payload(model)
-    elif isinstance(model, LinearGaussianDenoiser):
-        header, arrays = _gauss_payload(model)
-    elif isinstance(model, LinearAutoencoder):
-        header, arrays = _linear_ae_payload(model)
-    elif isinstance(model, IdentityAutoencoder):
-        header, arrays = _identity_ae_payload(model)
-    else:
-        raise FormatError(f"no persistence handler for {type(model).__name__}")
-    sched = getattr(model, "sched", None)
-    if sched is not None:
-        sched_header, sched_arrays = _schedule_payload(sched)
-        header["schedule"] = sched_header
-        arrays = arrays + sched_arrays
-    return header, arrays
-
-
 def save_model(model, path) -> None:
-    header, arrays = _payload_for(model)
-    header["arrays"] = [{"name": name, "shape": list(np.asarray(a).shape)} for name, a in arrays]
+    kind = next((k for k, (cls, _, _) in _CODECS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise FormatError(f"no persistence handler for {type(model).__name__}")
+    fields, arrays = _CODECS[kind][1](model)
+    header = {"kind": kind, **fields,
+              "arrays": [{"name": name, "shape": list(a.shape)} for name, a in arrays]}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -169,7 +109,7 @@ def load_model(path):
     if not isinstance(header, dict):
         raise FormatError(f"header in {path} is not a JSON object")
     kind = header.get("kind")
-    if not (isinstance(kind, str) and kind in _LOADERS):
+    if not (isinstance(kind, str) and kind in _CODECS):
         raise FormatError(f"unknown model kind {kind!r} in {path}")
     entries = header.get("arrays")
     if not isinstance(entries, list):
@@ -191,7 +131,7 @@ def load_model(path):
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes in {path}")
     try:
-        return _LOADERS[kind](header, arrays)
+        return _CODECS[kind][2](header, arrays)
     except (InvlabError, KeyError, TypeError, ValueError, OverflowError) as e:
         # a missing or ill-typed field or array, or values the model's own checks refuse
         raise FormatError(f"{kind} model in {path} is malformed: {e!r}") from None

@@ -13,7 +13,7 @@ where (t_prev, t) is a grid-adjacent pair of the strided inference grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,30 +22,31 @@ from .errors import BoundsError, InvalidParameterError, OrderingError, require
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """β_t sequence with cumulative products ᾱ_t; immutable after build.
+    """β_t sequence, from which ᾱ_t and t_train derive; immutable after build.
 
-    betas[i] is β_{i+1}, alpha_bars[i] is ᾱ_{i+1} (timesteps are 1-based);
-    ᾱ_0 = 1 is available through :meth:`alpha_bar`.
+    betas[i] is β_{i+1}, alpha_bars[i] is ᾱ_{i+1} (timesteps are 1-based) and
+    t_train is the number of betas; ᾱ_0 = 1 is available through :meth:`alpha_bar`.
     """
 
     betas: np.ndarray
-    alpha_bars: np.ndarray
-    t_train: int
+    alpha_bars: np.ndarray = field(init=False)
+    t_train: int = field(init=False)
 
     def __post_init__(self):
         # a schedule read from a model file has had none of make_linear_schedule's checks
-        require(self.t_train >= 1 and self.betas.shape == (self.t_train,), "betas",
-                self.betas.shape, f"one per timestep, t_train = {self.t_train} >= 1")
+        require(self.betas.ndim == 1 and self.betas.size >= 1, "betas", self.betas.shape,
+                "one per timestep, at least one")
         require(bool(np.all((self.betas > 0.0) & (self.betas < 1.0))), "betas",
                 (float(self.betas.min()), float(self.betas.max())), "in (0, 1)")
         self.betas.setflags(write=False)
-        self.alpha_bars.setflags(write=False)
+        alpha_bars = np.cumprod(1.0 - self.betas)
+        alpha_bars.setflags(write=False)
+        object.__setattr__(self, "alpha_bars", alpha_bars)
+        object.__setattr__(self, "t_train", self.betas.size)
 
-    def _check_t(self, t: int, lo: int = 1) -> None:
-        if not lo <= t <= self.t_train:
-            raise BoundsError(
-                f"timestep {t} outside [{lo}, {self.t_train}]", t=t, t_train=self.t_train
-            )
+    def _check_t(self, t: int) -> None:
+        if not 1 <= t <= self.t_train:
+            raise BoundsError(f"timestep {t} outside [1, {self.t_train}]", t=t, t_train=self.t_train)
 
     def beta(self, t: int) -> float:
         self._check_t(t)
@@ -98,9 +99,7 @@ def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> No
             beta_end=beta_end,
             field="beta_end" if 0.0 < beta_start < 1.0 else "beta_start",
         )
-    betas = np.linspace(beta_start, beta_end, t_train, dtype=np.float64)
-    alpha_bars = np.cumprod(1.0 - betas)
-    return NoiseSchedule(betas=betas, alpha_bars=alpha_bars, t_train=t_train)
+    return NoiseSchedule(np.linspace(beta_start, beta_end, t_train, dtype=np.float64))
 
 
 def coefficients(sched: NoiseSchedule, t: int, t_prev: int) -> StepCoefficients:

@@ -1,5 +1,5 @@
 """Shared fixtures: small schedules, stub denoisers, 2-d mixture MLPs, model-file
-surgery, hypothesis profile."""
+surgery, JSON mutation, hypothesis profile."""
 
 import json
 import struct
@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from invlab import (
     Condition,
@@ -140,3 +141,28 @@ def write_model_file(path, header, body: bytes) -> None:
     """A model file holding `header` and the raw array bytes `body`."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(b"LABMDL1\n" + struct.pack("<Q", len(blob)) + blob + body)
+
+
+# any JSON value, NaN and the infinities included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+def _leaves(doc, path=()):
+    """The paths to every scalar and every empty container in a JSON document."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    paths = [leaf for key, value in children for leaf in _leaves(value, path + (key,))]
+    return paths or [path]
+
+
+def mutate_json_leaf(doc, data) -> None:
+    """Set one leaf of the JSON document `doc`, drawn with hypothesis `data`, to any JSON value."""
+    *parents, last = data.draw(st.sampled_from(_leaves(doc)))
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[last] = data.draw(JSON_VALUES)

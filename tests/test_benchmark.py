@@ -115,7 +115,6 @@ ILL_TYPED = [
     ("denoiser.train.lr", "fast"),
     ("autoencoder.kind", 1), ("autoencoder.path", ["a"]), ("autoencoder.latent_frac", "1/4"),
     ("autoencoder.fit_count", 64.0), ("autoencoder.leak_scale", False),
-    ("perceptual.seed", "0"),
     ("lbo.max_iters", 1.5), ("lbo.tol", "1e-8"), ("lbo.lr", None), ("lbo.n_grad_warmup", True),
     ("ilb.lr", "0.1"), ("ilb.max_iters", 10.0), ("ilb.rel_tol", None), ("ilb.dt", "5"),
     ("ilb.use_reg", "yes"), ("ilb.weights", 1.0), ("ilb.weights", [1.0, "1", 1.0]),
@@ -584,6 +583,30 @@ def test_model_files_of_the_run_load(model_files):
     np.testing.assert_array_equal(loaded.ae.w, trained.ae.w)
     for name, value in trained.model.params.items():
         np.testing.assert_array_equal(loaded.model.params[name], value)
+
+
+def test_set_denoiser_path_loads_whatever_the_kind(model_files, tmp_path):
+    # kind picks what is built only when no path is set; the default kind is analytic
+    trained, den, _ = model_files
+    loaded = BenchmarkBackends(config_from_json_dict({**TINY_MLP_DOC, "denoiser": {"path": den}}))
+    assert isinstance(loaded.model, MlpDenoiser)
+    for name, value in trained.model.params.items():
+        np.testing.assert_array_equal(loaded.model.params[name], value)
+    gone = str(tmp_path / "gone.labmdl")
+    with pytest.raises(ConfigError, match="does not exist") as err:
+        BenchmarkBackends(config_from_json_dict({**TINY_MLP_DOC, "denoiser": {"path": gone}}))
+    assert err.value.context["key"] == "denoiser.path"
+
+
+def test_set_autoencoder_path_loads_whatever_the_kind(model_files, tmp_path):
+    trained, _, ae = model_files
+    doc = {**TINY_MLP_DOC, "autoencoder": {"fit_count": 16, "kind": "identity", "path": ae}}
+    np.testing.assert_array_equal(BenchmarkBackends(config_from_json_dict(doc)).ae.w,
+                                  trained.ae.w)
+    doc["autoencoder"]["path"] = str(tmp_path / "gone.labmdl")
+    with pytest.raises(ConfigError, match="does not exist") as err:
+        BenchmarkBackends(config_from_json_dict(doc))
+    assert err.value.context["key"] == "autoencoder.path"
 
 
 # (what the run changes, which file goes where, the key the error names)

@@ -345,9 +345,9 @@ def test_steps_flag_beyond_t_train_exits_2(capsys, small_cfg, tmp_path):
     assert doc["context"]["key"] == "steps" and "steps" in doc["message"]
 
 
-# (what the 8x8 file claims or holds, the run's image size, the error it exits with)
+# (what the 8x8 file holds, the run's image size, the error it exits with)
 UNFIT_DATASETS = [
-    ({"n": 5}, (8, 8), "format-error"),
+    ({"images": [[[[0.5]] * 8] * 8]}, (8, 8), "config-error"),  # one image, two wanted
     ({}, (12, 12), "config-error"),
     ({"images": [[[[float("nan")]] * 8] * 8] * 3}, (8, 8), "config-error"),
 ]

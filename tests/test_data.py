@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import make_gauss_mixture
+from conftest import make_gauss_mixture, mutate_json_leaf
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invlab import (
     FormatError,
@@ -74,8 +76,7 @@ def test_gauss_mixture_determinism_and_errors():
 
 def test_gen_dataset_shapes_payload():
     d = gen_dataset(3, seed=5, height=8, width=8)
-    assert d["kind"] == "shapes"
-    assert (d["n"], d["height"], d["width"], d["channels"]) == (3, 8, 8, 1)
+    assert d.keys() == {"kind", "seed", "images"} and d["kind"] == "shapes"
     assert np.asarray(d["images"]).shape == (3, 8, 8, 1)
 
 
@@ -103,6 +104,16 @@ def test_dataset_round_trip_shapes(tmp_path):
     assert back["seed"] == 11
 
 
+def test_dataset_file_in_the_older_layout_loads_the_same_images(tmp_path):
+    # older files repeated the image count and size beside the images
+    d = gen_dataset(3, seed=4, height=6, width=7)
+    path = tmp_path / "older.json"
+    save_dataset({**d, "n": 3, "height": 6, "width": 7, "channels": 1}, path)
+    back = load_dataset(path)
+    np.testing.assert_array_equal(back["images"], np.asarray(d["images"]))
+    assert back["seed"] == 4
+
+
 def test_load_dataset_rejects_unknown_kind(tmp_path):
     path = tmp_path / "weird.json"
     for kind in ('"mystery"', '"gauss2d"', '["shapes"]', "null"):
@@ -122,8 +133,6 @@ def test_load_dataset_rejects_unknown_kind(tmp_path):
     '{"kind": "shapes", "images": []}',
     '{"kind": "shapes", "n": "3", "images": []}',
     '{"kind": "shapes", "n": 1, "images": [[1], [1, 2]]}',
-    '{"kind": "shapes", "n": 2, "images": [[[[0.5]]]]}',
-    '{"kind": "shapes", "n": 1, "images": [[[[0.5]]], [[[0.5]]]]}',
     '{"kind": "shapes", "n": 1, "images": [[[0.5]]]}',
     '{"kind": "shapes", "n": 1, "images": [[[[0.5, 0.5]]]]}',
     '{"kind": "gauss2d", "samples": [[0.0, 1.0]], "labels": [0]}',
@@ -134,3 +143,34 @@ def test_load_dataset_rejects_malformed_file(tmp_path, text):
     path.write_text(text)
     with pytest.raises(FormatError):
         load_dataset(path)
+
+
+def test_pixel_too_large_for_a_float_is_format_error(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "shapes", "images": [[[[1' + "0" * 309 + ']]]]}')
+    with pytest.raises(FormatError, match="huge.json"):
+        load_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("datasets")
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.data())
+def test_mutated_dataset_file_loads_or_fails_naming_it(dataset_dir, data):
+    doc = gen_dataset(2, seed=3, height=5, width=5)
+    if data.draw(st.booleans()):  # one top-level key goes
+        del doc[data.draw(st.sampled_from(sorted(doc)))]
+    else:
+        mutate_json_leaf(doc, data)
+    path = dataset_dir / "mutated.json"
+    save_dataset(doc, path)
+    try:
+        payload = load_dataset(path)
+    except FormatError as e:
+        assert str(path) in str(e)
+    else:
+        images = payload["images"]
+        assert images.dtype == np.float64 and images.ndim == 4 and images.shape[3] == 1

@@ -16,6 +16,7 @@ from invlab import (
     InvalidInputError,
     InvalidParameterError,
     LinearGaussianDenoiser,
+    MlpDenoiser,
     MlpTrainConfig,
     ScalingDenoiser,
     TrainingFailureError,
@@ -209,6 +210,17 @@ def test_mlp_train_determinism():
         np.testing.assert_array_equal(a.params[k], b.params[k])
     c, _ = train_tiny_mlp(seed=4)
     assert any(not np.array_equal(a.params[k], c.params[k]) for k in a.params)
+
+
+@pytest.mark.parametrize("name,shape", [("cemb", (0, 5)), ("cemb", ()), ("w1", (3, 5)),
+                                        ("temb", (19, 5)), ("w2", (5, 4))])
+def test_mlp_reads_its_sizes_from_its_arrays(name, shape):
+    sched = make_linear_schedule(20, 1e-3, 0.05)
+    p = invlab.denoiser._init_params(np.random.default_rng(25), 3, 5, 20, 2)
+    model = MlpDenoiser(p, sched)
+    assert (model.latent_dim, model.width, model.n_classes) == (3, 5, 2)
+    with pytest.raises(DimensionError, match=name):
+        MlpDenoiser({**p, name: np.zeros(shape)}, sched)
 
 
 def test_mlp_rejects_empty_and_misshapen_data():

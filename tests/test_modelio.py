@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import make_gauss_mixture, read_model_file, write_model_file
+from conftest import make_gauss_mixture, mutate_json_leaf, read_model_file, write_model_file
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,9 @@ from invlab import (
     FormatError,
     IdentityAutoencoder,
     InvlabError,
+    LinearAutoencoder,
     LinearGaussianDenoiser,
+    MlpDenoiser,
     MlpTrainConfig,
     fit_linear_autoencoder,
     load_model,
@@ -206,14 +208,6 @@ def test_unsupported_model_type_rejected(tmp_path):
 
 # ---------------------------------------------------------------- mutated files
 
-# any JSON value, NaN and the infinities included
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
-                                                                max_size=3),
-    max_leaves=4)
-
-
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory, tiny_mlp):
     """{kind: (path, interface, config key)}, one saved model of each kind."""
@@ -229,14 +223,6 @@ def model_files(tmp_path_factory, tiny_mlp):
         save_model(model, out / kind)
         models[kind] = (out / kind, iface, key)
     return models
-
-
-def _leaves(doc, path=()):
-    """The paths to every scalar and every empty container in a JSON document."""
-    children = doc.items() if isinstance(doc, dict) else enumerate(doc) \
-        if isinstance(doc, list) else ()
-    paths = [leaf for key, value in children for leaf in _leaves(value, path + (key,))]
-    return paths or [path]
 
 
 def _arrays(model):
@@ -257,12 +243,8 @@ def test_mutated_model_file_loads_finite_or_fails_naming_its_key(model_files, da
         i = 8 * data.draw(st.integers(0, len(body) // 8 - 1))
         value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         body = body[:i] + struct.pack("<d", value) + body[i + 8:]
-    else:  # one header leaf becomes any JSON value
-        *parents, last = data.draw(st.sampled_from(_leaves(header)))
-        node = header
-        for step in parents:
-            node = node[step]
-        node[last] = data.draw(JSON_VALUES)
+    else:
+        mutate_json_leaf(header, data)
     mutated = path.with_suffix(".mutated")
     write_model_file(mutated, header, body)
     try:
@@ -271,3 +253,48 @@ def test_mutated_model_file_loads_finite_or_fails_naming_its_key(model_files, da
         assert e.context["key"] == key
     else:
         assert all(np.all(np.isfinite(a)) for a in _arrays(model))
+
+
+# ---------------------------------------------------------------- older files, re-saves
+
+
+def _older_fields(model) -> dict:
+    """The header fields that older files wrote beside those read today: the sizes, the
+    schedule's length and a seed for every kind."""
+    if isinstance(model, MlpDenoiser):
+        return {"dims": {"latent_dim": model.latent_dim, "n_classes": model.n_classes,
+                         "width": model.width}, "schedule": {"t_train": model.sched.t_train}}
+    if isinstance(model, LinearGaussianDenoiser):
+        return {"dims": {"latent_dim": model.latent_dim},
+                "schedule": {"t_train": model.sched.t_train}, "seed": 0}
+    dims = {"image_shape": list(model.image_shape)}
+    if isinstance(model, LinearAutoencoder):
+        dims["latent_dim"] = model.latent_dim
+    return {"dims": dims, "seed": 0}
+
+
+def test_file_in_the_older_header_layout_loads_the_same_model(model_files, tmp_path):
+    for kind, (path, _, _) in model_files.items():
+        model = load_model(path)
+        header, body = read_model_file(path)
+        older = tmp_path / kind
+        write_model_file(older, {**header, **_older_fields(model)}, body)
+        back = load_model(older)
+        assert type(back) is type(model) and back.latent_dim == model.latent_dim
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(back), _arrays(model), strict=True))
+        save_model(back, tmp_path / "resaved")
+        assert (tmp_path / "resaved").read_bytes() == path.read_bytes()
+
+
+def test_save_of_a_loaded_model_is_byte_identical(model_files, tmp_path):
+    for kind, (path, _, _) in model_files.items():
+        save_model(load_model(path), tmp_path / kind)
+        assert (tmp_path / kind).read_bytes() == path.read_bytes()
+
+
+def test_header_holds_only_what_the_arrays_cannot_say(model_files):
+    fields = {kind: set(read_model_file(path)[0]) - {"kind", "arrays"}
+              for kind, (path, _, _) in model_files.items()}
+    assert fields == {"mlp-denoiser": {"seed", "final_loss", "trained_epochs"},
+                      "linear-gaussian-denoiser": set(), "linear-autoencoder": {"dims"},
+                      "identity-autoencoder": {"dims"}}

@@ -57,6 +57,19 @@ def test_schedule_rejects_bad_parameters(t_train, b0, b1):
         make_linear_schedule(t_train, b0, b1)
 
 
+@pytest.mark.parametrize("betas", [[], [[0.1, 0.2]], [0.1, 1.0], [0.0], [float("nan")]])
+def test_schedule_rejects_bad_betas(betas):
+    with pytest.raises(InvalidParameterError, match="betas"):
+        NoiseSchedule(np.asarray(betas, dtype=np.float64))
+
+
+def test_schedule_derives_alpha_bars_and_t_train_from_betas():
+    betas = np.array([0.1, 0.2, 0.3])
+    sched = NoiseSchedule(betas)
+    assert sched.t_train == 3 and type(sched.t_train) is int
+    assert sched.alpha_bars.tobytes() == np.cumprod(1.0 - betas).tobytes()
+
+
 def test_timestep_bounds(toy3):
     with pytest.raises(BoundsError):
         toy3.beta(0)
@@ -158,7 +171,7 @@ def test_uniform_grid_always_ends_at_t_train(t_train, s):
 @given(st.lists(st.floats(1e-4, 0.5), min_size=2, max_size=30))
 def test_alpha_bar_recurrence_and_monotonicity(beta_list):
     betas = np.asarray(beta_list)
-    sched = NoiseSchedule(betas=betas, alpha_bars=np.cumprod(1.0 - betas), t_train=len(betas))
+    sched = NoiseSchedule(betas)
     prev = 1.0
     for step in range(1, sched.t_train + 1):
         ab = sched.alpha_bar(step)
