@@ -8,12 +8,21 @@ Codecs implement `encode`, `decode` and the decoder's pullback `decoder_vjp`.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import DimensionError, FitError, InvalidParameterError
+from .errors import DimensionError, FitError, InvalidParameterError, require
 from .rng import derive_rng
+
+
+def _image_shape(image_shape) -> tuple[int, int, int]:
+    """image_shape as a tuple, checked to be three ints >= 1 (not floats, not bools)."""
+    shape = tuple(image_shape)
+    require(len(shape) == 3 and all(type(n) is int and n >= 1 for n in shape),
+            "image_shape", image_shape, "three ints >= 1")
+    return shape
 
 
 class AutoencoderInterface(ABC):
@@ -52,9 +61,8 @@ class IdentityAutoencoder(AutoencoderInterface):
 
 
     def __init__(self, image_shape: tuple[int, int, int]):
-        h, w, c = image_shape
-        self.image_shape = (int(h), int(w), int(c))
-        self.latent_dim = int(h * w * c)
+        self.image_shape = _image_shape(image_shape)
+        self.latent_dim = math.prod(self.image_shape)
 
     def encode(self, x):
         return self._check_image(x).reshape(-1).copy()
@@ -89,9 +97,8 @@ class LinearAutoencoder(AutoencoderInterface):
         image_shape: tuple[int, int, int],
         leak: np.ndarray | None = None,
     ):
-        h, wd, c = image_shape
-        self.image_shape = (int(h), int(wd), int(c))
-        pixel_count = int(h * wd * c)
+        self.image_shape = _image_shape(image_shape)
+        pixel_count = math.prod(self.image_shape)
         w = np.asarray(w, dtype=np.float64)
         mean = np.asarray(mean, dtype=np.float64)
         leak = None if leak is None else np.asarray(leak, dtype=np.float64)

@@ -269,9 +269,13 @@ class MlpDenoiser(DenoiserInterface):
         self.latent_dim, self.width = d, width = p["b3"].size, p["b1"].size
         rows = p["cemb"].shape[0] if p["cemb"].ndim else 0
         self.n_classes = max(rows, 1) - 1  # row 0, the unconditional one, must be there
-        self.seed = int(seed)
+        # type(...) is int: bool passes isinstance(..., int); a run's seed may be negative
+        require(type(seed) is int, "seed", seed, "an int")
+        require(type(trained_epochs) is int and trained_epochs >= 0, "trained_epochs",
+                trained_epochs, "an int >= 0")
+        self.seed = seed
         self.final_loss = final_loss
-        self.trained_epochs = int(trained_epochs)
+        self.trained_epochs = trained_epochs
         shapes = {"w1": (width, d), "b1": (width,), "temb": (sched.t_train, width),
                   "cemb": (self.n_classes + 1, width), "w2": (width, width), "b2": (width,),
                   "w3": (d, width), "b3": (d,)}

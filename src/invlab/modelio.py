@@ -31,9 +31,9 @@ def _mlp_payload(model: MlpDenoiser):
 
 
 def _mlp_load(header: dict, arrays: dict) -> MlpDenoiser:
-    return MlpDenoiser(arrays, NoiseSchedule(arrays["betas"]), seed=int(header["seed"]),
+    return MlpDenoiser(arrays, NoiseSchedule(arrays["betas"]), seed=header["seed"],
                        final_loss=header.get("final_loss"),
-                       trained_epochs=int(header.get("trained_epochs", 0)))
+                       trained_epochs=header.get("trained_epochs", 0))
 
 
 def _gauss_payload(model: LinearGaussianDenoiser):
@@ -56,12 +56,12 @@ def _linear_ae_payload(model: LinearAutoencoder):
 
 
 def _linear_ae_load(header: dict, arrays: dict) -> LinearAutoencoder:
-    return LinearAutoencoder(arrays["w"], arrays["mean"], tuple(header["dims"]["image_shape"]),
+    return LinearAutoencoder(arrays["w"], arrays["mean"], header["dims"]["image_shape"],
                              leak=arrays.get("leak"))
 
 
 def _identity_ae_load(header: dict, arrays: dict) -> IdentityAutoencoder:
-    return IdentityAutoencoder(tuple(header["dims"]["image_shape"]))
+    return IdentityAutoencoder(header["dims"]["image_shape"])
 
 
 # kind -> (class, (header fields, [(array name, array)]) of a model, loader of (header, arrays))

@@ -5,11 +5,13 @@ Adam is the standard bias-corrected form:
     m ← β1·m + (1−β1)·g          m̂ = m/(1−β1^k)
     v ← β2·v + (1−β2)·g²         v̂ = v/(1−β2^k)
     x ← x − lr·m̂/(sqrt(v̂) + ε)
+
+`AdamState` holds lr, the step count k and m and v, shaped like x (any
+shape). `adam_step` returns a new state and leaves its inputs untouched.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,47 +25,14 @@ EPSILON = 1e-8
 _CENTRAL_STEP = float(np.finfo(np.float64).eps ** (1.0 / 3.0))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class AdamState:
-    """Learning rate, step count and both moments.
-
-    m and v are the rows of one (2, …) array, `moments`, so adam_step updates
-    both with one operation per stage of the formula. `moments` is None
-    before the first step.
-    """
+    """Learning rate, step count k and the moments m and v (None before the first step)."""
 
     lr: float
-    moments: np.ndarray | None
-    step_count: int
-
-    def __init__(self, lr: float, m: np.ndarray | None = None, v: np.ndarray | None = None,
-                 step_count: int = 0):
-        # m and v come together, or not at all
-        _set_fields(self, lr, None if m is None and v is None else np.stack((m, v)), step_count)
-
-    @property
-    def m(self) -> np.ndarray | None:
-        return None if self.moments is None else self.moments[0]
-
-    @property
-    def v(self) -> np.ndarray | None:
-        return None if self.moments is None else self.moments[1]
-
-
-def _set_fields(state: AdamState, lr: float, moments: np.ndarray | None,
-                step_count: int) -> AdamState:
-    object.__setattr__(state, "lr", lr)
-    object.__setattr__(state, "moments", moments)
-    object.__setattr__(state, "step_count", step_count)
-    return state
-
-
-@functools.cache
-def _rates(ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(β1, β2) and (1−β1, 1−β2) as read-only columns broadcasting over (2, …) moments."""
-    rates = np.array([[BETA1, 1.0 - BETA1], [BETA2, 1.0 - BETA2]]).reshape((2, 2) + (1,) * ndim)
-    rates.setflags(write=False)
-    return rates[:, 0], rates[:, 1]
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    step_count: int = 0
 
 
 def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
@@ -75,29 +44,27 @@ def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.nda
         )
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite gradient passed to adam_step")
-    moments = state.moments if state.moments is not None else np.zeros((2,) + x.shape)
+    m = np.zeros(x.shape) if state.m is None else state.m
+    v = np.zeros(x.shape) if state.v is None else state.v
     k = state.step_count + 1
     # The docstring's formula one operation at a time, in its order, so the
-    # bits are the formula's. m and v share each operation as rows of one
-    # array: β·(m, v) + (1−β)·(g, g), with the second row's term times g.
-    decay, gain = _rates(x.ndim)
-    step = np.multiply(gain, grad)
-    v_step = step[1]
-    v_step *= grad
-    moments_next = np.multiply(decay, moments)
-    moments_next += step
-    # step is spent, so its first row holds sqrt(v̂) + ε; x_next is the only
-    # other new array
-    denom = step[0]
-    np.divide(moments_next[1], 1.0 - BETA2**k, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += EPSILON
-    x_next = np.divide(moments_next[0], 1.0 - BETA1**k)
+    # bits are the formula's; the inputs are read, never written.
+    m = np.multiply(BETA1, m)
+    step = np.multiply(1.0 - BETA1, grad)
+    m += step
+    v = np.multiply(BETA2, v)
+    np.multiply(1.0 - BETA2, grad, out=step)
+    step *= grad
+    v += step
+    # step is spent, so it now holds sqrt(v̂) + ε
+    np.divide(v, 1.0 - BETA2**k, out=step)
+    np.sqrt(step, out=step)
+    step += EPSILON
+    x_next = np.divide(m, 1.0 - BETA1**k)
     x_next *= state.lr
-    x_next /= denom
+    x_next /= step
     np.subtract(x, x_next, out=x_next)
-    # _set_fields on a bare instance skips the constructor's stacking
-    return x_next, _set_fields(object.__new__(AdamState), state.lr, moments_next, k)
+    return x_next, AdamState(state.lr, m, v, k)
 
 
 def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -129,7 +96,8 @@ def gradient_check(f: Callable[[np.ndarray], float], grad_f: np.ndarray, x: np.n
     The relative error uses the finite-difference value as reference with an
     absolute floor of 1e-12. On a coordinate where |g_i| is much smaller than
     |f|·eps^(2/3) it is dominated by the differences' round-off rather than by
-    a fault in grad_f.
+    a fault in grad_f. A non-finite entry of grad_f or of the differences
+    raises DivergenceError naming its first coordinate.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_f = np.asarray(grad_f, dtype=np.float64)
@@ -137,12 +105,13 @@ def gradient_check(f: Callable[[np.ndarray], float], grad_f: np.ndarray, x: np.n
         raise InvalidInputError(
             f"gradient shape {grad_f.shape} does not match probe shape {x.shape}"
         )
+    grad_f = grad_f.ravel()
+    bad = np.flatnonzero(~np.isfinite(grad_f))
+    if bad.size:
+        raise DivergenceError(f"non-finite gradient under check at coordinate {bad[0]}")
     fd = central_difference(f, x).ravel()
     bad = np.flatnonzero(~np.isfinite(fd))
     if bad.size:
         raise DivergenceError(
             f"non-finite evaluation during gradient check at coordinate {bad[0]}")
-    worst = 0.0
-    for g, d in zip(grad_f.ravel(), fd):
-        worst = max(worst, abs(g - d) / max(abs(d), 1e-12))
-    return float(worst)
+    return float(np.max(np.abs(grad_f - fd) / np.maximum(np.abs(fd), 1e-12), initial=0.0))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -204,6 +205,29 @@ def test_mlp_array_of_the_wrong_shape_rejected(tmp_path, tiny_mlp):
 def test_unsupported_model_type_rejected(tmp_path):
     with pytest.raises(FormatError):
         save_model(object(), tmp_path / "nope.labmdl")
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("identity-autoencoder", "image_shape", [5.9, 6, 1]),
+    ("identity-autoencoder", "image_shape", [5, 6, True]),
+    ("identity-autoencoder", "image_shape", [-5, 6, 1]),
+    ("identity-autoencoder", "image_shape", [0, 6, 1]),
+    ("linear-autoencoder", "image_shape", [8.0, 8, 1]),
+    ("mlp-denoiser", "seed", 5.5),
+    ("mlp-denoiser", "seed", True),
+    ("mlp-denoiser", "trained_epochs", 3.0),
+    ("mlp-denoiser", "trained_epochs", -1),
+])
+def test_header_integer_that_is_not_a_fitting_int_is_format_error(model_files, tmp_path, kind,
+                                                                   field, value):
+    # int() would read 5.9 as 5 and True as 1; a size below 1 gives no image
+    header, body = read_model_file(model_files[kind][0])
+    (header["dims"] if field == "image_shape" else header)[field] = value
+    path = tmp_path / "bad.labmdl"
+    write_model_file(path, header, body)
+    with pytest.raises(FormatError, match=re.escape(str(path))) as e:
+        load_model(path)
+    assert field in str(e.value)
 
 
 # ---------------------------------------------------------------- mutated files

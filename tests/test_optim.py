@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invlab import AdamState, DivergenceError, InvalidInputError, adam_step, gradient_check
-from invlab.optim import BETA1, BETA2, EPSILON
+from invlab.optim import BETA1, BETA2, EPSILON, central_difference
 
 
 def test_first_step_magnitude():
@@ -132,6 +132,27 @@ def test_gradient_check_at_origin_uses_absolute_probe():
 
 
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
+def test_gradient_check_is_the_worst_coordinate_error(dim, seed):
+    # the per-coordinate loop as reference, on a gradient off by up to 10% per coordinate
+    rng = np.random.default_rng(seed)
+    a, x = rng.standard_normal(dim), rng.standard_normal(dim)
+    grad = a * (1.0 + 0.1 * rng.standard_normal(dim))
+    fd = central_difference(lambda z: float(a @ z), x)
+    expected = max(abs(g - d) / max(abs(d), 1e-12) for g, d in zip(grad, fd))
+    assert gradient_check(lambda z: float(a @ z), grad, x) == expected
+
+
+@pytest.mark.parametrize("grad", [[2.0, np.nan, 6.0], [np.nan] * 3, [2.0, 4.0, np.inf]],
+                         ids=["one-nan", "all-nan", "one-inf"])
+def test_gradient_check_rejects_non_finite_gradient(grad):
+    # a NaN pullback must fail the check, not read as an error of 0.0
+    x = np.array([1.0, 2.0, 3.0])
+    first = int(np.flatnonzero(~np.isfinite(grad))[0])
+    with pytest.raises(DivergenceError, match=f"coordinate {first}"):
+        gradient_check(lambda z: float(np.sum(z**2)), np.array(grad), x)
+
+
+@given(st.integers(1, 6), st.integers(0, 2**31 - 1))
 def test_gradient_check_linear_functions_exact(dim, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(dim)
@@ -153,15 +174,14 @@ def _adam_formula(state, x, grad):
     return x_next, AdamState(state.lr, m, v, k)
 
 
-
-@pytest.mark.parametrize("n", [64, 20_000])
+@pytest.mark.parametrize("n", [64, 20_000, pytest.param((3, 64), id="3x64")])
 def test_adam_step_is_the_formula_bit_for_bit(n):
     rng = np.random.default_rng(n)
     x = ref_x = rng.standard_normal(n)
     state = ref_state = AdamState(lr=3e-3)
     for _ in range(5):
         grad = rng.standard_normal(n) * rng.choice([1e-9, 1.0, 1e6], size=n)
-        grad[:3] = (0.0, -0.0, 1e-300)
+        grad.reshape(-1)[:3] = (0.0, -0.0, 1e-300)
         inputs = [a for a in (x, state.m, state.v) if a is not None]
         saved = [a.copy() for a in inputs]
         x, state = adam_step(state, x, grad)
