@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import DimensionError, FitError, InvalidParameterError, require
+from .errors import DimensionError, FitError, InvalidParameterError, require, require_shape
 from .rng import derive_rng
 
 
@@ -30,18 +30,6 @@ class AutoencoderInterface(ABC):
 
     image_shape: tuple[int, int, int]
     latent_dim: int
-
-    def _check_image(self, x: np.ndarray, name: str = "x") -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.image_shape:
-            raise DimensionError(f"{name} has shape {x.shape}, expected {self.image_shape}")
-        return x
-
-    def _check_latent(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.latent_dim,):
-            raise DimensionError(f"latent has shape {z.shape}, expected ({self.latent_dim},)")
-        return z
 
     @abstractmethod
     def encode(self, x: np.ndarray) -> np.ndarray:
@@ -65,14 +53,14 @@ class IdentityAutoencoder(AutoencoderInterface):
         self.latent_dim = math.prod(self.image_shape)
 
     def encode(self, x):
-        return self._check_image(x).reshape(-1).copy()
+        return require_shape(x, self.image_shape, "x").reshape(-1).copy()
 
     def decode(self, z):
-        return self._check_latent(z).reshape(self.image_shape).copy()
+        return require_shape(z, (self.latent_dim,), "z").reshape(self.image_shape).copy()
 
     def decoder_vjp(self, z, v):
-        self._check_latent(z)
-        return self._check_image(v, "v").reshape(-1).copy()
+        require_shape(z, (self.latent_dim,), "z")
+        return require_shape(v, self.image_shape, "v").reshape(-1).copy()
 
 
 class LinearAutoencoder(AutoencoderInterface):
@@ -108,14 +96,12 @@ class LinearAutoencoder(AutoencoderInterface):
             raise DimensionError(f"W shape {w.shape} incompatible with {pixel_count} pixels")
         if w.shape[0] > pixel_count:
             raise InvalidParameterError("latent_dim must be <= pixel_count")
-        if mean.shape != (pixel_count,):
-            raise DimensionError(f"mean shape {mean.shape} != ({pixel_count},)")
+        mean = require_shape(mean, (pixel_count,), "mean")
         gram = w @ w.T
         if not np.allclose(gram, np.eye(w.shape[0]), rtol=0.0, atol=1e-10):
             raise InvalidParameterError("rows of W must be orthonormal to 1e-10")
         if leak is not None:
-            if leak.shape != w.shape:
-                raise DimensionError(f"leak shape {leak.shape} != W shape {w.shape}")
+            leak = require_shape(leak, w.shape, "leak")
             # rows must avoid the retained subspace or the round trip stops
             # being idempotent; rounding in leak @ W^T grows with the leak's size
             if np.abs(leak @ w.T).max() > 1e-10 * max(1.0, np.abs(leak).max()):
@@ -130,7 +116,7 @@ class LinearAutoencoder(AutoencoderInterface):
             leak.setflags(write=False)
 
     def encode(self, x):
-        x = self._check_image(x)
+        x = require_shape(x, self.image_shape, "x")
         centered = x.reshape(-1) - self.mean
         z = self.w @ centered
         if self.leak is not None:
@@ -138,12 +124,12 @@ class LinearAutoencoder(AutoencoderInterface):
         return z
 
     def decode(self, z):
-        z = self._check_latent(z)
+        z = require_shape(z, (self.latent_dim,), "z")
         return (self.w.T @ z + self.mean).reshape(self.image_shape)
 
     def decoder_vjp(self, z, v):
-        self._check_latent(z)
-        v = self._check_image(v, "v")
+        require_shape(z, (self.latent_dim,), "z")
+        v = require_shape(v, self.image_shape, "v")
         return self.w @ v.reshape(-1)
 
 

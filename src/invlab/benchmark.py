@@ -418,6 +418,13 @@ def _upper_bound(backends: BenchmarkBackends) -> dict:
     return {"mean_" + name: float(np.mean(col)) for name, col in zip(IMAGE_SCORES, zip(*scores))}
 
 
+def write_json(path, payload) -> None:
+    """payload as JSON with sorted keys, indent 2 and a trailing newline: every artifact's form."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(payload, sort_keys=True, indent=2))
+        f.write("\n")
+
+
 def run_benchmark(cfg: RunConfig, out_dir):
     """Execute the full grid and write benchmark.csv + summary.json.
 
@@ -442,7 +449,5 @@ def run_benchmark(cfg: RunConfig, out_dir):
         "per_method": _method_means(rows),
         "upper_bound": _upper_bound(backends),
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
-        f.write(json.dumps(summary, sort_keys=True, indent=2))
-        f.write("\n")
+    write_json(out_dir / "summary.json", summary)
     return rows, summary

@@ -20,7 +20,7 @@ import numpy as np
 from .benchmark import (METRIC_FIELDS, BenchmarkBackends, RunConfig, base_methods,
                         build_autoencoder, build_denoiser, config_from_json_dict,
                         evaluate_instance, invert_latent, load_config, make_fit_images,
-                        parse_method, replay, run_benchmark, start_latent)
+                        parse_method, replay, run_benchmark, start_latent, write_json)
 from .data import gen_dataset, save_dataset
 from .errors import ConfigError, InvlabError
 from .ilb import ilb_loss_and_grad, ilb_optimize
@@ -84,12 +84,6 @@ def _method_arg(args, default: str = "ddim") -> str:
     return base if args.no_ilb and use_ilb else method
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(payload, sort_keys=True, indent=2))
-        f.write("\n")
-
-
 def cmd_gen_data(cfg: RunConfig, args, out: Path) -> dict:
     """Write the config's dataset as a canonical JSON file."""
     ds = cfg.dataset
@@ -136,9 +130,9 @@ def cmd_sample(cfg: RunConfig, args, out: Path) -> dict:
     traj = replay(b, z_t)
     image = np.clip(b.ae.decode(traj.latent_at(0)), 0.0, 1.0)
     traj_path = out / "trajectory.json"
-    _write_json(traj_path, traj.to_json_dict())
+    write_json(traj_path, traj.to_json_dict())
     img_path = out / "sample.json"
-    _write_json(img_path, {"image": image.tolist()})
+    write_json(img_path, {"image": image.tolist()})
     return {"trajectory": str(traj_path), "image": str(img_path)}
 
 
@@ -149,9 +143,9 @@ def cmd_invert(cfg: RunConfig, args, out: Path) -> dict:
     base, use_ilb = parse_method(method)
     traj, reports = invert_latent(b, start_latent(b, b.images[0], use_ilb), base)
     traj_path = out / "trajectory.json"
-    _write_json(traj_path, traj.to_json_dict())
+    write_json(traj_path, traj.to_json_dict())
     rep_path = out / "step_reports.json"
-    _write_json(rep_path, [r.to_json_dict() for r in reports])
+    write_json(rep_path, [r.to_json_dict() for r in reports])
     return {"method": method, "trajectory": str(traj_path), "step_reports": str(rep_path)}
 
 
@@ -161,7 +155,7 @@ def cmd_ilb(cfg: RunConfig, args, out: Path) -> dict:
     x0 = b.images[0]
     z0_opt, report = ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, b.ilb_cfg, b.condition)
     rep_path = out / "ilb_report.json"
-    _write_json(rep_path, report.to_json_dict())
+    write_json(rep_path, report.to_json_dict())
     trace_path = out / "ilb_trace.csv"
     with open(trace_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -170,7 +164,7 @@ def cmd_ilb(cfg: RunConfig, args, out: Path) -> dict:
         for row in report.trace:
             writer.writerow(row)
     z_path = out / "z0_opt.json"
-    _write_json(z_path, {"z0": z0_opt.tolist()})
+    write_json(z_path, {"z0": z0_opt.tolist()})
     return {"report": str(rep_path), "trace": str(trace_path), "z0": str(z_path),
             "iters_used": report.iters_used, "final_total": report.final_total}
 
@@ -181,7 +175,7 @@ def cmd_roundtrip(cfg: RunConfig, args, out: Path) -> dict:
     method = _method_arg(args)
     row = evaluate_instance(b, 0, method)
     result = {"method": method, **{name: getattr(row, name) for name in METRIC_FIELDS}}
-    _write_json(out / "roundtrip.json", result)
+    write_json(out / "roundtrip.json", result)
     return result
 
 
@@ -215,7 +209,7 @@ def cmd_gradcheck(cfg: RunConfig, args, out: Path) -> dict:
     worst = max(errors.values())
     result = {**errors, "max_rel_error": worst, "threshold": GRADCHECK_TOL,
               "pass": worst <= GRADCHECK_TOL}
-    _write_json(out / "gradcheck.json", result)
+    write_json(out / "gradcheck.json", result)
     if not result["pass"]:
         raise GradcheckFailure(f"max relative error {worst:.3e} above {GRADCHECK_TOL}", **errors)
     return result

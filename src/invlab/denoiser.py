@@ -32,57 +32,53 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    InvalidInputError,
     InvalidParameterError,
     TrainingFailureError,
     require,
+    require_shape,
 )
 from .optim import AdamState, adam_step
 from .rng import derive_rng
 from .schedule import NoiseSchedule
 
-UNCONDITIONAL = "unconditional"
-CLASS_LABEL = "class"
-
 
 @dataclass(frozen=True)
 class Condition:
-    """Conditioning input: unconditional, or a class id with its guidance weight w."""
+    """Conditioning input: a class id k with its guidance weight w, or k None
+    for the unconditional input, whose w is 1."""
 
-    variant: str
     k: int | None = None
     w: float = 1.0
 
+    def __post_init__(self):
+        # type(...) is int: bool passes isinstance(..., int)
+        require(self.k is None or (type(self.k) is int and self.k >= 0), "k", self.k,
+                "None or an int >= 0")
+        require(math.isfinite(self.w), "w", self.w, "a finite guidance weight")
+        require(self.k is not None or self.w == 1.0, "w", self.w, "1 when unconditional")
+
     @staticmethod
     def unconditional() -> "Condition":
-        return Condition(variant=UNCONDITIONAL)
+        return Condition()
 
     @staticmethod
     def class_label(k: int, w: float = 1.0) -> "Condition":
-        if k < 0:
-            raise InvalidParameterError(f"class label must be >= 0, got {k}", k=k)
-        if not math.isfinite(w):
-            raise InvalidParameterError(f"guidance weight must be finite, got {w}", field="w")
-        return Condition(variant=CLASS_LABEL, k=int(k), w=float(w))
+        return Condition(k, float(w))
+
+    @property
+    def variant(self) -> str:
+        return "unconditional" if self.k is None else "class"
 
     def to_json_dict(self) -> dict:
-        if self.variant == UNCONDITIONAL:
-            return {"variant": UNCONDITIONAL}
-        return {"variant": CLASS_LABEL, "k": self.k}
+        if self.k is None:
+            return {"variant": self.variant}
+        return {"variant": self.variant, "k": self.k}
 
 
 class DenoiserInterface(ABC):
     """The ε-predictor contract: pure eval plus its linearization."""
 
     latent_dim: int
-
-    def _check_vec(self, x: np.ndarray, name: str) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.latent_dim,):
-            raise DimensionError(
-                f"{name} has shape {x.shape}, expected ({self.latent_dim},)"
-            )
-        return x
 
     @abstractmethod
     def eval(self, z: np.ndarray, t: int, c: Condition) -> np.ndarray:
@@ -109,17 +105,17 @@ class ConstantDenoiser(DenoiserInterface):
         val = np.asarray(value, dtype=np.float64)
         if val.ndim == 0:
             val = np.full(self.latent_dim, float(val))
-        if val.shape != (self.latent_dim,):
-            raise DimensionError(f"value shape {val.shape} != ({self.latent_dim},)")
+        val = require_shape(val, (self.latent_dim,), "value")
         val.setflags(write=False)
         self.value = val
 
     def eval(self, z, t, c):
-        self._check_vec(z, "z")
+        require_shape(z, (self.latent_dim,), "z")
         return self.value.copy()
 
     def linearize(self, z, t, c):
-        return self.eval(z, t, c), lambda v: np.zeros_like(self._check_vec(v, "v"))
+        return self.eval(z, t, c), lambda v: np.zeros_like(
+            require_shape(v, (self.latent_dim,), "v"))
 
 
 class ScalingDenoiser(DenoiserInterface):
@@ -131,11 +127,10 @@ class ScalingDenoiser(DenoiserInterface):
         self.scale = float(scale)
 
     def eval(self, z, t, c):
-        z = self._check_vec(z, "z")
-        return self.scale * z
+        return self.scale * require_shape(z, (self.latent_dim,), "z")
 
     def linearize(self, z, t, c):
-        return self.eval(z, t, c), lambda v: self.scale * self._check_vec(v, "v")
+        return self.eval(z, t, c), lambda v: self.scale * require_shape(v, (self.latent_dim,), "v")
 
 
 class LinearGaussianDenoiser(DenoiserInterface):
@@ -168,8 +163,7 @@ class LinearGaussianDenoiser(DenoiserInterface):
         if mu.ndim != 1:
             raise InvalidParameterError("mu must be a 1-D vector")
         d = mu.shape[0]
-        if sigma.shape != (d, d):
-            raise DimensionError(f"sigma shape {sigma.shape} != ({d}, {d})")
+        sigma = require_shape(sigma, (d, d), "sigma")
         if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())):
             raise InvalidParameterError("sigma must be symmetric")
         lam, q = np.linalg.eigh(sigma)
@@ -204,17 +198,17 @@ class LinearGaussianDenoiser(DenoiserInterface):
         return jac, off
 
     def eval(self, z, t, c):
-        z = self._check_vec(z, "z")
+        z = require_shape(z, (self.latent_dim,), "z")
         jac, off = self._affine_map(t)
         return jac @ z - off
 
     def linearize(self, z, t, c):
-        z = self._check_vec(z, "z")
+        z = require_shape(z, (self.latent_dim,), "z")
         jac, off = self._affine_map(t)
         return jac @ z - off, functools.partial(self._pullback, jac)
 
     def _pullback(self, jac, v):
-        return self._check_vec(v, "v") @ jac
+        return require_shape(v, (self.latent_dim,), "v") @ jac
 
 
 @dataclass(frozen=True)
@@ -257,13 +251,11 @@ class MlpDenoiser(DenoiserInterface):
         final_loss: float | None = None,
         trained_epochs: int = 0,
     ):
-        missing = [k for k in _PARAM_ORDER if k not in params]
-        if missing:
-            raise InvalidInputError(f"missing parameter arrays: {missing}")
+        for k in _PARAM_ORDER:
+            require(k in params, k, None, "an array")
         self.params = p = {k: np.asarray(params[k], dtype=np.float64) for k in _PARAM_ORDER}
-        for arr in p.values():
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInputError("model parameters must be finite")
+        for k, arr in p.items():
+            require(np.all(np.isfinite(arr)), k, "an array with non-finite entries", "finite")
             arr.setflags(write=False)
         self.sched = sched
         self.latent_dim, self.width = d, width = p["b3"].size, p["b1"].size
@@ -273,6 +265,9 @@ class MlpDenoiser(DenoiserInterface):
         require(type(seed) is int, "seed", seed, "an int")
         require(type(trained_epochs) is int and trained_epochs >= 0, "trained_epochs",
                 trained_epochs, "an int >= 0")
+        require(final_loss is None or (type(final_loss) in (int, float)
+                                       and math.isfinite(final_loss) and final_loss >= 0),
+                "final_loss", final_loss, "None or a finite number >= 0")
         self.seed = seed
         self.final_loss = final_loss
         self.trained_epochs = trained_epochs
@@ -286,7 +281,7 @@ class MlpDenoiser(DenoiserInterface):
                                  f"{sched.t_train} timesteps")
 
     def condition_row(self, c: Condition) -> np.ndarray:
-        if c.variant == UNCONDITIONAL:
+        if c.k is None:
             return self.params["cemb"][0]
         if not 0 <= c.k < self.n_classes:
             raise InvalidParameterError(
@@ -302,12 +297,12 @@ class MlpDenoiser(DenoiserInterface):
         return eps, functools.partial(self._pullback, h1, h2)
 
     def _forward(self, z, t, c):
-        z = self._check_vec(z, "z")
+        z = require_shape(z, (self.latent_dim,), "z")
         self.sched._check_t(t)
         return _batch_forward(self.params, z, t - 1, self.condition_row(c))
 
     def _pullback(self, h1, h2, v):
-        d_h1 = _hidden_backward(self.params, h1, h2, self._check_vec(v, "v"))[1]
+        d_h1 = _hidden_backward(self.params, h1, h2, require_shape(v, (self.latent_dim,), "v"))[1]
         return d_h1 @ self.params["w1"]
 
 
@@ -421,17 +416,13 @@ def train_mlp_denoiser(
     Fully seeded: the same config and data give bit-identical weights.
     """
     data = np.asarray(data, dtype=np.float64)
-    if data.size == 0:
-        raise InvalidInputError("training data is empty")
-    if data.ndim != 2:
-        raise InvalidInputError(f"data must be (n, latent_dim), got shape {data.shape}")
+    require(data.ndim == 2 and data.size > 0, "data", data.shape,
+            "a non-empty (n, latent_dim) array")
     n, latent_dim = data.shape
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
-        if labels.shape != (n,):
-            raise InvalidInputError("labels must align with data rows")
-        if labels.min() < 0:
-            raise InvalidInputError("labels must be non-negative")
+        require(labels.shape == (n,), "labels", labels.shape, f"one per data row, ({n},)")
+        require(labels.min() >= 0, "labels", int(labels.min()), "non-negative")
         n_classes = int(labels.max()) + 1
     else:
         n_classes = 0

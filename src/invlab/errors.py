@@ -1,10 +1,15 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module, and the two argument checks.
 
 Each exception carries a short machine-readable ``code`` and an optional
 ``context`` dict; the CLI serializes failures as ``{code, message, context}``.
+A bad value goes through `require` and ends as ``invalid-parameter``; an array
+of the wrong shape goes through `require_shape` and ends as
+``dimension-error``. Both name the argument in ``context["field"]``.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class InvlabError(Exception):
@@ -24,10 +29,22 @@ class InvalidParameterError(InvlabError):
     code = "invalid-parameter"
 
 
+class DimensionError(InvlabError):
+    code = "dimension-error"
+
+
 def require(ok: bool, field: str, value, need: str) -> None:
     """InvalidParameterError naming `field` unless ok: the one form of a range check."""
     if not ok:
         raise InvalidParameterError(f"{field} must be {need}, got {value!r}", field=field)
+
+
+def require_shape(x, shape: tuple, name: str) -> np.ndarray:
+    """x as a float64 array; DimensionError naming `name` unless its shape is `shape`."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != shape:
+        raise DimensionError(f"{name} has shape {x.shape}, expected {shape}", field=name)
+    return x
 
 
 class OrderingError(InvlabError):
@@ -36,14 +53,6 @@ class OrderingError(InvlabError):
 
 class BoundsError(InvlabError):
     code = "bounds-error"
-
-
-class DimensionError(InvlabError):
-    code = "dimension-error"
-
-
-class InvalidInputError(InvlabError):
-    code = "invalid-input"
 
 
 class TrainingFailureError(InvlabError):

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import GENERATION, INVERSION, Trajectory
-from .errors import DimensionError, GridMismatchError
+from .errors import GridMismatchError, require_shape
 
 
 class PerceptualMetricInterface(ABC):
@@ -38,17 +38,10 @@ class PerceptualMetricInterface(ABC):
         return self.reference(x)(y)[1]
 
 
-def _as_images(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionError(f"image shapes differ: {x.shape} vs {y.shape}")
-    return x, y
-
-
 def psnr(x: np.ndarray, y: np.ndarray) -> float:
     """10·log10(1/MSE) for the range [0, 1]; +inf for identical inputs."""
-    x, y = _as_images(x, y)
+    x = np.asarray(x, dtype=np.float64)
+    y = require_shape(y, x.shape, "y")
     mse = float(np.mean((x - y) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -139,13 +132,15 @@ def _ssim_impl(x: np.ndarray, y: np.ndarray, want_grad: bool):
 
 def ssim(x: np.ndarray, y: np.ndarray) -> float:
     """Mean local structural similarity over valid window positions."""
-    x, y = _as_images(x, y)
+    x = np.asarray(x, dtype=np.float64)
+    y = require_shape(y, x.shape, "y")
     return _ssim_impl(x, y, want_grad=False)[0]
 
 
 def ssim_with_grad(x: np.ndarray, y: np.ndarray):
     """(ssim value, ∂ssim/∂y) with the analytic window-adjoint gradient."""
-    x, y = _as_images(x, y)
+    x = np.asarray(x, dtype=np.float64)
+    y = require_shape(y, x.shape, "y")
     return _ssim_impl(x, y, want_grad=True)
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError, require_shape
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -37,11 +37,7 @@ class AdamState:
 
 def adam_step(state: AdamState, x: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns (x_next, state_next)."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != x.shape:
-        raise InvalidInputError(
-            f"grad shape {grad.shape} does not match x shape {x.shape}"
-        )
+    grad = require_shape(grad, x.shape, "grad")
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite gradient passed to adam_step")
     m = np.zeros(x.shape) if state.m is None else state.m
@@ -100,12 +96,7 @@ def gradient_check(f: Callable[[np.ndarray], float], grad_f: np.ndarray, x: np.n
     raises DivergenceError naming its first coordinate.
     """
     x = np.asarray(x, dtype=np.float64)
-    grad_f = np.asarray(grad_f, dtype=np.float64)
-    if grad_f.shape != x.shape:
-        raise InvalidInputError(
-            f"gradient shape {grad_f.shape} does not match probe shape {x.shape}"
-        )
-    grad_f = grad_f.ravel()
+    grad_f = require_shape(grad_f, x.shape, "grad_f").ravel()
     bad = np.flatnonzero(~np.isfinite(grad_f))
     if bad.size:
         raise DivergenceError(f"non-finite gradient under check at coordinate {bad[0]}")

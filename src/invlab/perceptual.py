@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, require_shape
 from .metrics import PerceptualMetricInterface
 from .rng import derive_rng
 
@@ -114,12 +114,6 @@ class RandomConvPerceptual(PerceptualMetricInterface):
         for a in (self.k1, self.b1, self.k2, self.b2):
             a.setflags(write=False)
 
-    def _check(self, img: np.ndarray) -> np.ndarray:
-        img = np.asarray(img, dtype=np.float64)
-        if img.shape != self.image_shape:
-            raise DimensionError(f"expected image {self.image_shape}, got {img.shape}")
-        return img
-
     def _features(self, img: np.ndarray):
         x = img.transpose(2, 0, 1)
         f1 = np.tanh(_conv_forward(x, self.k1, self.b1))
@@ -129,19 +123,19 @@ class RandomConvPerceptual(PerceptualMetricInterface):
         return f1, g1, s1, f2, g2, s2
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        return _feature_distance(*self._target(x), *self._target(y))
+        return _feature_distance(*self._target(x, "x"), *self._target(y, "y"))
 
     def reference(self, x: np.ndarray):
         """y ↦ (distance(x, y), ∂/∂y): x's features once, one pass and its adjoint per y."""
-        return partial(self._against, self._target(x))
+        return partial(self._against, self._target(x, "x"))
 
-    def _target(self, x: np.ndarray):
-        _, gx1, _, _, gx2, _ = self._features(self._check(x))
+    def _target(self, img: np.ndarray, name: str):
+        _, gx1, _, _, gx2, _ = self._features(require_shape(img, self.image_shape, name))
         return gx1, gx2
 
     def _against(self, target, y: np.ndarray) -> tuple[float, np.ndarray]:
         gx1, gx2 = target
-        f1, gy1, s1, f2, gy2, s2 = self._features(self._check(y))
+        f1, gy1, s1, f2, gy2, s2 = self._features(require_shape(y, self.image_shape, "y"))
         value = _feature_distance(gx1, gx2, gy1, gy2)
         u_g1 = 2.0 * (gy1 - gx1) / gy1.size
         u_g2 = 2.0 * (gy2 - gx2) / gy2.size

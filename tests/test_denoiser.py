@@ -13,7 +13,6 @@ from invlab import (
     ConstantDenoiser,
     DenoiserInterface,
     DimensionError,
-    InvalidInputError,
     InvalidParameterError,
     LinearGaussianDenoiser,
     MlpDenoiser,
@@ -26,6 +25,7 @@ from invlab import (
     make_linear_schedule,
     train_mlp_denoiser,
 )
+from invlab.errors import require_shape
 
 EIGHT_POINTS = np.array(
     [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
@@ -41,8 +41,26 @@ def test_condition_variants_and_json():
     assert u.w == k.w == 1.0 and Condition.class_label(2, 3).w == 3.0
     assert u.to_json_dict() == {"variant": "unconditional"}
     assert k.to_json_dict() == {"variant": "class", "k": 2}
+    assert Condition() == u and Condition(2) == k
+    with pytest.raises(AttributeError):  # the variant is read off k
+        k.variant = "unconditional"
     with pytest.raises(InvalidParameterError):
         Condition.class_label(-1)
+
+
+@pytest.mark.parametrize("k, w, field", [
+    ("class", 1.0, "k"),  # the variant name where k goes
+    ("bogus", 1.0, "k"),
+    (True, 1.0, "k"),
+    (1.5, 1.0, "k"),
+    (-1, 1.0, "k"),
+    (None, 3.0, "w"),  # guidance needs a class
+    (0, float("nan"), "w"),
+])
+def test_condition_holds_a_class_and_weight_or_nothing(k, w, field):
+    with pytest.raises(InvalidParameterError) as err:
+        Condition(k, w)
+    assert err.value.context["field"] == field
 
 
 @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
@@ -180,7 +198,7 @@ class _CondGate(DenoiserInterface):
         self.latent_dim = latent_dim
 
     def eval(self, z, t, c):
-        z = self._check_vec(z, "z")
+        require_shape(z, (self.latent_dim,), "z")
         on = 0.0 if c.variant == "unconditional" else 1.0
         return np.full(self.latent_dim, on)
 
@@ -225,11 +243,11 @@ def test_mlp_reads_its_sizes_from_its_arrays(name, shape):
 
 def test_mlp_rejects_empty_and_misshapen_data():
     sched = make_linear_schedule(10, 1e-3, 0.05)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidParameterError):
         train_mlp_denoiser(np.empty((0, 2)), sched, MlpTrainConfig())
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidParameterError):
         train_mlp_denoiser(np.zeros((4, 2, 2)), sched, MlpTrainConfig())
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidParameterError):
         train_mlp_denoiser(np.zeros((4, 2)), sched, MlpTrainConfig(), labels=np.zeros(3, dtype=int))
 
 

@@ -5,6 +5,8 @@ invbench catches everything: a bare `except:` or one naming Exception or
 BaseException would turn a programming bug into a quiet result. No
 `__post_init__` under src/invlab raises by itself: a value's check goes through
 `errors.require`, so every bad value is reported in one form that names it.
+Likewise no module but errors.py compares an array's shape and raises: an exact
+shape check goes through `errors.require_shape`.
 """
 
 import ast
@@ -84,3 +86,33 @@ def test_checker_flags_a_raise_in_post_init():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_post_init_checks_go_through_require(path):
     assert raising_post_inits(path.read_text(encoding="utf-8")) == []
+
+
+def hand_shape_checks(source: str) -> list:
+    """Line numbers of `if` statements that compare some `<expr>.shape` with != and raise."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If)
+                and any(isinstance(n, ast.Raise) for s in node.body for n in ast.walk(s))):
+            continue
+        if any(isinstance(cmp, ast.Compare) and any(isinstance(op, ast.NotEq) for op in cmp.ops)
+               and any(isinstance(e, ast.Attribute) and e.attr == "shape"
+                       for e in (cmp.left, *cmp.comparators))
+               for cmp in ast.walk(node.test)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checker_flags_a_shape_check_by_hand():
+    source = ("if x.shape != (3,):\n    raise E(x)\n"
+              "if n > 0 and a.b.shape != y.shape:\n    raise E(a)\n"
+              "if x.shape != y:\n    pass\n"
+              "if x.shape == y:\n    raise E(x)\n"
+              "wrong = [k for k in d if d[k].shape != s]\n")
+    assert hand_shape_checks(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shape_checks_go_through_require_shape(path):
+    assert hand_shape_checks(path.read_text(encoding="utf-8")) == []

@@ -230,6 +230,29 @@ def test_header_integer_that_is_not_a_fitting_int_is_format_error(model_files, t
     assert field in str(e.value)
 
 
+@pytest.mark.parametrize("value", ["abc", [1, 2], {"x": 1}, True, -5, -0.5, math.nan, math.inf])
+def test_mlp_final_loss_that_is_not_a_finite_number_at_least_0_is_format_error(
+        model_files, tmp_path, value):
+    # save_model would write any of these back, so the loader must refuse them
+    header, body = read_model_file(model_files["mlp-denoiser"][0])
+    header["final_loss"] = value
+    path = tmp_path / "bad.labmdl"
+    write_model_file(path, header, body)
+    with pytest.raises(FormatError, match=re.escape(str(path))) as e:
+        load_model(path)
+    assert "final_loss" in str(e.value)
+
+
+@pytest.mark.parametrize("value", [None, 0, 0.25])
+def test_mlp_final_loss_none_or_a_number_at_least_0_round_trips(model_files, tmp_path, value):
+    header, body = read_model_file(model_files["mlp-denoiser"][0])
+    header["final_loss"] = value
+    path = tmp_path / "ok.labmdl"
+    write_model_file(path, header, body)
+    save_model(load_model(path), tmp_path / "again.labmdl")
+    assert load_model(tmp_path / "again.labmdl").final_loss == value
+
+
 # ---------------------------------------------------------------- mutated files
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invlab import AdamState, DivergenceError, InvalidInputError, adam_step, gradient_check
+from invlab import AdamState, DimensionError, DivergenceError, adam_step, gradient_check
 from invlab.optim import BETA1, BETA2, EPSILON, central_difference
 
 
@@ -80,7 +80,7 @@ def test_nonfinite_gradient_raises():
 
 def test_shape_mismatch_raises():
     state = AdamState(lr=1e-3)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DimensionError):
         adam_step(state, np.zeros(3), np.zeros(2))
 
 

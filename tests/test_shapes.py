@@ -1,0 +1,75 @@
+"""Every public entry point that takes an array: a wrong shape ends as a
+`dimension-error` whose context names the argument."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from invlab import (
+    AdamState,
+    Condition,
+    DimensionError,
+    IdentityAutoencoder,
+    RandomConvPerceptual,
+    adam_step,
+    fit_linear_autoencoder,
+    gradient_check,
+    make_shapes,
+    psnr,
+    ssim,
+    ssim_with_grad,
+)
+
+C = Condition.unconditional()
+WRONG = np.zeros(3)  # no argument below takes a (3,) array
+
+
+def _pullback(model, z, v):
+    return model.linearize(z, 5, C)[1](v)
+
+
+# id -> (the argument named in the error, a call on the backends b with WRONG in its place)
+CASES = {
+    "analytic-eval": ("z", lambda b: b.gauss.eval(WRONG, 5, C)),
+    "analytic-linearize": ("z", lambda b: b.gauss.linearize(WRONG, 5, C)),
+    "analytic-pullback": ("v", lambda b: _pullback(b.gauss, np.zeros(4), WRONG)),
+    "mlp-eval": ("z", lambda b: b.mlp.eval(WRONG, 5, C)),
+    "mlp-linearize": ("z", lambda b: b.mlp.linearize(WRONG, 5, C)),
+    "mlp-pullback": ("v", lambda b: _pullback(b.mlp, np.zeros(2), WRONG)),
+    "identity-encode": ("x", lambda b: b.identity.encode(WRONG)),
+    "identity-decode": ("z", lambda b: b.identity.decode(WRONG)),
+    "identity-decoder_vjp-z": ("z", lambda b: b.identity.decoder_vjp(WRONG, b.img)),
+    "identity-decoder_vjp-v": ("v", lambda b: b.identity.decoder_vjp(np.zeros(36), WRONG)),
+    "linear-encode": ("x", lambda b: b.linear.encode(WRONG)),
+    "linear-decode": ("z", lambda b: b.linear.decode(WRONG)),
+    "linear-decoder_vjp-z": ("z", lambda b: b.linear.decoder_vjp(WRONG, b.img)),
+    "linear-decoder_vjp-v": ("v", lambda b: b.linear.decoder_vjp(np.zeros(5), WRONG)),
+    "perceptual-distance-x": ("x", lambda b: b.perc.distance(WRONG, b.img)),
+    "perceptual-distance-y": ("y", lambda b: b.perc.distance(b.img, WRONG)),
+    "perceptual-reference": ("x", lambda b: b.perc.reference(WRONG)),
+    "perceptual-reference-y": ("y", lambda b: b.perc.reference(b.img)(WRONG)),
+    "psnr": ("y", lambda b: psnr(b.img, WRONG)),
+    "ssim": ("y", lambda b: ssim(b.img, WRONG)),
+    "ssim_with_grad": ("y", lambda b: ssim_with_grad(b.img, WRONG)),
+    "adam_step": ("grad", lambda b: adam_step(AdamState(lr=1e-3), np.zeros(4), WRONG)),
+    "gradient_check": ("grad_f", lambda b: gradient_check(lambda x: 0.0, WRONG, np.zeros(4))),
+}
+
+
+@pytest.fixture(scope="module")
+def images():
+    return make_shapes(4, seed=0, height=6, width=6)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_wrong_shape_is_a_dimension_error_naming_the_argument(case, gauss_nd, tiny_mlp, images):
+    b = SimpleNamespace(gauss=gauss_nd, mlp=tiny_mlp[0], img=images[0],
+                        identity=IdentityAutoencoder((6, 6, 1)),
+                        linear=fit_linear_autoencoder(images, latent_dim=5),
+                        perc=RandomConvPerceptual((6, 6, 1)))
+    field, call = CASES[case]
+    with pytest.raises(DimensionError) as err:
+        call(b)
+    assert err.value.to_json_dict()["code"] == "dimension-error"
+    assert err.value.context["field"] == field
