@@ -12,8 +12,7 @@ from .benchmark import (BenchmarkRow, RunConfig, config_from_json_dict, load_con
                         parse_method, run_benchmark)
 from .data import gen_dataset, load_dataset, make_shapes, save_dataset
 from .denoiser import (Condition, ConstantDenoiser, DenoiserInterface, LinearGaussianDenoiser,
-                       MlpDenoiser, MlpTrainConfig, ScalingDenoiser, cfg_eval, cfg_linearize,
-                       train_mlp_denoiser)
+                       MlpDenoiser, MlpTrainConfig, ScalingDenoiser, train_mlp_denoiser)
 from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, generate_step,
                        generate_trajectory)
 from .errors import (BoundsError, ConfigError, DimensionError, DivergenceError, FitError,

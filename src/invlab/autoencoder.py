@@ -87,13 +87,15 @@ class LinearAutoencoder(AutoencoderInterface):
     ):
         self.image_shape = _image_shape(image_shape)
         pixel_count = math.prod(self.image_shape)
-        w = np.asarray(w, dtype=np.float64)
-        mean = np.asarray(mean, dtype=np.float64)
-        leak = None if leak is None else np.asarray(leak, dtype=np.float64)
+        # copies: freezing them below leaves the caller's arrays writeable
+        w = np.array(w, dtype=np.float64)
+        mean = np.array(mean, dtype=np.float64)
+        leak = None if leak is None else np.array(leak, dtype=np.float64)
         if not all(np.all(np.isfinite(a)) for a in (w, mean, leak) if a is not None):
             raise InvalidParameterError("W, mean and leak must be finite")
         if w.ndim != 2 or w.shape[1] != pixel_count:
-            raise DimensionError(f"W shape {w.shape} incompatible with {pixel_count} pixels")
+            raise DimensionError(f"W shape {w.shape} incompatible with {pixel_count} pixels",
+                                 field="w")
         if w.shape[0] > pixel_count:
             raise InvalidParameterError("latent_dim must be <= pixel_count")
         mean = require_shape(mean, (pixel_count,), "mean")

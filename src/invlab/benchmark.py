@@ -258,7 +258,7 @@ class BenchmarkBackends:
         self.ae = build_autoencoder(cfg, fit_images)
         self.model = build_denoiser(cfg, self.sched, self.ae, fit_images)
         self.perc = RandomConvPerceptual((ds.height, ds.width, 1))
-        self.condition = Condition.unconditional()
+        self.condition = Condition()
 
     def lbo_cfg(self, mode: str) -> LboConfig:
         return LboConfig(mode=mode, **asdict(self.cfg.lbo))

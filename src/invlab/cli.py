@@ -105,8 +105,7 @@ def cmd_train_denoiser(cfg: RunConfig, args, out: Path) -> dict:
     path = out / "denoiser.labmdl"
     save_model(model, path)
     return {"written": str(path), "final_loss": model.final_loss,
-            "trained_epochs": model.trained_epochs, "latent_dim": model.latent_dim,
-            "n_classes": model.n_classes}
+            "trained_epochs": model.trained_epochs, "latent_dim": model.latent_dim}
 
 
 def cmd_train_autoencoder(cfg: RunConfig, args, out: Path) -> dict:

@@ -1,4 +1,4 @@
-"""Noise predictors F(z, t, C) that implement `eval` and `linearize`.
+"""Noise predictors F(z, t, c) that implement `eval` and `linearize`.
 
 Backends:
   - ConstantDenoiser / ScalingDenoiser: trivial stubs for algebra tests.
@@ -6,15 +6,13 @@ Backends:
     marginal at step t is N(sqrt(ᾱ_t)·mu, Σ_t) with Σ_t = ᾱ_t·Sigma + (1−ᾱ_t)I,
     and the ideal predictor is the affine map
         F*(z, t) = sqrt(1−ᾱ_t) · Σ_t^{-1} (z − sqrt(ᾱ_t)·mu).
-  - MlpDenoiser: two tanh hidden layers (default width 64) with learned
-    per-timestep and per-class embeddings added to the first hidden layer;
-    forward and reverse passes are hand-rolled NumPy so the input vjp is exact
-    and bit-reproducible.
+  - MlpDenoiser: two tanh hidden layers (default width 64) with a learned
+    per-timestep embedding and one shared embedding row added to the first
+    hidden layer; forward and reverse passes are hand-rolled NumPy so the
+    input vjp is exact and bit-reproducible.
 
-Classifier-free guidance blends conditional and unconditional predictions:
-ε̂ = ε_u + w·(ε_c − ε_u). The weight w belongs to the `Condition`, so every
-step made under one condition uses one guided prediction; w=1 (always so for
-the unconditional condition) short-circuits to the conditional evaluation.
+Every model is unconditional: the condition `c` that each method takes
+carries nothing.
 
 `linearize(z, t, c)` returns the prediction at z together with its pullback
 v ↦ vᵀ·(∂eval/∂z), so a solver that needs both at one point pays for one
@@ -31,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionError,
     InvalidParameterError,
     TrainingFailureError,
     require,
@@ -44,35 +41,7 @@ from .schedule import NoiseSchedule
 
 @dataclass(frozen=True)
 class Condition:
-    """Conditioning input: a class id k with its guidance weight w, or k None
-    for the unconditional input, whose w is 1."""
-
-    k: int | None = None
-    w: float = 1.0
-
-    def __post_init__(self):
-        # type(...) is int: bool passes isinstance(..., int)
-        require(self.k is None or (type(self.k) is int and self.k >= 0), "k", self.k,
-                "None or an int >= 0")
-        require(math.isfinite(self.w), "w", self.w, "a finite guidance weight")
-        require(self.k is not None or self.w == 1.0, "w", self.w, "1 when unconditional")
-
-    @staticmethod
-    def unconditional() -> "Condition":
-        return Condition()
-
-    @staticmethod
-    def class_label(k: int, w: float = 1.0) -> "Condition":
-        return Condition(k, float(w))
-
-    @property
-    def variant(self) -> str:
-        return "unconditional" if self.k is None else "class"
-
-    def to_json_dict(self) -> dict:
-        if self.k is None:
-            return {"variant": self.variant}
-        return {"variant": self.variant, "k": self.k}
+    """The conditioning input of the unconditional models here: it holds nothing."""
 
 
 class DenoiserInterface(ABC):
@@ -102,7 +71,8 @@ class ConstantDenoiser(DenoiserInterface):
 
     def __init__(self, latent_dim: int, value: float | np.ndarray = 0.0):
         self.latent_dim = int(latent_dim)
-        val = np.asarray(value, dtype=np.float64)
+        # a copy: freezing it below leaves the caller's array writeable
+        val = np.array(value, dtype=np.float64)
         if val.ndim == 0:
             val = np.full(self.latent_dim, float(val))
         val = require_shape(val, (self.latent_dim,), "value")
@@ -148,16 +118,13 @@ class LinearGaussianDenoiser(DenoiserInterface):
     dict keyed by t. eval is then `J_t @ z − o_t` and the pullback `v @ J_t`,
     the exact transpose: rounding leaves J_t not quite symmetric. The maps
     cost one d×d array per timestep the model has been evaluated at.
-
-    Conditions are accepted and ignored: the oracle models a single
-    unconditional distribution, so conditional and unconditional predictions
-    coincide.
     """
 
 
     def __init__(self, mu: np.ndarray, sigma: np.ndarray, sched: NoiseSchedule):
-        mu = np.asarray(mu, dtype=np.float64)
-        sigma = np.asarray(sigma, dtype=np.float64)
+        # copies: freezing them below leaves the caller's arrays writeable
+        mu = np.array(mu, dtype=np.float64)
+        sigma = np.array(sigma, dtype=np.float64)
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise InvalidParameterError("mu and sigma must be finite")
         if mu.ndim != 1:
@@ -230,16 +197,15 @@ class MlpTrainConfig:
 
 
 _N_EVAL = 256  # probe rows behind MlpDenoiser.final_loss
-_P_UNCOND = 0.1  # share of labeled training rows shown unconditionally
 
 _PARAM_ORDER = ("w1", "b1", "temb", "cemb", "w2", "b2", "w3", "b3")
 
 
 class MlpDenoiser(DenoiserInterface):
-    """Two-hidden-layer tanh MLP; timestep/class embeddings enter the first
-    hidden pre-activation. The sizes come from the arrays: latent_dim from b3,
-    width from b1 and n_classes from cemb's rows, one of which is the
-    unconditional row.
+    """Two-hidden-layer tanh MLP; the timestep embedding row and the one
+    embedding row cemb, which every input shares, enter the first hidden
+    pre-activation. The sizes come from the arrays: latent_dim from b3 and
+    width from b1.
     """
 
 
@@ -253,14 +219,17 @@ class MlpDenoiser(DenoiserInterface):
     ):
         for k in _PARAM_ORDER:
             require(k in params, k, None, "an array")
-        self.params = p = {k: np.asarray(params[k], dtype=np.float64) for k in _PARAM_ORDER}
-        for k, arr in p.items():
-            require(np.all(np.isfinite(arr)), k, "an array with non-finite entries", "finite")
-            arr.setflags(write=False)
+        # copies: freezing them below leaves the caller's arrays writeable
+        self.params = p = {k: np.array(params[k], dtype=np.float64) for k in _PARAM_ORDER}
         self.sched = sched
         self.latent_dim, self.width = d, width = p["b3"].size, p["b1"].size
-        rows = p["cemb"].shape[0] if p["cemb"].ndim else 0
-        self.n_classes = max(rows, 1) - 1  # row 0, the unconditional one, must be there
+        shapes = {"w1": (width, d), "b1": (width,), "temb": (sched.t_train, width),
+                  "cemb": (1, width), "w2": (width, width), "b2": (width,),
+                  "w3": (d, width), "b3": (d,)}
+        for k, arr in p.items():
+            require_shape(arr, shapes[k], k)
+            require(np.all(np.isfinite(arr)), k, "an array with non-finite entries", "finite")
+            arr.setflags(write=False)
         # type(...) is int: bool passes isinstance(..., int); a run's seed may be negative
         require(type(seed) is int, "seed", seed, "an int")
         require(type(trained_epochs) is int and trained_epochs >= 0, "trained_epochs",
@@ -271,23 +240,6 @@ class MlpDenoiser(DenoiserInterface):
         self.seed = seed
         self.final_loss = final_loss
         self.trained_epochs = trained_epochs
-        shapes = {"w1": (width, d), "b1": (width,), "temb": (sched.t_train, width),
-                  "cemb": (self.n_classes + 1, width), "w2": (width, width), "b2": (width,),
-                  "w3": (d, width), "b3": (d,)}
-        wrong = [k for k in _PARAM_ORDER if p[k].shape != shapes[k]]
-        if wrong:
-            raise DimensionError(f"parameter arrays {wrong} do not fit latent_dim {d} (b3), "
-                                 f"width {width} (b1), {self.n_classes} classes (cemb) and "
-                                 f"{sched.t_train} timesteps")
-
-    def condition_row(self, c: Condition) -> np.ndarray:
-        if c.k is None:
-            return self.params["cemb"][0]
-        if not 0 <= c.k < self.n_classes:
-            raise InvalidParameterError(
-                f"class label {c.k} outside [0, {self.n_classes})", k=c.k
-            )
-        return self.params["cemb"][c.k + 1]
 
     def eval(self, z, t, c):
         return self._forward(z, t, c)[2]
@@ -299,47 +251,14 @@ class MlpDenoiser(DenoiserInterface):
     def _forward(self, z, t, c):
         z = require_shape(z, (self.latent_dim,), "z")
         self.sched._check_t(t)
-        return _batch_forward(self.params, z, t - 1, self.condition_row(c))
+        return _batch_forward(self.params, z, t - 1)
 
     def _pullback(self, h1, h2, v):
         d_h1 = _hidden_backward(self.params, h1, h2, require_shape(v, (self.latent_dim,), "v"))[1]
         return d_h1 @ self.params["w1"]
 
 
-def _guided(u, c, w):
-    """The guidance blend u + w·(c − u) of two predictions or two pullbacks."""
-    return u + w * (c - u)
-
-
-def cfg_eval(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition) -> np.ndarray:
-    """Guided prediction ε_u + c.w·(ε_c − ε_u); w=1 returns eval(z, t, c) bit-exactly."""
-    if c.w == 1.0:
-        return model.eval(z, t, c)
-    eps_u = model.eval(z, t, Condition.unconditional())
-    if c.w == 0.0:
-        return eps_u
-    return _guided(eps_u, model.eval(z, t, c), c.w)
-
-
-def cfg_linearize(model: DenoiserInterface, z: np.ndarray, t: int, c: Condition):
-    """(cfg_eval(z, t, c), its pullback) from one linearization per condition.
-
-    w=1 returns model.linearize(z, t, c) itself, as cfg_eval returns eval's.
-    """
-    if c.w == 1.0:
-        return model.linearize(z, t, c)
-    eps_u, back_u = model.linearize(z, t, Condition.unconditional())
-    if c.w == 0.0:
-        return eps_u, back_u
-    eps_c, back_c = model.linearize(z, t, c)
-
-    def pullback(v):
-        return _guided(back_u(v), back_c(v), c.w)
-
-    return _guided(eps_u, eps_c, c.w), pullback
-
-
-def _init_params(rng: np.random.Generator, latent_dim: int, width: int, t_train: int, n_classes: int):
+def _init_params(rng: np.random.Generator, latent_dim: int, width: int, t_train: int):
     def xavier(nout, nin):
         return rng.normal(0.0, np.sqrt(2.0 / (nin + nout)), size=(nout, nin))
 
@@ -347,7 +266,7 @@ def _init_params(rng: np.random.Generator, latent_dim: int, width: int, t_train:
         "w1": xavier(width, latent_dim),
         "b1": np.zeros(width),
         "temb": rng.normal(0.0, 1.0 / np.sqrt(width), size=(t_train, width)),
-        "cemb": rng.normal(0.0, 1.0 / np.sqrt(width), size=(n_classes + 1, width)),
+        "cemb": rng.normal(0.0, 1.0 / np.sqrt(width), size=(1, width)),
         "w2": xavier(width, width),
         "b2": np.zeros(width),
         "w3": xavier(latent_dim, width),
@@ -369,9 +288,9 @@ def _unflatten(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarr
     return out
 
 
-def _batch_forward(p, z, t_idx, cond_rows):
+def _batch_forward(p, z, t_idx):
     """Forward pass over rows of z, or one (d,) row; returns the hidden layers too."""
-    h1p = z @ p["w1"].T + p["b1"] + p["temb"][t_idx] + cond_rows
+    h1p = z @ p["w1"].T + p["b1"] + p["temb"][t_idx] + p["cemb"][0]
     h1 = np.tanh(h1p)
     h2p = h1 @ p["w2"].T + p["b2"]
     h2 = np.tanh(h2p)
@@ -385,28 +304,25 @@ def _hidden_backward(p, h1, h2, d_out):
     return d_h2, (d_h2 @ p["w2"]) * (1.0 - h1 * h1)
 
 
-def _batch_backward(p, z, t_idx, cond_idx, h1, h2, d_out):
+def _batch_backward(p, z, t_idx, h1, h2, d_out):
     """Parameter gradients of a batch loss whose output gradient is d_out."""
     d_h2, d_h1 = _hidden_backward(p, h1, h2, d_out)
-    # scatter d_h1's rows onto the timestep rows, then the class rows, of the
-    # stacked embedding tables: bincount adds each bin's weights in input order,
-    # so every sum has np.add.at's order and bits
+    # scatter d_h1's rows onto the timestep rows: bincount adds each bin's
+    # weights in input order, so every sum has np.add.at's order and bits
     n_t, width = p["temb"].shape
-    rows = np.concatenate((t_idx, n_t + cond_idx))
-    emb = np.bincount((rows[:, None] * width + np.arange(width)).ravel(),
-                      weights=np.concatenate((d_h1, d_h1)).ravel(),
-                      minlength=(n_t + p["cemb"].shape[0]) * width).reshape(-1, width)
+    temb = np.bincount((t_idx[:, None] * width + np.arange(width)).ravel(),
+                       weights=d_h1.ravel(), minlength=n_t * width).reshape(n_t, width)
+    d_b1 = d_h1.sum(axis=0)  # every row adds b1 and the one cemb row alike
     return {"w3": d_out.T @ h2, "b3": d_out.sum(axis=0),
             "w2": d_h2.T @ h1, "b2": d_h2.sum(axis=0),
-            "w1": d_h1.T @ z, "b1": d_h1.sum(axis=0),
-            "temb": emb[:n_t], "cemb": emb[n_t:]}
+            "w1": d_h1.T @ z, "b1": d_b1,
+            "temb": temb, "cemb": d_b1[None]}
 
 
 def train_mlp_denoiser(
     data: np.ndarray,
     sched: NoiseSchedule,
     cfg: MlpTrainConfig,
-    labels: np.ndarray | None = None,
 ) -> MlpDenoiser:
     """Fit the MLP by noise-prediction regression with Adam.
 
@@ -419,15 +335,8 @@ def train_mlp_denoiser(
     require(data.ndim == 2 and data.size > 0, "data", data.shape,
             "a non-empty (n, latent_dim) array")
     n, latent_dim = data.shape
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-        require(labels.shape == (n,), "labels", labels.shape, f"one per data row, ({n},)")
-        require(labels.min() >= 0, "labels", int(labels.min()), "non-negative")
-        n_classes = int(labels.max()) + 1
-    else:
-        n_classes = 0
 
-    params = _init_params(derive_rng(cfg.seed, "mlp-init"), latent_dim, cfg.width, sched.t_train, n_classes)
+    params = _init_params(derive_rng(cfg.seed, "mlp-init"), latent_dim, cfg.width, sched.t_train)
     shapes = {k: params[k].shape for k in _PARAM_ORDER}
     flat = _flatten(params)
     state = AdamState(lr=cfg.lr)
@@ -445,13 +354,8 @@ def train_mlp_denoiser(
             brng = derive_rng(cfg.seed, "noise", epoch, bstart)
             t = brng.integers(1, sched.t_train + 1, size=rows.size)
             eps = brng.standard_normal((rows.size, latent_dim))
-            if labels is not None:
-                cond_idx = labels[rows] + 1
-                cond_idx = np.where(brng.random(rows.size) < _P_UNCOND, 0, cond_idx)
-            else:
-                cond_idx = np.zeros(rows.size, dtype=np.int64)
             zt = noised(data[rows], t, eps)
-            h1, h2, pred = _batch_forward(params, zt, t - 1, params["cemb"][cond_idx])
+            h1, h2, pred = _batch_forward(params, zt, t - 1)
             resid = pred - eps
             loss = float(np.mean(resid**2))
             if not np.isfinite(loss):
@@ -459,7 +363,7 @@ def train_mlp_denoiser(
                     f"training loss became non-finite at epoch {epoch}", epoch=epoch
                 )
             d_out = 2.0 * resid / resid.size
-            grads = _batch_backward(params, zt, t - 1, cond_idx, h1, h2, d_out)
+            grads = _batch_backward(params, zt, t - 1, h1, h2, d_out)
             flat, state = adam_step(state, flat, _flatten(grads))
             params = _unflatten(flat, shapes)
 
@@ -467,9 +371,8 @@ def train_mlp_denoiser(
     probe_rows = rows_order[eval_rng.integers(0, n, size=_N_EVAL)]
     probe_t = eval_rng.integers(1, sched.t_train + 1, size=_N_EVAL)
     probe_eps = eval_rng.standard_normal((_N_EVAL, latent_dim))
-    probe_cond = labels[probe_rows] + 1 if labels is not None else np.zeros(_N_EVAL, dtype=np.int64)
     zt = noised(data[probe_rows], probe_t, probe_eps)
-    probe_pred = _batch_forward(params, zt, probe_t - 1, params["cemb"][probe_cond])[2]
+    probe_pred = _batch_forward(params, zt, probe_t - 1)[2]
     final_loss = float(np.mean((probe_pred - probe_eps) ** 2))
 
     return MlpDenoiser(params, sched, seed=cfg.seed, final_loss=final_loss,

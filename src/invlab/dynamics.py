@@ -2,12 +2,11 @@
 
 One backward transition on the grid pair (t_prev, t) is
 
-    z_{t_prev} = φ_t·z_t + ψ_t·F̂(z_t, t, C)                (generation)
-    z_t       = (1/φ_t)·z_{t_prev} − (ψ_t/φ_t)·F̂(z_{t_prev}, t, C)   (inversion)
+    z_{t_prev} = φ_t·z_t + ψ_t·F(z_t, t, c)                (generation)
+    z_t       = (1/φ_t)·z_{t_prev} − (ψ_t/φ_t)·F(z_{t_prev}, t, c)   (inversion)
 
-with F̂ the guided prediction under C, whose guidance weight C.w is part of
-the condition. The inversion step evaluates the model at the *target* timestep
-t; for a constant model the two maps are exact inverses.
+with F the model's prediction. The inversion step evaluates the model at the
+*target* timestep t; for a constant model the two maps are exact inverses.
 
 Both steps take the transition as its `StepCoefficients` (φ, ψ, t, t_prev);
 only the grid walkers look coefficients up, once per transition.
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Condition, DenoiserInterface, cfg_eval
+from .denoiser import Condition, DenoiserInterface
 from .errors import InvalidParameterError
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
@@ -38,7 +37,6 @@ class Trajectory:
     entries: tuple[tuple[int, np.ndarray], ...]
     direction: str
     grid: TimestepGrid
-    condition: Condition
 
     def timesteps(self) -> tuple[int, ...]:
         return tuple(t for t, _ in self.entries)
@@ -60,8 +58,6 @@ class Trajectory:
     def to_json_dict(self) -> dict:
         return {
             "direction": self.direction,
-            "guidance": self.condition.w,
-            "condition": self.condition.to_json_dict(),
             "grid": list(self.grid.steps),
             "entries": [{"t": t, "z": list(map(float, z))} for t, z in self.entries],
         }
@@ -71,7 +67,7 @@ def generate_step(model: DenoiserInterface, co: StepCoefficients, z_t: np.ndarra
                   c: Condition) -> np.ndarray:
     """One backward transition co.t -> co.t_prev."""
     z_t = np.asarray(z_t, dtype=np.float64)
-    return co.phi * z_t + co.psi * cfg_eval(model, z_t, co.t, c)
+    return co.phi * z_t + co.psi * model.eval(z_t, co.t, c)
 
 
 def ddim_invert_step(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
@@ -79,7 +75,7 @@ def ddim_invert_step(model: DenoiserInterface, co: StepCoefficients, z_prev: np.
     """One inversion transition co.t_prev -> co.t (exact algebraic reversal of
     the deterministic generation step under the adjacent-step approximation)."""
     z_prev = np.asarray(z_prev, dtype=np.float64)
-    return (1.0 / co.phi) * z_prev - (co.psi / co.phi) * cfg_eval(model, z_prev, co.t, c)
+    return (1.0 / co.phi) * z_prev - (co.psi / co.phi) * model.eval(z_prev, co.t, c)
 
 
 def generate_trajectory(
@@ -97,7 +93,7 @@ def generate_trajectory(
     for t_prev, t in reversed(grid.transitions()):
         z = generate_step(model, coefficients(sched, t, t_prev), z, c)
         entries.append((t_prev, z.copy()))
-    return Trajectory(entries=tuple(entries), direction=GENERATION, grid=grid, condition=c)
+    return Trajectory(entries=tuple(entries), direction=GENERATION, grid=grid)
 
 
 def ddim_invert_trajectory(
@@ -115,4 +111,4 @@ def ddim_invert_trajectory(
     for t_prev, t in grid.transitions():
         z = ddim_invert_step(model, coefficients(sched, t, t_prev), z, c)
         entries.append((t, z.copy()))
-    return Trajectory(entries=tuple(entries), direction=INVERSION, grid=grid, condition=c)
+    return Trajectory(entries=tuple(entries), direction=INVERSION, grid=grid)

@@ -1,10 +1,8 @@
 """Per-step latent bias optimization for inverting deterministic sampling.
 
-One generation transition maps z_t to z_prev = φ·z_t + ψ·F̂(z_t, t, C), with
-F̂ guided by the weight C.w that the condition carries, so inversion and the
-replay that checks it run under one guided prediction. Inverting the
-transition exactly means solving a fixed-point problem in z_t; the plain
-reverse step approximates F̂ at the wrong point. Here the unknown is the
+One generation transition maps z_t to z_prev = φ·z_t + ψ·F(z_t, t, c).
+Inverting the transition exactly means solving a fixed-point problem in z_t;
+the plain reverse step approximates F at the wrong point. Here the unknown is the
 bias b = z_t − z_prev and three refinement modes are offered:
 
   numerical  fixed-point iteration b ← bias_target(z_prev + b)
@@ -27,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .denoiser import Condition, DenoiserInterface, cfg_linearize
+from .denoiser import Condition, DenoiserInterface
 from .dynamics import INVERSION, Trajectory, ddim_invert_step, generate_step
 from .errors import DivergenceError, require
 from .optim import AdamState, adam_step
@@ -99,7 +97,7 @@ def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: n
     so the chain rule only passes through one denoiser evaluation.
     """
     z = z_prev + b
-    eps, pullback = cfg_linearize(model, z, co.t, c)
+    eps, pullback = model.linearize(z, co.t, c)
     r = co.phi * z + co.psi * eps - z_prev
     s = np.sign(r)
     grad = (co.phi * s + co.psi * pullback(s)) / r.size
@@ -166,5 +164,5 @@ def lbo_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule,
         z, rep = lbo_invert_step(model, sched, z, t_prev, t, c, cfg)
         entries.append((t, z.copy()))
         reports.append(rep)
-    traj = Trajectory(entries=tuple(entries), direction=INVERSION, grid=grid, condition=c)
+    traj = Trajectory(entries=tuple(entries), direction=INVERSION, grid=grid)
     return traj, reports

@@ -98,11 +98,13 @@ class RandomConvPerceptual(PerceptualMetricInterface):
 
     def __init__(self, image_shape: tuple, seed: int = 0):
         if len(image_shape) != 3:
-            raise DimensionError(f"image_shape must be (h, w, c), got {image_shape}")
+            raise DimensionError(f"image_shape must be (h, w, c), got {image_shape}",
+                                 field="image_shape")
         h, w, c = image_shape
         # two valid 3×3 layers eat 4 pixels per axis
         if h < 5 or w < 5:
-            raise DimensionError(f"images must be at least 5x5, got {h}x{w}")
+            raise DimensionError(f"images must be at least 5x5, got {h}x{w}",
+                                 field="image_shape")
         self.image_shape = (int(h), int(w), int(c))
         self.seed = int(seed)
         rng = derive_rng(self.seed, "perceptual-init")

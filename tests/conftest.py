@@ -1,7 +1,8 @@
-"""Shared fixtures: small schedules, stub denoisers, 2-d mixture MLPs, model-file
-surgery, JSON mutation, hypothesis profile."""
+"""Shared fixtures: small schedules, stub denoisers, 2-d mixture MLPs, exact inverses
+under an affine model, model-file surgery, JSON mutation, hypothesis profile."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -16,6 +17,7 @@ from invlab import (
     LinearGaussianDenoiser,
     MlpTrainConfig,
     ScalingDenoiser,
+    coefficients,
     derive_rng,
     make_linear_schedule,
     make_uniform_grid,
@@ -45,7 +47,7 @@ def default_sched():
 
 @pytest.fixture
 def uncond():
-    return Condition.unconditional()
+    return Condition()
 
 
 @pytest.fixture
@@ -102,11 +104,11 @@ def make_gauss_mixture(n: int, seed: int, dim: int = 2, n_classes: int = 3,
 
 
 def train_tiny_mlp(seed: int = 0):
-    """A labelled width-16 MLP on 48 mixture draws, and its 20-step schedule."""
+    """A width-16 MLP on 48 mixture draws, and its 20-step schedule."""
     sched = make_linear_schedule(20, 1e-3, 0.05)
-    data, labels, _ = make_gauss_mixture(48, seed=9)
+    data = make_gauss_mixture(48, seed=9)[0]
     cfg = MlpTrainConfig(width=16, max_epochs=4, seed=seed)
-    return train_mlp_denoiser(data, sched, cfg, labels), sched
+    return train_mlp_denoiser(data, sched, cfg), sched
 
 
 @pytest.fixture(scope="session")
@@ -130,6 +132,30 @@ def spectral_form(model, t):
     return eval_, pullback
 
 
+def affine_map(model, t):
+    """(J_t, o_t) of a model whose prediction is affine, eval(z, t) = J_t·z − o_t, read
+    through its public linearize: o_t = −eval(0, t), and row i of J_t is the pullback of e_i."""
+    d = model.latent_dim
+    eps0, pullback = model.linearize(np.zeros(d), t, Condition())
+    return np.stack([pullback(e) for e in np.eye(d)]), -eps0
+
+
+def exact_step(model, co, z_prev):
+    """The z_t that generate_step maps exactly onto z_prev under an affine model: the
+    solution of (φI + ψJ_t)·z_t = z_prev + ψ·o_t."""
+    jac, off = affine_map(model, co.t)
+    return np.linalg.solve(co.phi * np.eye(model.latent_dim) + co.psi * jac,
+                           z_prev + co.psi * off)
+
+
+def exact_preimage(model, sched, grid, z0):
+    """The exact z_T of inverting z0 along grid under an affine model, one solve per step."""
+    z = np.asarray(z0, dtype=np.float64)
+    for t_prev, t in grid.transitions():
+        z = exact_step(model, coefficients(sched, t, t_prev), z)
+    return z
+
+
 def read_model_file(path):
     """(header, the raw array bytes) of a saved model file."""
     raw = path.read_bytes()
@@ -141,6 +167,21 @@ def write_model_file(path, header, body: bytes) -> None:
     """A model file holding `header` and the raw array bytes `body`."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(b"LABMDL1\n" + struct.pack("<Q", len(blob)) + blob + body)
+
+
+def widen_cemb(path, rows: int) -> None:
+    """Rewrite the MLP model file at `path` with `rows` copies of its one cemb row,
+    as a class-labelled model's file held one row more than its classes."""
+    header, body = read_model_file(path)
+    offset = 0
+    for entry in header["arrays"]:
+        size = 8 * math.prod(entry["shape"])
+        if entry["name"] == "cemb":
+            entry["shape"][0] = rows
+            body = body[:offset] + body[offset:offset + size] * rows + body[offset + size:]
+            break
+        offset += size
+    write_model_file(path, header, body)
 
 
 # any JSON value, NaN and the infinities included

@@ -36,7 +36,7 @@ from invlab.rng import derive_rng
 from invlab.schedule import NoiseSchedule, coefficients, make_linear_schedule, make_uniform_grid
 
 SEED = 20260814
-UNCOND = Condition.unconditional()
+UNCOND = Condition()
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:

@@ -7,8 +7,10 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import read_model_file, write_model_file
+from conftest import read_model_file, widen_cemb, write_model_file
 
+import invlab.denoiser
+from invlab import MlpDenoiser, make_linear_schedule
 from invlab.benchmark import METRIC_FIELDS, BenchmarkBackends, RunConfig, config_from_json_dict
 from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
@@ -396,6 +398,19 @@ def test_model_file_whose_kind_is_not_a_string_exits_2(capsys, small_cfg, tmp_pa
                         "--out", str(tmp_path / "r"))
     assert code == 2 and doc["code"] == "format-error"
     assert doc["context"]["key"] == "autoencoder.path" and str(ae) in doc["message"]
+
+
+def test_mlp_file_with_more_than_one_cemb_row_exits_2(capsys, tmp_path):
+    den = tmp_path / "mlp.labmdl"
+    p = invlab.denoiser._init_params(np.random.default_rng(0), 4, 8, SMALL["t_train"])
+    save_model(MlpDenoiser(p, make_linear_schedule(SMALL["t_train"], 1e-4, 0.02)), den)
+    widen_cemb(den, 3)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**SMALL, "denoiser": {"kind": "mlp", "path": str(den)}}))
+    code, doc = run_cli(capsys, "roundtrip", "--config", str(cfg), "--out", str(tmp_path / "r"))
+    assert code == 2 and set(doc) == {"code", "message", "context"}
+    assert doc["code"] == "format-error" and doc["context"]["key"] == "denoiser.path"
+    assert str(den) in doc["message"] and "cemb" in doc["message"]
 
 
 @pytest.mark.parametrize("key,array", [("autoencoder.path", "w"), ("autoencoder.path", "mean"),

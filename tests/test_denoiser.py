@@ -11,63 +11,23 @@ from invlab import (
     BoundsError,
     Condition,
     ConstantDenoiser,
-    DenoiserInterface,
     DimensionError,
     InvalidParameterError,
+    LinearAutoencoder,
     LinearGaussianDenoiser,
     MlpDenoiser,
     MlpTrainConfig,
     ScalingDenoiser,
     TrainingFailureError,
-    cfg_eval,
-    cfg_linearize,
     gradient_check,
     make_linear_schedule,
     train_mlp_denoiser,
 )
-from invlab.errors import require_shape
 
 EIGHT_POINTS = np.array(
     [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
      [-1.0, 0.0], [0.0, -1.0], [0.5, 0.5], [-0.5, -0.5]]
 )
-
-
-def test_condition_variants_and_json():
-    u = Condition.unconditional()
-    k = Condition.class_label(2)
-    assert u.variant == "unconditional" and k.k == 2
-    # the guidance weight defaults to 1, and an unconditional condition has no other
-    assert u.w == k.w == 1.0 and Condition.class_label(2, 3).w == 3.0
-    assert u.to_json_dict() == {"variant": "unconditional"}
-    assert k.to_json_dict() == {"variant": "class", "k": 2}
-    assert Condition() == u and Condition(2) == k
-    with pytest.raises(AttributeError):  # the variant is read off k
-        k.variant = "unconditional"
-    with pytest.raises(InvalidParameterError):
-        Condition.class_label(-1)
-
-
-@pytest.mark.parametrize("k, w, field", [
-    ("class", 1.0, "k"),  # the variant name where k goes
-    ("bogus", 1.0, "k"),
-    (True, 1.0, "k"),
-    (1.5, 1.0, "k"),
-    (-1, 1.0, "k"),
-    (None, 3.0, "w"),  # guidance needs a class
-    (0, float("nan"), "w"),
-])
-def test_condition_holds_a_class_and_weight_or_nothing(k, w, field):
-    with pytest.raises(InvalidParameterError) as err:
-        Condition(k, w)
-    assert err.value.context["field"] == field
-
-
-@pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
-def test_class_label_rejects_a_non_finite_guidance_weight(w):
-    with pytest.raises(InvalidParameterError, match="guidance weight") as err:
-        Condition.class_label(1, w)
-    assert err.value.code == "invalid-parameter" and err.value.context["field"] == "w"
 
 
 def test_constant_denoiser(uncond):
@@ -190,35 +150,36 @@ def test_timestep_outside_schedule_rejected(backend, uncond, tiny_mlp):
         assert np.all(np.isfinite(model.vjp(z, t, uncond, v)))
 
 
-class _CondGate(DenoiserInterface):
-    """Returns ones under any conditional input and zeros unconditionally."""
+def _constructor_cases():
+    """id -> (a model built from the caller's arrays, those arrays, the model's output)."""
+    sched = make_linear_schedule(20, 1e-3, 0.05)
+    z, x = np.array([0.3, -0.8]), np.array([0.2, 0.9, -0.4, 0.6]).reshape(2, 2, 1)
+    params = invlab.denoiser._init_params(np.random.default_rng(26), 2, 4, 20)
+    return {
+        "constant": (lambda v: ConstantDenoiser(2, v), [np.full(2, 0.7)],
+                     lambda m: m.eval(z, 5, Condition())),
+        "gaussian": (lambda mu, sigma: LinearGaussianDenoiser(mu, sigma, sched),
+                     [np.array([0.5, -1.0]), np.array([[2.0, 0.3], [0.3, 1.0]])],
+                     lambda m: m.eval(z, 5, Condition())),
+        "mlp": (lambda *arrays: MlpDenoiser(dict(zip(params, arrays)), sched),
+                list(params.values()), lambda m: m.eval(z, 5, Condition())),
+        # W keeps pixels 0 and 1; the leak reads only the discarded pixels 2 and 3
+        "linear-autoencoder": (lambda w, mean, leak: LinearAutoencoder(w, mean, (2, 2, 1), leak),
+                               [np.eye(2, 4), np.full(4, 0.1), 0.5 * np.eye(4)[2:]],
+                               lambda m: np.concatenate((m.encode(x), m.decode(z).ravel()))),
+    }
 
 
-    def __init__(self, latent_dim):
-        self.latent_dim = latent_dim
-
-    def eval(self, z, t, c):
-        require_shape(z, (self.latent_dim,), "z")
-        on = 0.0 if c.variant == "unconditional" else 1.0
-        return np.full(self.latent_dim, on)
-
-    def linearize(self, z, t, c):
-        return self.eval(z, t, c), lambda v: np.zeros(self.latent_dim)
-
-
-def test_cfg_eval_blend(uncond):
-    m = _CondGate(2)
-    z = np.zeros(2)
-    np.testing.assert_array_equal(cfg_eval(m, z, 3, Condition.class_label(0, 7.5)), np.full(2, 7.5))
-    np.testing.assert_array_equal(cfg_eval(m, z, 3, Condition.class_label(0, 0.0)), np.zeros(2))
-
-
-def test_cfg_eval_unit_guidance_short_circuits(gauss_nd, uncond):
-    # w=1 must be bit-identical to a single conditional evaluation
-    z = np.array([0.2, 0.4, -1.0, 0.9])
-    np.testing.assert_array_equal(
-        cfg_eval(gauss_nd, z, 25, uncond), gauss_nd.eval(z, 25, uncond)
-    )
+@pytest.mark.parametrize("case", ["constant", "gaussian", "mlp", "linear-autoencoder"])
+def test_constructor_leaves_the_callers_arrays_writeable_and_apart(case):
+    build, arrays, output = _constructor_cases()[case]
+    model = build(*arrays)
+    twin = build(*[a.copy() for a in arrays])
+    assert all(a.flags.writeable for a in arrays)
+    for a in arrays:
+        a += 1.0
+    # the model has not run yet, so any cache it builds lazily reads its own arrays
+    assert output(model).tobytes() == output(twin).tobytes()
 
 
 def test_mlp_train_determinism():
@@ -230,15 +191,17 @@ def test_mlp_train_determinism():
     assert any(not np.array_equal(a.params[k], c.params[k]) for k in a.params)
 
 
+# cemb holds exactly one row: a file from a class-labelled model has more
 @pytest.mark.parametrize("name,shape", [("cemb", (0, 5)), ("cemb", ()), ("w1", (3, 5)),
-                                        ("temb", (19, 5)), ("w2", (5, 4))])
+                                        ("temb", (19, 5)), ("w2", (5, 4)), ("cemb", (3, 5))])
 def test_mlp_reads_its_sizes_from_its_arrays(name, shape):
     sched = make_linear_schedule(20, 1e-3, 0.05)
-    p = invlab.denoiser._init_params(np.random.default_rng(25), 3, 5, 20, 2)
+    p = invlab.denoiser._init_params(np.random.default_rng(25), 3, 5, 20)
     model = MlpDenoiser(p, sched)
-    assert (model.latent_dim, model.width, model.n_classes) == (3, 5, 2)
-    with pytest.raises(DimensionError, match=name):
+    assert (model.latent_dim, model.width) == (3, 5)
+    with pytest.raises(DimensionError, match=name) as err:
         MlpDenoiser({**p, name: np.zeros(shape)}, sched)
+    assert err.value.context["field"] == name
 
 
 def test_mlp_rejects_empty_and_misshapen_data():
@@ -247,8 +210,6 @@ def test_mlp_rejects_empty_and_misshapen_data():
         train_mlp_denoiser(np.empty((0, 2)), sched, MlpTrainConfig())
     with pytest.raises(InvalidParameterError):
         train_mlp_denoiser(np.zeros((4, 2, 2)), sched, MlpTrainConfig())
-    with pytest.raises(InvalidParameterError):
-        train_mlp_denoiser(np.zeros((4, 2)), sched, MlpTrainConfig(), labels=np.zeros(3, dtype=int))
 
 
 def test_mlp_divergence_names_epoch():
@@ -259,14 +220,10 @@ def test_mlp_divergence_names_epoch():
     assert "epoch" in str(exc.value)
 
 
-def test_mlp_eval_pure_and_class_sensitivity(uncond, tiny_mlp):
+def test_mlp_eval_pure(uncond, tiny_mlp):
     model, _ = tiny_mlp
     z = np.array([0.3, -0.8])
     np.testing.assert_array_equal(model.eval(z, 5, uncond), model.eval(z, 5, uncond))
-    c0, c1 = Condition.class_label(0), Condition.class_label(1)
-    assert not np.array_equal(model.eval(z, 5, c0), model.eval(z, 5, c1))
-    with pytest.raises(InvalidParameterError):
-        model.eval(z, 5, Condition.class_label(99))
 
 
 def test_mlp_vjp_matches_finite_differences(uncond, tiny_mlp):
@@ -293,21 +250,6 @@ def test_mlp_vjp_linearity(uncond, tiny_mlp):
     np.testing.assert_allclose(combo, parts, atol=1e-10)
 
 
-def test_cfg_blend_with_trained_mlp(uncond, tiny_mlp):
-    model, _ = tiny_mlp
-    z = np.array([0.2, -0.3])
-    c = Condition.class_label(1, 2.5)
-    expect = model.eval(z, 6, uncond) + c.w * (model.eval(z, 6, c) - model.eval(z, 6, uncond))
-    np.testing.assert_allclose(cfg_eval(model, z, 6, c), expect, atol=1e-14)
-    v = np.array([0.7, 1.1])
-    err = gradient_check(
-        lambda x: float(v @ cfg_eval(model, x, 6, c)),
-        cfg_linearize(model, z, 6, c)[1](v),
-        z,
-    )
-    assert err < 1e-4
-
-
 def test_gaussian_vjp_matches_finite_differences(gauss_nd, uncond):
     z = np.array([0.5, -0.2, 1.1, 0.0])
     v = np.array([1.0, 2.0, -1.0, 0.5])
@@ -323,7 +265,7 @@ def test_unit_gaussian_scales_input(t, seed):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(3)
     np.testing.assert_allclose(
-        m.eval(z, t, Condition.unconditional()),
+        m.eval(z, t, Condition()),
         np.sqrt(1.0 - sched.alpha_bar(t)) * z,
         atol=1e-12,
     )
@@ -333,11 +275,10 @@ def _linearize_cases(gauss_nd, mlp):
     rng = np.random.default_rng(21)
     z2, z4 = rng.standard_normal(2), rng.standard_normal(4)
     return [
-        (ConstantDenoiser(2, 0.7), z2, Condition.unconditional()),
-        (ScalingDenoiser(2, -1.5), z2, Condition.unconditional()),
-        (gauss_nd, z4, Condition.unconditional()),
-        (mlp, z2, Condition.unconditional()),
-        (mlp, z2, Condition.class_label(1)),
+        (ConstantDenoiser(2, 0.7), z2, Condition()),
+        (ScalingDenoiser(2, -1.5), z2, Condition()),
+        (gauss_nd, z4, Condition()),
+        (mlp, z2, Condition()),
     ]
 
 
@@ -352,21 +293,6 @@ def test_linearize_is_eval_and_vjp_bit_for_bit(gauss_nd, tiny_mlp):
             assert np.array_equal(pullback(v), model.vjp(z, 7, c, v))
         with pytest.raises(DimensionError):
             pullback(np.zeros(z.size + 1))
-
-
-@pytest.mark.parametrize("w", [0.0, 1.0, 3.0])
-def test_cfg_linearize_is_cfg_eval_and_cfg_vjp_bit_for_bit(w, gauss_nd, tiny_mlp):
-    rng = np.random.default_rng(23)
-    for model, z, case_c in _linearize_cases(gauss_nd, tiny_mlp[0]):
-        # and class 1 under weight w, which the stubs and the oracle ignore
-        for c in (case_c, Condition.class_label(1, w)):
-            eps, pullback = cfg_linearize(model, z, 7, c)
-            assert np.array_equal(eps, cfg_eval(model, z, 7, c))
-            v = rng.standard_normal(z.shape)
-            # the blend of the two plain vjps, in cfg_eval's form
-            vjp_u = model.vjp(z, 7, Condition.unconditional(), v)
-            blend = vjp_u + c.w * (model.vjp(z, 7, c, v) - vjp_u)
-            assert np.array_equal(pullback(v), model.vjp(z, 7, c, v) if c.w == 1.0 else blend)
 
 
 def test_mlp_linearize_runs_one_forward_pass(monkeypatch, uncond, tiny_mlp):
@@ -395,15 +321,15 @@ def test_mlp_train_config_rejects_out_of_range(field, value):
 
 def test_embedding_scatter_is_add_at_with_repeated_rows():
     rng = np.random.default_rng(24)
-    p = invlab.denoiser._init_params(rng, 3, 5, 20, 2)
+    p = invlab.denoiser._init_params(rng, 3, 5, 20)
     z = rng.standard_normal((9, 3))
     t_idx = np.array([4, 4, 0, 19, 4, 7, 0, 7, 4])  # repeated rows
-    cond_idx = np.array([1, 0, 1, 1, 2, 0, 2, 1, 1])
-    h1, h2, out = invlab.denoiser._batch_forward(p, z, t_idx, p["cemb"][cond_idx])
+    h1, h2, out = invlab.denoiser._batch_forward(p, z, t_idx)
     d_out = rng.standard_normal(out.shape)
-    g = invlab.denoiser._batch_backward(p, z, t_idx, cond_idx, h1, h2, d_out)
+    g = invlab.denoiser._batch_backward(p, z, t_idx, h1, h2, d_out)
     d_h1 = invlab.denoiser._hidden_backward(p, h1, h2, d_out)[1]
-    for name, idx in (("temb", t_idx), ("cemb", cond_idx)):
+    # every row adds the one cemb row
+    for name, idx in (("temb", t_idx), ("cemb", np.zeros(9, dtype=int))):
         ref = np.zeros_like(p[name])
         np.add.at(ref, idx, d_h1)
         assert g[name].shape == ref.shape

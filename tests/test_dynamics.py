@@ -108,6 +108,7 @@ def test_empty_grid_rejected(toy3, stub0, uncond):
 def test_trajectory_json_round_keys(toy3, stub0, uncond):
     traj = generate_trajectory(stub0, toy3, make_uniform_grid(toy3, 3), ONE, uncond)
     d = traj.to_json_dict()
+    assert set(d) == {"direction", "grid", "entries"}
     assert d["direction"] == "generation"
     assert d["grid"] == [1, 2, 3]
     assert [e["t"] for e in d["entries"]] == [3, 2, 1, 0]
@@ -126,7 +127,7 @@ def test_constant_model_full_sweep_round_trip(default_sched, grid50, uncond):
 def test_single_constant_transition_invertible(t, z0, fval):
     sched = make_linear_schedule(100, 1e-4, 0.05)
     m = ConstantDenoiser(1, fval)
-    c = Condition.unconditional()
+    c = Condition()
     z = np.array([z0])
     co = coefficients(sched, t, t - 1)
     up = ddim_invert_step(m, co, z, c)

@@ -6,7 +6,8 @@ BaseException would turn a programming bug into a quiet result. No
 `__post_init__` under src/invlab raises by itself: a value's check goes through
 `errors.require`, so every bad value is reported in one form that names it.
 Likewise no module but errors.py compares an array's shape and raises: an exact
-shape check goes through `errors.require_shape`.
+shape check goes through `errors.require_shape`, and any other `DimensionError`
+names its argument with `field=`, as `require_shape` does.
 """
 
 import ast
@@ -116,3 +117,27 @@ def test_checker_flags_a_shape_check_by_hand():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_shape_checks_go_through_require_shape(path):
     assert hand_shape_checks(path.read_text(encoding="utf-8")) == []
+
+
+def fieldless_dimension_errors(source: str) -> list:
+    """Line numbers of `DimensionError(...)` calls that pass no `field=`."""
+    return [node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "DimensionError" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))
+            and not any(k.arg == "field" for k in node.keywords)]
+
+
+def test_checker_flags_a_dimension_error_without_its_field():
+    source = ('raise DimensionError(f"x has shape {s}")\n'
+              'raise DimensionError("x is short", field="x")\n'
+              'err = errors.DimensionError("x is short", key="x")\n'
+              'raise InvalidParameterError("x is short")\n')
+    assert fieldless_dimension_errors(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_dimension_errors_name_their_field(path):
+    assert fieldless_dimension_errors(path.read_text(encoding="utf-8")) == []

@@ -1,8 +1,11 @@
 """Step-wise bias refinement: fixed-point and gradient solvers."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
-from conftest import spectral_form
+from conftest import affine_map, exact_preimage, exact_step, spectral_form
 
 import invlab.denoiser
 import invlab.dynamics
@@ -17,8 +20,6 @@ from invlab import (
     LinearGaussianDenoiser,
     ScalingDenoiser,
     bias_target,
-    cfg_eval,
-    cfg_linearize,
     coefficients,
     ddim_invert_step,
     ddim_invert_trajectory,
@@ -29,6 +30,7 @@ from invlab import (
     lbo_invert_step,
     lbo_invert_trajectory,
     lbo_numerical_iterate,
+    make_linear_schedule,
     make_uniform_grid,
     objective_and_grad,
 )
@@ -150,9 +152,9 @@ def test_objective_is_the_straightforward_form_bit_for_bit(
         # d = 5: dividing by a power of two would hide a reordered mean
         a = np.random.default_rng(7).standard_normal((5, 5))
         model = LinearGaussianDenoiser(np.ones(5), a @ a.T + np.eye(5), default_sched)
-        sched, c, t_prev, t = default_sched, Condition.unconditional(), 30, 40
+        sched, c, t_prev, t = default_sched, Condition(), 30, 40
     else:
-        (model, sched), c, t_prev, t = tiny_mlp, Condition.class_label(0, 3.0), 4, 10
+        (model, sched), c, t_prev, t = tiny_mlp, Condition(), 4, 10
     rng = np.random.default_rng(8)
     z_prev = rng.standard_normal(model.latent_dim)
     b = 0.1 * rng.standard_normal(model.latent_dim)
@@ -161,7 +163,7 @@ def test_objective_is_the_straightforward_form_bit_for_bit(
     s = np.sign(r)
     value, grad = objective_and_grad(model, co, z_prev, c, b)
     assert value == float(np.mean(np.abs(r)))
-    pullback = cfg_linearize(model, z_prev + b, t, c)[1]
+    pullback = model.linearize(z_prev + b, t, c)[1]
     assert np.array_equal(grad, (co.phi * s + co.psi * pullback(s)) / r.size)
 
 
@@ -350,26 +352,6 @@ def test_modes_agree_on_smooth_model(gauss_nd, default_sched, uncond):
     assert rel_g < 1e-3
 
 
-def test_guidance_weight_changes_conditional_inversion(tiny_mlp):
-    model, sched = tiny_mlp
-    z = np.array([0.4, -0.2])
-    a, _ = lbo_invert_step(model, sched, z, 5, 10, Condition.class_label(1))
-    b, _ = lbo_invert_step(model, sched, z, 5, 10, Condition.class_label(1, 3.0))
-    assert not np.array_equal(a, b)
-
-
-def test_trajectory_json_guidance_is_the_condition_weight(tiny_mlp):
-    model, sched = tiny_mlp
-    grid = make_uniform_grid(sched, 4)
-    z = np.array([0.4, -0.2])
-    for c in (Condition.unconditional(), Condition.class_label(1), Condition.class_label(1, 3)):
-        for traj in (generate_trajectory(model, sched, grid, z, c),
-                     ddim_invert_trajectory(model, sched, grid, z, c),
-                     lbo_invert_trajectory(model, sched, grid, z, c)[0]):
-            guidance = traj.to_json_dict()["guidance"]
-            assert guidance == c.w and type(guidance) is float
-
-
 def _reference_step(model, sched, z_prev, t_prev, t, c, cfg):
     """lbo_invert_step written out with the public per-iteration functions."""
     co = coefficients(sched, t, t_prev)
@@ -396,11 +378,11 @@ def _reference_step(model, sched, z_prev, t_prev, t, c, cfg):
 def test_invert_step_is_bit_identical_to_the_public_iterates(
         gauss_nd, default_sched, tiny_mlp, backend, mode):
     if backend == "gaussian":
-        model, sched, c = gauss_nd, default_sched, Condition.unconditional()
+        model, sched, c = gauss_nd, default_sched, Condition()
         z = np.array([0.3, -1.2, 0.7, 0.1])
         pairs = [(0, 2), (30, 40), (60, 100)]
     else:
-        (model, sched), c = tiny_mlp, Condition.class_label(1, 3.0)
+        (model, sched), c = tiny_mlp, Condition()
         z = np.array([0.4, -0.2])
         pairs = [(0, 4), (4, 10), (10, 20)]
     # the default budget and tolerance, then a budget that runs out first
@@ -445,22 +427,96 @@ def _count_forward_passes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("w", [1.0, 3.0])
-def test_objective_and_grad_runs_one_forward_pass_per_condition(tiny_mlp, monkeypatch, w):
+def test_objective_and_grad_runs_one_forward_pass(tiny_mlp, monkeypatch, uncond):
     model, sched = tiny_mlp
-    c = Condition.class_label(1, w)
     z_prev, b = np.array([0.4, -0.2]), np.array([0.01, 0.02])
     co = coefficients(sched, 10, 5)
-    value, grad = objective_and_grad(model, co, z_prev, c, b)
+    value, grad = objective_and_grad(model, co, z_prev, uncond, b)
     calls = _count_forward_passes(monkeypatch)
-    again = objective_and_grad(model, co, z_prev, c, b)
-    # one MLP forward pass per evaluated condition, where eval then vjp took two
-    assert len(calls) == (1 if w == 1.0 else 2)
+    again = objective_and_grad(model, co, z_prev, uncond, b)
+    # one MLP forward pass, where eval then vjp took two
+    assert len(calls) == 1
     assert again[0] == value and np.array_equal(again[1], grad)
     # the same bits as the separate eval and vjp
     z = z_prev + b
-    r = co.phi * z + co.psi * cfg_eval(model, z, 10, c) - z_prev
+    r = co.phi * z + co.psi * model.eval(z, 10, uncond) - z_prev
     s = np.sign(r)
-    vjp_u = model.vjp(z, 10, Condition.unconditional(), s)
-    vjp_g = model.vjp(z, 10, c, s) if w == 1.0 else vjp_u + w * (model.vjp(z, 10, c, s) - vjp_u)
-    assert np.array_equal(grad, (co.phi * s + co.psi * vjp_g) / r.size)
+    assert np.array_equal(grad, (co.phi * s + co.psi * model.vjp(z, 10, uncond, s)) / r.size)
+
+
+# ---------------------------------------------------------------- exact answers from the oracle
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """The benchmark's analytic denoiser at d = 16 (Σ's eigenvalues spread over
+    [0.7, 1.5], the default schedule) and three latents to invert."""
+    sched = make_linear_schedule(100, 1e-4, 0.05)
+    rng = np.random.default_rng(31)
+    q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+    sigma = (q * np.linspace(0.7, 1.5, 16)) @ q.T
+    model = LinearGaussianDenoiser(0.5 * rng.standard_normal(16), 0.5 * (sigma + sigma.T), sched)
+    return model, sched, rng.standard_normal((3, 16))
+
+
+def _sweep_radius(model, co):
+    """ρ of the sweep z ↦ z − (generate_step(z) − z_prev), whose Jacobian is
+    M = (1 − φ)I − ψJ_t."""
+    jac = affine_map(model, co.t)[0]
+    return float(np.abs(np.linalg.eigvals((1.0 - co.phi) * np.eye(len(jac)) - co.psi * jac)).max())
+
+
+def test_exact_preimage_replays_onto_its_start(oracle, uncond):
+    model, sched, z0s = oracle
+    grid = make_uniform_grid(sched, 4)
+    for z0 in z0s:
+        z_T = exact_preimage(model, sched, grid, z0)
+        replayed = generate_trajectory(model, sched, grid, z_T, uncond).end
+        np.testing.assert_allclose(replayed, z0, rtol=0.0, atol=1e-12)
+
+
+# steps -> how many steps of one trajectory converge, for lbo-n and lbo-h
+@pytest.mark.parametrize("steps,converging", [(50, (50, 50)), (4, (4, 4)), (2, (1, 0))])
+def test_converged_sweeps_land_within_their_bound_of_the_exact_preimage(oracle, uncond, steps,
+                                                                        converging):
+    # a sweep that stops on |Δ|∞ < tol leaves the error −M(I − M)⁻¹Δ: at most
+    # ρ/(1 − ρ)·sqrt(d)·tol in 2-norm, since M is symmetric; each later exact
+    # step (I − M)⁻¹ grows it by at most 1/(1 − ρ)
+    model, sched, z0s = oracle
+    grid = make_uniform_grid(sched, steps)
+    cos = [coefficients(sched, t, t_prev) for t_prev, t in grid.transitions()]
+    rhos = [_sweep_radius(model, co) for co in cos]
+    checked = Counter()
+    for mode in ("numerical", "hybrid"):
+        cfg = LboConfig(mode=mode)
+        # 1e-13 for rounding
+        local = [rho / (1.0 - rho) * math.sqrt(model.latent_dim) * cfg.tol + 1e-13 for rho in rhos]
+        for z0 in z0s:
+            traj, reports = lbo_invert_trajectory(model, sched, grid, z0, uncond, cfg)
+            latents = [z for _, z in traj.entries]
+            for co, rep, bound, z_prev, z_t in zip(cos, reports, local, latents[:-1],
+                                                   latents[1:], strict=True):
+                if rep.converged:
+                    assert np.linalg.norm(z_t - exact_step(model, co, z_prev)) <= bound
+                    checked[mode] += 1
+            if all(rep.converged for rep in reports):
+                total = 0.0
+                for rho, bound in zip(rhos, local):
+                    total = total / (1.0 - rho) + bound
+                assert np.linalg.norm(traj.end - exact_preimage(model, sched, grid, z0)) <= total
+    assert (checked["numerical"], checked["hybrid"]) == tuple(len(z0s) * n for n in converging)
+
+
+def test_plain_sweep_runs_out_of_budget_at_one_step(oracle, uncond):
+    # each sweep shrinks the error by about ρ ≈ 0.8, so reaching tol from the
+    # first sweep's step takes log(tol / Δ₁) / log ρ sweeps, over 80, where the budget is 15
+    model, sched, z0s = oracle
+    t = sched.t_train
+    rho = _sweep_radius(model, coefficients(sched, t, 0))
+    assert 0.75 < rho < 0.85
+    cfg = LboConfig(mode="numerical")
+    for z0 in z0s:
+        first = lbo_invert_step(model, sched, z0, 0, t, uncond, LboConfig(max_iters=1))[1].residual
+        assert math.log(cfg.tol / first) / math.log(rho) > cfg.max_iters
+        _, rep = lbo_invert_step(model, sched, z0, 0, t, uncond, cfg)
+        assert not rep.converged and rep.iters == cfg.max_iters and rep.residual >= cfg.tol

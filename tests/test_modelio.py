@@ -7,7 +7,8 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import make_gauss_mixture, mutate_json_leaf, read_model_file, write_model_file
+from conftest import (make_gauss_mixture, mutate_json_leaf, read_model_file, widen_cemb,
+                      write_model_file)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,24 +53,23 @@ def test_gaussian_denoiser_round_trip(tmp_path):
     np.testing.assert_array_equal(back.sched.alpha_bars, model.sched.alpha_bars)
     assert back.sched.t_train == 17
     z = np.array([0.3, -0.7, 1.2])
-    c = Condition.unconditional()
+    c = Condition()
     np.testing.assert_array_equal(back.eval(z, 9, c), model.eval(z, 9, c))
 
 
 def test_mlp_denoiser_round_trip(tmp_path):
     sched = make_linear_schedule(12, 1e-3, 0.05)
-    data, labels, _ = make_gauss_mixture(32, seed=2)
-    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=3, seed=5), labels)
+    data = make_gauss_mixture(32, seed=2)[0]
+    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=3, seed=5))
     path = tmp_path / "mlp.labmdl"
     save_model(model, path)
     back = load_model(path)
     for k in model.params:
         np.testing.assert_array_equal(back.params[k], model.params[k])
-    assert back.n_classes == model.n_classes
     assert back.final_loss == model.final_loss
     assert back.trained_epochs == model.trained_epochs
     z = np.array([0.1, -0.4])
-    c = Condition.class_label(1)
+    c = Condition()
     np.testing.assert_array_equal(back.eval(z, 7, c), model.eval(z, 7, c))
 
 
@@ -202,6 +202,16 @@ def test_mlp_array_of_the_wrong_shape_rejected(tmp_path, tiny_mlp):
         load_model(path)
 
 
+def test_mlp_file_with_more_than_one_cemb_row_is_refused(tmp_path, tiny_mlp):
+    # a class-labelled model's file: refused, not cut down to its first row
+    path = tmp_path / "labelled.labmdl"
+    save_model(tiny_mlp[0], path)
+    widen_cemb(path, 3)
+    with pytest.raises(FormatError, match=re.escape(str(path))) as err:
+        load_model(path)
+    assert err.value.code == "format-error" and "cemb has shape (3, 16)" in str(err.value)
+
+
 def test_unsupported_model_type_rejected(tmp_path):
     with pytest.raises(FormatError):
         save_model(object(), tmp_path / "nope.labmdl")
@@ -309,8 +319,8 @@ def _older_fields(model) -> dict:
     """The header fields that older files wrote beside those read today: the sizes, the
     schedule's length and a seed for every kind."""
     if isinstance(model, MlpDenoiser):
-        return {"dims": {"latent_dim": model.latent_dim, "n_classes": model.n_classes,
-                         "width": model.width}, "schedule": {"t_train": model.sched.t_train}}
+        return {"dims": {"latent_dim": model.latent_dim, "n_classes": 0, "width": model.width},
+                "schedule": {"t_train": model.sched.t_train}}
     if isinstance(model, LinearGaussianDenoiser):
         return {"dims": {"latent_dim": model.latent_dim},
                 "schedule": {"t_train": model.sched.t_train}, "seed": 0}

@@ -11,6 +11,7 @@ from invlab import (
     Condition,
     DimensionError,
     IdentityAutoencoder,
+    LinearAutoencoder,
     RandomConvPerceptual,
     adam_step,
     fit_linear_autoencoder,
@@ -21,7 +22,7 @@ from invlab import (
     ssim_with_grad,
 )
 
-C = Condition.unconditional()
+C = Condition()
 WRONG = np.zeros(3)  # no argument below takes a (3,) array
 
 
@@ -54,6 +55,10 @@ CASES = {
     "ssim_with_grad": ("y", lambda b: ssim_with_grad(b.img, WRONG)),
     "adam_step": ("grad", lambda b: adam_step(AdamState(lr=1e-3), np.zeros(4), WRONG)),
     "gradient_check": ("grad_f", lambda b: gradient_check(lambda x: 0.0, WRONG, np.zeros(4))),
+    # constructors; test_mlp_reads_its_sizes_from_its_arrays covers MlpDenoiser's
+    "linear-w": ("w", lambda b: LinearAutoencoder(np.eye(3, 4), np.zeros(5), (5, 1, 1))),
+    "perceptual-image_shape-rank": ("image_shape", lambda b: RandomConvPerceptual((6, 6))),
+    "perceptual-image_shape-size": ("image_shape", lambda b: RandomConvPerceptual((4, 6, 1))),
 }
 
 
