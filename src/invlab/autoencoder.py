@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import DimensionError, FitError, InvalidParameterError, require, require_shape
+from .errors import DimensionError, FitError, require, require_shape
 from .rng import derive_rng
 
 
@@ -91,23 +91,23 @@ class LinearAutoencoder(AutoencoderInterface):
         w = np.array(w, dtype=np.float64)
         mean = np.array(mean, dtype=np.float64)
         leak = None if leak is None else np.array(leak, dtype=np.float64)
-        if not all(np.all(np.isfinite(a)) for a in (w, mean, leak) if a is not None):
-            raise InvalidParameterError("W, mean and leak must be finite")
+        for name, a in (("w", w), ("mean", mean), ("leak", leak)):
+            require(a is None or np.all(np.isfinite(a)), name, "an array with non-finite entries",
+                    "finite")
         if w.ndim != 2 or w.shape[1] != pixel_count:
             raise DimensionError(f"W shape {w.shape} incompatible with {pixel_count} pixels",
                                  field="w")
-        if w.shape[0] > pixel_count:
-            raise InvalidParameterError("latent_dim must be <= pixel_count")
+        require(w.shape[0] <= pixel_count, "w", w.shape,
+                f"at most {pixel_count} rows, one per latent")
         mean = require_shape(mean, (pixel_count,), "mean")
-        gram = w @ w.T
-        if not np.allclose(gram, np.eye(w.shape[0]), rtol=0.0, atol=1e-10):
-            raise InvalidParameterError("rows of W must be orthonormal to 1e-10")
+        require(np.allclose(w @ w.T, np.eye(w.shape[0]), rtol=0.0, atol=1e-10), "w",
+                "rows that are not orthonormal", "orthonormal rows to 1e-10")
         if leak is not None:
             leak = require_shape(leak, w.shape, "leak")
             # rows must avoid the retained subspace or the round trip stops
             # being idempotent; rounding in leak @ W^T grows with the leak's size
-            if np.abs(leak @ w.T).max() > 1e-10 * max(1.0, np.abs(leak).max()):
-                raise InvalidParameterError("leak rows must be orthogonal to rows of W")
+            require(np.abs(leak @ w.T).max() <= 1e-10 * max(1.0, np.abs(leak).max()), "leak",
+                    "rows that overlap the rows of w", "rows orthogonal to the rows of w")
         self.latent_dim = w.shape[0]
         self.w = w
         self.mean = mean
@@ -154,18 +154,14 @@ def fit_linear_autoencoder(
     if data.ndim == 3:  # (n, h, w) grayscale convenience
         data = data[..., None]
     if data.ndim != 4:
-        raise InvalidParameterError(f"data must be (n, h, w, c), got shape {data.shape}")
+        raise DimensionError(f"data has shape {data.shape}, expected (n, h, w, c)", field="data")
     n = data.shape[0]
     image_shape = data.shape[1:]
     pixel_count = int(np.prod(image_shape))
     if n < 2:
         raise FitError(f"need at least 2 images to fit, got {n}")
-    if not 1 <= latent_dim <= pixel_count:
-        raise InvalidParameterError(
-            f"latent_dim {latent_dim} outside [1, {pixel_count}]", latent_dim=latent_dim
-        )
-    if leak_scale < 0.0:
-        raise InvalidParameterError(f"leak_scale must be >= 0, got {leak_scale}")
+    require(1 <= latent_dim <= pixel_count, "latent_dim", latent_dim, f"in [1, {pixel_count}]")
+    require(leak_scale >= 0.0, "leak_scale", leak_scale, ">= 0")
     flat = data.reshape(n, pixel_count)
     mean = flat.mean(axis=0)
     centered = flat - mean

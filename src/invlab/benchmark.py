@@ -26,7 +26,8 @@ from .data import load_dataset, make_shapes
 from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig,
                        train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
-from .errors import ConfigError, FormatError, InvalidParameterError, InvlabError, require
+from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError, InvlabError,
+                     require)
 from .ilb import IlbConfig, ilb_optimize
 from .lbo import LboConfig, lbo_invert_trajectory
 from .metrics import psnr, ssim
@@ -386,7 +387,10 @@ def evaluate_instance(backends: BenchmarkBackends, instance_id: int, method: str
     mean_iters = float(np.mean([r.iters for r in reports])) if reports else 0.0
     z0_back = replay(backends, traj.latent_at(backends.sched.t_train)).latent_at(0)
     denom = float(np.linalg.norm(z0))
-    rel = float(np.linalg.norm(z0_back - z0)) / (denom if denom > 0 else 1.0)
+    with np.errstate(over="ignore"):  # an overflowing norm is the divergence raised below
+        rel = float(np.linalg.norm(z0_back - z0)) / (denom if denom > 0 else 1.0)
+    if not math.isfinite(rel):
+        raise DivergenceError(f"round trip is not finite: roundtrip_l2_rel = {rel}")
     scores = score_latent(backends, x0, z0_back)
     elapsed_ms = (time.perf_counter() - started) * 1e3 if backends.cfg.record_timing else 0.0
     return BenchmarkRow(method, instance_id, *scores, rel, mean_iters, elapsed_ms)

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import FormatError, InvalidParameterError
+from .errors import FormatError, require
 from .rng import derive_rng
 
 
@@ -68,10 +68,10 @@ def make_shapes(n: int, seed: int, height: int = 16, width: int = 16,
     Image i depends only on (seed, tag, i), so disjoint tags give disjoint
     deterministic streams (e.g. benchmark instances vs backend-fitting data).
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if height < 5 or width < 5:  # the disc radius is drawn from [2, min(h, w)/2.5]
-        raise InvalidParameterError(f"images must be at least 5x5, got {height}x{width}")
+    require(n >= 1, "n", n, ">= 1")
+    # the disc radius is drawn from [2, min(h, w)/2.5]
+    require(height >= 5, "height", height, ">= 5")
+    require(width >= 5, "width", width, ">= 5")
     out = np.empty((n, height, width, 1))
     for i in range(n):
         rng = derive_rng(seed, tag, i)

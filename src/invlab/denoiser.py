@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidParameterError,
-    TrainingFailureError,
-    require,
-    require_shape,
-)
+from .errors import DimensionError, TrainingFailureError, require, require_shape
 from .optim import AdamState, adam_step
 from .rng import derive_rng
 from .schedule import NoiseSchedule
@@ -125,19 +120,17 @@ class LinearGaussianDenoiser(DenoiserInterface):
         # copies: freezing them below leaves the caller's arrays writeable
         mu = np.array(mu, dtype=np.float64)
         sigma = np.array(sigma, dtype=np.float64)
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
-            raise InvalidParameterError("mu and sigma must be finite")
         if mu.ndim != 1:
-            raise InvalidParameterError("mu must be a 1-D vector")
+            raise DimensionError(f"mu has shape {mu.shape}, expected a vector", field="mu")
         d = mu.shape[0]
         sigma = require_shape(sigma, (d, d), "sigma")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())):
-            raise InvalidParameterError("sigma must be symmetric")
+        require(np.all(np.isfinite(mu)), "mu", "an array with non-finite entries", "finite")
+        require(np.all(np.isfinite(sigma)), "sigma", "an array with non-finite entries", "finite")
+        require(np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(sigma).max())),
+                "sigma", "an asymmetric matrix", "symmetric")
         lam, q = np.linalg.eigh(sigma)
-        if lam.min() <= 0.0:
-            raise InvalidParameterError(
-                f"sigma must be positive definite, min eigenvalue {lam.min()}"
-            )
+        require(lam.min() > 0.0, "sigma", f"min eigenvalue {float(lam.min())!r}",
+                "positive definite")
         self.latent_dim = d
         self.mu = mu
         self.sigma = sigma

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Condition, DenoiserInterface
-from .errors import InvalidParameterError
+from .errors import require
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
 GENERATION = "generation"
@@ -42,10 +42,9 @@ class Trajectory:
         return tuple(t for t, _ in self.entries)
 
     def latent_at(self, t: int) -> np.ndarray:
-        for ti, z in self.entries:
-            if ti == t:
-                return z
-        raise InvalidParameterError(f"timestep {t} not on trajectory")
+        steps = self.timesteps()
+        require(t in steps, "t", t, "a timestep on the trajectory")
+        return self.entries[steps.index(t)][1]
 
     @property
     def start(self) -> np.ndarray:
@@ -86,8 +85,6 @@ def generate_trajectory(
     c: Condition,
 ) -> Trajectory:
     """Full deterministic sweep from z_T down to z_0 along the grid."""
-    if len(grid) == 0:
-        raise InvalidParameterError("grid is empty")
     z = np.asarray(z_T, dtype=np.float64)
     entries = [(grid.steps[-1], z.copy())]
     for t_prev, t in reversed(grid.transitions()):
@@ -104,8 +101,6 @@ def ddim_invert_trajectory(
     c: Condition,
 ) -> Trajectory:
     """Full inversion sweep from z_0 up to z_T along the grid."""
-    if len(grid) == 0:
-        raise InvalidParameterError("grid is empty")
     z = np.asarray(z_0, dtype=np.float64)
     entries = [(0, z.copy())]
     for t_prev, t in grid.transitions():

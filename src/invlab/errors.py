@@ -4,7 +4,10 @@ Each exception carries a short machine-readable ``code`` and an optional
 ``context`` dict; the CLI serializes failures as ``{code, message, context}``.
 A bad value goes through `require` and ends as ``invalid-parameter``; an array
 of the wrong shape goes through `require_shape` and ends as
-``dimension-error``. Both name the argument in ``context["field"]``.
+``dimension-error``. Both name the argument in ``context["field"]``, and so
+does every rejected argument in the package: no other module builds an
+InvalidParameterError, and a shape fault `require_shape` cannot express is a
+DimensionError given ``field=``.
 """
 
 from __future__ import annotations

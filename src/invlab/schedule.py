@@ -7,7 +7,8 @@ transition of the sampler/inverter is governed by
     φ_t   = sqrt(ᾱ_{t_prev}/ᾱ_t)
     ψ_t   = sqrt(1−ᾱ_{t_prev}) − sqrt((1−ᾱ_t)·ᾱ_{t_prev}/ᾱ_t)
 
-where (t_prev, t) is a grid-adjacent pair of the strided inference grid.
+where (t_prev, t) is a grid-adjacent pair of the strided inference grid. Both
+are finite because ᾱ_T is kept a normal float: below that, 1/ᾱ_T overflows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError, InvalidParameterError, OrderingError, require
+from .errors import BoundsError, OrderingError, require
+
+ALPHA_BAR_MIN = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,11 @@ class NoiseSchedule:
                 "one per timestep, at least one")
         require(bool(np.all((self.betas > 0.0) & (self.betas < 1.0))), "betas",
                 (float(self.betas.min()), float(self.betas.max())), "in (0, 1)")
-        self.betas.setflags(write=False)
         alpha_bars = np.cumprod(1.0 - self.betas)
+        require(alpha_bars[-1] >= ALPHA_BAR_MIN, "betas",
+                f"alpha_bar_T = {float(alpha_bars[-1])!r}",
+                f"small enough that alpha_bar_T >= {ALPHA_BAR_MIN!r}")
+        self.betas.setflags(write=False)
         alpha_bars.setflags(write=False)
         object.__setattr__(self, "alpha_bars", alpha_bars)
         object.__setattr__(self, "t_train", self.betas.size)
@@ -75,6 +81,11 @@ class TimestepGrid:
 
     steps: tuple[int, ...]
 
+    def __post_init__(self):
+        steps = (0, *self.steps)  # increasing from 0: every step >= 1
+        require(len(steps) > 1 and all(a < b for a, b in zip(steps, steps[1:])), "steps",
+                self.steps, "non-empty, strictly increasing and >= 1")
+
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -90,16 +101,14 @@ class TimestepGrid:
 
 def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Schedule with β linearly interpolated from beta_start to beta_end."""
-    if t_train < 1:
-        raise InvalidParameterError(f"t_train must be >= 1, got {t_train}", field="t_train")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise InvalidParameterError(
-            f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})",
-            beta_start=beta_start,
-            beta_end=beta_end,
-            field="beta_end" if 0.0 < beta_start < 1.0 else "beta_start",
-        )
-    return NoiseSchedule(np.linspace(beta_start, beta_end, t_train, dtype=np.float64))
+    require(t_train >= 1, "t_train", t_train, ">= 1")
+    require(0.0 < beta_start < 1.0, "beta_start", beta_start, "in (0, 1)")
+    require(beta_start <= beta_end < 1.0, "beta_end", beta_end, f"in [{beta_start!r}, 1)")
+    betas = np.linspace(beta_start, beta_end, t_train, dtype=np.float64)
+    # NoiseSchedule's ᾱ_T floor, checked here to name the bound that breaks it
+    require(np.cumprod(1.0 - betas)[-1] >= ALPHA_BAR_MIN, "beta_end", beta_end,
+            f"small enough that alpha_bar_T >= {ALPHA_BAR_MIN!r} over {t_train} steps")
+    return NoiseSchedule(betas)
 
 
 def coefficients(sched: NoiseSchedule, t: int, t_prev: int) -> StepCoefficients:
@@ -128,8 +137,6 @@ def skip_coefficients(sched: NoiseSchedule, dt: int) -> StepCoefficients:
 
 def make_uniform_grid(sched: NoiseSchedule, s: int) -> TimestepGrid:
     """s evenly strided steps ending at t_train."""
-    if not 1 <= s <= sched.t_train:
-        raise InvalidParameterError(f"grid size {s} outside [1, {sched.t_train}]",
-                                    s=s, t_train=sched.t_train, field="steps")
+    require(1 <= s <= sched.t_train, "steps", s, f"in [1, t_train = {sched.t_train}]")
     steps = tuple(sched.t_train * (k + 1) // s for k in range(s))
     return TimestepGrid(steps=steps)

@@ -1,6 +1,8 @@
 """Shared fixtures: small schedules, stub denoisers, 2-d mixture MLPs, exact inverses
-under an affine model, model-file surgery, JSON mutation, hypothesis profile."""
+under an affine model, model-file surgery, JSON mutation, hypothesis profile, and
+`rejects`, the one form of a test that an argument is refused."""
 
+import contextlib
 import json
 import math
 import struct
@@ -23,6 +25,7 @@ from invlab import (
     make_uniform_grid,
     train_mlp_denoiser,
 )
+from invlab.errors import require
 
 settings.register_profile(
     "invlab",
@@ -32,6 +35,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("invlab")
+
+
+@contextlib.contextmanager
+def rejects(field: str):
+    """Expects the block to raise an `invalid-parameter` error naming `field`."""
+    with pytest.raises(InvalidParameterError) as err:
+        yield err
+    assert err.value.context["field"] == field
 
 
 @pytest.fixture
@@ -88,10 +99,9 @@ def make_gauss_mixture(n: int, seed: int, dim: int = 2, n_classes: int = 3,
     Class means sit on a circle in the first two coordinates; remaining
     coordinates are zero-mean. Component covariance is noise²·I.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if dim < 1 or n_classes < 1:
-        raise InvalidParameterError(f"need dim >= 1 and n_classes >= 1, got {dim}, {n_classes}")
+    require(n >= 1, "n", n, ">= 1")
+    require(dim >= 1, "dim", dim, ">= 1")
+    require(n_classes >= 1, "n_classes", n_classes, ">= 1")
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     means = np.zeros((n_classes, dim))
     means[:, 0] = spread * np.cos(angles)

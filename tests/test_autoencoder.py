@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import rejects
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,7 +10,6 @@ from invlab import (
     DimensionError,
     FitError,
     IdentityAutoencoder,
-    InvalidParameterError,
     LinearAutoencoder,
     fit_linear_autoencoder,
     gradient_check,
@@ -131,9 +131,9 @@ def test_fit_error_cases():
         fit_linear_autoencoder(_subspace_images(n=1), latent_dim=2)
     with pytest.raises(FitError):
         fit_linear_autoencoder(np.full((6,) + SHAPE, 0.25), latent_dim=2)
-    with pytest.raises(InvalidParameterError):
+    with rejects("latent_dim"):
         fit_linear_autoencoder(_subspace_images(), latent_dim=17)
-    with pytest.raises(InvalidParameterError):
+    with rejects("latent_dim"):
         fit_linear_autoencoder(_subspace_images(), latent_dim=0)
 
 
@@ -150,8 +150,21 @@ def test_fit_error_non_increasing_in_latent_dim():
 
 def test_constructor_rejects_non_orthonormal_rows():
     w = np.array([[1.0, 1.0, 0.0, 0.0]])  # norm sqrt(2)
-    with pytest.raises(InvalidParameterError):
+    with rejects("w"):
         LinearAutoencoder(w, np.zeros(4), (2, 2, 1))
+
+
+def test_constructor_rejects_more_latents_than_pixels():
+    with rejects("w"):
+        LinearAutoencoder(np.ones((5, 4)), np.zeros(4), (2, 2, 1))
+
+
+@pytest.mark.parametrize("field", ["w", "mean", "leak"])
+def test_constructor_rejects_non_finite_arrays(field):
+    args = {"w": np.eye(2, 4), "mean": np.zeros(4), "leak": np.zeros((2, 4))}
+    args[field][0, ...] = np.nan
+    with rejects(field):
+        LinearAutoencoder(image_shape=(2, 2, 1), **args)
 
 
 def test_encode_purity():
@@ -167,7 +180,7 @@ def test_encode_purity():
 def test_leak_rows_must_target_discarded_subspace():
     imgs = _subspace_images(n=10, k=5)
     ae = fit_linear_autoencoder(imgs, latent_dim=3)
-    with pytest.raises(InvalidParameterError):
+    with rejects("leak"):
         # leak along a retained direction is rejected
         LinearAutoencoder(ae.w, ae.mean, SHAPE, leak=0.5 * ae.w)
 
@@ -182,8 +195,9 @@ def test_leak_zero_scale_matches_exact_fit():
 
 def test_leak_negative_scale_rejected():
     imgs = make_shapes(20, seed=3)
-    with pytest.raises(InvalidParameterError):
-        fit_linear_autoencoder(imgs, latent_dim=10, leak_scale=-0.5)
+    for leak_scale in (-0.5, float("nan")):
+        with rejects("leak_scale"):
+            fit_linear_autoencoder(imgs, latent_dim=10, leak_scale=leak_scale)
 
 
 def test_leaky_round_trip_still_idempotent():

@@ -424,6 +424,21 @@ def test_failed_instance_becomes_error_row(monkeypatch):
     assert (row.error_code, row.error_message) == ("divergence", "non-finite loss")
 
 
+def test_non_finite_round_trip_is_a_divergence_row(tmp_path):
+    # Adam steps of 1e300 leave a z_T whose round-trip norm overflows to inf
+    doc = {**SMALL_DOC, "dataset": {"count": 1, "height": 8, "width": 8},
+           "methods": ["lbo-g", "lbo-h"], "lbo": {"lr": 1e300}}
+    rows, _ = run_benchmark(config_from_json_dict(doc), tmp_path)
+    assert [(r.method, r.error_code, r.roundtrip_l2_rel) for r in rows] == [
+        ("lbo-g", "divergence", "error"), ("lbo-h", "divergence", "error")]
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["per_method"]["lbo-g"]["mean_roundtrip_l2_rel"] is None
+
+
 def test_programming_error_in_instance_propagates():
     backends = BenchmarkBackends(config_from_json_dict(SMALL_DOC))
     with pytest.raises(IndexError):

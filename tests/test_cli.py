@@ -467,6 +467,24 @@ def test_mu_scale_at_its_bound_runs_with_finite_metrics(capsys, tmp_path, mu_sca
     assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
 
 
+@pytest.mark.parametrize("command", ["roundtrip", "sample"])
+def test_schedule_whose_alpha_bar_underflows_exits_2_naming_beta_end(capsys, tmp_path, command):
+    # alpha_bar reaches 0.0 at t = 708, where the step coefficients divide by it
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"t_train": 1000, "beta_start": 0.5, "beta_end": 0.9,
+                                "dataset": {"count": 1}, "methods": ["ddim"]}))
+    code, doc = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "config-error" and doc["context"]["key"] == "beta_end"
+
+
+def test_non_finite_round_trip_exits_2(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "lbo": {"lr": 1e300}}))
+    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--method", "lbo-g",
+                        "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "divergence"
+
+
 def test_eig_min_too_small_for_eig_max_exits_2(capsys, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({**SMALL, "denoiser": {"eig_min": 1e-16, "eig_max": 1.0}}))

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import make_gauss_mixture, mutate_json_leaf
+from conftest import make_gauss_mixture, mutate_json_leaf, rejects
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlab import (
     FormatError,
-    InvalidParameterError,
     gen_dataset,
     load_dataset,
     make_shapes,
@@ -44,10 +43,12 @@ def test_shapes_has_flat_saturated_regions():
 
 
 def test_shapes_rejects_bad_sizes():
-    with pytest.raises(InvalidParameterError):
+    with rejects("n"):
         make_shapes(0, seed=1)
-    with pytest.raises(InvalidParameterError):
+    with rejects("height"):
         make_shapes(2, seed=1, height=3, width=8)
+    with rejects("width"):
+        make_shapes(2, seed=1, height=8, width=4)
 
 
 def test_gauss_mixture_structure():
@@ -68,9 +69,9 @@ def test_gauss_mixture_determinism_and_errors():
     b = make_gauss_mixture(50, seed=9)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
-    with pytest.raises(InvalidParameterError):
+    with rejects("n"):
         make_gauss_mixture(0, seed=1)
-    with pytest.raises(InvalidParameterError):
+    with rejects("dim"):
         make_gauss_mixture(5, seed=1, dim=0)
 
 
@@ -81,9 +82,9 @@ def test_gen_dataset_shapes_payload():
 
 
 def test_gen_dataset_rejects_bad_inputs():
-    with pytest.raises(InvalidParameterError):
+    with rejects("n"):
         gen_dataset(0, seed=1)
-    with pytest.raises(InvalidParameterError):
+    with rejects("height"):
         gen_dataset(3, seed=1, height=4)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import spectral_form, train_tiny_mlp
+from conftest import rejects, spectral_form, train_tiny_mlp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from invlab import (
     Condition,
     ConstantDenoiser,
     DimensionError,
-    InvalidParameterError,
     LinearAutoencoder,
     LinearGaussianDenoiser,
     MlpDenoiser,
@@ -95,10 +94,14 @@ def test_gaussian_vjp_exact_and_linear(gauss_nd, uncond):
 
 
 def test_gaussian_rejects_bad_covariance(toy3):
-    with pytest.raises(InvalidParameterError):
+    with rejects("sigma"):  # asymmetric
         LinearGaussianDenoiser(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), toy3)
-    with pytest.raises(InvalidParameterError):
+    with rejects("sigma"):  # indefinite
         LinearGaussianDenoiser(np.zeros(2), np.array([[1.0, 0.0], [0.0, -2.0]]), toy3)
+    with rejects("mu"):
+        LinearGaussianDenoiser(np.array([0.0, np.inf]), np.eye(2), toy3)
+    with rejects("sigma"):
+        LinearGaussianDenoiser(np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), toy3)
     with pytest.raises(DimensionError):
         LinearGaussianDenoiser(np.zeros(3), np.eye(2), toy3)
 
@@ -206,9 +209,9 @@ def test_mlp_reads_its_sizes_from_its_arrays(name, shape):
 
 def test_mlp_rejects_empty_and_misshapen_data():
     sched = make_linear_schedule(10, 1e-3, 0.05)
-    with pytest.raises(InvalidParameterError):
+    with rejects("data"):
         train_mlp_denoiser(np.empty((0, 2)), sched, MlpTrainConfig())
-    with pytest.raises(InvalidParameterError):
+    with rejects("data"):
         train_mlp_denoiser(np.zeros((4, 2, 2)), sched, MlpTrainConfig())
 
 
@@ -312,9 +315,8 @@ def test_mlp_linearize_runs_one_forward_pass(monkeypatch, uncond, tiny_mlp):
                                          ("width", True), ("max_epochs", True),
                                          ("batch_size", True)])
 def test_mlp_train_config_rejects_out_of_range(field, value):
-    with pytest.raises(InvalidParameterError, match=field) as err:
+    with rejects(field):
         MlpTrainConfig(**{field: value})
-    assert err.value.context["field"] == field
     # the smallest accepted values
     MlpTrainConfig(width=1, max_epochs=0, batch_size=1, lr=1e-12)
 

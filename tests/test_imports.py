@@ -3,11 +3,12 @@
 Every module uses each name it imports, and no module under src/invlab or
 invbench catches everything: a bare `except:` or one naming Exception or
 BaseException would turn a programming bug into a quiet result. No
-`__post_init__` under src/invlab raises by itself: a value's check goes through
-`errors.require`, so every bad value is reported in one form that names it.
-Likewise no module but errors.py compares an array's shape and raises: an exact
-shape check goes through `errors.require_shape`, and any other `DimensionError`
-names its argument with `field=`, as `require_shape` does.
+`__post_init__` under src/invlab raises by itself, and no module but errors.py
+builds an `InvalidParameterError`: a value's check goes through `errors.require`,
+so every bad value is reported in one form that names it. Likewise no module but
+errors.py compares an array's shape and raises: an exact shape check goes through
+`errors.require_shape`, and any other `DimensionError` names its argument with
+`field=`, as `require_shape` does.
 """
 
 import ast
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = sorted((ROOT / "invbench").glob("*.py"))
 PACKAGE = sorted((ROOT / "src" / "invlab").glob("*.py"))
 SOURCES = PACKAGE + BENCH
+BEYOND_ERRORS = [p for p in PACKAGE if p.name != "errors.py"]  # errors.py defines the helpers
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 BROAD = {"Exception", "BaseException"}
@@ -113,20 +115,22 @@ def test_checker_flags_a_shape_check_by_hand():
     assert hand_shape_checks(source) == [1, 3]
 
 
-@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
-                         ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_shape_checks_go_through_require_shape(path):
     assert hand_shape_checks(path.read_text(encoding="utf-8")) == []
 
 
+def _calls(source: str, name: str) -> list:
+    """The `name(...)` and `<expr>.name(...)` call nodes in source."""
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
 def fieldless_dimension_errors(source: str) -> list:
     """Line numbers of `DimensionError(...)` calls that pass no `field=`."""
-    return [node.lineno
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call)
-            and "DimensionError" in (getattr(node.func, "id", None),
-                                     getattr(node.func, "attr", None))
-            and not any(k.arg == "field" for k in node.keywords)]
+    return [node.lineno for node in _calls(source, "DimensionError")
+            if not any(k.arg == "field" for k in node.keywords)]
 
 
 def test_checker_flags_a_dimension_error_without_its_field():
@@ -137,7 +141,24 @@ def test_checker_flags_a_dimension_error_without_its_field():
     assert fieldless_dimension_errors(source) == [1, 3]
 
 
-@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "errors.py"],
-                         ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_dimension_errors_name_their_field(path):
     assert fieldless_dimension_errors(path.read_text(encoding="utf-8")) == []
+
+
+def hand_invalid_parameter_errors(source: str) -> list:
+    """Line numbers of `InvalidParameterError(...)` calls."""
+    return [node.lineno for node in _calls(source, "InvalidParameterError")]
+
+
+def test_checker_flags_an_invalid_parameter_error_by_hand():
+    source = ('raise InvalidParameterError("x must be > 0", field="x")\n'
+              'require(x > 0, "x", x, "> 0")\n'
+              'err = errors.InvalidParameterError("x is short")\n'
+              'try:\n    f()\nexcept InvalidParameterError:\n    pass\n')
+    assert hand_invalid_parameter_errors(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_invalid_parameter_errors_go_through_require(path):
+    assert hand_invalid_parameter_errors(path.read_text(encoding="utf-8")) == []

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import affine_map, exact_preimage, exact_step, spectral_form
+from conftest import affine_map, exact_preimage, exact_step, rejects, spectral_form
 
 import invlab.denoiser
 import invlab.dynamics
@@ -15,7 +15,6 @@ from invlab import (
     BoundsError,
     Condition,
     DivergenceError,
-    InvalidParameterError,
     LboConfig,
     LinearGaussianDenoiser,
     ScalingDenoiser,
@@ -212,20 +211,11 @@ def test_zero_budget_is_one_shot_inversion(gauss_nd, default_sched, uncond, mode
 
 
 def test_config_validation():
-    with pytest.raises(InvalidParameterError):
-        LboConfig(mode="annealed")
-    with pytest.raises(InvalidParameterError):
-        LboConfig(max_iters=-1)
-    with pytest.raises(InvalidParameterError):
-        LboConfig(tol=0.0)
-    with pytest.raises(InvalidParameterError):
-        LboConfig(lr=-1e-3)
-    with pytest.raises(InvalidParameterError):
-        LboConfig(n_grad_warmup=-2)
-    for field in ("max_iters", "n_grad_warmup"):  # bool is not an int here
-        with pytest.raises(InvalidParameterError, match=field) as err:
-            LboConfig(**{field: True})
-        assert err.value.context["field"] == field
+    for field, value in [("mode", "annealed"), ("max_iters", -1), ("tol", 0.0), ("lr", -1e-3),
+                         ("n_grad_warmup", -2),
+                         ("max_iters", True), ("n_grad_warmup", True)]:  # bool is not an int
+        with rejects(field):
+            LboConfig(**{field: value})
     assert LboConfig(mode="gradient").max_iters == 20
 
 
@@ -475,8 +465,9 @@ def test_exact_preimage_replays_onto_its_start(oracle, uncond):
         np.testing.assert_allclose(replayed, z0, rtol=0.0, atol=1e-12)
 
 
-# steps -> how many steps of one trajectory converge, for lbo-n and lbo-h
-@pytest.mark.parametrize("steps,converging", [(50, (50, 50)), (4, (4, 4)), (2, (1, 0))])
+# steps -> how many steps of one trajectory converge, for lbo-n and lbo-h (measured)
+@pytest.mark.parametrize("steps,converging", [(50, (50, 50)), (4, (4, 4)), (2, (1, 0)),
+                                              (10, (10, 10))])
 def test_converged_sweeps_land_within_their_bound_of_the_exact_preimage(oracle, uncond, steps,
                                                                         converging):
     # a sweep that stops on |Δ|∞ < tol leaves the error −M(I − M)⁻¹Δ: at most
@@ -505,6 +496,27 @@ def test_converged_sweeps_land_within_their_bound_of_the_exact_preimage(oracle, 
                     total = total / (1.0 - rho) + bound
                 assert np.linalg.norm(traj.end - exact_preimage(model, sched, grid, z0)) <= total
     assert (checked["numerical"], checked["hybrid"]) == tuple(len(z0s) * n for n in converging)
+
+
+@pytest.mark.parametrize("steps", [50, 4])
+def test_plain_sweep_converges_within_the_count_rho_predicts(oracle, uncond, steps):
+    # sweep k's step is Δ_k = M·Δ_{k−1}, so |Δ_k|∞ ≤ ρ^(k−1)·sqrt(d)·|Δ₁|∞ (M symmetric) and
+    # the stop rule |Δ_k|∞ < tol holds by sweep ⌈log(tol / Δ₁) / log ρ⌉ plus a slack: one
+    # sweep for the first, which only measures Δ₁, and log(1 / sqrt(d)) / log ρ for the
+    # norms, under one sweep at these ρ. Measured, no step needs more than one of the two.
+    model, sched, z0s = oracle
+    grid = make_uniform_grid(sched, steps)
+    cfg = LboConfig(mode="numerical")
+    for z0 in z0s:
+        traj, reports = lbo_invert_trajectory(model, sched, grid, z0, uncond, cfg)
+        latents = [z for _, z in traj.entries]
+        for (t_prev, t), z_prev, rep in zip(grid.transitions(), latents[:-1], reports,
+                                            strict=True):
+            rho = _sweep_radius(model, coefficients(sched, t, t_prev))
+            first = lbo_invert_step(model, sched, z_prev, t_prev, t, uncond,
+                                    LboConfig(max_iters=1))[1].residual
+            sweeps = math.log(cfg.tol / (math.sqrt(model.latent_dim) * first)) / math.log(rho)
+            assert rho < 1.0 and rep.converged and rep.iters <= 1 + max(0, math.ceil(sweeps))
 
 
 def test_plain_sweep_runs_out_of_budget_at_one_step(oracle, uncond):

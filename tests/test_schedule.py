@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from conftest import rejects
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from invlab import (
@@ -48,19 +49,39 @@ def test_linear_interpolation_endpoints():
     np.testing.assert_allclose(diffs, diffs[0], rtol=1e-9)
 
 
-@pytest.mark.parametrize(
-    "t_train,b0,b1",
-    [(0, 0.1, 0.1), (3, 0.0, 0.1), (3, 0.2, 0.1), (3, 0.1, 1.0), (3, -0.1, 0.5)],
-)
+# (t_train, beta_start, beta_end) -> the argument named in the error
+BAD_SCHEDULES = {(0, 0.1, 0.1): "t_train", (3, 0.0, 0.1): "beta_start", (3, 0.2, 0.1): "beta_end",
+                 (3, 0.1, 1.0): "beta_end", (3, -0.1, 0.5): "beta_start"}
+
+
+@pytest.mark.parametrize("t_train,b0,b1", list(BAD_SCHEDULES))
 def test_schedule_rejects_bad_parameters(t_train, b0, b1):
-    with pytest.raises(InvalidParameterError):
+    with rejects(BAD_SCHEDULES[t_train, b0, b1]):
         make_linear_schedule(t_train, b0, b1)
 
 
-@pytest.mark.parametrize("betas", [[], [[0.1, 0.2]], [0.1, 1.0], [0.0], [float("nan")]])
+# the last two drive alpha_bar_T to 0.0, and to the subnormal 2**-1050
+@pytest.mark.parametrize("betas", [[], [[0.1, 0.2]], [0.1, 1.0], [0.0], [float("nan")],
+                                   [0.5] * 1100, [0.5] * 1050])
 def test_schedule_rejects_bad_betas(betas):
-    with pytest.raises(InvalidParameterError, match="betas"):
+    with rejects("betas"):
         NoiseSchedule(np.asarray(betas, dtype=np.float64))
+
+
+@given(st.integers(1, 2000), st.floats(1e-6, 0.999), st.floats(1e-6, 0.999),
+       st.integers(1, 50))
+@example(1000, 0.5, 0.9, 50)  # alpha_bar underflows to 0.0 from t = 708
+@example(1050, 0.5, 0.5, 1)  # alpha_bar_T = 2**-1050 > 0, yet 1/alpha_bar_T overflows
+def test_schedule_is_rejected_by_name_or_has_finite_coefficients(t_train, b0, b1, steps):
+    try:  # sorted: most draws are valid bounds, and the large ones underflow
+        sched = make_linear_schedule(t_train, *sorted((b0, b1)))
+    except InvalidParameterError as e:
+        assert e.context["field"] == "beta_end"
+        return
+    for s in (1, min(steps, t_train)):
+        for t_prev, t in make_uniform_grid(sched, s).transitions():
+            co = coefficients(sched, t, t_prev)
+            assert math.isfinite(co.phi) and math.isfinite(co.psi)
 
 
 def test_schedule_derives_alpha_bars_and_t_train_from_betas():
@@ -145,10 +166,16 @@ def test_uniform_grid_values():
 
 def test_uniform_grid_rejects_oversized():
     s = make_linear_schedule(10, 0.01, 0.05)
-    with pytest.raises(InvalidParameterError):
+    with rejects("steps"):
         make_uniform_grid(s, 11)
-    with pytest.raises(InvalidParameterError):
+    with rejects("steps"):
         make_uniform_grid(s, 0)
+
+
+def test_grid_rejects_empty_unordered_or_zero_steps():
+    for steps in [(), (3, 2), (2, 2), (0, 3), (-1, 3)]:
+        with rejects("steps"):
+            TimestepGrid(steps)
 
 
 def test_grid_transitions_start_at_zero(toy3):

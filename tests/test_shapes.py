@@ -12,6 +12,7 @@ from invlab import (
     DimensionError,
     IdentityAutoencoder,
     LinearAutoencoder,
+    LinearGaussianDenoiser,
     RandomConvPerceptual,
     adam_step,
     fit_linear_autoencoder,
@@ -57,6 +58,8 @@ CASES = {
     "gradient_check": ("grad_f", lambda b: gradient_check(lambda x: 0.0, WRONG, np.zeros(4))),
     # constructors; test_mlp_reads_its_sizes_from_its_arrays covers MlpDenoiser's
     "linear-w": ("w", lambda b: LinearAutoencoder(np.eye(3, 4), np.zeros(5), (5, 1, 1))),
+    "fit-data": ("data", lambda b: fit_linear_autoencoder(WRONG, latent_dim=1)),
+    "analytic-mu": ("mu", lambda b: LinearGaussianDenoiser(WRONG[None], np.eye(3), b.gauss.sched)),
     "perceptual-image_shape-rank": ("image_shape", lambda b: RandomConvPerceptual((6, 6))),
     "perceptual-image_shape-size": ("image_shape", lambda b: RandomConvPerceptual((4, 6, 1))),
 }
