@@ -15,9 +15,8 @@ from .denoiser import (Condition, ConstantDenoiser, DenoiserInterface, LinearGau
                        MlpDenoiser, MlpTrainConfig, ScalingDenoiser, train_mlp_denoiser)
 from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, generate_step,
                        generate_trajectory)
-from .errors import (BoundsError, ConfigError, DimensionError, DivergenceError, FitError,
-                     FormatError, GridMismatchError, InvalidParameterError, InvlabError,
-                     OrderingError, TrainingFailureError)
+from .errors import (ConfigError, DimensionError, DivergenceError, FormatError,
+                     InvalidParameterError, InvlabError)
 from .ilb import (IlbConfig, IlbReport, consistency_loss, ilb_loss_and_grad, ilb_optimize,
                   regularization_loss, skip_roundtrip)
 from .lbo import (LboConfig, LboStepReport, bias_target, lbo_gradient_iterate,

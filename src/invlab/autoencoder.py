@@ -13,7 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import DimensionError, FitError, require, require_shape
+from .errors import DimensionError, require, require_shape
 from .rng import derive_rng
 
 
@@ -158,8 +158,8 @@ def fit_linear_autoencoder(
     n = data.shape[0]
     image_shape = data.shape[1:]
     pixel_count = int(np.prod(image_shape))
-    if n < 2:
-        raise FitError(f"need at least 2 images to fit, got {n}")
+    require(n >= 2, "data", data.shape, "at least 2 images")
+    require(np.all(np.isfinite(data)), "data", "an array with non-finite entries", "finite")
     require(1 <= latent_dim <= pixel_count, "latent_dim", latent_dim, f"in [1, {pixel_count}]")
     require(leak_scale >= 0.0, "leak_scale", leak_scale, ">= 0")
     flat = data.reshape(n, pixel_count)
@@ -167,8 +167,8 @@ def fit_linear_autoencoder(
     centered = flat - mean
     _, svals, vt = np.linalg.svd(centered, full_matrices=True)
     scale = max(1.0, float(np.abs(flat).max()))
-    if svals.size == 0 or svals[0] <= 1e-12 * scale:
-        raise FitError("data has zero variance; nothing to fit")
+    require(svals.size > 0 and svals[0] > 1e-12 * scale, "data", "images with zero variance",
+            "images that vary")
     leak = None
     discarded = pixel_count - latent_dim
     if leak_scale > 0.0 and discarded > 0:

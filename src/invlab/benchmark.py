@@ -180,7 +180,11 @@ def _parse_value(tp, value, key: str):
     if origin is tuple and isinstance(value, (list, tuple)):  # tuple[X, ...]
         return tuple(_parse_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
     if tp is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"config key {key} must be float, got an int too large for one",
+                              key=key) from None
     if origin is tuple or type(value) is not tp:  # bool is not accepted as int
         expected = "list" if origin is tuple else tp.__name__
         raise ConfigError(f"config key {key} must be {expected}, got {value!r}", key=key)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, TrainingFailureError, require, require_shape
+from .errors import DimensionError, DivergenceError, require, require_shape
 from .optim import AdamState, adam_step
 from .rng import derive_rng
 from .schedule import NoiseSchedule
@@ -352,9 +352,8 @@ def train_mlp_denoiser(
             resid = pred - eps
             loss = float(np.mean(resid**2))
             if not np.isfinite(loss):
-                raise TrainingFailureError(
-                    f"training loss became non-finite at epoch {epoch}", epoch=epoch
-                )
+                raise DivergenceError(f"training loss became non-finite at epoch {epoch}",
+                                      epoch=epoch)
             d_out = 2.0 * resid / resid.size
             grads = _batch_backward(params, zt, t - 1, h1, h2, d_out)
             flat, state = adam_step(state, flat, _flatten(grads))

@@ -2,6 +2,15 @@
 
 Each exception carries a short machine-readable ``code`` and an optional
 ``context`` dict; the CLI serializes failures as ``{code, message, context}``.
+There are six classes, one per kind of fault:
+
+- `InvlabError` (``error``): the base class, never raised by itself;
+- `InvalidParameterError` (``invalid-parameter``): an argument's value is refused;
+- `DimensionError` (``dimension-error``): an array argument has the wrong shape;
+- `DivergenceError` (``divergence``): a computation became non-finite;
+- `ConfigError` (``config-error``): a config key or CLI flag is refused;
+- `FormatError` (``format-error``): a dataset or model file is malformed.
+
 A bad value goes through `require` and ends as ``invalid-parameter``; an array
 of the wrong shape goes through `require_shape` and ends as
 ``dimension-error``. Both name the argument in ``context["field"]``, and so
@@ -36,6 +45,18 @@ class DimensionError(InvlabError):
     code = "dimension-error"
 
 
+class DivergenceError(InvlabError):
+    code = "divergence"
+
+
+class ConfigError(InvlabError):
+    code = "config-error"
+
+
+class FormatError(InvlabError):
+    code = "format-error"
+
+
 def require(ok: bool, field: str, value, need: str) -> None:
     """InvalidParameterError naming `field` unless ok: the one form of a range check."""
     if not ok:
@@ -48,35 +69,3 @@ def require_shape(x, shape: tuple, name: str) -> np.ndarray:
     if x.shape != shape:
         raise DimensionError(f"{name} has shape {x.shape}, expected {shape}", field=name)
     return x
-
-
-class OrderingError(InvlabError):
-    code = "ordering-error"
-
-
-class BoundsError(InvlabError):
-    code = "bounds-error"
-
-
-class TrainingFailureError(InvlabError):
-    code = "training-failure"
-
-
-class DivergenceError(InvlabError):
-    code = "divergence"
-
-
-class FitError(InvlabError):
-    code = "fit-error"
-
-
-class GridMismatchError(InvlabError):
-    code = "grid-mismatch"
-
-
-class ConfigError(InvlabError):
-    code = "config-error"
-
-
-class FormatError(InvlabError):
-    code = "format-error"

@@ -18,7 +18,7 @@ import numpy as np
 from .autoencoder import AutoencoderInterface
 from .denoiser import Condition, DenoiserInterface
 from .dynamics import ddim_invert_step, generate_step
-from .errors import BoundsError, DivergenceError, require
+from .errors import DivergenceError, require
 from .metrics import PerceptualMetricInterface, ssim_with_grad
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, skip_coefficients
@@ -159,8 +159,8 @@ def ilb_optimize(x0: np.ndarray, ae: AutoencoderInterface, model: DenoiserInterf
     steps of relative improvement below rel_tol.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    if not np.all((x0 >= 0.0) & (x0 <= 1.0)):  # NaN fails both
-        raise BoundsError(f"x0 must lie in [0, 1], got range [{x0.min()}, {x0.max()}]")
+    require(np.all((x0 >= 0.0) & (x0 <= 1.0)), "x0",  # NaN fails both
+            f"pixels in [{x0.min()}, {x0.max()}]", "pixels in [0, 1]")
     require(cfg.dt is not None, "dt", cfg.dt, "set (one inference-grid stride)")
 
     z = ae.encode(x0)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import GENERATION, INVERSION, Trajectory
-from .errors import GridMismatchError, require_shape
+from .errors import require, require_shape
 
 
 class PerceptualMetricInterface(ABC):
@@ -147,12 +147,10 @@ def ssim_with_grad(x: np.ndarray, y: np.ndarray):
 def trajectory_divergence(inv: Trajectory, gen: Trajectory) -> np.ndarray:
     """‖z_t^inv − z_t^gen‖₂ at each shared timestep, ordered by increasing t
     (aligned with inv.timesteps())."""
-    if inv.direction != INVERSION or gen.direction != GENERATION:
-        raise GridMismatchError(
-            f"need (inversion, generation) pair, got ({inv.direction}, {gen.direction})"
-        )
-    if inv.grid.steps != gen.grid.steps:
-        raise GridMismatchError("trajectories use different grids")
+    require(inv.direction == INVERSION, "inv", inv.direction, f"an {INVERSION!r} trajectory")
+    require(gen.direction == GENERATION, "gen", gen.direction, f"a {GENERATION!r} trajectory")
+    require(gen.grid.steps == inv.grid.steps, "gen", gen.grid.steps,
+            f"on inv's grid {inv.grid.steps}")
     gen_by_t = {t: z for t, z in gen.entries}
     out = np.empty(len(inv.entries))
     for i, (t, z) in enumerate(inv.entries):

@@ -18,9 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError, OrderingError, require
+from .errors import require
 
 ALPHA_BAR_MIN = float(np.finfo(np.float64).tiny)
+
+
+def _is_int(x) -> bool:
+    """A Python or NumPy integer, not a bool."""
+    return type(x) is int or isinstance(x, np.integer)
 
 
 @dataclass(frozen=True)
@@ -51,15 +56,15 @@ class NoiseSchedule:
         object.__setattr__(self, "t_train", self.betas.size)
 
     def _check_t(self, t: int) -> None:
-        if not 1 <= t <= self.t_train:
-            raise BoundsError(f"timestep {t} outside [1, {self.t_train}]", t=t, t_train=self.t_train)
+        # runs on every denoiser call, so `need` is a constant, not an f-string
+        require(_is_int(t) and 1 <= t <= self.t_train, "t", t, "an integer in [1, t_train]")
 
     def beta(self, t: int) -> float:
         self._check_t(t)
         return float(self.betas[t - 1])
 
     def alpha_bar(self, t: int) -> float:
-        if t == 0:
+        if t == 0 and _is_int(t):
             return 1.0
         self._check_t(t)
         return float(self.alpha_bars[t - 1])
@@ -113,10 +118,7 @@ def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> No
 
 def coefficients(sched: NoiseSchedule, t: int, t_prev: int) -> StepCoefficients:
     """(φ, ψ) for the transition t_prev -> t."""
-    if t_prev >= t:
-        raise OrderingError(f"t_prev must be < t, got t_prev={t_prev}, t={t}", t=t, t_prev=t_prev)
-    if t_prev < 0:
-        raise BoundsError(f"t_prev must be >= 0, got {t_prev}", t_prev=t_prev)
+    require(_is_int(t_prev) and 0 <= t_prev < t, "t_prev", t_prev, "an integer in [0, t)")
     ab_t = sched.alpha_bar(t)
     ab_p = sched.alpha_bar(t_prev)
     # math.sqrt on Python floats: IEEE sqrt is correctly rounded, as np.sqrt's is
@@ -130,8 +132,7 @@ def skip_coefficients(sched: NoiseSchedule, dt: int) -> StepCoefficients:
 
     With ᾱ_0 = 1 these reduce to φ = ᾱ_{δt}^{-1/2}, ψ = −sqrt((1−ᾱ_{δt})/ᾱ_{δt}).
     """
-    if not 1 <= dt <= sched.t_train:
-        raise BoundsError(f"dt {dt} outside [1, {sched.t_train}]", dt=dt)
+    require(_is_int(dt) and 1 <= dt <= sched.t_train, "dt", dt, "an integer in [1, t_train]")
     return coefficients(sched, dt, 0)
 
 

@@ -118,6 +118,7 @@ ILL_TYPED = [
     ("lbo.max_iters", 1.5), ("lbo.tol", "1e-8"), ("lbo.lr", None), ("lbo.n_grad_warmup", True),
     ("ilb.lr", "0.1"), ("ilb.max_iters", 10.0), ("ilb.rel_tol", None), ("ilb.dt", "5"),
     ("ilb.use_reg", "yes"), ("ilb.weights", 1.0), ("ilb.weights", [1.0, "1", 1.0]),
+    ("beta_start", 10**400), ("ilb.weights", [1.0, 10**400, 1.0]),
 ]
 
 

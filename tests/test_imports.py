@@ -8,13 +8,20 @@ builds an `InvalidParameterError`: a value's check goes through `errors.require`
 so every bad value is reported in one form that names it. Likewise no module but
 errors.py compares an array's shape and raises: an exact shape check goes through
 `errors.require_shape`, and any other `DimensionError` names its argument with
-`field=`, as `require_shape` does.
+`field=`, as `require_shape` does. No module under src/invlab raises a built-in
+exception class: every fault it reports is an `InvlabError` with a documented
+code, and the codes the package defines are exactly those in README's table.
 """
 
 import ast
+import builtins
+import re
 from pathlib import Path
 
 import pytest
+
+import invlab.cli
+import invlab.errors
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = sorted((ROOT / "invbench").glob("*.py"))
@@ -162,3 +169,52 @@ def test_checker_flags_an_invalid_parameter_error_by_hand():
 @pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_invalid_parameter_errors_go_through_require(path):
     assert hand_invalid_parameter_errors(path.read_text(encoding="utf-8")) == []
+
+
+BUILTIN_ERRORS = {name for name, obj in vars(builtins).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)}
+
+
+def builtin_raises(source: str) -> list:
+    """Line numbers of `raise X` or `raise X(...)` where X is a built-in exception class."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_checker_flags_a_builtin_raise():
+    source = ("raise ValueError(x)\n"
+              "raise ConfigError(x) from None\n"
+              "try:\n    f()\nexcept KeyError:\n    raise\n"
+              "raise KeyboardInterrupt\n"
+              "raise errors.DivergenceError(x)\n"
+              "raise OverflowError(x) from e\n")
+    assert builtin_raises(source) == [1, 7, 9]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_raises_no_builtin_exception(path):
+    assert builtin_raises(path.read_text(encoding="utf-8")) == []
+
+
+def documented_codes(readme: str) -> set:
+    """The codes in README's error table: rows of the form | `code` | exit | meaning |."""
+    return set(re.findall(r"^\| `([a-z-]+)` \| \d \|", readme, flags=re.MULTILINE))
+
+
+def test_error_codes_are_the_documented_ones():
+    classes = {obj for module in (invlab.errors, invlab.cli) for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, invlab.errors.InvlabError)
+               and obj is not invlab.errors.InvlabError}  # the base is never raised itself
+    # main's OSError handler writes its code as a literal
+    literal = {value.value
+               for node in ast.walk(ast.parse(Path(invlab.cli.__file__).read_text("utf-8")))
+               if isinstance(node, ast.Dict)
+               for key, value in zip(node.keys, node.values)
+               if isinstance(key, ast.Constant) and key.value == "code"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert {cls.code for cls in classes} | literal == documented_codes(readme)

@@ -9,10 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from invlab import (
-    BoundsError,
     InvalidParameterError,
     NoiseSchedule,
-    OrderingError,
     TimestepGrid,
     coefficients,
     make_linear_schedule,
@@ -92,14 +90,27 @@ def test_schedule_derives_alpha_bars_and_t_train_from_betas():
 
 
 def test_timestep_bounds(toy3):
-    with pytest.raises(BoundsError):
-        toy3.beta(0)
-    with pytest.raises(BoundsError):
-        toy3.beta(4)
-    with pytest.raises(BoundsError):
-        toy3.alpha_bar(4)
-    with pytest.raises(BoundsError):
-        toy3.alpha_bar(-1)
+    for t in (0, 4):
+        with rejects("t"):
+            toy3.beta(t)
+    for t in (4, -1):
+        with rejects("t"):
+            toy3.alpha_bar(t)
+
+
+@pytest.mark.parametrize("t", [2.5, 2.0, 0.0, True, False, np.float64(2.0), "2", None])
+def test_timesteps_must_be_integers(toy3, t):
+    with rejects("t"):
+        toy3.alpha_bar(t)
+    with rejects("t"):
+        toy3.beta(t)
+
+
+def test_numpy_integer_timesteps_are_accepted(toy3):
+    assert toy3.alpha_bar(np.int64(2)) == toy3.alpha_bar(2)
+    assert toy3.alpha_bar(np.int32(0)) == 1.0
+    assert coefficients(toy3, np.int64(3), np.int64(1)) == coefficients(toy3, 3, 1)
+    assert skip_coefficients(toy3, np.int16(2)) == skip_coefficients(toy3, 2)
 
 
 def test_schedule_arrays_immutable(toy3):
@@ -125,12 +136,12 @@ def test_coefficients_to_step_zero(toy3):
 
 
 def test_coefficients_rejects_bad_order_and_bounds(toy3):
-    with pytest.raises(OrderingError):
-        coefficients(toy3, t=1, t_prev=2)
-    with pytest.raises(OrderingError):
-        coefficients(toy3, t=2, t_prev=2)
-    with pytest.raises(BoundsError):
-        coefficients(toy3, t=2, t_prev=-1)
+    for t, t_prev in ((1, 2), (2, 2), (2, -1), (3, 1.5), (3, 1.0), (3, True), (3, None)):
+        with rejects("t_prev"):
+            coefficients(toy3, t=t, t_prev=t_prev)
+    for t in (4, 2.5, 3.0):
+        with rejects("t"):
+            coefficients(toy3, t=t, t_prev=1)
 
 
 def test_skip_coefficients_hand_values(toy3):
@@ -149,10 +160,9 @@ def test_skip_coefficients_match_transition_form(default_sched):
 
 
 def test_skip_coefficients_bounds(toy3):
-    with pytest.raises(BoundsError):
-        skip_coefficients(toy3, 4)
-    with pytest.raises(BoundsError):
-        skip_coefficients(toy3, 0)
+    for dt in (4, 0, 1.5, 2.0, True):
+        with rejects("dt"):
+            skip_coefficients(toy3, dt)
 
 
 def test_uniform_grid_values():
