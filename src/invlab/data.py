@@ -42,8 +42,7 @@ def _draw_disc(img, rng, value):
     cy = rng.uniform(0, h)
     cx = rng.uniform(0, w)
     rad = rng.uniform(2.0, min(h, w) / 2.5)
-    yy, xx = np.mgrid[0:h, 0:w]
-    img[(yy - cy) ** 2 + (xx - cx) ** 2 <= rad * rad] = value
+    img[(np.arange(h)[:, None] - cy) ** 2 + (np.arange(w) - cx) ** 2 <= rad * rad] = value
 
 
 def _draw_ramp(img, rng, value):

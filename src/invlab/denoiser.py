@@ -143,6 +143,9 @@ class LinearGaussianDenoiser(DenoiserInterface):
 
     def _affine_map(self, t):
         """(J_t, o_t), built on the first call at t by the class docstring's formula."""
+        # only checked t are cached, but 2.0 or True would find the entry of 2 or 1
+        if type(t) is not int:
+            self.sched._check_t(t)
         try:
             return self._maps[t]
         except KeyError:

@@ -7,6 +7,10 @@ channels at every spatial position and the distance is the sum over layers
 of the mean squared feature difference. Random projections preserve enough
 geometry for the distance to order reconstructions sensibly at this scale,
 while staying exactly differentiable by hand.
+
+Each layer gathers its 3×3 patches through one cached index table per input
+shape (im2col) and its adjoint scatters the patch gradients back through the
+same table (col2im), so no map is ever padded.
 """
 
 from __future__ import annotations
@@ -21,36 +25,24 @@ from .rng import derive_rng
 
 _NORM_EPS = 1e-10
 _WIDTHS = (8, 16)  # output channels of the two conv layers
-_ZERO = np.zeros(1)
 
 
 @lru_cache(maxsize=32)
-def _patch_index(c: int, h: int, w: int, pad: int) -> np.ndarray:
-    """(c·9, positions) flat indices of the 3×3 patches of a (c, h, w) map zero-padded by pad.
+def _patch_index(c: int, h: int, w: int) -> np.ndarray:
+    """(c·9, positions) flat indices of the valid 3×3 patches of a (c, h, w) map.
 
-    Row ci·9 + ki·3 + kj, column i·w_out + j reads map[ci, i+ki−pad, j+kj−pad];
-    a padded position reads index c·h·w, the single zero `_patches` appends
-    after the flattened map. Rows and columns are laid out as np.tensordot
-    lays out the windows it contracts, so the matmuls round as tensordot does.
+    Row ci·9 + ki·3 + kj, column i·(w−2) + j reads map[ci, i+ki, j+kj]. Rows
+    and columns are laid out as np.tensordot lays out the windows it
+    contracts, so the forward matmul rounds as tensordot does.
     """
-    h_out, w_out = h + 2 * pad - 2, w + 2 * pad - 2
     # broadcast over axes (ci, ki, kj, i, j)
     ci = np.arange(c)[:, None, None, None, None]
-    rows = np.arange(3)[:, None, None, None] + np.arange(h_out)[:, None] - pad
-    cols = np.arange(3)[:, None, None] + np.arange(w_out) - pad
-    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    index = np.where(inside, ci * (h * w) + rows * w + cols, c * h * w)
-    index = index.reshape(c * 9, h_out * w_out)
+    rows = np.arange(3)[:, None, None, None] + np.arange(h - 2)[:, None]
+    cols = np.arange(3)[:, None, None] + np.arange(w - 2)
+    index = (ci * (h * w) + rows * w + cols).reshape(c * 9, (h - 2) * (w - 2))
     # lru_cache hands the same table to every caller
     index.setflags(write=False)
     return index
-
-
-def _patches(x: np.ndarray, pad: int) -> np.ndarray:
-    """im2col of a (c, h, w) map zero-padded by pad: one gather through `_patch_index`."""
-    c, h, w = x.shape
-    flat = np.concatenate((x.reshape(-1), _ZERO))
-    return flat[_patch_index(c, h, w, pad)]
 
 
 def _conv_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -59,35 +51,38 @@ def _conv_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.nd
     Valid cross-correlation as one matmul over the 3×3 patches (im2col).
     """
     c_out = kernels.shape[0]
-    _, h, w = x.shape
-    out = kernels.reshape(c_out, -1) @ _patches(x, 0) + bias[:, None]
+    c, h, w = x.shape
+    out = kernels.reshape(c_out, -1) @ x.reshape(-1)[_patch_index(c, h, w)] + bias[:, None]
     return out.reshape(c_out, h - 2, w - 2)
 
 
 def _conv_input_vjp(u: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Adjoint of _conv_forward with respect to its input: (c_out, h, w) -> (c_in, h+2, w+2).
 
-    Full convolution, i.e. valid correlation of the map zero-padded by 2 with
-    the flipped kernels, their in and out channel axes swapped.
+    col2im: each patch element's share kernelsᵀ·u is summed back onto the
+    pixel the forward pass gathered it from, through the same table.
     """
-    c_in = kernels.shape[1]
+    c_out, c_in = kernels.shape[:2]
     _, h, w = u.shape
-    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
-    return (flipped @ _patches(u, 2)).reshape(c_in, h + 2, w + 2)
+    cols = kernels.reshape(c_out, -1).T @ u.reshape(c_out, -1)
+    # every pixel lies in some patch, so bincount's length is the map's size
+    back = np.bincount(_patch_index(c_in, h + 2, w + 2).reshape(-1), weights=cols.reshape(-1))
+    return back.reshape(c_in, h + 2, w + 2)
 
 
-def _feature_distance(gx1, gx2, gy1, gy2) -> float:
-    return float(np.mean((gx1 - gy1) ** 2) + np.mean((gx2 - gy2) ** 2))
+def _mean_square(e: np.ndarray) -> float:
+    # np.mean's own arithmetic, without its dispatch
+    return np.add.reduce(e * e, axis=None) / e.size
 
 
-def _normalize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalize across the channel axis; returns (g, norms)."""
+def _normalize(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-normalize across the channel axis; returns (g, norms, norms + ε)."""
     s = np.sqrt(np.sum(f * f, axis=0, keepdims=True))
-    return f / (s + _NORM_EPS), s
-
-
-def _normalize_vjp(f: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
     den = s + _NORM_EPS
+    return f / den, s, den
+
+
+def _normalize_vjp(f: np.ndarray, s: np.ndarray, den: np.ndarray, u: np.ndarray) -> np.ndarray:
     dot = np.sum(u * f, axis=0, keepdims=True)
     scale = np.where(s > _NORM_EPS, dot / (den * den * np.maximum(s, _NORM_EPS)), 0.0)
     return u / den - f * scale
@@ -117,32 +112,32 @@ class RandomConvPerceptual(PerceptualMetricInterface):
             a.setflags(write=False)
 
     def _features(self, img: np.ndarray):
+        """One (f, g, norms, norms + ε) tuple per layer: tanh features and their unit form."""
         x = img.transpose(2, 0, 1)
         f1 = np.tanh(_conv_forward(x, self.k1, self.b1))
         f2 = np.tanh(_conv_forward(f1, self.k2, self.b2))
-        g1, s1 = _normalize(f1)
-        g2, s2 = _normalize(f2)
-        return f1, g1, s1, f2, g2, s2
+        return (f1, *_normalize(f1)), (f2, *_normalize(f2))
 
     def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        return _feature_distance(*self._target(x, "x"), *self._target(y, "y"))
+        (gx1, gx2), (gy1, gy2) = self._target(x, "x"), self._target(y, "y")
+        return float(_mean_square(gy1 - gx1) + _mean_square(gy2 - gx2))
 
     def reference(self, x: np.ndarray):
         """y ↦ (distance(x, y), ∂/∂y): x's features once, one pass and its adjoint per y."""
         return partial(self._against, self._target(x, "x"))
 
     def _target(self, img: np.ndarray, name: str):
-        _, gx1, _, _, gx2, _ = self._features(require_shape(img, self.image_shape, name))
-        return gx1, gx2
+        (_, g1, _, _), (_, g2, _, _) = self._features(require_shape(img, self.image_shape, name))
+        return g1, g2
 
     def _against(self, target, y: np.ndarray) -> tuple[float, np.ndarray]:
         gx1, gx2 = target
-        f1, gy1, s1, f2, gy2, s2 = self._features(require_shape(y, self.image_shape, "y"))
-        value = _feature_distance(gx1, gx2, gy1, gy2)
-        u_g1 = 2.0 * (gy1 - gx1) / gy1.size
-        u_g2 = 2.0 * (gy2 - gx2) / gy2.size
-        u_pre2 = _normalize_vjp(f2, s2, u_g2) * (1.0 - f2 * f2)
+        (f1, gy1, s1, den1), (f2, gy2, s2, den2) = self._features(
+            require_shape(y, self.image_shape, "y"))
+        e1, e2 = gy1 - gx1, gy2 - gx2
+        value = float(_mean_square(e1) + _mean_square(e2))
+        u_pre2 = _normalize_vjp(f2, s2, den2, 2.0 * e2 / e2.size) * (1.0 - f2 * f2)
         # f1 feeds both its own distance term and the second conv layer
-        u_f1 = _normalize_vjp(f1, s1, u_g1) + _conv_input_vjp(u_pre2, self.k2)
+        u_f1 = _normalize_vjp(f1, s1, den1, 2.0 * e1 / e1.size) + _conv_input_vjp(u_pre2, self.k2)
         u_pre1 = u_f1 * (1.0 - f1 * f1)
         return value, _conv_input_vjp(u_pre1, self.k1).transpose(1, 2, 0)

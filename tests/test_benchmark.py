@@ -2,8 +2,10 @@
 
 import csv
 import importlib
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +277,32 @@ def test_ilb_dt_outside_schedule_is_config_error(dt, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- runs
+
+
+INVBENCH = Path(__file__).resolve().parents[1] / "invbench"
+
+
+def _invbench_module(name):
+    """One module of the benchmark harness, which is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(f"invbench_{name}", INVBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["invert", "boost", "mlp-coarse"])
+def test_workload_meets_its_pinned_means_at_seed_0(workload, tmp_path):
+    # the benchmark's own check on its own inputs: a change that moves a pinned
+    # mean beyond the benchmark's tolerance fails here first
+    checks, worker = _invbench_module("bench_checks"), _invbench_module("bench_worker")
+    doc = {**json.loads((INVBENCH / "workloads" / f"{workload}.json").read_text()), "seed": 0}
+    cfg = config_from_json_dict(doc)
+    run_benchmark(cfg, tmp_path)
+    csv_text = (tmp_path / "benchmark.csv").read_text(encoding="utf-8")
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    bounds = worker.bound_psnr(BenchmarkBackends(cfg))
+    assert checks.check_call(doc, csv_text, summary, checks.load_pins(workload)["0"],
+                             bounds) == []
 
 
 def test_rows_cover_grid_sorted(small_run):

@@ -1,5 +1,7 @@
 """Procedural data generators and their canonical JSON files."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import make_gauss_mixture, mutate_json_leaf, rejects
@@ -34,6 +36,17 @@ def test_shapes_tag_separates_streams():
     a = make_shapes(4, seed=7, tag="shapes")
     b = make_shapes(4, seed=7, tag="other")
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("args,digest", [
+    # the 64 fit images of the default benchmark config, then two off-square sizes
+    ((64, 0, 16, 16, "fit"), "ff0bd58269c235138a3ebde24a848eb603b6ae8a33d03ac9a0aab467f88f9b4d"),
+    ((20, 7, 12, 9, "shapes"), "a156bdbf5a3509273d572489ecb9afd96bd1aa45b93d48625500343e6be8ba39"),
+    ((10, 3, 5, 31, "shapes"), "24172bbaf4bfd311f7a610b162518f1852967b047a70da5208a292b5baa4145e"),
+], ids=["fit-16x16", "shapes-12x9", "shapes-5x31"])
+def test_shapes_bytes_are_golden(args, digest):
+    # every benchmark input and autoencoder fit starts here, so its bytes are pinned
+    assert hashlib.sha256(make_shapes(*args).tobytes()).hexdigest() == digest
 
 
 def test_shapes_has_flat_saturated_regions():

@@ -152,6 +152,19 @@ def test_timestep_outside_schedule_rejected(backend, uncond, tiny_mlp):
         assert np.all(np.isfinite(model.vjp(z, t, uncond, v)))
 
 
+def test_cached_map_does_not_admit_a_non_integer_t(gauss_nd, uncond):
+    # each cached t is checked, so a float or bool equal to one must be checked before the lookup
+    z = np.zeros(4)
+    gauss_nd.eval(z, 2, uncond)
+    gauss_nd.eval(z, 1, uncond)
+    for t in (2.0, np.float64(2.0), True):
+        with rejects("t"):
+            gauss_nd.eval(z, t, uncond)
+        with rejects("t"):
+            gauss_nd.linearize(z, t, uncond)
+    assert np.array_equal(gauss_nd.eval(z, np.int64(2), uncond), gauss_nd.eval(z, 2, uncond))
+
+
 def _constructor_cases():
     """id -> (a model built from the caller's arrays, those arrays, the model's output)."""
     sched = make_linear_schedule(20, 1e-3, 0.05)
