@@ -3,13 +3,14 @@
 Images are float64 arrays of shape (height, width, channels) with values in
 [0, 1]; latents are flat float64 vectors. Decoding never clamps; clamping to
 [0, 1] happens only at metric/export time so optimization stays smooth.
-Codecs implement `encode`, `decode` and the decoder's pullback `decoder_vjp`.
+`LinearAutoencoder` is the one codec: `encode`, `decode` and the decoder's
+pullback `decoder_vjp`. It is fitted to images by `fit_linear_autoencoder`,
+and `identity_autoencoder` builds the lossless one, W = I.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -25,45 +26,7 @@ def _image_shape(image_shape) -> tuple[int, int, int]:
     return shape
 
 
-class AutoencoderInterface(ABC):
-    """Encoder/decoder pair with a decoder vector–Jacobian product."""
-
-    image_shape: tuple[int, int, int]
-    latent_dim: int
-
-    @abstractmethod
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        """Latent representation of the image."""
-
-    @abstractmethod
-    def decode(self, z: np.ndarray) -> np.ndarray:
-        """Image reconstruction from the latent (no clamping)."""
-
-    @abstractmethod
-    def decoder_vjp(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """vᵀ·(∂decode/∂z) for an image-shaped v."""
-
-
-class IdentityAutoencoder(AutoencoderInterface):
-    """encode = flatten, decode = unflatten; round trip is bit-exact."""
-
-
-    def __init__(self, image_shape: tuple[int, int, int]):
-        self.image_shape = _image_shape(image_shape)
-        self.latent_dim = math.prod(self.image_shape)
-
-    def encode(self, x):
-        return require_shape(x, self.image_shape, "x").reshape(-1).copy()
-
-    def decode(self, z):
-        return require_shape(z, (self.latent_dim,), "z").reshape(self.image_shape).copy()
-
-    def decoder_vjp(self, z, v):
-        require_shape(z, (self.latent_dim,), "z")
-        return require_shape(v, self.image_shape, "v").reshape(-1).copy()
-
-
-class LinearAutoencoder(AutoencoderInterface):
+class LinearAutoencoder:
     """Orthonormal-rows projection codec: encode(x) = W·(flatten(x) − mean),
     decode(z) = unflatten(W⁺·z + mean) with W⁺ = Wᵀ. Lossy whenever
     latent_dim < pixel_count; the decoder Jacobian is the constant W⁺.
@@ -133,6 +96,13 @@ class LinearAutoencoder(AutoencoderInterface):
         require_shape(z, (self.latent_dim,), "z")
         v = require_shape(v, self.image_shape, "v")
         return self.w @ v.reshape(-1)
+
+
+def identity_autoencoder(image_shape) -> LinearAutoencoder:
+    """The lossless codec on image_shape: W = I and mean 0, so encode flattens and
+    decode unflattens."""
+    n = math.prod(_image_shape(image_shape))
+    return LinearAutoencoder(np.eye(n), np.zeros(n), image_shape)
 
 
 def fit_linear_autoencoder(

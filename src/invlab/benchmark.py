@@ -21,7 +21,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .autoencoder import AutoencoderInterface, IdentityAutoencoder, fit_linear_autoencoder
+from .autoencoder import LinearAutoencoder, fit_linear_autoencoder, identity_autoencoder
 from .data import load_dataset, make_shapes
 from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig,
                        train_mlp_denoiser)
@@ -68,6 +68,7 @@ class TrainSection:
 
 
 _MAX_SCALE = 1e6  # bound on |denoiser.mu_scale| and autoencoder.leak_scale
+_MAX_BYTES = np.iinfo(np.intp).max  # the largest array NumPy can index, in bytes
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,26 @@ class RunConfig:
         for name in self.methods:
             parse_method(name)
         object.__setattr__(self, "methods", tuple(self.methods))
+        require(len(self.methods) > 0, "methods", self.methods, "nonempty")
+        require(len(set(self.methods)) == len(self.methods), "methods", self.methods, "distinct")
         require(self.n_workers == 1, "n_workers", self.n_workers, "1 (rows run serially)")
+        # NumPy cannot build an array of more than intp-max bytes, so refuse a size that
+        # would need one before anything is built; the codecs' pixel-by-pixel matrix
+        # (the fit's SVD basis, or the identity's W) and the MLP's flat parameter
+        # vector, with a latent as wide as the image, are the largest
+        ds, width = self.dataset, self.denoiser.train.width
+        pixels = ds.height * ds.width
+        side = "height" if ds.height >= ds.width else "width"
+        for key, value, floats in (
+                ("dataset." + side, getattr(ds, side), pixels * pixels),
+                ("dataset.count", ds.count, ds.count * pixels),
+                ("autoencoder.fit_count", self.autoencoder.fit_count,
+                 self.autoencoder.fit_count * pixels),
+                ("t_train", self.t_train, self.t_train),
+                ("denoiser.train.width", width,
+                 width * (2 * pixels + self.t_train + width + 3) + pixels)):
+            require(8 * floats <= _MAX_BYTES, key, value,
+                    f"small enough for its arrays to fit in {_MAX_BYTES} bytes")
         # the range checks of the schedule and grid the run builds
         make_uniform_grid(make_linear_schedule(self.t_train, self.beta_start, self.beta_end),
                           self.steps)
@@ -313,13 +333,13 @@ def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
     section = cfg.autoencoder
     shape = fit_images.shape[1:]
     if section.path:  # a set path wins over kind
-        ae = _load_model_file(section.path, AutoencoderInterface, "autoencoder.path")
+        ae = _load_model_file(section.path, LinearAutoencoder, "autoencoder.path")
         if ae.image_shape != shape:
             raise ConfigError(f"autoencoder.path {section.path} takes {ae.image_shape} images, "
                               f"the dataset has {shape}", key="autoencoder.path")
         return ae
     if section.kind == "identity":
-        return IdentityAutoencoder(shape)
+        return identity_autoencoder(shape)
     n_pix = int(np.prod(shape))
     latent_dim = max(1, int(round(section.latent_frac * n_pix)))
     return fit_linear_autoencoder(fit_images, latent_dim,
@@ -439,8 +459,6 @@ def run_benchmark(cfg: RunConfig, out_dir):
     Returns (rows, summary). Rows run and are written in (instance_id, method)
     order; with record_timing off the written bytes depend only on the config.
     """
-    if not cfg.methods:
-        raise ConfigError("benchmark needs a nonempty method list")
     backends = BenchmarkBackends(cfg)
     rows = [_run_instance(backends, i, m)
             for i in range(cfg.dataset.count) for m in sorted(cfg.methods)]

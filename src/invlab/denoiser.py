@@ -1,7 +1,6 @@
 """Noise predictors F(z, t, c) that implement `eval` and `linearize`.
 
 Backends:
-  - ConstantDenoiser / ScalingDenoiser: trivial stubs for algebra tests.
   - LinearGaussianDenoiser: exact oracle. For data ~ N(mu, Sigma) the noisy
     marginal at step t is N(sqrt(ᾱ_t)·mu, Σ_t) with Σ_t = ᾱ_t·Sigma + (1−ᾱ_t)I,
     and the ideal predictor is the affine map
@@ -58,44 +57,6 @@ class DenoiserInterface(ABC):
     def vjp(self, z: np.ndarray, t: int, c: Condition, v: np.ndarray) -> np.ndarray:
         """vᵀ·(∂eval/∂z), the pullback of `linearize`."""
         return self.linearize(z, t, c)[1](v)
-
-
-class ConstantDenoiser(DenoiserInterface):
-    """F(z, t, c) == value for every input; Jacobian is zero."""
-
-
-    def __init__(self, latent_dim: int, value: float | np.ndarray = 0.0):
-        self.latent_dim = int(latent_dim)
-        # a copy: freezing it below leaves the caller's array writeable
-        val = np.array(value, dtype=np.float64)
-        if val.ndim == 0:
-            val = np.full(self.latent_dim, float(val))
-        val = require_shape(val, (self.latent_dim,), "value")
-        val.setflags(write=False)
-        self.value = val
-
-    def eval(self, z, t, c):
-        require_shape(z, (self.latent_dim,), "z")
-        return self.value.copy()
-
-    def linearize(self, z, t, c):
-        return self.eval(z, t, c), lambda v: np.zeros_like(
-            require_shape(v, (self.latent_dim,), "v"))
-
-
-class ScalingDenoiser(DenoiserInterface):
-    """F(z, t, c) = scale · z at every timestep; Jacobian is scale·I."""
-
-
-    def __init__(self, latent_dim: int, scale: float):
-        self.latent_dim = int(latent_dim)
-        self.scale = float(scale)
-
-    def eval(self, z, t, c):
-        return self.scale * require_shape(z, (self.latent_dim,), "z")
-
-    def linearize(self, z, t, c):
-        return self.eval(z, t, c), lambda v: self.scale * require_shape(v, (self.latent_dim,), "v")
 
 
 class LinearGaussianDenoiser(DenoiserInterface):

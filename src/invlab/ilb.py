@@ -15,12 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from .autoencoder import AutoencoderInterface
+from .autoencoder import LinearAutoencoder
 from .denoiser import Condition, DenoiserInterface
 from .dynamics import ddim_invert_step, generate_step
 from .errors import DivergenceError, require
-from .metrics import PerceptualMetricInterface, ssim_with_grad
+from .metrics import ssim_with_grad
 from .optim import AdamState, adam_step
+from .perceptual import RandomConvPerceptual
 from .schedule import NoiseSchedule, skip_coefficients
 
 _STALL_LIMIT = 5
@@ -74,8 +75,8 @@ class IlbReport:
         }
 
 
-def consistency_loss(x0: np.ndarray, z0: np.ndarray, ae: AutoencoderInterface,
-                     perc: PerceptualMetricInterface, weights: tuple = (1.0, 1.0, 1.0)) -> float:
+def consistency_loss(x0: np.ndarray, z0: np.ndarray, ae: LinearAutoencoder,
+                     perc: RandomConvPerceptual, weights: tuple = (1.0, 1.0, 1.0)) -> float:
     """w_l1·mean|x0 − D(z0)| − w_ssim·SSIM(x0, D(z0)) + w_perc·perc(x0, D(z0))."""
     x0 = np.asarray(x0, dtype=np.float64)
     return _con_value_and_grad(x0, z0, ae, perc.reference(x0), weights)[0]
@@ -127,9 +128,9 @@ def _reg_value_and_grad(model, sched, z, dt, c):
     return value, grad
 
 
-def ilb_loss_and_grad(x0: np.ndarray, z0: np.ndarray, ae: AutoencoderInterface,
+def ilb_loss_and_grad(x0: np.ndarray, z0: np.ndarray, ae: LinearAutoencoder,
                       model: DenoiserInterface, sched: NoiseSchedule,
-                      perc: PerceptualMetricInterface, cfg: IlbConfig,
+                      perc: RandomConvPerceptual, cfg: IlbConfig,
                       c: Condition) -> tuple[float, float, float, np.ndarray]:
     """(l_con, l_reg, total, ∇_{z0} total) at one point of the boosting objective.
 
@@ -147,8 +148,8 @@ def _loss_and_grad(x0, z0, ae, model, sched, perc_ref, cfg, c):
     return l_con, l_reg, l_con, g_con
 
 
-def ilb_optimize(x0: np.ndarray, ae: AutoencoderInterface, model: DenoiserInterface,
-                 sched: NoiseSchedule, perc: PerceptualMetricInterface,
+def ilb_optimize(x0: np.ndarray, ae: LinearAutoencoder, model: DenoiserInterface,
+                 sched: NoiseSchedule, perc: RandomConvPerceptual,
                  cfg: IlbConfig, c: Condition) -> tuple[np.ndarray, IlbReport]:
     """Adam refinement of encode(x0); returns the lowest-loss iterate.
 

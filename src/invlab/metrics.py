@@ -5,37 +5,18 @@ valid positions with C1=0.01², C2=0.03²; images smaller than the window fall b
 to global single-window statistics. The window is separable, so it is applied
 as a product with one band matrix per image axis. `ssim_with_grad` returns the
 analytic gradient with respect to the second image so losses can differentiate
-through the metric.
-A perceptual metric implements `distance` and `reference(x)`, y ↦ (distance,
-gradient); `grad_y` reads that gradient.
+through the metric. The perceptual distance is `RandomConvPerceptual` in
+perceptual.py.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .dynamics import GENERATION, INVERSION, Trajectory
 from .errors import require, require_shape
-
-
-class PerceptualMetricInterface(ABC):
-    """Differentiable image distance: distance(x, x) = 0 and symmetric."""
-
-    @abstractmethod
-    def distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        ...
-
-    @abstractmethod
-    def reference(self, x: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-        """y ↦ (distance(x, y), ∂distance/∂y) with x fixed, its share computed once."""
-
-    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """∂distance/∂y, the gradient half of `reference`."""
-        return self.reference(x)(y)[1]
 
 
 def psnr(x: np.ndarray, y: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .autoencoder import IdentityAutoencoder, LinearAutoencoder
+from .autoencoder import LinearAutoencoder, identity_autoencoder
 from .denoiser import _PARAM_ORDER, LinearGaussianDenoiser, MlpDenoiser
 from .errors import FormatError, InvlabError
 from .schedule import NoiseSchedule
@@ -60,8 +60,8 @@ def _linear_ae_load(header: dict, arrays: dict) -> LinearAutoencoder:
                              leak=arrays.get("leak"))
 
 
-def _identity_ae_load(header: dict, arrays: dict) -> IdentityAutoencoder:
-    return IdentityAutoencoder(header["dims"]["image_shape"])
+def _identity_ae_load(header: dict, arrays: dict) -> LinearAutoencoder:
+    return identity_autoencoder(header["dims"]["image_shape"])
 
 
 # kind -> (class, (header fields, [(array name, array)]) of a model, loader of (header, arrays))
@@ -69,8 +69,12 @@ _CODECS = {
     "mlp-denoiser": (MlpDenoiser, _mlp_payload, _mlp_load),
     "linear-gaussian-denoiser": (LinearGaussianDenoiser, _gauss_payload, _gauss_load),
     "linear-autoencoder": (LinearAutoencoder, _linear_ae_payload, _linear_ae_load),
-    "identity-autoencoder": (IdentityAutoencoder, lambda m: (_dims(m), []), _identity_ae_load),
 }
+# kind -> loader of (header, arrays), for every kind a file may hold: the files of the
+# former identity codec load as the lossless LinearAutoencoder, which saves as the
+# linear-autoencoder kind
+_LOADERS = {**{kind: load for kind, (_, _, load) in _CODECS.items()},
+            "identity-autoencoder": _identity_ae_load}
 
 
 def save_model(model, path) -> None:
@@ -109,7 +113,7 @@ def load_model(path):
     if not isinstance(header, dict):
         raise FormatError(f"header in {path} is not a JSON object")
     kind = header.get("kind")
-    if not (isinstance(kind, str) and kind in _CODECS):
+    if not (isinstance(kind, str) and kind in _LOADERS):
         raise FormatError(f"unknown model kind {kind!r} in {path}")
     entries = header.get("arrays")
     if not isinstance(entries, list):
@@ -131,7 +135,7 @@ def load_model(path):
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes in {path}")
     try:
-        return _CODECS[kind][2](header, arrays)
+        return _LOADERS[kind](header, arrays)
     except (InvlabError, KeyError, TypeError, ValueError, OverflowError) as e:
         # a missing or ill-typed field or array, or values the model's own checks refuse
         raise FormatError(f"{kind} model in {path} is malformed: {e!r}") from None

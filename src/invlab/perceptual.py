@@ -20,7 +20,6 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DimensionError, require_shape
-from .metrics import PerceptualMetricInterface
 from .rng import derive_rng
 
 _NORM_EPS = 1e-10
@@ -88,8 +87,9 @@ def _normalize_vjp(f: np.ndarray, s: np.ndarray, den: np.ndarray, u: np.ndarray)
     return u / den - f * scale
 
 
-class RandomConvPerceptual(PerceptualMetricInterface):
-    """Frozen-random two-layer conv feature distance on (h, w, c) images."""
+class RandomConvPerceptual:
+    """Frozen-random two-layer conv feature distance on (h, w, c) images:
+    distance(x, x) = 0 and symmetric."""
 
     def __init__(self, image_shape: tuple, seed: int = 0):
         if len(image_shape) != 3:
@@ -125,6 +125,10 @@ class RandomConvPerceptual(PerceptualMetricInterface):
     def reference(self, x: np.ndarray):
         """y ↦ (distance(x, y), ∂/∂y): x's features once, one pass and its adjoint per y."""
         return partial(self._against, self._target(x, "x"))
+
+    def grad_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """∂distance/∂y, the gradient half of `reference`."""
+        return self.reference(x)(y)[1]
 
     def _target(self, img: np.ndarray, name: str):
         (_, g1, _, _), (_, g2, _, _) = self._features(require_shape(img, self.image_shape, name))

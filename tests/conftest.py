@@ -1,4 +1,4 @@
-"""Shared fixtures: small schedules, stub denoisers, 2-d mixture MLPs, exact inverses
+"""Shared fixtures: small schedules, the two stub denoisers, 2-d mixture MLPs, exact inverses
 under an affine model, model-file surgery, JSON mutation, hypothesis profile, and
 `rejects`, the one form of a test that an argument is refused."""
 
@@ -14,18 +14,17 @@ from hypothesis import strategies as st
 
 from invlab import (
     Condition,
-    ConstantDenoiser,
+    DenoiserInterface,
     InvalidParameterError,
     LinearGaussianDenoiser,
     MlpTrainConfig,
-    ScalingDenoiser,
     coefficients,
     derive_rng,
     make_linear_schedule,
     make_uniform_grid,
     train_mlp_denoiser,
 )
-from invlab.errors import require
+from invlab.errors import require, require_shape
 
 settings.register_profile(
     "invlab",
@@ -59,6 +58,44 @@ def default_sched():
 @pytest.fixture
 def uncond():
     return Condition()
+
+
+class ConstantDenoiser(DenoiserInterface):
+    """F(z, t, c) == value for every input; Jacobian is zero."""
+
+
+    def __init__(self, latent_dim: int, value: float | np.ndarray = 0.0):
+        self.latent_dim = int(latent_dim)
+        # a copy: freezing it below leaves the caller's array writeable
+        val = np.array(value, dtype=np.float64)
+        if val.ndim == 0:
+            val = np.full(self.latent_dim, float(val))
+        val = require_shape(val, (self.latent_dim,), "value")
+        val.setflags(write=False)
+        self.value = val
+
+    def eval(self, z, t, c):
+        require_shape(z, (self.latent_dim,), "z")
+        return self.value.copy()
+
+    def linearize(self, z, t, c):
+        return self.eval(z, t, c), lambda v: np.zeros_like(
+            require_shape(v, (self.latent_dim,), "v"))
+
+
+class ScalingDenoiser(DenoiserInterface):
+    """F(z, t, c) = scale · z at every timestep; Jacobian is scale·I."""
+
+
+    def __init__(self, latent_dim: int, scale: float):
+        self.latent_dim = int(latent_dim)
+        self.scale = float(scale)
+
+    def eval(self, z, t, c):
+        return self.scale * require_shape(z, (self.latent_dim,), "z")
+
+    def linearize(self, z, t, c):
+        return self.eval(z, t, c), lambda v: self.scale * require_shape(v, (self.latent_dim,), "v")
 
 
 @pytest.fixture

@@ -10,14 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_gauss_mixture
+from conftest import ConstantDenoiser, make_gauss_mixture
 
 from invlab.autoencoder import fit_linear_autoencoder
 from invlab.benchmark import BenchmarkBackends, config_from_json_dict, run_benchmark
 from invlab.data import make_shapes
 from invlab.denoiser import (
     Condition,
-    ConstantDenoiser,
     LinearGaussianDenoiser,
     MlpTrainConfig,
     train_mlp_denoiser,

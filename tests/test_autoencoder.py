@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from invlab import (
     DimensionError,
-    IdentityAutoencoder,
     LinearAutoencoder,
     fit_linear_autoencoder,
     gradient_check,
+    identity_autoencoder,
     make_shapes,
 )
 
@@ -29,7 +29,7 @@ def _subspace_images(n=12, k=3, seed=0, shape=SHAPE):
 
 
 def test_identity_round_trip_bit_exact():
-    ae = IdentityAutoencoder((3, 5, 1))
+    ae = identity_autoencoder((3, 5, 1))
     rng = np.random.default_rng(1)
     x = rng.random((3, 5, 1))
     z = ae.encode(x)
@@ -39,14 +39,14 @@ def test_identity_round_trip_bit_exact():
 
 
 def test_identity_vjp_is_flatten():
-    ae = IdentityAutoencoder((2, 2, 1))
+    ae = identity_autoencoder((2, 2, 1))
     v = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
     np.testing.assert_array_equal(ae.decoder_vjp(np.zeros(4), v), v.reshape(-1))
     np.testing.assert_array_equal(ae.decoder_vjp(np.zeros(4), np.zeros((2, 2, 1))), np.zeros(4))
 
 
 def test_identity_shape_errors():
-    ae = IdentityAutoencoder((2, 2, 1))
+    ae = identity_autoencoder((2, 2, 1))
     with pytest.raises(DimensionError):
         ae.encode(np.zeros((3, 3, 1)))
     with pytest.raises(DimensionError):

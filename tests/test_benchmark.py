@@ -1,10 +1,14 @@
 """Benchmark harness: config handling, reproducibility, row semantics."""
 
 import csv
+import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +27,7 @@ from invlab.benchmark import (
     parse_method,
     run_benchmark,
 )
-from invlab.autoencoder import IdentityAutoencoder
+from invlab.autoencoder import LinearAutoencoder
 from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
 from invlab.denoiser import LinearGaussianDenoiser, MlpDenoiser
@@ -172,7 +176,7 @@ def test_n_workers_other_than_one_rejected(n_workers):
 
 def test_empty_method_list_rejected(tmp_path):
     with pytest.raises(ConfigError, match="nonempty"):
-        run_benchmark(RunConfig(methods=()), tmp_path)
+        run_benchmark(config_from_json_dict({"methods": []}), tmp_path)
 
 
 def test_dataset_from_file(tmp_path):
@@ -240,7 +244,10 @@ def test_identity_autoencoder_and_mlp_denoiser_kinds():
         "train": {"count": 8, "width": 8, "max_epochs": 2, "batch_size": 4},
     }
     backends = BenchmarkBackends(config_from_json_dict(doc))
-    assert isinstance(backends.ae, IdentityAutoencoder)
+    # the identity codec is the lossless LinearAutoencoder, W = I and mean 0
+    assert isinstance(backends.ae, LinearAutoencoder)
+    np.testing.assert_array_equal(backends.ae.w, np.eye(64))
+    np.testing.assert_array_equal(backends.ae.mean, np.zeros(64))
     assert isinstance(backends.model, MlpDenoiser)
     assert backends.model.latent_dim == 64  # identity latent is the flat image
 
@@ -356,6 +363,33 @@ def test_bytes_identical_across_reruns(small_run, tmp_path):
     run_benchmark(cfg, tmp_path / "again")
     for name in ("benchmark.csv", "summary.json"):
         assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes()
+
+
+# 16x16 images and 64-row MLP batches: the fit's SVD and the trainer's 64x64 products
+# run on two OpenBLAS threads when given two
+THREADED_DOC = {"steps": 10, "dataset": {"count": 2}, "ilb": {"max_iters": 10},
+                "denoiser": {"kind": "mlp", "train": {"max_epochs": 20, "batch_size": 64}},
+                "methods": ["lbo-g", "lbo-n+ilb"]}
+RUN_SCRIPT = ("import json, sys, invlab\n"
+              "cfg = invlab.config_from_json_dict(json.loads(sys.argv[1]))\n"
+              "invlab.run_benchmark(cfg, sys.argv[2])")
+
+
+def test_bytes_identical_across_blas_thread_counts(tmp_path):
+    # each run in a fresh interpreter: OpenBLAS reads its thread count once, at load
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs[threads] = subprocess.Popen(
+            [sys.executable, "-c", RUN_SCRIPT, json.dumps(THREADED_DOC), str(tmp_path / threads)],
+            env=env)
+    assert [run.wait(timeout=120) for run in runs.values()] == [0, 0]
+    for name in ("benchmark.csv", "summary.json"):
+        digests = {hashlib.sha256((tmp_path / threads / name).read_bytes()).hexdigest()
+                   for threads in runs}
+        assert len(digests) == 1, name
 
 
 def test_rows_run_in_the_order_they_are_written(tmp_path, monkeypatch):
@@ -536,7 +570,18 @@ NAN, INF = float("nan"), float("inf")
                                      ({"denoiser": {"mu_scale": -1.000001e6}},
                                       "denoiser.mu_scale"),
                                      ({"autoencoder": {"leak_scale": 1.000001e6}},
-                                      "autoencoder.leak_scale")])
+                                      "autoencoder.leak_scale"),
+                                     ({"methods": []}, "methods"),
+                                     ({"methods": ["ddim", "ddim"]}, "methods"),
+                                     # sizes whose arrays NumPy refuses to build
+                                     ({"t_train": 10**20}, "t_train"),
+                                     ({"dataset": {"count": 10**20}}, "dataset.count"),
+                                     ({"autoencoder": {"fit_count": 10**20}},
+                                      "autoencoder.fit_count"),
+                                     ({"dataset": {"height": 10**10, "width": 10**10}},
+                                      "dataset.height"),
+                                     ({"denoiser": {"train": {"width": 10**20}}},
+                                      "denoiser.train.width")])
 def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)) as err:
         config_from_json_dict(doc)

@@ -2,21 +2,19 @@
 
 import numpy as np
 import pytest
-from conftest import rejects, spectral_form, train_tiny_mlp
+from conftest import ConstantDenoiser, ScalingDenoiser, rejects, spectral_form, train_tiny_mlp
 from hypothesis import given
 from hypothesis import strategies as st
 
 import invlab.denoiser
 from invlab import (
     Condition,
-    ConstantDenoiser,
     DimensionError,
     DivergenceError,
     LinearAutoencoder,
     LinearGaussianDenoiser,
     MlpDenoiser,
     MlpTrainConfig,
-    ScalingDenoiser,
     gradient_check,
     make_linear_schedule,
     train_mlp_denoiser,

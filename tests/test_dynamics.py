@@ -2,14 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import rejects
+from conftest import ConstantDenoiser, ScalingDenoiser, rejects
 from hypothesis import given
 from hypothesis import strategies as st
 
 from invlab import (
     Condition,
-    ConstantDenoiser,
-    ScalingDenoiser,
     coefficients,
     ddim_invert_step,
     ddim_invert_trajectory,

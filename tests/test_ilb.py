@@ -2,15 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import rejects
+from conftest import ConstantDenoiser, rejects
 
 import invlab.denoiser
 import invlab.ilb
 from invlab import (
-    ConstantDenoiser,
     DenoiserInterface,
     DivergenceError,
-    IdentityAutoencoder,
     IlbConfig,
     LinearGaussianDenoiser,
     MlpTrainConfig,
@@ -20,6 +18,7 @@ from invlab import (
     fit_linear_autoencoder,
     generate_step,
     gradient_check,
+    identity_autoencoder,
     ilb_loss_and_grad,
     ilb_optimize,
     make_linear_schedule,
@@ -40,7 +39,7 @@ def x0():
 
 @pytest.fixture
 def ident():
-    return IdentityAutoencoder(SHAPE)
+    return identity_autoencoder(SHAPE)
 
 
 @pytest.fixture

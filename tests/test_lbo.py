@@ -5,7 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import affine_map, exact_preimage, exact_step, rejects, spectral_form
+from conftest import (ScalingDenoiser, affine_map, exact_preimage, exact_step, rejects,
+                      spectral_form)
 
 import invlab.denoiser
 import invlab.dynamics
@@ -16,7 +17,6 @@ from invlab import (
     DivergenceError,
     LboConfig,
     LinearGaussianDenoiser,
-    ScalingDenoiser,
     bias_target,
     coefficients,
     ddim_invert_step,

@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from conftest import rejects
+from conftest import ConstantDenoiser, rejects
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given
 from hypothesis import strategies as st
 
 from invlab import (
-    ConstantDenoiser,
     DimensionError,
     LinearGaussianDenoiser,
     RandomConvPerceptual,

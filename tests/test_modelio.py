@@ -13,17 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlab import (
-    AutoencoderInterface,
     Condition,
     DenoiserInterface,
     FormatError,
-    IdentityAutoencoder,
     InvlabError,
     LinearAutoencoder,
     LinearGaussianDenoiser,
     MlpDenoiser,
     MlpTrainConfig,
     fit_linear_autoencoder,
+    identity_autoencoder,
     load_model,
     make_linear_schedule,
     make_shapes,
@@ -99,11 +98,33 @@ def test_leaky_autoencoder_round_trip(tmp_path):
 
 
 def test_identity_autoencoder_round_trip(tmp_path):
-    ae = IdentityAutoencoder((5, 6, 1))
+    ae = identity_autoencoder((5, 6, 1))
     path = tmp_path / "ident.labmdl"
     save_model(ae, path)
     back = load_model(path)
     assert back.image_shape == (5, 6, 1)
+
+
+def write_identity_file(path, image_shape) -> None:
+    """A file of the former identity codec: its kind and image shape, and no arrays."""
+    header = {"arrays": [], "dims": {"image_shape": list(image_shape)},
+              "kind": "identity-autoencoder"}
+    write_model_file(path, header, b"")
+
+
+def test_identity_autoencoder_file_loads_as_the_lossless_linear_codec(tmp_path):
+    old = tmp_path / "old.labmdl"
+    write_identity_file(old, (5, 6, 1))
+    back = load_model(old)
+    assert type(back) is LinearAutoencoder and back.image_shape == (5, 6, 1)
+    np.testing.assert_array_equal(back.w, np.eye(30))
+    np.testing.assert_array_equal(back.mean, np.zeros(30))
+    assert back.leak is None
+    # saving it writes the file the identity codec writes today, a linear-autoencoder one
+    save_model(back, tmp_path / "resaved")
+    save_model(identity_autoencoder((5, 6, 1)), tmp_path / "new")
+    assert (tmp_path / "resaved").read_bytes() == (tmp_path / "new").read_bytes()
+    assert read_model_file(tmp_path / "new")[0]["kind"] == "linear-autoencoder"
 
 
 def test_header_is_sorted_json_with_manifest(tmp_path):
@@ -267,18 +288,20 @@ def test_mlp_final_loss_none_or_a_number_at_least_0_round_trips(model_files, tmp
 
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory, tiny_mlp):
-    """{kind: (path, interface, config key)}, one saved model of each kind."""
+    """{kind: (path, class, config key)}, one model file of each kind a file may hold; the
+    identity-autoencoder one is the former codec's file, which nothing writes today."""
     imgs = make_shapes(20, seed=3, height=8, width=8)
     models = {"mlp-denoiser": (tiny_mlp[0], DenoiserInterface, "denoiser.path"),
               "linear-gaussian-denoiser": (_gauss_model(), DenoiserInterface, "denoiser.path"),
               "linear-autoencoder": (fit_linear_autoencoder(imgs, latent_dim=10, leak_scale=1.8),
-                                     AutoencoderInterface, "autoencoder.path"),
-              "identity-autoencoder": (IdentityAutoencoder((5, 6, 1)), AutoencoderInterface,
-                                       "autoencoder.path")}
+                                     LinearAutoencoder, "autoencoder.path")}
     out = tmp_path_factory.mktemp("models")
     for kind, (model, iface, key) in models.items():
         save_model(model, out / kind)
         models[kind] = (out / kind, iface, key)
+    write_identity_file(out / "identity-autoencoder", (5, 6, 1))
+    models["identity-autoencoder"] = (out / "identity-autoencoder", LinearAutoencoder,
+                                      "autoencoder.path")
     return models
 
 
@@ -339,12 +362,17 @@ def test_file_in_the_older_header_layout_loads_the_same_model(model_files, tmp_p
         back = load_model(older)
         assert type(back) is type(model) and back.latent_dim == model.latent_dim
         assert all(np.array_equal(a, b) for a, b in zip(_arrays(back), _arrays(model), strict=True))
+        # it saves as the model it holds does: for every written kind, the file itself
         save_model(back, tmp_path / "resaved")
-        assert (tmp_path / "resaved").read_bytes() == path.read_bytes()
+        save_model(model, tmp_path / "saved")
+        assert (tmp_path / "resaved").read_bytes() == (tmp_path / "saved").read_bytes()
 
 
 def test_save_of_a_loaded_model_is_byte_identical(model_files, tmp_path):
-    for kind, (path, _, _) in model_files.items():
+    # the kinds save_model writes; an identity-autoencoder file saves as a
+    # linear-autoencoder one (test_identity_autoencoder_file_loads_as_the_lossless_linear_codec)
+    for kind in ("mlp-denoiser", "linear-gaussian-denoiser", "linear-autoencoder"):
+        path = model_files[kind][0]
         save_model(load_model(path), tmp_path / kind)
         assert (tmp_path / kind).read_bytes() == path.read_bytes()
 

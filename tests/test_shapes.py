@@ -10,13 +10,13 @@ from invlab import (
     AdamState,
     Condition,
     DimensionError,
-    IdentityAutoencoder,
     LinearAutoencoder,
     LinearGaussianDenoiser,
     RandomConvPerceptual,
     adam_step,
     fit_linear_autoencoder,
     gradient_check,
+    identity_autoencoder,
     make_shapes,
     psnr,
     ssim,
@@ -73,7 +73,7 @@ def images():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_wrong_shape_is_a_dimension_error_naming_the_argument(case, gauss_nd, tiny_mlp, images):
     b = SimpleNamespace(gauss=gauss_nd, mlp=tiny_mlp[0], img=images[0],
-                        identity=IdentityAutoencoder((6, 6, 1)),
+                        identity=identity_autoencoder((6, 6, 1)),
                         linear=fit_linear_autoencoder(images, latent_dim=5),
                         perc=RandomConvPerceptual((6, 6, 1)))
     field, call = CASES[case]
