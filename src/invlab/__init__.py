@@ -16,8 +16,7 @@ from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, gen
                        generate_trajectory)
 from .errors import (ConfigError, DimensionError, DivergenceError, FormatError,
                      InvalidParameterError, InvlabError)
-from .ilb import (IlbConfig, IlbReport, consistency_loss, ilb_loss_and_grad, ilb_optimize,
-                  regularization_loss, skip_roundtrip)
+from .ilb import IlbConfig, IlbReport, ilb_loss_and_grad, ilb_optimize, skip_roundtrip
 from .lbo import (LboConfig, LboStepReport, bias_target, lbo_gradient_iterate,
                   lbo_invert_step, lbo_invert_trajectory, lbo_numerical_iterate,
                   objective_and_grad)

@@ -5,7 +5,9 @@ Images are float64 arrays of shape (height, width, channels) with values in
 [0, 1] happens only at metric/export time so optimization stays smooth.
 `LinearAutoencoder` is the one codec: `encode`, `decode` and the decoder's
 pullback `decoder_vjp`. It is fitted to images by `fit_linear_autoencoder`,
-and `identity_autoencoder` builds the lossless one, W = I.
+and `identity_autoencoder` builds the lossless one, W = I. Both build a
+pixel-by-pixel matrix, so both refuse an image whose matrix would pass
+`MAX_CODEC_BYTES` (4096 pixels) before they allocate.
 """
 
 from __future__ import annotations
@@ -16,6 +18,17 @@ import numpy as np
 
 from .errors import DimensionError, require, require_shape
 from .rng import derive_rng
+
+# bound on the bytes of a codec's pixel-by-pixel matrix (the identity's W, the fit's
+# SVD basis): 2**27 bytes of float64 is n <= 4096 pixels, a 64x64 grayscale image
+MAX_CODEC_BYTES = 2**27
+
+
+def require_codec_size(pixel_count: int, field: str, value) -> None:
+    """Refuses, naming `field`, an image size whose pixel-by-pixel matrix passes the cap."""
+    require(8 * pixel_count**2 <= MAX_CODEC_BYTES, field, value,
+            f"small enough for at most {math.isqrt(MAX_CODEC_BYTES // 8)} pixels, so that the "
+            f"codec's pixel-by-pixel matrix fits in {MAX_CODEC_BYTES} bytes")
 
 
 def _image_shape(image_shape) -> tuple[int, int, int]:
@@ -102,6 +115,7 @@ def identity_autoencoder(image_shape) -> LinearAutoencoder:
     """The lossless codec on image_shape: W = I and mean 0, so encode flattens and
     decode unflattens."""
     n = math.prod(_image_shape(image_shape))
+    require_codec_size(n, "image_shape", image_shape)
     return LinearAutoencoder(np.eye(n), np.zeros(n), image_shape)
 
 
@@ -132,6 +146,7 @@ def fit_linear_autoencoder(
     require(np.all(np.isfinite(data)), "data", "an array with non-finite entries", "finite")
     require(1 <= latent_dim <= pixel_count, "latent_dim", latent_dim, f"in [1, {pixel_count}]")
     require(leak_scale >= 0.0, "leak_scale", leak_scale, ">= 0")
+    require_codec_size(pixel_count, "data", data.shape)
     flat = data.reshape(n, pixel_count)
     mean = flat.mean(axis=0)
     centered = flat - mean

@@ -21,7 +21,8 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .autoencoder import LinearAutoencoder, fit_linear_autoencoder, identity_autoencoder
+from .autoencoder import (LinearAutoencoder, fit_linear_autoencoder, identity_autoencoder,
+                          require_codec_size)
 from .data import load_dataset, make_shapes
 from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig,
                        train_mlp_denoiser)
@@ -151,6 +152,8 @@ class RunConfig:
         ds, width = self.dataset, self.denoiser.train.width
         pixels = ds.height * ds.width
         side = "height" if ds.height >= ds.width else "width"
+        if self.autoencoder.path is None:  # the run builds the codec, and its n×n matrix
+            require_codec_size(pixels, "dataset." + side, getattr(ds, side))
         for key, value, floats in (
                 ("dataset." + side, getattr(ds, side), pixels * pixels),
                 ("dataset.count", ds.count, ds.count * pixels),
@@ -446,10 +449,28 @@ def _upper_bound(backends: BenchmarkBackends) -> dict:
     return {"mean_" + name: float(np.mean(col)) for name, col in zip(IMAGE_SCORES, zip(*scores))}
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, which strict JSON can hold."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
+def json_text(payload, indent=None, default=None) -> str:
+    """payload as strict JSON with sorted keys, a non-finite float written as null: the
+    encoding of every artifact and of the CLI's stdout line."""
+    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=indent, default=default,
+                      allow_nan=False)
+
+
 def write_json(path, payload) -> None:
-    """payload as JSON with sorted keys, indent 2 and a trailing newline: every artifact's form."""
+    """payload as `json_text` with indent 2 and a trailing newline: every artifact's form."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(payload, sort_keys=True, indent=2))
+        f.write(json_text(payload, indent=2))
         f.write("\n")
 
 

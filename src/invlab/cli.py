@@ -3,14 +3,14 @@
 Every subcommand reads one JSON run config (all defaults embedded, unknown
 keys rejected), applies flag overrides, writes its artifacts under --out and
 prints a one-line JSON result to stdout. Failures exit nonzero and print
-``{code, message, context}``.
+``{code, message, context}``. Every JSON it writes is strict: a non-finite
+float is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,8 +19,9 @@ import numpy as np
 
 from .benchmark import (METRIC_FIELDS, BenchmarkBackends, RunConfig, base_methods,
                         build_autoencoder, build_denoiser, config_from_json_dict,
-                        evaluate_instance, invert_latent, load_config, make_fit_images,
-                        parse_method, replay, run_benchmark, start_latent, write_json)
+                        evaluate_instance, invert_latent, json_text, load_config,
+                        make_fit_images, parse_method, replay, run_benchmark, start_latent,
+                        write_json)
 from .data import gen_dataset, save_dataset
 from .errors import ConfigError, InvlabError
 from .ilb import ilb_loss_and_grad, ilb_optimize
@@ -263,12 +264,12 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         result = args.fn(cfg, args, out)
     except InvlabError as e:
-        print(json.dumps(e.to_json_dict(), sort_keys=True, default=str))
+        print(json_text(e.to_json_dict(), default=str))
         return 2
     except OSError as e:
-        print(json.dumps({"code": "io-error", "message": str(e), "context": {}}, sort_keys=True))
+        print(json_text({"code": "io-error", "message": str(e), "context": {}}))
         return 3
-    print(json.dumps(result, sort_keys=True))
+    print(json_text(result))
     return 0
 
 

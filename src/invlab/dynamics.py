@@ -8,8 +8,8 @@ One backward transition on the grid pair (t_prev, t) is
 with F the model's prediction. The inversion step evaluates the model at the
 *target* timestep t; for a constant model the two maps are exact inverses.
 
-Both steps take the transition as its `StepCoefficients` (φ, ψ, t, t_prev);
-only the grid walkers look coefficients up, once per transition.
+Both steps apply their transition's `StepCoefficients.generate` or `.invert` to
+F; only the grid walkers look coefficients up, once per transition.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def generate_step(model: DenoiserInterface, co: StepCoefficients, z_t: np.ndarra
                   c: Condition) -> np.ndarray:
     """One backward transition co.t -> co.t_prev."""
     z_t = np.asarray(z_t, dtype=np.float64)
-    return co.phi * z_t + co.psi * model.eval(z_t, co.t, c)
+    return co.generate(z_t, model.eval(z_t, co.t, c))
 
 
 def ddim_invert_step(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
@@ -74,7 +74,7 @@ def ddim_invert_step(model: DenoiserInterface, co: StepCoefficients, z_prev: np.
     """One inversion transition co.t_prev -> co.t (exact algebraic reversal of
     the deterministic generation step under the adjacent-step approximation)."""
     z_prev = np.asarray(z_prev, dtype=np.float64)
-    return (1.0 / co.phi) * z_prev - (co.psi / co.phi) * model.eval(z_prev, co.t, c)
+    return co.invert(z_prev, model.eval(z_prev, co.t, c))
 
 
 def generate_trajectory(

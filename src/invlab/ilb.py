@@ -4,8 +4,10 @@ The image latent is the handoff point between pixel space and the diffusion
 trajectory, so it gets optimized on two fronts at once: a consistency loss
 (L1 − SSIM + perceptual, weighted) between the source image and D(z_0), and a
 round-trip regularizer mean|z_0 − z0_rt| where z0_rt runs z_0 up to a small
-timestep δt and straight back through the same model. Adam drives
-the sum; the best iterate seen wins, not the last one.
+timestep δt and straight back through the same model, the skip's
+`StepCoefficients.invert` then its `.generate`. Adam drives the sum; the best
+iterate seen wins, not the last one. `ilb_loss_and_grad` gives both losses,
+their total and its gradient at one point.
 """
 
 from __future__ import annotations
@@ -75,24 +77,11 @@ class IlbReport:
         }
 
 
-def consistency_loss(x0: np.ndarray, z0: np.ndarray, ae: LinearAutoencoder,
-                     perc: RandomConvPerceptual, weights: tuple = (1.0, 1.0, 1.0)) -> float:
-    """w_l1·mean|x0 − D(z0)| − w_ssim·SSIM(x0, D(z0)) + w_perc·perc(x0, D(z0))."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    return _con_value_and_grad(x0, z0, ae, perc.reference(x0), weights)[0]
-
-
 def skip_roundtrip(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,
                    dt: int, c: Condition) -> np.ndarray:
     """Jump z0 up to timestep δt and straight back, both legs through F(·, δt)."""
     co = skip_coefficients(sched, dt)
     return generate_step(model, co, ddim_invert_step(model, co, z0, c), c)
-
-
-def regularization_loss(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,
-                        dt: int, c: Condition) -> float:
-    """mean|z0 − skip_roundtrip(z0)|; zero when the round trip is exact."""
-    return _reg_value_and_grad(model, sched, np.asarray(z0, dtype=np.float64), dt, c)[0]
 
 
 def _con_value_and_grad(x0, z, ae, perc_ref, weights):
@@ -116,15 +105,14 @@ def _con_value_and_grad(x0, z, ae, perc_ref, weights):
 def _reg_value_and_grad(model, sched, z, dt, c):
     co = skip_coefficients(sched, dt)
     eps, back = model.linearize(z, dt, c)
-    z_dt = (1.0 / co.phi) * z - (co.psi / co.phi) * eps
+    z_dt = co.invert(z, eps)
     eps_dt, back_dt = model.linearize(z_dt, dt, c)
-    z_rt = co.phi * z_dt + co.psi * eps_dt
-    r = z - z_rt
+    r = z - co.generate(z_dt, eps_dt)
     value = float(np.mean(np.abs(r)))
     s = np.sign(r) / r.size
-    # chain through both predictions of the round trip
-    u = co.phi * s + co.psi * back_dt(s)
-    grad = s - ((1.0 / co.phi) * u - (co.psi / co.phi) * back(u))
+    # chain through both legs: each is linear in (z, eps), so it is its own pullback
+    u = co.generate(s, back_dt(s))
+    grad = s - co.invert(u, back(u))
     return value, grad
 
 

@@ -14,7 +14,8 @@ iteration counts and residuals. They share one loop in `lbo_invert_step`:
 its first iterations are Adam steps (all of them in gradient mode, the
 warm-up in hybrid mode, none in numerical mode) and the rest are sweeps. The
 per-iteration functions take the transition as its `StepCoefficients`;
-`lbo_invert_step` looks the coefficients up once per step.
+`lbo_invert_step` looks the coefficients up once per step. The gradient objective
+applies their `generate` to (z, F(z)) and to the pulled-back cotangents.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: n
     """
     z = z_prev + b
     eps, pullback = model.linearize(z, co.t, c)
-    r = co.phi * z + co.psi * eps - z_prev
+    r = co.generate(z, eps) - z_prev
     s = np.sign(r)
-    grad = (co.phi * s + co.psi * pullback(s)) / r.size
+    grad = co.generate(s, pullback(s)) / r.size
     # add.reduce / size is np.mean's own arithmetic without its dispatch
     return float(np.add.reduce(np.abs(r)) / r.size), grad
 

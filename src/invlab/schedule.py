@@ -9,6 +9,8 @@ transition of the sampler/inverter is governed by
 
 where (t_prev, t) is a grid-adjacent pair of the strided inference grid. Both
 are finite because ᾱ_T is kept a normal float: below that, 1/ᾱ_T overflows.
+The transition φ_t·z_t + ψ_t·F(z_t, t) and its inverse are written once, as
+`StepCoefficients.generate` and `.invert`; no other module reads φ or ψ.
 """
 
 from __future__ import annotations
@@ -72,12 +74,20 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class StepCoefficients:
-    """(φ, ψ) for one grid transition t_prev -> t."""
+    """(φ, ψ) for one grid transition t_prev -> t, and the transition both ways."""
 
     phi: float
     psi: float
     t: int
     t_prev: int
+
+    def generate(self, z, eps):
+        """φ·z + ψ·eps: the step t -> t_prev, given the prediction eps at z."""
+        return self.phi * z + self.psi * eps
+
+    def invert(self, z, eps):
+        """(1/φ)·z − (ψ/φ)·eps: the step t_prev -> t, solving generate for z."""
+        return (1.0 / self.phi) * z - (self.psi / self.phi) * eps
 
 
 @dataclass(frozen=True)

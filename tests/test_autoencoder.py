@@ -53,6 +53,16 @@ def test_identity_shape_errors():
         ae.decode(np.zeros(5))
 
 
+def test_codec_above_the_size_cap_refused_before_it_allocates():
+    # 200x200 pixels would need an 11.9 GiB pixel-by-pixel matrix; 65x64 just over the cap
+    with rejects("image_shape"):
+        identity_autoencoder((200, 200, 1))
+    with rejects("image_shape"):
+        identity_autoencoder((65, 64, 1))
+    with rejects("data"):
+        fit_linear_autoencoder(np.broadcast_to(0.5, (2, 200, 200, 1)), latent_dim=4)
+
+
 def test_linear_round_trip_is_projection():
     # compare decode(encode(x)) against mean + W+ W (x - mean) assembled by hand
     imgs = _subspace_images(n=10, k=5, seed=2)

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -13,16 +14,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import json_leaves, set_json_leaf
 
 from invlab.benchmark import (
     CSV_FIELDS,
     BenchmarkBackends,
     BenchmarkRow,
+    DatasetSection,
     RunConfig,
     _method_means,
     _run_instance,
     config_from_json_dict,
     evaluate_instance,
+    json_text,
     load_config,
     parse_method,
     run_benchmark,
@@ -594,6 +598,65 @@ def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
     assert config_from_json_dict(edge).steps == 1
 
 
+
+
+def key_path(leaf) -> str:
+    """A path of keys and indices in the form a ConfigError names it: `a.b`, `a[0]`."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in leaf).lstrip(".")
+
+
+def key_paths(doc) -> set:
+    """The path of every key and index in a JSON document."""
+    return {key_path(leaf[:n]) for leaf in json_leaves(doc) for n in range(1, len(leaf) + 1)}
+
+
+ODD_VALUES = (None, True, -3, 0, 1, 12, 10**20, -1.5, 1e308, NAN, INF, "x", [], {})
+
+
+@pytest.mark.parametrize("leaf", json_leaves(RunConfig().to_json_dict()),
+                         ids=key_path)
+def test_any_value_at_one_leaf_loads_or_is_a_config_error_naming_a_key(leaf):
+    # values that are refused, or accepted, before anything is allocated: a mid-range
+    # size such as t_train = 10**9 would build its schedule while the config loads
+    for value in ODD_VALUES:
+        doc = RunConfig().to_json_dict()
+        set_json_leaf(doc, leaf, value)
+        try:
+            assert isinstance(config_from_json_dict(doc), RunConfig)
+        except ConfigError as e:
+            assert e.context.get("key") in key_paths(doc), (value, e.context)
+
+
+@pytest.mark.parametrize("kind", ["linear", "identity"])
+@pytest.mark.parametrize("dataset, key", [({"height": 200, "width": 200}, "dataset.height"),
+                                          ({"height": 5, "width": 900}, "dataset.width")])
+def test_image_size_above_the_codec_cap_is_config_error(kind, dataset, key):
+    doc = {"dataset": dataset, "autoencoder": {"kind": kind}}
+    with pytest.raises(ConfigError, match=re.escape(key)) as err:
+        config_from_json_dict(doc)
+    assert err.value.context["key"] == key
+    # a codec read from a file builds no pixel-by-pixel matrix, so the cap is not applied
+    doc["autoencoder"]["path"] = "codec.labmdl"
+    assert config_from_json_dict(doc).dataset == DatasetSection(**dataset)
+
+
+def test_summary_of_an_exact_codec_is_strict_json(tmp_path):
+    # the exact codec's upper-bound PSNR is infinite, which strict JSON cannot hold
+    cfg = config_from_json_dict({"autoencoder": {"kind": "identity"}, "dataset": {"count": 2},
+                                 "steps": 5, "methods": ["ddim"]})
+    run_benchmark(cfg, tmp_path)
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["upper_bound"]["mean_psnr_db"] is None
+    assert math.isfinite(summary["per_method"]["ddim"]["mean_psnr_db"])
+
+
+def test_json_text_writes_non_finite_floats_as_null():
+    payload = {"b": [math.inf, (-math.inf, 1.5)], "a": {"x": math.nan}, "c": np.float64(0.25)}
+    assert json_text(payload) == '{"a": {"x": null}, "b": [null, [null, 1.5]], "c": 0.25}'
 
 
 @pytest.mark.parametrize("field,value", [("lr", NAN), ("lr", 0.0), ("rel_tol", NAN),

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import ConstantDenoiser, rejects
+from conftest import ConstantDenoiser, one_latent_codec, rejects
 
 import invlab.denoiser
 import invlab.ilb
@@ -13,7 +13,6 @@ from invlab import (
     LinearGaussianDenoiser,
     MlpTrainConfig,
     RandomConvPerceptual,
-    consistency_loss,
     ddim_invert_step,
     fit_linear_autoencoder,
     generate_step,
@@ -23,7 +22,6 @@ from invlab import (
     ilb_optimize,
     make_linear_schedule,
     make_shapes,
-    regularization_loss,
     skip_coefficients,
     skip_roundtrip,
     train_mlp_denoiser,
@@ -47,22 +45,38 @@ def perc():
     return RandomConvPerceptual(SHAPE, seed=0)
 
 
-def test_consistency_perfect_reconstruction(x0, ident, perc):
+def consistency(x0, z, ae, perc, weights, c):
+    """l_con of ilb_loss_and_grad at z, under a model the consistency loss never calls."""
+    sched = make_linear_schedule(10, 1e-3, 0.05)
+    cfg = IlbConfig(dt=2, weights=weights)
+    return ilb_loss_and_grad(x0, z, ae, ConstantDenoiser(ae.latent_dim), sched, perc, cfg, c)[0]
+
+
+def regularization(model, sched, z0, dt, c):
+    """l_reg of ilb_loss_and_grad at z0 for a one-latent model: its codec and image only
+    feed the consistency loss."""
+    ae = one_latent_codec()
+    x0 = np.zeros(ae.image_shape)
+    perc = RandomConvPerceptual(ae.image_shape, seed=0)
+    return ilb_loss_and_grad(x0, z0, ae, model, sched, perc, IlbConfig(dt=dt), c)[1]
+
+
+def test_consistency_perfect_reconstruction(x0, ident, perc, uncond):
     z = ident.encode(x0)
     # zero L1, SSIM of identical images is one
-    got = consistency_loss(x0, z, ident, perc, weights=(1.0, 1.0, 0.0))
+    got = consistency(x0, z, ident, perc, (1.0, 1.0, 0.0), uncond)
     assert got == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_consistency_offset_decode(x0, ident, perc):
+def test_consistency_offset_decode(x0, ident, perc, uncond):
     z = ident.encode(x0) + 0.1
-    got = consistency_loss(x0, z, ident, perc, weights=(1.0, 0.0, 0.0))
+    got = consistency(x0, z, ident, perc, (1.0, 0.0, 0.0), uncond)
     assert got == pytest.approx(0.1, abs=1e-12)
 
 
-def test_consistency_perceptual_only_self_is_zero(x0, ident, perc):
+def test_consistency_perceptual_only_self_is_zero(x0, ident, perc, uncond):
     z = ident.encode(x0)
-    assert consistency_loss(x0, z, ident, perc, weights=(0.0, 0.0, 1.0)) == 0.0
+    assert consistency(x0, z, ident, perc, (0.0, 0.0, 1.0), uncond) == 0.0
 
 
 def test_skip_roundtrip_constant_model_exact(toy3, uncond):
@@ -90,20 +104,20 @@ def test_skip_roundtrip_hand_composition(toy3, unit_gauss1, uncond):
     co = skip_coefficients(toy3, 2)
     up = ddim_invert_step(unit_gauss1, co, z0, uncond)
     assert np.array_equal(got, generate_step(unit_gauss1, co, up, uncond))
-    reg = regularization_loss(unit_gauss1, toy3, z0, 2, uncond)
+    reg = regularization(unit_gauss1, toy3, z0, 2, uncond)
     assert reg == pytest.approx(0.019, abs=1e-12)
 
 
 def test_regularization_scales_linearly_for_linear_model(toy3, unit_gauss1, uncond):
     # the round trip of a zero-mean Gaussian predictor is linear in z0
     z0 = np.array([0.7])
-    one = regularization_loss(unit_gauss1, toy3, z0, 2, uncond)
-    two = regularization_loss(unit_gauss1, toy3, 2.0 * z0, 2, uncond)
+    one = regularization(unit_gauss1, toy3, z0, 2, uncond)
+    two = regularization(unit_gauss1, toy3, 2.0 * z0, 2, uncond)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
 def test_regularization_zero_model_is_zero(toy3, stub0, uncond):
-    assert regularization_loss(stub0, toy3, np.array([1.3]), 2, uncond) == pytest.approx(
+    assert regularization(stub0, toy3, np.array([1.3]), 2, uncond) == pytest.approx(
         0.0, abs=1e-14
     )
 

@@ -11,6 +11,8 @@ errors.py compares an array's shape and raises: an exact shape check goes throug
 `field=`, as `require_shape` does. No module under src/invlab raises a built-in
 exception class: every fault it reports is an `InvlabError` with a documented
 code, and the codes the package defines are exactly those in README's table.
+No module under src/invlab but schedule.py reads a step's φ or ψ: the sampler's
+transition is written once, as `StepCoefficients.generate` and `.invert`.
 """
 
 import ast
@@ -28,6 +30,8 @@ BENCH = sorted((ROOT / "invbench").glob("*.py"))
 PACKAGE = sorted((ROOT / "src" / "invlab").glob("*.py"))
 SOURCES = PACKAGE + BENCH
 BEYOND_ERRORS = [p for p in PACKAGE if p.name != "errors.py"]  # errors.py defines the helpers
+# schedule.py defines StepCoefficients and its transition
+BEYOND_SCHEDULE = [p for p in PACKAGE if p.name != "schedule.py"]
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 BROAD = {"Exception", "BaseException"}
@@ -218,3 +222,24 @@ def test_error_codes_are_the_documented_ones():
                if isinstance(key, ast.Constant) and key.value == "code"}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert {cls.code for cls in classes} | literal == documented_codes(readme)
+
+
+def coefficient_reads(source: str) -> list:
+    """Line numbers of reads of a `.phi` or `.psi` attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("phi", "psi")
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_checker_flags_a_coefficient_read():
+    source = ("z = co.phi * z + co.psi * eps\n"
+              "z = co.generate(z, eps)\n"
+              "phi, psi = 1.0, 2.0\n"
+              "scale = coefficients(s, t, 0).psi\n"
+              "self.phi = phi\n")
+    assert coefficient_reads(source) == [1, 1, 4]
+
+
+@pytest.mark.parametrize("path", BEYOND_SCHEDULE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_the_schedule_reads_the_step_coefficients(path):
+    assert coefficient_reads(path.read_text(encoding="utf-8")) == []

@@ -5,8 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import (ScalingDenoiser, affine_map, exact_preimage, exact_step, rejects,
-                      spectral_form)
+from conftest import (ScalingDenoiser, exact_preimage, exact_step, jacobian, newton_preimage,
+                      rejects, spectral_form)
 
 import invlab.denoiser
 import invlab.dynamics
@@ -32,6 +32,7 @@ from invlab import (
     make_uniform_grid,
     objective_and_grad,
 )
+from invlab.benchmark import BenchmarkBackends, config_from_json_dict
 from invlab.optim import BETA1, BETA2, EPSILON
 
 ONE = np.array([1.0])
@@ -448,10 +449,10 @@ def oracle():
     return model, sched, rng.standard_normal((3, 16))
 
 
-def _sweep_radius(model, co):
-    """ρ of the sweep z ↦ z − (generate_step(z) − z_prev), whose Jacobian is
-    M = (1 − φ)I − ψJ_t."""
-    jac = affine_map(model, co.t)[0]
+def _sweep_radius(model, co, z=None):
+    """ρ of the sweep z ↦ z − (generate_step(z) − z_prev) at z (anywhere, for an affine
+    model), whose Jacobian is M = (1 − φ)I − ψJ_t."""
+    jac = jacobian(model, np.zeros(model.latent_dim) if z is None else z, co.t)
     return float(np.abs(np.linalg.eigvals((1.0 - co.phi) * np.eye(len(jac)) - co.psi * jac)).max())
 
 
@@ -531,3 +532,65 @@ def test_plain_sweep_runs_out_of_budget_at_one_step(oracle, uncond):
         assert math.log(cfg.tol / first) / math.log(rho) > cfg.max_iters
         _, rep = lbo_invert_step(model, sched, z0, 0, t, uncond, cfg)
         assert not rep.converged and rep.iters == cfg.max_iters and rep.residual >= cfg.tol
+
+
+def test_newton_preimage_is_the_exact_preimage_on_the_oracle(oracle):
+    model, sched, z0s = oracle
+    for steps in (50, 4, 1):
+        grid = make_uniform_grid(sched, steps)
+        for z0 in z0s:
+            z = z0
+            for t_prev, t in grid.transitions():
+                z = newton_preimage(model, coefficients(sched, t, t_prev), z)
+            np.testing.assert_allclose(z, exact_preimage(model, sched, grid, z0), rtol=0.0,
+                                       atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def default_mlp():
+    """The default config's trained MLP denoiser (d = 64) and three encoded images. On it
+    the plain sweep converges on every step at 10 steps, on few at 4 and on none at 2."""
+    b = BenchmarkBackends(config_from_json_dict({"denoiser": {"kind": "mlp"},
+                                                 "dataset": {"count": 3}}))
+    return b.model, b.sched, [b.ae.encode(x) for x in b.images]
+
+
+@pytest.mark.parametrize("steps", [10, 4, 2])
+def test_newton_preimage_replays_onto_its_start_on_the_mlp(default_mlp, uncond, steps):
+    model, sched, z0s = default_mlp
+    grid = make_uniform_grid(sched, steps)
+    for z0 in z0s:
+        z_prev = z0
+        for t_prev, t in grid.transitions():
+            co = coefficients(sched, t, t_prev)
+            z_t = newton_preimage(model, co, z_prev)
+            assert np.abs(generate_step(model, co, z_t, uncond) - z_prev).max() <= 1e-10
+            z_prev = z_t
+
+
+# steps -> how many steps of the three trajectories converge, for lbo-n and lbo-h (measured)
+@pytest.mark.parametrize("steps,converging", [(10, (30, 24)), (4, (3, 0)), (2, (0, 0))])
+def test_converged_sweeps_land_within_their_bound_of_the_newton_preimage(default_mlp, uncond,
+                                                                          steps, converging):
+    # the oracle's bound, with ρ the spectral radius of the sweep map at the Newton
+    # preimage; J is not symmetric on the MLP, so here the bound is measured, not proved
+    model, sched, z0s = default_mlp
+    grid = make_uniform_grid(sched, steps)
+    checked = Counter()
+    for mode in ("numerical", "hybrid"):
+        cfg = LboConfig(mode=mode)
+        for z0 in z0s:
+            traj, reports = lbo_invert_trajectory(model, sched, grid, z0, uncond, cfg)
+            latents = [z for _, z in traj.entries]
+            for (t_prev, t), rep, z_prev, z_t in zip(grid.transitions(), reports, latents[:-1],
+                                                     latents[1:], strict=True):
+                if not rep.converged:
+                    continue
+                co = coefficients(sched, t, t_prev)
+                exact = newton_preimage(model, co, z_prev)
+                rho = _sweep_radius(model, co, exact)
+                if rho < 1.0:
+                    bound = rho / (1.0 - rho) * math.sqrt(model.latent_dim) * cfg.tol + 1e-13
+                    assert np.linalg.norm(z_t - exact) <= bound
+                    checked[mode] += 1
+    assert (checked["numerical"], checked["hybrid"]) == converging

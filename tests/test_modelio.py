@@ -127,6 +127,15 @@ def test_identity_autoencoder_file_loads_as_the_lossless_linear_codec(tmp_path):
     assert read_model_file(tmp_path / "new")[0]["kind"] == "linear-autoencoder"
 
 
+def test_identity_autoencoder_file_above_the_size_cap_is_format_error(tmp_path):
+    # a 60-byte file that asked for an 11.9 GiB identity matrix
+    path = tmp_path / "big.labmdl"
+    write_identity_file(path, (200, 200, 1))
+    with pytest.raises(FormatError, match=re.escape(str(path))) as err:
+        load_model(path)
+    assert "image_shape" in str(err.value)
+
+
 def test_header_is_sorted_json_with_manifest(tmp_path):
     path = tmp_path / "gauss.labmdl"
     save_model(_gauss_model(), path)
