@@ -14,8 +14,8 @@ from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, Mlp
                        MlpTrainConfig, train_mlp_denoiser)
 from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, generate_step,
                        generate_trajectory)
-from .errors import (ConfigError, DimensionError, DivergenceError, FormatError,
-                     InvalidParameterError, InvlabError)
+from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError,
+                     InvlabError)
 from .ilb import IlbConfig, IlbReport, ilb_loss_and_grad, ilb_optimize, skip_roundtrip
 from .lbo import (LboConfig, LboStepReport, bias_target, lbo_gradient_iterate,
                   lbo_invert_step, lbo_invert_trajectory, lbo_numerical_iterate,

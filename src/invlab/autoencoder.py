@@ -16,11 +16,12 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, require, require_shape
+from .errors import require, require_shape
 from .rng import derive_rng
 
 # bound on the bytes of a codec's pixel-by-pixel matrix (the identity's W, the fit's
-# SVD basis): 2**27 bytes of float64 is n <= 4096 pixels, a 64x64 grayscale image
+# SVD basis): 2**27 bytes of float64 is n <= 4096 pixels, a 64x64 grayscale image.
+# RunConfig holds every array a config's sizes set to the same bound
 MAX_CODEC_BYTES = 2**27
 
 
@@ -70,20 +71,24 @@ class LinearAutoencoder:
         for name, a in (("w", w), ("mean", mean), ("leak", leak)):
             require(a is None or np.all(np.isfinite(a)), name, "an array with non-finite entries",
                     "finite")
-        if w.ndim != 2 or w.shape[1] != pixel_count:
-            raise DimensionError(f"W shape {w.shape} incompatible with {pixel_count} pixels",
-                                 field="w")
+        require(w.ndim == 2 and w.shape[1] == pixel_count, "w", w.shape,
+                f"a matrix with one column per pixel, {pixel_count}")
         require(w.shape[0] <= pixel_count, "w", w.shape,
                 f"at most {pixel_count} rows, one per latent")
         mean = require_shape(mean, (pixel_count,), "mean")
-        require(np.allclose(w @ w.T, np.eye(w.shape[0]), rtol=0.0, atol=1e-10), "w",
+        # W·Wᵀ − I in place, so that the check holds one k×k array beside W
+        gram = w @ w.T
+        gram.flat[::w.shape[0] + 1] -= 1.0
+        require(gram.size == 0 or (-1e-10 <= gram.min() and gram.max() <= 1e-10), "w",
                 "rows that are not orthonormal", "orthonormal rows to 1e-10")
+        del gram  # freed before the leak's check builds its own k×k product
         if leak is not None:
             leak = require_shape(leak, w.shape, "leak")
             # rows must avoid the retained subspace or the round trip stops
-            # being idempotent; rounding in leak @ W^T grows with the leak's size
-            require(np.abs(leak @ w.T).max() <= 1e-10 * max(1.0, np.abs(leak).max()), "leak",
-                    "rows that overlap the rows of w", "rows orthogonal to the rows of w")
+            # being idempotent; rounding in leak @ W^T grows with the leak's size,
+            # max|leak|, taken without an |leak| copy
+            require(np.abs(leak @ w.T).max() <= 1e-10 * max(1.0, leak.max(), -leak.min()),
+                    "leak", "rows that overlap the rows of w", "rows orthogonal to the rows of w")
         self.latent_dim = w.shape[0]
         self.w = w
         self.mean = mean
@@ -137,8 +142,7 @@ def fit_linear_autoencoder(
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 3:  # (n, h, w) grayscale convenience
         data = data[..., None]
-    if data.ndim != 4:
-        raise DimensionError(f"data has shape {data.shape}, expected (n, h, w, c)", field="data")
+    require(data.ndim == 4, "data", data.shape, "(n, h, w, c) or (n, h, w)")
     n = data.shape[0]
     image_shape = data.shape[1:]
     pixel_count = int(np.prod(image_shape))

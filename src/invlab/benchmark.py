@@ -21,8 +21,8 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .autoencoder import (LinearAutoencoder, fit_linear_autoencoder, identity_autoencoder,
-                          require_codec_size)
+from .autoencoder import (MAX_CODEC_BYTES, LinearAutoencoder, fit_linear_autoencoder,
+                          identity_autoencoder, require_codec_size)
 from .data import load_dataset, make_shapes
 from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig,
                        train_mlp_denoiser)
@@ -69,7 +69,6 @@ class TrainSection:
 
 
 _MAX_SCALE = 1e6  # bound on |denoiser.mu_scale| and autoencoder.leak_scale
-_MAX_BYTES = np.iinfo(np.intp).max  # the largest array NumPy can index, in bytes
 
 
 @dataclass(frozen=True)
@@ -145,25 +144,27 @@ class RunConfig:
         require(len(self.methods) > 0, "methods", self.methods, "nonempty")
         require(len(set(self.methods)) == len(self.methods), "methods", self.methods, "distinct")
         require(self.n_workers == 1, "n_workers", self.n_workers, "1 (rows run serially)")
-        # NumPy cannot build an array of more than intp-max bytes, so refuse a size that
-        # would need one before anything is built; the codecs' pixel-by-pixel matrix
-        # (the fit's SVD basis, or the identity's W) and the MLP's flat parameter
-        # vector, with a latent as wide as the image, are the largest
-        ds, width = self.dataset, self.denoiser.train.width
+        # one budget, the codec's cap, for each array a size sets, checked before anything
+        # is built: the images and the betas and, where the run builds them, the codec's
+        # pixel-by-pixel matrix, the fit's left SVD basis (fit_count squared) and the
+        # MLP's flat parameter vector, with a latent as wide as the image
+        ds, ae, den = self.dataset, self.autoencoder, self.denoiser
         pixels = ds.height * ds.width
         side = "height" if ds.height >= ds.width else "width"
-        if self.autoencoder.path is None:  # the run builds the codec, and its n×n matrix
+        if ae.path is None:
             require_codec_size(pixels, "dataset." + side, getattr(ds, side))
-        for key, value, floats in (
-                ("dataset." + side, getattr(ds, side), pixels * pixels),
-                ("dataset.count", ds.count, ds.count * pixels),
-                ("autoencoder.fit_count", self.autoencoder.fit_count,
-                 self.autoencoder.fit_count * pixels),
-                ("t_train", self.t_train, self.t_train),
-                ("denoiser.train.width", width,
-                 width * (2 * pixels + self.t_train + width + 3) + pixels)):
-            require(8 * floats <= _MAX_BYTES, key, value,
-                    f"small enough for its arrays to fit in {_MAX_BYTES} bytes")
+        sizes = [("dataset.count", ds.count, ds.count * pixels),
+                 ("autoencoder.fit_count", ae.fit_count, ae.fit_count * pixels),
+                 ("t_train", self.t_train, self.t_train)]
+        if ae.path is None and ae.kind == "linear":
+            sizes.append(("autoencoder.fit_count", ae.fit_count, ae.fit_count**2))
+        if den.path is None and den.kind == "mlp":
+            width = den.train.width
+            sizes.append(("denoiser.train.width", width,
+                          width * (2 * pixels + self.t_train + width + 3) + pixels))
+        for key, value, floats in sizes:
+            require(8 * floats <= MAX_CODEC_BYTES, key, value,
+                    f"small enough for each of its arrays to fit in {MAX_CODEC_BYTES} bytes")
         # the range checks of the schedule and grid the run builds
         make_uniform_grid(make_linear_schedule(self.t_train, self.beta_start, self.beta_end),
                           self.steps)

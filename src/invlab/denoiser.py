@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, require, require_shape
+from .errors import DivergenceError, require, require_shape
 from .optim import AdamState, adam_step
 from .rng import derive_rng
 from .schedule import NoiseSchedule
@@ -81,8 +81,7 @@ class LinearGaussianDenoiser(DenoiserInterface):
         # copies: freezing them below leaves the caller's arrays writeable
         mu = np.array(mu, dtype=np.float64)
         sigma = np.array(sigma, dtype=np.float64)
-        if mu.ndim != 1:
-            raise DimensionError(f"mu has shape {mu.shape}, expected a vector", field="mu")
+        require(mu.ndim == 1, "mu", mu.shape, "a vector")
         d = mu.shape[0]
         sigma = require_shape(sigma, (d, d), "sigma")
         require(np.all(np.isfinite(mu)), "mu", "an array with non-finite entries", "finite")

@@ -2,21 +2,20 @@
 
 Each exception carries a short machine-readable ``code`` and an optional
 ``context`` dict; the CLI serializes failures as ``{code, message, context}``.
-There are six classes, one per kind of fault:
+There are five classes, one per kind of fault:
 
 - `InvlabError` (``error``): the base class, never raised by itself;
-- `InvalidParameterError` (``invalid-parameter``): an argument's value is refused;
-- `DimensionError` (``dimension-error``): an array argument has the wrong shape;
+- `InvalidParameterError` (``invalid-parameter``): an argument is refused, by
+  its value or by its shape;
 - `DivergenceError` (``divergence``): a computation became non-finite;
 - `ConfigError` (``config-error``): a config key or CLI flag is refused;
 - `FormatError` (``format-error``): a dataset or model file is malformed.
 
-A bad value goes through `require` and ends as ``invalid-parameter``; an array
-of the wrong shape goes through `require_shape` and ends as
-``dimension-error``. Both name the argument in ``context["field"]``, and so
-does every rejected argument in the package: no other module builds an
-InvalidParameterError, and a shape fault `require_shape` cannot express is a
-DimensionError given ``field=``.
+A bad value goes through `require`, and an array of the wrong shape through
+`require_shape`; both end as ``invalid-parameter`` and name the argument in
+``context["field"]``, and so does every rejected argument in the package: no
+other module builds an InvalidParameterError, and a shape fault
+`require_shape` cannot express is a `require` call.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ class InvalidParameterError(InvlabError):
     code = "invalid-parameter"
 
 
-class DimensionError(InvlabError):
-    code = "dimension-error"
-
-
 class DivergenceError(InvlabError):
     code = "divergence"
 
@@ -64,8 +59,9 @@ def require(ok: bool, field: str, value, need: str) -> None:
 
 
 def require_shape(x, shape: tuple, name: str) -> np.ndarray:
-    """x as a float64 array; DimensionError naming `name` unless its shape is `shape`."""
+    """x as a float64 array; InvalidParameterError naming `name` unless its shape is `shape`."""
     x = np.asarray(x, dtype=np.float64)
+    # an inline test, not a `require` call: this runs on every denoiser eval and pullback
     if x.shape != shape:
-        raise DimensionError(f"{name} has shape {x.shape}, expected {shape}", field=name)
+        raise InvalidParameterError(f"{name} has shape {x.shape}, expected {shape}", field=name)
     return x

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import DimensionError, require_shape
+from .errors import require, require_shape
 from .rng import derive_rng
 
 _NORM_EPS = 1e-10
@@ -92,14 +92,10 @@ class RandomConvPerceptual:
     distance(x, x) = 0 and symmetric."""
 
     def __init__(self, image_shape: tuple, seed: int = 0):
-        if len(image_shape) != 3:
-            raise DimensionError(f"image_shape must be (h, w, c), got {image_shape}",
-                                 field="image_shape")
+        require(len(image_shape) == 3, "image_shape", image_shape, "(h, w, c)")
         h, w, c = image_shape
         # two valid 3×3 layers eat 4 pixels per axis
-        if h < 5 or w < 5:
-            raise DimensionError(f"images must be at least 5x5, got {h}x{w}",
-                                 field="image_shape")
+        require(h >= 5 and w >= 5, "image_shape", image_shape, "at least 5x5")
         self.image_shape = (int(h), int(w), int(c))
         self.seed = int(seed)
         rng = derive_rng(self.seed, "perceptual-init")

@@ -98,8 +98,9 @@ class TimestepGrid:
 
     def __post_init__(self):
         steps = (0, *self.steps)  # increasing from 0: every step >= 1
-        require(len(steps) > 1 and all(a < b for a, b in zip(steps, steps[1:])), "steps",
-                self.steps, "non-empty, strictly increasing and >= 1")
+        require(len(steps) > 1 and all(map(_is_int, self.steps))
+                and all(a < b for a, b in zip(steps, steps[1:])), "steps", self.steps,
+                "non-empty integers, strictly increasing and >= 1")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -116,7 +117,7 @@ class TimestepGrid:
 
 def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Schedule with β linearly interpolated from beta_start to beta_end."""
-    require(t_train >= 1, "t_train", t_train, ">= 1")
+    require(_is_int(t_train) and t_train >= 1, "t_train", t_train, "an integer >= 1")
     require(0.0 < beta_start < 1.0, "beta_start", beta_start, "in (0, 1)")
     require(beta_start <= beta_end < 1.0, "beta_end", beta_end, f"in [{beta_start!r}, 1)")
     betas = np.linspace(beta_start, beta_end, t_train, dtype=np.float64)
@@ -148,6 +149,7 @@ def skip_coefficients(sched: NoiseSchedule, dt: int) -> StepCoefficients:
 
 def make_uniform_grid(sched: NoiseSchedule, s: int) -> TimestepGrid:
     """s evenly strided steps ending at t_train."""
-    require(1 <= s <= sched.t_train, "steps", s, f"in [1, t_train = {sched.t_train}]")
+    require(_is_int(s) and 1 <= s <= sched.t_train, "steps", s,
+            f"an integer in [1, t_train = {sched.t_train}]")
     steps = tuple(sched.t_train * (k + 1) // s for k in range(s))
     return TimestepGrid(steps=steps)

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invlab import (
-    DimensionError,
     LinearAutoencoder,
     fit_linear_autoencoder,
     gradient_check,
@@ -47,9 +46,9 @@ def test_identity_vjp_is_flatten():
 
 def test_identity_shape_errors():
     ae = identity_autoencoder((2, 2, 1))
-    with pytest.raises(DimensionError):
+    with rejects("x"):
         ae.encode(np.zeros((3, 3, 1)))
-    with pytest.raises(DimensionError):
+    with rejects("z"):
         ae.decode(np.zeros(5))
 
 
@@ -166,6 +165,24 @@ def test_constructor_rejects_non_orthonormal_rows():
     w = np.array([[1.0, 1.0, 0.0, 0.0]])  # norm sqrt(2)
     with rejects("w"):
         LinearAutoencoder(w, np.zeros(4), (2, 2, 1))
+
+
+@pytest.mark.parametrize("index, gain", [((0, 0), 2.0), ((0, 1), 1.0), ((1, 0), 1.0)])
+def test_orthonormality_tolerance_is_1e_10_on_each_entry_of_w_wt(index, gain):
+    # a small offset δ at w[index] moves one entry of W·Wᵀ − I by gain·δ: a row's
+    # squared norm on the diagonal, the overlap of the two rows off it
+    w = np.eye(2, 4)
+    w[index] += 0.5e-10 / gain
+    LinearAutoencoder(w, np.zeros(4), (2, 2, 1))
+    w[index] += 1e-10 / gain
+    with rejects("w"):
+        LinearAutoencoder(w, np.zeros(4), (2, 2, 1))
+
+
+def test_constructor_accepts_a_codec_with_no_latents():
+    ae = LinearAutoencoder(np.zeros((0, 4)), np.zeros(4), (2, 2, 1))
+    assert ae.latent_dim == 0
+    assert ae.encode(np.ones((2, 2, 1))).shape == (0,)
 
 
 def test_constructor_rejects_more_latents_than_pixels():

@@ -379,16 +379,20 @@ RUN_SCRIPT = ("import json, sys, invlab\n"
               "invlab.run_benchmark(cfg, sys.argv[2])")
 
 
+def child_env(threads: str) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's invlab."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_bytes_identical_across_blas_thread_counts(tmp_path):
     # each run in a fresh interpreter: OpenBLAS reads its thread count once, at load
-    src = str(Path(__file__).resolve().parents[1] / "src")
     runs = {}
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         runs[threads] = subprocess.Popen(
             [sys.executable, "-c", RUN_SCRIPT, json.dumps(THREADED_DOC), str(tmp_path / threads)],
-            env=env)
+            env=child_env(threads))
     assert [run.wait(timeout=120) for run in runs.values()] == [0, 0]
     for name in ("benchmark.csv", "summary.json"):
         digests = {hashlib.sha256((tmp_path / threads / name).read_bytes()).hexdigest()
@@ -577,14 +581,15 @@ NAN, INF = float("nan"), float("inf")
                                       "autoencoder.leak_scale"),
                                      ({"methods": []}, "methods"),
                                      ({"methods": ["ddim", "ddim"]}, "methods"),
-                                     # sizes whose arrays NumPy refuses to build
+                                     # sizes whose arrays pass the memory budget
                                      ({"t_train": 10**20}, "t_train"),
                                      ({"dataset": {"count": 10**20}}, "dataset.count"),
                                      ({"autoencoder": {"fit_count": 10**20}},
                                       "autoencoder.fit_count"),
                                      ({"dataset": {"height": 10**10, "width": 10**10}},
                                       "dataset.height"),
-                                     ({"denoiser": {"train": {"width": 10**20}}},
+                                     ({"denoiser": {"kind": "mlp",
+                                                   "train": {"width": 10**20}}},
                                       "denoiser.train.width")])
 def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)) as err:
@@ -616,8 +621,8 @@ ODD_VALUES = (None, True, -3, 0, 1, 12, 10**20, -1.5, 1e308, NAN, INF, "x", [], 
 @pytest.mark.parametrize("leaf", json_leaves(RunConfig().to_json_dict()),
                          ids=key_path)
 def test_any_value_at_one_leaf_loads_or_is_a_config_error_naming_a_key(leaf):
-    # values that are refused, or accepted, before anything is allocated: a mid-range
-    # size such as t_train = 10**9 would build its schedule while the config loads
+    # values that are refused, or accepted, before anything large is allocated; the
+    # mid-range sizes run in a capped child, in test_size_past_the_memory_budget_...
     for value in ODD_VALUES:
         doc = RunConfig().to_json_dict()
         set_json_leaf(doc, leaf, value)
@@ -625,6 +630,55 @@ def test_any_value_at_one_leaf_loads_or_is_a_config_error_naming_a_key(leaf):
             assert isinstance(config_from_json_dict(doc), RunConfig)
         except ConfigError as e:
             assert e.context.get("key") in key_paths(doc), (value, e.context)
+
+
+# sizes that NumPy can index but whose arrays would fill gigabytes or more
+OVERSIZED = [({"t_train": 10**9}, "t_train"),
+             ({"dataset": {"count": 10**12}}, "dataset.count"),
+             ({"autoencoder": {"fit_count": 10**11}}, "autoencoder.fit_count")]
+# caps its own address space at 2 GiB before it imports NumPy, then runs the CLI on each
+# config: a size that is allocated after all fails fast instead of filling the memory
+CAPPED_CLI_SCRIPT = ("import resource, sys\n"
+                     "resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30,) * 2)\n"
+                     "from invlab.cli import main\n"
+                     "for path in sys.argv[2:]:\n"
+                     "    print(main(['roundtrip', '--config', path, '--out', sys.argv[1]]))\n")
+
+
+def test_size_past_the_memory_budget_exits_2_before_allocating(tmp_path):
+    paths = []
+    for i, (doc, _) in enumerate(OVERSIZED):
+        paths.append(tmp_path / f"run{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    run = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI_SCRIPT, str(tmp_path / "out"), *map(str, paths)],
+        env=child_env("1"), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[1::2] == ["2"] * len(OVERSIZED), run.stdout
+    for (_, key), line in zip(OVERSIZED, lines[::2]):
+        doc = json.loads(line)
+        assert doc["code"] == "config-error" and doc["context"]["key"] == key, doc
+
+
+@pytest.mark.parametrize("built, not_built, key", [
+    # the MLP's parameters count only when the run trains an MLP
+    ({"denoiser": {"kind": "mlp"}}, {"denoiser": {"kind": "analytic"}}, "denoiser.train.width"),
+    ({"denoiser": {"kind": "mlp"}}, {"denoiser": {"kind": "mlp", "path": "den.labmdl"}},
+     "denoiser.train.width"),
+    # the fit's left SVD basis, fit_count squared, only when the run fits the codec
+    ({"autoencoder": {"fit_count": 5000}},
+     {"autoencoder": {"fit_count": 5000, "kind": "identity"}}, "autoencoder.fit_count"),
+    ({"autoencoder": {"fit_count": 5000}},
+     {"autoencoder": {"fit_count": 5000, "path": "ae.labmdl"}}, "autoencoder.fit_count"),
+])
+def test_memory_budget_counts_only_what_the_run_builds(built, not_built, key):
+    # a long schedule: 10**6 tiny betas, whose MLP time embedding would pass the budget
+    long = {"t_train": 10**6, "steps": 10, "beta_start": 1e-9, "beta_end": 1e-9}
+    with pytest.raises(ConfigError) as err:
+        config_from_json_dict({**long, **built})
+    assert err.value.context["key"] == key
+    assert isinstance(config_from_json_dict({**long, **not_built}), RunConfig)
 
 
 @pytest.mark.parametrize("kind", ["linear", "identity"])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import invlab.denoiser
 from invlab import (
     Condition,
-    DimensionError,
     DivergenceError,
     LinearAutoencoder,
     LinearGaussianDenoiser,
@@ -31,7 +30,7 @@ def test_constant_denoiser(uncond):
     z = np.array([1.0, -2.0, 0.0])
     np.testing.assert_array_equal(m.eval(z, 5, uncond), np.full(3, 0.7))
     np.testing.assert_array_equal(m.vjp(z, 5, uncond, np.ones(3)), np.zeros(3))
-    with pytest.raises(DimensionError):
+    with rejects("z"):
         m.eval(np.zeros(2), 5, uncond)
 
 
@@ -99,7 +98,7 @@ def test_gaussian_rejects_bad_covariance(toy3):
         LinearGaussianDenoiser(np.array([0.0, np.inf]), np.eye(2), toy3)
     with rejects("sigma"):
         LinearGaussianDenoiser(np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), toy3)
-    with pytest.raises(DimensionError):
+    with rejects("sigma"):
         LinearGaussianDenoiser(np.zeros(3), np.eye(2), toy3)
 
 
@@ -212,9 +211,8 @@ def test_mlp_reads_its_sizes_from_its_arrays(name, shape):
     p = invlab.denoiser._init_params(np.random.default_rng(25), 3, 5, 20)
     model = MlpDenoiser(p, sched)
     assert (model.latent_dim, model.width) == (3, 5)
-    with pytest.raises(DimensionError, match=name) as err:
+    with rejects(name):
         MlpDenoiser({**p, name: np.zeros(shape)}, sched)
-    assert err.value.context["field"] == name
 
 
 def test_mlp_rejects_empty_and_misshapen_data():
@@ -304,7 +302,7 @@ def test_linearize_is_eval_and_vjp_bit_for_bit(gauss_nd, tiny_mlp):
         for _ in range(3):
             v = rng.standard_normal(z.shape)
             assert np.array_equal(pullback(v), model.vjp(z, 7, c, v))
-        with pytest.raises(DimensionError):
+        with rejects("v"):
             pullback(np.zeros(z.size + 1))
 
 

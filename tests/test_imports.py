@@ -7,10 +7,11 @@ BaseException would turn a programming bug into a quiet result. No
 builds an `InvalidParameterError`: a value's check goes through `errors.require`,
 so every bad value is reported in one form that names it. Likewise no module but
 errors.py compares an array's shape and raises: an exact shape check goes through
-`errors.require_shape`, and any other `DimensionError` names its argument with
-`field=`, as `require_shape` does. No module under src/invlab raises a built-in
-exception class: every fault it reports is an `InvlabError` with a documented
-code, and the codes the package defines are exactly those in README's table.
+`errors.require_shape`, and any other shape check is an `errors.require` call, so
+a wrong shape and a bad value are one `invalid-parameter` that names the
+argument. No module under src/invlab raises a built-in exception class: every
+fault it reports is an `InvlabError` with a documented code, and the codes the
+package defines are exactly those in README's table.
 No module under src/invlab but schedule.py reads a step's φ or ψ: the sampler's
 transition is written once, as `StepCoefficients.generate` and `.invert`.
 """
@@ -136,25 +137,6 @@ def _calls(source: str, name: str) -> list:
     return [node for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call)
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-
-
-def fieldless_dimension_errors(source: str) -> list:
-    """Line numbers of `DimensionError(...)` calls that pass no `field=`."""
-    return [node.lineno for node in _calls(source, "DimensionError")
-            if not any(k.arg == "field" for k in node.keywords)]
-
-
-def test_checker_flags_a_dimension_error_without_its_field():
-    source = ('raise DimensionError(f"x has shape {s}")\n'
-              'raise DimensionError("x is short", field="x")\n'
-              'err = errors.DimensionError("x is short", key="x")\n'
-              'raise InvalidParameterError("x is short")\n')
-    assert fieldless_dimension_errors(source) == [1, 3]
-
-
-@pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_dimension_errors_name_their_field(path):
-    assert fieldless_dimension_errors(path.read_text(encoding="utf-8")) == []
 
 
 def hand_invalid_parameter_errors(source: str) -> list:

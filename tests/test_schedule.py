@@ -14,6 +14,7 @@ from invlab import (
     TimestepGrid,
     coefficients,
     make_linear_schedule,
+    make_shapes,
     make_uniform_grid,
     skip_coefficients,
 )
@@ -172,6 +173,9 @@ def test_uniform_grid_values():
     s3 = make_linear_schedule(3, 0.1, 0.1)
     assert make_uniform_grid(s3, 3).steps == (1, 2, 3)
     assert make_uniform_grid(s3, 1).steps == (3,)
+    # NumPy integers are integers
+    assert make_uniform_grid(s3, np.int64(3)).steps == (1, 2, 3)
+    assert make_linear_schedule(np.int64(3), 0.1, 0.1).t_train == 3
 
 
 def test_uniform_grid_rejects_oversized():
@@ -186,6 +190,26 @@ def test_grid_rejects_empty_unordered_or_zero_steps():
     for steps in [(), (3, 2), (2, 2), (0, 3), (-1, 3)]:
         with rejects("steps"):
             TimestepGrid(steps)
+
+
+# id -> (the argument named, a call on the schedule s with a non-integer size or timestep)
+NON_INTEGERS = {
+    "schedule-t_train-float": ("t_train", lambda s: make_linear_schedule(2.5, 1e-4, 0.05)),
+    "uniform-grid-float": ("steps", lambda s: make_uniform_grid(s, 2.0)),
+    "schedule-t_train-bool": ("t_train", lambda s: make_linear_schedule(True, 0.1, 0.1)),
+    "uniform-grid-bool": ("steps", lambda s: make_uniform_grid(s, True)),
+    "grid-float-step": ("steps", lambda s: TimestepGrid((1.5, 3))),
+    "shapes-n-float": ("n", lambda s: make_shapes(2.0, 0)),
+    "shapes-height-float": ("height", lambda s: make_shapes(2, 0, 6.0, 6)),
+    "shapes-width-float": ("width", lambda s: make_shapes(2, 0, 6, 6.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+def test_a_size_or_timestep_that_is_not_an_integer_is_refused(case, toy3):
+    field, call = NON_INTEGERS[case]
+    with rejects(field):
+        call(toy3)
 
 
 def test_grid_transitions_start_at_zero(toy3):

@@ -1,15 +1,16 @@
-"""Every public entry point that takes an array: a wrong shape ends as a
-`dimension-error` whose context names the argument."""
+"""Every public entry point that takes an array: a wrong shape ends as an
+`invalid-parameter` error whose context names the argument, the same code and
+field as a bad value of that argument."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import rejects
 
 from invlab import (
     AdamState,
     Condition,
-    DimensionError,
     LinearAutoencoder,
     LinearGaussianDenoiser,
     RandomConvPerceptual,
@@ -56,12 +57,6 @@ CASES = {
     "ssim_with_grad": ("y", lambda b: ssim_with_grad(b.img, WRONG)),
     "adam_step": ("grad", lambda b: adam_step(AdamState(lr=1e-3), np.zeros(4), WRONG)),
     "gradient_check": ("grad_f", lambda b: gradient_check(lambda x: 0.0, WRONG, np.zeros(4))),
-    # constructors; test_mlp_reads_its_sizes_from_its_arrays covers MlpDenoiser's
-    "linear-w": ("w", lambda b: LinearAutoencoder(np.eye(3, 4), np.zeros(5), (5, 1, 1))),
-    "fit-data": ("data", lambda b: fit_linear_autoencoder(WRONG, latent_dim=1)),
-    "analytic-mu": ("mu", lambda b: LinearGaussianDenoiser(WRONG[None], np.eye(3), b.gauss.sched)),
-    "perceptual-image_shape-rank": ("image_shape", lambda b: RandomConvPerceptual((6, 6))),
-    "perceptual-image_shape-size": ("image_shape", lambda b: RandomConvPerceptual((4, 6, 1))),
 }
 
 
@@ -71,13 +66,39 @@ def images():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_wrong_shape_is_a_dimension_error_naming_the_argument(case, gauss_nd, tiny_mlp, images):
+def test_wrong_shape_is_an_invalid_parameter_naming_the_argument(case, gauss_nd, tiny_mlp, images):
     b = SimpleNamespace(gauss=gauss_nd, mlp=tiny_mlp[0], img=images[0],
                         identity=identity_autoencoder((6, 6, 1)),
                         linear=fit_linear_autoencoder(images, latent_dim=5),
                         perc=RandomConvPerceptual((6, 6, 1)))
     field, call = CASES[case]
-    with pytest.raises(DimensionError) as err:
+    with rejects(field) as err:
         call(b)
-    assert err.value.to_json_dict()["code"] == "dimension-error"
-    assert err.value.context["field"] == field
+    assert err.value.to_json_dict()["code"] == "invalid-parameter"
+
+
+# The constructors' shape checks that `require_shape` cannot express (a rank, a size
+# floor), each beside a refused value of the same argument: one code, one field.
+# test_mlp_reads_its_sizes_from_its_arrays covers MlpDenoiser's.
+# id -> (the argument, the shape fault, a value fault), each a call on the schedule s
+SHAPE_AND_VALUE = {
+    "analytic-mu": ("mu", lambda s: LinearGaussianDenoiser(np.zeros((1, 3)), np.eye(3), s),
+                    lambda s: LinearGaussianDenoiser(np.full(3, np.nan), np.eye(3), s)),
+    "linear-w": ("w", lambda s: LinearAutoencoder(np.eye(3, 4), np.zeros(5), (5, 1, 1)),
+                 lambda s: LinearAutoencoder(2 * np.eye(3, 5), np.zeros(5), (5, 1, 1))),
+    "fit-data": ("data", lambda s: fit_linear_autoencoder(WRONG, latent_dim=1),
+                 lambda s: fit_linear_autoencoder(np.zeros((1, 5, 5)), latent_dim=1)),
+    "perceptual-image_shape-rank": ("image_shape", lambda s: RandomConvPerceptual((6, 6)),
+                                    lambda s: identity_autoencoder((6, 6))),
+    "perceptual-image_shape-size": ("image_shape", lambda s: RandomConvPerceptual((4, 6, 1)),
+                                    lambda s: identity_autoencoder((4, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_AND_VALUE))
+def test_shape_and_value_faults_of_one_argument_share_its_code(case, toy3):
+    field, shape_fault, value_fault = SHAPE_AND_VALUE[case]
+    for call in (shape_fault, value_fault):
+        with rejects(field) as err:
+            call(toy3)
+        assert str(err.value).startswith(f"{field} must be ")  # a `require` call
