@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import require, require_shape
+from .errors import is_int, require, require_shape
 from .rng import derive_rng
 
 # bound on the bytes of a codec's pixel-by-pixel matrix (the identity's W, the fit's
@@ -32,12 +32,12 @@ def require_codec_size(pixel_count: int, field: str, value) -> None:
             f"codec's pixel-by-pixel matrix fits in {MAX_CODEC_BYTES} bytes")
 
 
-def _image_shape(image_shape) -> tuple[int, int, int]:
-    """image_shape as a tuple, checked to be three ints >= 1 (not floats, not bools)."""
+def checked_image_shape(image_shape) -> tuple[int, int, int]:
+    """image_shape as three Python ints, checked to be three integers >= 1."""
     shape = tuple(image_shape)
-    require(len(shape) == 3 and all(type(n) is int and n >= 1 for n in shape),
-            "image_shape", image_shape, "three ints >= 1")
-    return shape
+    require(len(shape) == 3 and all(is_int(n) and n >= 1 for n in shape),
+            "image_shape", image_shape, "three integers >= 1")
+    return tuple(map(int, shape))
 
 
 class LinearAutoencoder:
@@ -62,7 +62,7 @@ class LinearAutoencoder:
         image_shape: tuple[int, int, int],
         leak: np.ndarray | None = None,
     ):
-        self.image_shape = _image_shape(image_shape)
+        self.image_shape = checked_image_shape(image_shape)
         pixel_count = math.prod(self.image_shape)
         # copies: freezing them below leaves the caller's arrays writeable
         w = np.array(w, dtype=np.float64)
@@ -119,7 +119,7 @@ class LinearAutoencoder:
 def identity_autoencoder(image_shape) -> LinearAutoencoder:
     """The lossless codec on image_shape: W = I and mean 0, so encode flattens and
     decode unflattens."""
-    n = math.prod(_image_shape(image_shape))
+    n = math.prod(checked_image_shape(image_shape))
     require_codec_size(n, "image_shape", image_shape)
     return LinearAutoencoder(np.eye(n), np.zeros(n), image_shape)
 

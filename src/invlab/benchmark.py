@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -145,9 +146,10 @@ class RunConfig:
         require(len(set(self.methods)) == len(self.methods), "methods", self.methods, "distinct")
         require(self.n_workers == 1, "n_workers", self.n_workers, "1 (rows run serially)")
         # one budget, the codec's cap, for each array a size sets, checked before anything
-        # is built: the images and the betas and, where the run builds them, the codec's
-        # pixel-by-pixel matrix, the fit's left SVD basis (fit_count squared) and the
-        # MLP's flat parameter vector, with a latent as wide as the image
+        # is built: the images, the betas, one trajectory's steps + 1 latents and, where
+        # the run builds them, the codec's pixel-by-pixel matrix, the fit's left SVD basis
+        # (fit_count squared) and the MLP's flat parameter vector, with a latent as wide as
+        # the image
         ds, ae, den = self.dataset, self.autoencoder, self.denoiser
         pixels = ds.height * ds.width
         side = "height" if ds.height >= ds.width else "width"
@@ -155,7 +157,8 @@ class RunConfig:
             require_codec_size(pixels, "dataset." + side, getattr(ds, side))
         sizes = [("dataset.count", ds.count, ds.count * pixels),
                  ("autoencoder.fit_count", ae.fit_count, ae.fit_count * pixels),
-                 ("t_train", self.t_train, self.t_train)]
+                 ("t_train", self.t_train, self.t_train),
+                 ("steps", self.steps, (self.steps + 1) * pixels)]
         if ae.path is None and ae.kind == "linear":
             sizes.append(("autoencoder.fit_count", ae.fit_count, ae.fit_count**2))
         if den.path is None and den.kind == "mlp":
@@ -172,7 +175,8 @@ class RunConfig:
                 f"in [1, t_train = {self.t_train}]")
 
     def to_json_dict(self) -> dict:
-        return json.loads(json.dumps(asdict(self)))  # tuples become lists
+        # tuples become lists, and a NumPy integer (and nothing else) a Python int
+        return json.loads(json.dumps(asdict(self), default=operator.index))
 
 
 def _parse_section(cls, doc, prefix: str):

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import FormatError, require
+from .errors import FormatError, is_int, require
 from .rng import derive_rng
 
 
@@ -67,10 +67,10 @@ def make_shapes(n: int, seed: int, height: int = 16, width: int = 16,
     Image i depends only on (seed, tag, i), so disjoint tags give disjoint
     deterministic streams (e.g. benchmark instances vs backend-fitting data).
     """
-    require(type(n) is int and n >= 1, "n", n, "an int >= 1")
+    require(is_int(n) and n >= 1, "n", n, "an integer >= 1")
     # the disc radius is drawn from [2, min(h, w)/2.5]
-    require(type(height) is int and height >= 5, "height", height, "an int >= 5")
-    require(type(width) is int and width >= 5, "width", width, "an int >= 5")
+    require(is_int(height) and height >= 5, "height", height, "an integer >= 5")
+    require(is_int(width) and width >= 5, "width", width, "an integer >= 5")
     out = np.empty((n, height, width, 1))
     for i in range(n):
         rng = derive_rng(seed, tag, i)

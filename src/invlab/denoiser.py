@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, require, require_shape
+from .errors import DivergenceError, is_int, require, require_shape
 from .optim import AdamState, adam_step
 from .rng import derive_rng
 from .schedule import NoiseSchedule
@@ -143,13 +143,14 @@ class MlpTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # type(...) is int: bool passes isinstance(..., int)
-        require(type(self.width) is int and self.width >= 1, "width", self.width, "an int >= 1")
-        require(type(self.max_epochs) is int and self.max_epochs >= 0, "max_epochs",
-                self.max_epochs, "an int >= 0")
-        require(type(self.batch_size) is int and self.batch_size >= 1, "batch_size",
-                self.batch_size, "an int >= 1")
+        require(is_int(self.width) and self.width >= 1, "width", self.width, "an integer >= 1")
+        require(is_int(self.max_epochs) and self.max_epochs >= 0, "max_epochs",
+                self.max_epochs, "an integer >= 0")
+        require(is_int(self.batch_size) and self.batch_size >= 1, "batch_size",
+                self.batch_size, "an integer >= 1")
         require(self.lr > 0, "lr", self.lr, "> 0")  # NaN fails too
+        # checked here, not after the last epoch in MlpDenoiser; a run's seed may be negative
+        require(is_int(self.seed), "seed", self.seed, "an integer")
 
 
 _N_EVAL = 256  # probe rows behind MlpDenoiser.final_loss
@@ -186,16 +187,15 @@ class MlpDenoiser(DenoiserInterface):
             require_shape(arr, shapes[k], k)
             require(np.all(np.isfinite(arr)), k, "an array with non-finite entries", "finite")
             arr.setflags(write=False)
-        # type(...) is int: bool passes isinstance(..., int); a run's seed may be negative
-        require(type(seed) is int, "seed", seed, "an int")
-        require(type(trained_epochs) is int and trained_epochs >= 0, "trained_epochs",
-                trained_epochs, "an int >= 0")
+        require(is_int(seed), "seed", seed, "an integer")  # a run's seed may be negative
+        require(is_int(trained_epochs) and trained_epochs >= 0, "trained_epochs",
+                trained_epochs, "an integer >= 0")
         require(final_loss is None or (type(final_loss) in (int, float)
                                        and math.isfinite(final_loss) and final_loss >= 0),
                 "final_loss", final_loss, "None or a finite number >= 0")
-        self.seed = seed
+        self.seed = int(seed)
         self.final_loss = final_loss
-        self.trained_epochs = trained_epochs
+        self.trained_epochs = int(trained_epochs)
 
     def eval(self, z, t, c):
         return self._forward(z, t, c)[2]

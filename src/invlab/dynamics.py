@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import Condition, DenoiserInterface
-from .errors import require
+from .errors import is_int, require
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
 GENERATION = "generation"
@@ -43,7 +43,7 @@ class Trajectory:
 
     def latent_at(self, t: int) -> np.ndarray:
         steps = self.timesteps()
-        require(t in steps, "t", t, "a timestep on the trajectory")
+        require(is_int(t) and t in steps, "t", t, "a timestep on the trajectory")
         return self.entries[steps.index(t)][1]
 
     @property

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every module, and the two argument checks.
+"""Exception hierarchy shared by every module, the two argument checks and the integer test.
 
 Each exception carries a short machine-readable ``code`` and an optional
 ``context`` dict; the CLI serializes failures as ``{code, message, context}``.
@@ -15,7 +15,9 @@ A bad value goes through `require`, and an array of the wrong shape through
 `require_shape`; both end as ``invalid-parameter`` and name the argument in
 ``context["field"]``, and so does every rejected argument in the package: no
 other module builds an InvalidParameterError, and a shape fault
-`require_shape` cannot express is a `require` call.
+`require_shape` cannot express is a `require` call. An argument that must be
+an integer is tested by `is_int`, the package's one integer rule: a Python or
+NumPy integer, never a bool.
 """
 
 from __future__ import annotations
@@ -65,3 +67,8 @@ def require_shape(x, shape: tuple, name: str) -> np.ndarray:
     if x.shape != shape:
         raise InvalidParameterError(f"{name} has shape {x.shape}, expected {shape}", field=name)
     return x
+
+
+def is_int(x) -> bool:
+    """A Python or NumPy integer, not a bool: the one integer test of every check."""
+    return type(x) is int or isinstance(x, np.integer)

@@ -20,7 +20,7 @@ import numpy as np
 from .autoencoder import LinearAutoencoder
 from .denoiser import Condition, DenoiserInterface
 from .dynamics import ddim_invert_step, generate_step
-from .errors import DivergenceError, require
+from .errors import DivergenceError, is_int, require
 from .metrics import ssim_with_grad
 from .optim import AdamState, adam_step
 from .perceptual import RandomConvPerceptual
@@ -40,12 +40,11 @@ class IlbConfig:
 
     def __post_init__(self):
         require(self.lr > 0, "lr", self.lr, "> 0")  # NaN fails too
-        # type(...) is int: bool passes isinstance(..., int)
-        require(type(self.max_iters) is int and self.max_iters >= 1, "max_iters",
-                self.max_iters, "an int >= 1")
+        require(is_int(self.max_iters) and self.max_iters >= 1, "max_iters", self.max_iters,
+                "an integer >= 1")
         require(self.rel_tol > 0, "rel_tol", self.rel_tol, "> 0")
         # its range needs the schedule: RunConfig checks it, skip_coefficients at use
-        require(self.dt is None or type(self.dt) is int, "dt", self.dt, "None or an int")
+        require(self.dt is None or is_int(self.dt), "dt", self.dt, "None or an integer")
         require(len(self.weights) == 3 and all(w >= 0 for w in self.weights), "weights",
                 self.weights, "three non-negative reals")
 

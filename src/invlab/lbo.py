@@ -28,7 +28,7 @@ import numpy as np
 
 from .denoiser import Condition, DenoiserInterface
 from .dynamics import INVERSION, Trajectory, ddim_invert_step, generate_step
-from .errors import DivergenceError, require
+from .errors import DivergenceError, is_int, require
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
@@ -48,13 +48,12 @@ class LboConfig:
         require(self.mode in _MODES, "mode", self.mode, f"one of {_MODES}")
         if self.max_iters is None:
             object.__setattr__(self, "max_iters", _DEFAULT_ITERS[self.mode])
-        # type(...) is int: bool passes isinstance(..., int)
-        require(type(self.max_iters) is int and self.max_iters >= 0, "max_iters",
-                self.max_iters, "an int >= 0")
+        require(is_int(self.max_iters) and self.max_iters >= 0, "max_iters", self.max_iters,
+                "an integer >= 0")
         require(self.tol > 0, "tol", self.tol, "> 0")  # NaN fails too
         require(self.lr > 0, "lr", self.lr, "> 0")
-        require(type(self.n_grad_warmup) is int and self.n_grad_warmup >= 0, "n_grad_warmup",
-                self.n_grad_warmup, "an int >= 0")
+        require(is_int(self.n_grad_warmup) and self.n_grad_warmup >= 0, "n_grad_warmup",
+                self.n_grad_warmup, "an integer >= 0")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from .autoencoder import checked_image_shape
 from .errors import require, require_shape
 from .rng import derive_rng
 
@@ -92,13 +93,11 @@ class RandomConvPerceptual:
     distance(x, x) = 0 and symmetric."""
 
     def __init__(self, image_shape: tuple, seed: int = 0):
-        require(len(image_shape) == 3, "image_shape", image_shape, "(h, w, c)")
-        h, w, c = image_shape
+        h, w, c = self.image_shape = checked_image_shape(image_shape)
         # two valid 3×3 layers eat 4 pixels per axis
         require(h >= 5 and w >= 5, "image_shape", image_shape, "at least 5x5")
-        self.image_shape = (int(h), int(w), int(c))
+        rng = derive_rng(seed, "perceptual-init")  # which checks the seed
         self.seed = int(seed)
-        rng = derive_rng(self.seed, "perceptual-init")
         c1, c2 = _WIDTHS
         self.k1 = rng.normal(0.0, np.sqrt(2.0 / (c * 9)), size=(c1, c, 3, 3))
         self.b1 = rng.normal(0.0, 0.1, size=c1)

@@ -11,15 +11,19 @@ import hashlib
 
 import numpy as np
 
+from .errors import is_int, require
+
 
 def derive_key(master_seed: int, *parts: int | str) -> int:
     """128-bit Philox key from SHA-256 over the seed and labels.
 
     Labels are compared by their string form, so 1 and "1" name the same
-    stream; call sites use fixed literal tags, never user data.
+    stream; call sites use fixed literal tags, never user data. The seed must be
+    an integer: 1.5 or True is refused, not read as 1.
     """
+    require(is_int(master_seed), "seed", master_seed, "an integer")
     h = hashlib.sha256()
-    h.update(str(int(master_seed)).encode("utf-8"))
+    h.update(str(master_seed).encode("utf-8"))
     for part in parts:
         h.update(b"\x1f")  # unit separator keeps ("ab",) != ("a","b")
         h.update(str(part).encode("utf-8"))

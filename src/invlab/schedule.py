@@ -20,14 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import require
+from .errors import is_int, require
 
 ALPHA_BAR_MIN = float(np.finfo(np.float64).tiny)
-
-
-def _is_int(x) -> bool:
-    """A Python or NumPy integer, not a bool."""
-    return type(x) is int or isinstance(x, np.integer)
 
 
 @dataclass(frozen=True)
@@ -59,14 +54,14 @@ class NoiseSchedule:
 
     def _check_t(self, t: int) -> None:
         # runs on every denoiser call, so `need` is a constant, not an f-string
-        require(_is_int(t) and 1 <= t <= self.t_train, "t", t, "an integer in [1, t_train]")
+        require(is_int(t) and 1 <= t <= self.t_train, "t", t, "an integer in [1, t_train]")
 
     def beta(self, t: int) -> float:
         self._check_t(t)
         return float(self.betas[t - 1])
 
     def alpha_bar(self, t: int) -> float:
-        if t == 0 and _is_int(t):
+        if t == 0 and is_int(t):
             return 1.0
         self._check_t(t)
         return float(self.alpha_bars[t - 1])
@@ -92,15 +87,16 @@ class StepCoefficients:
 
 @dataclass(frozen=True)
 class TimestepGrid:
-    """Strictly increasing subsequence of {1..T}; last entry is T."""
+    """Strictly increasing subsequence of {1..T}; last entry is T. Kept as Python ints."""
 
     steps: tuple[int, ...]
 
     def __post_init__(self):
         steps = (0, *self.steps)  # increasing from 0: every step >= 1
-        require(len(steps) > 1 and all(map(_is_int, self.steps))
+        require(len(steps) > 1 and all(map(is_int, self.steps))
                 and all(a < b for a, b in zip(steps, steps[1:])), "steps", self.steps,
                 "non-empty integers, strictly increasing and >= 1")
+        object.__setattr__(self, "steps", tuple(map(int, self.steps)))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -117,7 +113,7 @@ class TimestepGrid:
 
 def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Schedule with β linearly interpolated from beta_start to beta_end."""
-    require(_is_int(t_train) and t_train >= 1, "t_train", t_train, "an integer >= 1")
+    require(is_int(t_train) and t_train >= 1, "t_train", t_train, "an integer >= 1")
     require(0.0 < beta_start < 1.0, "beta_start", beta_start, "in (0, 1)")
     require(beta_start <= beta_end < 1.0, "beta_end", beta_end, f"in [{beta_start!r}, 1)")
     betas = np.linspace(beta_start, beta_end, t_train, dtype=np.float64)
@@ -129,7 +125,7 @@ def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> No
 
 def coefficients(sched: NoiseSchedule, t: int, t_prev: int) -> StepCoefficients:
     """(φ, ψ) for the transition t_prev -> t."""
-    require(_is_int(t_prev) and 0 <= t_prev < t, "t_prev", t_prev, "an integer in [0, t)")
+    require(is_int(t_prev) and 0 <= t_prev < t, "t_prev", t_prev, "an integer in [0, t)")
     ab_t = sched.alpha_bar(t)
     ab_p = sched.alpha_bar(t_prev)
     # math.sqrt on Python floats: IEEE sqrt is correctly rounded, as np.sqrt's is
@@ -143,13 +139,13 @@ def skip_coefficients(sched: NoiseSchedule, dt: int) -> StepCoefficients:
 
     With ᾱ_0 = 1 these reduce to φ = ᾱ_{δt}^{-1/2}, ψ = −sqrt((1−ᾱ_{δt})/ᾱ_{δt}).
     """
-    require(_is_int(dt) and 1 <= dt <= sched.t_train, "dt", dt, "an integer in [1, t_train]")
+    require(is_int(dt) and 1 <= dt <= sched.t_train, "dt", dt, "an integer in [1, t_train]")
     return coefficients(sched, dt, 0)
 
 
 def make_uniform_grid(sched: NoiseSchedule, s: int) -> TimestepGrid:
     """s evenly strided steps ending at t_train."""
-    require(_is_int(s) and 1 <= s <= sched.t_train, "steps", s,
+    require(is_int(s) and 1 <= s <= sched.t_train, "steps", s,
             f"an integer in [1, t_train = {sched.t_train}]")
     steps = tuple(sched.t_train * (k + 1) // s for k in range(s))
     return TimestepGrid(steps=steps)

@@ -1,7 +1,7 @@
 """Shared fixtures: small schedules, the two stub denoisers, 2-d mixture MLPs, exact inverses
 under an affine model and Newton preimages under any model, model-file surgery, JSON
-mutation, hypothesis profile, and `rejects`, the one form of a test that an argument is
-refused."""
+mutation, strict JSON parsing, hypothesis profile, and `rejects`, the one form of a test that
+an argument is refused."""
 
 import contextlib
 import json
@@ -271,6 +271,15 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=4)
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def strict_json(text: str):
+    """The JSON document in text; ValueError if it holds NaN, Infinity or -Infinity."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def json_leaves(doc, path=()):

@@ -10,11 +10,12 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import json_leaves, set_json_leaf
+from conftest import json_leaves, set_json_leaf, strict_json
 
 from invlab.benchmark import (
     CSV_FIELDS,
@@ -369,6 +370,16 @@ def test_bytes_identical_across_reruns(small_run, tmp_path):
         assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_numpy_integer_sizes_write_the_same_bytes(small_run, tmp_path):
+    # the derived ilb.dt, t_train // steps, is then a NumPy integer too
+    cfg, out, _, _ = small_run
+    cfg = replace(cfg, seed=np.int64(cfg.seed), steps=np.int64(cfg.steps),
+                  dataset=replace(cfg.dataset, count=np.int64(cfg.dataset.count)))
+    run_benchmark(cfg, tmp_path / "numpy")
+    for name in ("benchmark.csv", "summary.json"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (out / name).read_bytes()
+
+
 # 16x16 images and 64-row MLP batches: the fit's SVD and the trainer's 64x64 products
 # run on two OpenBLAS threads when given two
 THREADED_DOC = {"steps": 10, "dataset": {"count": 2}, "ilb": {"max_iters": 10},
@@ -503,10 +514,7 @@ def test_non_finite_round_trip_is_a_divergence_row(tmp_path):
     assert [(r.method, r.error_code, r.roundtrip_l2_rel) for r in rows] == [
         ("lbo-g", "divergence", "error"), ("lbo-h", "divergence", "error")]
 
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)
+    summary = strict_json((tmp_path / "summary.json").read_text())
     assert summary["per_method"]["lbo-g"]["mean_roundtrip_l2_rel"] is None
 
 
@@ -635,7 +643,9 @@ def test_any_value_at_one_leaf_loads_or_is_a_config_error_naming_a_key(leaf):
 # sizes that NumPy can index but whose arrays would fill gigabytes or more
 OVERSIZED = [({"t_train": 10**9}, "t_train"),
              ({"dataset": {"count": 10**12}}, "dataset.count"),
-             ({"autoencoder": {"fit_count": 10**11}}, "autoencoder.fit_count")]
+             ({"autoencoder": {"fit_count": 10**11}}, "autoencoder.fit_count"),
+             # every array within the budget, but one trajectory keeps 2**24 + 1 latents
+             ({"t_train": 2**24, "steps": 2**24, "beta_start": 1e-9, "beta_end": 1e-9}, "steps")]
 # caps its own address space at 2 GiB before it imports NumPy, then runs the CLI on each
 # config: a size that is allocated after all fails fast instead of filling the memory
 CAPPED_CLI_SCRIPT = ("import resource, sys\n"
@@ -659,6 +669,15 @@ def test_size_past_the_memory_budget_exits_2_before_allocating(tmp_path):
     for (_, key), line in zip(OVERSIZED, lines[::2]):
         doc = json.loads(line)
         assert doc["code"] == "config-error" and doc["context"]["key"] == key, doc
+
+
+def test_steps_budget_is_one_trajectory_of_latents():
+    # at 16x16, steps + 1 latents of 256 floats fit in 2**27 bytes up to 65535 steps
+    long = {"t_train": 10**5, "beta_start": 1e-4, "beta_end": 1e-4}
+    assert config_from_json_dict({**long, "steps": 65535}).steps == 65535
+    with pytest.raises(ConfigError) as err:
+        config_from_json_dict({**long, "steps": 65536})
+    assert err.value.context["key"] == "steps"
 
 
 @pytest.mark.parametrize("built, not_built, key", [
@@ -700,10 +719,7 @@ def test_summary_of_an_exact_codec_is_strict_json(tmp_path):
                                  "steps": 5, "methods": ["ddim"]})
     run_benchmark(cfg, tmp_path)
 
-    def refuse(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=refuse)
+    summary = strict_json((tmp_path / "summary.json").read_text())
     assert summary["upper_bound"]["mean_psnr_db"] is None
     assert math.isfinite(summary["per_method"]["ddim"]["mean_psnr_db"])
 

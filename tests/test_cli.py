@@ -7,12 +7,14 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import read_model_file, widen_cemb, write_model_file
+from conftest import read_model_file, strict_json, widen_cemb, write_model_file
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import invlab.denoiser
 from invlab import MlpDenoiser, make_linear_schedule
 from invlab.benchmark import METRIC_FIELDS, BenchmarkBackends, RunConfig, config_from_json_dict
-from invlab.cli import main
+from invlab.cli import _COMMANDS, main
 from invlab.data import gen_dataset, save_dataset
 from invlab.modelio import load_model, save_model
 
@@ -491,3 +493,31 @@ def test_eig_min_too_small_for_eig_max_exits_2(capsys, tmp_path):
     code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "o"))
     assert code == 2 and doc["code"] == "config-error"
     assert doc["context"]["key"] == "denoiser.eig_min" and "denoiser.eig_min" in doc["message"]
+
+
+# ---------------------------------------------------------------- generated command lines
+
+FLAGS = ("--config", "--seed", "--out", "--method", "--steps", "--dt", "--no-ilb")
+FLAG_VALUES = ("0", "-1", "1", str(2**63), "x", "lbo-n+ilb")
+# every subcommand runs on it in milliseconds, train-denoiser included
+TINY = {"t_train": 8, "steps": 2, "dataset": {"count": 1, "height": 5, "width": 5},
+        "autoencoder": {"fit_count": 2}, "ilb": {"max_iters": 2}, "methods": ["ddim"],
+        "denoiser": {"kind": "mlp", "train": {"count": 2, "width": 2, "max_epochs": 1}}}
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_generated_command_line_exits_0_2_or_3_with_one_strict_json_line(capsys, tmp_path,
+                                                                         monkeypatch, data):
+    # relative --out and --config values land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.json").write_text(json.dumps(TINY))
+    argv = [data.draw(st.sampled_from(sorted(_COMMANDS))), "--config", "tiny.json"]
+    for flag in data.draw(st.lists(st.sampled_from(FLAGS), max_size=3, unique=True)):
+        argv += [flag] if flag == "--no-ilb" else [flag, data.draw(st.sampled_from(FLAG_VALUES))]
+    code = main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 2, 3) and len(lines) == 1, (argv, code, lines)
+    doc = strict_json(lines[0])
+    if code != 0:
+        assert sorted(doc) == ["code", "context", "message"], (argv, doc)

@@ -13,7 +13,10 @@ argument. No module under src/invlab raises a built-in exception class: every
 fault it reports is an `InvlabError` with a documented code, and the codes the
 package defines are exactly those in README's table.
 No module under src/invlab but schedule.py reads a step's φ or ψ: the sampler's
-transition is written once, as `StepCoefficients.generate` and `.invert`.
+transition is written once, as `StepCoefficients.generate` and `.invert`. An
+argument's integer check is `errors.is_int`: no `require` call tests an integer
+with `type(...) is int` or `isinstance`, and no module but errors.py names
+`np.integer`, so one rule says which values are integers.
 """
 
 import ast
@@ -225,3 +228,36 @@ def test_checker_flags_a_coefficient_read():
 @pytest.mark.parametrize("path", BEYOND_SCHEDULE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_only_the_schedule_reads_the_step_coefficients(path):
     assert coefficient_reads(path.read_text(encoding="utf-8")) == []
+
+
+def hand_integer_tests(source: str) -> list:
+    """Line numbers of a `type(...) is int` or `isinstance(...)` test inside a `require(...)`
+    call, and of every `np.integer`."""
+    tree = ast.parse(source)
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "integer"
+             and getattr(node.value, "id", None) in ("np", "numpy")]
+    for call in _calls(source, "require"):
+        for node in ast.walk(call):
+            type_is_int = (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                           and getattr(node.left.func, "id", None) == "type"
+                           and any(getattr(c, "id", None) == "int" for c in node.comparators))
+            if type_is_int or (isinstance(node, ast.Call)
+                               and getattr(node.func, "id", None) == "isinstance"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_an_integer_test_by_hand():
+    source = ('require(type(n) is int and n >= 1, "n", n, "an integer >= 1")\n'
+              'require(n >= 0 and isinstance(n, int), "n", n, ">= 0")\n'
+              'ok = type(n) is int or isinstance(n, np.integer)\n'
+              'require(is_int(n), "n", n, "an integer")\n'
+              'if type(t) is not int:\n    check(t)\n'
+              'require(type(x) in (int, float), "x", x, "a number")\n')
+    assert hand_integer_tests(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_integer_checks_go_through_is_int(path):
+    assert hand_integer_tests(path.read_text(encoding="utf-8")) == []

@@ -150,6 +150,16 @@ def test_header_is_sorted_json_with_manifest(tmp_path):
     assert raw[16 : 16 + hlen].decode() == json.dumps(header, sort_keys=True)
 
 
+def test_mlp_trained_with_numpy_integers_saves_the_same_file(tmp_path):
+    # seed and trained_epochs are kept as Python ints, which the JSON header can hold
+    sched = make_linear_schedule(12, 1e-3, 0.05)
+    data = make_gauss_mixture(32, seed=2)[0]
+    for name, k in (("python", 2), ("numpy", np.int64(2))):
+        save_model(train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=k, seed=k)),
+                   tmp_path / name)
+    assert (tmp_path / "numpy").read_bytes() == (tmp_path / "python").read_bytes()
+
+
 def test_save_is_deterministic(tmp_path):
     model = _gauss_model()
     p1, p2 = tmp_path / "a.labmdl", tmp_path / "b.labmdl"

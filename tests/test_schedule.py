@@ -1,4 +1,5 @@
-"""Schedule construction, transition coefficients, and inference grids."""
+"""Schedule construction, transition coefficients, inference grids, and the one integer
+rule (`errors.is_int`) of every argument that must be an integer."""
 
 import math
 
@@ -9,15 +10,28 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from invlab import (
+    Condition,
+    IlbConfig,
     InvalidParameterError,
+    LboConfig,
+    LinearAutoencoder,
+    LinearGaussianDenoiser,
+    MlpDenoiser,
+    MlpTrainConfig,
     NoiseSchedule,
+    RandomConvPerceptual,
     TimestepGrid,
     coefficients,
+    ddim_invert_trajectory,
+    derive_key,
+    fit_linear_autoencoder,
+    identity_autoencoder,
     make_linear_schedule,
     make_shapes,
     make_uniform_grid,
     skip_coefficients,
 )
+from invlab.benchmark import json_text
 
 
 def test_constant_beta_alpha_bars(toy3):
@@ -210,6 +224,69 @@ def test_a_size_or_timestep_that_is_not_an_integer_is_refused(case, toy3):
     field, call = NON_INTEGERS[case]
     with rejects(field):
         call(toy3)
+
+
+def _mlp(sched, **kw):
+    """A width-2 MLP on one latent over `sched`, all weights zero."""
+    sizes = {"w1": (2, 1), "b1": 2, "temb": (sched.t_train, 2), "cemb": (1, 2), "w2": (2, 2),
+             "b2": 2, "w3": (1, 2), "b3": 1}
+    return MlpDenoiser({k: np.zeros(n) for k, n in sizes.items()}, sched, **kw)
+
+
+def _ddim_trajectory(sched, steps=3):
+    model = LinearGaussianDenoiser(np.zeros(1), np.eye(1), sched)
+    return ddim_invert_trajectory(model, sched, make_uniform_grid(sched, steps), np.ones(1),
+                                  Condition())
+
+
+# id -> (the argument named, an integer it accepts, a call on the schedule s and a value v
+# in that argument's place); each site accepts v as a NumPy integer and refuses 2.5 and True
+INTEGER_SITES = {
+    "lbo-max_iters": ("max_iters", 3, lambda s, v: LboConfig(max_iters=v)),
+    "lbo-n_grad_warmup": ("n_grad_warmup", 3, lambda s, v: LboConfig(n_grad_warmup=v)),
+    "ilb-max_iters": ("max_iters", 3, lambda s, v: IlbConfig(max_iters=v)),
+    "ilb-dt": ("dt", 3, lambda s, v: IlbConfig(dt=v)),
+    "mlp-train-width": ("width", 3, lambda s, v: MlpTrainConfig(width=v)),
+    "mlp-train-max_epochs": ("max_epochs", 3, lambda s, v: MlpTrainConfig(max_epochs=v)),
+    "mlp-train-batch_size": ("batch_size", 3, lambda s, v: MlpTrainConfig(batch_size=v)),
+    "mlp-train-seed": ("seed", 3, lambda s, v: MlpTrainConfig(seed=v)),
+    "mlp-seed": ("seed", 3, lambda s, v: _mlp(s, seed=v)),
+    "mlp-trained_epochs": ("trained_epochs", 3, lambda s, v: _mlp(s, trained_epochs=v)),
+    "shapes-n": ("n", 2, lambda s, v: make_shapes(v, 0, 6, 6)),
+    "shapes-height": ("height", 6, lambda s, v: make_shapes(1, 0, v, 6)),
+    "shapes-width": ("width", 6, lambda s, v: make_shapes(1, 0, 6, v)),
+    "shapes-seed": ("seed", 3, lambda s, v: make_shapes(1, v, 6, 6)),
+    "codec-image_shape": ("image_shape", 1, lambda s, v: LinearAutoencoder(
+        np.eye(1, 25), np.zeros(25), (5, 5, v))),
+    "identity-image_shape": ("image_shape", 1, lambda s, v: identity_autoencoder((5, 5, v))),
+    "perceptual-image_shape": ("image_shape", 1, lambda s, v: RandomConvPerceptual((6, 6, v))),
+    "perceptual-seed": ("seed", 3, lambda s, v: RandomConvPerceptual((6, 6, 1), seed=v)),
+    "fit-seed": ("seed", 3, lambda s, v: fit_linear_autoencoder(
+        make_shapes(3, 0, 5, 5), 2, leak_scale=1.0, seed=v)),
+    "derive_key-seed": ("seed", 3, lambda s, v: derive_key(v, "tag")),
+    "latent_at-t": ("t", 3, lambda s, v: _ddim_trajectory(s).latent_at(v)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_SITES))
+def test_an_integer_argument_takes_numpy_integers_and_refuses_floats_and_bools(case, toy3):
+    field, k, call = INTEGER_SITES[case]
+    call(toy3, np.int64(k))
+    for value in (2.5, True):
+        with rejects(field):
+            call(toy3, value)
+
+
+def test_a_uniform_grid_keeps_python_ints_and_its_trajectory_writes_json(toy3):
+    assert [type(t) for t in make_uniform_grid(toy3, np.int64(3)).steps] == [int] * 3
+    assert [type(t) for t in TimestepGrid((np.int64(1), np.int32(3))).steps] == [int] * 2
+    assert (json_text(_ddim_trajectory(toy3, np.int64(3)).to_json_dict())
+            == json_text(_ddim_trajectory(toy3, 3).to_json_dict()))
+
+
+def test_latent_at_refuses_a_float_equal_to_a_timestep(toy3):
+    with rejects("t"):
+        _ddim_trajectory(toy3).latent_at(3.0)
 
 
 def test_grid_transitions_start_at_zero(toy3):
