@@ -13,7 +13,7 @@ from .data import gen_dataset, load_dataset, make_shapes, save_dataset
 from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpDenoiser,
                        MlpTrainConfig, train_mlp_denoiser)
 from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, generate_step,
-                       generate_trajectory)
+                       generate_trajectory, walk)
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError,
                      InvlabError)
 from .ilb import IlbConfig, IlbReport, ilb_loss_and_grad, ilb_optimize, skip_roundtrip

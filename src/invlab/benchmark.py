@@ -29,7 +29,7 @@ from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, Mlp
                        train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError, InvlabError,
-                     require)
+                     is_int, require)
 from .ilb import IlbConfig, ilb_optimize
 from .lbo import LboConfig, lbo_invert_trajectory
 from .metrics import psnr, ssim
@@ -42,6 +42,13 @@ BASE_METHODS = ("ddim", "lbo-g", "lbo-n", "lbo-h")
 LBO_MODES = {"lbo-g": "gradient", "lbo-n": "numerical", "lbo-h": "hybrid"}
 
 
+def _keep_ints(section, *names) -> None:
+    """Store checked integer fields as Python ints, as a JSON config gives them, so that
+    RunConfig's size budget multiplies them without NumPy's fixed-width overflow."""
+    for name in names:
+        object.__setattr__(section, name, int(getattr(section, name)))
+
+
 @dataclass(frozen=True)
 class DatasetSection:
     count: int = 20
@@ -50,10 +57,12 @@ class DatasetSection:
     path: Optional[str] = None
 
     def __post_init__(self):
-        require(self.count >= 1, "count", self.count, ">= 1")
+        require(is_int(self.count) and self.count >= 1, "count", self.count, "an integer >= 1")
         # make_shapes' smallest disc and the perceptual metric's layers need 5x5
-        require(self.height >= 5, "height", self.height, ">= 5")
-        require(self.width >= 5, "width", self.width, ">= 5")
+        require(is_int(self.height) and self.height >= 5, "height", self.height,
+                "an integer >= 5")
+        require(is_int(self.width) and self.width >= 5, "width", self.width, "an integer >= 5")
+        _keep_ints(self, "count", "height", "width")
 
 
 @dataclass(frozen=True)
@@ -65,8 +74,9 @@ class TrainSection:
     lr: float = 1e-3
 
     def __post_init__(self):
-        require(self.count >= 1, "count", self.count, ">= 1")
+        require(is_int(self.count) and self.count >= 1, "count", self.count, "an integer >= 1")
         MlpTrainConfig(self.width, self.max_epochs, self.batch_size, self.lr)  # its range checks
+        _keep_ints(self, "count", "width")
 
 
 _MAX_SCALE = 1e6  # bound on |denoiser.mu_scale| and autoencoder.leak_scale
@@ -104,9 +114,11 @@ class AutoencoderSection:
     def __post_init__(self):
         require(self.kind in ("linear", "identity"), "kind", self.kind, "'linear' or 'identity'")
         require(0.0 < self.latent_frac <= 1.0, "latent_frac", self.latent_frac, "in (0, 1]")
-        require(self.fit_count >= 2, "fit_count", self.fit_count, ">= 2")
+        require(is_int(self.fit_count) and self.fit_count >= 2, "fit_count", self.fit_count,
+                "an integer >= 2")
         require(0.0 <= self.leak_scale <= _MAX_SCALE, "leak_scale", self.leak_scale,
                 f"in [0, {_MAX_SCALE:g}]")
+        _keep_ints(self, "fit_count")
 
 
 @dataclass(frozen=True)
@@ -139,6 +151,10 @@ class RunConfig:
     ilb: IlbConfig = IlbConfig()
 
     def __post_init__(self):
+        # before the sizes below use them; derive_key, the schedule and the grid check ranges
+        for name in ("seed", "t_train", "steps"):
+            require(is_int(getattr(self, name)), name, getattr(self, name), "an integer")
+        _keep_ints(self, "seed", "t_train", "steps")
         for name in self.methods:
             parse_method(name)
         object.__setattr__(self, "methods", tuple(self.methods))

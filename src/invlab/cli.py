@@ -1,10 +1,10 @@
 """Experiment harness around the library: data, training, runs, benchmark.
 
 Every subcommand reads one JSON run config (all defaults embedded, unknown
-keys rejected), applies flag overrides, writes its artifacts under --out and
-prints a one-line JSON result to stdout. Failures exit nonzero and print
-``{code, message, context}``. Every JSON it writes is strict: a non-finite
-float is written as null.
+keys rejected), writes each flag over its config key, runs on that config
+alone, writes its artifacts under --out and prints a one-line JSON result to
+stdout. Failures exit nonzero and print ``{code, message, context}``. Every
+JSON it writes is strict: a non-finite float is written as null.
 """
 
 from __future__ import annotations
@@ -65,7 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    """The config file with the flags written over it, parsed and checked as one document."""
+    """The config file, checked alone, with each flag written over its key and the
+    result checked again: --seed, --steps, --dt and --method write seed, steps,
+    ilb.dt and methods, and --no-ilb then strips '+ilb' from methods."""
     cfg = load_config(args.config) if args.config else RunConfig()
     doc = cfg.to_json_dict()
     if args.seed is not None:
@@ -74,18 +76,14 @@ def _resolve_config(args) -> RunConfig:
         doc["steps"] = args.steps
     if args.dt is not None:
         doc["ilb"]["dt"] = args.dt
+    if args.method is not None:
+        doc["methods"] = [args.method]
     if args.no_ilb:
-        doc["methods"] = list(base_methods(cfg.methods))
+        doc["methods"] = list(base_methods(doc["methods"]))
     return config_from_json_dict(doc)
 
 
-def _method_arg(args, default: str = "ddim") -> str:
-    method = args.method if args.method else default
-    base, use_ilb = parse_method(method)
-    return base if args.no_ilb and use_ilb else method
-
-
-def cmd_gen_data(cfg: RunConfig, args, out: Path) -> dict:
+def cmd_gen_data(cfg: RunConfig, out: Path) -> dict:
     """Write the config's dataset as a canonical JSON file."""
     ds = cfg.dataset
     payload = gen_dataset(ds.count, cfg.seed, ds.height, ds.width)
@@ -94,7 +92,7 @@ def cmd_gen_data(cfg: RunConfig, args, out: Path) -> dict:
     return {"written": str(path), "kind": payload["kind"], "n": ds.count}
 
 
-def cmd_train_denoiser(cfg: RunConfig, args, out: Path) -> dict:
+def cmd_train_denoiser(cfg: RunConfig, out: Path) -> dict:
     """Fit the MLP noise predictor on the encoded fit images and persist it."""
     if cfg.denoiser.kind != "mlp":
         raise ConfigError(f"train-denoiser needs denoiser.kind 'mlp', got {cfg.denoiser.kind!r}",
@@ -109,7 +107,7 @@ def cmd_train_denoiser(cfg: RunConfig, args, out: Path) -> dict:
             "trained_epochs": model.trained_epochs, "latent_dim": model.latent_dim}
 
 
-def cmd_train_autoencoder(cfg: RunConfig, args, out: Path) -> dict:
+def cmd_train_autoencoder(cfg: RunConfig, out: Path) -> dict:
     """Fit the linear autoencoder on the config's images and persist it."""
     if cfg.autoencoder.kind != "linear":
         raise ConfigError(
@@ -123,7 +121,7 @@ def cmd_train_autoencoder(cfg: RunConfig, args, out: Path) -> dict:
             "image_shape": list(ae.image_shape)}
 
 
-def cmd_sample(cfg: RunConfig, args, out: Path) -> dict:
+def cmd_sample(cfg: RunConfig, out: Path) -> dict:
     """Generate from seeded Gaussian noise and decode the result."""
     b = BenchmarkBackends(cfg)
     z_t = derive_rng(cfg.seed, "sample").standard_normal(b.ae.latent_dim)
@@ -136,10 +134,10 @@ def cmd_sample(cfg: RunConfig, args, out: Path) -> dict:
     return {"trajectory": str(traj_path), "image": str(img_path)}
 
 
-def cmd_invert(cfg: RunConfig, args, out: Path) -> dict:
-    """Invert one encoded instance; write trajectory + per-step reports."""
+def cmd_invert(cfg: RunConfig, out: Path) -> dict:
+    """Invert one encoded instance with the first method; write trajectory + per-step reports."""
     b = BenchmarkBackends(cfg)
-    method = _method_arg(args)
+    method = cfg.methods[0]
     base, use_ilb = parse_method(method)
     traj, reports = invert_latent(b, start_latent(b, b.images[0], use_ilb), base)
     traj_path = out / "trajectory.json"
@@ -149,7 +147,7 @@ def cmd_invert(cfg: RunConfig, args, out: Path) -> dict:
     return {"method": method, "trajectory": str(traj_path), "step_reports": str(rep_path)}
 
 
-def cmd_ilb(cfg: RunConfig, args, out: Path) -> dict:
+def cmd_ilb(cfg: RunConfig, out: Path) -> dict:
     """Boost one instance's image latent; write report, trace CSV and latent."""
     b = BenchmarkBackends(cfg)
     x0 = b.images[0]
@@ -169,17 +167,17 @@ def cmd_ilb(cfg: RunConfig, args, out: Path) -> dict:
             "iters_used": report.iters_used, "final_total": report.final_total}
 
 
-def cmd_roundtrip(cfg: RunConfig, args, out: Path) -> dict:
-    """Full encode -> invert -> replay -> decode pass on one instance."""
+def cmd_roundtrip(cfg: RunConfig, out: Path) -> dict:
+    """Full encode -> invert -> replay -> decode pass on one instance with the first method."""
     b = BenchmarkBackends(cfg)
-    method = _method_arg(args)
+    method = cfg.methods[0]
     row = evaluate_instance(b, 0, method)
     result = {"method": method, **{name: getattr(row, name) for name in METRIC_FIELDS}}
     write_json(out / "roundtrip.json", result)
     return result
 
 
-def cmd_gradcheck(cfg: RunConfig, args, out: Path) -> dict:
+def cmd_gradcheck(cfg: RunConfig, out: Path) -> dict:
     """Compare every assembled gradient against central finite differences."""
     b = BenchmarkBackends(cfg)
     d = b.ae.latent_dim
@@ -215,10 +213,8 @@ def cmd_gradcheck(cfg: RunConfig, args, out: Path) -> dict:
     return result
 
 
-def cmd_report_plot_data(cfg: RunConfig, args, out: Path) -> dict:
+def cmd_report_plot_data(cfg: RunConfig, out: Path) -> dict:
     """Per-timestep inversion/generation divergence for each configured method."""
-    if args.method:
-        cfg = replace(cfg, methods=(_method_arg(args),))
     b = BenchmarkBackends(cfg)
     z0 = b.ae.encode(b.images[0])
     path = out / "divergence.csv"
@@ -233,10 +229,8 @@ def cmd_report_plot_data(cfg: RunConfig, args, out: Path) -> dict:
     return {"written": str(path)}
 
 
-def cmd_benchmark(cfg: RunConfig, args, out: Path) -> dict:
+def cmd_benchmark(cfg: RunConfig, out: Path) -> dict:
     """Run the full methods × instances grid; write CSV rows and JSON summary."""
-    if args.method:
-        cfg = replace(cfg, methods=(_method_arg(args),))
     rows, _ = run_benchmark(cfg, out)
     return {"rows": len(rows), "csv": str(out / "benchmark.csv"),
             "summary": str(out / "summary.json")}
@@ -262,7 +256,7 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        result = args.fn(cfg, args, out)
+        result = args.fn(cfg, out)
     except InvlabError as e:
         print(json_text(e.to_json_dict(), default=str))
         return 2

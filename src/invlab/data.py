@@ -85,7 +85,8 @@ def make_shapes(n: int, seed: int, height: int = 16, width: int = 16,
 
 def gen_dataset(n: int, seed: int, height: int = 16, width: int = 16) -> dict:
     """The shapes dataset payload, ready for canonical JSON serialization."""
-    return {"kind": "shapes", "seed": seed, "images": make_shapes(n, seed, height, width).tolist()}
+    images = make_shapes(n, seed, height, width)  # refuses a seed that is not an integer
+    return {"kind": "shapes", "seed": int(seed), "images": images.tolist()}
 
 
 def save_dataset(payload: dict, path) -> None:

@@ -9,7 +9,9 @@ with F the model's prediction. The inversion step evaluates the model at the
 *target* timestep t; for a constant model the two maps are exact inverses.
 
 Both steps apply their transition's `StepCoefficients.generate` or `.invert` to
-F; only the grid walkers look coefficients up, once per transition.
+F; only the steps that `generate_trajectory` and `ddim_invert_trajectory` hand to
+`walk` look coefficients up, once per transition. `walk` is the one loop along a
+grid: every `Trajectory` comes from it.
 """
 
 from __future__ import annotations
@@ -28,38 +30,56 @@ INVERSION = "inversion"
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered (timestep, latent) pairs from one sweep, endpoints included.
+    """One sweep's latents, endpoints included, as one read-only array built by `walk`.
 
-    Timesteps decrease for generation sweeps and increase for inversion
-    sweeps; index 0 is always the sweep's starting point.
+    Row k is the latent at timesteps()[k]: timesteps increase for inversion
+    sweeps and decrease for generation sweeps, and row 0 is the starting point.
     """
 
-    entries: tuple[tuple[int, np.ndarray], ...]
+    latents: np.ndarray
     direction: str
     grid: TimestepGrid
 
     def timesteps(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.entries)
+        steps = (0, *self.grid.steps)
+        return steps if self.direction == INVERSION else steps[::-1]
 
     def latent_at(self, t: int) -> np.ndarray:
         steps = self.timesteps()
         require(is_int(t) and t in steps, "t", t, "a timestep on the trajectory")
-        return self.entries[steps.index(t)][1]
+        return self.latents[steps.index(t)]
 
     @property
     def start(self) -> np.ndarray:
-        return self.entries[0][1]
+        return self.latents[0]
 
     @property
     def end(self) -> np.ndarray:
-        return self.entries[-1][1]
+        return self.latents[-1]
 
     def to_json_dict(self) -> dict:
         return {
             "direction": self.direction,
             "grid": list(self.grid.steps),
-            "entries": [{"t": t, "z": list(map(float, z))} for t, z in self.entries],
+            "entries": [{"t": t, "z": z.tolist()}
+                        for t, z in zip(self.timesteps(), self.latents)],
         }
+
+
+def walk(grid: TimestepGrid, z: np.ndarray, direction: str, step) -> Trajectory:
+    """The sweep from z along the grid's transitions (t_prev, t): upward for an
+    inversion, downward for a generation. Row 0 is z and row k+1 is
+    step(row k, t_prev, t) on the k-th transition walked; step returns a new array.
+    """
+    require(direction in (GENERATION, INVERSION), "direction", direction,
+            f"{GENERATION!r} or {INVERSION!r}")
+    transitions = grid.transitions()
+    latents = np.empty((len(grid) + 1, *np.shape(z)))
+    latents[0] = z
+    for k, (t_prev, t) in enumerate(transitions[::-1] if direction == GENERATION else transitions):
+        latents[k + 1] = step(latents[k], t_prev, t)
+    latents.setflags(write=False)
+    return Trajectory(latents, direction, grid)
 
 
 def generate_step(model: DenoiserInterface, co: StepCoefficients, z_t: np.ndarray,
@@ -77,33 +97,15 @@ def ddim_invert_step(model: DenoiserInterface, co: StepCoefficients, z_prev: np.
     return co.invert(z_prev, model.eval(z_prev, co.t, c))
 
 
-def generate_trajectory(
-    model: DenoiserInterface,
-    sched: NoiseSchedule,
-    grid: TimestepGrid,
-    z_T: np.ndarray,
-    c: Condition,
-) -> Trajectory:
+def generate_trajectory(model: DenoiserInterface, sched: NoiseSchedule, grid: TimestepGrid,
+                        z_T: np.ndarray, c: Condition) -> Trajectory:
     """Full deterministic sweep from z_T down to z_0 along the grid."""
-    z = np.asarray(z_T, dtype=np.float64)
-    entries = [(grid.steps[-1], z.copy())]
-    for t_prev, t in reversed(grid.transitions()):
-        z = generate_step(model, coefficients(sched, t, t_prev), z, c)
-        entries.append((t_prev, z.copy()))
-    return Trajectory(entries=tuple(entries), direction=GENERATION, grid=grid)
+    return walk(grid, z_T, GENERATION, lambda z, t_prev, t: generate_step(
+        model, coefficients(sched, t, t_prev), z, c))
 
 
-def ddim_invert_trajectory(
-    model: DenoiserInterface,
-    sched: NoiseSchedule,
-    grid: TimestepGrid,
-    z_0: np.ndarray,
-    c: Condition,
-) -> Trajectory:
+def ddim_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule, grid: TimestepGrid,
+                           z_0: np.ndarray, c: Condition) -> Trajectory:
     """Full inversion sweep from z_0 up to z_T along the grid."""
-    z = np.asarray(z_0, dtype=np.float64)
-    entries = [(0, z.copy())]
-    for t_prev, t in grid.transitions():
-        z = ddim_invert_step(model, coefficients(sched, t, t_prev), z, c)
-        entries.append((t, z.copy()))
-    return Trajectory(entries=tuple(entries), direction=INVERSION, grid=grid)
+    return walk(grid, z_0, INVERSION, lambda z, t_prev, t: ddim_invert_step(
+        model, coefficients(sched, t, t_prev), z, c))

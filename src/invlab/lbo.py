@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .denoiser import Condition, DenoiserInterface
-from .dynamics import INVERSION, Trajectory, ddim_invert_step, generate_step
+from .dynamics import INVERSION, Trajectory, ddim_invert_step, generate_step, walk
 from .errors import DivergenceError, is_int, require
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
@@ -157,12 +157,10 @@ def lbo_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule,
                           cfg: LboConfig = LboConfig()
                           ) -> tuple[Trajectory, list[LboStepReport]]:
     """Run refined inversion across the whole grid, from data to noise."""
-    z = np.asarray(z_0, dtype=np.float64)
-    entries = [(0, z.copy())]
     reports = []
-    for t_prev, t in grid.transitions():
-        z, rep = lbo_invert_step(model, sched, z, t_prev, t, c, cfg)
-        entries.append((t, z.copy()))
-        reports.append(rep)
-    traj = Trajectory(entries=tuple(entries), direction=INVERSION, grid=grid)
-    return traj, reports
+
+    def step(z, t_prev, t):
+        z_t, report = lbo_invert_step(model, sched, z, t_prev, t, c, cfg)
+        reports.append(report)
+        return z_t
+    return walk(grid, z_0, INVERSION, step), reports

@@ -132,8 +132,5 @@ def trajectory_divergence(inv: Trajectory, gen: Trajectory) -> np.ndarray:
     require(gen.direction == GENERATION, "gen", gen.direction, f"a {GENERATION!r} trajectory")
     require(gen.grid.steps == inv.grid.steps, "gen", gen.grid.steps,
             f"on inv's grid {inv.grid.steps}")
-    gen_by_t = {t: z for t, z in gen.entries}
-    out = np.empty(len(inv.entries))
-    for i, (t, z) in enumerate(inv.entries):
-        out[i] = float(np.linalg.norm(z - gen_by_t[t]))
-    return out
+    # row k of an inversion and row -1-k of a generation share a timestep on one grid
+    return np.array([np.linalg.norm(a - b) for a, b in zip(inv.latents, gen.latents[::-1])])

@@ -15,14 +15,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import json_leaves, set_json_leaf, strict_json
+from conftest import json_leaves, rejects, set_json_leaf, strict_json
 
 from invlab.benchmark import (
     CSV_FIELDS,
+    AutoencoderSection,
     BenchmarkBackends,
     BenchmarkRow,
     DatasetSection,
+    DenoiserSection,
     RunConfig,
+    TrainSection,
     _method_means,
     _run_instance,
     config_from_json_dict,
@@ -371,13 +374,26 @@ def test_bytes_identical_across_reruns(small_run, tmp_path):
 
 
 def test_numpy_integer_sizes_write_the_same_bytes(small_run, tmp_path):
-    # the derived ilb.dt, t_train // steps, is then a NumPy integer too
     cfg, out, _, _ = small_run
     cfg = replace(cfg, seed=np.int64(cfg.seed), steps=np.int64(cfg.steps),
                   dataset=replace(cfg.dataset, count=np.int64(cfg.dataset.count)))
     run_benchmark(cfg, tmp_path / "numpy")
     for name in ("benchmark.csv", "summary.json"):
         assert (tmp_path / "numpy" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_numpy_integer_sizes_are_kept_as_python_ints_and_budgeted_without_overflow():
+    cfg = RunConfig(seed=np.int64(3), t_train=np.int64(60), steps=np.int64(6),
+                    dataset=DatasetSection(np.int64(2), np.int64(8), np.int64(8)),
+                    autoencoder=AutoencoderSection(fit_count=np.int64(16)),
+                    denoiser=DenoiserSection(train=TrainSection(np.int64(4), np.int64(4))))
+    train = cfg.denoiser.train
+    kept = (cfg.seed, cfg.t_train, cfg.steps, cfg.dataset.count, cfg.dataset.height,
+            cfg.dataset.width, cfg.autoencoder.fit_count, train.count, train.width)
+    assert {type(v) for v in kept} == {int}
+    # 8 bytes times 2**62 betas is 0 in int64 arithmetic
+    with rejects("t_train"):
+        RunConfig(t_train=np.int64(2**62), steps=1)
 
 
 # 16x16 images and 64-row MLP batches: the fit's SVD and the trainer's 64x64 products

@@ -4,10 +4,12 @@ import csv
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import read_model_file, strict_json, widen_cemb, write_model_file
+from conftest import (read_model_file, set_json_leaf, strict_json, widen_cemb,
+                      write_model_file)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +95,21 @@ def test_bad_method_flag_exits_2(capsys, small_cfg, tmp_path):
     code, doc = run_cli(capsys, "invert", "--config", small_cfg,
                         "--method", "bogus", "--out", str(tmp_path / "o"))
     assert code == 2 and doc["code"] == "config-error"
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_method_flag_writes_methods_for_every_command(capsys, small_cfg, tmp_path, command):
+    code, doc = run_cli(capsys, command, "--config", small_cfg, "--method", "bogus",
+                        "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "config-error" and doc["context"]["key"] == "methods"
+
+
+@pytest.mark.parametrize("command", ["invert", "roundtrip"])
+def test_one_instance_commands_run_the_first_configured_method(capsys, tmp_path, command):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "methods": ["lbo-h", "ddim"]}))
+    code, doc = run_cli(capsys, command, "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 0 and doc["method"] == "lbo-h"
 
 
 @pytest.mark.parametrize("argv", [
@@ -521,3 +538,77 @@ def test_generated_command_line_exits_0_2_or_3_with_one_strict_json_line(capsys,
     doc = strict_json(lines[0])
     if code != 0:
         assert sorted(doc) == ["code", "context", "message"], (argv, doc)
+
+
+# ---------------------------------------------------------------- combined config keys
+
+# a config with every section written out, at the tiny sizes: 5x5 images, one instance,
+# and a method of each kind: the one-shot inversion, an LBO solver and ILB
+TINY_RUN = config_from_json_dict({**TINY, "denoiser": {"train": TINY["denoiser"]["train"]},
+                                  "methods": ["ddim", "lbo-g", "lbo-n+ilb"]}).to_json_dict()
+# each key's values, in and out of its range; sizes stay tiny: at most 3 steps, 2 instances
+# and an MLP 4 wide
+KEY_VALUES = {
+    "seed": st.sampled_from([0, 1, -7, 2**63]),
+    "t_train": st.integers(1, 12),
+    "steps": st.integers(1, 3),
+    "beta_start": st.sampled_from([1e-4, 0.1, 0.5]),
+    "beta_end": st.sampled_from([0.05, 0.3, 0.9, 0.999]),
+    "record_timing": st.booleans(),
+    "methods": st.lists(st.sampled_from(["ddim", "lbo-g", "lbo-n", "lbo-h", "ddim+ilb",
+                                         "lbo-g+ilb", "lbo-n+ilb", "lbo-h+ilb"]),
+                        min_size=1, max_size=3, unique=True),
+    "dataset.count": st.integers(1, 2),
+    "denoiser.kind": st.sampled_from(["analytic", "mlp"]),
+    "denoiser.mu_scale": st.sampled_from([-1e6, 0.0, 3.0, 1e6]),
+    "denoiser.eig_min": st.sampled_from([1e-9, 0.1, 1.0, 50.0]),
+    "denoiser.eig_max": st.sampled_from([1e-9, 0.1, 1.0, 50.0]),
+    "denoiser.train.count": st.integers(1, 3),
+    "denoiser.train.width": st.integers(1, 4),
+    "denoiser.train.max_epochs": st.integers(0, 2),
+    "denoiser.train.batch_size": st.integers(1, 3),
+    "denoiser.train.lr": st.sampled_from([1e-3, 1.0, 1e3]),
+    "autoencoder.kind": st.sampled_from(["linear", "identity"]),
+    "autoencoder.latent_frac": st.sampled_from([0.04, 0.5, 1.0]),
+    "autoencoder.fit_count": st.integers(2, 3),
+    "autoencoder.leak_scale": st.sampled_from([0.0, 1.8, 1e6]),
+    "lbo.max_iters": st.integers(0, 3),
+    "lbo.tol": st.sampled_from([1e-12, 1e-3, 1e3]),
+    "lbo.lr": st.sampled_from([1e-3, 1.0, 1e300]),
+    "lbo.n_grad_warmup": st.integers(0, 3),
+    "ilb.lr": st.sampled_from([1e-3, 0.1, 1e3]),
+    "ilb.max_iters": st.integers(1, 2),
+    "ilb.rel_tol": st.sampled_from([1e-5, 1.0]),
+    "ilb.dt": st.sampled_from([None, 1, 3, 12]),
+    "ilb.use_reg": st.booleans(),
+    "ilb.weights": st.sampled_from([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 5.0, 0.0]]),
+}
+CODES = {"invalid-parameter", "divergence", "config-error", "format-error"}
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_combined_config_keys_run_with_finite_metrics_or_exit_2(capsys, tmp_path, monkeypatch,
+                                                                data):
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(json.dumps(TINY_RUN))
+    for key in data.draw(st.lists(st.sampled_from(sorted(KEY_VALUES)), min_size=2, max_size=4,
+                                  unique=True)):
+        set_json_leaf(doc, key.split("."), data.draw(KEY_VALUES[key]))
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    code = main(["benchmark", "--config", "run.json", "--out", "o"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code in (0, 2) and len(lines) == 1, (doc, code, lines)
+    result = strict_json(lines[0])
+    if code == 2:
+        assert sorted(result) == ["code", "context", "message"] and result["code"] in CODES
+        return
+    with open("o/benchmark.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    for row in rows:
+        if row["error_code"]:
+            assert row["error_code"] in CODES and row["error_message"], (doc, row)
+        else:
+            assert all(math.isfinite(float(row[name])) for name in METRIC_FIELDS), (doc, row)
+    strict_json(Path("o/summary.json").read_text())

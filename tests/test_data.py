@@ -25,6 +25,12 @@ def test_shapes_deterministic_and_bounded():
     assert a.min() >= 0.0 and a.max() <= 1.0
 
 
+def test_a_numpy_integer_seed_writes_the_bytes_of_its_int(tmp_path):
+    save_dataset(gen_dataset(2, np.int64(3), 6, 6), tmp_path / "numpy.json")
+    save_dataset(gen_dataset(2, 3, 6, 6), tmp_path / "int.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "int.json").read_bytes()
+
+
 def test_shapes_image_depends_only_on_index():
     # a prefix of a larger batch matches the smaller batch bit for bit
     big = make_shapes(8, seed=7)

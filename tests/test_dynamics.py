@@ -15,6 +15,7 @@ from invlab import (
     generate_trajectory,
     make_linear_schedule,
     make_uniform_grid,
+    walk,
 )
 
 ONE = np.array([1.0])
@@ -90,9 +91,38 @@ def test_trajectory_determinism(default_sched, grid50, uncond):
     z = np.array([0.4, -0.9])
     a = ddim_invert_trajectory(m, default_sched, grid50, z, uncond)
     b = ddim_invert_trajectory(m, default_sched, grid50, z, uncond)
-    for (ta, za), (tb, zb) in zip(a.entries, b.entries):
-        assert ta == tb
-        np.testing.assert_array_equal(za, zb)
+    assert a.timesteps() == b.timesteps()
+    np.testing.assert_array_equal(a.latents, b.latents)
+
+
+def test_trajectory_is_one_read_only_array_on_its_grid(default_sched, uncond):
+    grid = make_uniform_grid(default_sched, 5)
+    m = ScalingDenoiser(3, 0.3)
+    up = ddim_invert_trajectory(m, default_sched, grid, np.array([0.4, -0.9, 0.1]), uncond)
+    down = generate_trajectory(m, default_sched, grid, up.end, uncond)
+    assert up.timesteps() == (0, 20, 40, 60, 80, 100) == down.timesteps()[::-1]
+    for traj in (up, down):
+        assert traj.latents.shape == (len(grid) + 1, 3)
+        with pytest.raises(ValueError):
+            traj.latents[1, 0] = 0.0
+        with pytest.raises(ValueError):
+            traj.latent_at(0)[0] = 0.0
+
+
+def test_walk_steps_a_latent_of_any_shape_along_the_grid(toy3):
+    z = np.arange(6.0).reshape(2, 3)
+    seen = []
+
+    def step(x, t_prev, t):
+        seen.append((t_prev, t))
+        return x + t
+    traj = walk(make_uniform_grid(toy3, 3), z, "generation", step)
+    assert seen == [(2, 3), (1, 2), (0, 1)]
+    assert traj.latents.shape == (4, 2, 3) and traj.timesteps() == (3, 2, 1, 0)
+    np.testing.assert_array_equal(traj.start, z)
+    np.testing.assert_array_equal(traj.latent_at(1), z + 5.0)
+    with rejects("direction"):
+        walk(make_uniform_grid(toy3, 3), z, "sideways", step)
 
 
 def test_trajectory_json_round_keys(toy3, stub0, uncond):

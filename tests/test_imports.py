@@ -16,7 +16,9 @@ No module under src/invlab but schedule.py reads a step's φ or ψ: the sampler'
 transition is written once, as `StepCoefficients.generate` and `.invert`. An
 argument's integer check is `errors.is_int`: no `require` call tests an integer
 with `type(...) is int` or `isinstance`, and no module but errors.py names
-`np.integer`, so one rule says which values are integers.
+`np.integer`, so one rule says which values are integers. No module but
+dynamics.py calls `Trajectory(...)`, and there only `walk` does: every trajectory
+is one walk along its grid.
 """
 
 import ast
@@ -36,6 +38,7 @@ SOURCES = PACKAGE + BENCH
 BEYOND_ERRORS = [p for p in PACKAGE if p.name != "errors.py"]  # errors.py defines the helpers
 # schedule.py defines StepCoefficients and its transition
 BEYOND_SCHEDULE = [p for p in PACKAGE if p.name != "schedule.py"]
+DYNAMICS = ROOT / "src" / "invlab" / "dynamics.py"
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 BROAD = {"Exception", "BaseException"}
@@ -261,3 +264,26 @@ def test_checker_flags_an_integer_test_by_hand():
 @pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_integer_checks_go_through_is_int(path):
     assert hand_integer_tests(path.read_text(encoding="utf-8")) == []
+
+
+def trajectory_builds(source: str, builder: str = "") -> list:
+    """Line numbers of `Trajectory(...)` calls outside the function named `builder`."""
+    inside = [range(fn.lineno, fn.end_lineno + 1) for fn in ast.walk(ast.parse(source))
+              if isinstance(fn, ast.FunctionDef) and fn.name == builder]
+    return [node.lineno for node in _calls(source, "Trajectory")
+            if not any(node.lineno in lines for lines in inside)]
+
+
+def test_checker_flags_a_trajectory_built_by_hand():
+    source = ("def walk(grid, z, direction, step):\n    return Trajectory(z, direction, grid)\n"
+              "def replay(z):\n    return dynamics.Trajectory(z, 'generation', g)\n"
+              "traj = walk(grid, z, INVERSION, step)\n"
+              "def end(traj: Trajectory) -> Trajectory:\n    return traj.latents[-1]\n")
+    assert trajectory_builds(source, "walk") == [4]
+    assert trajectory_builds(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_only_walk_builds_a_trajectory(path):
+    builder = "walk" if path == DYNAMICS else ""
+    assert trajectory_builds(path.read_text(encoding="utf-8"), builder) == []

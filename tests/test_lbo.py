@@ -302,9 +302,8 @@ def test_trajectory_determinism(gauss_nd, default_sched, uncond):
     z0 = np.array([0.3, -0.1, 0.8, 0.0])
     a, ra = lbo_invert_trajectory(gauss_nd, default_sched, grid, z0, uncond)
     b, rb = lbo_invert_trajectory(gauss_nd, default_sched, grid, z0, uncond)
-    for (ta, za), (tb, zb) in zip(a.entries, b.entries):
-        assert ta == tb
-        np.testing.assert_array_equal(za, zb)
+    assert a.timesteps() == b.timesteps()
+    np.testing.assert_array_equal(a.latents, b.latents)
     assert ra == rb
 
 
@@ -484,7 +483,7 @@ def test_converged_sweeps_land_within_their_bound_of_the_exact_preimage(oracle, 
         local = [rho / (1.0 - rho) * math.sqrt(model.latent_dim) * cfg.tol + 1e-13 for rho in rhos]
         for z0 in z0s:
             traj, reports = lbo_invert_trajectory(model, sched, grid, z0, uncond, cfg)
-            latents = [z for _, z in traj.entries]
+            latents = traj.latents
             for co, rep, bound, z_prev, z_t in zip(cos, reports, local, latents[:-1],
                                                    latents[1:], strict=True):
                 if rep.converged:
@@ -509,7 +508,7 @@ def test_plain_sweep_converges_within_the_count_rho_predicts(oracle, uncond, ste
     cfg = LboConfig(mode="numerical")
     for z0 in z0s:
         traj, reports = lbo_invert_trajectory(model, sched, grid, z0, uncond, cfg)
-        latents = [z for _, z in traj.entries]
+        latents = traj.latents
         for (t_prev, t), z_prev, rep in zip(grid.transitions(), latents[:-1], reports,
                                             strict=True):
             rho = _sweep_radius(model, coefficients(sched, t, t_prev))
@@ -581,7 +580,7 @@ def test_converged_sweeps_land_within_their_bound_of_the_newton_preimage(default
         cfg = LboConfig(mode=mode)
         for z0 in z0s:
             traj, reports = lbo_invert_trajectory(model, sched, grid, z0, uncond, cfg)
-            latents = [z for _, z in traj.entries]
+            latents = traj.latents
             for (t_prev, t), rep, z_prev, z_t in zip(grid.transitions(), reports, latents[:-1],
                                                      latents[1:], strict=True):
                 if not rep.converged:

@@ -341,6 +341,17 @@ def test_divergence_positive_for_plain_inversion(default_sched, uncond):
     assert div[-1] == 0.0  # shared z_T by construction
 
 
+def test_divergence_is_the_distance_between_the_latents_at_each_timestep(default_sched, uncond):
+    m = LinearGaussianDenoiser(np.zeros(2), np.diag([2.0, 0.5]), default_sched)
+    grid = make_uniform_grid(default_sched, 10)
+    inv = ddim_invert_trajectory(m, default_sched, grid, np.array([0.3, -1.1]), uncond)
+    gen = generate_trajectory(m, default_sched, grid, inv.end + 0.01, uncond)  # perturbed z_T
+    div = trajectory_divergence(inv, gen)
+    assert list(div) == [np.linalg.norm(inv.latent_at(t) - gen.latent_at(t))
+                         for t in inv.timesteps()]
+    assert div.min() > 0.0
+
+
 def test_divergence_requires_matching_grids(toy3, default_sched, uncond):
     m = ConstantDenoiser(1, 0.0)
     inv, gen = _paired_trajectories(m, toy3, 3, np.array([1.0]), uncond)

@@ -31,7 +31,8 @@ from invlab import (
     make_uniform_grid,
     skip_coefficients,
 )
-from invlab.benchmark import json_text
+from invlab.benchmark import (AutoencoderSection, DatasetSection, RunConfig, TrainSection,
+                              json_text)
 
 
 def test_constant_beta_alpha_bars(toy3):
@@ -240,7 +241,8 @@ def _ddim_trajectory(sched, steps=3):
 
 
 # id -> (the argument named, an integer it accepts, a call on the schedule s and a value v
-# in that argument's place); each site accepts v as a NumPy integer and refuses 2.5 and True
+# in that argument's place); each site accepts v as a NumPy integer and refuses 2.5, True
+# and "x"
 INTEGER_SITES = {
     "lbo-max_iters": ("max_iters", 3, lambda s, v: LboConfig(max_iters=v)),
     "lbo-n_grad_warmup": ("n_grad_warmup", 3, lambda s, v: LboConfig(n_grad_warmup=v)),
@@ -265,6 +267,14 @@ INTEGER_SITES = {
         make_shapes(3, 0, 5, 5), 2, leak_scale=1.0, seed=v)),
     "derive_key-seed": ("seed", 3, lambda s, v: derive_key(v, "tag")),
     "latent_at-t": ("t", 3, lambda s, v: _ddim_trajectory(s).latent_at(v)),
+    "run-seed": ("seed", 3, lambda s, v: RunConfig(seed=v)),
+    "run-t_train": ("t_train", 60, lambda s, v: RunConfig(t_train=v)),
+    "run-steps": ("steps", 3, lambda s, v: RunConfig(steps=v)),
+    "dataset-count": ("count", 2, lambda s, v: DatasetSection(count=v)),
+    "dataset-height": ("height", 6, lambda s, v: DatasetSection(height=v)),
+    "dataset-width": ("width", 6, lambda s, v: DatasetSection(width=v)),
+    "train-count": ("count", 2, lambda s, v: TrainSection(count=v)),
+    "autoencoder-fit_count": ("fit_count", 2, lambda s, v: AutoencoderSection(fit_count=v)),
 }
 
 
@@ -272,7 +282,7 @@ INTEGER_SITES = {
 def test_an_integer_argument_takes_numpy_integers_and_refuses_floats_and_bools(case, toy3):
     field, k, call = INTEGER_SITES[case]
     call(toy3, np.int64(k))
-    for value in (2.5, True):
+    for value in (2.5, True, "x"):
         with rejects(field):
             call(toy3, value)
 
