@@ -17,9 +17,8 @@ from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, gen
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError,
                      InvlabError)
 from .ilb import IlbConfig, IlbReport, ilb_loss_and_grad, ilb_optimize, skip_roundtrip
-from .lbo import (LboConfig, LboStepReport, bias_target, lbo_gradient_iterate,
-                  lbo_invert_step, lbo_invert_trajectory, lbo_numerical_iterate,
-                  objective_and_grad)
+from .lbo import (LboConfig, LboStepReport, lbo_gradient_iterate, lbo_invert_step,
+                  lbo_invert_trajectory, lbo_numerical_iterate, objective_and_grad)
 from .metrics import psnr, ssim, ssim_with_grad, trajectory_divergence
 from .modelio import load_model, save_model
 from .optim import AdamState, adam_step, gradient_check

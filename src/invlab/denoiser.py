@@ -148,7 +148,7 @@ class MlpTrainConfig:
                 self.max_epochs, "an integer >= 0")
         require(is_int(self.batch_size) and self.batch_size >= 1, "batch_size",
                 self.batch_size, "an integer >= 1")
-        require(self.lr > 0, "lr", self.lr, "> 0")  # NaN fails too
+        require(0.0 < self.lr < math.inf, "lr", self.lr, "finite and > 0")
         # checked here, not after the last epoch in MlpDenoiser; a run's seed may be negative
         require(is_int(self.seed), "seed", self.seed, "an integer")
 

@@ -12,6 +12,7 @@ their total and its gradient at one point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,14 +40,14 @@ class IlbConfig:
     weights: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        require(self.lr > 0, "lr", self.lr, "> 0")  # NaN fails too
+        require(0.0 < self.lr < math.inf, "lr", self.lr, "finite and > 0")
         require(is_int(self.max_iters) and self.max_iters >= 1, "max_iters", self.max_iters,
                 "an integer >= 1")
-        require(self.rel_tol > 0, "rel_tol", self.rel_tol, "> 0")
+        require(0.0 < self.rel_tol < math.inf, "rel_tol", self.rel_tol, "finite and > 0")
         # its range needs the schedule: RunConfig checks it, skip_coefficients at use
         require(self.dt is None or is_int(self.dt), "dt", self.dt, "None or an integer")
-        require(len(self.weights) == 3 and all(w >= 0 for w in self.weights), "weights",
-                self.weights, "three non-negative reals")
+        require(len(self.weights) == 3 and all(0.0 <= w < math.inf for w in self.weights),
+                "weights", self.weights, "three finite reals >= 0")
 
 
 @dataclass(frozen=True)

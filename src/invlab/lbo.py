@@ -3,10 +3,12 @@
 One generation transition maps z_t to z_prev = φ·z_t + ψ·F(z_t, t, c).
 Inverting the transition exactly means solving a fixed-point problem in z_t;
 the plain reverse step approximates F at the wrong point. Here the unknown is the
-bias b = z_t − z_prev and three refinement modes are offered:
+bias b = z_t − z_prev, and its residual r(b) = generate(z_prev + b) − z_prev is
+zero exactly when (z_prev, z_prev + b) is a generation pair. Three refinement
+modes drive r to zero:
 
-  numerical  fixed-point iteration b ← bias_target(z_prev + b)
-  gradient   Adam on J(b) = mean|b − bias_target(z_prev + b)|
+  numerical  fixed-point sweep b ← b − r(b)
+  gradient   Adam on J(b) = mean|r(b)|
   hybrid     a few gradient steps to settle into the basin, then numerical
 
 All modes start from the one-shot inversion bias and report per-step
@@ -14,8 +16,9 @@ iteration counts and residuals. They share one loop in `lbo_invert_step`:
 its first iterations are Adam steps (all of them in gradient mode, the
 warm-up in hybrid mode, none in numerical mode) and the rest are sweeps. The
 per-iteration functions take the transition as its `StepCoefficients`;
-`lbo_invert_step` looks the coefficients up once per step. The gradient objective
-applies their `generate` to (z, F(z)) and to the pulled-back cotangents.
+`lbo_invert_step` looks the coefficients up once per step. Both modes write r
+as `co.generate(z, eps) - z_prev`; the gradient objective applies `generate`
+to the pulled-back cotangents too.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .denoiser import Condition, DenoiserInterface
-from .dynamics import INVERSION, Trajectory, ddim_invert_step, generate_step, walk
+from .dynamics import INVERSION, Trajectory, ddim_invert_step, walk
 from .errors import DivergenceError, is_int, require
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
@@ -50,14 +53,19 @@ class LboConfig:
             object.__setattr__(self, "max_iters", _DEFAULT_ITERS[self.mode])
         require(is_int(self.max_iters) and self.max_iters >= 0, "max_iters", self.max_iters,
                 "an integer >= 0")
-        require(self.tol > 0, "tol", self.tol, "> 0")  # NaN fails too
-        require(self.lr > 0, "lr", self.lr, "> 0")
+        require(0.0 < self.tol < math.inf, "tol", self.tol, "finite and > 0")
+        require(0.0 < self.lr < math.inf, "lr", self.lr, "finite and > 0")
         require(is_int(self.n_grad_warmup) and self.n_grad_warmup >= 0, "n_grad_warmup",
                 self.n_grad_warmup, "an integer >= 0")
 
 
 @dataclass(frozen=True)
 class LboStepReport:
+    """One inverted step. `residual` reads r(b) = generate(z_prev + b) − z_prev: in numerical
+    and hybrid modes ‖r‖∞ at the iterate the last sweep refined, in gradient mode J = mean|r|
+    at the start of the last Adam step, and inf when no sweep or Adam step counts (a zero
+    budget, or a hybrid budget that ends inside the warm-up)."""
+
     t: int
     iters: int
     residual: float
@@ -67,34 +75,26 @@ class LboStepReport:
         return {"t": self.t, "iters": self.iters, "residual": self.residual, "converged": self.converged}
 
 
-def bias_target(model: DenoiserInterface, co: StepCoefficients, z: np.ndarray,
-                c: Condition) -> np.ndarray:
-    """Bias that candidate z would need to be self-consistent: z − generate(z).
-
-    At the true preimage, generate_step lands exactly on z_prev and the
-    returned value equals z − z_prev.
-    """
-    return z - generate_step(model, co, z, c)
-
-
 def lbo_numerical_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
-                          c: Condition, b: np.ndarray) -> np.ndarray:
-    """One fixed-point sweep b ← bias_target(z_prev + b).
+                          c: Condition, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """One fixed-point sweep b ← b − r(b); returns (b − r, ‖r‖∞), r the residual at b.
 
-    A fixed point b* makes (z_prev, z_prev + b*) an exact generation pair.
+    A fixed point b* has r(b*) = 0: (z_prev, z_prev + b*) is an exact generation pair.
     """
-    b_next = bias_target(model, co, z_prev + b, c)
-    if not np.isfinite(b_next).all():
+    z = z_prev + b
+    r = co.generate(z, model.eval(z, co.t, c)) - z_prev
+    residual = float(np.abs(r).max())  # a NaN or ±inf anywhere in r reaches the max
+    if not math.isfinite(residual):
         raise DivergenceError("numerical sweep produced non-finite bias", t=co.t)
-    return b_next
+    return b - r, residual
 
 
 def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
                        c: Condition, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """J(b) = mean|G(z_prev+b) − z_prev| and its exact gradient.
+    """J(b) = mean|r(b)| and its exact gradient.
 
-    b − bias_target(z_prev + b) telescopes to generate_step(z_prev+b) − z_prev,
-    so the chain rule only passes through one denoiser evaluation.
+    r(b) = generate(z_prev + b) − z_prev, so the chain rule only passes through
+    one denoiser evaluation.
     """
     z = z_prev + b
     eps, pullback = model.linearize(z, co.t, c)
@@ -143,9 +143,7 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
                 if cfg.mode == "gradient":
                     residual = value
             else:
-                b_next = lbo_numerical_iterate(model, co, z_prev, c, b)
-                residual = float(np.abs(b_next - b).max())
-                b = b_next
+                b, residual = lbo_numerical_iterate(model, co, z_prev, c, b)
         except DivergenceError as e:
             raise DivergenceError(str(e), t=t, iteration=k) from None
     return z_prev + b, LboStepReport(

@@ -290,6 +290,11 @@ def json_leaves(doc, path=()):
     return paths or [path]
 
 
+def key_path(leaf) -> str:
+    """A path of keys and indices in the form a ConfigError names it: `a.b`, `a[0]`."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in leaf).lstrip(".")
+
+
 def mutate_json_leaf(doc, data) -> None:
     """Set one leaf of the JSON document `doc`, drawn with hypothesis `data`, to any JSON value."""
     set_json_leaf(doc, data.draw(st.sampled_from(json_leaves(doc))), data.draw(JSON_VALUES))

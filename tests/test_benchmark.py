@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import json_leaves, rejects, set_json_leaf, strict_json
+from conftest import json_leaves, key_path, rejects, set_json_leaf, strict_json
 
 from invlab.benchmark import (
     CSV_FIELDS,
@@ -168,7 +168,7 @@ def test_config_accepts_int_for_float_and_checks_ilb_at_load():
     cfg = config_from_json_dict({"ilb": {"lr": 1, "weights": [1, 0, 2]}})
     assert cfg.ilb.lr == 1.0 and isinstance(cfg.ilb.lr, float)
     assert cfg.ilb.weights == (1.0, 0.0, 2.0)
-    with pytest.raises(ConfigError, match=r"ilb\.lr: lr must be > 0"):
+    with pytest.raises(ConfigError, match=r"ilb\.lr: lr must be finite and > 0"):
         config_from_json_dict({"ilb": {"lr": 0}})
 
 
@@ -305,18 +305,20 @@ def _invbench_module(name):
     return module
 
 
+# three of the 32 pinned seeds: the first, one from the middle and the last
+@pytest.mark.parametrize("seed", [0, 15, 31])
 @pytest.mark.parametrize("workload", ["invert", "boost", "mlp-coarse"])
-def test_workload_meets_its_pinned_means_at_seed_0(workload, tmp_path):
+def test_workload_meets_its_pinned_means_at_three_seeds(workload, seed, tmp_path):
     # the benchmark's own check on its own inputs: a change that moves a pinned
     # mean beyond the benchmark's tolerance fails here first
     checks, worker = _invbench_module("bench_checks"), _invbench_module("bench_worker")
-    doc = {**json.loads((INVBENCH / "workloads" / f"{workload}.json").read_text()), "seed": 0}
+    doc = {**json.loads((INVBENCH / "workloads" / f"{workload}.json").read_text()), "seed": seed}
     cfg = config_from_json_dict(doc)
     run_benchmark(cfg, tmp_path)
     csv_text = (tmp_path / "benchmark.csv").read_text(encoding="utf-8")
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     bounds = worker.bound_psnr(BenchmarkBackends(cfg))
-    assert checks.check_call(doc, csv_text, summary, checks.load_pins(workload)["0"],
+    assert checks.check_call(doc, csv_text, summary, checks.load_pins(workload)[str(seed)],
                              bounds) == []
 
 
@@ -563,7 +565,8 @@ def test_train_value_out_of_range_is_config_error(field, value):
 
 
 @pytest.mark.parametrize("field,value", [("max_iters", -1), ("tol", 0.0), ("tol", float("nan")),
-                                         ("lr", 0.0), ("lr", float("nan")), ("n_grad_warmup", -1)])
+                                         ("tol", float("inf")), ("lr", 0.0), ("lr", float("nan")),
+                                         ("lr", float("inf")), ("n_grad_warmup", -1)])
 def test_lbo_value_out_of_range_is_config_error(field, value):
     key = f"lbo.{field}"
     with pytest.raises(ConfigError, match=re.escape(key)) as err:
@@ -627,11 +630,6 @@ def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
     assert config_from_json_dict(edge).steps == 1
 
 
-
-
-def key_path(leaf) -> str:
-    """A path of keys and indices in the form a ConfigError names it: `a.b`, `a[0]`."""
-    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in leaf).lstrip(".")
 
 
 def key_paths(doc) -> set:

@@ -1,15 +1,17 @@
 """Command-line interface, exercised through main(argv)."""
 
 import csv
+import functools
 import json
 import math
+import operator
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (read_model_file, set_json_leaf, strict_json, widen_cemb,
-                      write_model_file)
+from conftest import (json_leaves, key_path, read_model_file, set_json_leaf, strict_json,
+                      widen_cemb, write_model_file)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -584,6 +586,24 @@ KEY_VALUES = {
     "ilb.weights": st.sampled_from([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 5.0, 0.0]]),
 }
 CODES = {"invalid-parameter", "divergence", "config-error", "format-error"}
+
+# every float leaf of the tiny run
+FLOAT_LEAVES = [leaf for leaf in json_leaves(TINY_RUN)
+                if isinstance(functools.reduce(operator.getitem, leaf, TINY_RUN), float)]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("leaf", FLOAT_LEAVES, ids=key_path)
+def test_non_finite_float_leaf_exits_2_naming_its_key(capsys, tmp_path, leaf, value):
+    # json.load reads Infinity, -Infinity and NaN from a config file
+    doc = json.loads(json.dumps(TINY_RUN))
+    set_json_leaf(doc, leaf, value)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "benchmark", "--config", str(path), "--out", str(tmp_path / "o"))
+    # a list is named by its key: ilb.weights for each of its entries
+    key = ".".join(k for k in leaf if isinstance(k, str))
+    assert code == 2 and out["code"] == "config-error" and out["context"]["key"] == key, out
 
 
 @settings(max_examples=80, derandomize=True, deadline=None,

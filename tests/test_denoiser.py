@@ -1,5 +1,7 @@
 """Noise-predictor backends: stubs, the Gaussian oracle, the trained MLP."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import ConstantDenoiser, ScalingDenoiser, rejects, spectral_form, train_tiny_mlp
@@ -320,6 +322,7 @@ def test_mlp_linearize_runs_one_forward_pass(monkeypatch, uncond, tiny_mlp):
 
 @pytest.mark.parametrize("field,value", [("width", 0), ("max_epochs", -1),
                                          ("batch_size", 0), ("lr", 0.0), ("lr", -1e-3),
+                                         ("lr", math.inf),
                                          ("width", True), ("max_epochs", True),
                                          ("batch_size", True)])
 def test_mlp_train_config_rejects_out_of_range(field, value):

@@ -1,5 +1,7 @@
 """Latent boosting: consistency/regularization losses and the Adam driver."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import ConstantDenoiser, one_latent_codec, rejects
@@ -235,8 +237,9 @@ def test_optimize_input_validation(x0, ident, perc, uncond):
 
 
 def test_config_validation():
-    for field, value in [("lr", 0.0), ("max_iters", 0), ("rel_tol", 0.0),
-                         ("weights", (1.0, -1.0, 0.0)), ("weights", (1.0, 1.0)),
+    for field, value in [("lr", 0.0), ("lr", math.inf), ("max_iters", 0), ("rel_tol", 0.0),
+                         ("rel_tol", math.inf), ("weights", (1.0, -1.0, 0.0)),
+                         ("weights", (1.0, math.inf, 0.0)), ("weights", (1.0, 1.0)),
                          ("max_iters", True), ("dt", True)]:  # bool is not an int
         with rejects(field):
             IlbConfig(**{field: value})

@@ -17,7 +17,6 @@ from invlab import (
     DivergenceError,
     LboConfig,
     LinearGaussianDenoiser,
-    bias_target,
     coefficients,
     ddim_invert_step,
     ddim_invert_trajectory,
@@ -43,39 +42,46 @@ BSTAR = 0.01784041101132872
 CONTRACTION = 0.017527709470291558
 
 
-def test_bias_target_hand_values(toy3, stub0, stub_half, uncond):
-    got0 = bias_target(stub0, coefficients(toy3, 2, 1), ONE, uncond)
-    assert got0[0] == pytest.approx(1.0 - 1.0540925533894598, abs=1e-15)
-    got_half = bias_target(stub_half, coefficients(toy3, 2, 1), ONE, uncond)
-    assert got_half[0] == pytest.approx(CONTRACTION, abs=1e-15)
-
-
-def test_bias_target_complements_generation(gauss_nd, default_sched, uncond):
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal(4)
-    co = coefficients(default_sched, 50, 40)
-    got = bias_target(gauss_nd, co, z, uncond)
-    expect = z - generate_step(gauss_nd, co, z, uncond)
-    np.testing.assert_array_equal(got, expect)
-
-
 def test_numerical_iterate_holds_fixed_point(toy3, stub_half, uncond):
     b = np.array([BSTAR])
-    b_next = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE, uncond, b)
-    assert abs(b_next[0] - BSTAR) <= 1e-15
+    b_next, residual = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE, uncond, b)
+    assert abs(b_next[0] - BSTAR) <= 1e-15 and residual <= 1e-15
 
 
 def test_numerical_iterates_contract_geometrically(toy3, stub_half, uncond):
-    # affine map: successive residuals shrink by the contraction factor
+    # affine map: successive residuals shrink by the contraction factor, and each
+    # sweep moves b by exactly its residual
     b = ddim_invert_step(stub_half, coefficients(toy3, 2, 1), ONE, uncond) - ONE
     residuals = []
     for _ in range(4):
-        b_next = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE, uncond, b)
-        residuals.append(abs(float(b_next[0] - b[0])))
+        b_next, residual = lbo_numerical_iterate(stub_half, coefficients(toy3, 2, 1), ONE,
+                                                 uncond, b)
+        assert residual == pytest.approx(abs(float(b_next[0] - b[0])), rel=0.0, abs=1e-16)
+        residuals.append(residual)
         b = b_next
     ratios = [r2 / r1 for r1, r2 in zip(residuals, residuals[1:]) if r1 > 1e-14]
     for r in ratios:
         assert r == pytest.approx(CONTRACTION, rel=1e-6)
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "mlp"])
+@pytest.mark.parametrize("mode", ["numerical", "hybrid"])
+def test_sweep_reports_the_residual_of_the_iterate_it_refined(gauss_nd, default_sched, tiny_mlp,
+                                                              backend, mode):
+    # the iterate the k-th sweep refined is the step's result under a budget of k − 1
+    if backend == "gaussian":
+        (model, sched), z_prev = (gauss_nd, default_sched), np.array([0.3, -1.2, 0.7, 0.1])
+        t_prev, t = 30, 40
+    else:
+        (model, sched), z_prev, t_prev, t = tiny_mlp, np.array([0.4, -0.2]), 4, 10
+    c, co = Condition(), coefficients(sched, t, t_prev)
+    for max_iters in (6, 7):
+        cfg = LboConfig(mode=mode, max_iters=max_iters, tol=1e-30)
+        _, rep = lbo_invert_step(model, sched, z_prev, t_prev, t, c, cfg)
+        refined, _ = lbo_invert_step(model, sched, z_prev, t_prev, t, c,
+                                     LboConfig(mode=mode, max_iters=max_iters - 1, tol=1e-30))
+        assert rep.iters == max_iters
+        assert rep.residual == np.abs(generate_step(model, co, refined, c) - z_prev).max()
 
 
 def test_numerical_iterate_raises_on_blowup(toy3, uncond):
@@ -212,7 +218,7 @@ def test_zero_budget_is_one_shot_inversion(gauss_nd, default_sched, uncond, mode
 
 def test_config_validation():
     for field, value in [("mode", "annealed"), ("max_iters", -1), ("tol", 0.0), ("lr", -1e-3),
-                         ("n_grad_warmup", -2),
+                         ("tol", math.inf), ("lr", math.inf), ("n_grad_warmup", -2),
                          ("max_iters", True), ("n_grad_warmup", True)]:  # bool is not an int
         with rejects(field):
             LboConfig(**{field: value})
@@ -355,9 +361,7 @@ def _reference_step(model, sched, z_prev, t_prev, t, c, cfg):
     if cfg.mode != "gradient":
         residual = np.inf
         while iters < cfg.max_iters and residual >= cfg.tol:
-            b_next = lbo_numerical_iterate(model, co, z_prev, c, b)
-            residual = float(np.max(np.abs(b_next - b)))
-            b = b_next
+            b, residual = lbo_numerical_iterate(model, co, z_prev, c, b)
             iters += 1
     return z_prev + b, iters, residual
 
