@@ -128,7 +128,6 @@ class LboSection:
     max_iters: Optional[int] = None  # None: the mode's own budget
     tol: float = LboConfig.tol
     lr: float = LboConfig.lr
-    n_grad_warmup: int = LboConfig.n_grad_warmup
 
     def __post_init__(self):
         LboConfig(**asdict(self))  # its range checks, under the default mode
@@ -208,11 +207,9 @@ def _parse_section(cls, doc, prefix: str):
     values = {key: _parse_value(hints[key], value, prefix + key) for key, value in doc.items()}
     try:
         return cls(**values)
-    except InvalidParameterError as e:
-        if "field" in e.context:  # the error names the offending key
-            key = prefix + e.context["field"]
-            raise ConfigError(f"config key {key}: {e}", key=key) from None
-        raise ConfigError(f"config section {section}: {e}", key=section) from None
+    except InvalidParameterError as e:  # `require` and `require_shape` name the field
+        key = prefix + e.context["field"]
+        raise ConfigError(f"config key {key}: {e}", key=key) from None
 
 
 def _parse_value(tp, value, key: str):

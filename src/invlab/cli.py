@@ -191,7 +191,7 @@ def cmd_gradcheck(cfg: RunConfig, out: Path) -> dict:
         v = rng.standard_normal(d)
         errors["model_vjp"] = max(errors["model_vjp"], gradient_check(
             lambda x: float(v @ b.model.eval(x, t, c)),
-            b.model.vjp(z, t, c, v), z))
+            b.model.linearize(z, t, c)[1](v), z))
         z_prev = rng.standard_normal(d)
         bias = 0.1 * rng.standard_normal(d)
         errors["lbo_objective"] = max(errors["lbo_objective"], gradient_check(

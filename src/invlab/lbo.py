@@ -9,16 +9,17 @@ modes drive r to zero:
 
   numerical  fixed-point sweep b ← b − r(b)
   gradient   Adam on J(b) = mean|r(b)|
-  hybrid     a few gradient steps to settle into the basin, then numerical
+  hybrid     the gradient mode's first five iterations, then sweeps
 
-All modes start from the one-shot inversion bias and report per-step
-iteration counts and residuals. They share one loop in `lbo_invert_step`:
-its first iterations are Adam steps (all of them in gradient mode, the
-warm-up in hybrid mode, none in numerical mode) and the rest are sweeps. The
-per-iteration functions take the transition as its `StepCoefficients`;
-`lbo_invert_step` looks the coefficients up once per step. Both modes write r
-as `co.generate(z, eps) - z_prev`; the gradient objective applies `generate`
-to the pulled-back cotangents too.
+All modes start from the one-shot inversion bias and share one loop in
+`lbo_invert_step`: its first iterations are Adam steps (all of them in
+gradient mode, five in hybrid mode, none in numerical mode) and the rest are
+sweeps. Every iteration returns ‖r‖∞ at the iterate it started from, and the
+loop stops on that one number in every mode. The per-iteration functions
+take the transition as its `StepCoefficients`; `lbo_invert_step` looks the
+coefficients up once per step. Both modes write r as
+`co.generate(z, eps) - z_prev`; the gradient objective applies `generate` to
+the pulled-back cotangents too.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficient
 
 _MODES = ("numerical", "gradient", "hybrid")
 _DEFAULT_ITERS = {"numerical": 15, "gradient": 20, "hybrid": 15}
+# how many of a step's first iterations are Adam steps; the rest are sweeps
+_ADAM_ITERS = {"numerical": 0, "gradient": math.inf, "hybrid": 5}
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class LboConfig:
     max_iters: Optional[int] = None
     tol: float = 1e-8
     lr: float = 1e-3
-    n_grad_warmup: int = 5
 
     def __post_init__(self):
         require(self.mode in _MODES, "mode", self.mode, f"one of {_MODES}")
@@ -55,16 +57,13 @@ class LboConfig:
                 "an integer >= 0")
         require(0.0 < self.tol < math.inf, "tol", self.tol, "finite and > 0")
         require(0.0 < self.lr < math.inf, "lr", self.lr, "finite and > 0")
-        require(is_int(self.n_grad_warmup) and self.n_grad_warmup >= 0, "n_grad_warmup",
-                self.n_grad_warmup, "an integer >= 0")
 
 
 @dataclass(frozen=True)
 class LboStepReport:
-    """One inverted step. `residual` reads r(b) = generate(z_prev + b) − z_prev: in numerical
-    and hybrid modes ‖r‖∞ at the iterate the last sweep refined, in gradient mode J = mean|r|
-    at the start of the last Adam step, and inf when no sweep or Adam step counts (a zero
-    budget, or a hybrid budget that ends inside the warm-up)."""
+    """One inverted step. `residual` is ‖r(b)‖∞, r(b) = generate(z_prev + b) − z_prev, at the
+    iterate b that the last sweep or Adam step started from, in every mode; inf with a zero
+    budget. `converged` is residual < tol."""
 
     t: int
     iters: int
@@ -90,8 +89,8 @@ def lbo_numerical_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev
 
 
 def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
-                       c: Condition, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """J(b) = mean|r(b)| and its exact gradient.
+                       c: Condition, b: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """J(b) = mean|r(b)|, its exact gradient and ‖r(b)‖∞.
 
     r(b) = generate(z_prev + b) − z_prev, so the chain rule only passes through
     one denoiser evaluation.
@@ -101,19 +100,20 @@ def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: n
     r = co.generate(z, eps) - z_prev
     s = np.sign(r)
     grad = co.generate(s, pullback(s)) / r.size
+    a = np.abs(r)
     # add.reduce / size is np.mean's own arithmetic without its dispatch
-    return float(np.add.reduce(np.abs(r)) / r.size), grad
+    return float(np.add.reduce(a) / r.size), grad, float(a.max())
 
 
 def lbo_gradient_iterate(model: DenoiserInterface, co: StepCoefficients,
                          z_prev: np.ndarray, c: Condition, b: np.ndarray,
                          state: AdamState) -> tuple[np.ndarray, AdamState, float]:
-    """One Adam step on J(b); returns (b_next, state, J at the pre-step b)."""
-    value, grad = objective_and_grad(model, co, z_prev, c, b)
-    if not math.isfinite(value):
+    """One Adam step on J(b); returns (b_next, state, ‖r‖∞ at the pre-step b)."""
+    _, grad, residual = objective_and_grad(model, co, z_prev, c, b)
+    if not math.isfinite(residual):  # a NaN or ±inf anywhere in r reaches the max
         raise DivergenceError("gradient objective became non-finite", t=co.t)
     b_next, state = adam_step(state, b, grad)
-    return b_next, state, value
+    return b_next, state, residual
 
 
 def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.ndarray,
@@ -130,18 +130,15 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
     if cfg.max_iters == 0:
         return y0, LboStepReport(t=t, iters=0, residual=float("inf"), converged=False)
     b = y0 - z_prev
-    n_adam = {"gradient": cfg.max_iters,
-              "hybrid": min(cfg.n_grad_warmup, cfg.max_iters)}.get(cfg.mode, 0)
+    n_adam = _ADAM_ITERS[cfg.mode]
     state = AdamState(lr=cfg.lr)
-    residual = float("inf")  # hybrid's warm-up leaves it here
+    residual = math.inf
     k = 0
     while k < cfg.max_iters and residual >= cfg.tol:
         k += 1
         try:
             if k <= n_adam:
-                b, state, value = lbo_gradient_iterate(model, co, z_prev, c, b, state)
-                if cfg.mode == "gradient":
-                    residual = value
+                b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, b, state)
             else:
                 b, residual = lbo_numerical_iterate(model, co, z_prev, c, b)
         except DivergenceError as e:

@@ -1,7 +1,7 @@
 """Shared fixtures: small schedules, the two stub denoisers, 2-d mixture MLPs, exact inverses
-under an affine model and Newton preimages under any model, model-file surgery, JSON
-mutation, strict JSON parsing, hypothesis profile, and `rejects`, the one form of a test that
-an argument is refused."""
+under an affine model and Newton preimages under any model, ILB's exact optimum under an
+affine model, model-file surgery, JSON mutation, strict JSON parsing, hypothesis profile, and
+`rejects`, the one form of a test that an argument is refused."""
 
 import contextlib
 import json
@@ -26,6 +26,7 @@ from invlab import (
     generate_step,
     make_linear_schedule,
     make_uniform_grid,
+    skip_roundtrip,
     train_mlp_denoiser,
 )
 from invlab.errors import require, require_shape
@@ -235,6 +236,35 @@ def exact_preimage(model, sched, grid, z0):
     for t_prev, t in grid.transitions():
         z = exact_step(model, coefficients(sched, t, t_prev), z)
     return z
+
+
+def ilb_exact_optimum(x0, ae, model, sched, cfg):
+    """(z*, total*): the minimiser and minimum of ILB's total under weights (1, 0, 0), with the
+    regularizer, for an affine model such as the analytic oracle. There both terms are L1 norms
+    of affine maps of z: mean|Dz + m − x0| over the P pixels, and mean|Rz + r0| over the d
+    latents for r(z) = z − skip_roundtrip(z). So the minimum is a linear program in z and the
+    split residuals s± ≥ 0 (pixels) and u± ≥ 0 (latents): minimise Σs±/P + Σu±/d subject to
+    Dz − s⁺ + s⁻ = x0 − m and Rz − u⁺ + u⁻ = −r0, solved by HiGHS. D and m take d + 1
+    decodes, R and r0 d + 1 round trips."""
+    from scipy.optimize import linprog  # scipy is a test dependency; invlab runs without it
+
+    require(cfg.use_reg and tuple(cfg.weights) == (1.0, 0.0, 0.0), "cfg", cfg,
+            "weights (1, 0, 0) with the regularizer")
+    c, d = Condition(), ae.latent_dim
+    eye, zero = np.eye(d), np.zeros(d)
+    m = ae.decode(zero).ravel()
+    dec = np.stack([ae.decode(e).ravel() - m for e in eye], axis=1)
+    rt0 = skip_roundtrip(model, sched, zero, cfg.dt, c)  # r0 = −rt0
+    reg = eye - np.stack([skip_roundtrip(model, sched, e, cfg.dt, c) - rt0 for e in eye], axis=1)
+    p = len(m)
+    a_eq = np.block([[dec, -np.eye(p), np.eye(p), np.zeros((p, 2 * d))],
+                     [reg, np.zeros((d, 2 * p)), -eye, eye]])
+    b_eq = np.concatenate([np.ravel(x0) - m, rt0])
+    cost = np.concatenate([np.zeros(d), np.full(2 * p, 1.0 / p), np.full(2 * d, 1.0 / d)])
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, method="highs",
+                  bounds=[(None, None)] * d + [(0.0, None)] * (2 * p + 2 * d))
+    assert res.status == 0, res.message
+    return res.x[:d], float(res.fun)
 
 
 def read_model_file(path):

@@ -94,6 +94,10 @@ def test_config_merge_is_deep_and_strict():
         config_from_json_dict({"bogus": 1})
     with pytest.raises(ConfigError, match=r"denoiser\.train\.momentum"):
         config_from_json_dict({"denoiser": {"train": {"momentum": 0.9}}})
+    # hybrid LBO's warm-up is five Adam steps, no longer a knob
+    with pytest.raises(ConfigError, match=r"unknown config key 'lbo\.n_grad_warmup'") as err:
+        config_from_json_dict({"lbo": {"n_grad_warmup": 5}})
+    assert err.value.context["key"] == "lbo.n_grad_warmup"
 
 
 def test_load_config_file(tmp_path):
@@ -129,7 +133,7 @@ ILL_TYPED = [
     ("denoiser.train.lr", "fast"),
     ("autoencoder.kind", 1), ("autoencoder.path", ["a"]), ("autoencoder.latent_frac", "1/4"),
     ("autoencoder.fit_count", 64.0), ("autoencoder.leak_scale", False),
-    ("lbo.max_iters", 1.5), ("lbo.tol", "1e-8"), ("lbo.lr", None), ("lbo.n_grad_warmup", True),
+    ("lbo.max_iters", 1.5), ("lbo.tol", "1e-8"), ("lbo.lr", None),
     ("ilb.lr", "0.1"), ("ilb.max_iters", 10.0), ("ilb.rel_tol", None), ("ilb.dt", "5"),
     ("ilb.use_reg", "yes"), ("ilb.weights", 1.0), ("ilb.weights", [1.0, "1", 1.0]),
     ("beta_start", 10**400), ("ilb.weights", [1.0, 10**400, 1.0]),
@@ -566,14 +570,14 @@ def test_train_value_out_of_range_is_config_error(field, value):
 
 @pytest.mark.parametrize("field,value", [("max_iters", -1), ("tol", 0.0), ("tol", float("nan")),
                                          ("tol", float("inf")), ("lr", 0.0), ("lr", float("nan")),
-                                         ("lr", float("inf")), ("n_grad_warmup", -1)])
+                                         ("lr", float("inf"))])
 def test_lbo_value_out_of_range_is_config_error(field, value):
     key = f"lbo.{field}"
     with pytest.raises(ConfigError, match=re.escape(key)) as err:
         config_from_json_dict({"lbo": {field: value}, "methods": ["lbo-n"]})
     assert err.value.context["key"] == key
     # the smallest accepted values load
-    edge = {"max_iters": 0, "tol": 1e-300, "lr": 1e-300, "n_grad_warmup": 0}
+    edge = {"max_iters": 0, "tol": 1e-300, "lr": 1e-300}
     assert config_from_json_dict({"lbo": edge}).lbo.max_iters == 0
 
 

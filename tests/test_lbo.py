@@ -65,17 +65,18 @@ def test_numerical_iterates_contract_geometrically(toy3, stub_half, uncond):
 
 
 @pytest.mark.parametrize("backend", ["gaussian", "mlp"])
-@pytest.mark.parametrize("mode", ["numerical", "hybrid"])
-def test_sweep_reports_the_residual_of_the_iterate_it_refined(gauss_nd, default_sched, tiny_mlp,
-                                                              backend, mode):
-    # the iterate the k-th sweep refined is the step's result under a budget of k − 1
+@pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
+def test_every_mode_reports_the_residual_of_the_iterate_it_last_evaluated(
+        gauss_nd, default_sched, tiny_mlp, backend, mode):
+    # the iterate the k-th sweep or Adam step started from is the step's result under a
+    # budget of k − 1; hybrid's budgets 3 and 6 end inside and just after its warm-up
     if backend == "gaussian":
         (model, sched), z_prev = (gauss_nd, default_sched), np.array([0.3, -1.2, 0.7, 0.1])
         t_prev, t = 30, 40
     else:
         (model, sched), z_prev, t_prev, t = tiny_mlp, np.array([0.4, -0.2]), 4, 10
     c, co = Condition(), coefficients(sched, t, t_prev)
-    for max_iters in (6, 7):
+    for max_iters in (3, 6, 7):
         cfg = LboConfig(mode=mode, max_iters=max_iters, tol=1e-30)
         _, rep = lbo_invert_step(model, sched, z_prev, t_prev, t, c, cfg)
         refined, _ = lbo_invert_step(model, sched, z_prev, t_prev, t, c,
@@ -143,10 +144,9 @@ def test_objective_gradient_matches_finite_differences(gauss_nd, default_sched, 
     co = coefficients(default_sched, 40, 30)
 
     def j(bb):
-        val, _ = objective_and_grad(gauss_nd, co, z_prev, uncond, bb)
-        return val
+        return objective_and_grad(gauss_nd, co, z_prev, uncond, bb)[0]
 
-    _, grad = objective_and_grad(gauss_nd, co, z_prev, uncond, b)
+    grad = objective_and_grad(gauss_nd, co, z_prev, uncond, b)[1]
     assert gradient_check(j, grad, b) < 1e-4
 
 
@@ -166,8 +166,9 @@ def test_objective_is_the_straightforward_form_bit_for_bit(
     co = coefficients(sched, t, t_prev)
     r = generate_step(model, co, z_prev + b, c) - z_prev
     s = np.sign(r)
-    value, grad = objective_and_grad(model, co, z_prev, c, b)
+    value, grad, residual = objective_and_grad(model, co, z_prev, c, b)
     assert value == float(np.mean(np.abs(r)))
+    assert residual == float(np.abs(r).max())
     pullback = model.linearize(z_prev + b, t, c)[1]
     assert np.array_equal(grad, (co.phi * s + co.psi * pullback(s)) / r.size)
 
@@ -191,18 +192,19 @@ def test_invert_step_stub_zero_converges_immediately(toy3, stub0, uncond, mode, 
                                atol=1e-14)
 
 
-def test_invert_step_hybrid_stub_zero(toy3, stub0, uncond):
-    # warmup steps are no-ops at the exact solution; the numerical tail closes
-    cfg = LboConfig(mode="hybrid", max_iters=10, n_grad_warmup=5)
+def test_invert_step_hybrid_stub_zero(toy3, stub0, stub_half, uncond):
+    # the first warm-up step reads r = 0 at the exact solution and stops, as the other modes do
+    cfg = LboConfig(mode="hybrid", max_iters=10)
     z_t, rep = lbo_invert_step(stub0, toy3, ONE, 1, 2, uncond, cfg)
-    assert rep.converged and rep.iters == 6 and rep.residual <= 1e-14
-    cfg0 = LboConfig(mode="hybrid", max_iters=10, n_grad_warmup=0)
-    _, rep0 = lbo_invert_step(stub0, toy3, ONE, 1, 2, uncond, cfg0)
-    assert rep0.converged and rep0.iters == 1
-    # a budget inside the warm-up: no sweep runs, so there is no residual
-    short = LboConfig(mode="hybrid", max_iters=3, n_grad_warmup=5)
-    _, rep_short = lbo_invert_step(stub0, toy3, ONE, 1, 2, uncond, short)
-    assert rep_short.iters == 3 and rep_short.residual == np.inf and not rep_short.converged
+    assert rep.converged and rep.iters == 1 and rep.residual <= 1e-14
+    # a budget inside the five-step warm-up is the gradient mode's, with its finite residual
+    for max_iters in (1, 3, 5):
+        z_h, rep_h = lbo_invert_step(stub_half, toy3, ONE, 1, 2, uncond,
+                                     LboConfig(mode="hybrid", max_iters=max_iters))
+        z_g, rep_g = lbo_invert_step(stub_half, toy3, ONE, 1, 2, uncond,
+                                     LboConfig(mode="gradient", max_iters=max_iters))
+        assert rep_h.iters == max_iters and 0.0 < rep_h.residual < np.inf and not rep_h.converged
+        assert np.array_equal(z_h, z_g) and rep_h == rep_g
 
 
 @pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
@@ -218,8 +220,8 @@ def test_zero_budget_is_one_shot_inversion(gauss_nd, default_sched, uncond, mode
 
 def test_config_validation():
     for field, value in [("mode", "annealed"), ("max_iters", -1), ("tol", 0.0), ("lr", -1e-3),
-                         ("tol", math.inf), ("lr", math.inf), ("n_grad_warmup", -2),
-                         ("max_iters", True), ("n_grad_warmup", True)]:  # bool is not an int
+                         ("tol", math.inf), ("lr", math.inf),
+                         ("max_iters", True)]:  # bool is not an int
         with rejects(field):
             LboConfig(**{field: value})
     assert LboConfig(mode="gradient").max_iters == 20
@@ -284,21 +286,22 @@ def test_gradient_step_on_the_oracle_matches_the_spectral_formula(
         eval_, pullback = spectral_form(gauss_nd, t)
         b = (1.0 / co.phi) * z_prev - (co.psi / co.phi) * eval_(z_prev) - z_prev
         m, v = np.zeros(4), np.zeros(4)
-        k, value = 0, np.inf
-        while k < cfg.max_iters and value >= cfg.tol:
+        k, residual = 0, np.inf
+        while k < cfg.max_iters and residual >= cfg.tol:
             k += 1
             z = z_prev + b
             r = co.phi * z + co.psi * eval_(z) - z_prev
             s = np.sign(r)
             g = (co.phi * s + co.psi * pullback(s)) / r.size
-            value = float(np.mean(np.abs(r)))
+            residual = float(np.abs(r).max())
             m = BETA1 * m + (1.0 - BETA1) * g
             v = BETA2 * v + (1.0 - BETA2) * g * g
             m_hat, v_hat = m / (1.0 - BETA1**k), v / (1.0 - BETA2**k)
             b = b - cfg.lr * m_hat / (np.sqrt(v_hat) + EPSILON)
         ref = z_prev + b
         assert rep.iters == k
-        assert abs(rep.residual - value) <= 1e-12 * value
+        # r is a difference of terms the size of z_prev, so its rounding scales with them
+        assert abs(rep.residual - residual) <= 1e-12 * np.abs(z_prev).max()
         assert np.abs(z_t - ref).max() <= 1e-12 * np.abs(ref).max()
         z_prev = z_t
 
@@ -335,7 +338,7 @@ def test_modes_agree_on_smooth_model(gauss_nd, default_sched, uncond):
     )
     hyb, _ = lbo_invert_trajectory(
         gauss_nd, default_sched, grid, z0, uncond,
-        LboConfig(mode="hybrid", max_iters=35, n_grad_warmup=5),
+        LboConfig(mode="hybrid", max_iters=35),
     )
     grad, _ = lbo_invert_trajectory(
         gauss_nd, default_sched, grid, z0, uncond,
@@ -348,21 +351,19 @@ def test_modes_agree_on_smooth_model(gauss_nd, default_sched, uncond):
 
 
 def _reference_step(model, sched, z_prev, t_prev, t, c, cfg):
-    """lbo_invert_step written out with the public per-iteration functions."""
+    """lbo_invert_step written out with the public per-iteration functions: Adam steps (every
+    one in gradient mode, the first five in hybrid mode), then sweeps, until ‖r‖∞ < tol."""
     co = coefficients(sched, t, t_prev)
     b = ddim_invert_step(model, co, z_prev, c) - z_prev
+    n_adam = {"numerical": 0, "gradient": cfg.max_iters, "hybrid": 5}[cfg.mode]
+    state = AdamState(lr=cfg.lr)
     iters, residual = 0, np.inf
-    if cfg.mode != "numerical":
-        budget = cfg.max_iters if cfg.mode == "gradient" else min(cfg.n_grad_warmup, cfg.max_iters)
-        state = AdamState(lr=cfg.lr)
-        while iters < budget and (cfg.mode == "hybrid" or residual >= cfg.tol):
+    while iters < cfg.max_iters and residual >= cfg.tol:
+        if iters < n_adam:
             b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, b, state)
-            iters += 1
-    if cfg.mode != "gradient":
-        residual = np.inf
-        while iters < cfg.max_iters and residual >= cfg.tol:
+        else:
             b, residual = lbo_numerical_iterate(model, co, z_prev, c, b)
-            iters += 1
+        iters += 1
     return z_prev + b, iters, residual
 
 
@@ -424,12 +425,12 @@ def test_objective_and_grad_runs_one_forward_pass(tiny_mlp, monkeypatch, uncond)
     model, sched = tiny_mlp
     z_prev, b = np.array([0.4, -0.2]), np.array([0.01, 0.02])
     co = coefficients(sched, 10, 5)
-    value, grad = objective_and_grad(model, co, z_prev, uncond, b)
+    value, grad, residual = objective_and_grad(model, co, z_prev, uncond, b)
     calls = _count_forward_passes(monkeypatch)
     again = objective_and_grad(model, co, z_prev, uncond, b)
     # one MLP forward pass, where eval then vjp took two
     assert len(calls) == 1
-    assert again[0] == value and np.array_equal(again[1], grad)
+    assert (again[0], again[2]) == (value, residual) and np.array_equal(again[1], grad)
     # the same bits as the separate eval and vjp
     z = z_prev + b
     r = co.phi * z + co.psi * model.eval(z, 10, uncond) - z_prev

@@ -245,7 +245,6 @@ def _ddim_trajectory(sched, steps=3):
 # and "x"
 INTEGER_SITES = {
     "lbo-max_iters": ("max_iters", 3, lambda s, v: LboConfig(max_iters=v)),
-    "lbo-n_grad_warmup": ("n_grad_warmup", 3, lambda s, v: LboConfig(n_grad_warmup=v)),
     "ilb-max_iters": ("max_iters", 3, lambda s, v: IlbConfig(max_iters=v)),
     "ilb-dt": ("dt", 3, lambda s, v: IlbConfig(dt=v)),
     "mlp-train-width": ("width", 3, lambda s, v: MlpTrainConfig(width=v)),
