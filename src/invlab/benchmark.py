@@ -79,28 +79,17 @@ class TrainSection:
         _keep_ints(self, "count", "width")
 
 
-_MAX_SCALE = 1e6  # bound on |denoiser.mu_scale| and autoencoder.leak_scale
-
-
 @dataclass(frozen=True)
 class DenoiserSection:
     kind: str = "analytic"
     path: Optional[str] = None
-    mu_scale: float = 0.5
-    eig_min: float = 0.7
-    eig_max: float = 1.5
     train: TrainSection = TrainSection()
 
     def __post_init__(self):
         require(self.kind in ("analytic", "mlp"), "kind", self.kind, "'analytic' or 'mlp'")
-        # larger scales overflow the built mean or the round-trip norms
-        require(abs(self.mu_scale) <= _MAX_SCALE, "mu_scale", self.mu_scale,
-                f"finite with |mu_scale| <= {_MAX_SCALE:g}")
-        require(0.0 < self.eig_min < math.inf, "eig_min", self.eig_min, "finite and > 0")
-        require(0.0 < self.eig_max < math.inf, "eig_max", self.eig_max, "finite and > 0")
-        # below this ratio, rounding in the built covariance can make it indefinite
-        require(self.eig_min >= 1e-9 * self.eig_max, "eig_min", self.eig_min,
-                f">= 1e-9 * eig_max = {1e-9 * self.eig_max!r}")
+
+
+_MAX_SCALE = 1e6  # bound on autoencoder.leak_scale; larger overflows the round-trip norms
 
 
 @dataclass(frozen=True)
@@ -367,6 +356,15 @@ def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
                                   leak_scale=section.leak_scale, seed=cfg.seed)
 
 
+def analytic_denoiser(rng: np.random.Generator, d: int, sched) -> LinearGaussianDenoiser:
+    """The analytic oracle: Σ = Q·diag(λ)·Qᵀ with λ spread evenly over [0.7, 1.5] and Q the
+    orthogonal factor of a standard normal d × d draw, and μ = 0.5·N(0, I), drawn from rng
+    in that order."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    sigma = q @ np.diag(np.linspace(0.7, 1.5, d)) @ q.T
+    return LinearGaussianDenoiser(0.5 * rng.standard_normal(d), 0.5 * (sigma + sigma.T), sched)
+
+
 def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
     section = cfg.denoiser
     if section.path:  # a set path wins over kind
@@ -379,14 +377,7 @@ def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
                               "schedule (t_train, beta_start, beta_end)", key="denoiser.path")
         return model
     if section.kind == "analytic":
-        rng = derive_rng(cfg.seed, "analytic-model")
-        d = ae.latent_dim
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        eig = np.linspace(section.eig_min, section.eig_max, d)
-        sigma = q @ np.diag(eig) @ q.T
-        sigma = 0.5 * (sigma + sigma.T)
-        mu = section.mu_scale * rng.standard_normal(d)
-        return LinearGaussianDenoiser(mu, sigma, sched)
+        return analytic_denoiser(derive_rng(cfg.seed, "analytic-model"), ae.latent_dim, sched)
     train, fit_count = section.train, cfg.autoencoder.fit_count
     if train.count > fit_count:
         raise ConfigError(f"denoiser.train.count {train.count} exceeds autoencoder.fit_count "
@@ -430,7 +421,7 @@ def evaluate_instance(backends: BenchmarkBackends, instance_id: int, method: str
     z0 = start_latent(backends, x0, use_ilb)
     traj, reports = invert_latent(backends, z0, base)
     mean_iters = float(np.mean([r.iters for r in reports])) if reports else 0.0
-    z0_back = replay(backends, traj.latent_at(backends.sched.t_train)).latent_at(0)
+    z0_back = replay(backends, traj.end).end
     denom = float(np.linalg.norm(z0))
     with np.errstate(over="ignore"):  # an overflowing norm is the divergence raised below
         rel = float(np.linalg.norm(z0_back - z0)) / (denom if denom > 0 else 1.0)

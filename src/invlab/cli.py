@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .benchmark import (METRIC_FIELDS, BenchmarkBackends, RunConfig, base_method
                         write_json)
 from .data import gen_dataset, save_dataset
 from .errors import ConfigError, InvlabError
-from .ilb import ilb_loss_and_grad, ilb_optimize
+from .ilb import TRACE_COLUMNS, ilb_loss_and_grad, ilb_optimize
 from .lbo import objective_and_grad
 from .metrics import trajectory_divergence
 from .modelio import save_model
@@ -126,7 +126,7 @@ def cmd_sample(cfg: RunConfig, out: Path) -> dict:
     b = BenchmarkBackends(cfg)
     z_t = derive_rng(cfg.seed, "sample").standard_normal(b.ae.latent_dim)
     traj = replay(b, z_t)
-    image = np.clip(b.ae.decode(traj.latent_at(0)), 0.0, 1.0)
+    image = np.clip(b.ae.decode(traj.end), 0.0, 1.0)
     traj_path = out / "trajectory.json"
     write_json(traj_path, traj.to_json_dict())
     img_path = out / "sample.json"
@@ -143,7 +143,7 @@ def cmd_invert(cfg: RunConfig, out: Path) -> dict:
     traj_path = out / "trajectory.json"
     write_json(traj_path, traj.to_json_dict())
     rep_path = out / "step_reports.json"
-    write_json(rep_path, [r.to_json_dict() for r in reports])
+    write_json(rep_path, [asdict(r) for r in reports])
     return {"method": method, "trajectory": str(traj_path), "step_reports": str(rep_path)}
 
 
@@ -153,11 +153,12 @@ def cmd_ilb(cfg: RunConfig, out: Path) -> dict:
     x0 = b.images[0]
     z0_opt, report = ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, b.ilb_cfg, b.condition)
     rep_path = out / "ilb_report.json"
-    write_json(rep_path, report.to_json_dict())
+    write_json(rep_path, {**asdict(report),
+                          "trace": [dict(zip(TRACE_COLUMNS, row)) for row in report.trace]})
     trace_path = out / "ilb_trace.csv"
     with open(trace_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(("iter", "l_con", "l_reg", "total"))
+        writer.writerow(TRACE_COLUMNS)
         writer.writerow((0, report.initial_con, report.initial_reg, report.initial_total))
         for row in report.trace:
             writer.writerow(row)
@@ -223,7 +224,7 @@ def cmd_report_plot_data(cfg: RunConfig, out: Path) -> dict:
         writer.writerow(("method", "t", "l2_divergence"))
         for base in base_methods(cfg.methods):
             inv, _ = invert_latent(b, z0, base)
-            div = trajectory_divergence(inv, replay(b, inv.latent_at(b.sched.t_train)))
+            div = trajectory_divergence(inv, replay(b, inv.end))
             for t, value in zip(inv.timesteps(), div):
                 writer.writerow((base, t, value))
     return {"written": str(path)}

@@ -28,6 +28,7 @@ from .perceptual import RandomConvPerceptual
 from .schedule import NoiseSchedule, skip_coefficients
 
 _STALL_LIMIT = 5
+TRACE_COLUMNS = ("iter", "l_con", "l_reg", "total")
 
 
 @dataclass(frozen=True)
@@ -59,22 +60,7 @@ class IlbReport:
     final_con: float
     final_reg: float
     final_total: float
-    trace: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "iters_used": self.iters_used,
-            "initial_con": self.initial_con,
-            "initial_reg": self.initial_reg,
-            "initial_total": self.initial_total,
-            "final_con": self.final_con,
-            "final_reg": self.final_reg,
-            "final_total": self.final_total,
-            "trace": [
-                {"iter": it, "l_con": lc, "l_reg": lr_, "total": tot}
-                for it, lc, lr_, tot in self.trace
-            ],
-        }
+    trace: tuple  # rows of TRACE_COLUMNS
 
 
 def skip_roundtrip(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,
@@ -142,8 +128,8 @@ def ilb_optimize(x0: np.ndarray, ae: LinearAutoencoder, model: DenoiserInterface
     """Adam refinement of encode(x0); returns the lowest-loss iterate.
 
     The regularizer is always evaluated for reporting; with use_reg=False it
-    stays out of the optimized total. Trace rows are (iter, l_con, l_reg,
-    total) for iterations 1..iters_used, one per gradient step; the row's
+    stays out of the optimized total. Trace rows hold TRACE_COLUMNS for
+    iterations 1..iters_used, one per gradient step; the row's
     losses are measured at the post-step point. Early stop after 5 consecutive
     steps of relative improvement below rel_tol.
     """

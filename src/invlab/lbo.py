@@ -70,9 +70,6 @@ class LboStepReport:
     residual: float
     converged: bool
 
-    def to_json_dict(self) -> dict:
-        return {"t": self.t, "iters": self.iters, "residual": self.residual, "converged": self.converged}
-
 
 def lbo_numerical_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
                           c: Condition, b: np.ndarray) -> tuple[np.ndarray, float]:

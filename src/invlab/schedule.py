@@ -87,7 +87,8 @@ class StepCoefficients:
 
 @dataclass(frozen=True)
 class TimestepGrid:
-    """Strictly increasing subsequence of {1..T}; last entry is T. Kept as Python ints."""
+    """Strictly increasing timesteps >= 1, kept as Python ints. `make_uniform_grid` ends one
+    at its schedule's t_train; the grid alone does not know T."""
 
     steps: tuple[int, ...]
 

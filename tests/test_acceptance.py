@@ -13,11 +13,11 @@ import pytest
 from conftest import ConstantDenoiser, make_gauss_mixture
 
 from invlab.autoencoder import fit_linear_autoencoder
-from invlab.benchmark import BenchmarkBackends, config_from_json_dict, run_benchmark
+from invlab.benchmark import (BenchmarkBackends, analytic_denoiser, config_from_json_dict,
+                              run_benchmark)
 from invlab.data import make_shapes
 from invlab.denoiser import (
     Condition,
-    LinearGaussianDenoiser,
     MlpTrainConfig,
     train_mlp_denoiser,
 )
@@ -41,12 +41,6 @@ UNCOND = Condition()
 def _verdict(n: int, ok: bool, detail: str) -> None:
     print(f"criterion {n:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {n:02d}: {detail}"
-
-
-def _analytic(rng: np.random.Generator, d: int, sched: NoiseSchedule) -> LinearGaussianDenoiser:
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    sigma = q @ np.diag(np.linspace(0.7, 1.5, d)) @ q.T
-    return LinearGaussianDenoiser(0.5 * rng.standard_normal(d), 0.5 * (sigma + sigma.T), sched)
 
 
 def _roundtrip_rel(model, sched, grid, z0, traj) -> float:
@@ -193,7 +187,7 @@ def test_criterion_04_fixed_point_certificate(sched100, grid50):
     worst_rel, worst_ratio_ok = 0.0, True
     for i in range(100):
         rng = derive_rng(SEED, "c4", i)
-        model = _analytic(rng, 8, sched100)
+        model = analytic_denoiser(rng, 8, sched100)
         z0 = rng.standard_normal(8)
         traj, reports = lbo_invert_trajectory(model, sched100, grid50, z0, UNCOND, cfg)
         assert all(r.converged for r in reports)
@@ -225,7 +219,7 @@ def test_criterion_05_variant_agreement(sched100, grid50):
     worst_agree = 0.0
     for i in range(3):
         rng = derive_rng(SEED, "c5a", i)
-        model = _analytic(rng, 4, sched100)
+        model = analytic_denoiser(rng, 4, sched100)
         z0 = rng.standard_normal(4)
         zs = {}
         for name, cfg in modes.items():
@@ -262,7 +256,7 @@ def test_criterion_05_variant_agreement(sched100, grid50):
 
 def test_criterion_06_zero_budget_degeneracy(sched100, grid50):
     rng = derive_rng(SEED, "c6")
-    backends = [(_analytic(rng, 4, sched100), rng.standard_normal(4))]
+    backends = [(analytic_denoiser(rng, 4, sched100), rng.standard_normal(4))]
     data, _, _ = make_gauss_mixture(64, 1)
     mlp = train_mlp_denoiser(data, sched100, MlpTrainConfig(
         width=16, max_epochs=5, batch_size=16, lr=1e-2, seed=1))

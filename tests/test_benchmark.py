@@ -28,6 +28,7 @@ from invlab.benchmark import (
     TrainSection,
     _method_means,
     _run_instance,
+    analytic_denoiser,
     config_from_json_dict,
     evaluate_instance,
     json_text,
@@ -42,6 +43,7 @@ from invlab.denoiser import LinearGaussianDenoiser, MlpDenoiser
 from invlab.errors import ConfigError, DivergenceError, FormatError
 from invlab.modelio import save_model
 from invlab.perceptual import RandomConvPerceptual
+from invlab.rng import derive_rng
 
 SMALL_DOC = {
     "seed": 3,
@@ -126,8 +128,7 @@ ILL_TYPED = [
     ("methods", [1]),
     ("dataset", 5), ("dataset.width", True), ("dataset.count", 2.0), ("dataset.height", "16"),
     ("dataset.width", None), ("dataset.path", 3),
-    ("denoiser.kind", None), ("denoiser.path", 1), ("denoiser.mu_scale", "0.5"),
-    ("denoiser.eig_min", True), ("denoiser.eig_max", [1.5]), ("denoiser.train", [64]),
+    ("denoiser.kind", None), ("denoiser.path", 1), ("denoiser.train", [64]),
     ("denoiser.train.count", 8.5), ("denoiser.train.width", "64"),
     ("denoiser.train.max_epochs", False), ("denoiser.train.batch_size", None),
     ("denoiser.train.lr", "fast"),
@@ -262,6 +263,19 @@ def test_identity_autoencoder_and_mlp_denoiser_kinds():
     np.testing.assert_array_equal(backends.ae.mean, np.zeros(64))
     assert isinstance(backends.model, MlpDenoiser)
     assert backends.model.latent_dim == 64  # identity latent is the flat image
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_analytic_denoiser_is_the_seeded_oracle(seed):
+    backends = BenchmarkBackends(config_from_json_dict({**SMALL_DOC, "seed": seed}))
+    d = backends.ae.latent_dim
+    oracle = analytic_denoiser(derive_rng(seed, "analytic-model"), d, backends.sched)
+    assert isinstance(backends.model, LinearGaussianDenoiser)
+    assert np.array_equal(backends.model.mu, oracle.mu)
+    assert np.array_equal(backends.model.sigma, oracle.sigma)
+    # Σ's eigenvalues are spread evenly over [0.7, 1.5]
+    np.testing.assert_allclose(np.linalg.eigvalsh(backends.model.sigma),
+                               0.7 + 0.8 * np.arange(d) / (d - 1), rtol=0.0, atol=1e-12)
 
 
 def test_mlp_train_count_above_fit_count_rejected():
@@ -593,12 +607,6 @@ NAN, INF = float("nan"), float("inf")
                                      ({"dataset": {"height": 4}}, "dataset.height"),
                                      ({"dataset": {"height": 3}}, "dataset.height"),
                                      ({"dataset": {"width": 4}}, "dataset.width"),
-                                     ({"denoiser": {"mu_scale": NAN}}, "denoiser.mu_scale"),
-                                     ({"denoiser": {"mu_scale": -INF}}, "denoiser.mu_scale"),
-                                     ({"denoiser": {"eig_min": 0.0}}, "denoiser.eig_min"),
-                                     ({"denoiser": {"eig_min": NAN}}, "denoiser.eig_min"),
-                                     ({"denoiser": {"eig_max": INF}}, "denoiser.eig_max"),
-                                     ({"denoiser": {"eig_max": -1.0}}, "denoiser.eig_max"),
                                      ({"autoencoder": {"fit_count": 1}}, "autoencoder.fit_count"),
                                      ({"autoencoder": {"leak_scale": NAN}},
                                       "autoencoder.leak_scale"),
@@ -606,8 +614,6 @@ NAN, INF = float("nan"), float("inf")
                                       "autoencoder.leak_scale"),
                                      ({"autoencoder": {"leak_scale": INF}},
                                       "autoencoder.leak_scale"),
-                                     ({"denoiser": {"mu_scale": -1.000001e6}},
-                                      "denoiser.mu_scale"),
                                      ({"autoencoder": {"leak_scale": 1.000001e6}},
                                       "autoencoder.leak_scale"),
                                      ({"methods": []}, "methods"),
@@ -629,7 +635,6 @@ def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
     # the smallest accepted values load
     edge = {"t_train": 1, "steps": 1, "beta_start": 0.5, "beta_end": 0.5,
             "dataset": {"count": 1, "height": 5, "width": 5},
-            "denoiser": {"mu_scale": -1e6, "eig_min": 1e-300, "eig_max": 1e-300},
             "autoencoder": {"fit_count": 2, "leak_scale": 0.0}}
     assert config_from_json_dict(edge).steps == 1
 

@@ -66,9 +66,14 @@ def test_library_error_prints_json_and_exits_2(capsys, small_cfg, tmp_path):
     assert isinstance(doc["context"], dict)
 
 
+# keys that were once settable, and one that never was
 @pytest.mark.parametrize("doc,key", [({"stepz": 6}, "stepz"),
-                                     ({"lbo": {"n_grad_warmup": 5}}, "lbo.n_grad_warmup")],
-                         ids=["stepz", "lbo.n_grad_warmup"])
+                                     ({"lbo": {"n_grad_warmup": 5}}, "lbo.n_grad_warmup"),
+                                     ({"denoiser": {"mu_scale": 0.5}}, "denoiser.mu_scale"),
+                                     ({"denoiser": {"eig_min": 0.7}}, "denoiser.eig_min"),
+                                     ({"denoiser": {"eig_max": 1.5}}, "denoiser.eig_max")],
+                         ids=["stepz", "lbo.n_grad_warmup", "denoiser.mu_scale",
+                              "denoiser.eig_min", "denoiser.eig_max"])
 def test_unknown_config_key_exits_2(capsys, tmp_path, doc, key):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -163,6 +168,16 @@ def test_train_autoencoder_writes_loadable_model(capsys, small_cfg, tmp_path):
     assert built.leak is not None
     for name in ("w", "mean", "leak"):
         np.testing.assert_array_equal(getattr(saved, name), getattr(built, name))
+
+
+def test_train_autoencoder_refuses_the_identity_kind(capsys, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**SMALL, "autoencoder": {"kind": "identity"}}))
+    code, doc = run_cli(capsys, "train-autoencoder", "--config", str(path),
+                        "--out", str(tmp_path / "o"))
+    assert code == 2 and doc["code"] == "config-error"
+    assert doc["context"]["key"] == "autoencoder.kind" and "'identity'" in doc["message"]
+    assert not (tmp_path / "o" / "autoencoder.labmdl").exists()
 
 
 def test_train_denoiser_writes_loadable_model(capsys, tmp_path):
@@ -468,27 +483,14 @@ def test_large_leak_scale_runs_with_finite_metrics(capsys, tmp_path):
     assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
 
 
-@pytest.mark.parametrize("section,key,value", [("denoiser", "mu_scale", 1e308),
-                                               ("denoiser", "mu_scale", 1e200),
-                                               ("autoencoder", "leak_scale", 1e300)])
+@pytest.mark.parametrize("section,key,value", [("autoencoder", "leak_scale", 1e300)])
 def test_scale_past_its_bound_exits_2_naming_its_key(capsys, tmp_path, section, key, value):
-    # past 1e6 the built mean overflows, or the round trip scores as inf or NaN
+    # past 1e6 the round trip scores as inf or NaN
     path = tmp_path / "run.json"
     path.write_text(json.dumps({**SMALL, section: {**SMALL.get(section, {}), key: value}}))
     code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "o"))
     assert code == 2 and doc["code"] == "config-error"
     assert doc["context"]["key"] == f"{section}.{key}" and f"{section}.{key}" in doc["message"]
-
-
-@pytest.mark.parametrize("method", ["lbo-n", "lbo-n+ilb", "lbo-g"])
-@pytest.mark.parametrize("mu_scale", [-1e6, 1e6])
-def test_mu_scale_at_its_bound_runs_with_finite_metrics(capsys, tmp_path, mu_scale, method):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({**SMALL, "denoiser": {"mu_scale": mu_scale}}))
-    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--method", method,
-                        "--out", str(tmp_path / "o"))
-    assert code == 0
-    assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
 
 
 @pytest.mark.parametrize("command", ["roundtrip", "sample"])
@@ -507,14 +509,6 @@ def test_non_finite_round_trip_exits_2(capsys, tmp_path):
     code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--method", "lbo-g",
                         "--out", str(tmp_path / "o"))
     assert code == 2 and doc["code"] == "divergence"
-
-
-def test_eig_min_too_small_for_eig_max_exits_2(capsys, tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({**SMALL, "denoiser": {"eig_min": 1e-16, "eig_max": 1.0}}))
-    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "o"))
-    assert code == 2 and doc["code"] == "config-error"
-    assert doc["context"]["key"] == "denoiser.eig_min" and "denoiser.eig_min" in doc["message"]
 
 
 # ---------------------------------------------------------------- generated command lines
@@ -565,9 +559,6 @@ KEY_VALUES = {
                         min_size=1, max_size=3, unique=True),
     "dataset.count": st.integers(1, 2),
     "denoiser.kind": st.sampled_from(["analytic", "mlp"]),
-    "denoiser.mu_scale": st.sampled_from([-1e6, 0.0, 3.0, 1e6]),
-    "denoiser.eig_min": st.sampled_from([1e-9, 0.1, 1.0, 50.0]),
-    "denoiser.eig_max": st.sampled_from([1e-9, 0.1, 1.0, 50.0]),
     "denoiser.train.count": st.integers(1, 3),
     "denoiser.train.width": st.integers(1, 4),
     "denoiser.train.max_epochs": st.integers(0, 2),

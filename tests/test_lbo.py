@@ -31,7 +31,7 @@ from invlab import (
     make_uniform_grid,
     objective_and_grad,
 )
-from invlab.benchmark import BenchmarkBackends, config_from_json_dict
+from invlab.benchmark import BenchmarkBackends, analytic_denoiser, config_from_json_dict
 from invlab.optim import BETA1, BETA2, EPSILON
 
 ONE = np.array([1.0])
@@ -447,10 +447,7 @@ def oracle():
     [0.7, 1.5], the default schedule) and three latents to invert."""
     sched = make_linear_schedule(100, 1e-4, 0.05)
     rng = np.random.default_rng(31)
-    q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
-    sigma = (q * np.linspace(0.7, 1.5, 16)) @ q.T
-    model = LinearGaussianDenoiser(0.5 * rng.standard_normal(16), 0.5 * (sigma + sigma.T), sched)
-    return model, sched, rng.standard_normal((3, 16))
+    return analytic_denoiser(rng, 16, sched), sched, rng.standard_normal((3, 16))
 
 
 def _sweep_radius(model, co, z=None):

@@ -1,5 +1,7 @@
 """Adam stepping and finite-difference gradient checking."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import rejects
@@ -151,6 +153,13 @@ def test_gradient_check_rejects_non_finite_gradient(grad):
     first = int(np.flatnonzero(~np.isfinite(grad))[0])
     with pytest.raises(DivergenceError, match=f"coordinate {first}"):
         gradient_check(lambda z: float(np.sum(z**2)), np.array(grad), x)
+
+
+def test_gradient_check_rejects_non_finite_difference():
+    # finite at x and along coordinate 0, inf one step along coordinate 1
+    x = np.zeros(3)
+    with pytest.raises(DivergenceError, match="evaluation during gradient check at coordinate 1"):
+        gradient_check(lambda z: float(np.sum(z**2)) if z[1] <= 0.0 else math.inf, 2.0 * x, x)
 
 
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
