@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from conftest import json_leaves, key_path, rejects, set_json_leaf, strict_json
 
+from invlab import make_linear_schedule
 from invlab.benchmark import (
     CSV_FIELDS,
     AutoencoderSection,
@@ -276,6 +277,21 @@ def test_analytic_denoiser_is_the_seeded_oracle(seed):
     # Σ's eigenvalues are spread evenly over [0.7, 1.5]
     np.testing.assert_allclose(np.linalg.eigvalsh(backends.model.sigma),
                                0.7 + 0.8 * np.arange(d) / (d - 1), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 64])
+def test_analytic_denoiser_draws_basis_then_mean(d):
+    sched = make_linear_schedule(100, 1e-4, 0.05)
+    model = analytic_denoiser(np.random.default_rng(7), d, sched)
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    np.testing.assert_array_equal(model.mu, 0.5 * rng.standard_normal(d))
+    assert np.array_equal(model.sigma, model.sigma.T)
+    np.testing.assert_allclose(np.linalg.eigvalsh(model.sigma), np.linspace(0.7, 1.5, d),
+                               rtol=0.0, atol=1e-12)
+    # Σ's eigenvectors are the columns of the drawn basis, up to sign
+    lam = np.linspace(0.7, 1.5, d)
+    np.testing.assert_allclose(model.sigma @ q, q * lam, rtol=0.0, atol=1e-12)
 
 
 def test_mlp_train_count_above_fit_count_rejected():
@@ -661,6 +677,15 @@ def test_any_value_at_one_leaf_loads_or_is_a_config_error_naming_a_key(leaf):
             assert isinstance(config_from_json_dict(doc), RunConfig)
         except ConfigError as e:
             assert e.context.get("key") in key_paths(doc), (value, e.context)
+
+
+# the analytic oracle's recipe is fixed: its three former knobs are unknown keys
+@pytest.mark.parametrize("key", ["mu_scale", "eig_min", "eig_max"])
+def test_any_value_at_a_former_oracle_key_is_an_unknown_key(key):
+    for value in ODD_VALUES:
+        with pytest.raises(ConfigError, match="unknown config key") as e:
+            config_from_json_dict({"denoiser": {key: value}})
+        assert e.value.context["key"] == f"denoiser.{key}", value
 
 
 # sizes that NumPy can index but whose arrays would fill gigabytes or more

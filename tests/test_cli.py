@@ -483,6 +483,18 @@ def test_large_leak_scale_runs_with_finite_metrics(capsys, tmp_path):
     assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
 
 
+@pytest.mark.parametrize("method", ["ddim", "lbo-g", "lbo-n", "lbo-h", "ddim+ilb", "lbo-g+ilb",
+                                    "lbo-n+ilb", "lbo-h+ilb"])
+def test_every_method_round_trips_the_analytic_oracle_with_finite_metrics(capsys, tmp_path,
+                                                                           method):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(SMALL))
+    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--method", method,
+                        "--out", str(tmp_path / "o"))
+    assert code == 0 and doc["method"] == method
+    assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
+
+
 @pytest.mark.parametrize("section,key,value", [("autoencoder", "leak_scale", 1e300)])
 def test_scale_past_its_bound_exits_2_naming_its_key(capsys, tmp_path, section, key, value):
     # past 1e6 the round trip scores as inf or NaN
@@ -597,6 +609,19 @@ def test_non_finite_float_leaf_exits_2_naming_its_key(capsys, tmp_path, leaf, va
     # a list is named by its key: ilb.weights for each of its entries
     key = ".".join(k for k in leaf if isinstance(k, str))
     assert code == 2 and out["code"] == "config-error" and out["context"]["key"] == key, out
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", ["mu_scale", "eig_min", "eig_max"])
+def test_non_finite_value_at_a_former_oracle_key_exits_2_as_unknown(capsys, tmp_path, key,
+                                                                     value):
+    doc = json.loads(json.dumps(TINY_RUN))
+    doc["denoiser"][key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "benchmark", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2 and out["code"] == "config-error", out
+    assert out["context"]["key"] == f"denoiser.{key}" and "unknown" in out["message"], out
 
 
 @settings(max_examples=80, derandomize=True, deadline=None,
