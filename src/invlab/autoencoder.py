@@ -73,13 +73,13 @@ class LinearAutoencoder:
                     "finite")
         require(w.ndim == 2 and w.shape[1] == pixel_count, "w", w.shape,
                 f"a matrix with one column per pixel, {pixel_count}")
-        require(w.shape[0] <= pixel_count, "w", w.shape,
-                f"at most {pixel_count} rows, one per latent")
+        require(1 <= w.shape[0] <= pixel_count, "w", w.shape,
+                f"a matrix of 1 to {pixel_count} rows, one per latent")
         mean = require_shape(mean, (pixel_count,), "mean")
         # W·Wᵀ − I in place, so that the check holds one k×k array beside W
         gram = w @ w.T
         gram.flat[::w.shape[0] + 1] -= 1.0
-        require(gram.size == 0 or (-1e-10 <= gram.min() and gram.max() <= 1e-10), "w",
+        require(-1e-10 <= gram.min() and gram.max() <= 1e-10, "w",
                 "rows that are not orthonormal", "orthonormal rows to 1e-10")
         del gram  # freed before the leak's check builds its own k×k product
         if leak is not None:
@@ -148,7 +148,8 @@ def fit_linear_autoencoder(
     pixel_count = int(np.prod(image_shape))
     require(n >= 2, "data", data.shape, "at least 2 images")
     require(np.all(np.isfinite(data)), "data", "an array with non-finite entries", "finite")
-    require(1 <= latent_dim <= pixel_count, "latent_dim", latent_dim, f"in [1, {pixel_count}]")
+    require(is_int(latent_dim) and 1 <= latent_dim <= pixel_count, "latent_dim", latent_dim,
+            f"an integer in [1, {pixel_count}]")
     require(leak_scale >= 0.0, "leak_scale", leak_scale, ">= 0")
     require_codec_size(pixel_count, "data", data.shape)
     flat = data.reshape(n, pixel_count)

@@ -29,7 +29,7 @@ from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, Mlp
                        train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError, InvlabError,
-                     is_int, require)
+                     is_int, keep_ints, require)
 from .ilb import IlbConfig, ilb_optimize
 from .lbo import LboConfig, lbo_invert_trajectory
 from .metrics import psnr, ssim
@@ -40,13 +40,6 @@ from .schedule import make_linear_schedule, make_uniform_grid
 
 BASE_METHODS = ("ddim", "lbo-g", "lbo-n", "lbo-h")
 LBO_MODES = {"lbo-g": "gradient", "lbo-n": "numerical", "lbo-h": "hybrid"}
-
-
-def _keep_ints(section, *names) -> None:
-    """Store checked integer fields as Python ints, as a JSON config gives them, so that
-    RunConfig's size budget multiplies them without NumPy's fixed-width overflow."""
-    for name in names:
-        object.__setattr__(section, name, int(getattr(section, name)))
 
 
 @dataclass(frozen=True)
@@ -62,31 +55,21 @@ class DatasetSection:
         require(is_int(self.height) and self.height >= 5, "height", self.height,
                 "an integer >= 5")
         require(is_int(self.width) and self.width >= 5, "width", self.width, "an integer >= 5")
-        _keep_ints(self, "count", "height", "width")
-
-
-@dataclass(frozen=True)
-class TrainSection:
-    count: int = 64
-    width: int = 64
-    max_epochs: int = 60
-    batch_size: int = 32
-    lr: float = 1e-3
-
-    def __post_init__(self):
-        require(is_int(self.count) and self.count >= 1, "count", self.count, "an integer >= 1")
-        MlpTrainConfig(self.width, self.max_epochs, self.batch_size, self.lr)  # its range checks
-        _keep_ints(self, "count", "width")
+        require(self.path != "", "path", self.path, "null or a nonempty file name")
+        keep_ints(self, "count", "height", "width")
 
 
 @dataclass(frozen=True)
 class DenoiserSection:
     kind: str = "analytic"
     path: Optional[str] = None
-    train: TrainSection = TrainSection()
+    train: MlpTrainConfig = MlpTrainConfig()
 
     def __post_init__(self):
         require(self.kind in ("analytic", "mlp"), "kind", self.kind, "'analytic' or 'mlp'")
+        # "" would be unset to the builders but set to RunConfig's size budget, which
+        # skips the arrays a loaded file replaces
+        require(self.path != "", "path", self.path, "null or a nonempty file name")
 
 
 _MAX_SCALE = 1e6  # bound on autoencoder.leak_scale; larger overflows the round-trip norms
@@ -102,12 +85,13 @@ class AutoencoderSection:
 
     def __post_init__(self):
         require(self.kind in ("linear", "identity"), "kind", self.kind, "'linear' or 'identity'")
+        require(self.path != "", "path", self.path, "null or a nonempty file name")
         require(0.0 < self.latent_frac <= 1.0, "latent_frac", self.latent_frac, "in (0, 1]")
         require(is_int(self.fit_count) and self.fit_count >= 2, "fit_count", self.fit_count,
                 "an integer >= 2")
         require(0.0 <= self.leak_scale <= _MAX_SCALE, "leak_scale", self.leak_scale,
                 f"in [0, {_MAX_SCALE:g}]")
-        _keep_ints(self, "fit_count")
+        keep_ints(self, "fit_count")
 
 
 @dataclass(frozen=True)
@@ -142,7 +126,7 @@ class RunConfig:
         # before the sizes below use them; derive_key, the schedule and the grid check ranges
         for name in ("seed", "t_train", "steps"):
             require(is_int(getattr(self, name)), name, getattr(self, name), "an integer")
-        _keep_ints(self, "seed", "t_train", "steps")
+        keep_ints(self, "seed", "t_train", "steps")
         for name in self.methods:
             parse_method(name)
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -301,7 +285,7 @@ class BenchmarkBackends:
 
 def _load_instance_images(cfg: RunConfig) -> np.ndarray:
     ds = cfg.dataset
-    if not ds.path:
+    if ds.path is None:
         return make_shapes(ds.count, cfg.seed, ds.height, ds.width)
     if not Path(ds.path).exists():
         raise ConfigError(f"dataset.path {ds.path} does not exist", key="dataset.path")
@@ -342,7 +326,7 @@ def _load_model_file(path, iface, key: str):
 def build_autoencoder(cfg: RunConfig, fit_images: np.ndarray):
     section = cfg.autoencoder
     shape = fit_images.shape[1:]
-    if section.path:  # a set path wins over kind
+    if section.path is not None:  # a set path wins over kind
         ae = _load_model_file(section.path, LinearAutoencoder, "autoencoder.path")
         if ae.image_shape != shape:
             raise ConfigError(f"autoencoder.path {section.path} takes {ae.image_shape} images, "
@@ -367,7 +351,7 @@ def analytic_denoiser(rng: np.random.Generator, d: int, sched) -> LinearGaussian
 
 def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
     section = cfg.denoiser
-    if section.path:  # a set path wins over kind
+    if section.path is not None:  # a set path wins over kind
         model = _load_model_file(section.path, DenoiserInterface, "denoiser.path")
         if model.latent_dim != ae.latent_dim:
             raise ConfigError(f"denoiser.path {section.path} has latent_dim {model.latent_dim}, "
@@ -378,13 +362,8 @@ def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
         return model
     if section.kind == "analytic":
         return analytic_denoiser(derive_rng(cfg.seed, "analytic-model"), ae.latent_dim, sched)
-    train, fit_count = section.train, cfg.autoencoder.fit_count
-    if train.count > fit_count:
-        raise ConfigError(f"denoiser.train.count {train.count} exceeds autoencoder.fit_count "
-                          f"{fit_count}, the number of fit images", key="denoiser.train.count")
-    latents = np.stack([ae.encode(img) for img in fit_images[:train.count]])
-    return train_mlp_denoiser(latents, sched, MlpTrainConfig(
-        train.width, train.max_epochs, train.batch_size, train.lr, seed=cfg.seed))
+    latents = np.stack([ae.encode(img) for img in fit_images])
+    return train_mlp_denoiser(latents, sched, section.train, cfg.seed)
 
 
 def start_latent(b: BenchmarkBackends, x0: np.ndarray, use_ilb: bool) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, is_int, require, require_shape
+from .errors import DivergenceError, is_int, keep_ints, require, require_shape
 from .optim import AdamState, adam_step
 from .rng import derive_rng
 from .schedule import NoiseSchedule
@@ -81,7 +81,7 @@ class LinearGaussianDenoiser(DenoiserInterface):
         # copies: freezing them below leaves the caller's arrays writeable
         mu = np.array(mu, dtype=np.float64)
         sigma = np.array(sigma, dtype=np.float64)
-        require(mu.ndim == 1, "mu", mu.shape, "a vector")
+        require(mu.ndim == 1 and mu.size > 0, "mu", mu.shape, "a non-empty vector")
         d = mu.shape[0]
         sigma = require_shape(sigma, (d, d), "sigma")
         require(np.all(np.isfinite(mu)), "mu", "an array with non-finite entries", "finite")
@@ -136,11 +136,12 @@ class LinearGaussianDenoiser(DenoiserInterface):
 
 @dataclass(frozen=True)
 class MlpTrainConfig:
+    """The MLP's training settings; also the run config's `denoiser.train` section."""
+
     width: int = 64
-    max_epochs: int = 200
+    max_epochs: int = 60
     batch_size: int = 32
     lr: float = 1e-3
-    seed: int = 0
 
     def __post_init__(self):
         require(is_int(self.width) and self.width >= 1, "width", self.width, "an integer >= 1")
@@ -149,8 +150,7 @@ class MlpTrainConfig:
         require(is_int(self.batch_size) and self.batch_size >= 1, "batch_size",
                 self.batch_size, "an integer >= 1")
         require(0.0 < self.lr < math.inf, "lr", self.lr, "finite and > 0")
-        # checked here, not after the last epoch in MlpDenoiser; a run's seed may be negative
-        require(is_int(self.seed), "seed", self.seed, "an integer")
+        keep_ints(self, "width")  # RunConfig's size budget multiplies it
 
 
 _N_EVAL = 256  # probe rows behind MlpDenoiser.final_loss
@@ -279,24 +279,27 @@ def train_mlp_denoiser(
     data: np.ndarray,
     sched: NoiseSchedule,
     cfg: MlpTrainConfig,
+    seed: int = 0,
 ) -> MlpDenoiser:
     """Fit the MLP by noise-prediction regression with Adam.
 
     Draws (t, ε) per example, forms z_t = sqrt(ᾱ_t)·x + sqrt(1−ᾱ_t)·ε and
     regresses the prediction onto ε (mean squared error per coordinate).
     final_loss is that loss on a fixed seeded probe set, after the last epoch.
-    Fully seeded: the same config and data give bit-identical weights.
+    Fully seeded: the same data, config and seed give bit-identical weights.
+    The seed may be negative; the first stream drawn from it checks that it is an
+    integer, before any epoch runs.
     """
     data = np.asarray(data, dtype=np.float64)
     require(data.ndim == 2 and data.size > 0, "data", data.shape,
             "a non-empty (n, latent_dim) array")
     n, latent_dim = data.shape
 
-    params = _init_params(derive_rng(cfg.seed, "mlp-init"), latent_dim, cfg.width, sched.t_train)
+    params = _init_params(derive_rng(seed, "mlp-init"), latent_dim, cfg.width, sched.t_train)
     shapes = {k: params[k].shape for k in _PARAM_ORDER}
     flat = _flatten(params)
     state = AdamState(lr=cfg.lr)
-    rows_order = derive_rng(cfg.seed, "split").permutation(n)
+    rows_order = derive_rng(seed, "split").permutation(n)
     ab = np.concatenate([[1.0], np.asarray(sched.alpha_bars)])  # ᾱ indexed by t
 
     def noised(x, t, eps):
@@ -304,10 +307,10 @@ def train_mlp_denoiser(
 
     bs = min(cfg.batch_size, n)
     for epoch in range(cfg.max_epochs):
-        order = derive_rng(cfg.seed, "order", epoch).permutation(n)
+        order = derive_rng(seed, "order", epoch).permutation(n)
         for bstart in range(0, n, bs):
             rows = rows_order[order[bstart : bstart + bs]]
-            brng = derive_rng(cfg.seed, "noise", epoch, bstart)
+            brng = derive_rng(seed, "noise", epoch, bstart)
             t = brng.integers(1, sched.t_train + 1, size=rows.size)
             eps = brng.standard_normal((rows.size, latent_dim))
             zt = noised(data[rows], t, eps)
@@ -322,7 +325,7 @@ def train_mlp_denoiser(
             flat, state = adam_step(state, flat, _flatten(grads))
             params = _unflatten(flat, shapes)
 
-    eval_rng = derive_rng(cfg.seed, "eval")
+    eval_rng = derive_rng(seed, "eval")
     probe_rows = rows_order[eval_rng.integers(0, n, size=_N_EVAL)]
     probe_t = eval_rng.integers(1, sched.t_train + 1, size=_N_EVAL)
     probe_eps = eval_rng.standard_normal((_N_EVAL, latent_dim))
@@ -330,5 +333,5 @@ def train_mlp_denoiser(
     probe_pred = _batch_forward(params, zt, probe_t - 1)[2]
     final_loss = float(np.mean((probe_pred - probe_eps) ** 2))
 
-    return MlpDenoiser(params, sched, seed=cfg.seed, final_loss=final_loss,
+    return MlpDenoiser(params, sched, seed=seed, final_loss=final_loss,
                        trained_epochs=cfg.max_epochs)

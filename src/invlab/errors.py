@@ -17,7 +17,7 @@ A bad value goes through `require`, and an array of the wrong shape through
 other module builds an InvalidParameterError, and a shape fault
 `require_shape` cannot express is a `require` call. An argument that must be
 an integer is tested by `is_int`, the package's one integer rule: a Python or
-NumPy integer, never a bool.
+NumPy integer, never a bool; `keep_ints` then stores such a field as a Python int.
 """
 
 from __future__ import annotations
@@ -72,3 +72,10 @@ def require_shape(x, shape: tuple, name: str) -> np.ndarray:
 def is_int(x) -> bool:
     """A Python or NumPy integer, not a bool: the one integer test of every check."""
     return type(x) is int or isinstance(x, np.integer)
+
+
+def keep_ints(obj, *names) -> None:
+    """Store checked integer fields of a frozen dataclass as Python ints, as a JSON config
+    gives them, so that a size computed from them cannot overflow NumPy's fixed width."""
+    for name in names:
+        object.__setattr__(obj, name, int(getattr(obj, name)))

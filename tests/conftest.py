@@ -164,8 +164,7 @@ def train_tiny_mlp(seed: int = 0):
     """A width-16 MLP on 48 mixture draws, and its 20-step schedule."""
     sched = make_linear_schedule(20, 1e-3, 0.05)
     data = make_gauss_mixture(48, seed=9)[0]
-    cfg = MlpTrainConfig(width=16, max_epochs=4, seed=seed)
-    return train_mlp_denoiser(data, sched, cfg), sched
+    return train_mlp_denoiser(data, sched, MlpTrainConfig(width=16, max_epochs=4), seed), sched
 
 
 @pytest.fixture(scope="session")

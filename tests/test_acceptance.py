@@ -147,7 +147,7 @@ def test_criterion_03_gradient_fidelity():
     ae = fit_linear_autoencoder(images, 16)
     latents = np.stack([ae.encode(im) for im in images])
     model = train_mlp_denoiser(latents, sched, MlpTrainConfig(
-        width=16, max_epochs=3, batch_size=8, lr=1e-2, seed=0))
+        width=16, max_epochs=3, batch_size=8, lr=1e-2), 0)
     from invlab.perceptual import RandomConvPerceptual
     perc = RandomConvPerceptual((8, 8, 1), seed=0)
     ilb_cfg = IlbConfig(dt=10)
@@ -232,7 +232,7 @@ def test_criterion_05_variant_agreement(sched100, grid50):
 
     data, _, _ = make_gauss_mixture(128, 0)
     model = train_mlp_denoiser(data, sched100, MlpTrainConfig(
-        width=32, max_epochs=30, batch_size=16, lr=1e-2, seed=0))
+        width=32, max_epochs=30, batch_size=16, lr=1e-2), 0)
     grid20 = make_uniform_grid(sched100, 20)
     defaults = {"numerical": LboConfig(mode="numerical"),
                 "hybrid": LboConfig(mode="hybrid"),
@@ -259,7 +259,7 @@ def test_criterion_06_zero_budget_degeneracy(sched100, grid50):
     backends = [(analytic_denoiser(rng, 4, sched100), rng.standard_normal(4))]
     data, _, _ = make_gauss_mixture(64, 1)
     mlp = train_mlp_denoiser(data, sched100, MlpTrainConfig(
-        width=16, max_epochs=5, batch_size=16, lr=1e-2, seed=1))
+        width=16, max_epochs=5, batch_size=16, lr=1e-2), 1)
     backends.append((mlp, rng.standard_normal(2)))
     exact = True
     for model, z0 in backends:

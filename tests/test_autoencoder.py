@@ -179,10 +179,11 @@ def test_orthonormality_tolerance_is_1e_10_on_each_entry_of_w_wt(index, gain):
         LinearAutoencoder(w, np.zeros(4), (2, 2, 1))
 
 
-def test_constructor_accepts_a_codec_with_no_latents():
-    ae = LinearAutoencoder(np.zeros((0, 4)), np.zeros(4), (2, 2, 1))
-    assert ae.latent_dim == 0
-    assert ae.encode(np.ones((2, 2, 1))).shape == (0,)
+def test_constructor_rejects_a_codec_with_no_latents():
+    # an oracle on 0 latents cannot be built, so neither is a codec that gives them
+    with rejects("w"):
+        LinearAutoencoder(np.zeros((0, 4)), np.zeros(4), (2, 2, 1))
+    assert LinearAutoencoder(np.eye(1, 4), np.zeros(4), (2, 2, 1)).latent_dim == 1
 
 
 def test_constructor_rejects_more_latents_than_pixels():

@@ -26,7 +26,6 @@ from invlab.benchmark import (
     DatasetSection,
     DenoiserSection,
     RunConfig,
-    TrainSection,
     _method_means,
     _run_instance,
     analytic_denoiser,
@@ -40,7 +39,7 @@ from invlab.benchmark import (
 from invlab.autoencoder import LinearAutoencoder
 from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
-from invlab.denoiser import LinearGaussianDenoiser, MlpDenoiser
+from invlab.denoiser import LinearGaussianDenoiser, MlpDenoiser, MlpTrainConfig
 from invlab.errors import ConfigError, DivergenceError, FormatError
 from invlab.modelio import save_model
 from invlab.perceptual import RandomConvPerceptual
@@ -130,7 +129,7 @@ ILL_TYPED = [
     ("dataset", 5), ("dataset.width", True), ("dataset.count", 2.0), ("dataset.height", "16"),
     ("dataset.width", None), ("dataset.path", 3),
     ("denoiser.kind", None), ("denoiser.path", 1), ("denoiser.train", [64]),
-    ("denoiser.train.count", 8.5), ("denoiser.train.width", "64"),
+    ("denoiser.train.width", "64"),
     ("denoiser.train.max_epochs", False), ("denoiser.train.batch_size", None),
     ("denoiser.train.lr", "fast"),
     ("autoencoder.kind", 1), ("autoencoder.path", ["a"]), ("autoencoder.latent_frac", "1/4"),
@@ -255,7 +254,7 @@ def test_identity_autoencoder_and_mlp_denoiser_kinds():
     doc["autoencoder"] = {"kind": "identity", "fit_count": 16}
     doc["denoiser"] = {
         "kind": "mlp",
-        "train": {"count": 8, "width": 8, "max_epochs": 2, "batch_size": 4},
+        "train": {"width": 8, "max_epochs": 2, "batch_size": 4},
     }
     backends = BenchmarkBackends(config_from_json_dict(doc))
     # the identity codec is the lossless LinearAutoencoder, W = I and mean 0
@@ -292,15 +291,6 @@ def test_analytic_denoiser_draws_basis_then_mean(d):
     # Σ's eigenvectors are the columns of the drawn basis, up to sign
     lam = np.linspace(0.7, 1.5, d)
     np.testing.assert_allclose(model.sigma @ q, q * lam, rtol=0.0, atol=1e-12)
-
-
-def test_mlp_train_count_above_fit_count_rejected():
-    doc = dict(SMALL_DOC)
-    doc["autoencoder"] = {"fit_count": 16}
-    doc["denoiser"] = {"kind": "mlp", "train": {"count": 17}}
-    with pytest.raises(ConfigError, match="exceeds autoencoder.fit_count") as err:
-        BenchmarkBackends(config_from_json_dict(doc))
-    assert err.value.context["key"] == "denoiser.train.count"
 
 
 def test_ilb_dt_defaults_to_grid_stride():
@@ -422,10 +412,9 @@ def test_numpy_integer_sizes_are_kept_as_python_ints_and_budgeted_without_overfl
     cfg = RunConfig(seed=np.int64(3), t_train=np.int64(60), steps=np.int64(6),
                     dataset=DatasetSection(np.int64(2), np.int64(8), np.int64(8)),
                     autoencoder=AutoencoderSection(fit_count=np.int64(16)),
-                    denoiser=DenoiserSection(train=TrainSection(np.int64(4), np.int64(4))))
-    train = cfg.denoiser.train
+                    denoiser=DenoiserSection(train=MlpTrainConfig(np.int64(4))))
     kept = (cfg.seed, cfg.t_train, cfg.steps, cfg.dataset.count, cfg.dataset.height,
-            cfg.dataset.width, cfg.autoencoder.fit_count, train.count, train.width)
+            cfg.dataset.width, cfg.autoencoder.fit_count, cfg.denoiser.train.width)
     assert {type(v) for v in kept} == {int}
     # 8 bytes times 2**62 betas is 0 in int64 arithmetic
     with rejects("t_train"):
@@ -586,7 +575,7 @@ def test_method_means_with_errors():
     assert all_bad["mean_psnr_db"] is None
 
 
-@pytest.mark.parametrize("field,value", [("count", 0), ("width", 0), ("max_epochs", -1),
+@pytest.mark.parametrize("field,value", [("width", 0), ("max_epochs", -1),
                                          ("batch_size", 0), ("lr", 0.0), ("lr", -0.5)])
 def test_train_value_out_of_range_is_config_error(field, value):
     key = f"denoiser.train.{field}"
@@ -594,7 +583,7 @@ def test_train_value_out_of_range_is_config_error(field, value):
         config_from_json_dict({"denoiser": {"kind": "mlp", "train": {field: value}}})
     assert err.value.context["key"] == key
     # the smallest accepted values load
-    edge = {"count": 1, "width": 1, "max_epochs": 0, "batch_size": 1, "lr": 1e-12}
+    edge = {"width": 1, "max_epochs": 0, "batch_size": 1, "lr": 1e-12}
     assert config_from_json_dict({"denoiser": {"train": edge}}).denoiser.train.max_epochs == 0
 
 
@@ -655,6 +644,25 @@ def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
     assert config_from_json_dict(edge).steps == 1
 
 
+# every key a config can set, a list named once by its key: adding or removing an option
+# is an edit here
+SETTABLE_KEYS = [
+    "seed", "t_train", "beta_start", "beta_end", "steps", "record_timing", "n_workers",
+    "methods",
+    "dataset.count", "dataset.height", "dataset.width", "dataset.path",
+    "denoiser.kind", "denoiser.path", "denoiser.train.width", "denoiser.train.max_epochs",
+    "denoiser.train.batch_size", "denoiser.train.lr",
+    "autoencoder.kind", "autoencoder.path", "autoencoder.latent_frac", "autoencoder.fit_count",
+    "autoencoder.leak_scale",
+    "lbo.max_iters", "lbo.tol", "lbo.lr",
+    "ilb.lr", "ilb.max_iters", "ilb.rel_tol", "ilb.dt", "ilb.use_reg", "ilb.weights",
+]
+
+
+def test_the_settable_config_keys_are_pinned():
+    leaves = json_leaves(RunConfig().to_json_dict())
+    keys = [".".join(k for k in leaf if isinstance(k, str)) for leaf in leaves]
+    assert list(dict.fromkeys(keys)) == SETTABLE_KEYS
 
 
 def key_paths(doc) -> set:
@@ -688,12 +696,34 @@ def test_any_value_at_a_former_oracle_key_is_an_unknown_key(key):
         assert e.value.context["key"] == f"denoiser.{key}", value
 
 
+# denoiser.train is MlpTrainConfig: the MLP trains on all autoencoder.fit_count fit images
+# with the run's seed, so a count or a seed there is an unknown key
+@pytest.mark.parametrize("key", ["count", "seed"])
+def test_any_value_at_a_former_train_key_is_an_unknown_key(key):
+    for value in ODD_VALUES:
+        with pytest.raises(ConfigError, match="unknown config key") as e:
+            config_from_json_dict({"denoiser": {"kind": "mlp", "train": {key: value}}})
+        assert e.value.context["key"] == f"denoiser.train.{key}", value
+
+
+@pytest.mark.parametrize("section", ["dataset", "denoiser", "autoencoder"])
+def test_an_empty_path_is_a_config_error(section):
+    # the builders would read "" as unset and build what the size budget skipped
+    key = f"{section}.path"
+    with pytest.raises(ConfigError, match=re.escape(key)) as e:
+        config_from_json_dict({section: {"path": ""}})
+    assert e.value.context["key"] == key
+
+
 # sizes that NumPy can index but whose arrays would fill gigabytes or more
 OVERSIZED = [({"t_train": 10**9}, "t_train"),
              ({"dataset": {"count": 10**12}}, "dataset.count"),
              ({"autoencoder": {"fit_count": 10**11}}, "autoencoder.fit_count"),
              # every array within the budget, but one trajectory keeps 2**24 + 1 latents
-             ({"t_train": 2**24, "steps": 2**24, "beta_start": 1e-9, "beta_end": 1e-9}, "steps")]
+             ({"t_train": 2**24, "steps": 2**24, "beta_start": 1e-9, "beta_end": 1e-9}, "steps"),
+             # an empty path would skip the MLP's budget row and build a 5000 x 5000 layer
+             ({"denoiser": {"kind": "mlp", "path": "", "train": {"width": 5000}}},
+              "denoiser.path")]
 # caps its own address space at 2 GiB before it imports NumPy, then runs the CLI on each
 # config: a size that is allocated after all fails fast instead of filling the memory
 CAPPED_CLI_SCRIPT = ("import resource, sys\n"
@@ -807,7 +837,7 @@ TINY_MLP_DOC = {
     "t_train": 40,
     "dataset": {"count": 2, "height": 8, "width": 8},
     "autoencoder": {"fit_count": 16},
-    "denoiser": {"kind": "mlp", "train": {"count": 16, "width": 8, "max_epochs": 3}},
+    "denoiser": {"kind": "mlp", "train": {"width": 8, "max_epochs": 3}},
     "ilb": {"max_iters": 6},
     "methods": ["lbo-g", "lbo-h", "lbo-n+ilb"],
 }

@@ -185,7 +185,7 @@ def test_train_denoiser_writes_loadable_model(capsys, tmp_path):
     doc["autoencoder"] = {"fit_count": 32}
     doc["denoiser"] = {
         "kind": "mlp",
-        "train": {"count": 16, "width": 8, "max_epochs": 2, "batch_size": 4},
+        "train": {"width": 8, "max_epochs": 2, "batch_size": 4},
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
@@ -439,6 +439,17 @@ def test_model_file_whose_kind_is_not_a_string_exits_2(capsys, small_cfg, tmp_pa
     assert doc["context"]["key"] == "autoencoder.path" and str(ae) in doc["message"]
 
 
+def test_codec_file_with_no_latents_exits_2(capsys, tmp_path):
+    ae = tmp_path / "ae.labmdl"
+    header = {"kind": "linear-autoencoder", "dims": {"image_shape": [8, 8, 1]},
+              "arrays": [{"name": "w", "shape": [0, 64]}, {"name": "mean", "shape": [64]}]}
+    write_model_file(ae, header, bytes(8 * 64))
+    code, doc = run_cli(capsys, "roundtrip", "--config", _config_using(tmp_path, ae),
+                        "--out", str(tmp_path / "r"))
+    assert code == 2 and doc["code"] == "format-error"
+    assert doc["context"]["key"] == "autoencoder.path" and "w must be" in doc["message"], doc
+
+
 def test_mlp_file_with_more_than_one_cemb_row_exits_2(capsys, tmp_path):
     den = tmp_path / "mlp.labmdl"
     p = invlab.denoiser._init_params(np.random.default_rng(0), 4, 8, SMALL["t_train"])
@@ -530,7 +541,7 @@ FLAG_VALUES = ("0", "-1", "1", str(2**63), "x", "lbo-n+ilb")
 # every subcommand runs on it in milliseconds, train-denoiser included
 TINY = {"t_train": 8, "steps": 2, "dataset": {"count": 1, "height": 5, "width": 5},
         "autoencoder": {"fit_count": 2}, "ilb": {"max_iters": 2}, "methods": ["ddim"],
-        "denoiser": {"kind": "mlp", "train": {"count": 2, "width": 2, "max_epochs": 1}}}
+        "denoiser": {"kind": "mlp", "train": {"width": 2, "max_epochs": 1}}}
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -571,7 +582,6 @@ KEY_VALUES = {
                         min_size=1, max_size=3, unique=True),
     "dataset.count": st.integers(1, 2),
     "denoiser.kind": st.sampled_from(["analytic", "mlp"]),
-    "denoiser.train.count": st.integers(1, 3),
     "denoiser.train.width": st.integers(1, 4),
     "denoiser.train.max_epochs": st.integers(0, 2),
     "denoiser.train.batch_size": st.integers(1, 3),

@@ -98,6 +98,8 @@ def test_gaussian_rejects_bad_covariance(toy3):
         LinearGaussianDenoiser(np.zeros(2), np.array([[1.0, 0.0], [0.0, -2.0]]), toy3)
     with rejects("mu"):
         LinearGaussianDenoiser(np.array([0.0, np.inf]), np.eye(2), toy3)
+    with rejects("mu"):  # no latents
+        LinearGaussianDenoiser(np.zeros(0), np.zeros((0, 0)), toy3)
     with rejects("sigma"):
         LinearGaussianDenoiser(np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), toy3)
     with rejects("sigma"):
@@ -227,9 +229,9 @@ def test_mlp_rejects_empty_and_misshapen_data():
 
 def test_mlp_divergence_names_epoch():
     sched = make_linear_schedule(10, 1e-3, 0.05)
-    cfg = MlpTrainConfig(width=8, max_epochs=10, batch_size=4, lr=1e200, seed=0)
+    cfg = MlpTrainConfig(width=8, max_epochs=10, batch_size=4, lr=1e200)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
-        train_mlp_denoiser(EIGHT_POINTS[:4], sched, cfg)
+        train_mlp_denoiser(EIGHT_POINTS[:4], sched, cfg, 0)
     assert "epoch" in str(exc.value) and exc.value.context["epoch"] >= 0
 
 

@@ -301,7 +301,7 @@ def test_regularizer_choice_shifts_final_reg(uncond):
 def test_regularizer_runs_one_forward_pass_per_round_trip_leg(monkeypatch, uncond):
     sched = make_linear_schedule(20, 1e-3, 0.05)
     data = np.random.default_rng(5).standard_normal((24, 3))
-    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=2, seed=0))
+    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=2), 0)
     z = np.array([0.3, -0.1, 0.8])
     value, grad = invlab.ilb._reg_value_and_grad(model, sched, z, 2, uncond)
     calls = []

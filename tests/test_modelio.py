@@ -59,7 +59,7 @@ def test_gaussian_denoiser_round_trip(tmp_path):
 def test_mlp_denoiser_round_trip(tmp_path):
     sched = make_linear_schedule(12, 1e-3, 0.05)
     data = make_gauss_mixture(32, seed=2)[0]
-    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=3, seed=5))
+    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=3), 5)
     path = tmp_path / "mlp.labmdl"
     save_model(model, path)
     back = load_model(path)
@@ -155,7 +155,7 @@ def test_mlp_trained_with_numpy_integers_saves_the_same_file(tmp_path):
     sched = make_linear_schedule(12, 1e-3, 0.05)
     data = make_gauss_mixture(32, seed=2)[0]
     for name, k in (("python", 2), ("numpy", np.int64(2))):
-        save_model(train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=k, seed=k)),
+        save_model(train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=k), k),
                    tmp_path / name)
     assert (tmp_path / "numpy").read_bytes() == (tmp_path / "python").read_bytes()
 

@@ -30,9 +30,9 @@ from invlab import (
     make_shapes,
     make_uniform_grid,
     skip_coefficients,
+    train_mlp_denoiser,
 )
-from invlab.benchmark import (AutoencoderSection, DatasetSection, RunConfig, TrainSection,
-                              json_text)
+from invlab.benchmark import AutoencoderSection, DatasetSection, RunConfig, json_text
 
 
 def test_constant_beta_alpha_bars(toy3):
@@ -250,7 +250,8 @@ INTEGER_SITES = {
     "mlp-train-width": ("width", 3, lambda s, v: MlpTrainConfig(width=v)),
     "mlp-train-max_epochs": ("max_epochs", 3, lambda s, v: MlpTrainConfig(max_epochs=v)),
     "mlp-train-batch_size": ("batch_size", 3, lambda s, v: MlpTrainConfig(batch_size=v)),
-    "mlp-train-seed": ("seed", 3, lambda s, v: MlpTrainConfig(seed=v)),
+    "mlp-train-seed": ("seed", 3, lambda s, v: train_mlp_denoiser(
+        np.zeros((2, 2)), s, MlpTrainConfig(width=2, max_epochs=0), v)),
     "mlp-seed": ("seed", 3, lambda s, v: _mlp(s, seed=v)),
     "mlp-trained_epochs": ("trained_epochs", 3, lambda s, v: _mlp(s, trained_epochs=v)),
     "shapes-n": ("n", 2, lambda s, v: make_shapes(v, 0, 6, 6)),
@@ -262,6 +263,8 @@ INTEGER_SITES = {
     "identity-image_shape": ("image_shape", 1, lambda s, v: identity_autoencoder((5, 5, v))),
     "perceptual-image_shape": ("image_shape", 1, lambda s, v: RandomConvPerceptual((6, 6, v))),
     "perceptual-seed": ("seed", 3, lambda s, v: RandomConvPerceptual((6, 6, 1), seed=v)),
+    "fit-latent_dim": ("latent_dim", 2, lambda s, v: fit_linear_autoencoder(
+        make_shapes(3, 0, 5, 5), v)),
     "fit-seed": ("seed", 3, lambda s, v: fit_linear_autoencoder(
         make_shapes(3, 0, 5, 5), 2, leak_scale=1.0, seed=v)),
     "derive_key-seed": ("seed", 3, lambda s, v: derive_key(v, "tag")),
@@ -272,7 +275,6 @@ INTEGER_SITES = {
     "dataset-count": ("count", 2, lambda s, v: DatasetSection(count=v)),
     "dataset-height": ("height", 6, lambda s, v: DatasetSection(height=v)),
     "dataset-width": ("width", 6, lambda s, v: DatasetSection(width=v)),
-    "train-count": ("count", 2, lambda s, v: TrainSection(count=v)),
     "autoencoder-fit_count": ("fit_count", 2, lambda s, v: AutoencoderSection(fit_count=v)),
 }
 
