@@ -38,8 +38,10 @@ from .perceptual import RandomConvPerceptual
 from .rng import derive_rng
 from .schedule import make_linear_schedule, make_uniform_grid
 
-BASE_METHODS = ("ddim", "lbo-g", "lbo-n", "lbo-h")
-LBO_MODES = {"lbo-g": "gradient", "lbo-n": "numerical", "lbo-h": "hybrid"}
+# each LBO method runs its mode's library defaults
+LBO_CONFIGS = {"lbo-g": LboConfig("gradient"), "lbo-n": LboConfig("numerical"),
+               "lbo-h": LboConfig("hybrid")}
+BASE_METHODS = ("ddim", *LBO_CONFIGS)
 
 
 @dataclass(frozen=True)
@@ -95,18 +97,6 @@ class AutoencoderSection:
 
 
 @dataclass(frozen=True)
-class LboSection:
-    """LboConfig without the mode, which each method picks."""
-
-    max_iters: Optional[int] = None  # None: the mode's own budget
-    tol: float = LboConfig.tol
-    lr: float = LboConfig.lr
-
-    def __post_init__(self):
-        LboConfig(**asdict(self))  # its range checks, under the default mode
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     t_train: int = 100
@@ -119,7 +109,6 @@ class RunConfig:
     dataset: DatasetSection = DatasetSection()
     denoiser: DenoiserSection = DenoiserSection()
     autoencoder: AutoencoderSection = AutoencoderSection()
-    lbo: LboSection = LboSection()
     ilb: IlbConfig = IlbConfig()
 
     def __post_init__(self):
@@ -270,7 +259,7 @@ class BenchmarkBackends:
         self.cfg = cfg
         self.sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
         self.grid = make_uniform_grid(self.sched, cfg.steps)
-        dt = cfg.ilb.dt if cfg.ilb.dt is not None else max(cfg.t_train // cfg.steps, 1)
+        dt = cfg.ilb.dt if cfg.ilb.dt is not None else self.grid.steps[0]  # one grid stride
         self.ilb_cfg = replace(cfg.ilb, dt=dt)
         self.images = _load_instance_images(cfg)
         fit_images = make_fit_images(cfg)
@@ -278,9 +267,6 @@ class BenchmarkBackends:
         self.model = build_denoiser(cfg, self.sched, self.ae, fit_images)
         self.perc = RandomConvPerceptual((ds.height, ds.width, 1))
         self.condition = Condition()
-
-    def lbo_cfg(self, mode: str) -> LboConfig:
-        return LboConfig(mode=mode, **asdict(self.cfg.lbo))
 
 
 def _load_instance_images(cfg: RunConfig) -> np.ndarray:
@@ -377,8 +363,7 @@ def invert_latent(b: BenchmarkBackends, z0: np.ndarray, base: str):
     """Invert z0 over the grid with a base method; returns (trajectory, step reports)."""
     if base == "ddim":
         return ddim_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition), []
-    return lbo_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition,
-                                 b.lbo_cfg(LBO_MODES[base]))
+    return lbo_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition, LBO_CONFIGS[base])
 
 
 def replay(b: BenchmarkBackends, z_t: np.ndarray):

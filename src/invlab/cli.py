@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the section each train command builds, rather than loads from its path
+_TRAINED_SECTION = {"train-denoiser": "denoiser", "train-autoencoder": "autoencoder"}
+
+
 def _resolve_config(args) -> RunConfig:
     """The config file, checked alone, with each flag written over its key and the
     result checked again: --seed, --steps, --dt and --method write seed, steps,
-    ilb.dt and methods, and --no-ilb then strips '+ilb' from methods."""
+    ilb.dt and methods, and --no-ilb then strips '+ilb' from methods. A train
+    command nulls its section's path, so the check sizes what it trains."""
     cfg = load_config(args.config) if args.config else RunConfig()
     doc = cfg.to_json_dict()
+    if args.command in _TRAINED_SECTION:
+        doc[_TRAINED_SECTION[args.command]]["path"] = None
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.steps is not None:
@@ -99,8 +106,7 @@ def cmd_train_denoiser(cfg: RunConfig, out: Path) -> dict:
                           key="denoiser.kind")
     sched = make_linear_schedule(cfg.t_train, cfg.beta_start, cfg.beta_end)
     fit_images = make_fit_images(cfg)
-    model = build_denoiser(replace(cfg, denoiser=replace(cfg.denoiser, path=None)), sched,
-                           build_autoencoder(cfg, fit_images), fit_images)
+    model = build_denoiser(cfg, sched, build_autoencoder(cfg, fit_images), fit_images)
     path = out / "denoiser.labmdl"
     save_model(model, path)
     return {"written": str(path), "final_loss": model.final_loss,
@@ -113,8 +119,7 @@ def cmd_train_autoencoder(cfg: RunConfig, out: Path) -> dict:
         raise ConfigError(
             f"train-autoencoder needs autoencoder.kind 'linear', got {cfg.autoencoder.kind!r}",
             key="autoencoder.kind")
-    ae = build_autoencoder(replace(cfg, autoencoder=replace(cfg.autoencoder, path=None)),
-                           make_fit_images(cfg))
+    ae = build_autoencoder(cfg, make_fit_images(cfg))
     path = out / "autoencoder.labmdl"
     save_model(ae, path)
     return {"written": str(path), "latent_dim": ae.latent_dim,

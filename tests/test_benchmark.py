@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from conftest import json_leaves, key_path, rejects, set_json_leaf, strict_json
 
+import invlab.benchmark
 from invlab import make_linear_schedule
 from invlab.benchmark import (
     CSV_FIELDS,
@@ -41,6 +42,7 @@ from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
 from invlab.denoiser import LinearGaussianDenoiser, MlpDenoiser, MlpTrainConfig
 from invlab.errors import ConfigError, DivergenceError, FormatError
+from invlab.lbo import LboConfig
 from invlab.modelio import save_model
 from invlab.perceptual import RandomConvPerceptual
 from invlab.rng import derive_rng
@@ -96,10 +98,10 @@ def test_config_merge_is_deep_and_strict():
         config_from_json_dict({"bogus": 1})
     with pytest.raises(ConfigError, match=r"denoiser\.train\.momentum"):
         config_from_json_dict({"denoiser": {"train": {"momentum": 0.9}}})
-    # hybrid LBO's warm-up is five Adam steps, no longer a knob
-    with pytest.raises(ConfigError, match=r"unknown config key 'lbo\.n_grad_warmup'") as err:
+    # each LBO method runs its mode's LboConfig defaults: a config has no lbo section
+    with pytest.raises(ConfigError, match=r"unknown config key 'lbo'") as err:
         config_from_json_dict({"lbo": {"n_grad_warmup": 5}})
-    assert err.value.context["key"] == "lbo.n_grad_warmup"
+    assert err.value.context["key"] == "lbo"
 
 
 def test_load_config_file(tmp_path):
@@ -134,7 +136,6 @@ ILL_TYPED = [
     ("denoiser.train.lr", "fast"),
     ("autoencoder.kind", 1), ("autoencoder.path", ["a"]), ("autoencoder.latent_frac", "1/4"),
     ("autoencoder.fit_count", 64.0), ("autoencoder.leak_scale", False),
-    ("lbo.max_iters", 1.5), ("lbo.tol", "1e-8"), ("lbo.lr", None),
     ("ilb.lr", "0.1"), ("ilb.max_iters", 10.0), ("ilb.rel_tol", None), ("ilb.dt", "5"),
     ("ilb.use_reg", "yes"), ("ilb.weights", 1.0), ("ilb.weights", [1.0, "1", 1.0]),
     ("beta_start", 10**400), ("ilb.weights", [1.0, 10**400, 1.0]),
@@ -547,10 +548,12 @@ def test_failed_instance_becomes_error_row(monkeypatch):
     assert (row.error_code, row.error_message) == ("divergence", "non-finite loss")
 
 
-def test_non_finite_round_trip_is_a_divergence_row(tmp_path):
+def test_non_finite_round_trip_is_a_divergence_row(tmp_path, monkeypatch):
     # Adam steps of 1e300 leave a z_T whose round-trip norm overflows to inf
+    for method, mode in [("lbo-g", "gradient"), ("lbo-h", "hybrid")]:
+        monkeypatch.setitem(invlab.benchmark.LBO_CONFIGS, method, LboConfig(mode, lr=1e300))
     doc = {**SMALL_DOC, "dataset": {"count": 1, "height": 8, "width": 8},
-           "methods": ["lbo-g", "lbo-h"], "lbo": {"lr": 1e300}}
+           "methods": ["lbo-g", "lbo-h"]}
     rows, _ = run_benchmark(config_from_json_dict(doc), tmp_path)
     assert [(r.method, r.error_code, r.roundtrip_l2_rel) for r in rows] == [
         ("lbo-g", "divergence", "error"), ("lbo-h", "divergence", "error")]
@@ -585,19 +588,6 @@ def test_train_value_out_of_range_is_config_error(field, value):
     # the smallest accepted values load
     edge = {"width": 1, "max_epochs": 0, "batch_size": 1, "lr": 1e-12}
     assert config_from_json_dict({"denoiser": {"train": edge}}).denoiser.train.max_epochs == 0
-
-
-@pytest.mark.parametrize("field,value", [("max_iters", -1), ("tol", 0.0), ("tol", float("nan")),
-                                         ("tol", float("inf")), ("lr", 0.0), ("lr", float("nan")),
-                                         ("lr", float("inf"))])
-def test_lbo_value_out_of_range_is_config_error(field, value):
-    key = f"lbo.{field}"
-    with pytest.raises(ConfigError, match=re.escape(key)) as err:
-        config_from_json_dict({"lbo": {field: value}, "methods": ["lbo-n"]})
-    assert err.value.context["key"] == key
-    # the smallest accepted values load
-    edge = {"max_iters": 0, "tol": 1e-300, "lr": 1e-300}
-    assert config_from_json_dict({"lbo": edge}).lbo.max_iters == 0
 
 
 NAN, INF = float("nan"), float("inf")
@@ -654,7 +644,6 @@ SETTABLE_KEYS = [
     "denoiser.train.batch_size", "denoiser.train.lr",
     "autoencoder.kind", "autoencoder.path", "autoencoder.latent_frac", "autoencoder.fit_count",
     "autoencoder.leak_scale",
-    "lbo.max_iters", "lbo.tol", "lbo.lr",
     "ilb.lr", "ilb.max_iters", "ilb.rel_tol", "ilb.dt", "ilb.use_reg", "ilb.weights",
 ]
 
@@ -687,23 +676,25 @@ def test_any_value_at_one_leaf_loads_or_is_a_config_error_naming_a_key(leaf):
             assert e.context.get("key") in key_paths(doc), (value, e.context)
 
 
-# the analytic oracle's recipe is fixed: its three former knobs are unknown keys
-@pytest.mark.parametrize("key", ["mu_scale", "eig_min", "eig_max"])
-def test_any_value_at_a_former_oracle_key_is_an_unknown_key(key):
-    for value in ODD_VALUES:
-        with pytest.raises(ConfigError, match="unknown config key") as e:
-            config_from_json_dict({"denoiser": {key: value}})
-        assert e.value.context["key"] == f"denoiser.{key}", value
+# (a key path that was once settable, the unknown key its error names): the analytic
+# oracle's recipe is fixed; denoiser.train is MlpTrainConfig, so the MLP trains on all
+# autoencoder.fit_count fit images with the run's seed; and each LBO method runs its
+# mode's LboConfig defaults, so the whole lbo section is unknown
+FORMER_KEYS = [("denoiser.mu_scale", "denoiser.mu_scale"),
+               ("denoiser.eig_min", "denoiser.eig_min"),
+               ("denoiser.eig_max", "denoiser.eig_max"),
+               ("denoiser.train.count", "denoiser.train.count"),
+               ("denoiser.train.seed", "denoiser.train.seed"),
+               ("lbo", "lbo"), ("lbo.max_iters", "lbo"), ("lbo.tol", "lbo"), ("lbo.lr", "lbo"),
+               ("lbo.n_grad_warmup", "lbo")]
 
 
-# denoiser.train is MlpTrainConfig: the MLP trains on all autoencoder.fit_count fit images
-# with the run's seed, so a count or a seed there is an unknown key
-@pytest.mark.parametrize("key", ["count", "seed"])
-def test_any_value_at_a_former_train_key_is_an_unknown_key(key):
+@pytest.mark.parametrize("path,key", FORMER_KEYS, ids=[path for path, _ in FORMER_KEYS])
+def test_any_value_at_a_former_key_is_an_unknown_key(path, key):
     for value in ODD_VALUES:
-        with pytest.raises(ConfigError, match="unknown config key") as e:
-            config_from_json_dict({"denoiser": {"kind": "mlp", "train": {key: value}}})
-        assert e.value.context["key"] == f"denoiser.train.{key}", value
+        with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'") as e:
+            config_from_json_dict(_nest(path, value))
+        assert e.value.context["key"] == key, value
 
 
 @pytest.mark.parametrize("section", ["dataset", "denoiser", "autoencoder"])
@@ -715,36 +706,48 @@ def test_an_empty_path_is_a_config_error(section):
     assert e.value.context["key"] == key
 
 
-# sizes that NumPy can index but whose arrays would fill gigabytes or more
-OVERSIZED = [({"t_train": 10**9}, "t_train"),
-             ({"dataset": {"count": 10**12}}, "dataset.count"),
-             ({"autoencoder": {"fit_count": 10**11}}, "autoencoder.fit_count"),
+# (command, a config with a size that NumPy can index but whose arrays would fill
+# gigabytes or more, the key its error names)
+OVERSIZED = [("roundtrip", {"t_train": 10**9}, "t_train"),
+             ("roundtrip", {"dataset": {"count": 10**12}}, "dataset.count"),
+             ("roundtrip", {"autoencoder": {"fit_count": 10**11}}, "autoencoder.fit_count"),
              # every array within the budget, but one trajectory keeps 2**24 + 1 latents
-             ({"t_train": 2**24, "steps": 2**24, "beta_start": 1e-9, "beta_end": 1e-9}, "steps"),
+             ("roundtrip",
+              {"t_train": 2**24, "steps": 2**24, "beta_start": 1e-9, "beta_end": 1e-9}, "steps"),
              # an empty path would skip the MLP's budget row and build a 5000 x 5000 layer
-             ({"denoiser": {"kind": "mlp", "path": "", "train": {"width": 5000}}},
-              "denoiser.path")]
-# caps its own address space at 2 GiB before it imports NumPy, then runs the CLI on each
-# config: a size that is allocated after all fails fast instead of filling the memory
+             ("roundtrip", {"denoiser": {"kind": "mlp", "path": "", "train": {"width": 5000}}},
+              "denoiser.path"),
+             # a set path skips what a run would load from it, but a train command builds it
+             ("train-denoiser",
+              {"denoiser": {"kind": "mlp", "path": "den.labmdl", "train": {"width": 5000}}},
+              "denoiser.train.width"),
+             ("train-autoencoder", {"autoencoder": {"path": "ae.labmdl", "fit_count": 5000}},
+              "autoencoder.fit_count"),
+             ("train-autoencoder",
+              {"autoencoder": {"path": "ae.labmdl"}, "dataset": {"height": 200, "width": 200}},
+              "dataset.height")]
+# caps its own address space at 2 GiB before it imports NumPy, then runs each command on
+# its config: a size that is allocated after all fails fast instead of filling the memory
 CAPPED_CLI_SCRIPT = ("import resource, sys\n"
                      "resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30,) * 2)\n"
                      "from invlab.cli import main\n"
-                     "for path in sys.argv[2:]:\n"
-                     "    print(main(['roundtrip', '--config', path, '--out', sys.argv[1]]))\n")
+                     "for command, path in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+                     "    print(main([command, '--config', path, '--out', sys.argv[1]]))\n")
 
 
 def test_size_past_the_memory_budget_exits_2_before_allocating(tmp_path):
-    paths = []
-    for i, (doc, _) in enumerate(OVERSIZED):
-        paths.append(tmp_path / f"run{i}.json")
-        paths[-1].write_text(json.dumps(doc))
+    argv = []
+    for i, (command, doc, _) in enumerate(OVERSIZED):
+        path = tmp_path / f"run{i}.json"
+        path.write_text(json.dumps(doc))
+        argv += [command, str(path)]
     run = subprocess.run(
-        [sys.executable, "-c", CAPPED_CLI_SCRIPT, str(tmp_path / "out"), *map(str, paths)],
+        [sys.executable, "-c", CAPPED_CLI_SCRIPT, str(tmp_path / "out"), *argv],
         env=child_env("1"), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[1::2] == ["2"] * len(OVERSIZED), run.stdout
-    for (_, key), line in zip(OVERSIZED, lines[::2]):
+    for (_, _, key), line in zip(OVERSIZED, lines[::2]):
         doc = json.loads(line)
         assert doc["code"] == "config-error" and doc["context"]["key"] == key, doc
 

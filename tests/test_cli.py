@@ -15,11 +15,13 @@ from conftest import (json_leaves, key_path, read_model_file, set_json_leaf, str
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import invlab.benchmark
 import invlab.denoiser
 from invlab import MlpDenoiser, make_linear_schedule
 from invlab.benchmark import METRIC_FIELDS, BenchmarkBackends, RunConfig, config_from_json_dict
 from invlab.cli import _COMMANDS, main
 from invlab.data import gen_dataset, save_dataset
+from invlab.lbo import LboConfig
 from invlab.modelio import load_model, save_model
 
 SMALL = {
@@ -66,13 +68,14 @@ def test_library_error_prints_json_and_exits_2(capsys, small_cfg, tmp_path):
     assert isinstance(doc["context"], dict)
 
 
-# keys that were once settable, and one that never was
+# keys that were once settable, and one that never was; a config has no lbo section
 @pytest.mark.parametrize("doc,key", [({"stepz": 6}, "stepz"),
-                                     ({"lbo": {"n_grad_warmup": 5}}, "lbo.n_grad_warmup"),
+                                     ({"lbo": {"n_grad_warmup": 5}}, "lbo"),
+                                     ({"lbo": {"max_iters": 3}}, "lbo"),
                                      ({"denoiser": {"mu_scale": 0.5}}, "denoiser.mu_scale"),
                                      ({"denoiser": {"eig_min": 0.7}}, "denoiser.eig_min"),
                                      ({"denoiser": {"eig_max": 1.5}}, "denoiser.eig_max")],
-                         ids=["stepz", "lbo.n_grad_warmup", "denoiser.mu_scale",
+                         ids=["stepz", "lbo.n_grad_warmup", "lbo.max_iters", "denoiser.mu_scale",
                               "denoiser.eig_min", "denoiser.eig_max"])
 def test_unknown_config_key_exits_2(capsys, tmp_path, doc, key):
     path = tmp_path / "bad.json"
@@ -80,6 +83,7 @@ def test_unknown_config_key_exits_2(capsys, tmp_path, doc, key):
     code, out = run_cli(capsys, "sample", "--config", str(path),
                         "--out", str(tmp_path / "o"))
     assert code == 2 and out["code"] == "config-error" and out["context"]["key"] == key
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_dataset_kind_exits_2(capsys, tmp_path):
@@ -370,15 +374,6 @@ def test_model_file_of_the_wrong_kind_exits_2(capsys, small_cfg, tmp_path):
     assert doc["context"]["key"] == "denoiser.path" and "LinearAutoencoder" in doc["message"]
 
 
-def test_lbo_value_out_of_range_exits_2(capsys, tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({**SMALL, "lbo": {"max_iters": -1}, "methods": ["lbo-n"]}))
-    code, doc = run_cli(capsys, "benchmark", "--config", str(path), "--out", str(tmp_path / "o"))
-    assert code == 2 and doc["code"] == "config-error"
-    assert doc["context"]["key"] == "lbo.max_iters" and "lbo.max_iters" in doc["message"]
-    assert not (tmp_path / "o" / "benchmark.csv").exists()
-
-
 def test_steps_flag_beyond_t_train_exits_2(capsys, small_cfg, tmp_path):
     code, doc = run_cli(capsys, "benchmark", "--config", small_cfg, "--steps", "500",
                         "--out", str(tmp_path / "o"))
@@ -526,9 +521,11 @@ def test_schedule_whose_alpha_bar_underflows_exits_2_naming_beta_end(capsys, tmp
     assert code == 2 and doc["code"] == "config-error" and doc["context"]["key"] == "beta_end"
 
 
-def test_non_finite_round_trip_exits_2(capsys, tmp_path):
+def test_non_finite_round_trip_exits_2(capsys, tmp_path, monkeypatch):
+    # Adam steps of 1e300 leave a z_T whose round-trip norm overflows to inf
+    monkeypatch.setitem(invlab.benchmark.LBO_CONFIGS, "lbo-g", LboConfig("gradient", lr=1e300))
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({**SMALL, "lbo": {"lr": 1e300}}))
+    path.write_text(json.dumps(SMALL))
     code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--method", "lbo-g",
                         "--out", str(tmp_path / "o"))
     assert code == 2 and doc["code"] == "divergence"
@@ -590,9 +587,6 @@ KEY_VALUES = {
     "autoencoder.latent_frac": st.sampled_from([0.04, 0.5, 1.0]),
     "autoencoder.fit_count": st.integers(2, 3),
     "autoencoder.leak_scale": st.sampled_from([0.0, 1.8, 1e6]),
-    "lbo.max_iters": st.integers(0, 3),
-    "lbo.tol": st.sampled_from([1e-12, 1e-3, 1e3]),
-    "lbo.lr": st.sampled_from([1e-3, 1.0, 1e300]),
     "ilb.lr": st.sampled_from([1e-3, 0.1, 1e3]),
     "ilb.max_iters": st.integers(1, 2),
     "ilb.rel_tol": st.sampled_from([1e-5, 1.0]),
@@ -622,16 +616,21 @@ def test_non_finite_float_leaf_exits_2_naming_its_key(capsys, tmp_path, leaf, va
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
-@pytest.mark.parametrize("key", ["mu_scale", "eig_min", "eig_max"])
-def test_non_finite_value_at_a_former_oracle_key_exits_2_as_unknown(capsys, tmp_path, key,
-                                                                     value):
+@pytest.mark.parametrize("path,key", [("denoiser.mu_scale", "denoiser.mu_scale"),
+                                      ("denoiser.eig_min", "denoiser.eig_min"),
+                                      ("denoiser.eig_max", "denoiser.eig_max"),
+                                      ("lbo.tol", "lbo"), ("lbo.lr", "lbo")],
+                         ids=["mu_scale", "eig_min", "eig_max", "lbo.tol", "lbo.lr"])
+def test_non_finite_value_at_a_former_key_exits_2_as_unknown(capsys, tmp_path, path, key,
+                                                             value):
     doc = json.loads(json.dumps(TINY_RUN))
-    doc["denoiser"][key] = value
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(doc))
-    code, out = run_cli(capsys, "benchmark", "--config", str(path), "--out", str(tmp_path / "o"))
+    section, field = path.split(".")
+    doc.setdefault(section, {})[field] = value
+    (tmp_path / "run.json").write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "benchmark", "--config", str(tmp_path / "run.json"),
+                        "--out", str(tmp_path / "o"))
     assert code == 2 and out["code"] == "config-error", out
-    assert out["context"]["key"] == f"denoiser.{key}" and "unknown" in out["message"], out
+    assert out["context"]["key"] == key and "unknown" in out["message"], out
 
 
 @settings(max_examples=80, derandomize=True, deadline=None,

@@ -220,11 +220,13 @@ def test_zero_budget_is_one_shot_inversion(gauss_nd, default_sched, uncond, mode
 
 def test_config_validation():
     for field, value in [("mode", "annealed"), ("max_iters", -1), ("tol", 0.0), ("lr", -1e-3),
-                         ("tol", math.inf), ("lr", math.inf),
-                         ("max_iters", True)]:  # bool is not an int
+                         ("tol", math.inf), ("lr", math.inf), ("tol", math.nan), ("lr", 0.0),
+                         ("lr", math.nan), ("max_iters", True)]:  # bool is not an int
         with rejects(field):
             LboConfig(**{field: value})
     assert LboConfig(mode="gradient").max_iters == 20
+    # the smallest accepted values
+    assert LboConfig(max_iters=0, tol=1e-300, lr=1e-300).max_iters == 0
 
 
 def test_trajectory_structure_and_replay(gauss_nd, default_sched, uncond):
