@@ -218,12 +218,16 @@ def test_zero_budget_is_one_shot_inversion(gauss_nd, default_sched, uncond, mode
     assert rep.iters == 0 and rep.residual == np.inf and not rep.converged
 
 
+@pytest.mark.parametrize("field,value", [
+    ("mode", "annealed"), ("max_iters", -1), ("max_iters", True),  # bool is not an int
+    ("tol", 0.0), ("tol", math.inf), ("tol", math.nan),
+    ("lr", 0.0), ("lr", -1e-3), ("lr", math.inf), ("lr", math.nan)])
+def test_config_rejects_out_of_range_value(field, value):
+    with rejects(field):
+        LboConfig(**{field: value})
+
+
 def test_config_validation():
-    for field, value in [("mode", "annealed"), ("max_iters", -1), ("tol", 0.0), ("lr", -1e-3),
-                         ("tol", math.inf), ("lr", math.inf), ("tol", math.nan), ("lr", 0.0),
-                         ("lr", math.nan), ("max_iters", True)]:  # bool is not an int
-        with rejects(field):
-            LboConfig(**{field: value})
     assert LboConfig(mode="gradient").max_iters == 20
     # the smallest accepted values
     assert LboConfig(max_iters=0, tol=1e-300, lr=1e-300).max_iters == 0
