@@ -110,7 +110,7 @@ def cmd_train_denoiser(cfg: RunConfig, out: Path) -> dict:
     path = out / "denoiser.labmdl"
     save_model(model, path)
     return {"written": str(path), "final_loss": model.final_loss,
-            "trained_epochs": model.trained_epochs, "latent_dim": model.latent_dim}
+            "trained_epochs": cfg.denoiser.train.max_epochs, "latent_dim": model.latent_dim}
 
 
 def cmd_train_autoencoder(cfg: RunConfig, out: Path) -> dict:

@@ -162,7 +162,7 @@ class MlpDenoiser(DenoiserInterface):
     """Two-hidden-layer tanh MLP; the timestep embedding row and the one
     embedding row cemb, which every input shares, enter the first hidden
     pre-activation. The sizes come from the arrays: latent_dim from b3 and
-    width from b1.
+    width from b1. final_loss is the trainer's probe loss, or None.
     """
 
 
@@ -170,9 +170,7 @@ class MlpDenoiser(DenoiserInterface):
         self,
         params: dict[str, np.ndarray],
         sched: NoiseSchedule,
-        seed: int = 0,
         final_loss: float | None = None,
-        trained_epochs: int = 0,
     ):
         for k in _PARAM_ORDER:
             require(k in params, k, None, "an array")
@@ -187,15 +185,10 @@ class MlpDenoiser(DenoiserInterface):
             require_shape(arr, shapes[k], k)
             require(np.all(np.isfinite(arr)), k, "an array with non-finite entries", "finite")
             arr.setflags(write=False)
-        require(is_int(seed), "seed", seed, "an integer")  # a run's seed may be negative
-        require(is_int(trained_epochs) and trained_epochs >= 0, "trained_epochs",
-                trained_epochs, "an integer >= 0")
         require(final_loss is None or (type(final_loss) in (int, float)
                                        and math.isfinite(final_loss) and final_loss >= 0),
                 "final_loss", final_loss, "None or a finite number >= 0")
-        self.seed = int(seed)
         self.final_loss = final_loss
-        self.trained_epochs = int(trained_epochs)
 
     def eval(self, z, t, c):
         return self._forward(z, t, c)[2]
@@ -333,5 +326,4 @@ def train_mlp_denoiser(
     probe_pred = _batch_forward(params, zt, probe_t - 1)[2]
     final_loss = float(np.mean((probe_pred - probe_eps) ** 2))
 
-    return MlpDenoiser(params, sched, seed=seed, final_loss=final_loss,
-                       trained_epochs=cfg.max_epochs)
+    return MlpDenoiser(params, sched, final_loss=final_loss)

@@ -15,9 +15,10 @@ All modes start from the one-shot inversion bias and share one loop in
 `lbo_invert_step`: its first iterations are Adam steps (all of them in
 gradient mode, five in hybrid mode, none in numerical mode) and the rest are
 sweeps. Every iteration returns ‖r‖∞ at the iterate it started from, and the
-loop stops on that one number in every mode. The per-iteration functions
-take the transition as its `StepCoefficients`; `lbo_invert_step` looks the
-coefficients up once per step. Both modes write r as
+loop stops on that one number in every mode; one more evaluation after the
+loop measures ‖r‖∞ at the iterate the step returns, and the step reports that.
+The per-iteration functions take the transition as its `StepCoefficients`;
+`lbo_invert_step` looks the coefficients up once per step. Both modes write r as
 `co.generate(z, eps) - z_prev`; the gradient objective applies `generate` to
 the pulled-back cotangents too.
 """
@@ -62,8 +63,8 @@ class LboConfig:
 @dataclass(frozen=True)
 class LboStepReport:
     """One inverted step. `residual` is ‖r(b)‖∞, r(b) = generate(z_prev + b) − z_prev, at the
-    iterate b that the last sweep or Adam step started from, in every mode; inf with a zero
-    budget. `converged` is residual < tol."""
+    returned z_t = z_prev + b, in every mode; inf with a zero budget. `converged` is
+    residual < tol. `iters` counts the sweeps and Adam steps, not the final evaluation."""
 
     t: int
     iters: int
@@ -119,8 +120,8 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
     """Invert one transition; returns (z_t, step report).
 
     With max_iters=0 this returns the unrefined one-shot inversion unchanged.
-    The step coefficients are looked up once and shared by the one-shot start
-    and every iteration.
+    The step coefficients are looked up once and shared by the one-shot start,
+    every iteration and the evaluation at the returned z_t.
     """
     co = coefficients(sched, t, t_prev)
     y0 = ddim_invert_step(model, co, z_prev, c)
@@ -131,15 +132,17 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
     state = AdamState(lr=cfg.lr)
     residual = math.inf
     k = 0
-    while k < cfg.max_iters and residual >= cfg.tol:
-        k += 1
-        try:
+    try:
+        while k < cfg.max_iters and residual >= cfg.tol:
+            k += 1
             if k <= n_adam:
                 b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, b, state)
             else:
                 b, residual = lbo_numerical_iterate(model, co, z_prev, c, b)
-        except DivergenceError as e:
-            raise DivergenceError(str(e), t=t, iteration=k) from None
+        # the report describes the z_t returned: its ‖r‖∞, with the sweep from it dropped
+        residual = lbo_numerical_iterate(model, co, z_prev, c, b)[1]
+    except DivergenceError as e:
+        raise DivergenceError(str(e), t=t, iteration=k) from None
     return z_prev + b, LboStepReport(
         t=t, iters=k, residual=residual, converged=residual < cfg.tol)
 

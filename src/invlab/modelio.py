@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .autoencoder import LinearAutoencoder, identity_autoencoder
+from .autoencoder import LinearAutoencoder
 from .denoiser import _PARAM_ORDER, LinearGaussianDenoiser, MlpDenoiser
 from .errors import FormatError, InvlabError
 from .schedule import NoiseSchedule
@@ -24,16 +24,12 @@ MAGIC = b"LABMDL1\n"
 
 
 def _mlp_payload(model: MlpDenoiser):
-    header = {"seed": model.seed, "final_loss": model.final_loss,
-              "trained_epochs": model.trained_epochs}
     arrays = [(name, model.params[name]) for name in _PARAM_ORDER]
-    return header, arrays + [("betas", model.sched.betas)]
+    return {"final_loss": model.final_loss}, arrays + [("betas", model.sched.betas)]
 
 
 def _mlp_load(header: dict, arrays: dict) -> MlpDenoiser:
-    return MlpDenoiser(arrays, NoiseSchedule(arrays["betas"]), seed=header["seed"],
-                       final_loss=header.get("final_loss"),
-                       trained_epochs=header.get("trained_epochs", 0))
+    return MlpDenoiser(arrays, NoiseSchedule(arrays["betas"]), header.get("final_loss"))
 
 
 def _gauss_payload(model: LinearGaussianDenoiser):
@@ -44,24 +40,16 @@ def _gauss_load(header: dict, arrays: dict) -> LinearGaussianDenoiser:
     return LinearGaussianDenoiser(arrays["mu"], arrays["sigma"], NoiseSchedule(arrays["betas"]))
 
 
-def _dims(model) -> dict:
-    return {"dims": {"image_shape": list(model.image_shape)}}
-
-
 def _linear_ae_payload(model: LinearAutoencoder):
     arrays = [("w", model.w), ("mean", model.mean)]
     if model.leak is not None:
         arrays.append(("leak", model.leak))
-    return _dims(model), arrays
+    return {"dims": {"image_shape": list(model.image_shape)}}, arrays
 
 
 def _linear_ae_load(header: dict, arrays: dict) -> LinearAutoencoder:
     return LinearAutoencoder(arrays["w"], arrays["mean"], header["dims"]["image_shape"],
                              leak=arrays.get("leak"))
-
-
-def _identity_ae_load(header: dict, arrays: dict) -> LinearAutoencoder:
-    return identity_autoencoder(header["dims"]["image_shape"])
 
 
 # kind -> (class, (header fields, [(array name, array)]) of a model, loader of (header, arrays))
@@ -70,11 +58,6 @@ _CODECS = {
     "linear-gaussian-denoiser": (LinearGaussianDenoiser, _gauss_payload, _gauss_load),
     "linear-autoencoder": (LinearAutoencoder, _linear_ae_payload, _linear_ae_load),
 }
-# kind -> loader of (header, arrays), for every kind a file may hold: the files of the
-# former identity codec load as the lossless LinearAutoencoder, which saves as the
-# linear-autoencoder kind
-_LOADERS = {**{kind: load for kind, (_, _, load) in _CODECS.items()},
-            "identity-autoencoder": _identity_ae_load}
 
 
 def save_model(model, path) -> None:
@@ -113,7 +96,7 @@ def load_model(path):
     if not isinstance(header, dict):
         raise FormatError(f"header in {path} is not a JSON object")
     kind = header.get("kind")
-    if not (isinstance(kind, str) and kind in _LOADERS):
+    if not (isinstance(kind, str) and kind in _CODECS):
         raise FormatError(f"unknown model kind {kind!r} in {path}")
     entries = header.get("arrays")
     if not isinstance(entries, list):
@@ -135,7 +118,7 @@ def load_model(path):
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes in {path}")
     try:
-        return _LOADERS[kind](header, arrays)
+        return _CODECS[kind][2](header, arrays)
     except (InvlabError, KeyError, TypeError, ValueError, OverflowError) as e:
         # a missing or ill-typed field or array, or values the model's own checks refuse
         raise FormatError(f"{kind} model in {path} is malformed: {e!r}") from None

@@ -97,7 +97,6 @@ class RandomConvPerceptual:
         # two valid 3×3 layers eat 4 pixels per axis
         require(h >= 5 and w >= 5, "image_shape", image_shape, "at least 5x5")
         rng = derive_rng(seed, "perceptual-init")  # which checks the seed
-        self.seed = int(seed)
         c1, c2 = _WIDTHS
         self.k1 = rng.normal(0.0, np.sqrt(2.0 / (c * 9)), size=(c1, c, 3, 3))
         self.b1 = rng.normal(0.0, 0.1, size=c1)

@@ -66,7 +66,6 @@ def test_mlp_denoiser_round_trip(tmp_path):
     for k in model.params:
         np.testing.assert_array_equal(back.params[k], model.params[k])
     assert back.final_loss == model.final_loss
-    assert back.trained_epochs == model.trained_epochs
     z = np.array([0.1, -0.4])
     c = Condition()
     np.testing.assert_array_equal(back.eval(z, 7, c), model.eval(z, 7, c))
@@ -112,28 +111,16 @@ def write_identity_file(path, image_shape) -> None:
     write_model_file(path, header, b"")
 
 
-def test_identity_autoencoder_file_loads_as_the_lossless_linear_codec(tmp_path):
+def test_identity_autoencoder_file_is_a_format_error_naming_its_kind(tmp_path):
+    # nothing writes the kind: the identity codec saves as a linear-autoencoder file
+    save_model(identity_autoencoder((5, 6, 1)), tmp_path / "new")
+    assert read_model_file(tmp_path / "new")[0]["kind"] == "linear-autoencoder"
     old = tmp_path / "old.labmdl"
     write_identity_file(old, (5, 6, 1))
-    back = load_model(old)
-    assert type(back) is LinearAutoencoder and back.image_shape == (5, 6, 1)
-    np.testing.assert_array_equal(back.w, np.eye(30))
-    np.testing.assert_array_equal(back.mean, np.zeros(30))
-    assert back.leak is None
-    # saving it writes the file the identity codec writes today, a linear-autoencoder one
-    save_model(back, tmp_path / "resaved")
-    save_model(identity_autoencoder((5, 6, 1)), tmp_path / "new")
-    assert (tmp_path / "resaved").read_bytes() == (tmp_path / "new").read_bytes()
-    assert read_model_file(tmp_path / "new")[0]["kind"] == "linear-autoencoder"
-
-
-def test_identity_autoencoder_file_above_the_size_cap_is_format_error(tmp_path):
-    # a 60-byte file that asked for an 11.9 GiB identity matrix
-    path = tmp_path / "big.labmdl"
-    write_identity_file(path, (200, 200, 1))
-    with pytest.raises(FormatError, match=re.escape(str(path))) as err:
-        load_model(path)
-    assert "image_shape" in str(err.value)
+    with pytest.raises(FormatError, match=re.escape(str(old))) as err:
+        load_model(old)
+    assert err.value.code == "format-error"
+    assert "unknown model kind 'identity-autoencoder'" in str(err.value)
 
 
 def test_header_is_sorted_json_with_manifest(tmp_path):
@@ -151,7 +138,7 @@ def test_header_is_sorted_json_with_manifest(tmp_path):
 
 
 def test_mlp_trained_with_numpy_integers_saves_the_same_file(tmp_path):
-    # seed and trained_epochs are kept as Python ints, which the JSON header can hold
+    # a NumPy integer seed and epoch count write the bytes their Python ints write
     sched = make_linear_schedule(12, 1e-3, 0.05)
     data = make_gauss_mixture(32, seed=2)[0]
     for name, k in (("python", 2), ("numpy", np.int64(2))):
@@ -212,17 +199,17 @@ def test_garbled_header_rejected(tmp_path):
     cases = {
         "not-json": b"{not json",
         "not-an-object": b"[1, 2]",
-        "no-manifest": b'{"kind": "identity-autoencoder"}',
+        "no-manifest": b'{"kind": "linear-autoencoder"}',
         "entry-without-name": b'{"arrays": [{"shape": [3]}], "kind": "linear-gaussian-denoiser"}',
         "entry-without-shape": b'{"arrays": [{"name": "mu"}], "kind": "linear-gaussian-denoiser"}',
         "shape-not-ints": b'{"arrays": [{"name": "mu", "shape": ["a"]}], '
                           b'"kind": "linear-gaussian-denoiser"}',
-        "no-dims": b'{"arrays": [], "kind": "identity-autoencoder"}',
+        "no-dims": b'{"arrays": [], "kind": "linear-autoencoder"}',
         "no-mu": b'{"arrays": [], "dims": {"latent_dim": 0}, '
                  b'"kind": "linear-gaussian-denoiser", "schedule": {"t_train": 0}}',
         "no-w1": b'{"arrays": [], "dims": {"latent_dim": 2, "n_classes": 0}, '
                  b'"kind": "mlp-denoiser", "seed": 0}',
-        "dims-not-an-object": b'{"arrays": [], "dims": [5, 6, 1], "kind": "identity-autoencoder"}',
+        "dims-not-an-object": b'{"arrays": [], "dims": [5, 6, 1], "kind": "linear-autoencoder"}',
     }
     for name, blob in cases.items():
         path = tmp_path / f"{name}.labmdl"
@@ -257,27 +244,17 @@ def test_unsupported_model_type_rejected(tmp_path):
         save_model(object(), tmp_path / "nope.labmdl")
 
 
-@pytest.mark.parametrize("kind, field, value", [
-    ("identity-autoencoder", "image_shape", [5.9, 6, 1]),
-    ("identity-autoencoder", "image_shape", [5, 6, True]),
-    ("identity-autoencoder", "image_shape", [-5, 6, 1]),
-    ("identity-autoencoder", "image_shape", [0, 6, 1]),
-    ("linear-autoencoder", "image_shape", [8.0, 8, 1]),
-    ("mlp-denoiser", "seed", 5.5),
-    ("mlp-denoiser", "seed", True),
-    ("mlp-denoiser", "trained_epochs", 3.0),
-    ("mlp-denoiser", "trained_epochs", -1),
-])
-def test_header_integer_that_is_not_a_fitting_int_is_format_error(model_files, tmp_path, kind,
-                                                                   field, value):
-    # int() would read 5.9 as 5 and True as 1; a size below 1 gives no image
-    header, body = read_model_file(model_files[kind][0])
-    (header["dims"] if field == "image_shape" else header)[field] = value
+@pytest.mark.parametrize("image_shape", [[8.0, 8, 1], [8, 8, True], [-8, 8, 1], [0, 8, 1]])
+def test_header_integer_that_is_not_a_fitting_int_is_format_error(model_files, tmp_path,
+                                                                   image_shape):
+    # int() would read 8.0 as 8 and True as 1; a size below 1 gives no image
+    header, body = read_model_file(model_files["linear-autoencoder"][0])
+    header["dims"]["image_shape"] = image_shape
     path = tmp_path / "bad.labmdl"
     write_model_file(path, header, body)
     with pytest.raises(FormatError, match=re.escape(str(path))) as e:
         load_model(path)
-    assert field in str(e.value)
+    assert "image_shape" in str(e.value)
 
 
 @pytest.mark.parametrize("value", ["abc", [1, 2], {"x": 1}, True, -5, -0.5, math.nan, math.inf])
@@ -307,8 +284,7 @@ def test_mlp_final_loss_none_or_a_number_at_least_0_round_trips(model_files, tmp
 
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory, tiny_mlp):
-    """{kind: (path, class, config key)}, one model file of each kind a file may hold; the
-    identity-autoencoder one is the former codec's file, which nothing writes today."""
+    """{kind: (path, class, config key)}, one model file of each kind a file may hold."""
     imgs = make_shapes(20, seed=3, height=8, width=8)
     models = {"mlp-denoiser": (tiny_mlp[0], DenoiserInterface, "denoiser.path"),
               "linear-gaussian-denoiser": (_gauss_model(), DenoiserInterface, "denoiser.path"),
@@ -318,9 +294,6 @@ def model_files(tmp_path_factory, tiny_mlp):
     for kind, (model, iface, key) in models.items():
         save_model(model, out / kind)
         models[kind] = (out / kind, iface, key)
-    write_identity_file(out / "identity-autoencoder", (5, 6, 1))
-    models["identity-autoencoder"] = (out / "identity-autoencoder", LinearAutoencoder,
-                                      "autoencoder.path")
     return models
 
 
@@ -359,10 +332,10 @@ def test_mutated_model_file_loads_finite_or_fails_naming_its_key(model_files, da
 
 def _older_fields(model) -> dict:
     """The header fields that older files wrote beside those read today: the sizes, the
-    schedule's length and a seed for every kind."""
+    schedule's length and a seed for every kind, and an MLP's epoch count."""
     if isinstance(model, MlpDenoiser):
         return {"dims": {"latent_dim": model.latent_dim, "n_classes": 0, "width": model.width},
-                "schedule": {"t_train": model.sched.t_train}}
+                "schedule": {"t_train": model.sched.t_train}, "seed": 5, "trained_epochs": 3}
     if isinstance(model, LinearGaussianDenoiser):
         return {"dims": {"latent_dim": model.latent_dim},
                 "schedule": {"t_train": model.sched.t_train}, "seed": 0}
@@ -381,6 +354,9 @@ def test_file_in_the_older_header_layout_loads_the_same_model(model_files, tmp_p
         back = load_model(older)
         assert type(back) is type(model) and back.latent_dim == model.latent_dim
         assert all(np.array_equal(a, b) for a, b in zip(_arrays(back), _arrays(model), strict=True))
+        if isinstance(model, DenoiserInterface):  # and predicts the same bits
+            z, c = np.linspace(-1.0, 1.0, model.latent_dim), Condition()
+            assert np.array_equal(back.eval(z, 3, c), model.eval(z, 3, c))
         # it saves as the model it holds does: for every written kind, the file itself
         save_model(back, tmp_path / "resaved")
         save_model(model, tmp_path / "saved")
@@ -388,10 +364,7 @@ def test_file_in_the_older_header_layout_loads_the_same_model(model_files, tmp_p
 
 
 def test_save_of_a_loaded_model_is_byte_identical(model_files, tmp_path):
-    # the kinds save_model writes; an identity-autoencoder file saves as a
-    # linear-autoencoder one (test_identity_autoencoder_file_loads_as_the_lossless_linear_codec)
-    for kind in ("mlp-denoiser", "linear-gaussian-denoiser", "linear-autoencoder"):
-        path = model_files[kind][0]
+    for kind, (path, _, _) in model_files.items():
         save_model(load_model(path), tmp_path / kind)
         assert (tmp_path / kind).read_bytes() == path.read_bytes()
 
@@ -399,6 +372,5 @@ def test_save_of_a_loaded_model_is_byte_identical(model_files, tmp_path):
 def test_header_holds_only_what_the_arrays_cannot_say(model_files):
     fields = {kind: set(read_model_file(path)[0]) - {"kind", "arrays"}
               for kind, (path, _, _) in model_files.items()}
-    assert fields == {"mlp-denoiser": {"seed", "final_loss", "trained_epochs"},
-                      "linear-gaussian-denoiser": set(), "linear-autoencoder": {"dims"},
-                      "identity-autoencoder": {"dims"}}
+    assert fields == {"mlp-denoiser": {"final_loss"},
+                      "linear-gaussian-denoiser": set(), "linear-autoencoder": {"dims"}}

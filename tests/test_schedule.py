@@ -16,7 +16,6 @@ from invlab import (
     LboConfig,
     LinearAutoencoder,
     LinearGaussianDenoiser,
-    MlpDenoiser,
     MlpTrainConfig,
     NoiseSchedule,
     RandomConvPerceptual,
@@ -227,13 +226,6 @@ def test_a_size_or_timestep_that_is_not_an_integer_is_refused(case, toy3):
         call(toy3)
 
 
-def _mlp(sched, **kw):
-    """A width-2 MLP on one latent over `sched`, all weights zero."""
-    sizes = {"w1": (2, 1), "b1": 2, "temb": (sched.t_train, 2), "cemb": (1, 2), "w2": (2, 2),
-             "b2": 2, "w3": (1, 2), "b3": 1}
-    return MlpDenoiser({k: np.zeros(n) for k, n in sizes.items()}, sched, **kw)
-
-
 def _ddim_trajectory(sched, steps=3):
     model = LinearGaussianDenoiser(np.zeros(1), np.eye(1), sched)
     return ddim_invert_trajectory(model, sched, make_uniform_grid(sched, steps), np.ones(1),
@@ -252,8 +244,6 @@ INTEGER_SITES = {
     "mlp-train-batch_size": ("batch_size", 3, lambda s, v: MlpTrainConfig(batch_size=v)),
     "mlp-train-seed": ("seed", 3, lambda s, v: train_mlp_denoiser(
         np.zeros((2, 2)), s, MlpTrainConfig(width=2, max_epochs=0), v)),
-    "mlp-seed": ("seed", 3, lambda s, v: _mlp(s, seed=v)),
-    "mlp-trained_epochs": ("trained_epochs", 3, lambda s, v: _mlp(s, trained_epochs=v)),
     "shapes-n": ("n", 2, lambda s, v: make_shapes(v, 0, 6, 6)),
     "shapes-height": ("height", 6, lambda s, v: make_shapes(1, 0, v, 6)),
     "shapes-width": ("width", 6, lambda s, v: make_shapes(1, 0, 6, v)),
