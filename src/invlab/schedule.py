@@ -126,6 +126,7 @@ def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> No
 
 def coefficients(sched: NoiseSchedule, t: int, t_prev: int) -> StepCoefficients:
     """(φ, ψ) for the transition t_prev -> t."""
+    sched._check_t(t)  # first, so that the comparison below is between integers
     require(is_int(t_prev) and 0 <= t_prev < t, "t_prev", t_prev, "an integer in [0, t)")
     ab_t = sched.alpha_bar(t)
     ab_p = sched.alpha_bar(t_prev)

@@ -123,6 +123,18 @@ def test_identity_autoencoder_file_is_a_format_error_naming_its_kind(tmp_path):
     assert "unknown model kind 'identity-autoencoder'" in str(err.value)
 
 
+def test_array_larger_than_its_file_is_format_error(tmp_path):
+    # a 170-byte file whose manifest asks for an 11.9 GiB matrix is refused before any of it
+    # is allocated
+    path = tmp_path / "big.labmdl"
+    header = {"arrays": [{"name": "w", "shape": [40000, 40000]}, {"name": "mean", "shape": [0]}],
+              "dims": {"image_shape": [200, 200, 1]}, "kind": "linear-autoencoder"}
+    write_model_file(path, header, b"")
+    with pytest.raises(FormatError, match=re.escape(str(path))) as err:
+        load_model(path)
+    assert "truncated array 'w'" in str(err.value)
+
+
 def test_header_is_sorted_json_with_manifest(tmp_path):
     path = tmp_path / "gauss.labmdl"
     save_model(_gauss_model(), path)
@@ -244,10 +256,12 @@ def test_unsupported_model_type_rejected(tmp_path):
         save_model(object(), tmp_path / "nope.labmdl")
 
 
-@pytest.mark.parametrize("image_shape", [[8.0, 8, 1], [8, 8, True], [-8, 8, 1], [0, 8, 1]])
+@pytest.mark.parametrize("image_shape", [[8.0, 8, 1], [8, 8, True], [-8, 8, 1], [0, 8, 1],
+                                         [8, 8], [8, 8, 1, 1]])
 def test_header_integer_that_is_not_a_fitting_int_is_format_error(model_files, tmp_path,
                                                                    image_shape):
-    # int() would read 8.0 as 8 and True as 1; a size below 1 gives no image
+    # int() would read 8.0 as 8 and True as 1; a size below 1 gives no image, and an image
+    # has three sizes
     header, body = read_model_file(model_files["linear-autoencoder"][0])
     header["dims"]["image_shape"] = image_shape
     path = tmp_path / "bad.labmdl"

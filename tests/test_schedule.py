@@ -236,6 +236,16 @@ def _ddim_trajectory(sched, steps=3):
 # in that argument's place); each site accepts v as a NumPy integer and refuses 2.5, True
 # and "x"
 INTEGER_SITES = {
+    "schedule-t_train": ("t_train", 3, lambda s, v: make_linear_schedule(v, 0.1, 0.1)),
+    "schedule-beta-t": ("t", 2, lambda s, v: s.beta(v)),
+    "coefficients-t": ("t", 3, lambda s, v: coefficients(s, v, 1)),
+    "coefficients-t_prev": ("t_prev", 2, lambda s, v: coefficients(s, 3, v)),
+    "skip_coefficients-dt": ("dt", 3, lambda s, v: skip_coefficients(s, v)),
+    "uniform-grid-steps": ("steps", 3, lambda s, v: make_uniform_grid(s, v)),
+    "grid-step": ("steps", 3, lambda s, v: TimestepGrid((1, v))),
+    "mlp-eval-t": ("t", 2, lambda s, v: train_mlp_denoiser(
+        np.zeros((2, 2)), s, MlpTrainConfig(width=2, max_epochs=0), 0).eval(
+        np.zeros(2), v, Condition())),
     "lbo-max_iters": ("max_iters", 3, lambda s, v: LboConfig(max_iters=v)),
     "ilb-max_iters": ("max_iters", 3, lambda s, v: IlbConfig(max_iters=v)),
     "ilb-dt": ("dt", 3, lambda s, v: IlbConfig(dt=v)),
