@@ -64,7 +64,8 @@ class LboConfig:
 class LboStepReport:
     """One inverted step. `residual` is ‖r(b)‖∞, r(b) = generate(z_prev + b) − z_prev, at the
     returned z_t = z_prev + b, in every mode; inf with a zero budget. `converged` is
-    residual < tol. `iters` counts the sweeps and Adam steps, not the final evaluation."""
+    residual < tol, which a step whose budget ran out can also reach. `iters` counts the
+    sweeps and Adam steps, not the final evaluation."""
 
     t: int
     iters: int
@@ -121,7 +122,9 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
 
     With max_iters=0 this returns the unrefined one-shot inversion unchanged.
     The step coefficients are looked up once and shared by the one-shot start,
-    every iteration and the evaluation at the returned z_t.
+    every iteration and the evaluation at the returned z_t. A non-finite residual is a
+    DivergenceError naming t and, inside the loop, the iteration; at the returned z_t it
+    names the iterations run, `iters`.
     """
     co = coefficients(sched, t, t_prev)
     y0 = ddim_invert_step(model, co, z_prev, c)
@@ -139,12 +142,14 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
                 b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, b, state)
             else:
                 b, residual = lbo_numerical_iterate(model, co, z_prev, c, b)
-        # the report describes the z_t returned: its ‖r‖∞, with the sweep from it dropped
-        residual = lbo_numerical_iterate(model, co, z_prev, c, b)[1]
     except DivergenceError as e:
         raise DivergenceError(str(e), t=t, iteration=k) from None
-    return z_prev + b, LboStepReport(
-        t=t, iters=k, residual=residual, converged=residual < cfg.tol)
+    # the report describes the z_t returned, not the iterate the last iteration started from
+    z_t = z_prev + b
+    residual = float(np.abs(co.generate(z_t, model.eval(z_t, co.t, c)) - z_prev).max())
+    if not math.isfinite(residual):
+        raise DivergenceError("residual at the returned z_t is non-finite", t=t, iters=k)
+    return z_t, LboStepReport(t=t, iters=k, residual=residual, converged=residual < cfg.tol)
 
 
 def lbo_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule,

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ def test_numerical_iterate_raises_on_blowup(toy3, uncond):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
         lbo_invert_step(wild, toy3, ONE, 1, 2, uncond, cfg)
     assert exc.value.context["iteration"] == 14
+
+
+@pytest.mark.parametrize("mode,max_iters", [("numerical", 13), ("hybrid", 18)])
+def test_blowup_at_the_returned_z_t_names_the_iterations_run(toy3, uncond, mode, max_iters):
+    # a budget one short of the iteration that overflows above: the loop ends, and the
+    # evaluation at the returned z_t is the one that overflows
+    wild = ScalingDenoiser(1, 1e22)
+    cfg = LboConfig(mode=mode, max_iters=max_iters)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
+        lbo_invert_step(wild, toy3, ONE, 1, 2, uncond, cfg)
+    assert str(exc.value) == "residual at the returned z_t is non-finite"
+    assert exc.value.context == {"t": 2, "iters": max_iters}
 
 
 @pytest.mark.parametrize("mode,scale", [("gradient", 1e200), ("hybrid", 1e22), ("hybrid", 1e200)])
@@ -432,6 +445,21 @@ def _count_forward_passes(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
+def test_a_step_runs_one_forward_pass_per_iteration_and_one_for_its_report(
+        tiny_mlp, monkeypatch, uncond, mode):
+    # the one-shot start, then one per sweep or Adam step, then one at the returned z_t for
+    # its residual; a zero budget reports inf and runs only the start
+    model, sched = tiny_mlp
+    calls = _count_forward_passes(monkeypatch)
+    for max_iters in (0, 1, 7):
+        calls.clear()
+        _, rep = lbo_invert_step(model, sched, np.array([0.4, -0.2]), 4, 10, uncond,
+                                 LboConfig(mode=mode, max_iters=max_iters, tol=1e-30))
+        assert rep.iters == max_iters
+        assert len(calls) == 1 + max_iters + (max_iters > 0)
+
+
 def test_objective_and_grad_runs_one_forward_pass(tiny_mlp, monkeypatch, uncond):
     model, sched = tiny_mlp
     z_prev, b = np.array([0.4, -0.2]), np.array([0.01, 0.02])
@@ -477,34 +505,50 @@ def test_exact_preimage_replays_onto_its_start(oracle, uncond):
         np.testing.assert_allclose(replayed, z0, rtol=0.0, atol=1e-12)
 
 
-# steps -> how many steps of one trajectory converge, for lbo-n and lbo-h (measured)
-@pytest.mark.parametrize("steps,converging", [(50, (50, 50)), (4, (4, 4)), (2, (1, 1)),
-                                              (10, (10, 10))])
+def _stopped_on_its_test(model, sched, z_prev, t_prev, t, cfg, rep):
+    """Whether the step's loop stopped on ‖r‖∞ < tol rather than on its budget: given one
+    more iteration, it runs no further. `converged` cannot tell, since it also holds when the
+    budget ran out at a z_t whose residual is below tol."""
+    if rep.iters < cfg.max_iters:
+        return True
+    more = replace(cfg, max_iters=cfg.max_iters + 1)
+    return lbo_invert_step(model, sched, z_prev, t_prev, t, Condition(), more)[1].iters == rep.iters
+
+
+# steps -> how many steps of one trajectory converge, that is stop on their test, for lbo-n
+# and lbo-h (measured)
+@pytest.mark.parametrize("steps,converging", [(50, (50, 50)), (4, (4, 4)), (2, (1, 0)),
+                                            (10, (10, 10))])
 def test_converged_sweeps_land_within_their_bound_of_the_exact_preimage(oracle, uncond, steps,
                                                                         converging):
-    # a step's z_t misses the exact step by (I − M)⁻¹r, r its residual: at most
-    # sqrt(d)·‖r‖∞/(1 − ρ) in 2-norm, since M is symmetric, so the reported residual bounds
-    # every step, converged or not; each later exact step (I − M)⁻¹ grows it by at most
-    # 1/(1 − ρ)
+    # a sweep that stops on |Δ|∞ < tol leaves the error −M(I − M)⁻¹Δ: at most
+    # ρ/(1 − ρ)·sqrt(d)·tol in 2-norm, since M is symmetric; each later exact
+    # step (I − M)⁻¹ grows it by at most 1/(1 − ρ)
     model, sched, z0s = oracle
     grid = make_uniform_grid(sched, steps)
     cos = [coefficients(sched, t, t_prev) for t_prev, t in grid.transitions()]
     rhos = [_sweep_radius(model, co) for co in cos]
     checked = Counter()
     for mode in ("numerical", "hybrid"):
+        cfg = LboConfig(mode=mode)
+        # 1e-13 for rounding
+        local = [rho / (1.0 - rho) * math.sqrt(model.latent_dim) * cfg.tol + 1e-13 for rho in rhos]
         for z0 in z0s:
-            traj, reports = lbo_invert_trajectory(model, sched, grid, z0, uncond,
-                                                  LboConfig(mode=mode))
+            traj, reports = lbo_invert_trajectory(model, sched, grid, z0, uncond, cfg)
             latents = traj.latents
-            total = 0.0
-            for co, rho, rep, z_prev, z_t in zip(cos, rhos, reports, latents[:-1], latents[1:],
-                                                 strict=True):
-                # 1e-13 for rounding
-                bound = math.sqrt(model.latent_dim) * rep.residual / (1.0 - rho) + 1e-13
-                assert np.linalg.norm(z_t - exact_step(model, co, z_prev)) <= bound
-                total = total / (1.0 - rho) + bound
-                checked[mode] += rep.converged
-            assert np.linalg.norm(traj.end - exact_preimage(model, sched, grid, z0)) <= total
+            stopped = [_stopped_on_its_test(model, sched, z_prev, t_prev, t, cfg, rep)
+                       for (t_prev, t), z_prev, rep in zip(grid.transitions(), latents[:-1],
+                                                           reports, strict=True)]
+            for co, stop, bound, z_prev, z_t in zip(cos, stopped, local, latents[:-1],
+                                                    latents[1:], strict=True):
+                if stop:
+                    assert np.linalg.norm(z_t - exact_step(model, co, z_prev)) <= bound
+                    checked[mode] += 1
+            if all(stopped):
+                total = 0.0
+                for rho, bound in zip(rhos, local):
+                    total = total / (1.0 - rho) + bound
+                assert np.linalg.norm(traj.end - exact_preimage(model, sched, grid, z0)) <= total
     assert (checked["numerical"], checked["hybrid"]) == tuple(len(z0s) * n for n in converging)
 
 
@@ -585,13 +629,14 @@ def test_newton_preimage_replays_onto_its_start_on_the_mlp(default_mlp, uncond, 
             z_prev = z_t
 
 
-# steps -> how many steps of the three trajectories converge, for lbo-n and lbo-h (measured)
-@pytest.mark.parametrize("steps,converging", [(10, (30, 27)), (4, (3, 0)), (2, (0, 0))])
+# steps -> how many steps of the three trajectories converge, that is stop on their test, for
+# lbo-n and lbo-h (measured)
+@pytest.mark.parametrize("steps,converging", [(10, (30, 24)), (4, (3, 0)), (2, (0, 0))])
 def test_converged_sweeps_land_within_their_bound_of_the_newton_preimage(default_mlp, uncond,
                                                                           steps, converging):
-    # the oracle's bound on converged steps, with ρ the spectral radius of the sweep map at
-    # the Newton preimage; J is not symmetric on the MLP, so here the bound is measured, not
-    # proved
+    # the oracle's bound on the steps that stopped on their test, with ρ the spectral radius
+    # of the sweep map at the Newton preimage; J is not symmetric on the MLP, so here the
+    # bound is measured, not proved
     model, sched, z0s = default_mlp
     grid = make_uniform_grid(sched, steps)
     checked = Counter()
@@ -602,13 +647,13 @@ def test_converged_sweeps_land_within_their_bound_of_the_newton_preimage(default
             latents = traj.latents
             for (t_prev, t), rep, z_prev, z_t in zip(grid.transitions(), reports, latents[:-1],
                                                      latents[1:], strict=True):
-                if not rep.converged:
+                if not _stopped_on_its_test(model, sched, z_prev, t_prev, t, cfg, rep):
                     continue
                 co = coefficients(sched, t, t_prev)
                 exact = newton_preimage(model, co, z_prev)
                 rho = _sweep_radius(model, co, exact)
                 if rho < 1.0:
-                    bound = math.sqrt(model.latent_dim) * rep.residual / (1.0 - rho) + 1e-13
+                    bound = rho / (1.0 - rho) * math.sqrt(model.latent_dim) * cfg.tol + 1e-13
                     assert np.linalg.norm(z_t - exact) <= bound
                     checked[mode] += 1
     assert (checked["numerical"], checked["hybrid"]) == converging
