@@ -16,7 +16,7 @@ from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, gen
                        generate_trajectory, walk)
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError,
                      InvlabError)
-from .ilb import IlbConfig, IlbReport, ilb_loss_and_grad, ilb_optimize, skip_roundtrip
+from .ilb import IlbConfig, IlbReport, ilb_loss_and_grad, ilb_optimize
 from .lbo import (LboConfig, LboStepReport, lbo_gradient_iterate, lbo_invert_step,
                   lbo_invert_trajectory, lbo_numerical_iterate, objective_and_grad)
 from .metrics import psnr, ssim, ssim_with_grad, trajectory_divergence

@@ -5,9 +5,10 @@ trajectory, so it gets optimized on two fronts at once: a consistency loss
 (L1 − SSIM + perceptual, weighted) between the source image and D(z_0), and a
 round-trip regularizer mean|z_0 − z0_rt| where z0_rt runs z_0 up to a small
 timestep δt and straight back through the same model, the skip's
-`StepCoefficients.invert` then its `.generate`. Adam drives the sum; the best
-iterate seen wins, not the last one. `ilb_loss_and_grad` gives both losses,
-their total and its gradient at one point.
+`StepCoefficients.invert` then its `.generate`. The regularizer takes those
+coefficients as one `StepCoefficients`, looked up once per run. Adam drives the
+sum; the best iterate seen wins, not the last one. `ilb_loss_and_grad` gives
+both losses, their total and its gradient at one point.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .autoencoder import LinearAutoencoder
 from .denoiser import Condition, DenoiserInterface
-from .dynamics import ddim_invert_step, generate_step
 from .errors import DivergenceError, is_int, require
 from .metrics import ssim_with_grad
 from .optim import AdamState, adam_step
@@ -63,13 +63,6 @@ class IlbReport:
     trace: tuple  # rows of TRACE_COLUMNS
 
 
-def skip_roundtrip(model: DenoiserInterface, sched: NoiseSchedule, z0: np.ndarray,
-                   dt: int, c: Condition) -> np.ndarray:
-    """Jump z0 up to timestep δt and straight back, both legs through F(·, δt)."""
-    co = skip_coefficients(sched, dt)
-    return generate_step(model, co, ddim_invert_step(model, co, z0, c), c)
-
-
 def _con_value_and_grad(x0, z, ae, perc_ref, weights):
     # perc_ref is perc.reference(x0): y ↦ (perc.distance(x0, y), ∂/∂y)
     w1, w2, w3 = weights
@@ -88,11 +81,11 @@ def _con_value_and_grad(x0, z, ae, perc_ref, weights):
     return value, ae.decoder_vjp(z, gx)
 
 
-def _reg_value_and_grad(model, sched, z, dt, c):
-    co = skip_coefficients(sched, dt)
-    eps, back = model.linearize(z, dt, c)
+def _reg_value_and_grad(model, co, z, c):
+    # co: the 0 -> δt skip; z goes up to δt and straight back, both legs through F(·, δt)
+    eps, back = model.linearize(z, co.t, c)
     z_dt = co.invert(z, eps)
-    eps_dt, back_dt = model.linearize(z_dt, dt, c)
+    eps_dt, back_dt = model.linearize(z_dt, co.t, c)
     r = z - co.generate(z_dt, eps_dt)
     value = float(np.mean(np.abs(r)))
     s = np.sign(r) / r.size
@@ -111,12 +104,13 @@ def ilb_loss_and_grad(x0: np.ndarray, z0: np.ndarray, ae: LinearAutoencoder,
     The regularizer is always evaluated; with use_reg=False it is excluded
     from the total and its gradient.
     """
-    return _loss_and_grad(x0, z0, ae, model, sched, perc.reference(x0), cfg, c)
+    skip = skip_coefficients(sched, cfg.dt)
+    return _loss_and_grad(x0, z0, ae, model, skip, perc.reference(x0), cfg, c)
 
 
-def _loss_and_grad(x0, z0, ae, model, sched, perc_ref, cfg, c):
+def _loss_and_grad(x0, z0, ae, model, skip, perc_ref, cfg, c):
     l_con, g_con = _con_value_and_grad(x0, z0, ae, perc_ref, cfg.weights)
-    l_reg, g_reg = _reg_value_and_grad(model, sched, z0, cfg.dt, c)
+    l_reg, g_reg = _reg_value_and_grad(model, skip, z0, c)
     if cfg.use_reg:
         return l_con, l_reg, l_con + l_reg, g_con + g_reg
     return l_con, l_reg, l_con, g_con
@@ -136,13 +130,13 @@ def ilb_optimize(x0: np.ndarray, ae: LinearAutoencoder, model: DenoiserInterface
     x0 = np.asarray(x0, dtype=np.float64)
     require(np.all((x0 >= 0.0) & (x0 <= 1.0)), "x0",  # NaN fails both
             f"pixels in [{x0.min()}, {x0.max()}]", "pixels in [0, 1]")
-    require(cfg.dt is not None, "dt", cfg.dt, "set (one inference-grid stride)")
+    skip = skip_coefficients(sched, cfg.dt)  # refuses an unset or out-of-range dt by name
 
     z = ae.encode(x0)
     perc_ref = perc.reference(x0)  # x0's share of the perceptual metric, once per run
 
     def evaluate(z):
-        return _loss_and_grad(x0, z, ae, model, sched, perc_ref, cfg, c)
+        return _loss_and_grad(x0, z, ae, model, skip, perc_ref, cfg, c)
 
     l_con, l_reg, total, grad = evaluate(z)
     if not np.isfinite(total):

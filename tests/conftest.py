@@ -17,7 +17,6 @@ from invlab import (
     Condition,
     DenoiserInterface,
     InvalidParameterError,
-    LinearAutoencoder,
     LinearGaussianDenoiser,
     MlpTrainConfig,
     coefficients,
@@ -26,7 +25,7 @@ from invlab import (
     generate_step,
     make_linear_schedule,
     make_uniform_grid,
-    skip_roundtrip,
+    skip_coefficients,
     train_mlp_denoiser,
 )
 from invlab.errors import require, require_shape
@@ -117,11 +116,6 @@ def stub_half():
 def unit_gauss1(toy3):
     """Standard normal data prior in one dimension."""
     return LinearGaussianDenoiser(np.zeros(1), np.eye(1), toy3)
-
-
-def one_latent_codec():
-    """A codec with one latent on 5x5 images: W = e_1 and mean 0, so z is the first pixel."""
-    return LinearAutoencoder(np.eye(1, 25), np.zeros(25), (5, 5, 1))
 
 
 @pytest.fixture
@@ -241,10 +235,11 @@ def ilb_exact_optimum(x0, ae, model, sched, cfg):
     """(z*, total*): the minimiser and minimum of ILB's total under weights (1, 0, 0), with the
     regularizer, for an affine model such as the analytic oracle. There both terms are L1 norms
     of affine maps of z: mean|Dz + m − x0| over the P pixels, and mean|Rz + r0| over the d
-    latents for r(z) = z − skip_roundtrip(z). So the minimum is a linear program in z and the
-    split residuals s± ≥ 0 (pixels) and u± ≥ 0 (latents): minimise Σs±/P + Σu±/d subject to
-    Dz − s⁺ + s⁻ = x0 − m and Rz − u⁺ + u⁻ = −r0, solved by HiGHS. D and m take d + 1
-    decodes, R and r0 d + 1 round trips."""
+    latents for r(z) = z − rt(z), where the round trip rt is `ddim_invert_step` then
+    `generate_step` over the 0 → δt skip, composed here from the public steps. So the minimum
+    is a linear program in z and the split residuals s± ≥ 0 (pixels) and u± ≥ 0 (latents):
+    minimise Σs±/P + Σu±/d subject to Dz − s⁺ + s⁻ = x0 − m and Rz − u⁺ + u⁻ = −r0, solved by
+    HiGHS. D and m take d + 1 decodes, R and r0 d + 1 round trips."""
     from scipy.optimize import linprog  # scipy is a test dependency; invlab runs without it
 
     require(cfg.use_reg and tuple(cfg.weights) == (1.0, 0.0, 0.0), "cfg", cfg,
@@ -253,8 +248,13 @@ def ilb_exact_optimum(x0, ae, model, sched, cfg):
     eye, zero = np.eye(d), np.zeros(d)
     m = ae.decode(zero).ravel()
     dec = np.stack([ae.decode(e).ravel() - m for e in eye], axis=1)
-    rt0 = skip_roundtrip(model, sched, zero, cfg.dt, c)  # r0 = −rt0
-    reg = eye - np.stack([skip_roundtrip(model, sched, e, cfg.dt, c) - rt0 for e in eye], axis=1)
+    skip = skip_coefficients(sched, cfg.dt)
+
+    def rt(z):
+        return generate_step(model, skip, ddim_invert_step(model, skip, z, c), c)
+
+    rt0 = rt(zero)  # r0 = −rt0
+    reg = eye - np.stack([rt(e) - rt0 for e in eye], axis=1)
     p = len(m)
     a_eq = np.block([[dec, -np.eye(p), np.eye(p), np.zeros((p, 2 * d))],
                      [reg, np.zeros((d, 2 * p)), -eye, eye]])

@@ -761,6 +761,16 @@ def test_steps_budget_is_one_trajectory_of_latents():
     assert err.value.context["key"] == "steps"
 
 
+def test_mlp_width_budget_is_its_flat_parameter_vector():
+    # at 16x16 and t_train 100, width * (2 * 256 + 100 + width + 3) + 256 floats fit in
+    # 2**27 bytes up to width 3799
+    mlp = {"kind": "mlp", "train": {"width": 3799}}
+    assert config_from_json_dict({"denoiser": mlp}).denoiser.train.width == 3799
+    with pytest.raises(ConfigError) as err:
+        config_from_json_dict({"denoiser": {**mlp, "train": {"width": 3800}}})
+    assert err.value.context["key"] == "denoiser.train.width"
+
+
 @pytest.mark.parametrize("built, not_built, key", [
     # the MLP's parameters count only when the run trains an MLP
     ({"denoiser": {"kind": "mlp"}}, {"denoiser": {"kind": "analytic"}}, "denoiser.train.width"),

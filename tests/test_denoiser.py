@@ -16,6 +16,7 @@ from invlab import (
     LinearGaussianDenoiser,
     MlpDenoiser,
     MlpTrainConfig,
+    derive_rng,
     gradient_check,
     make_linear_schedule,
     train_mlp_denoiser,
@@ -233,6 +234,22 @@ def test_mlp_divergence_names_epoch():
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as exc:
         train_mlp_denoiser(EIGHT_POINTS[:4], sched, cfg, 0)
     assert "epoch" in str(exc.value) and exc.value.context["epoch"] >= 0
+
+
+def test_mlp_final_loss_is_its_probe_recomputed_from_the_documented_streams(uncond):
+    # 256 probe rows: the "eval" stream draws a data row (through the "split" order), a
+    # timestep in [1, t_train] and an ε for each, and each prediction is one `eval` call
+    sched = make_linear_schedule(20, 1e-3, 0.05)
+    data = np.random.default_rng(5).standard_normal((24, 3))
+    model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=2), 3)
+    probe = derive_rng(3, "eval")
+    rows = derive_rng(3, "split").permutation(24)[probe.integers(0, 24, size=256)]
+    ts = probe.integers(1, sched.t_train + 1, size=256)
+    eps = probe.standard_normal((256, 3))
+    pred = np.stack([model.eval(math.sqrt(sched.alpha_bar(t)) * data[row]
+                                + math.sqrt(1.0 - sched.alpha_bar(t)) * e, t, uncond)
+                     for row, t, e in zip(rows, ts, eps)])
+    assert model.final_loss == float(np.mean((pred - eps) ** 2))
 
 
 def test_mlp_eval_pure(uncond, tiny_mlp):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import ConstantDenoiser, ilb_exact_optimum, one_latent_codec, rejects
+from conftest import ConstantDenoiser, ilb_exact_optimum, rejects
 
 import invlab.denoiser
 import invlab.ilb
@@ -13,9 +13,11 @@ from invlab import (
     DenoiserInterface,
     DivergenceError,
     IlbConfig,
+    LinearAutoencoder,
     LinearGaussianDenoiser,
     MlpTrainConfig,
     RandomConvPerceptual,
+    RunConfig,
     ddim_invert_step,
     fit_linear_autoencoder,
     generate_step,
@@ -26,7 +28,6 @@ from invlab import (
     make_linear_schedule,
     make_shapes,
     skip_coefficients,
-    skip_roundtrip,
     train_mlp_denoiser,
 )
 from invlab.benchmark import BenchmarkBackends, config_from_json_dict
@@ -57,9 +58,9 @@ def consistency(x0, z, ae, perc, weights, c):
 
 
 def regularization(model, sched, z0, dt, c):
-    """l_reg of ilb_loss_and_grad at z0 for a one-latent model: its codec and image only
-    feed the consistency loss."""
-    ae = one_latent_codec()
+    """l_reg of ilb_loss_and_grad at z0. The codec (each latent one pixel of a 5x5 image) and
+    the image only feed the consistency loss."""
+    ae = LinearAutoencoder(np.eye(z0.size, 25), np.zeros(25), (5, 5, 1))
     x0 = np.zeros(ae.image_shape)
     perc = RandomConvPerceptual(ae.image_shape, seed=0)
     return ilb_loss_and_grad(x0, z0, ae, model, sched, perc, IlbConfig(dt=dt), c)[1]
@@ -83,33 +84,26 @@ def test_consistency_perceptual_only_self_is_zero(x0, ident, perc, uncond):
     assert consistency(x0, z, ident, perc, (0.0, 0.0, 1.0), uncond) == 0.0
 
 
-def test_skip_roundtrip_constant_model_exact(toy3, uncond):
+def test_regularization_constant_model_is_zero(toy3, uncond):
+    # a constant prediction cancels between the two legs
     m = ConstantDenoiser(3, 0.4)
     z0 = np.array([0.2, -0.6, 1.1])
-    np.testing.assert_allclose(skip_roundtrip(m, toy3, z0, 2, uncond), z0, atol=1e-12)
+    assert regularization(m, toy3, z0, 2, uncond) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_skip_roundtrip_zero_model_pure_scaling(toy3, stub0, uncond):
-    z0 = np.array([1.0])
-    got = skip_roundtrip(stub0, toy3, z0, 2, uncond)
-    assert got[0] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_skip_roundtrip_hand_composition(toy3, unit_gauss1, uncond):
+def test_regularization_hand_composition(toy3, unit_gauss1, uncond):
     # dt=2 jump for the 1-d unit Gaussian, composed by hand:
     # up: 0.9*1 + 0.19 = 1.09; down: phi*1.09 + psi*F(1.09) = 0.981
     z0 = np.array([1.0])
     phi, psi = 1.1111111111111112, -0.48432210483785254
     z_dt = (1.0 / phi) * 1.0 - (psi / phi) * 0.4358898943540673
     assert z_dt == pytest.approx(1.09, abs=1e-12)
-    got = skip_roundtrip(unit_gauss1, toy3, z0, 2, uncond)
-    assert got[0] == pytest.approx(0.981, abs=1e-12)
-    # the inversion step, then the generation step, over the 0 -> dt skip
-    co = skip_coefficients(toy3, 2)
-    up = ddim_invert_step(unit_gauss1, co, z0, uncond)
-    assert np.array_equal(got, generate_step(unit_gauss1, co, up, uncond))
     reg = regularization(unit_gauss1, toy3, z0, 2, uncond)
     assert reg == pytest.approx(0.019, abs=1e-12)
+    # the inversion step, then the generation step, over the 0 -> dt skip
+    co = skip_coefficients(toy3, 2)
+    back = generate_step(unit_gauss1, co, ddim_invert_step(unit_gauss1, co, z0, uncond), uncond)
+    assert reg == float(np.mean(np.abs(z0 - back)))
 
 
 def test_regularization_scales_linearly_for_linear_model(toy3, unit_gauss1, uncond):
@@ -121,14 +115,16 @@ def test_regularization_scales_linearly_for_linear_model(toy3, unit_gauss1, unco
 
 
 def test_regularization_zero_model_is_zero(toy3, stub0, uncond):
-    assert regularization(stub0, toy3, np.array([1.3]), 2, uncond) == pytest.approx(
-        0.0, abs=1e-14
-    )
+    # a zero prediction leaves the two legs pure scalings by 1/phi and phi
+    for z0 in (1.0, 1.3):
+        assert regularization(stub0, toy3, np.array([z0]), 2, uncond) == pytest.approx(
+            0.0, abs=1e-14
+        )
 
 
-def test_skip_roundtrip_dt_bounds(toy3, stub0, uncond):
+def test_regularization_dt_bounds(toy3, stub0, uncond):
     with rejects("dt"):
-        skip_roundtrip(stub0, toy3, np.array([1.0]), 4, uncond)
+        regularization(stub0, toy3, np.array([1.0]), 4, uncond)
 
 
 def _linear_setup(seed=1):
@@ -303,17 +299,17 @@ def test_regularizer_runs_one_forward_pass_per_round_trip_leg(monkeypatch, uncon
     data = np.random.default_rng(5).standard_normal((24, 3))
     model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=2), 0)
     z = np.array([0.3, -0.1, 0.8])
-    value, grad = invlab.ilb._reg_value_and_grad(model, sched, z, 2, uncond)
+    co = skip_coefficients(sched, 2)
+    value, grad = invlab.ilb._reg_value_and_grad(model, co, z, uncond)
     calls = []
     inner = invlab.denoiser._batch_forward
     monkeypatch.setattr(invlab.denoiser, "_batch_forward",
                         lambda *a: calls.append(1) or inner(*a))
-    again = invlab.ilb._reg_value_and_grad(model, sched, z, 2, uncond)
+    again = invlab.ilb._reg_value_and_grad(model, co, z, uncond)
     assert len(calls) == 2  # eval then vjp at both points took four
     assert again[0] == value and np.array_equal(again[1], grad)
     monkeypatch.undo()
     # the same bits as the round trip chained through separate evals and vjps
-    co = skip_coefficients(sched, 2)
     phi, psi = co.phi, co.psi
     z_dt = (1.0 / phi) * z - (psi / phi) * model.eval(z, 2, uncond)
     r = z - (phi * z_dt + psi * model.eval(z_dt, 2, uncond))
@@ -337,6 +333,26 @@ def test_optimize_computes_source_features_once_per_run(monkeypatch, uncond):
     # plus one pass per decoded iterate: the start and every step
     assert len(seen) == 1 + (rep.iters_used + 1)
     assert np.array_equal(z_opt, expect[0]) and rep == expect[1]
+
+
+def test_skip_coefficients_are_looked_up_once_per_call(monkeypatch, uncond):
+    sched, imgs, ae, model, perc = _linear_setup(seed=7)
+    cfg = IlbConfig(lr=0.05, max_iters=12, dt=2, rel_tol=1e-12)
+    calls = []
+    inner = invlab.ilb.skip_coefficients
+    monkeypatch.setattr(invlab.ilb, "skip_coefficients",
+                        lambda *a: calls.append(a) or inner(*a))
+    _, rep = ilb_optimize(imgs[1], ae, model, sched, perc, cfg, uncond)
+    assert rep.iters_used == 12 and calls == [(sched, 2)]  # not one per evaluation
+    ilb_loss_and_grad(imgs[1], ae.encode(imgs[1]), ae, model, sched, perc, cfg, uncond)
+    assert len(calls) == 2
+
+
+def test_default_config_runs_the_default_budget_of_100_iterations():
+    # no early stop on the default config's first image: the cap, max_iters, ends the run
+    b = BenchmarkBackends(RunConfig())
+    rep = ilb_optimize(b.images[0], b.ae, b.model, b.sched, b.perc, b.ilb_cfg, b.condition)[1]
+    assert rep.iters_used == 100
 
 
 # ---------------------------------------------------------------- ILB against its exact optimum

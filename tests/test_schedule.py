@@ -64,7 +64,8 @@ def test_linear_interpolation_endpoints():
 
 # (t_train, beta_start, beta_end) -> the argument named in the error
 BAD_SCHEDULES = {(0, 0.1, 0.1): "t_train", (3, 0.0, 0.1): "beta_start", (3, 0.2, 0.1): "beta_end",
-                 (3, 0.1, 1.0): "beta_end", (3, -0.1, 0.5): "beta_start"}
+                 (3, 0.1, 1.0): "beta_end", (3, -0.1, 0.5): "beta_start",
+                 (3, 1.0, 1.0): "beta_start"}
 
 
 @pytest.mark.parametrize("t_train,b0,b1", list(BAD_SCHEDULES))
@@ -77,8 +78,10 @@ def test_schedule_rejects_bad_parameters(t_train, b0, b1):
 @pytest.mark.parametrize("betas", [[], [[0.1, 0.2]], [0.1, 1.0], [0.0], [float("nan")],
                                    [0.5] * 1100, [0.5] * 1050])
 def test_schedule_rejects_bad_betas(betas):
-    with rejects("betas"):
+    with rejects("betas") as err:
         NoiseSchedule(np.asarray(betas, dtype=np.float64))
+    if betas == [0.1, 1.0]:  # the (0, 1) bound's edge, which the alpha_bar_T floor also refuses
+        assert "in (0, 1)" in str(err.value)
 
 
 @given(st.integers(1, 2000), st.floats(1e-6, 0.999), st.floats(1e-6, 0.999),
