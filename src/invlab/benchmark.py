@@ -26,7 +26,7 @@ from .autoencoder import (MAX_CODEC_BYTES, LinearAutoencoder, fit_linear_autoenc
                           identity_autoencoder, require_codec_size)
 from .data import load_dataset, make_shapes
 from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig,
-                       train_mlp_denoiser)
+                       mlp_shapes, train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError, InvlabError,
                      is_int, keep_ints, require)
@@ -121,7 +121,10 @@ class RunConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         require(len(self.methods) > 0, "methods", self.methods, "nonempty")
         require(len(set(self.methods)) == len(self.methods), "methods", self.methods, "distinct")
-        require(self.n_workers == 1, "n_workers", self.n_workers, "1 (rows run serially)")
+        require(is_int(self.n_workers) and self.n_workers == 1, "n_workers", self.n_workers,
+                "the integer 1 (rows run serially)")
+        require(self.record_timing is True or self.record_timing is False, "record_timing",
+                self.record_timing, "True or False")
         # one budget, the codec's cap, for each array a size sets, checked before anything
         # is built: the images, the betas, one trajectory's steps + 1 latents and, where
         # the run builds them, the codec's pixel-by-pixel matrix, the fit's left SVD basis
@@ -139,9 +142,8 @@ class RunConfig:
         if ae.path is None and ae.kind == "linear":
             sizes.append(("autoencoder.fit_count", ae.fit_count, ae.fit_count**2))
         if den.path is None and den.kind == "mlp":
-            width = den.train.width
-            sizes.append(("denoiser.train.width", width,
-                          width * (2 * pixels + self.t_train + width + 3) + pixels))
+            shapes = mlp_shapes(pixels, den.train.width, self.t_train).values()
+            sizes.append(("denoiser.train.width", den.train.width, sum(map(math.prod, shapes))))
         for key, value, floats in sizes:
             require(8 * floats <= MAX_CODEC_BYTES, key, value,
                     f"small enough for each of its arrays to fit in {MAX_CODEC_BYTES} bytes")

@@ -155,7 +155,15 @@ class MlpTrainConfig:
 
 _N_EVAL = 256  # probe rows behind MlpDenoiser.final_loss
 
-_PARAM_ORDER = ("w1", "b1", "temb", "cemb", "w2", "b2", "w3", "b3")
+
+def mlp_shapes(latent_dim: int, width: int, t_train: int) -> dict[str, tuple[int, ...]]:
+    """The MLP's array shapes by name, in file and flat-vector order: its one layout table."""
+    return {"w1": (width, latent_dim), "b1": (width,), "temb": (t_train, width),
+            "cemb": (1, width), "w2": (width, width), "b2": (width,),
+            "w3": (latent_dim, width), "b3": (latent_dim,)}
+
+
+_PARAM_ORDER = tuple(mlp_shapes(1, 1, 1))
 
 
 class MlpDenoiser(DenoiserInterface):
@@ -177,10 +185,8 @@ class MlpDenoiser(DenoiserInterface):
         # copies: freezing them below leaves the caller's arrays writeable
         self.params = p = {k: np.array(params[k], dtype=np.float64) for k in _PARAM_ORDER}
         self.sched = sched
-        self.latent_dim, self.width = d, width = p["b3"].size, p["b1"].size
-        shapes = {"w1": (width, d), "b1": (width,), "temb": (sched.t_train, width),
-                  "cemb": (1, width), "w2": (width, width), "b2": (width,),
-                  "w3": (d, width), "b3": (d,)}
+        self.latent_dim, self.width = p["b3"].size, p["b1"].size
+        shapes = mlp_shapes(self.latent_dim, self.width, sched.t_train)
         for k, arr in p.items():
             require_shape(arr, shapes[k], k)
             require(np.all(np.isfinite(arr)), k, "an array with non-finite entries", "finite")
@@ -208,19 +214,15 @@ class MlpDenoiser(DenoiserInterface):
 
 
 def _init_params(rng: np.random.Generator, latent_dim: int, width: int, t_train: int):
-    def xavier(nout, nin):
-        return rng.normal(0.0, np.sqrt(2.0 / (nin + nout)), size=(nout, nin))
-
-    return {
-        "w1": xavier(width, latent_dim),
-        "b1": np.zeros(width),
-        "temb": rng.normal(0.0, 1.0 / np.sqrt(width), size=(t_train, width)),
-        "cemb": rng.normal(0.0, 1.0 / np.sqrt(width), size=(1, width)),
-        "w2": xavier(width, width),
-        "b2": np.zeros(width),
-        "w3": xavier(latent_dim, width),
-        "b3": np.zeros(latent_dim),
-    }
+    """Zero biases, Xavier-normal weights and N(0, 1/width) embedding rows, drawn in file order."""
+    params = {}
+    for k, shape in mlp_shapes(latent_dim, width, t_train).items():
+        if k[0] == "b":
+            params[k] = np.zeros(shape)
+        else:
+            std = np.sqrt(2.0 / sum(shape)) if k[0] == "w" else 1.0 / np.sqrt(width)
+            params[k] = rng.normal(0.0, std, size=shape)
+    return params
 
 
 def _flatten(params: dict[str, np.ndarray]) -> np.ndarray:
@@ -230,9 +232,9 @@ def _flatten(params: dict[str, np.ndarray]) -> np.ndarray:
 def _unflatten(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
     out = {}
     pos = 0
-    for k in _PARAM_ORDER:
-        n = math.prod(shapes[k])
-        out[k] = flat[pos : pos + n].reshape(shapes[k])
+    for k, shape in shapes.items():
+        n = math.prod(shape)
+        out[k] = flat[pos : pos + n].reshape(shape)
         pos += n
     return out
 
@@ -288,15 +290,15 @@ def train_mlp_denoiser(
             "a non-empty (n, latent_dim) array")
     n, latent_dim = data.shape
 
+    shapes = mlp_shapes(latent_dim, cfg.width, sched.t_train)
     params = _init_params(derive_rng(seed, "mlp-init"), latent_dim, cfg.width, sched.t_train)
-    shapes = {k: params[k].shape for k in _PARAM_ORDER}
     flat = _flatten(params)
     state = AdamState(lr=cfg.lr)
     rows_order = derive_rng(seed, "split").permutation(n)
-    ab = np.concatenate([[1.0], np.asarray(sched.alpha_bars)])  # ᾱ indexed by t
 
     def noised(x, t, eps):
-        return np.sqrt(ab[t])[:, None] * x + np.sqrt(1.0 - ab[t])[:, None] * eps
+        ab = sched.alpha_bars[t - 1]
+        return np.sqrt(ab)[:, None] * x + np.sqrt(1.0 - ab)[:, None] * eps
 
     bs = min(cfg.batch_size, n)
     for epoch in range(cfg.max_epochs):

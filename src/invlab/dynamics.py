@@ -50,10 +50,6 @@ class Trajectory:
         return self.latents[steps.index(t)]
 
     @property
-    def start(self) -> np.ndarray:
-        return self.latents[0]
-
-    @property
     def end(self) -> np.ndarray:
         return self.latents[-1]
 

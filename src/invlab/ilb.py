@@ -47,6 +47,8 @@ class IlbConfig:
         require(0.0 < self.rel_tol < math.inf, "rel_tol", self.rel_tol, "finite and > 0")
         # its range needs the schedule: RunConfig checks it, skip_coefficients at use
         require(self.dt is None or is_int(self.dt), "dt", self.dt, "None or an integer")
+        require(self.use_reg is True or self.use_reg is False, "use_reg", self.use_reg,
+                "True or False")
         require(len(self.weights) == 3 and all(0.0 <= w < math.inf for w in self.weights),
                 "weights", self.weights, "three finite reals >= 0")
 

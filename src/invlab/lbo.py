@@ -37,10 +37,9 @@ from .errors import DivergenceError, is_int, require
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
-_MODES = ("numerical", "gradient", "hybrid")
-_DEFAULT_ITERS = {"numerical": 15, "gradient": 20, "hybrid": 15}
-# how many of a step's first iterations are Adam steps; the rest are sweeps
-_ADAM_ITERS = {"numerical": 0, "gradient": math.inf, "hybrid": 5}
+# mode -> (default max_iters, how many of a step's first iterations are Adam steps; the
+# rest are sweeps)
+_MODES = {"numerical": (15, 0), "gradient": (20, math.inf), "hybrid": (15, 5)}
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,10 @@ class LboConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
-        require(self.mode in _MODES, "mode", self.mode, f"one of {_MODES}")
+        names = tuple(_MODES)
+        require(self.mode in names, "mode", self.mode, f"one of {names}")
         if self.max_iters is None:
-            object.__setattr__(self, "max_iters", _DEFAULT_ITERS[self.mode])
+            object.__setattr__(self, "max_iters", _MODES[self.mode][0])
         require(is_int(self.max_iters) and self.max_iters >= 0, "max_iters", self.max_iters,
                 "an integer >= 0")
         require(0.0 < self.tol < math.inf, "tol", self.tol, "finite and > 0")
@@ -131,7 +131,7 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
     if cfg.max_iters == 0:
         return y0, LboStepReport(t=t, iters=0, residual=float("inf"), converged=False)
     b = y0 - z_prev
-    n_adam = _ADAM_ITERS[cfg.mode]
+    n_adam = _MODES[cfg.mode][1]
     state = AdamState(lr=cfg.lr)
     residual = math.inf
     k = 0

@@ -29,9 +29,10 @@ def psnr(x: np.ndarray, y: np.ndarray) -> float:
     return float(10.0 * np.log10(1.0 / mse))
 
 
-def _gaussian_taps(size: int = 7, sigma: float = 1.5) -> np.ndarray:
-    r = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(r * r) / (2.0 * sigma * sigma))
+def _gaussian_taps() -> np.ndarray:
+    """The window's 7 taps: the σ = 1.5 Gaussian at offsets −3..3, summing to 1."""
+    r = np.arange(7) - 3.0
+    g = np.exp(-(r * r) / (2.0 * 1.5 * 1.5))
     return g / g.sum()
 
 
@@ -44,36 +45,23 @@ def _window_matrix(n: int, taps: np.ndarray) -> np.ndarray:
     return m
 
 
-class _WindowOps:
-    """Windowed-mean operator and its adjoint on a stack of (..., h, w) planes.
-
-    Windowed mode is valid-position correlation with the separable Gaussian,
-    R @ P @ C.T with one band matrix per axis; global mode is the plain mean
-    over all pixels (a single 1×1 output), i.e. R and C are rows of 1/h, 1/w.
-    """
-
-    def __init__(self, height: int, width: int):
-        taps = _gaussian_taps()
-        if height < len(taps) or width < len(taps):
-            self.rows = np.full((1, height), 1.0 / height)
-            self.cols = np.full((1, width), 1.0 / width)
-        else:
-            self.rows = _window_matrix(height, taps)
-            self.cols = _window_matrix(width, taps)
-        # _window_ops shares one instance per size with every caller
-        self.rows.setflags(write=False)
-        self.cols.setflags(write=False)
-
-    def apply(self, planes: np.ndarray) -> np.ndarray:
-        return self.rows @ planes @ self.cols.T
-
-    def adjoint(self, grad_maps: np.ndarray) -> np.ndarray:
-        return self.rows.T @ grad_maps @ self.cols
-
-
 @lru_cache(maxsize=16)
-def _window_ops(height: int, width: int) -> _WindowOps:
-    return _WindowOps(height, width)
+def _window_matrices(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (R, C), shared by every caller at one size: the windowed means of an
+    (h, w) plane P are R @ P @ C.T, and R.T @ G @ C is the adjoint.
+
+    Windowed mode is valid-position correlation with the separable Gaussian, one band
+    matrix per axis; global mode is the plain mean over all pixels (a single 1×1
+    output), i.e. R and C are rows of 1/h, 1/w.
+    """
+    taps = _gaussian_taps()
+    if height < len(taps) or width < len(taps):
+        mats = np.full((1, height), 1.0 / height), np.full((1, width), 1.0 / width)
+    else:
+        mats = _window_matrix(height, taps), _window_matrix(width, taps)
+    for m in mats:
+        m.setflags(write=False)
+    return mats
 
 
 def _ssim_impl(x: np.ndarray, y: np.ndarray, want_grad: bool):
@@ -82,8 +70,8 @@ def _ssim_impl(x: np.ndarray, y: np.ndarray, want_grad: bool):
     # (c, h, w) channel planes; a 2-D image is one plane
     xp = x.reshape(x.shape[:2] + (-1,)).transpose(2, 0, 1)
     yp = y.reshape(y.shape[:2] + (-1,)).transpose(2, 0, 1)
-    ops = _window_ops(x.shape[0], x.shape[1])
-    mu_x, mu_y, m2x, m2y, mxy = ops.apply(np.stack([xp, yp, xp * xp, yp * yp, xp * yp]))
+    rows, cols = _window_matrices(x.shape[0], x.shape[1])
+    mu_x, mu_y, m2x, m2y, mxy = rows @ np.stack([xp, yp, xp * xp, yp * yp, xp * yp]) @ cols.T
     var_x = m2x - mu_x * mu_x
     var_y = m2y - mu_y * mu_y
     cov = mxy - mu_x * mu_y
@@ -106,7 +94,7 @@ def _ssim_impl(x: np.ndarray, y: np.ndarray, want_grad: bool):
     g1 = d_mu_y + d_var_y * (-2.0 * mu_y) + d_cov * (-mu_x)  # via mean(y)
     g2 = d_var_y  # via mean(y²)
     g3 = d_cov  # via mean(x·y)
-    a_1, a_2, a_3 = ops.adjoint(np.stack([g1, g2, g3]))
+    a_1, a_2, a_3 = rows.T @ np.stack([g1, g2, g3]) @ cols
     gplanes = (a_1 + a_2 * (2.0 * yp) + a_3 * xp) / smap.size
     return value, gplanes.transpose(1, 2, 0).reshape(y.shape)
 

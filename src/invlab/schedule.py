@@ -56,10 +56,6 @@ class NoiseSchedule:
         # runs on every denoiser call, so `need` is a constant, not an f-string
         require(is_int(t) and 1 <= t <= self.t_train, "t", t, "an integer in [1, t_train]")
 
-    def beta(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.betas[t - 1])
-
     def alpha_bar(self, t: int) -> float:
         if t == 0 and is_int(t):
             return 1.0

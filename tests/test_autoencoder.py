@@ -27,6 +27,18 @@ def _subspace_images(n=12, k=3, seed=0, shape=SHAPE):
     return (base + 0.1 * coeffs @ basis.T).reshape((n,) + shape)
 
 
+def test_fit_refuses_variance_below_1e_12_of_the_pixel_scale():
+    # two 2x2 images, ±s/√2 at one pixel and 0 elsewhere: the top singular value of the
+    # centered data is s, and the pixel scale is 1
+    def pair(s):
+        imgs = np.zeros((2, 2, 2))
+        imgs[:, 0, 0] = [s / np.sqrt(2.0), -s / np.sqrt(2.0)]
+        return imgs
+    assert fit_linear_autoencoder(pair(1.5e-12), latent_dim=1).latent_dim == 1
+    with rejects("data"):
+        fit_linear_autoencoder(pair(0.5e-12), latent_dim=1)
+
+
 def test_identity_round_trip_bit_exact():
     ae = identity_autoencoder((3, 5, 1))
     rng = np.random.default_rng(1)

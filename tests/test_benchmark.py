@@ -42,6 +42,7 @@ from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
 from invlab.denoiser import LinearGaussianDenoiser, MlpDenoiser, MlpTrainConfig
 from invlab.errors import ConfigError, DivergenceError, FormatError
+from invlab.ilb import IlbConfig
 from invlab.lbo import LboConfig
 from invlab.modelio import save_model
 from invlab.perceptual import RandomConvPerceptual
@@ -183,6 +184,24 @@ def test_n_workers_other_than_one_rejected(n_workers):
     with pytest.raises(ConfigError, match="n_workers") as err:
         config_from_json_dict({"n_workers": n_workers})
     assert err.value.context["key"] == "n_workers"
+
+
+# (the section, a field and a value of the wrong type for it, which the field's JSON form
+# also refuses: the config echo in summary.json would not load)
+ILL_TYPED_BUILT = [(RunConfig, "n_workers", True), (RunConfig, "n_workers", 1.0),
+                   (RunConfig, "record_timing", "no"), (RunConfig, "record_timing", 1),
+                   (IlbConfig, "use_reg", 0)]
+
+
+@pytest.mark.parametrize("cls,field,value", ILL_TYPED_BUILT)
+def test_python_built_config_refuses_an_ill_typed_field(cls, field, value):
+    with rejects(field):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(n_workers=np.int64(1))])
+def test_python_built_config_round_trips_through_its_json_form(cfg):
+    assert config_from_json_dict(cfg.to_json_dict()) == cfg
 
 
 # ---------------------------------------------------------------- backends
@@ -345,6 +364,23 @@ def test_workload_meets_its_pinned_means_at_three_seeds(workload, seed, tmp_path
     bounds = worker.bound_psnr(BenchmarkBackends(cfg))
     assert checks.check_call(doc, csv_text, summary, checks.load_pins(workload)[str(seed)],
                              bounds) == []
+
+
+def test_digest_script_hashes_both_outputs_of_each_of_its_runs(tmp_path):
+    # tests/digests.py, the byte-identity check, is a script pytest does not collect
+    spec = importlib.util.spec_from_file_location("digests", Path(__file__).with_name("digests.py"))
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    cfg = RunConfig(steps=2, methods=("ddim",), dataset=DatasetSection(count=1, height=8, width=8))
+    got = digests.run_digests(cfg, tmp_path / "a")
+    assert got == {name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
+                   for name in ("benchmark.csv", "summary.json")}
+    assert digests.run_digests(cfg, tmp_path / "b") == got
+    runs = digests.configs()
+    assert sorted(runs) == [f"{name}@{seed}" for name in ("boost", "default", "invert", "mlp-coarse")
+                            for seed in (0, 5)]
+    assert runs["default@5"] == RunConfig(seed=5)
+    assert runs["invert@0"] == load_config(INVBENCH / "workloads" / "invert.json")
 
 
 def test_rows_cover_grid_sorted(small_run):

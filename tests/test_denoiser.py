@@ -107,6 +107,19 @@ def test_gaussian_rejects_bad_covariance(toy3):
         LinearGaussianDenoiser(np.zeros(3), np.eye(2), toy3)
 
 
+def test_gaussian_covariance_checks_sit_at_their_bounds(toy3):
+    with rejects("sigma"):  # a zero eigenvalue is not positive definite
+        LinearGaussianDenoiser(np.zeros(2), np.diag([0.0, 1.0]), toy3)
+
+    # I plus an antisymmetric part a: sigma's entries are at most 1, so the symmetry
+    # tolerance is 1e-12, absolute
+    def skewed(a):
+        return np.eye(2) + np.array([[0.0, a / 2.0], [-a / 2.0, 0.0]])
+    with rejects("sigma"):
+        LinearGaussianDenoiser(np.zeros(2), skewed(1.5e-12), toy3)
+    assert LinearGaussianDenoiser(np.zeros(2), skewed(0.5e-12), toy3).latent_dim == 2
+
+
 def _max_rel(a, ref):
     return float(np.abs(a - ref).max() / np.abs(ref).max())
 

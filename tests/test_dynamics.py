@@ -71,7 +71,7 @@ def test_inversion_trajectory_structure(toy3, stub0, uncond):
     traj = ddim_invert_trajectory(stub0, toy3, grid, ONE, uncond)
     assert traj.direction == "inversion"
     assert traj.timesteps() == (0, 1, 2, 3)
-    np.testing.assert_array_equal(traj.start, ONE)
+    np.testing.assert_array_equal(traj.latents[0], ONE)
     np.testing.assert_array_equal(traj.latent_at(0), ONE)
     with rejects("t"):
         traj.latent_at(99)
@@ -119,7 +119,7 @@ def test_walk_steps_a_latent_of_any_shape_along_the_grid(toy3):
     traj = walk(make_uniform_grid(toy3, 3), z, "generation", step)
     assert seen == [(2, 3), (1, 2), (0, 1)]
     assert traj.latents.shape == (4, 2, 3) and traj.timesteps() == (3, 2, 1, 0)
-    np.testing.assert_array_equal(traj.start, z)
+    np.testing.assert_array_equal(traj.latents[0], z)
     np.testing.assert_array_equal(traj.latent_at(1), z + 5.0)
     with rejects("direction"):
         walk(make_uniform_grid(toy3, 3), z, "sideways", step)

@@ -17,6 +17,7 @@ from invlab import (
     Condition,
     DivergenceError,
     LboConfig,
+    LboStepReport,
     LinearGaussianDenoiser,
     coefficients,
     ddim_invert_step,
@@ -32,7 +33,8 @@ from invlab import (
     make_uniform_grid,
     objective_and_grad,
 )
-from invlab.benchmark import BenchmarkBackends, analytic_denoiser, config_from_json_dict
+from invlab.benchmark import (BenchmarkBackends, RunConfig, analytic_denoiser,
+                              config_from_json_dict)
 from invlab.optim import BETA1, BETA2, EPSILON
 
 ONE = np.array([1.0])
@@ -232,6 +234,23 @@ def test_zero_budget_is_one_shot_inversion(gauss_nd, default_sched, uncond, mode
     np.testing.assert_array_equal(
         z_t, ddim_invert_step(gauss_nd, coefficients(default_sched, 40, 30), z, uncond))
     assert rep.iters == 0 and rep.residual == np.inf and not rep.converged
+
+
+def test_a_residual_equal_to_tol_is_not_converged_and_runs_another_sweep(uncond):
+    # the default config's oracle and first image, transition 0 -> 2: one sweep leaves the
+    # residual R (4.6e-10). At tol = R the report's `residual < tol` is false, and with
+    # budget 6 the loop's `residual >= tol` runs a third sweep from the second's start at R
+    b = BenchmarkBackends(RunConfig())
+    z_prev = b.ae.encode(b.images[0])
+
+    def report(max_iters, tol=1e-8):
+        cfg = LboConfig("numerical", max_iters=max_iters, tol=tol)
+        return lbo_invert_step(b.model, b.sched, z_prev, 0, 2, uncond, cfg)[1]
+    r = report(1).residual
+    assert 0.0 < r < 1e-8
+    assert report(1, r) == LboStepReport(t=2, iters=1, residual=r, converged=False)
+    rep = report(6, r)
+    assert rep.iters == 3 and rep.residual < r
 
 
 @pytest.mark.parametrize("field,value", [

@@ -109,6 +109,15 @@ def test_step_size_bounded_by_lr_scale(g0, seed):
     assert np.all(np.abs(x1 - x) <= 1e-2 + 1e-12)
 
 
+def test_central_difference_steps_by_eps_cube_root_times_one_plus_abs_x():
+    # for f = Σx³ the central difference is 3x² + h² exactly, so its error reads back h:
+    # the ratio is 1 at x = 0 and 0.98 at |x| = 1, where round-off enters
+    x = np.array([0.0, 1.0, -1.0])
+    h = np.finfo(np.float64).eps ** (1.0 / 3.0) * (1.0 + np.abs(x))
+    g = central_difference(lambda z: float(np.sum(z**3)), x)
+    np.testing.assert_allclose((g - 3.0 * x * x) / h**2, [1.0, 0.98, 0.98], rtol=0.0, atol=0.01)
+
+
 def test_gradient_check_accepts_true_gradient():
     x = np.array([3.0, -1.5])
     err = gradient_check(lambda z: float(np.sum(z**2)), 2.0 * x, x)

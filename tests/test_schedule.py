@@ -51,13 +51,13 @@ def test_alpha_bar_zero_is_one(toy3):
 def test_single_step_schedule():
     s = make_linear_schedule(1, 0.5, 0.5)
     assert s.alpha_bar(1) == pytest.approx(0.5, abs=1e-15)
-    assert s.beta(1) == 0.5
+    assert s.betas[0] == 0.5
 
 
 def test_linear_interpolation_endpoints():
     s = make_linear_schedule(10, 1e-4, 0.05)
-    assert s.beta(1) == pytest.approx(1e-4, abs=0)
-    assert s.beta(10) == pytest.approx(0.05, abs=0)
+    assert s.betas[0] == pytest.approx(1e-4, abs=0)
+    assert s.betas[9] == pytest.approx(0.05, abs=0)
     diffs = np.diff(s.betas)
     np.testing.assert_allclose(diffs, diffs[0], rtol=1e-9)
 
@@ -108,9 +108,6 @@ def test_schedule_derives_alpha_bars_and_t_train_from_betas():
 
 
 def test_timestep_bounds(toy3):
-    for t in (0, 4):
-        with rejects("t"):
-            toy3.beta(t)
     for t in (4, -1):
         with rejects("t"):
             toy3.alpha_bar(t)
@@ -120,8 +117,6 @@ def test_timestep_bounds(toy3):
 def test_timesteps_must_be_integers(toy3, t):
     with rejects("t"):
         toy3.alpha_bar(t)
-    with rejects("t"):
-        toy3.beta(t)
 
 
 def test_numpy_integer_timesteps_are_accepted(toy3):
@@ -220,7 +215,6 @@ def _ddim_trajectory(sched, steps=3):
 # float, 2.5, True and "x"
 INTEGER_SITES = {
     "schedule-t_train": ("t_train", 3, lambda s, v: make_linear_schedule(v, 0.1, 0.1)),
-    "schedule-beta-t": ("t", 2, lambda s, v: s.beta(v)),
     "coefficients-t": ("t", 3, lambda s, v: coefficients(s, v, 1)),
     "coefficients-t_prev": ("t_prev", 2, lambda s, v: coefficients(s, 3, v)),
     "skip_coefficients-dt": ("dt", 3, lambda s, v: skip_coefficients(s, v)),
@@ -308,7 +302,7 @@ def test_alpha_bar_recurrence_and_monotonicity(beta_list):
     for step in range(1, sched.t_train + 1):
         ab = sched.alpha_bar(step)
         assert ab < prev
-        assert ab == pytest.approx(prev * (1.0 - sched.beta(step)), rel=1e-12)
+        assert ab == pytest.approx(prev * (1.0 - sched.betas[step - 1]), rel=1e-12)
         prev = ab
 
 
