@@ -14,11 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 import time
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, Mlp
                        mlp_shapes, train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError, InvlabError,
-                     is_int, keep_ints, require)
+                     check_fields, require)
 from .ilb import IlbConfig, ilb_optimize
 from .lbo import LboConfig, lbo_invert_trajectory
 from .metrics import psnr, ssim
@@ -52,13 +51,12 @@ class DatasetSection:
     path: Optional[str] = None
 
     def __post_init__(self):
-        require(is_int(self.count) and self.count >= 1, "count", self.count, "an integer >= 1")
+        check_fields(self)
+        require(self.count >= 1, "count", self.count, "an integer >= 1")
         # make_shapes' smallest disc and the perceptual metric's layers need 5x5
-        require(is_int(self.height) and self.height >= 5, "height", self.height,
-                "an integer >= 5")
-        require(is_int(self.width) and self.width >= 5, "width", self.width, "an integer >= 5")
+        require(self.height >= 5, "height", self.height, "an integer >= 5")
+        require(self.width >= 5, "width", self.width, "an integer >= 5")
         require(self.path != "", "path", self.path, "null or a nonempty file name")
-        keep_ints(self, "count", "height", "width")
 
 
 @dataclass(frozen=True)
@@ -68,6 +66,7 @@ class DenoiserSection:
     train: MlpTrainConfig = MlpTrainConfig()
 
     def __post_init__(self):
+        check_fields(self)
         require(self.kind in ("analytic", "mlp"), "kind", self.kind, "'analytic' or 'mlp'")
         # "" would be unset to the builders but set to RunConfig's size budget, which
         # skips the arrays a loaded file replaces
@@ -86,14 +85,13 @@ class AutoencoderSection:
     leak_scale: float = 1.8
 
     def __post_init__(self):
+        check_fields(self)
         require(self.kind in ("linear", "identity"), "kind", self.kind, "'linear' or 'identity'")
         require(self.path != "", "path", self.path, "null or a nonempty file name")
         require(0.0 < self.latent_frac <= 1.0, "latent_frac", self.latent_frac, "in (0, 1]")
-        require(is_int(self.fit_count) and self.fit_count >= 2, "fit_count", self.fit_count,
-                "an integer >= 2")
+        require(self.fit_count >= 2, "fit_count", self.fit_count, "an integer >= 2")
         require(0.0 <= self.leak_scale <= _MAX_SCALE, "leak_scale", self.leak_scale,
                 f"in [0, {_MAX_SCALE:g}]")
-        keep_ints(self, "fit_count")
 
 
 @dataclass(frozen=True)
@@ -112,19 +110,13 @@ class RunConfig:
     ilb: IlbConfig = IlbConfig()
 
     def __post_init__(self):
-        # before the sizes below use them; derive_key, the schedule and the grid check ranges
-        for name in ("seed", "t_train", "steps"):
-            require(is_int(getattr(self, name)), name, getattr(self, name), "an integer")
-        keep_ints(self, "seed", "t_train", "steps")
+        check_fields(self)  # first: the sizes below multiply its Python ints
         for name in self.methods:
             parse_method(name)
-        object.__setattr__(self, "methods", tuple(self.methods))
         require(len(self.methods) > 0, "methods", self.methods, "nonempty")
         require(len(set(self.methods)) == len(self.methods), "methods", self.methods, "distinct")
-        require(is_int(self.n_workers) and self.n_workers == 1, "n_workers", self.n_workers,
+        require(self.n_workers == 1, "n_workers", self.n_workers,
                 "the integer 1 (rows run serially)")
-        require(self.record_timing is True or self.record_timing is False, "record_timing",
-                self.record_timing, "True or False")
         # one budget, the codec's cap, for each array a size sets, checked before anything
         # is built: the images, the betas, one trajectory's steps + 1 latents and, where
         # the run builds them, the codec's pixel-by-pixel matrix, the fit's left SVD basis
@@ -154,12 +146,11 @@ class RunConfig:
                 f"in [1, t_train = {self.t_train}]")
 
     def to_json_dict(self) -> dict:
-        # tuples become lists, and a NumPy integer (and nothing else) a Python int
-        return json.loads(json.dumps(asdict(self), default=operator.index))
+        return json.loads(json.dumps(asdict(self)))  # tuples become lists
 
 
 def _parse_section(cls, doc, prefix: str):
-    """A `cls` from a JSON object; each value is checked against its annotation."""
+    """A `cls` from a JSON object, each section in it parsed in turn; check_fields types it."""
     section = prefix.rstrip(".")
     if not isinstance(doc, dict):
         raise ConfigError(f"config {section or 'document'} must be a JSON object, got {doc!r}",
@@ -168,32 +159,13 @@ def _parse_section(cls, doc, prefix: str):
     for key in doc:
         if key not in hints:
             raise ConfigError(f"unknown config key {prefix + key!r}", key=prefix + key)
-    values = {key: _parse_value(hints[key], value, prefix + key) for key, value in doc.items()}
+    values = {key: _parse_section(hints[key], value, prefix + key + ".")
+              if is_dataclass(hints[key]) else value for key, value in doc.items()}
     try:
         return cls(**values)
     except InvalidParameterError as e:  # `require` and `require_shape` name the field
         key = prefix + e.context["field"]
         raise ConfigError(f"config key {key}: {e}", key=key) from None
-
-
-def _parse_value(tp, value, key: str):
-    if is_dataclass(tp):
-        return _parse_section(tp, value, key + ".")
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is Union:  # Optional[X]
-        return None if value is None else _parse_value(args[0], value, key)
-    if origin is tuple and isinstance(value, (list, tuple)):  # tuple[X, ...]
-        return tuple(_parse_value(args[0], v, f"{key}[{i}]") for i, v in enumerate(value))
-    if tp is float and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"config key {key} must be float, got an int too large for one",
-                              key=key) from None
-    if origin is tuple or type(value) is not tp:  # bool is not accepted as int
-        expected = "list" if origin is tuple else tp.__name__
-        raise ConfigError(f"config key {key} must be {expected}, got {value!r}", key=key)
-    return value
 
 
 def config_from_json_dict(doc: dict) -> RunConfig:
@@ -205,7 +177,7 @@ def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # invalid JSON or invalid UTF-8
             raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return config_from_json_dict(doc)
 

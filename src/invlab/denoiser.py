@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, is_int, keep_ints, require, require_shape
+from .errors import DivergenceError, check_fields, require, require_shape
 from .optim import AdamState, adam_step
 from .rng import derive_rng
 from .schedule import NoiseSchedule
@@ -144,13 +144,11 @@ class MlpTrainConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
-        require(is_int(self.width) and self.width >= 1, "width", self.width, "an integer >= 1")
-        require(is_int(self.max_epochs) and self.max_epochs >= 0, "max_epochs",
-                self.max_epochs, "an integer >= 0")
-        require(is_int(self.batch_size) and self.batch_size >= 1, "batch_size",
-                self.batch_size, "an integer >= 1")
+        check_fields(self)
+        require(self.width >= 1, "width", self.width, "an integer >= 1")
+        require(self.max_epochs >= 0, "max_epochs", self.max_epochs, "an integer >= 0")
+        require(self.batch_size >= 1, "batch_size", self.batch_size, "an integer >= 1")
         require(0.0 < self.lr < math.inf, "lr", self.lr, "finite and > 0")
-        keep_ints(self, "width")  # RunConfig's size budget multiplies it
 
 
 _N_EVAL = 256  # probe rows behind MlpDenoiser.final_loss

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every module, the two argument checks and the integer test.
+"""Exception hierarchy shared by every module, its argument checks and the config type rule.
 
 Each exception carries a short machine-readable ``code`` and an optional
 ``context`` dict; the CLI serializes failures as ``{code, message, context}``.
@@ -17,10 +17,13 @@ A bad value goes through `require`, and an array of the wrong shape through
 other module builds an InvalidParameterError, and a shape fault
 `require_shape` cannot express is a `require` call. An argument that must be
 an integer is tested by `is_int`, the package's one integer rule: a Python or
-NumPy integer, never a bool; `keep_ints` then stores such a field as a Python int.
+NumPy integer, never a bool. Every config dataclass first calls `check_fields`,
+which types each field from its annotation, from JSON or built in Python alike.
 """
 
 from __future__ import annotations
+
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -74,8 +77,32 @@ def is_int(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
-def keep_ints(obj, *names) -> None:
-    """Store checked integer fields of a frozen dataclass as Python ints, as a JSON config
-    gives them, so that a size computed from them cannot overflow NumPy's fixed width."""
-    for name in names:
-        object.__setattr__(obj, name, int(getattr(obj, name)))
+def check_fields(obj) -> None:
+    """Store each field of the dataclass `obj` in its annotation's one form, or refuse it by
+    name: an `int` is `is_int`, kept as a Python int; a `float` is an integer or a float, kept
+    as a Python float; `Optional[X]` is None or an X; `tuple[X, ...]` a tuple or list of X,
+    kept as a tuple, a bad element named `field[i]`; a bool, a str or a section is exactly
+    that type. So no size overflows a fixed width, and a config's JSON echo loads back."""
+    for name, tp in get_type_hints(type(obj)).items():
+        object.__setattr__(obj, name, _typed(tp, getattr(obj, name), name))
+
+
+def _typed(tp, value, field: str):
+    if get_origin(tp) is Union:  # Optional[X]
+        return None if value is None else _typed(get_args(tp)[0], value, field)
+    if get_origin(tp) is tuple:  # tuple[X, ...]
+        require(isinstance(value, (tuple, list)), field, value, "a tuple or a list")
+        return tuple(_typed(get_args(tp)[0], v, f"{field}[{i}]") for i, v in enumerate(value))
+    if tp is int:
+        require(is_int(value), field, value, "an integer")
+        return int(value)
+    if tp is float:
+        require(is_int(value) or isinstance(value, (float, np.floating)), field, value,
+                "a real number")
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidParameterError(f"{field} must be a real number, got an integer too "
+                                        "large for a float", field=field) from None
+    require(type(value) is tp, field, value, f"a {tp.__name__}")  # a bool: True or False
+    return value

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autoencoder import LinearAutoencoder
 from .denoiser import Condition, DenoiserInterface
-from .errors import DivergenceError, is_int, require
+from .errors import DivergenceError, check_fields, require
 from .metrics import ssim_with_grad
 from .optim import AdamState, adam_step
 from .perceptual import RandomConvPerceptual
@@ -41,14 +41,10 @@ class IlbConfig:
     weights: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        check_fields(self)  # dt's range needs a schedule: RunConfig and skip_coefficients check it
         require(0.0 < self.lr < math.inf, "lr", self.lr, "finite and > 0")
-        require(is_int(self.max_iters) and self.max_iters >= 1, "max_iters", self.max_iters,
-                "an integer >= 1")
+        require(self.max_iters >= 1, "max_iters", self.max_iters, "an integer >= 1")
         require(0.0 < self.rel_tol < math.inf, "rel_tol", self.rel_tol, "finite and > 0")
-        # its range needs the schedule: RunConfig checks it, skip_coefficients at use
-        require(self.dt is None or is_int(self.dt), "dt", self.dt, "None or an integer")
-        require(self.use_reg is True or self.use_reg is False, "use_reg", self.use_reg,
-                "True or False")
         require(len(self.weights) == 3 and all(0.0 <= w < math.inf for w in self.weights),
                 "weights", self.weights, "three finite reals >= 0")
 

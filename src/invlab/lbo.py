@@ -33,7 +33,7 @@ import numpy as np
 
 from .denoiser import Condition, DenoiserInterface
 from .dynamics import INVERSION, Trajectory, ddim_invert_step, walk
-from .errors import DivergenceError, is_int, require
+from .errors import DivergenceError, check_fields, require
 from .optim import AdamState, adam_step
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
@@ -50,12 +50,12 @@ class LboConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
+        check_fields(self)
         names = tuple(_MODES)
         require(self.mode in names, "mode", self.mode, f"one of {names}")
         if self.max_iters is None:
             object.__setattr__(self, "max_iters", _MODES[self.mode][0])
-        require(is_int(self.max_iters) and self.max_iters >= 0, "max_iters", self.max_iters,
-                "an integer >= 0")
+        require(self.max_iters >= 0, "max_iters", self.max_iters, "an integer >= 0")
         require(0.0 < self.tol < math.inf, "tol", self.tol, "finite and > 0")
         require(0.0 < self.lr < math.inf, "lr", self.lr, "finite and > 0")
 

@@ -10,12 +10,15 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 from conftest import json_leaves, key_path, rejects, set_json_leaf, strict_json
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invlab.benchmark
 from invlab import make_linear_schedule
@@ -41,7 +44,7 @@ from invlab.autoencoder import LinearAutoencoder
 from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
 from invlab.denoiser import LinearGaussianDenoiser, MlpDenoiser, MlpTrainConfig
-from invlab.errors import ConfigError, DivergenceError, FormatError
+from invlab.errors import ConfigError, DivergenceError, FormatError, InvalidParameterError
 from invlab.ilb import IlbConfig
 from invlab.lbo import LboConfig
 from invlab.modelio import save_model
@@ -117,6 +120,9 @@ def test_load_config_file(tmp_path):
     (tmp_path / "list.json").write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(tmp_path / "list.json")
+    (tmp_path / "latin1.json").write_bytes(b'{"seed": 1, "x": "\xff"}')  # not UTF-8
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(tmp_path / "latin1.json")
 
 
 def test_config_json_round_trip():
@@ -124,7 +130,7 @@ def test_config_json_round_trip():
     assert config_from_json_dict(cfg.to_json_dict()) == cfg
 
 
-# (key path, a value of the wrong type for it)
+# (key path, a value of the wrong type for it), refused from JSON and built in Python
 ILL_TYPED = [
     ("seed", "0"), ("t_train", 100.0), ("beta_start", "1e-4"), ("beta_end", None),
     ("steps", "10"), ("record_timing", 1), ("n_workers", True), ("methods", "ddim"),
@@ -140,6 +146,12 @@ ILL_TYPED = [
     ("ilb.lr", "0.1"), ("ilb.max_iters", 10.0), ("ilb.rel_tol", None), ("ilb.dt", "5"),
     ("ilb.use_reg", "yes"), ("ilb.weights", 1.0), ("ilb.weights", [1.0, "1", 1.0]),
     ("beta_start", 10**400), ("ilb.weights", [1.0, 10**400, 1.0]),
+    ("n_workers", 1.0), ("record_timing", "no"), ("ilb.use_reg", 0),
+    ("ilb.lr", "x"), ("ilb.weights", "abc"), ("beta_start", "x"), ("denoiser.train", None),
+    # True is no number, in every float key
+    ("beta_start", True), ("beta_end", True), ("denoiser.train.lr", True),
+    ("autoencoder.latent_frac", True), ("autoencoder.leak_scale", True), ("ilb.lr", True),
+    ("ilb.rel_tol", True), ("ilb.weights", [True, True, True]),
 ]
 
 
@@ -152,6 +164,13 @@ def _lookup(doc, path):
     for key in path.split("."):
         doc = doc[key]
     return doc
+
+
+def _built(cls, path, value):
+    """A `cls` with the key at dotted `path` set to value, each section between built from
+    its defaults."""
+    head, _, rest = path.partition(".")
+    return cls(**{head: _built(get_type_hints(cls)[head], rest, value) if rest else value})
 
 
 @pytest.mark.parametrize("path,value", ILL_TYPED)
@@ -169,6 +188,9 @@ def test_ill_typed_config_value_is_config_error(path, value, tmp_path, capsys):
     default = _lookup(RunConfig().to_json_dict(), path)
     cfg = config_from_json_dict(_nest(path, default))
     assert cfg == RunConfig() and config_from_json_dict(cfg.to_json_dict()) == cfg
+    # built in Python, the section holding the key refuses it naming the same field
+    with rejects(err.value.context["key"].rpartition(".")[2]):
+        _built(RunConfig, path, value)
 
 
 def test_config_accepts_int_for_float_and_checks_ilb_at_load():
@@ -186,21 +208,54 @@ def test_n_workers_other_than_one_rejected(n_workers):
     assert err.value.context["key"] == "n_workers"
 
 
-# (the section, a field and a value of the wrong type for it, which the field's JSON form
-# also refuses: the config echo in summary.json would not load)
-ILL_TYPED_BUILT = [(RunConfig, "n_workers", True), (RunConfig, "n_workers", 1.0),
-                   (RunConfig, "record_timing", "no"), (RunConfig, "record_timing", 1),
-                   (IlbConfig, "use_reg", 0)]
+def test_python_built_config_refuses_a_dict_for_a_section():
+    # JSON writes a section as an object, which Python builds as the section's dataclass
+    with rejects("dataset"):
+        RunConfig(dataset={"count": 2})
 
 
-@pytest.mark.parametrize("cls,field,value", ILL_TYPED_BUILT)
-def test_python_built_config_refuses_an_ill_typed_field(cls, field, value):
-    with rejects(field):
-        cls(**{field: value})
-
-
-@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(n_workers=np.int64(1))])
+@pytest.mark.parametrize("cfg", [
+    RunConfig(), RunConfig(n_workers=np.int64(1)), RunConfig(ilb=IlbConfig(weights=[1.0] * 3)),
+    RunConfig(beta_start=np.float64(1e-4), dataset=DatasetSection(count=np.int64(3)))])
 def test_python_built_config_round_trips_through_its_json_form(cfg):
+    assert config_from_json_dict(cfg.to_json_dict()) == cfg
+
+
+def _paths(cls=RunConfig, prefix=""):
+    """The dotted path of every key of `cls` and of the sections under it."""
+    return [path for name, tp in get_type_hints(cls).items() for path in
+            [prefix + name, *(_paths(tp, prefix + name + ".") if is_dataclass(tp) else ())]]
+
+
+CONFIG_PATHS = _paths()
+
+
+# every field of RunConfig, of each of its sections and of LboConfig, which LBO_CONFIGS holds
+@pytest.mark.parametrize("cls,path", [(RunConfig, path) for path in CONFIG_PATHS]
+                         + [(LboConfig, f.name) for f in fields(LboConfig)],
+                         ids=lambda x: x.__name__ if isinstance(x, type) else x)
+def test_every_config_field_refuses_a_value_of_no_type(cls, path):
+    with rejects(path.rpartition(".")[2]):
+        _built(cls, path, object())
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, 10**400, -10**400])
+           | st.floats() | st.integers(-2**63, 2**63 - 1).map(np.int64)
+           | st.floats().map(np.float64) | st.text(max_size=4))
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=4)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.sampled_from(CONFIG_PATHS), VALUES)
+def test_a_config_that_builds_loads_back_from_its_json_form(path, value):
+    try:
+        cfg = _built(RunConfig, path, value)
+    except InvalidParameterError:
+        return
+    except ConfigError as e:  # parse_method's refusal of a method name
+        assert e.context["key"] == "methods"
+        return
     assert config_from_json_dict(cfg.to_json_dict()) == cfg
 
 

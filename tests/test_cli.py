@@ -86,6 +86,15 @@ def test_unknown_config_key_exits_2(capsys, tmp_path, doc, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text", [b"{not json", b'{"seed": 1, "x": "\xff"}'],
+                         ids=["not-json", "not-utf8"])
+def test_unreadable_config_file_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    code, out = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2 and out["code"] == "config-error" and "not valid JSON" in out["message"]
+
+
 def test_unknown_dataset_kind_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     doc = dict(SMALL)

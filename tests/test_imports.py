@@ -16,9 +16,11 @@ No module under src/invlab but schedule.py reads a step's φ or ψ: the sampler'
 transition is written once, as `StepCoefficients.generate` and `.invert`. An
 argument's integer check is `errors.is_int`: no `require` call tests an integer
 with `type(...) is int` or `isinstance`, and no module but errors.py names
-`np.integer`, so one rule says which values are integers. No module but
-dynamics.py calls `Trajectory(...)`, and there only `walk` does: every trajectory
-is one walk along its grid.
+`np.integer`, so one rule says which values are integers. No `__post_init__`
+under src/invlab tests a field's type by hand (`is_int(self.…)`, `self.… is True`
+or `self.… is False`): `errors.check_fields` types every config field from its
+annotation. No module but dynamics.py calls `Trajectory(...)`, and there only
+`walk` does: every trajectory is one walk along its grid.
 """
 
 import ast
@@ -264,6 +266,45 @@ def test_checker_flags_an_integer_test_by_hand():
 @pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_integer_checks_go_through_is_int(path):
     assert hand_integer_tests(path.read_text(encoding="utf-8")) == []
+
+
+def hand_type_tests(source: str) -> list:
+    """Line numbers, inside a __post_init__, of an `is_int(...)` call on a field of self and
+    of a field of self compared `is True` or `is False`."""
+    lines = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "is_int":
+                operands = node.args
+            elif isinstance(node, ast.Compare) and any(isinstance(op, ast.Is) for op in node.ops) \
+                    and any(isinstance(c, ast.Constant) and isinstance(c.value, bool)
+                            for c in node.comparators):
+                operands = [node.left]
+            else:
+                continue
+            if any(isinstance(n, ast.Name) and n.id == "self"
+                   for operand in operands for n in ast.walk(operand)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_a_type_test_by_hand():
+    source = ("class A:\n    def __post_init__(self):\n"
+              "        require(is_int(self.n) and self.n >= 1, 'n', self.n, '>= 1')\n"
+              "        require(self.on is True or self.on is False, 'on', self.on, 'a bool')\n"
+              "        for name in ('a', 'b'):\n"
+              "            require(is_int(getattr(self, name)), name, 0, 'an integer')\n"
+              "        require(self.dt is None or self.dt >= 1, 'dt', self.dt, '>= 1')\n"
+              "        require(is_int(n) and flag is True, 'n', n, 'an integer')\n"
+              "    def check(self):\n        return is_int(self.n) and self.on is True\n")
+    assert hand_type_tests(source) == [3, 4, 6]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_config_fields_are_typed_by_check_fields(path):
+    assert hand_type_tests(path.read_text(encoding="utf-8")) == []
 
 
 def trajectory_builds(source: str, builder: str = "") -> list:
