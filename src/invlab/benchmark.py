@@ -184,13 +184,10 @@ def load_config(path) -> RunConfig:
 
 def parse_method(name: str) -> tuple[str, bool]:
     """'lbo-n+ilb' -> ('lbo-n', True); validates against the method grid."""
-    parts = name.split("+")
-    base = parts[0]
-    if base not in BASE_METHODS or len(parts) > 2 or (len(parts) == 2 and parts[1] != "ilb"):
-        raise ConfigError(
-            f"unknown method {name!r}; expected one of {BASE_METHODS} with optional '+ilb'",
-            key="methods")
-    return base, len(parts) == 2
+    base, *suffix = name.split("+")
+    require(base in BASE_METHODS and suffix in ([], ["ilb"]), "methods", name,
+            f"one of {BASE_METHODS} with optional '+ilb'")
+    return base, suffix == ["ilb"]
 
 
 def base_methods(methods) -> tuple:

@@ -71,8 +71,8 @@ _TRAINED_SECTION = {"train-denoiser": "denoiser", "train-autoencoder": "autoenco
 def _resolve_config(args) -> RunConfig:
     """The config file, checked alone, with each flag written over its key and the
     result checked again: --seed, --steps, --dt and --method write seed, steps,
-    ilb.dt and methods, and --no-ilb then strips '+ilb' from methods. A train
-    command nulls its section's path, so the check sizes what it trains."""
+    ilb.dt and methods, and --no-ilb then strips '+ilb' from methods once checked.
+    A train command nulls its section's path, so the check sizes what it trains."""
     cfg = load_config(args.config) if args.config else RunConfig()
     doc = cfg.to_json_dict()
     if args.command in _TRAINED_SECTION:
@@ -86,7 +86,7 @@ def _resolve_config(args) -> RunConfig:
     if args.method is not None:
         doc["methods"] = [args.method]
     if args.no_ilb:
-        doc["methods"] = list(base_methods(doc["methods"]))
+        doc["methods"] = list(base_methods(config_from_json_dict(doc).methods))
     return config_from_json_dict(doc)
 
 

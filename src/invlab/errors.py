@@ -16,16 +16,19 @@ A bad value goes through `require`, and an array of the wrong shape through
 ``context["field"]``, and so does every rejected argument in the package: no
 other module builds an InvalidParameterError, and a shape fault
 `require_shape` cannot express is a `require` call. An argument that must be
-an integer is tested by `is_int`, the package's one integer rule: a Python or
-NumPy integer, never a bool. Every config dataclass first calls `check_fields`,
-which types each field from its annotation, from JSON or built in Python alike.
+an integer is tested by `is_int`, the package's one integer rule: a Python or NumPy
+integer, never a bool, that str() can write. Every config dataclass first calls
+`check_fields`, which types each field from its annotation, from JSON or Python alike.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
+
+_INT_BOUND = 10 ** sys.get_int_max_str_digits() if sys.get_int_max_str_digits() else float("inf")
 
 
 class InvlabError(Exception):
@@ -60,7 +63,12 @@ class FormatError(InvlabError):
 def require(ok: bool, field: str, value, need: str) -> None:
     """InvalidParameterError naming `field` unless ok: the one form of a range check."""
     if not ok:
-        raise InvalidParameterError(f"{field} must be {need}, got {value!r}", field=field)
+        try:
+            got = repr(value)
+        except ValueError:  # str() cannot write an integer this long, bare or held
+            got = f"an integer of {value.bit_length()} bits" if type(value) is int else \
+                f"a {type(value).__name__} holding an integer too long to print"
+        raise InvalidParameterError(f"{field} must be {need}, got {got}", field=field)
 
 
 def require_shape(x, shape: tuple, name: str) -> np.ndarray:
@@ -73,8 +81,8 @@ def require_shape(x, shape: tuple, name: str) -> np.ndarray:
 
 
 def is_int(x) -> bool:
-    """A Python or NumPy integer, not a bool: the one integer test of every check."""
-    return type(x) is int or isinstance(x, np.integer)
+    """A Python or NumPy integer, not a bool, that str() can write: the one integer test."""
+    return type(x) is int and -_INT_BOUND < x < _INT_BOUND or isinstance(x, np.integer)
 
 
 def check_fields(obj) -> None:

@@ -77,9 +77,10 @@ def test_parse_method():
     assert parse_method("lbo-h") == ("lbo-h", False)
     assert parse_method("lbo-n+ilb") == ("lbo-n", True)
     for bad in ("lbo-x", "ddim+foo", "lbo-n+ilb+ilb", "", "+ilb"):
-        with pytest.raises(ConfigError) as err:
+        with rejects("methods"):
             parse_method(bad)
-        assert err.value.context["key"] == "methods"
+    with rejects("methods"):  # checked before the backends are read
+        evaluate_instance(None, 0, "bogus")
 
 
 def test_runconfig_defaults_and_validation():
@@ -87,7 +88,7 @@ def test_runconfig_defaults_and_validation():
     assert cfg.methods == ("ddim", "lbo-n", "lbo-n+ilb")
     assert cfg.steps == 50 and cfg.t_train == 100
     assert cfg.autoencoder.leak_scale == 1.8
-    with pytest.raises(ConfigError):
+    with rejects("methods"):
         RunConfig(methods=("ddim", "nope"))
     # lists are normalized to tuples so the config hashes/compares cleanly
     assert RunConfig(methods=["ddim"]).methods == ("ddim",)
@@ -160,37 +161,56 @@ def _nest(path, value):
     return {head: _nest(rest, value) if rest else value}
 
 
-def _lookup(doc, path):
-    for key in path.split("."):
+def _lookup(doc, keys):
+    for key in keys:
         doc = doc[key]
     return doc
 
 
-def _built(cls, path, value):
-    """A `cls` with the key at dotted `path` set to value, each section between built from
-    its defaults."""
-    head, _, rest = path.partition(".")
-    return cls(**{head: _built(get_type_hints(cls)[head], rest, value) if rest else value})
+def _built(cls, doc):
+    """The JSON document `doc` built in Python: an object under a section's key that names
+    only that section's keys is built as the section, from its defaults; any other value is
+    passed as it is."""
+    hints = get_type_hints(cls)
+    return cls(**{key: _built(hints[key], value) if is_dataclass(hints[key])
+                  and isinstance(value, dict) and value.keys() <= get_type_hints(hints[key]).keys()
+                  else value for key, value in doc.items()})
+
+
+def _refusals(doc, tmp_path, capsys) -> tuple:
+    """The key that refuses `doc` and the two errors that name it: from JSON a config-error
+    naming the key, and built in Python an invalid-parameter error naming the field at its
+    end. `invlab roundtrip --config` on doc exits 2 with the JSON route's error."""
+    with pytest.raises(ConfigError) as from_json:
+        config_from_json_dict(doc)
+    key = from_json.value.context["key"]
+    assert key in str(from_json.value)
+    with pytest.raises(InvalidParameterError) as built:
+        _built(RunConfig, doc)
+    field = built.value.context["field"]
+    assert key == field or key.endswith("." + field)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["roundtrip", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().out) == from_json.value.to_json_dict()
+    return key, from_json.value, built.value
 
 
 @pytest.mark.parametrize("path,value", ILL_TYPED)
 def test_ill_typed_config_value_is_config_error(path, value, tmp_path, capsys):
-    with pytest.raises(ConfigError, match=re.escape(path)) as err:
-        config_from_json_dict(_nest(path, value))
-    assert err.value.context["key"].startswith(path)
-    # the CLI reports it as a config-error, not a traceback
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(_nest(path, value)))
-    assert main(["roundtrip", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["code"] == "config-error" and path in doc["message"]
+    assert _refusals(_nest(path, value), tmp_path, capsys)[0].startswith(path)
     # the key's own default, as written to JSON, loads back to the same config
-    default = _lookup(RunConfig().to_json_dict(), path)
+    default = _lookup(RunConfig().to_json_dict(), path.split("."))
     cfg = config_from_json_dict(_nest(path, default))
     assert cfg == RunConfig() and config_from_json_dict(cfg.to_json_dict()) == cfg
-    # built in Python, the section holding the key refuses it naming the same field
-    with rejects(err.value.context["key"].rpartition(".")[2]):
-        _built(RunConfig, path, value)
+
+
+@pytest.mark.parametrize("path", ["seed", "t_train", "dataset.count"])
+def test_an_integer_too_long_to_print_is_refused_by_its_size(path):
+    # str() writes at most 4300 digits; 10**5000 has 5001
+    with rejects(path.rpartition(".")[2]) as err:
+        _built(RunConfig, _nest(path, 10**5000))
+    assert str(err.value).endswith("must be an integer, got an integer of 16610 bits")
 
 
 def test_config_accepts_int_for_float_and_checks_ilb_at_load():
@@ -199,13 +219,6 @@ def test_config_accepts_int_for_float_and_checks_ilb_at_load():
     assert cfg.ilb.weights == (1.0, 0.0, 2.0)
     with pytest.raises(ConfigError, match=r"ilb\.lr: lr must be finite and > 0"):
         config_from_json_dict({"ilb": {"lr": 0}})
-
-
-@pytest.mark.parametrize("n_workers", [0, -3, 2])
-def test_n_workers_other_than_one_rejected(n_workers):
-    with pytest.raises(ConfigError, match="n_workers") as err:
-        config_from_json_dict({"n_workers": n_workers})
-    assert err.value.context["key"] == "n_workers"
 
 
 def test_python_built_config_refuses_a_dict_for_a_section():
@@ -236,10 +249,12 @@ CONFIG_PATHS = _paths()
                          ids=lambda x: x.__name__ if isinstance(x, type) else x)
 def test_every_config_field_refuses_a_value_of_no_type(cls, path):
     with rejects(path.rpartition(".")[2]):
-        _built(cls, path, object())
+        _built(cls, _nest(path, object()))
 
 
+# 10**5000 is drawn through a map, since hypothesis writes out each value it samples from
 SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, 10**400, -10**400])
+           | st.just(5000).map(lambda n: 10**n)
            | st.floats() | st.integers(-2**63, 2**63 - 1).map(np.int64)
            | st.floats().map(np.float64) | st.text(max_size=4))
 VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
@@ -250,21 +265,13 @@ VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
 @given(st.sampled_from(CONFIG_PATHS), VALUES)
 def test_a_config_that_builds_loads_back_from_its_json_form(path, value):
     try:
-        cfg = _built(RunConfig, path, value)
+        cfg = _built(RunConfig, _nest(path, value))
     except InvalidParameterError:
-        return
-    except ConfigError as e:  # parse_method's refusal of a method name
-        assert e.context["key"] == "methods"
         return
     assert config_from_json_dict(cfg.to_json_dict()) == cfg
 
 
 # ---------------------------------------------------------------- backends
-
-
-def test_empty_method_list_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="nonempty"):
-        run_benchmark(config_from_json_dict({"methods": []}), tmp_path)
 
 
 def test_dataset_from_file(tmp_path):
@@ -315,13 +322,6 @@ def test_dataset_file_that_does_not_fit_the_run_is_config_error(pixel, size, tmp
     with pytest.raises(ConfigError, match="dataset.path") as err:
         BenchmarkBackends(config_from_json_dict(doc))
     assert err.value.context["key"] == "dataset.path"
-
-
-def test_unknown_backend_kinds_rejected():
-    for key in ("dataset.kind", "denoiser.kind", "autoencoder.kind"):
-        with pytest.raises(ConfigError, match=re.escape(key)) as err:
-            config_from_json_dict({**SMALL_DOC, **_nest(key, "bogus")})
-        assert err.value.context["key"] == key
 
 
 def test_identity_autoencoder_and_mlp_denoiser_kinds():
@@ -669,60 +669,77 @@ def test_method_means_with_errors():
     assert all_bad["mean_psnr_db"] is None
 
 
-@pytest.mark.parametrize("field,value", [("width", 0), ("max_epochs", -1),
-                                         ("batch_size", 0), ("lr", 0.0), ("lr", -0.5)])
-def test_train_value_out_of_range_is_config_error(field, value):
-    key = f"denoiser.train.{field}"
-    with pytest.raises(ConfigError, match=re.escape(key)) as err:
-        config_from_json_dict({"denoiser": {"kind": "mlp", "train": {field: value}}})
-    assert err.value.context["key"] == key
-    # the smallest accepted values load
-    edge = {"width": 1, "max_epochs": 0, "batch_size": 1, "lr": 1e-12}
-    assert config_from_json_dict({"denoiser": {"train": edge}}).denoiser.train.max_epochs == 0
-
-
 NAN, INF = float("nan"), float("inf")
+# (an image size past the cap on the codec's pixel-by-pixel matrix, the key it is refused at)
+CODEC_CAPPED = [({"height": 200, "width": 200}, "dataset.height"),
+                ({"height": 5, "width": 900}, "dataset.width")]
+
+# (a JSON document with one value outside its range, the key it is refused at); the same
+# document built in Python is refused naming that key's field
+OUT_OF_RANGE = [
+    ({"n_workers": 0}, "n_workers"), ({"n_workers": -3}, "n_workers"),
+    ({"n_workers": 2}, "n_workers"),
+    ({"methods": []}, "methods"), ({"methods": ["ddim", "ddim"]}, "methods"),
+    ({"methods": ["bogus"]}, "methods"),
+    ({"denoiser": {"kind": "bogus"}}, "denoiser.kind"),
+    ({"autoencoder": {"kind": "bogus"}}, "autoencoder.kind"),
+    ({"steps": 0}, "steps"), ({"steps": 101}, "steps"), ({"t_train": 0}, "t_train"),
+    ({"beta_start": 0.0}, "beta_start"), ({"beta_start": 0.1, "beta_end": 0.05}, "beta_end"),
+    ({"beta_end": 1.0}, "beta_end"),
+    ({"dataset": {"count": 0}}, "dataset.count"), ({"dataset": {"height": 4}}, "dataset.height"),
+    ({"dataset": {"height": 3}}, "dataset.height"), ({"dataset": {"width": 4}}, "dataset.width"),
+    # the builders would read "" as unset and build what the size budget skipped
+    *[({section: {"path": ""}}, f"{section}.path")
+      for section in ("dataset", "denoiser", "autoencoder")],
+    ({"autoencoder": {"fit_count": 1}}, "autoencoder.fit_count"),
+    # past 1e6 the round trip scores as inf or NaN
+    *[({"autoencoder": {"leak_scale": value}}, "autoencoder.leak_scale")
+      for value in (NAN, -0.5, INF, 1.000001e6, 1e300)],
+    *[({"autoencoder": {"latent_frac": value}}, "autoencoder.latent_frac")
+      for value in (-1.0, 0.0, 1.5)],
+    # sizes whose arrays pass the memory budget
+    ({"t_train": 10**20}, "t_train"), ({"dataset": {"count": 10**20}}, "dataset.count"),
+    ({"autoencoder": {"fit_count": 10**20}}, "autoencoder.fit_count"),
+    ({"dataset": {"height": 10**10, "width": 10**10}}, "dataset.height"),
+    ({"denoiser": {"kind": "mlp", "train": {"width": 10**20}}}, "denoiser.train.width"),
+    *[({"dataset": size, "autoencoder": {"kind": kind}}, key)
+      for kind in ("linear", "identity") for size, key in CODEC_CAPPED],
+    *[({"denoiser": {"kind": "mlp", "train": {field: value}}}, f"denoiser.train.{field}")
+      for field, value in [("width", 0), ("max_epochs", -1), ("batch_size", 0), ("lr", 0.0),
+                           ("lr", -0.5), ("lr", -1.0)]],
+    *[({"ilb": {field: value}, "methods": ["lbo-n+ilb"]}, f"ilb.{field}")
+      for field, value in [("lr", NAN), ("lr", 0.0), ("rel_tol", NAN), ("rel_tol", -1.0),
+                           ("max_iters", 0), ("weights", [1.0, NAN, 1.0]),
+                           ("weights", [1.0, 1.0, -0.5])]],
+]
 
 
-@pytest.mark.parametrize("doc,key", [({"steps": 0}, "steps"), ({"steps": 101}, "steps"),
-                                     ({"t_train": 0}, "t_train"),
-                                     ({"beta_start": 0.0}, "beta_start"),
-                                     ({"beta_start": 0.1, "beta_end": 0.05}, "beta_end"),
-                                     ({"beta_end": 1.0}, "beta_end"),
-                                     ({"dataset": {"count": 0}}, "dataset.count"),
-                                     ({"dataset": {"height": 4}}, "dataset.height"),
-                                     ({"dataset": {"height": 3}}, "dataset.height"),
-                                     ({"dataset": {"width": 4}}, "dataset.width"),
-                                     ({"autoencoder": {"fit_count": 1}}, "autoencoder.fit_count"),
-                                     ({"autoencoder": {"leak_scale": NAN}},
-                                      "autoencoder.leak_scale"),
-                                     ({"autoencoder": {"leak_scale": -0.5}},
-                                      "autoencoder.leak_scale"),
-                                     ({"autoencoder": {"leak_scale": INF}},
-                                      "autoencoder.leak_scale"),
-                                     ({"autoencoder": {"leak_scale": 1.000001e6}},
-                                      "autoencoder.leak_scale"),
-                                     ({"methods": []}, "methods"),
-                                     ({"methods": ["ddim", "ddim"]}, "methods"),
-                                     # sizes whose arrays pass the memory budget
-                                     ({"t_train": 10**20}, "t_train"),
-                                     ({"dataset": {"count": 10**20}}, "dataset.count"),
-                                     ({"autoencoder": {"fit_count": 10**20}},
-                                      "autoencoder.fit_count"),
-                                     ({"dataset": {"height": 10**10, "width": 10**10}},
-                                      "dataset.height"),
-                                     ({"denoiser": {"kind": "mlp",
-                                                   "train": {"width": 10**20}}},
-                                      "denoiser.train.width")])
-def test_schedule_or_dataset_value_out_of_range_is_config_error(doc, key):
-    with pytest.raises(ConfigError, match=re.escape(key)) as err:
-        config_from_json_dict(doc)
-    assert err.value.context["key"] == key
-    # the smallest accepted values load
-    edge = {"t_train": 1, "steps": 1, "beta_start": 0.5, "beta_end": 0.5,
-            "dataset": {"count": 1, "height": 5, "width": 5},
-            "autoencoder": {"fit_count": 2, "leak_scale": 0.0}}
-    assert config_from_json_dict(edge).steps == 1
+@pytest.mark.parametrize("doc,key", OUT_OF_RANGE, ids=[json.dumps(doc) for doc, _ in OUT_OF_RANGE])
+def test_out_of_range_config_value_is_refused_on_every_route(doc, key, tmp_path, capsys):
+    named, from_json, built = _refusals(doc, tmp_path, capsys)
+    assert named == key and str(from_json) == f"config key {key}: {built}"
+
+
+# documents at the accepted end of the ranges above
+ACCEPTED_EDGES = [
+    {"denoiser": {"train": {"width": 1, "max_epochs": 0, "batch_size": 1, "lr": 1e-12}}},
+    {"t_train": 1, "steps": 1, "beta_start": 0.5, "beta_end": 0.5,
+     "dataset": {"count": 1, "height": 5, "width": 5},
+     "autoencoder": {"fit_count": 2, "leak_scale": 0.0}},
+    {"ilb": {"lr": 1e-300, "rel_tol": 1e-300, "max_iters": 1, "weights": [0.0, 0.0, 0.0]}},
+    {"autoencoder": {"latent_frac": 1.0, "leak_scale": 1e6}},
+    # a codec read from a file builds no pixel-by-pixel matrix, so the cap is not applied
+    *[{"dataset": size, "autoencoder": {"kind": kind, "path": "codec.labmdl"}}
+      for kind in ("linear", "identity") for size, _ in CODEC_CAPPED],
+]
+
+
+@pytest.mark.parametrize("doc", ACCEPTED_EDGES, ids=json.dumps)
+def test_config_values_at_the_edge_of_their_range_load(doc):
+    cfg = config_from_json_dict(doc)
+    assert cfg == _built(RunConfig, doc)
+    echo = cfg.to_json_dict()
+    assert all(_lookup(echo, leaf) == _lookup(doc, leaf) for leaf in json_leaves(doc))
 
 
 # every key a config can set, a list named once by its key: adding or removing an option
@@ -767,11 +784,12 @@ def test_any_value_at_one_leaf_loads_or_is_a_config_error_naming_a_key(leaf):
             assert e.context.get("key") in key_paths(doc), (value, e.context)
 
 
-# (a key path that was once settable, the unknown key its error names): the analytic
-# oracle's recipe is fixed; denoiser.train is MlpTrainConfig, so the MLP trains on all
-# autoencoder.fit_count fit images with the run's seed; and each LBO method runs its
-# mode's LboConfig defaults, so the whole lbo section is unknown
-FORMER_KEYS = [("denoiser.mu_scale", "denoiser.mu_scale"),
+# (a key path that was once settable, the unknown key its error names): the dataset is
+# the seeded shapes or a file's images, so it has no kind; the analytic oracle's recipe is
+# fixed; denoiser.train is MlpTrainConfig, so the MLP trains on all autoencoder.fit_count
+# fit images with the run's seed; and each LBO method runs its mode's LboConfig defaults,
+# so the whole lbo section is unknown
+FORMER_KEYS = [("dataset.kind", "dataset.kind"), ("denoiser.mu_scale", "denoiser.mu_scale"),
                ("denoiser.eig_min", "denoiser.eig_min"),
                ("denoiser.eig_max", "denoiser.eig_max"),
                ("denoiser.train.count", "denoiser.train.count"),
@@ -786,15 +804,6 @@ def test_any_value_at_a_former_key_is_an_unknown_key(path, key):
         with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(key)}'") as e:
             config_from_json_dict(_nest(path, value))
         assert e.value.context["key"] == key, value
-
-
-@pytest.mark.parametrize("section", ["dataset", "denoiser", "autoencoder"])
-def test_an_empty_path_is_a_config_error(section):
-    # the builders would read "" as unset and build what the size budget skipped
-    key = f"{section}.path"
-    with pytest.raises(ConfigError, match=re.escape(key)) as e:
-        config_from_json_dict({section: {"path": ""}})
-    assert e.value.context["key"] == key
 
 
 # (command, a config with a size that NumPy can index but whose arrays would fill
@@ -882,19 +891,6 @@ def test_memory_budget_counts_only_what_the_run_builds(built, not_built, key):
     assert isinstance(config_from_json_dict({**long, **not_built}), RunConfig)
 
 
-@pytest.mark.parametrize("kind", ["linear", "identity"])
-@pytest.mark.parametrize("dataset, key", [({"height": 200, "width": 200}, "dataset.height"),
-                                          ({"height": 5, "width": 900}, "dataset.width")])
-def test_image_size_above_the_codec_cap_is_config_error(kind, dataset, key):
-    doc = {"dataset": dataset, "autoencoder": {"kind": kind}}
-    with pytest.raises(ConfigError, match=re.escape(key)) as err:
-        config_from_json_dict(doc)
-    assert err.value.context["key"] == key
-    # a codec read from a file builds no pixel-by-pixel matrix, so the cap is not applied
-    doc["autoencoder"]["path"] = "codec.labmdl"
-    assert config_from_json_dict(doc).dataset == DatasetSection(**dataset)
-
-
 def test_summary_of_an_exact_codec_is_strict_json(tmp_path):
     # the exact codec's upper-bound PSNR is infinite, which strict JSON cannot hold
     cfg = config_from_json_dict({"autoencoder": {"kind": "identity"}, "dataset": {"count": 2},
@@ -911,26 +907,7 @@ def test_json_text_writes_non_finite_floats_as_null():
     assert json_text(payload) == '{"a": {"x": null}, "b": [null, [null, 1.5]], "c": 0.25}'
 
 
-@pytest.mark.parametrize("field,value", [("lr", NAN), ("lr", 0.0), ("rel_tol", NAN),
-                                         ("rel_tol", -1.0), ("max_iters", 0),
-                                         ("weights", [1.0, NAN, 1.0]),
-                                         ("weights", [1.0, 1.0, -0.5])])
-def test_ilb_value_out_of_range_is_config_error(field, value):
-    key = f"ilb.{field}"
-    with pytest.raises(ConfigError, match=re.escape(key)) as err:
-        config_from_json_dict({"ilb": {field: value}, "methods": ["lbo-n+ilb"]})
-    assert err.value.context["key"] == key
-    # the smallest accepted values load
-    edge = {"lr": 1e-300, "rel_tol": 1e-300, "max_iters": 1, "weights": [0.0, 0.0, 0.0]}
-    assert config_from_json_dict({"ilb": edge}).ilb.max_iters == 1
-
-
-@pytest.mark.parametrize("value", [-1.0, 0.0, 1.5])
-def test_latent_frac_outside_unit_interval_is_config_error(value):
-    with pytest.raises(ConfigError, match="autoencoder.latent_frac") as err:
-        config_from_json_dict({"autoencoder": {"latent_frac": value}})
-    assert err.value.context["key"] == "autoencoder.latent_frac"
-    # a latent as large as the image still builds
+def test_a_latent_as_large_as_the_image_builds():
     cfg = config_from_json_dict({**SMALL_DOC, "autoencoder": {"fit_count": 16, "latent_frac": 1}})
     assert BenchmarkBackends(cfg).ae.latent_dim == 64
 

@@ -114,10 +114,11 @@ def test_unwritable_out_exits_3(capsys, small_cfg, tmp_path):
     assert code == 3 and doc["code"] == "io-error"
 
 
-def test_bad_method_flag_exits_2(capsys, small_cfg, tmp_path):
-    code, doc = run_cli(capsys, "invert", "--config", small_cfg,
+@pytest.mark.parametrize("flags", [[], ["--no-ilb"]])
+def test_bad_method_flag_exits_2(capsys, small_cfg, tmp_path, flags):
+    code, doc = run_cli(capsys, "invert", "--config", small_cfg, *flags,
                         "--method", "bogus", "--out", str(tmp_path / "o"))
-    assert code == 2 and doc["code"] == "config-error"
+    assert code == 2 and doc["code"] == "config-error" and doc["context"]["key"] == "methods"
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
@@ -360,17 +361,6 @@ def test_no_ilb_strips_and_dedups(capsys, tmp_path):
     assert code == 0 and res["method"] == "lbo-n"
 
 
-@pytest.mark.parametrize("field,value", [("batch_size", 0), ("width", 0), ("lr", -1.0)])
-def test_train_denoiser_out_of_range_value_exits_2(capsys, tmp_path, field, value):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({**SMALL, "denoiser": {"kind": "mlp", "train": {field: value}}}))
-    code, doc = run_cli(capsys, "train-denoiser", "--config", str(path),
-                        "--out", str(tmp_path / "o"))
-    assert code == 2 and doc["code"] == "config-error"
-    assert doc["context"]["key"] == f"denoiser.train.{field}"
-    assert f"denoiser.train.{field}" in doc["message"]
-
-
 def test_model_file_of_the_wrong_kind_exits_2(capsys, small_cfg, tmp_path):
     code, _ = run_cli(capsys, "train-autoencoder", "--config", small_cfg,
                       "--out", str(tmp_path / "o"))
@@ -508,16 +498,6 @@ def test_every_method_round_trips_the_analytic_oracle_with_finite_metrics(capsys
                         "--out", str(tmp_path / "o"))
     assert code == 0 and doc["method"] == method
     assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
-
-
-@pytest.mark.parametrize("section,key,value", [("autoencoder", "leak_scale", 1e300)])
-def test_scale_past_its_bound_exits_2_naming_its_key(capsys, tmp_path, section, key, value):
-    # past 1e6 the round trip scores as inf or NaN
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({**SMALL, section: {**SMALL.get(section, {}), key: value}}))
-    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "o"))
-    assert code == 2 and doc["code"] == "config-error"
-    assert doc["context"]["key"] == f"{section}.{key}" and f"{section}.{key}" in doc["message"]
 
 
 @pytest.mark.parametrize("command", ["roundtrip", "sample"])

@@ -57,15 +57,6 @@ def unused_imports(source: str) -> list:
     return [name for name in imported if name not in used]
 
 
-def test_checker_flags_an_unused_import():
-    assert unused_imports("import os\nfrom a import b, c\nc()\n") == ["os", "b"]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_no_unused_imports(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
-
-
 def broad_excepts(source: str) -> list:
     """Line numbers of handlers that catch everything or name Exception/BaseException."""
     lines = []
@@ -77,38 +68,12 @@ def broad_excepts(source: str) -> list:
     return lines
 
 
-def test_checker_flags_a_broad_except():
-    source = ("try:\n    f()\nexcept:\n    pass\n"
-              "try:\n    f()\nexcept (KeyError, Exception):\n    pass\n"
-              "try:\n    f()\nexcept BaseException as e:\n    pass\n"
-              "try:\n    f()\nexcept (KeyError, ValueError):\n    pass\n")
-    assert broad_excepts(source) == [3, 7, 11]
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_no_broad_except(path):
-    assert broad_excepts(path.read_text(encoding="utf-8")) == []
-
-
 def raising_post_inits(source: str) -> list:
     """Line numbers of raise statements inside a __post_init__."""
     return [node.lineno
             for fn in ast.walk(ast.parse(source))
             if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
             for node in ast.walk(fn) if isinstance(node, ast.Raise)]
-
-
-def test_checker_flags_a_raise_in_post_init():
-    source = ("class A:\n    def __post_init__(self):\n        if self.x < 0:\n"
-              "            raise ValueError(self.x)\n"
-              "class B:\n    def __post_init__(self):\n        require(self.x >= 0)\n"
-              "    def check(self):\n        raise ValueError(self.x)\n")
-    assert raising_post_inits(source) == [4]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_post_init_checks_go_through_require(path):
-    assert raising_post_inits(path.read_text(encoding="utf-8")) == []
 
 
 def hand_shape_checks(source: str) -> list:
@@ -126,20 +91,6 @@ def hand_shape_checks(source: str) -> list:
     return lines
 
 
-def test_checker_flags_a_shape_check_by_hand():
-    source = ("if x.shape != (3,):\n    raise E(x)\n"
-              "if n > 0 and a.b.shape != y.shape:\n    raise E(a)\n"
-              "if x.shape != y:\n    pass\n"
-              "if x.shape == y:\n    raise E(x)\n"
-              "wrong = [k for k in d if d[k].shape != s]\n")
-    assert hand_shape_checks(source) == [1, 3]
-
-
-@pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_shape_checks_go_through_require_shape(path):
-    assert hand_shape_checks(path.read_text(encoding="utf-8")) == []
-
-
 def _calls(source: str, name: str) -> list:
     """The `name(...)` and `<expr>.name(...)` call nodes in source."""
     return [node for node in ast.walk(ast.parse(source))
@@ -150,19 +101,6 @@ def _calls(source: str, name: str) -> list:
 def hand_invalid_parameter_errors(source: str) -> list:
     """Line numbers of `InvalidParameterError(...)` calls."""
     return [node.lineno for node in _calls(source, "InvalidParameterError")]
-
-
-def test_checker_flags_an_invalid_parameter_error_by_hand():
-    source = ('raise InvalidParameterError("x must be > 0", field="x")\n'
-              'require(x > 0, "x", x, "> 0")\n'
-              'err = errors.InvalidParameterError("x is short")\n'
-              'try:\n    f()\nexcept InvalidParameterError:\n    pass\n')
-    assert hand_invalid_parameter_errors(source) == [1, 3]
-
-
-@pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_invalid_parameter_errors_go_through_require(path):
-    assert hand_invalid_parameter_errors(path.read_text(encoding="utf-8")) == []
 
 
 BUILTIN_ERRORS = {name for name, obj in vars(builtins).items()
@@ -178,21 +116,6 @@ def builtin_raises(source: str) -> list:
             if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
                 lines.append(node.lineno)
     return lines
-
-
-def test_checker_flags_a_builtin_raise():
-    source = ("raise ValueError(x)\n"
-              "raise ConfigError(x) from None\n"
-              "try:\n    f()\nexcept KeyError:\n    raise\n"
-              "raise KeyboardInterrupt\n"
-              "raise errors.DivergenceError(x)\n"
-              "raise OverflowError(x) from e\n")
-    assert builtin_raises(source) == [1, 7, 9]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_package_raises_no_builtin_exception(path):
-    assert builtin_raises(path.read_text(encoding="utf-8")) == []
 
 
 def documented_codes(readme: str) -> set:
@@ -221,20 +144,6 @@ def coefficient_reads(source: str) -> list:
                   and isinstance(node.ctx, ast.Load))
 
 
-def test_checker_flags_a_coefficient_read():
-    source = ("z = co.phi * z + co.psi * eps\n"
-              "z = co.generate(z, eps)\n"
-              "phi, psi = 1.0, 2.0\n"
-              "scale = coefficients(s, t, 0).psi\n"
-              "self.phi = phi\n")
-    assert coefficient_reads(source) == [1, 1, 4]
-
-
-@pytest.mark.parametrize("path", BEYOND_SCHEDULE, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_only_the_schedule_reads_the_step_coefficients(path):
-    assert coefficient_reads(path.read_text(encoding="utf-8")) == []
-
-
 def hand_integer_tests(source: str) -> list:
     """Line numbers of a `type(...) is int` or `isinstance(...)` test inside a `require(...)`
     call, and of every `np.integer`."""
@@ -251,21 +160,6 @@ def hand_integer_tests(source: str) -> list:
                                and getattr(node.func, "id", None) == "isinstance"):
                 lines.append(node.lineno)
     return sorted(lines)
-
-
-def test_checker_flags_an_integer_test_by_hand():
-    source = ('require(type(n) is int and n >= 1, "n", n, "an integer >= 1")\n'
-              'require(n >= 0 and isinstance(n, int), "n", n, ">= 0")\n'
-              'ok = type(n) is int or isinstance(n, np.integer)\n'
-              'require(is_int(n), "n", n, "an integer")\n'
-              'if type(t) is not int:\n    check(t)\n'
-              'require(type(x) in (int, float), "x", x, "a number")\n')
-    assert hand_integer_tests(source) == [1, 2, 3]
-
-
-@pytest.mark.parametrize("path", BEYOND_ERRORS, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_integer_checks_go_through_is_int(path):
-    assert hand_integer_tests(path.read_text(encoding="utf-8")) == []
 
 
 def hand_type_tests(source: str) -> list:
@@ -290,23 +184,6 @@ def hand_type_tests(source: str) -> list:
     return sorted(lines)
 
 
-def test_checker_flags_a_type_test_by_hand():
-    source = ("class A:\n    def __post_init__(self):\n"
-              "        require(is_int(self.n) and self.n >= 1, 'n', self.n, '>= 1')\n"
-              "        require(self.on is True or self.on is False, 'on', self.on, 'a bool')\n"
-              "        for name in ('a', 'b'):\n"
-              "            require(is_int(getattr(self, name)), name, 0, 'an integer')\n"
-              "        require(self.dt is None or self.dt >= 1, 'dt', self.dt, '>= 1')\n"
-              "        require(is_int(n) and flag is True, 'n', n, 'an integer')\n"
-              "    def check(self):\n        return is_int(self.n) and self.on is True\n")
-    assert hand_type_tests(source) == [3, 4, 6]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_config_fields_are_typed_by_check_fields(path):
-    assert hand_type_tests(path.read_text(encoding="utf-8")) == []
-
-
 def trajectory_builds(source: str, builder: str = "") -> list:
     """Line numbers of `Trajectory(...)` calls outside the function named `builder`."""
     inside = [range(fn.lineno, fn.end_lineno + 1) for fn in ast.walk(ast.parse(source))
@@ -315,16 +192,95 @@ def trajectory_builds(source: str, builder: str = "") -> list:
             if not any(node.lineno in lines for lines in inside)]
 
 
-def test_checker_flags_a_trajectory_built_by_hand():
-    source = ("def walk(grid, z, direction, step):\n    return Trajectory(z, direction, grid)\n"
-              "def replay(z):\n    return dynamics.Trajectory(z, 'generation', g)\n"
-              "traj = walk(grid, z, INVERSION, step)\n"
-              "def end(traj: Trajectory) -> Trajectory:\n    return traj.latents[-1]\n")
-    assert trajectory_builds(source, "walk") == [4]
-    assert trajectory_builds(source) == [2, 4]
+def trajectory_builds_outside_walk(source: str) -> list:
+    """`trajectory_builds` where a function named `walk` may build trajectories."""
+    return trajectory_builds(source, "walk")
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
-def test_only_walk_builds_a_trajectory(path):
-    builder = "walk" if path == DYNAMICS else ""
-    assert trajectory_builds(path.read_text(encoding="utf-8"), builder) == []
+TRAJECTORY_EXAMPLE = ("def walk(grid, z, direction, step):\n"
+                      "    return Trajectory(z, direction, grid)\n"
+                      "def replay(z):\n    return dynamics.Trajectory(z, 'generation', g)\n"
+                      "traj = walk(grid, z, INVERSION, step)\n"
+                      "def end(traj: Trajectory) -> Trajectory:\n    return traj.latents[-1]\n")
+
+# (checker, the files it reads, a source it flags, what it flags there: line numbers, or
+# names for unused_imports); each file in a row's scope must flag nothing
+LINTS = [
+    (unused_imports, MODULES, "import os\nfrom a import b, c\nc()\n", ["os", "b"]),
+    (broad_excepts, SOURCES,
+     "try:\n    f()\nexcept:\n    pass\n"
+     "try:\n    f()\nexcept (KeyError, Exception):\n    pass\n"
+     "try:\n    f()\nexcept BaseException as e:\n    pass\n"
+     "try:\n    f()\nexcept (KeyError, ValueError):\n    pass\n", [3, 7, 11]),
+    (raising_post_inits, PACKAGE,
+     "class A:\n    def __post_init__(self):\n        if self.x < 0:\n"
+     "            raise ValueError(self.x)\n"
+     "class B:\n    def __post_init__(self):\n        require(self.x >= 0)\n"
+     "    def check(self):\n        raise ValueError(self.x)\n", [4]),
+    (hand_shape_checks, BEYOND_ERRORS,
+     "if x.shape != (3,):\n    raise E(x)\n"
+     "if n > 0 and a.b.shape != y.shape:\n    raise E(a)\n"
+     "if x.shape != y:\n    pass\n"
+     "if x.shape == y:\n    raise E(x)\n"
+     "wrong = [k for k in d if d[k].shape != s]\n", [1, 3]),
+    (hand_invalid_parameter_errors, BEYOND_ERRORS,
+     'raise InvalidParameterError("x must be > 0", field="x")\n'
+     'require(x > 0, "x", x, "> 0")\n'
+     'err = errors.InvalidParameterError("x is short")\n'
+     'try:\n    f()\nexcept InvalidParameterError:\n    pass\n', [1, 3]),
+    (builtin_raises, PACKAGE,
+     "raise ValueError(x)\n"
+     "raise ConfigError(x) from None\n"
+     "try:\n    f()\nexcept KeyError:\n    raise\n"
+     "raise KeyboardInterrupt\n"
+     "raise errors.DivergenceError(x)\n"
+     "raise OverflowError(x) from e\n", [1, 7, 9]),
+    (coefficient_reads, BEYOND_SCHEDULE,
+     "z = co.phi * z + co.psi * eps\n"
+     "z = co.generate(z, eps)\n"
+     "phi, psi = 1.0, 2.0\n"
+     "scale = coefficients(s, t, 0).psi\n"
+     "self.phi = phi\n", [1, 1, 4]),
+    (hand_integer_tests, BEYOND_ERRORS,
+     'require(type(n) is int and n >= 1, "n", n, "an integer >= 1")\n'
+     'require(n >= 0 and isinstance(n, int), "n", n, ">= 0")\n'
+     'ok = type(n) is int or isinstance(n, np.integer)\n'
+     'require(is_int(n), "n", n, "an integer")\n'
+     'if type(t) is not int:\n    check(t)\n'
+     'require(type(x) in (int, float), "x", x, "a number")\n', [1, 2, 3]),
+    (hand_type_tests, PACKAGE,
+     "class A:\n    def __post_init__(self):\n"
+     "        require(is_int(self.n) and self.n >= 1, 'n', self.n, '>= 1')\n"
+     "        require(self.on is True or self.on is False, 'on', self.on, 'a bool')\n"
+     "        for name in ('a', 'b'):\n"
+     "            require(is_int(getattr(self, name)), name, 0, 'an integer')\n"
+     "        require(self.dt is None or self.dt >= 1, 'dt', self.dt, '>= 1')\n"
+     "        require(is_int(n) and flag is True, 'n', n, 'an integer')\n"
+     "    def check(self):\n        return is_int(self.n) and self.on is True\n", [3, 4, 6]),
+    # dynamics.py's `walk` is the one builder of a trajectory; anywhere else none is built
+    (trajectory_builds_outside_walk, [DYNAMICS], TRAJECTORY_EXAMPLE, [4]),
+    (trajectory_builds, [p for p in MODULES if p != DYNAMICS], TRAJECTORY_EXAMPLE, [2, 4]),
+]
+LINT_IDS = [checker.__name__ for checker, _, _, _ in LINTS]
+
+
+@pytest.mark.parametrize("checker,example,flagged",
+                         [(checker, example, flagged) for checker, _, example, flagged in LINTS],
+                         ids=LINT_IDS)
+def test_checker_flags_its_example(checker, example, flagged):
+    assert checker(example) == flagged
+
+
+@pytest.mark.parametrize("scope", [scope for _, scope, _, _ in LINTS], ids=LINT_IDS)
+def test_lint_scope_names_an_existing_file(scope):
+    # a scope whose glob matched nothing would pass the lint as zero cases
+    assert scope and all(path.is_file() for path in scope)
+
+
+@pytest.mark.parametrize("checker,path", [(checker, path) for checker, scope, _, _ in LINTS
+                                          for path in scope],
+                         ids=[f"{lint}-{path.parent.name}/{path.name}"
+                              for lint, (_, scope, _, _) in zip(LINT_IDS, LINTS)
+                              for path in scope])
+def test_source_file_passes_its_lint(checker, path):
+    assert checker(path.read_text(encoding="utf-8")) == []

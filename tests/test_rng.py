@@ -1,6 +1,7 @@
 """Seed-derivation streams."""
 
 import numpy as np
+from conftest import rejects
 
 from invlab import derive_key, derive_rng
 
@@ -29,3 +30,9 @@ def test_labels_hash_by_string_form():
     # documented: 1 and "1" name the same stream, ("ab",) and ("a","b") do not
     assert derive_key(0, "1") == derive_key(0, 1)
     assert derive_key(0, "ab") != derive_key(0, "a", "b")
+
+
+def test_a_seed_too_long_to_print_is_refused_by_its_size():
+    with rejects("seed") as err:
+        derive_rng(10**5000)  # str() writes at most 4300 digits
+    assert str(err.value) == "seed must be an integer, got an integer of 16610 bits"
