@@ -177,7 +177,7 @@ def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except ValueError as e:  # invalid JSON or invalid UTF-8
+        except (ValueError, RecursionError) as e:  # invalid JSON or UTF-8, or nested too deep
             raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     return config_from_json_dict(doc)
 

@@ -100,7 +100,7 @@ def load_dataset(path) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         try:
             payload = json.load(f)
-        except ValueError as e:  # invalid JSON or invalid UTF-8
+        except (ValueError, RecursionError) as e:  # invalid JSON or UTF-8, or nested too deep
             raise FormatError(f"dataset file {path} is not valid JSON: {e}") from None
     if not isinstance(payload, dict):
         raise FormatError(f"dataset file {path} does not hold a JSON object")

@@ -1,4 +1,4 @@
-"""Noise predictors F(z, t, c) that implement `eval` and `linearize`.
+"""Noise predictors F(z, t, c), each written once as `linearize`.
 
 Backends:
   - LinearGaussianDenoiser: exact oracle. For data ~ N(mu, Sigma) the noisy
@@ -14,8 +14,9 @@ Every model is unconditional: the condition `c` that each method takes
 carries nothing.
 
 `linearize(z, t, c)` returns the prediction at z together with its pullback
-v ↦ vᵀ·(∂eval/∂z), so a solver that needs both at one point pays for one
-forward pass; `vjp` applies that pullback once.
+v ↦ vᵀ·(∂F/∂z), so a solver that needs both at one point pays for one
+forward pass. It is the one method a backend implements: `eval` is its first
+half and `vjp` applies its second once.
 """
 
 from __future__ import annotations
@@ -39,23 +40,21 @@ class Condition:
 
 
 class DenoiserInterface(ABC):
-    """The ε-predictor contract: pure eval plus its linearization."""
+    """The ε-predictor contract: a backend implements `linearize` alone."""
 
     latent_dim: int
 
     @abstractmethod
-    def eval(self, z: np.ndarray, t: int, c: Condition) -> np.ndarray:
-        """Predicted noise for latent z at timestep t under condition c."""
-
-    @abstractmethod
     def linearize(self, z: np.ndarray, t: int, c: Condition):
-        """(eval(z, t, c), v ↦ vᵀ·(∂eval/∂z)): the prediction and its pullback at z.
+        """(F(z, t, c), v ↦ vᵀ·(∂F/∂z)): the predicted noise for latent z at timestep t
+        under condition c, and its pullback at z, which checks v's shape."""
 
-        The prediction equals eval's bit for bit, and the pullback checks v's shape.
-        """
+    def eval(self, z: np.ndarray, t: int, c: Condition) -> np.ndarray:
+        """F(z, t, c), the prediction of `linearize`."""
+        return self.linearize(z, t, c)[0]
 
     def vjp(self, z: np.ndarray, t: int, c: Condition, v: np.ndarray) -> np.ndarray:
-        """vᵀ·(∂eval/∂z), the pullback of `linearize`."""
+        """vᵀ·(∂F/∂z), the pullback of `linearize`."""
         return self.linearize(z, t, c)[1](v)
 
 
@@ -71,9 +70,9 @@ class LinearGaussianDenoiser(DenoiserInterface):
         o_t = J_t @ (sqrt(ᾱ_t)·mu)
 
     on the first call at t, after the bounds check, and kept read-only in a
-    dict keyed by t. eval is then `J_t @ z − o_t` and the pullback `v @ J_t`,
-    the exact transpose: rounding leaves J_t not quite symmetric. The maps
-    cost one d×d array per timestep the model has been evaluated at.
+    dict keyed by t. The prediction is then `J_t @ z − o_t` and the pullback
+    `v @ J_t`, the exact transpose: rounding leaves J_t not quite symmetric.
+    The maps cost one d×d array per timestep the model has been evaluated at.
     """
 
 
@@ -119,11 +118,6 @@ class LinearGaussianDenoiser(DenoiserInterface):
         off.setflags(write=False)
         self._maps[t] = jac, off
         return jac, off
-
-    def eval(self, z, t, c):
-        z = require_shape(z, (self.latent_dim,), "z")
-        jac, off = self._affine_map(t)
-        return jac @ z - off
 
     def linearize(self, z, t, c):
         z = require_shape(z, (self.latent_dim,), "z")
@@ -194,17 +188,11 @@ class MlpDenoiser(DenoiserInterface):
                 "final_loss", final_loss, "None or a finite number >= 0")
         self.final_loss = final_loss
 
-    def eval(self, z, t, c):
-        return self._forward(z, t, c)[2]
-
     def linearize(self, z, t, c):
-        h1, h2, eps = self._forward(z, t, c)
-        return eps, functools.partial(self._pullback, h1, h2)
-
-    def _forward(self, z, t, c):
         z = require_shape(z, (self.latent_dim,), "z")
         self.sched._check_t(t)
-        return _batch_forward(self.params, z, t - 1)
+        h1, h2, eps = _batch_forward(self.params, z, t - 1)
+        return eps, functools.partial(self._pullback, h1, h2)
 
     def _pullback(self, h1, h2, v):
         d_h1 = _hidden_backward(self.params, h1, h2, require_shape(v, (self.latent_dim,), "v"))[1]

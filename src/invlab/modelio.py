@@ -90,7 +90,7 @@ def load_model(path):
         raise FormatError(f"truncated header in {path}")
     try:
         header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"unreadable header in {path}: {e}") from None
     off += hlen
     if not isinstance(header, dict):
@@ -113,7 +113,11 @@ def load_model(path):
         nbytes = math.prod(shape) * 8  # exact, where np.prod would wrap around
         if len(raw) < off + nbytes:
             raise FormatError(f"truncated array {entry['name']!r} in {path}")
-        arrays[entry["name"]] = np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy()
+        try:
+            arrays[entry["name"]] = np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy()
+        except ValueError as e:  # an empty array with an axis, a size or a rank past NumPy's limits
+            raise FormatError(f"array {entry['name']!r} in {path} has a shape NumPy cannot "
+                              f"build: {e}") from None
         off += nbytes
     if off != len(raw):
         raise FormatError(f"{len(raw) - off} trailing bytes in {path}")

@@ -78,12 +78,9 @@ class ConstantDenoiser(DenoiserInterface):
         val.setflags(write=False)
         self.value = val
 
-    def eval(self, z, t, c):
-        require_shape(z, (self.latent_dim,), "z")
-        return self.value.copy()
-
     def linearize(self, z, t, c):
-        return self.eval(z, t, c), lambda v: np.zeros_like(
+        require_shape(z, (self.latent_dim,), "z")
+        return self.value.copy(), lambda v: np.zeros_like(
             require_shape(v, (self.latent_dim,), "v"))
 
 
@@ -95,11 +92,9 @@ class ScalingDenoiser(DenoiserInterface):
         self.latent_dim = int(latent_dim)
         self.scale = float(scale)
 
-    def eval(self, z, t, c):
-        return self.scale * require_shape(z, (self.latent_dim,), "z")
-
     def linearize(self, z, t, c):
-        return self.eval(z, t, c), lambda v: self.scale * require_shape(v, (self.latent_dim,), "v")
+        return (self.scale * require_shape(z, (self.latent_dim,), "z"),
+                lambda v: self.scale * require_shape(v, (self.latent_dim,), "v"))
 
 
 @pytest.fixture
@@ -133,31 +128,20 @@ def grid50(default_sched):
     return make_uniform_grid(default_sched, 50)
 
 
-def make_gauss_mixture(n: int, seed: int, dim: int = 2, n_classes: int = 3,
-                       spread: float = 2.0, noise: float = 0.35):
-    """Labeled mixture draws: (samples (n, dim), labels (n,), means (k, dim)).
-
-    Class means sit on a circle in the first two coordinates; remaining
-    coordinates are zero-mean. Component covariance is noise²·I.
-    """
-    require(n >= 1, "n", n, ">= 1")
-    require(dim >= 1, "dim", dim, ">= 1")
-    require(n_classes >= 1, "n_classes", n_classes, ">= 1")
-    angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
-    means = np.zeros((n_classes, dim))
-    means[:, 0] = spread * np.cos(angles)
-    if dim > 1:
-        means[:, 1] = spread * np.sin(angles)
+def make_gauss_mixture(n: int, seed: int) -> np.ndarray:
+    """n draws (n, 2) from three equally likely N(m_k, 0.35²·I) whose means m_k sit on the
+    circle of radius 2 at angles 0, 2π/3 and 4π/3."""
+    angles = 2.0 * np.pi * np.arange(3) / 3
+    means = 2.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     rng = derive_rng(seed, "gauss2d")
-    labels = rng.integers(0, n_classes, size=n)
-    samples = means[labels] + noise * rng.standard_normal((n, dim))
-    return samples, labels.astype(np.int64), means
+    labels = rng.integers(0, 3, size=n)
+    return means[labels] + 0.35 * rng.standard_normal((n, 2))
 
 
 def train_tiny_mlp(seed: int = 0):
     """A width-16 MLP on 48 mixture draws, and its 20-step schedule."""
     sched = make_linear_schedule(20, 1e-3, 0.05)
-    data = make_gauss_mixture(48, seed=9)[0]
+    data = make_gauss_mixture(48, seed=9)
     return train_mlp_denoiser(data, sched, MlpTrainConfig(width=16, max_epochs=4), seed), sched
 
 

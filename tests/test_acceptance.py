@@ -49,16 +49,6 @@ def _roundtrip_rel(model, sched, grid, z0, traj) -> float:
 
 
 @pytest.fixture(scope="module")
-def sched100():
-    return make_linear_schedule(100, 1e-4, 0.05)
-
-
-@pytest.fixture(scope="module")
-def grid50(sched100):
-    return make_uniform_grid(sched100, 50)
-
-
-@pytest.fixture(scope="module")
 def ilb_study():
     """Shared latent-boosting study: 50 seeded images, regularizer on and off.
 
@@ -114,25 +104,25 @@ def test_criterion_01_scheduler_algebra():
                     f"{worst_identity:.2e} over 100 schedules in {elapsed:.2f}s")
 
 
-def test_criterion_02_constant_denoiser_exactness(sched100, grid50):
+def test_criterion_02_constant_denoiser_exactness(default_sched, grid50):
     started = time.perf_counter()
     model = ConstantDenoiser(4, 0.7)
     rng = derive_rng(SEED, "const")
     worst = 0.0
     for t_prev, t in grid50.transitions():
         z = rng.standard_normal(4)
-        co = coefficients(sched100, t, t_prev)
+        co = coefficients(default_sched, t, t_prev)
         up = ddim_invert_step(model, co, z, UNCOND)
         worst = max(worst, float(np.max(np.abs(generate_step(model, co, up, UNCOND) - z))))
         down = generate_step(model, co, z, UNCOND)
         worst = max(worst, float(np.max(np.abs(ddim_invert_step(model, co, down, UNCOND) - z))))
     z0 = rng.standard_normal(4)
-    inv = ddim_invert_trajectory(model, sched100, grid50, z0, UNCOND)
-    gen = generate_trajectory(model, sched100, grid50, inv.latent_at(100), UNCOND)
+    inv = ddim_invert_trajectory(model, default_sched, grid50, z0, UNCOND)
+    gen = generate_trajectory(model, default_sched, grid50, inv.latent_at(100), UNCOND)
     worst_sweep = float(np.max(np.abs(gen.latent_at(0) - z0)))
     zT = rng.standard_normal(4)
-    gen2 = generate_trajectory(model, sched100, grid50, zT, UNCOND)
-    inv2 = ddim_invert_trajectory(model, sched100, grid50, gen2.latent_at(0), UNCOND)
+    gen2 = generate_trajectory(model, default_sched, grid50, zT, UNCOND)
+    inv2 = ddim_invert_trajectory(model, default_sched, grid50, gen2.latent_at(0), UNCOND)
     worst_sweep = max(worst_sweep, float(np.max(np.abs(inv2.latent_at(100) - zT))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and worst_sweep <= 1e-10 and elapsed < 1.0
@@ -180,27 +170,27 @@ def test_criterion_03_gradient_fidelity():
                         s=elapsed, **worst))
 
 
-def test_criterion_04_fixed_point_certificate(sched100, grid50):
+def test_criterion_04_fixed_point_certificate(default_sched, grid50):
     started = time.perf_counter()
     cfg = LboConfig(mode="numerical")
     worst_iters, worst_res, worst_replay = 0, 0.0, 0.0
     worst_rel, worst_ratio_ok = 0.0, True
     for i in range(100):
         rng = derive_rng(SEED, "c4", i)
-        model = analytic_denoiser(rng, 8, sched100)
+        model = analytic_denoiser(rng, 8, default_sched)
         z0 = rng.standard_normal(8)
-        traj, reports = lbo_invert_trajectory(model, sched100, grid50, z0, UNCOND, cfg)
+        traj, reports = lbo_invert_trajectory(model, default_sched, grid50, z0, UNCOND, cfg)
         assert all(r.converged for r in reports)
         worst_iters = max(worst_iters, max(r.iters for r in reports))
         worst_res = max(worst_res, max(r.residual for r in reports))
         for t_prev, t in grid50.transitions():
-            co = coefficients(sched100, t, t_prev)
+            co = coefficients(default_sched, t, t_prev)
             back = generate_step(model, co, traj.latent_at(t), UNCOND)
             worst_replay = max(worst_replay, float(np.max(np.abs(back - traj.latent_at(t_prev)))))
-        rel = _roundtrip_rel(model, sched100, grid50, z0, traj)
+        rel = _roundtrip_rel(model, default_sched, grid50, z0, traj)
         rel_ddim = _roundtrip_rel(
-            model, sched100, grid50, z0,
-            ddim_invert_trajectory(model, sched100, grid50, z0, UNCOND))
+            model, default_sched, grid50, z0,
+            ddim_invert_trajectory(model, default_sched, grid50, z0, UNCOND))
         worst_rel = max(worst_rel, rel)
         worst_ratio_ok = worst_ratio_ok and (rel * 10.0 <= rel_ddim)
     elapsed = time.perf_counter() - started
@@ -211,7 +201,7 @@ def test_criterion_04_fixed_point_certificate(sched100, grid50):
                     f">= 10x below one-shot on all, in {elapsed:.1f}s")
 
 
-def test_criterion_05_variant_agreement(sched100, grid50):
+def test_criterion_05_variant_agreement(default_sched, grid50):
     started = time.perf_counter()
     modes = {"numerical": LboConfig(mode="numerical"),
              "hybrid": LboConfig(mode="hybrid"),
@@ -219,21 +209,21 @@ def test_criterion_05_variant_agreement(sched100, grid50):
     worst_agree = 0.0
     for i in range(3):
         rng = derive_rng(SEED, "c5a", i)
-        model = analytic_denoiser(rng, 4, sched100)
+        model = analytic_denoiser(rng, 4, default_sched)
         z0 = rng.standard_normal(4)
         zs = {}
         for name, cfg in modes.items():
-            traj, _ = lbo_invert_trajectory(model, sched100, grid50, z0, UNCOND, cfg)
+            traj, _ = lbo_invert_trajectory(model, default_sched, grid50, z0, UNCOND, cfg)
             zs[name] = traj.latent_at(100)
         ref = float(np.linalg.norm(zs["numerical"]))
         pairs = [("numerical", "hybrid"), ("numerical", "gradient"), ("hybrid", "gradient")]
         worst_agree = max(worst_agree, max(
             float(np.linalg.norm(zs[a] - zs[b])) / ref for a, b in pairs))
 
-    data, _, _ = make_gauss_mixture(128, 0)
-    model = train_mlp_denoiser(data, sched100, MlpTrainConfig(
+    data = make_gauss_mixture(128, 0)
+    model = train_mlp_denoiser(data, default_sched, MlpTrainConfig(
         width=32, max_epochs=30, batch_size=16, lr=1e-2), 0)
-    grid20 = make_uniform_grid(sched100, 20)
+    grid20 = make_uniform_grid(default_sched, 20)
     defaults = {"numerical": LboConfig(mode="numerical"),
                 "hybrid": LboConfig(mode="hybrid"),
                 "gradient": LboConfig(mode="gradient")}
@@ -241,11 +231,11 @@ def test_criterion_05_variant_agreement(sched100, grid50):
     for i in range(100):
         z0 = derive_rng(SEED, "c5b", i).standard_normal(2)
         rel_ddim = _roundtrip_rel(
-            model, sched100, grid20, z0,
-            ddim_invert_trajectory(model, sched100, grid20, z0, UNCOND))
+            model, default_sched, grid20, z0,
+            ddim_invert_trajectory(model, default_sched, grid20, z0, UNCOND))
         for name, cfg in defaults.items():
-            traj, _ = lbo_invert_trajectory(model, sched100, grid20, z0, UNCOND, cfg)
-            if _roundtrip_rel(model, sched100, grid20, z0, traj) < rel_ddim:
+            traj, _ = lbo_invert_trajectory(model, default_sched, grid20, z0, UNCOND, cfg)
+            if _roundtrip_rel(model, default_sched, grid20, z0, traj) < rel_ddim:
                 wins[name] += 1
     elapsed = time.perf_counter() - started
     ok = (worst_agree <= 1e-3 and all(w >= 95 for w in wins.values()) and elapsed < 600.0)
@@ -254,19 +244,19 @@ def test_criterion_05_variant_agreement(sched100, grid50):
                     f"(g/n/h) in {elapsed:.1f}s")
 
 
-def test_criterion_06_zero_budget_degeneracy(sched100, grid50):
+def test_criterion_06_zero_budget_degeneracy(default_sched, grid50):
     rng = derive_rng(SEED, "c6")
-    backends = [(analytic_denoiser(rng, 4, sched100), rng.standard_normal(4))]
-    data, _, _ = make_gauss_mixture(64, 1)
-    mlp = train_mlp_denoiser(data, sched100, MlpTrainConfig(
+    backends = [(analytic_denoiser(rng, 4, default_sched), rng.standard_normal(4))]
+    data = make_gauss_mixture(64, 1)
+    mlp = train_mlp_denoiser(data, default_sched, MlpTrainConfig(
         width=16, max_epochs=5, batch_size=16, lr=1e-2), 1)
     backends.append((mlp, rng.standard_normal(2)))
     exact = True
     for model, z0 in backends:
-        ref = ddim_invert_trajectory(model, sched100, grid50, z0, UNCOND)
+        ref = ddim_invert_trajectory(model, default_sched, grid50, z0, UNCOND)
         for mode in ("numerical", "gradient", "hybrid"):
             traj, reports = lbo_invert_trajectory(
-                model, sched100, grid50, z0, UNCOND, LboConfig(mode=mode, max_iters=0))
+                model, default_sched, grid50, z0, UNCOND, LboConfig(mode=mode, max_iters=0))
             for t in grid50.steps:
                 exact = exact and np.array_equal(traj.latent_at(t), ref.latent_at(t))
             exact = exact and all(r.iters == 0 for r in reports)

@@ -929,11 +929,11 @@ def test_shared_forward_passes_write_the_same_bytes(kind, tmp_path, monkeypatch)
     doc = {**TINY_MLP_DOC, "denoiser": {**TINY_MLP_DOC["denoiser"], "kind": kind}}
     cfg = config_from_json_dict(doc)
     run_benchmark(cfg, tmp_path / "shared")
-    # separate paths: eval, then a fresh linearization per pullback; distance, then x's
-    # features recomputed for each gradient
+    # separate paths: the prediction, then a fresh linearization per pullback; distance,
+    # then x's features recomputed for each gradient
     for cls in (MlpDenoiser, LinearGaussianDenoiser):
         def linearize(self, z, t, c, shared=cls.linearize):
-            return self.eval(z, t, c), lambda v: shared(self, z, t, c)[1](v)
+            return shared(self, z, t, c)[0], lambda v: shared(self, z, t, c)[1](v)
         monkeypatch.setattr(cls, "linearize", linearize)
     shared_reference = RandomConvPerceptual.reference
 

@@ -86,8 +86,9 @@ def test_unknown_config_key_exits_2(capsys, tmp_path, doc, key):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("text", [b"{not json", b'{"seed": 1, "x": "\xff"}'],
-                         ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("text", [b"{not json", b'{"seed": 1, "x": "\xff"}',
+                                  b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-json", "not-utf8", "nested-too-deep"])
 def test_unreadable_config_file_exits_2(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_bytes(text)
@@ -442,6 +443,19 @@ def test_codec_file_with_no_latents_exits_2(capsys, tmp_path):
                         "--out", str(tmp_path / "r"))
     assert code == 2 and doc["code"] == "format-error"
     assert doc["context"]["key"] == "autoencoder.path" and "w must be" in doc["message"], doc
+
+
+def test_codec_file_with_a_shape_numpy_cannot_build_exits_2(capsys, tmp_path):
+    # w holds no values, so the byte count passes, but NumPy builds no array of its shape
+    ae = tmp_path / "ae.labmdl"
+    header = {"kind": "linear-autoencoder", "dims": {"image_shape": [8, 8, 1]},
+              "arrays": [{"name": "w", "shape": [0, 10**30]}, {"name": "mean", "shape": [64]}]}
+    write_model_file(ae, header, bytes(8 * 64))
+    code, doc = run_cli(capsys, "roundtrip", "--config", _config_using(tmp_path, ae),
+                        "--out", str(tmp_path / "r"))
+    assert code == 2 and set(doc) == {"code", "message", "context"}
+    assert doc["code"] == "format-error" and doc["context"]["key"] == "autoencoder.path"
+    assert str(ae) in doc["message"] and "'w'" in doc["message"]
 
 
 def test_mlp_file_with_more_than_one_cemb_row_exits_2(capsys, tmp_path):

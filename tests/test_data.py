@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import make_gauss_mixture, mutate_json_leaf, rejects
+from conftest import mutate_json_leaf, rejects
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,30 +70,6 @@ def test_shapes_rejects_bad_sizes():
         make_shapes(2, seed=1, height=8, width=4)
 
 
-def test_gauss_mixture_structure():
-    samples, labels, means = make_gauss_mixture(200, seed=3, dim=2, n_classes=4)
-    assert samples.shape == (200, 2)
-    assert labels.shape == (200,)
-    assert means.shape == (4, 2)
-    assert set(np.unique(labels)) <= set(range(4))
-    # class means sit near the requested centers
-    for k in range(4):
-        if np.sum(labels == k) > 10:
-            emp = samples[labels == k].mean(axis=0)
-            assert np.linalg.norm(emp - means[k]) < 0.3
-
-
-def test_gauss_mixture_determinism_and_errors():
-    a = make_gauss_mixture(50, seed=9)
-    b = make_gauss_mixture(50, seed=9)
-    np.testing.assert_array_equal(a[0], b[0])
-    np.testing.assert_array_equal(a[1], b[1])
-    with rejects("n"):
-        make_gauss_mixture(0, seed=1)
-    with rejects("dim"):
-        make_gauss_mixture(5, seed=1, dim=0)
-
-
 def test_gen_dataset_shapes_payload():
     d = gen_dataset(3, seed=5, height=8, width=8)
     assert d.keys() == {"kind", "seed", "images"} and d["kind"] == "shapes"
@@ -157,11 +133,12 @@ def test_load_dataset_rejects_unknown_kind(tmp_path):
     '{"kind": "shapes", "n": 1, "images": [[[[0.5, 0.5]]]]}',
     '{"kind": "gauss2d", "samples": [[0.0, 1.0]], "labels": [0]}',
     '{"kind": "gauss2d", "samples": [["a", 1.0]], "labels": [0], "means": [[0.0, 0.0]]}',
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
 ])
 def test_load_dataset_rejects_malformed_file(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="bad.json"):
         load_dataset(path)
 
 

@@ -327,12 +327,10 @@ def _linearize_cases(gauss_nd, mlp):
     ]
 
 
-def test_linearize_is_eval_and_vjp_bit_for_bit(gauss_nd, tiny_mlp):
+def test_one_linearization_serves_several_pullbacks(gauss_nd, tiny_mlp):
     rng = np.random.default_rng(22)
     for model, z, c in _linearize_cases(gauss_nd, tiny_mlp[0]):
-        eps, pullback = model.linearize(z, 7, c)
-        assert np.array_equal(eps, model.eval(z, 7, c))
-        # one linearization point serves several pullbacks
+        _, pullback = model.linearize(z, 7, c)
         for _ in range(3):
             v = rng.standard_normal(z.shape)
             assert np.array_equal(pullback(v), model.vjp(z, 7, c, v))

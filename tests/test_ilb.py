@@ -252,14 +252,10 @@ class _SabotageDenoiser(DenoiserInterface):
         self.calls = 0
         self.good_calls = good_calls
 
-    def eval(self, z, t, c):
-        self.calls += 1
-        if self.calls > self.good_calls:
-            return np.full(self.latent_dim, np.nan)
-        return np.zeros(self.latent_dim)
-
     def linearize(self, z, t, c):
-        return self.eval(z, t, c), lambda v: np.zeros(self.latent_dim)
+        self.calls += 1
+        fill = np.nan if self.calls > self.good_calls else 0.0
+        return np.full(self.latent_dim, fill), lambda v: np.zeros(self.latent_dim)
 
 
 def test_divergence_reports_iteration(x0, ident, perc, uncond):

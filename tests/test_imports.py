@@ -20,7 +20,9 @@ with `type(...) is int` or `isinstance`, and no module but errors.py names
 under src/invlab tests a field's type by hand (`is_int(self.…)`, `self.… is True`
 or `self.… is False`): `errors.check_fields` types every config field from its
 annotation. No module but dynamics.py calls `Trajectory(...)`, and there only
-`walk` does: every trajectory is one walk along its grid.
+`walk` does: every trajectory is one walk along its grid. No subclass of
+`DenoiserInterface` defines `eval`: a backend writes its prediction once, in
+`linearize`, and the interface's `eval` is that method's first half.
 """
 
 import ast
@@ -197,6 +199,20 @@ def trajectory_builds_outside_walk(source: str) -> list:
     return trajectory_builds(source, "walk")
 
 
+def denoiser_evals(source: str) -> list:
+    """Line numbers of a `def eval` in a class that subclasses `DenoiserInterface`, directly
+    or through an earlier class of the same source."""
+    denoisers, lines = {"DenoiserInterface"}, []
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    for cls in sorted(classes, key=lambda node: node.lineno):
+        if any(getattr(base, "id", getattr(base, "attr", None)) in denoisers
+               for base in cls.bases):
+            denoisers.add(cls.name)
+            lines += [fn.lineno for fn in cls.body
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "eval"]
+    return lines
+
+
 TRAJECTORY_EXAMPLE = ("def walk(grid, z, direction, step):\n"
                       "    return Trajectory(z, direction, grid)\n"
                       "def replay(z):\n    return dynamics.Trajectory(z, 'generation', g)\n"
@@ -260,6 +276,12 @@ LINTS = [
     # dynamics.py's `walk` is the one builder of a trajectory; anywhere else none is built
     (trajectory_builds_outside_walk, [DYNAMICS], TRAJECTORY_EXAMPLE, [4]),
     (trajectory_builds, [p for p in MODULES if p != DYNAMICS], TRAJECTORY_EXAMPLE, [2, 4]),
+    (denoiser_evals, MODULES,
+     "class A(DenoiserInterface):\n    def eval(self, z, t, c):\n        return z\n"
+     "    def linearize(self, z, t, c):\n        return z, lambda v: v\n"
+     "class B(invlab.DenoiserInterface):\n    def eval(self, z, t, c):\n        return z\n"
+     "class C(A):\n    def eval(self, z, t, c):\n        return z\n"
+     "class D:\n    def eval(self, x):\n        return x\n", [2, 7, 10]),
 ]
 LINT_IDS = [checker.__name__ for checker, _, _, _ in LINTS]
 

@@ -58,7 +58,7 @@ def test_gaussian_denoiser_round_trip(tmp_path):
 
 def test_mlp_denoiser_round_trip(tmp_path):
     sched = make_linear_schedule(12, 1e-3, 0.05)
-    data = make_gauss_mixture(32, seed=2)[0]
+    data = make_gauss_mixture(32, seed=2)
     model = train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=3), 5)
     path = tmp_path / "mlp.labmdl"
     save_model(model, path)
@@ -152,7 +152,7 @@ def test_header_is_sorted_json_with_manifest(tmp_path):
 def test_mlp_trained_with_numpy_integers_saves_the_same_file(tmp_path):
     # a NumPy integer seed and epoch count write the bytes their Python ints write
     sched = make_linear_schedule(12, 1e-3, 0.05)
-    data = make_gauss_mixture(32, seed=2)[0]
+    data = make_gauss_mixture(32, seed=2)
     for name, k in (("python", 2), ("numpy", np.int64(2))):
         save_model(train_mlp_denoiser(data, sched, MlpTrainConfig(width=8, max_epochs=k), k),
                    tmp_path / name)
@@ -222,11 +222,19 @@ def test_garbled_header_rejected(tmp_path):
         "no-w1": b'{"arrays": [], "dims": {"latent_dim": 2, "n_classes": 0}, '
                  b'"kind": "mlp-denoiser", "seed": 0}',
         "dims-not-an-object": b'{"arrays": [], "dims": [5, 6, 1], "kind": "linear-autoencoder"}',
+        "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
+        # no values, so the byte count passes, but NumPy builds no array of these shapes
+        "axis-past-numpy": b'{"arrays": [{"name": "w", "shape": [0, 1' + b"0" * 30 + b']}], '
+                           b'"kind": "linear-autoencoder"}',
+        "size-past-numpy": b'{"arrays": [{"name": "w", "shape": [1099511627776, 0, '
+                           b'1099511627776]}], "kind": "linear-autoencoder"}',
+        "rank-past-numpy": b'{"arrays": [{"name": "w", "shape": [' + b", ".join([b"0"] * 65)
+                           + b']}], "kind": "linear-autoencoder"}',
     }
     for name, blob in cases.items():
         path = tmp_path / f"{name}.labmdl"
         path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=name):
             load_model(path)
 
 
