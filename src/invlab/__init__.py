@@ -21,7 +21,7 @@ from .lbo import (LboConfig, LboStepReport, lbo_gradient_iterate, lbo_invert_ste
                   lbo_invert_trajectory, lbo_numerical_iterate, objective_and_grad)
 from .metrics import psnr, ssim, ssim_with_grad, trajectory_divergence
 from .modelio import load_model, save_model
-from .optim import AdamState, adam_step, gradient_check
+from .optim import AdamState, adam_step
 from .perceptual import RandomConvPerceptual
 from .rng import derive_key, derive_rng
 from .schedule import (NoiseSchedule, StepCoefficients, TimestepGrid, coefficients,

@@ -28,7 +28,7 @@ from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, Mlp
                        mlp_shapes, train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError, InvlabError,
-                     check_fields, require)
+                     check_fields, require, shown)
 from .ilb import IlbConfig, ilb_optimize
 from .lbo import LboConfig, lbo_invert_trajectory
 from .metrics import psnr, ssim
@@ -153,8 +153,8 @@ def _parse_section(cls, doc, prefix: str):
     """A `cls` from a JSON object, each section in it parsed in turn; check_fields types it."""
     section = prefix.rstrip(".")
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {section or 'document'} must be a JSON object, got {doc!r}",
-                          key=section)
+        raise ConfigError(f"config {section or 'document'} must be a JSON object, "
+                          f"got {shown(doc)}", key=section)
     hints = get_type_hints(cls)
     for key in doc:
         if key not in hints:

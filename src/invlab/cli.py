@@ -24,19 +24,11 @@ from .benchmark import (METRIC_FIELDS, BenchmarkBackends, RunConfig, base_method
                         write_json)
 from .data import gen_dataset, save_dataset
 from .errors import ConfigError, InvlabError
-from .ilb import TRACE_COLUMNS, ilb_loss_and_grad, ilb_optimize
-from .lbo import objective_and_grad
+from .ilb import TRACE_COLUMNS, ilb_optimize
 from .metrics import trajectory_divergence
 from .modelio import save_model
-from .optim import gradient_check
 from .rng import derive_rng
-from .schedule import coefficients, make_linear_schedule
-
-GRADCHECK_TOL = 1e-4
-
-
-class GradcheckFailure(InvlabError):
-    code = "gradcheck-failed"
+from .schedule import make_linear_schedule
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,42 +175,6 @@ def cmd_roundtrip(cfg: RunConfig, out: Path) -> dict:
     return result
 
 
-def cmd_gradcheck(cfg: RunConfig, out: Path) -> dict:
-    """Compare every assembled gradient against central finite differences."""
-    b = BenchmarkBackends(cfg)
-    d = b.ae.latent_dim
-    c = b.condition
-    t_prev, t = b.grid.transitions()[-1]
-    co = coefficients(b.sched, t, t_prev)
-    errors = {"model_vjp": 0.0, "lbo_objective": 0.0, "ilb_total": 0.0}
-    for probe in range(5):
-        rng = derive_rng(cfg.seed, "gradcheck", probe)
-        z = rng.standard_normal(d)
-        v = rng.standard_normal(d)
-        errors["model_vjp"] = max(errors["model_vjp"], gradient_check(
-            lambda x: float(v @ b.model.eval(x, t, c)),
-            b.model.linearize(z, t, c)[1](v), z))
-        z_prev = rng.standard_normal(d)
-        bias = 0.1 * rng.standard_normal(d)
-        errors["lbo_objective"] = max(errors["lbo_objective"], gradient_check(
-            lambda x: objective_and_grad(b.model, co, z_prev, c, x)[0],
-            objective_and_grad(b.model, co, z_prev, c, bias)[1], bias))
-        x0 = b.images[probe % len(b.images)]
-        z0 = b.ae.encode(x0) + 0.05 * rng.standard_normal(d)
-        errors["ilb_total"] = max(errors["ilb_total"], gradient_check(
-            lambda x: ilb_loss_and_grad(x0, x, b.ae, b.model, b.sched, b.perc,
-                                        b.ilb_cfg, c)[2],
-            ilb_loss_and_grad(x0, z0, b.ae, b.model, b.sched, b.perc,
-                              b.ilb_cfg, c)[3], z0))
-    worst = max(errors.values())
-    result = {**errors, "max_rel_error": worst, "threshold": GRADCHECK_TOL,
-              "pass": worst <= GRADCHECK_TOL}
-    write_json(out / "gradcheck.json", result)
-    if not result["pass"]:
-        raise GradcheckFailure(f"max relative error {worst:.3e} above {GRADCHECK_TOL}", **errors)
-    return result
-
-
 def cmd_report_plot_data(cfg: RunConfig, out: Path) -> dict:
     """Per-timestep inversion/generation divergence for each configured method."""
     b = BenchmarkBackends(cfg)
@@ -250,7 +206,6 @@ _COMMANDS = {
     "invert": cmd_invert,
     "ilb": cmd_ilb,
     "roundtrip": cmd_roundtrip,
-    "gradcheck": cmd_gradcheck,
     "report-plot-data": cmd_report_plot_data,
     "benchmark": cmd_benchmark,
 }

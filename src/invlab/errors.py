@@ -19,6 +19,8 @@ other module builds an InvalidParameterError, and a shape fault
 an integer is tested by `is_int`, the package's one integer rule: a Python or NumPy
 integer, never a bool, that str() can write. Every config dataclass first calls
 `check_fields`, which types each field from its annotation, from JSON or Python alike.
+A refusal message writes the refused value through `shown`, which gives a value past
+100 characters, or one repr cannot write, as its type and size.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 _INT_BOUND = 10 ** sys.get_int_max_str_digits() if sys.get_int_max_str_digits() else float("inf")
+_SHOWN_CHARS = 100  # the longest repr a refusal message repeats
 
 
 class InvlabError(Exception):
@@ -60,15 +63,28 @@ class FormatError(InvlabError):
     code = "format-error"
 
 
+def shown(value) -> str:
+    """value as a refusal message writes it: its repr up to _SHOWN_CHARS characters, and past
+    that, or where repr fails, its type and size, so that no message repeats a large value."""
+    try:
+        text = repr(value)
+    except (ValueError, RecursionError):  # an integer str() cannot write, bare or held, or a
+        text = ""  # value nested almost as deep as the JSON parser goes
+    if 0 < len(text) <= _SHOWN_CHARS:
+        return text
+    if type(value) is int:
+        return f"an integer of {value.bit_length()} bits"
+    if isinstance(value, np.ndarray):
+        return f"an array of shape {value.shape}"
+    if isinstance(value, (str, list, tuple, dict)):
+        return f"a {type(value).__name__} of length {len(value)}"
+    return f"a value of type {type(value).__name__}"
+
+
 def require(ok: bool, field: str, value, need: str) -> None:
     """InvalidParameterError naming `field` unless ok: the one form of a range check."""
     if not ok:
-        try:
-            got = repr(value)
-        except ValueError:  # str() cannot write an integer this long, bare or held
-            got = f"an integer of {value.bit_length()} bits" if type(value) is int else \
-                f"a {type(value).__name__} holding an integer too long to print"
-        raise InvalidParameterError(f"{field} must be {need}, got {got}", field=field)
+        raise InvalidParameterError(f"{field} must be {need}, got {shown(value)}", field=field)
 
 
 def require_shape(x, shape: tuple, name: str) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autoencoder import LinearAutoencoder
 from .denoiser import _PARAM_ORDER, LinearGaussianDenoiser, MlpDenoiser
-from .errors import FormatError, InvlabError
+from .errors import FormatError, InvlabError, shown
 from .schedule import NoiseSchedule
 
 MAGIC = b"LABMDL1\n"
@@ -97,26 +97,28 @@ def load_model(path):
         raise FormatError(f"header in {path} is not a JSON object")
     kind = header.get("kind")
     if not (isinstance(kind, str) and kind in _CODECS):
-        raise FormatError(f"unknown model kind {kind!r} in {path}")
+        raise FormatError(f"unknown model kind {shown(kind)} in {path}")
     entries = header.get("arrays")
     if not isinstance(entries, list):
         raise FormatError(f"header in {path} has no array list")
     arrays = {}
-    for entry in entries:
+    for i, entry in enumerate(entries):
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and "shape" in entry):
-            raise FormatError(f"array entry {entry!r} in {path} needs a string name and a shape")
+            raise FormatError(f"array entry {i} in {path} needs a string name and a shape, "
+                              f"got {shown(entry)}")
         shape = entry["shape"]
         if not (isinstance(shape, list) and all(type(s) is int and s >= 0 for s in shape)):
-            raise FormatError(f"array entry {entry!r} in {path} has a malformed shape")
+            raise FormatError(f"array {shown(entry['name'])} in {path} has a malformed shape, "
+                              f"got {shown(shape)}")
         shape = tuple(shape)
         nbytes = math.prod(shape) * 8  # exact, where np.prod would wrap around
         if len(raw) < off + nbytes:
-            raise FormatError(f"truncated array {entry['name']!r} in {path}")
+            raise FormatError(f"truncated array {shown(entry['name'])} in {path}")
         try:
             arrays[entry["name"]] = np.frombuffer(raw[off : off + nbytes], dtype="<f8").reshape(shape).copy()
         except ValueError as e:  # an empty array with an axis, a size or a rank past NumPy's limits
-            raise FormatError(f"array {entry['name']!r} in {path} has a shape NumPy cannot "
+            raise FormatError(f"array {shown(entry['name'])} in {path} has a shape NumPy cannot "
                               f"build: {e}") from None
         off += nbytes
     if off != len(raw):

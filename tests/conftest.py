@@ -1,6 +1,7 @@
 """Shared fixtures: small schedules, the two stub denoisers, 2-d mixture MLPs, exact inverses
 under an affine model and Newton preimages under any model, ILB's exact optimum under an
-affine model, model-file surgery, JSON mutation, strict JSON parsing, hypothesis profile, and
+affine model, the finite-difference gradient checker and the residuals whose kinks it steps
+around, model-file surgery, JSON mutation, strict JSON parsing, hypothesis profile, and
 `rejects`, the one form of a test that an argument is refused."""
 
 import contextlib
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from invlab import (
     Condition,
     DenoiserInterface,
+    DivergenceError,
     InvalidParameterError,
     LinearGaussianDenoiser,
     MlpTrainConfig,
@@ -38,6 +40,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("invlab")
+
+_EPS = float(np.finfo(np.float64).eps)
+_CENTRAL_STEP = _EPS ** (1.0 / 3.0)
+ROUNDOFF = 1.0  # K: a coordinate's gap counts beyond K·eps·|f(x)|/h_j, the difference's round-off
 
 
 @contextlib.contextmanager
@@ -248,6 +254,106 @@ def ilb_exact_optimum(x0, ae, model, sched, cfg):
                   bounds=[(None, None)] * d + [(0.0, None)] * (2 * p + 2 * d))
     assert res.status == 0, res.message
     return res.x[:d], float(res.fun)
+
+
+def _stepped(x):
+    """Per coordinate j of x: (h_j, x + h_j·e_j, x − h_j·e_j), h_j = h·(1 + |x_j|)."""
+    flat = x.ravel()
+    for j in range(flat.size):
+        h = _CENTRAL_STEP * (1.0 + abs(flat[j]))
+        xp = flat.copy()
+        xm = flat.copy()
+        xp[j] += h
+        xm[j] -= h
+        yield h, xp.reshape(x.shape), xm.reshape(x.shape)
+
+
+def central_difference(f, x):
+    """Central-difference gradient of the scalar function f at x, shaped like x.
+
+    Coordinate j steps by h_j = h·(1+|x_j|). The relative step h = eps^(1/3)
+    ≈ 6.06e-6 (float64) balances the two error terms of a central difference:
+    truncation, which grows as h², and round-off, which grows as |f|·eps/h. A
+    smaller step lets round-off dominate, and at any step round-off leaves
+    a gap of up to about |f|·eps/h_j, which `gradient_check` does not count.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([(f(xp) - f(xm)) / (2.0 * h) for h, xp, xm in _stepped(x)]).reshape(x.shape)
+
+
+def gradient_check(f, grad_f, x, residual=None):
+    """Max relative error of grad_f against `central_difference(f, x)`, or None for a probe
+    that straddles a kink.
+
+    `residual` is the r(x) whose signs the |·| terms of f take. When some r_i has different
+    signs at x + h_j·e_j and at x − h_j·e_j, for some coordinate j, the difference averages
+    two slopes, and the probe is None: the caller draws the next one (`checked_probes`).
+    Coordinate j's gap |g_j − d_j| counts only beyond the difference's own round-off,
+    ROUNDOFF·eps·|f(x)|/h_j, and is divided by |d_j| with an absolute floor of 1e-12. A
+    non-finite entry of grad_f or of the differences raises DivergenceError naming its
+    first coordinate, and so does a non-finite f(x), which would hide every gap.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad_f = np.asarray(grad_f, dtype=np.float64)
+    assert grad_f.shape == x.shape, (grad_f.shape, x.shape)
+    grad_f = grad_f.ravel()
+    bad = np.flatnonzero(~np.isfinite(grad_f))
+    if bad.size:
+        raise DivergenceError(f"non-finite gradient under check at coordinate {bad[0]}")
+    if residual is not None and any(np.any(np.sign(residual(xp)) != np.sign(residual(xm)))
+                                    for _, xp, xm in _stepped(x)):
+        return None
+    fx, fd = f(x), central_difference(f, x).ravel()
+    if not math.isfinite(fx):
+        raise DivergenceError("non-finite evaluation during gradient check at the probe")
+    bad = np.flatnonzero(~np.isfinite(fd))
+    if bad.size:
+        raise DivergenceError(
+            f"non-finite evaluation during gradient check at coordinate {bad[0]}")
+    roundoff = ROUNDOFF * _EPS * abs(fx) / (_CENTRAL_STEP * (1.0 + np.abs(x.ravel())))
+    gap = np.maximum(np.abs(grad_f - fd) - roundoff, 0.0)
+    return float(np.max(gap / np.maximum(np.abs(fd), 1e-12), initial=0.0))
+
+
+def checked_probes(count, probe):
+    """(worst, skipped): probe(k) for k = 0, 1, ... returns a dict of `gradient_check` errors,
+    until `count` probes have none that is None. A probe with a None straddles a kink and is
+    skipped; worst holds each error's largest over the counted probes. More skipped probes
+    than counted ones fail the test: the check would then test too little."""
+    worst, skipped, k = {}, 0, 0
+    while count:
+        errors = probe(k)
+        k += 1
+        if None in errors.values():
+            skipped += 1
+            assert skipped <= count, f"{skipped} probes straddle a kink"
+            continue
+        count -= 1
+        worst = {name: max(err, worst.get(name, 0.0)) for name, err in errors.items()}
+    return worst, skipped
+
+
+def ilb_residual(x0, ae, model, sched, cfg, c):
+    """z ↦ the residuals whose signs ILB's total takes, written as ilb.py writes them: x0 − D(z)
+    for the L1 term, joined, with the regularizer on, with z − rt(z) for the skip's round
+    trip rt."""
+    skip = skip_coefficients(sched, cfg.dt)
+
+    def residual(z):
+        r = np.ravel(x0 - ae.decode(z))
+        if not cfg.use_reg:
+            return r
+        z_dt = skip.invert(z, model.eval(z, skip.t, c))
+        return np.concatenate([r, z - skip.generate(z_dt, model.eval(z_dt, skip.t, c))])
+    return residual
+
+
+def lbo_residual(model, co, z_prev, c):
+    """b ↦ r(b) = generate(z_prev + b) − z_prev, whose signs LBO's objective mean|r| takes."""
+    def residual(b):
+        z = z_prev + b
+        return co.generate(z, model.eval(z, co.t, c)) - z_prev
+    return residual
 
 
 def read_model_file(path):

@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from conftest import rejects
+from conftest import gradient_check, rejects
 from hypothesis import given
 from hypothesis import strategies as st
 
 from invlab import (
     LinearAutoencoder,
     fit_linear_autoencoder,
-    gradient_check,
     identity_autoencoder,
     make_shapes,
 )

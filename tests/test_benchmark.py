@@ -44,7 +44,8 @@ from invlab.autoencoder import LinearAutoencoder
 from invlab.cli import main
 from invlab.data import gen_dataset, save_dataset
 from invlab.denoiser import LinearGaussianDenoiser, MlpDenoiser, MlpTrainConfig
-from invlab.errors import ConfigError, DivergenceError, FormatError, InvalidParameterError
+from invlab.errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError,
+                           shown)
 from invlab.ilb import IlbConfig
 from invlab.lbo import LboConfig
 from invlab.modelio import save_model
@@ -211,6 +212,53 @@ def test_an_integer_too_long_to_print_is_refused_by_its_size(path):
     with rejects(path.rpartition(".")[2]) as err:
         _built(RunConfig, _nest(path, 10**5000))
     assert str(err.value).endswith("must be an integer, got an integer of 16610 bits")
+
+
+def _nested(value, depth: int):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("value,written", [
+    ("lbo-x", "'lbo-x'"), ([1] * 30, repr([1] * 30)), ("x" * 10_000, "a str of length 10000"),
+    ([1] * 5000, "a list of length 5000"), ({str(i): i for i in range(50)}, "a dict of length 50"),
+    (np.zeros(200), "an array of shape (200,)"), (_nested(1, 900), "a list of length 1"),
+    (10**5000, "an integer of 16610 bits"), ([10**5000], "a list of length 1"),
+    (RunConfig(), "a value of type RunConfig")],
+    ids=["str", "list", "long-str", "long-list", "long-dict", "array", "nested", "long-int",
+         "held-long-int", "object"])
+def test_shown_writes_a_value_past_100_characters_by_its_type_and_size(value, written):
+    assert shown(value) == written
+
+
+@pytest.mark.parametrize("doc,end", [
+    ({"seed": _nested(1, 900)}, "seed must be an integer, got a list of length 1"),
+    ({"methods": ["x" * 10_000]}, "with optional '+ilb', got a str of length 10000"),
+    ({"dataset": [1] * 5000}, "got a list of length 5000")],
+    ids=["require-nested-seed", "require-long-method", "section-not-an-object"])
+def test_a_large_refused_value_leaves_a_short_message_naming_its_key(doc, end, tmp_path, capsys):
+    # each route writes the value by its type and size: require, and _parse_section's
+    # "must be a JSON object"; from JSON, from Python and on the command line alike
+    key, from_json, built = _refusals(doc, tmp_path, capsys)
+    assert key == next(iter(doc))
+    for err in (from_json, built):
+        assert len(str(err)) < 300 and str(err).endswith(end)
+
+
+def test_a_seed_nested_as_deep_as_json_reads_is_a_config_error(tmp_path, capsys):
+    # from 900 deep up to the first depth the JSON parser refuses; in between, repr of the
+    # value runs out of stack before the parser does
+    path = tmp_path / "deep.json"
+    for depth in range(900, 2000):
+        path.write_text('{"seed": ' + "[" * depth + "1" + "]" * depth + "}")
+        assert main(["roundtrip", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["code"] == "config-error" and len(out["message"]) < 300 + len(str(path))
+        if "not valid JSON" in out["message"]:
+            break
+        assert out["context"]["key"] == "seed"
+    assert depth > 900
 
 
 def test_config_accepts_int_for_float_and_checks_ilb_at_load():

@@ -141,6 +141,7 @@ def test_one_instance_commands_run_the_first_configured_method(capsys, tmp_path,
     ["roundtrip", "--guidance", "2"],  # unknown flag
     ["roundtrip", "--seed", "x"],  # ill-typed flag value
     ["bogus"],  # unknown subcommand
+    ["gradcheck"],  # a former subcommand: the gradient checks are tests
     [],  # no subcommand
 ])
 def test_rejected_command_line_prints_json_and_exits_2(capsys, argv):
@@ -284,24 +285,6 @@ def test_roundtrip_reports_metrics(capsys, small_cfg, tmp_path):
     assert doc["roundtrip_l2_rel"] < 1e-8
     on_disk = json.loads((tmp_path / "o" / "roundtrip.json").read_text())
     assert on_disk == doc
-
-
-def test_gradcheck_passes_on_default_setup(capsys, small_cfg, tmp_path):
-    code, doc = run_cli(capsys, "gradcheck", "--config", small_cfg,
-                        "--out", str(tmp_path / "o"))
-    assert code == 0
-    assert doc["pass"] is True
-    assert doc["max_rel_error"] <= doc["threshold"]
-    assert json.loads((tmp_path / "o" / "gradcheck.json").read_text())["pass"] is True
-
-
-def test_gradcheck_failure_exits_nonzero(capsys, small_cfg, tmp_path, monkeypatch):
-    monkeypatch.setattr("invlab.cli.GRADCHECK_TOL", 0.0)  # unreachable bar
-    code, doc = run_cli(capsys, "gradcheck", "--config", small_cfg,
-                        "--out", str(tmp_path / "o"))
-    assert code == 2 and doc["code"] == "gradcheck-failed"
-    assert set(doc["context"]) == {"model_vjp", "lbo_objective", "ilb_total"}
-    assert json.loads((tmp_path / "o" / "gradcheck.json").read_text())["pass"] is False
 
 
 def test_report_plot_data_dedups_methods(capsys, tmp_path):

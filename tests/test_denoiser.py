@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ConstantDenoiser, ScalingDenoiser, rejects, spectral_form, train_tiny_mlp
+from conftest import (ConstantDenoiser, ScalingDenoiser, gradient_check, rejects, spectral_form,
+                      train_tiny_mlp)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from invlab import (
     MlpDenoiser,
     MlpTrainConfig,
     derive_rng,
-    gradient_check,
     make_linear_schedule,
     train_mlp_denoiser,
 )

@@ -10,8 +10,9 @@ errors.py compares an array's shape and raises: an exact shape check goes throug
 `errors.require_shape`, and any other shape check is an `errors.require` call, so
 a wrong shape and a bad value are one `invalid-parameter` that names the
 argument. No module under src/invlab raises a built-in exception class: every
-fault it reports is an `InvlabError` with a documented code, and the codes the
-package defines are exactly those in README's table.
+fault it reports is an `InvlabError` with a documented code, every such class is
+defined in errors.py, and the codes the package defines are exactly those in
+README's table.
 No module under src/invlab but schedule.py reads a step's φ or ψ: the sampler's
 transition is written once, as `StepCoefficients.generate` and `.invert`. An
 argument's integer check is `errors.is_int`: no `require` call tests an integer
@@ -27,6 +28,7 @@ annotation. No module but dynamics.py calls `Trajectory(...)`, and there only
 
 import ast
 import builtins
+import importlib
 import re
 from pathlib import Path
 
@@ -126,9 +128,13 @@ def documented_codes(readme: str) -> set:
 
 
 def test_error_codes_are_the_documented_ones():
-    classes = {obj for module in (invlab.errors, invlab.cli) for obj in vars(module).values()
+    modules = [importlib.import_module(f"invlab.{path.stem}".removesuffix(".__init__"))
+               for path in PACKAGE]
+    classes = {obj for module in modules for obj in vars(module).values()
                if isinstance(obj, type) and issubclass(obj, invlab.errors.InvlabError)
                and obj is not invlab.errors.InvlabError}  # the base is never raised itself
+    # every error class is defined in errors.py, whichever module imports it
+    assert {cls.__module__ for cls in classes} == {"invlab.errors"}
     # main's OSError handler writes its code as a literal
     literal = {value.value
                for node in ast.walk(ast.parse(Path(invlab.cli.__file__).read_text("utf-8")))

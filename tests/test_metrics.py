@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import ConstantDenoiser, rejects
+from conftest import ConstantDenoiser, gradient_check, rejects
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +12,6 @@ from invlab import (
     RandomConvPerceptual,
     ddim_invert_trajectory,
     generate_trajectory,
-    gradient_check,
     make_uniform_grid,
     psnr,
     ssim,

@@ -238,6 +238,20 @@ def test_garbled_header_rejected(tmp_path):
             load_model(path)
 
 
+@pytest.mark.parametrize("entry,named", [
+    ({"name": "w", "shape": ["a"] * 5000}, "array 'w' in "),
+    ({"name": "w", "shape": json.loads("[" * 60 + "0" + "]" * 60)}, "array 'w' in "),
+    ({"name": "w" * 10_000}, "array entry 0 in ")],
+    ids=["long-shape", "nested-shape", "long-name"])
+def test_a_large_array_entry_leaves_a_short_message_naming_it(tmp_path, entry, named):
+    path = tmp_path / "m.labmdl"
+    blob = json.dumps({"arrays": [entry], "kind": "linear-autoencoder"}).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    assert named in str(err.value) and len(str(err.value)) < 300 + len(str(path))
+
+
 def test_mlp_array_of_the_wrong_shape_rejected(tmp_path, tiny_mlp):
     # w3 stored transposed holds as many values, so only its shape gives it away
     path = tmp_path / "mlp.labmdl"

@@ -1,15 +1,15 @@
-"""Adam stepping and finite-difference gradient checking."""
+"""Adam stepping, and the tests' finite-difference gradient checker."""
 
 import math
 
 import numpy as np
 import pytest
-from conftest import rejects
+from conftest import ROUNDOFF, central_difference, checked_probes, gradient_check, rejects
 from hypothesis import given
 from hypothesis import strategies as st
 
-from invlab import AdamState, DivergenceError, adam_step, gradient_check
-from invlab.optim import BETA1, BETA2, EPSILON, central_difference
+from invlab import AdamState, DivergenceError, adam_step
+from invlab.optim import BETA1, BETA2, EPSILON
 
 
 def test_first_step_magnitude():
@@ -145,13 +145,67 @@ def test_gradient_check_at_origin_uses_absolute_probe():
 
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
 def test_gradient_check_is_the_worst_coordinate_error(dim, seed):
-    # the per-coordinate loop as reference, on a gradient off by up to 10% per coordinate
+    # the per-coordinate loop as reference, on a gradient off by up to 10% per coordinate;
+    # each gap counts beyond K·eps·|f(x)|/h_j
     rng = np.random.default_rng(seed)
     a, x = rng.standard_normal(dim), rng.standard_normal(dim)
     grad = a * (1.0 + 0.1 * rng.standard_normal(dim))
     fd = central_difference(lambda z: float(a @ z), x)
-    expected = max(abs(g - d) / max(abs(d), 1e-12) for g, d in zip(grad, fd))
+    eps = np.finfo(np.float64).eps
+    floor = [ROUNDOFF * eps * abs(float(a @ x)) / (eps ** (1.0 / 3.0) * (1.0 + abs(xj)))
+             for xj in x]
+    expected = max(max(abs(g - d) - f, 0.0) / max(abs(d), 1e-12)
+                   for g, d, f in zip(grad, fd, floor))
     assert gradient_check(lambda z: float(a @ z), grad, x) == expected
+
+
+def test_gradient_check_does_not_count_the_differences_round_off():
+    # f = 1 + 1e-9·Σz: each difference is off by up to about eps·|f|/h_j ≈ 3.7e-11, which
+    # reads as a relative error far above 1e-4 against g = 1e-9, yet it is no fault of g
+    x = np.array([0.3, -1.2, 2.0, 0.0])
+    grad = np.full(4, 1e-9)
+
+    def f(z):
+        return 1.0 + 1e-9 * float(np.sum(z))
+
+    assert np.max(np.abs(central_difference(f, x) - grad) / grad) > 1e-4
+    assert gradient_check(f, grad, x) == 0.0
+
+
+def test_gradient_check_still_sees_an_error_above_the_round_off():
+    # f = 1 + 1e-6·Σz with g off by 1e-3 on one coordinate: a gap of 1e-9, where the
+    # round-off floor is eps·|f|/h_j ≈ 1.2e-11
+    x = np.array([0.3, -1.2, 2.0, 0.0])
+    grad = np.array([1e-6, 1e-6, 1e-6 * (1.0 + 1e-3), 1e-6])
+    err = gradient_check(lambda z: 1.0 + 1e-6 * float(np.sum(z)), grad, x)
+    assert err == pytest.approx(1e-3, rel=0.05)
+
+
+@pytest.mark.parametrize("offset,straddles", [(1e-7, True), (-1e-7, True), (0.0, True),
+                                              (1e-3, False)])
+def test_gradient_check_skips_a_probe_that_straddles_a_kink(offset, straddles):
+    # f = |z_1 − 0.5|: the step h_1 ≈ 9.1e-6 crosses the kink at 0.5 from within 1e-7
+    x = np.array([2.0, 0.5 + offset])
+
+    def residual(z):
+        return np.array([z[1] - 0.5])
+
+    err = gradient_check(lambda z: float(abs(z[1] - 0.5)), np.array([0.0, np.sign(offset)]), x,
+                         residual)
+    assert (err is None) == straddles
+    if not straddles:
+        assert err < 1e-8
+
+
+def test_checked_probes_redraws_past_a_skipped_probe():
+    errors = [{"a": 1e-6, "b": 0.0}, {"a": None, "b": 5.0}, {"a": 3e-6, "b": 1e-7}]
+    worst, skipped = checked_probes(2, lambda k: errors[k])
+    assert worst == {"a": 3e-6, "b": 1e-7} and skipped == 1
+
+
+def test_checked_probes_fails_when_most_probes_straddle():
+    with pytest.raises(AssertionError, match="2 probes straddle a kink"):
+        checked_probes(1, lambda k: {"a": None})
 
 
 @pytest.mark.parametrize("grad", [[2.0, np.nan, 6.0], [np.nan] * 3, [2.0, 4.0, np.inf]],
@@ -162,6 +216,13 @@ def test_gradient_check_rejects_non_finite_gradient(grad):
     first = int(np.flatnonzero(~np.isfinite(grad))[0])
     with pytest.raises(DivergenceError, match=f"coordinate {first}"):
         gradient_check(lambda z: float(np.sum(z**2)), np.array(grad), x)
+
+
+def test_gradient_check_rejects_a_non_finite_value_at_the_probe():
+    # f(x) = inf would make every coordinate's round-off floor infinite and pass any gradient
+    x = np.array([0.0, 1.0])
+    with pytest.raises(DivergenceError, match="at the probe"):
+        gradient_check(lambda z: math.inf if z[0] == 0.0 else 1.0, np.zeros(2), x)
 
 
 def test_gradient_check_rejects_non_finite_difference():
