@@ -157,8 +157,7 @@ def fit_linear_autoencoder(
     centered = flat - mean
     _, svals, vt = np.linalg.svd(centered, full_matrices=True)
     scale = max(1.0, float(np.abs(flat).max()))
-    require(svals.size > 0 and svals[0] > 1e-12 * scale, "data", "images with zero variance",
-            "images that vary")
+    require(svals[0] > 1e-12 * scale, "data", "images with zero variance", "images that vary")
     leak = None
     discarded = pixel_count - latent_dim
     if leak_scale > 0.0 and discarded > 0:

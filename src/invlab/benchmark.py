@@ -28,7 +28,7 @@ from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, Mlp
                        mlp_shapes, train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError, InvlabError,
-                     check_fields, require, shown)
+                     SHOWN_CHARS, check_fields, require, shown)
 from .ilb import IlbConfig, ilb_optimize
 from .lbo import LboConfig, lbo_invert_trajectory
 from .metrics import psnr, ssim
@@ -157,8 +157,9 @@ def _parse_section(cls, doc, prefix: str):
                           f"got {shown(doc)}", key=section)
     hints = get_type_hints(cls)
     for key in doc:
-        if key not in hints:
-            raise ConfigError(f"unknown config key {prefix + key!r}", key=prefix + key)
+        if key not in hints:  # a path past SHOWN_CHARS ends in its last key's type and size
+            path = prefix + key if len(prefix + key) <= SHOWN_CHARS else prefix + shown(key)
+            raise ConfigError(f"unknown config key {shown(prefix + key)}", key=path)
     values = {key: _parse_section(hints[key], value, prefix + key + ".")
               if is_dataclass(hints[key]) else value for key, value in doc.items()}
     try:

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .errors import FormatError, is_int, require
+from .errors import FormatError, is_int, require, shown
 from .rng import derive_rng
 
 
@@ -105,7 +105,7 @@ def load_dataset(path) -> dict:
     if not isinstance(payload, dict):
         raise FormatError(f"dataset file {path} does not hold a JSON object")
     if payload.get("kind") != "shapes":
-        raise FormatError(f"dataset file {path} holds kind {payload.get('kind')!r}, not 'shapes'")
+        raise FormatError(f"dataset file {path} holds kind {shown(payload.get('kind'))}, not 'shapes'")
     if "images" not in payload:
         raise FormatError(f"dataset file {path} lacks 'images'")
     try:

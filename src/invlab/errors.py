@@ -31,7 +31,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 _INT_BOUND = 10 ** sys.get_int_max_str_digits() if sys.get_int_max_str_digits() else float("inf")
-_SHOWN_CHARS = 100  # the longest repr a refusal message repeats
+SHOWN_CHARS = 100  # the longest repr a refusal message repeats
 
 
 class InvlabError(Exception):
@@ -64,13 +64,13 @@ class FormatError(InvlabError):
 
 
 def shown(value) -> str:
-    """value as a refusal message writes it: its repr up to _SHOWN_CHARS characters, and past
+    """value as a refusal message writes it: its repr up to SHOWN_CHARS characters, and past
     that, or where repr fails, its type and size, so that no message repeats a large value."""
     try:
         text = repr(value)
     except (ValueError, RecursionError):  # an integer str() cannot write, bare or held, or a
         text = ""  # value nested almost as deep as the JSON parser goes
-    if 0 < len(text) <= _SHOWN_CHARS:
+    if 0 < len(text) <= SHOWN_CHARS:
         return text
     if type(value) is int:
         return f"an integer of {value.bit_length()} bits"

@@ -63,10 +63,14 @@ def openblas() -> dict:
 
 
 class _Tally:
-    """Pytest plugin: the passed and failed tests and each acceptance verdict line."""
+    """Pytest plugin: the collected count, the passed and failed tests and each acceptance
+    verdict line."""
 
     def __init__(self):
-        self.passed, self.failed, self.verdicts = 0, [], []
+        self.collected, self.passed, self.failed, self.verdicts = 0, 0, [], []
+
+    def pytest_collection_finish(self, session):
+        self.collected = len(session.items)
 
     def pytest_runtest_logreport(self, report):
         if report.failed:
@@ -82,8 +86,10 @@ def child(selection: list) -> None:
 
     tally = _Tally()
     pytest.main(["-q", "-p", "no:cacheprovider", *selection], plugins=[tally])
-    print(_RESULT + json.dumps({**openblas(), "passed": tally.passed, "failed": tally.failed,
-                                "verdicts": tally.verdicts}))
+    invlab = sys.modules.get("invlab")  # the copy the tests imported, if any did
+    print(_RESULT + json.dumps({**openblas(), "collected": tally.collected, "passed": tally.passed,
+                                "failed": tally.failed, "verdicts": tally.verdicts,
+                                "invlab": getattr(invlab, "__file__", None)}))
 
 
 def main(selection: list) -> int:

@@ -190,6 +190,18 @@ def test_orthonormality_tolerance_is_1e_10_on_each_entry_of_w_wt(index, gain):
         LinearAutoencoder(w, np.zeros(4), (2, 2, 1))
 
 
+def test_a_codec_exactly_at_its_tolerances_loads():
+    # W·Wᵀ − I may reach ±1e-10, and leak·Wᵀ 1e-10·max(1, max|leak|), but no further
+    for overlap in (1e-10, -1e-10):
+        LinearAutoencoder(np.array([[1.0, 0, 0, 0], [overlap, 1, 0, 0]]), np.zeros(4), (2, 2, 1))
+        with rejects("w"):
+            LinearAutoencoder(np.array([[1.0, 0, 0, 0], [1.5 * overlap, 1, 0, 0]]), np.zeros(4),
+                              (2, 2, 1))
+    LinearAutoencoder(np.eye(1, 4), np.zeros(4), (2, 2, 1), leak=np.array([[1e-10, 0, 0, 0]]))
+    with rejects("leak"):
+        LinearAutoencoder(np.eye(1, 4), np.zeros(4), (2, 2, 1), leak=np.array([[1.5e-10, 0, 0, 0]]))
+
+
 def test_constructor_rejects_a_codec_with_no_latents():
     # an oracle on 0 latents cannot be built, so neither is a codec that gives them
     with rejects("w"):

@@ -11,13 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (json_leaves, key_path, read_model_file, set_json_leaf, strict_json,
-                      widen_cemb, write_model_file)
+                      write_model_file)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import invlab.benchmark
-import invlab.denoiser
-from invlab import MlpDenoiser, make_linear_schedule
 from invlab.benchmark import METRIC_FIELDS, BenchmarkBackends, RunConfig, config_from_json_dict
 from invlab.cli import _COMMANDS, main
 from invlab.data import gen_dataset, save_dataset
@@ -55,7 +53,10 @@ def test_success_prints_sorted_json(capsys, small_cfg, tmp_path):
                         "--out", str(tmp_path / "o"))
     assert code == 0
     assert doc["kind"] == "shapes" and doc["n"] == 2
-    assert (tmp_path / "o" / "shapes.json").exists()
+    # and a second run writes the same file
+    run_cli(capsys, "gen-data", "--config", small_cfg, "--out", str(tmp_path / "b"))
+    assert (tmp_path / "o" / "shapes.json").read_bytes() == \
+        (tmp_path / "b" / "shapes.json").read_bytes()
 
 
 def test_library_error_prints_json_and_exits_2(capsys, small_cfg, tmp_path):
@@ -68,43 +69,16 @@ def test_library_error_prints_json_and_exits_2(capsys, small_cfg, tmp_path):
     assert isinstance(doc["context"], dict)
 
 
-# keys that were once settable, and one that never was; a config has no lbo section
-@pytest.mark.parametrize("doc,key", [({"stepz": 6}, "stepz"),
-                                     ({"lbo": {"n_grad_warmup": 5}}, "lbo"),
-                                     ({"lbo": {"max_iters": 3}}, "lbo"),
-                                     ({"denoiser": {"mu_scale": 0.5}}, "denoiser.mu_scale"),
-                                     ({"denoiser": {"eig_min": 0.7}}, "denoiser.eig_min"),
-                                     ({"denoiser": {"eig_max": 1.5}}, "denoiser.eig_max")],
-                         ids=["stepz", "lbo.n_grad_warmup", "lbo.max_iters", "denoiser.mu_scale",
-                              "denoiser.eig_min", "denoiser.eig_max"])
-def test_unknown_config_key_exits_2(capsys, tmp_path, doc, key):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, out = run_cli(capsys, "sample", "--config", str(path),
-                        "--out", str(tmp_path / "o"))
-    assert code == 2 and out["code"] == "config-error" and out["context"]["key"] == key
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("text", [b"{not json", b'{"seed": 1, "x": "\xff"}',
-                                  b"[" * 100_000 + b"]" * 100_000],
-                         ids=["not-json", "not-utf8", "nested-too-deep"])
-def test_unreadable_config_file_exits_2(capsys, tmp_path, text):
+@pytest.mark.parametrize("text,says", [(b"{not json", "not valid JSON"),
+                                       (b'{"seed": 1, "x": "\xff"}', "not valid JSON"),
+                                       (b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
+                                       (b"[1, 2]", "document must be a JSON object")],
+                         ids=["not-json", "not-utf8", "nested-too-deep", "not-an-object"])
+def test_unreadable_config_file_exits_2(capsys, tmp_path, text, says):
     path = tmp_path / "bad.json"
     path.write_bytes(text)
     code, out = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "o"))
-    assert code == 2 and out["code"] == "config-error" and "not valid JSON" in out["message"]
-
-
-def test_unknown_dataset_kind_exits_2(capsys, tmp_path):
-    path = tmp_path / "bad.json"
-    doc = dict(SMALL)
-    doc["dataset"] = {"kind": "fractal", "count": 2}
-    path.write_text(json.dumps(doc))
-    code, err = run_cli(capsys, "gen-data", "--config", str(path),
-                        "--out", str(tmp_path / "o"))
-    assert code == 2 and err["code"] == "config-error"
-    assert err["context"]["key"] == "dataset.kind"
+    assert code == 2 and out["code"] == "config-error" and says in out["message"]
 
 
 def test_unwritable_out_exits_3(capsys, small_cfg, tmp_path):
@@ -113,13 +87,6 @@ def test_unwritable_out_exits_3(capsys, small_cfg, tmp_path):
     code, doc = run_cli(capsys, "gen-data", "--config", small_cfg,
                         "--out", str(blocker / "sub"))
     assert code == 3 and doc["code"] == "io-error"
-
-
-@pytest.mark.parametrize("flags", [[], ["--no-ilb"]])
-def test_bad_method_flag_exits_2(capsys, small_cfg, tmp_path, flags):
-    code, doc = run_cli(capsys, "invert", "--config", small_cfg, *flags,
-                        "--method", "bogus", "--out", str(tmp_path / "o"))
-    assert code == 2 and doc["code"] == "config-error" and doc["context"]["key"] == "methods"
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
@@ -161,13 +128,6 @@ def test_help_still_exits_0(capsys):
 
 
 # ---------------------------------------------------------------- commands
-
-
-def test_gen_data_is_deterministic(capsys, small_cfg, tmp_path):
-    run_cli(capsys, "gen-data", "--config", small_cfg, "--out", str(tmp_path / "a"))
-    run_cli(capsys, "gen-data", "--config", small_cfg, "--out", str(tmp_path / "b"))
-    assert (tmp_path / "a" / "shapes.json").read_bytes() == \
-        (tmp_path / "b" / "shapes.json").read_bytes()
 
 
 def test_train_autoencoder_writes_loadable_model(capsys, small_cfg, tmp_path):
@@ -240,7 +200,7 @@ def test_sample_writes_trajectory_and_image(capsys, small_cfg, tmp_path):
     assert traj["entries"][0]["t"] == 60 and traj["entries"][-1]["t"] == 0
     img = np.asarray(json.loads((tmp_path / "o" / "sample.json").read_text())["image"])
     assert img.shape == (8, 8, 1)
-    assert img.min() >= 0.0 and img.max() <= 1.0
+    assert 0.0 <= img.min() < img.max() <= 1.0
 
 
 def test_invert_lbo_writes_step_reports(capsys, small_cfg, tmp_path):
@@ -278,15 +238,6 @@ def test_ilb_writes_report_trace_and_latent(capsys, small_cfg, tmp_path):
     assert doc["final_total"] <= report["initial_total"]
 
 
-def test_roundtrip_reports_metrics(capsys, small_cfg, tmp_path):
-    code, doc = run_cli(capsys, "roundtrip", "--config", small_cfg,
-                        "--method", "lbo-n", "--out", str(tmp_path / "o"))
-    assert code == 0
-    assert doc["roundtrip_l2_rel"] < 1e-8
-    on_disk = json.loads((tmp_path / "o" / "roundtrip.json").read_text())
-    assert on_disk == doc
-
-
 def test_report_plot_data_dedups_methods(capsys, tmp_path):
     doc = dict(SMALL)
     doc["methods"] = ["ddim", "lbo-n", "lbo-n+ilb"]
@@ -309,24 +260,13 @@ def test_report_plot_data_dedups_methods(capsys, tmp_path):
 def test_benchmark_command_and_flag_overrides(capsys, small_cfg, tmp_path):
     code, doc = run_cli(capsys, "benchmark", "--config", small_cfg,
                         "--out", str(tmp_path / "o"),
-                        "--steps", "4",
+                        "--steps", "4", "--method", "lbo-h",
                         "--dt", "5", "--seed", "123")
-    assert code == 0 and doc["rows"] == 4  # 2 instances x 2 methods
-    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    echoed = summary["config"]
-    assert echoed["steps"] == 4
-    assert echoed["ilb"]["dt"] == 5 and echoed["seed"] == 123
-
-
-def test_benchmark_method_flag_narrows_grid(capsys, small_cfg, tmp_path):
-    code, doc = run_cli(capsys, "benchmark", "--config", small_cfg,
-                        "--method", "lbo-h", "--out", str(tmp_path / "o"))
     assert code == 0 and doc["rows"] == 2  # 2 instances x 1 method
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    assert summary["config"]["methods"] == ["lbo-h"]
-    code, err = run_cli(capsys, "benchmark", "--config", small_cfg,
-                        "--method", "nope", "--out", str(tmp_path / "p"))
-    assert code == 2 and err["code"] == "config-error"
+    echoed = summary["config"]
+    assert echoed["steps"] == 4 and echoed["methods"] == ["lbo-h"]
+    assert echoed["ilb"]["dt"] == 5 and echoed["seed"] == 123
 
 
 def test_no_ilb_strips_and_dedups(capsys, tmp_path):
@@ -343,18 +283,6 @@ def test_no_ilb_strips_and_dedups(capsys, tmp_path):
     code, res = run_cli(capsys, "roundtrip", "--config", str(path), "--no-ilb",
                         "--method", "lbo-n+ilb", "--out", str(tmp_path / "r"))
     assert code == 0 and res["method"] == "lbo-n"
-
-
-def test_model_file_of_the_wrong_kind_exits_2(capsys, small_cfg, tmp_path):
-    code, _ = run_cli(capsys, "train-autoencoder", "--config", small_cfg,
-                      "--out", str(tmp_path / "o"))
-    assert code == 0
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({**SMALL, "denoiser": {
-        "kind": "mlp", "path": str(tmp_path / "o" / "autoencoder.labmdl")}}))
-    code, doc = run_cli(capsys, "roundtrip", "--config", str(path), "--out", str(tmp_path / "r"))
-    assert code == 2 and doc["code"] == "config-error"
-    assert doc["context"]["key"] == "denoiser.path" and "LinearAutoencoder" in doc["message"]
 
 
 def test_steps_flag_beyond_t_train_exits_2(capsys, small_cfg, tmp_path):
@@ -417,43 +345,6 @@ def test_model_file_whose_kind_is_not_a_string_exits_2(capsys, small_cfg, tmp_pa
     assert doc["context"]["key"] == "autoencoder.path" and str(ae) in doc["message"]
 
 
-def test_codec_file_with_no_latents_exits_2(capsys, tmp_path):
-    ae = tmp_path / "ae.labmdl"
-    header = {"kind": "linear-autoencoder", "dims": {"image_shape": [8, 8, 1]},
-              "arrays": [{"name": "w", "shape": [0, 64]}, {"name": "mean", "shape": [64]}]}
-    write_model_file(ae, header, bytes(8 * 64))
-    code, doc = run_cli(capsys, "roundtrip", "--config", _config_using(tmp_path, ae),
-                        "--out", str(tmp_path / "r"))
-    assert code == 2 and doc["code"] == "format-error"
-    assert doc["context"]["key"] == "autoencoder.path" and "w must be" in doc["message"], doc
-
-
-def test_codec_file_with_a_shape_numpy_cannot_build_exits_2(capsys, tmp_path):
-    # w holds no values, so the byte count passes, but NumPy builds no array of its shape
-    ae = tmp_path / "ae.labmdl"
-    header = {"kind": "linear-autoencoder", "dims": {"image_shape": [8, 8, 1]},
-              "arrays": [{"name": "w", "shape": [0, 10**30]}, {"name": "mean", "shape": [64]}]}
-    write_model_file(ae, header, bytes(8 * 64))
-    code, doc = run_cli(capsys, "roundtrip", "--config", _config_using(tmp_path, ae),
-                        "--out", str(tmp_path / "r"))
-    assert code == 2 and set(doc) == {"code", "message", "context"}
-    assert doc["code"] == "format-error" and doc["context"]["key"] == "autoencoder.path"
-    assert str(ae) in doc["message"] and "'w'" in doc["message"]
-
-
-def test_mlp_file_with_more_than_one_cemb_row_exits_2(capsys, tmp_path):
-    den = tmp_path / "mlp.labmdl"
-    p = invlab.denoiser._init_params(np.random.default_rng(0), 4, 8, SMALL["t_train"])
-    save_model(MlpDenoiser(p, make_linear_schedule(SMALL["t_train"], 1e-4, 0.02)), den)
-    widen_cemb(den, 3)
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({**SMALL, "denoiser": {"kind": "mlp", "path": str(den)}}))
-    code, doc = run_cli(capsys, "roundtrip", "--config", str(cfg), "--out", str(tmp_path / "r"))
-    assert code == 2 and set(doc) == {"code", "message", "context"}
-    assert doc["code"] == "format-error" and doc["context"]["key"] == "denoiser.path"
-    assert str(den) in doc["message"] and "cemb" in doc["message"]
-
-
 @pytest.mark.parametrize("key,array", [("autoencoder.path", "w"), ("autoencoder.path", "mean"),
                                        ("autoencoder.path", "leak"), ("denoiser.path", "mu"),
                                        ("denoiser.path", "sigma"), ("denoiser.path", "betas")])
@@ -495,6 +386,7 @@ def test_every_method_round_trips_the_analytic_oracle_with_finite_metrics(capsys
                         "--out", str(tmp_path / "o"))
     assert code == 0 and doc["method"] == method
     assert all(math.isfinite(doc[name]) for name in METRIC_FIELDS)
+    assert json.loads((tmp_path / "o" / "roundtrip.json").read_text()) == doc
 
 
 @pytest.mark.parametrize("command", ["roundtrip", "sample"])

@@ -17,14 +17,6 @@ from invlab import (
 )
 
 
-def test_shapes_deterministic_and_bounded():
-    a = make_shapes(6, seed=42)
-    b = make_shapes(6, seed=42)
-    np.testing.assert_array_equal(a, b)
-    assert a.shape == (6, 16, 16, 1)
-    assert a.min() >= 0.0 and a.max() <= 1.0
-
-
 def test_a_numpy_integer_seed_writes_the_bytes_of_its_int(tmp_path):
     save_dataset(gen_dataset(2, np.int64(3), 6, 6), tmp_path / "numpy.json")
     save_dataset(gen_dataset(2, 3, 6, 6), tmp_path / "int.json")
@@ -74,6 +66,7 @@ def test_gen_dataset_shapes_payload():
     d = gen_dataset(3, seed=5, height=8, width=8)
     assert d.keys() == {"kind", "seed", "images"} and d["kind"] == "shapes"
     assert np.asarray(d["images"]).shape == (3, 8, 8, 1)
+    assert np.asarray(gen_dataset(1, seed=5)["images"]).shape == (1, 16, 16, 1)  # the default
 
 
 def test_gen_dataset_rejects_bad_inputs():
@@ -91,15 +84,6 @@ def test_dataset_file_bytes_deterministic(tmp_path):
     assert p1.read_bytes().endswith(b"\n")
 
 
-def test_dataset_round_trip_shapes(tmp_path):
-    path = tmp_path / "shapes.json"
-    d = gen_dataset(4, seed=11)
-    save_dataset(d, path)
-    back = load_dataset(path)
-    np.testing.assert_array_equal(back["images"], np.asarray(d["images"]))
-    assert back["seed"] == 11
-
-
 def test_dataset_file_in_the_older_layout_loads_the_same_images(tmp_path):
     # older files repeated the image count and size beside the images
     d = gen_dataset(3, seed=4, height=6, width=7)
@@ -110,43 +94,31 @@ def test_dataset_file_in_the_older_layout_loads_the_same_images(tmp_path):
     assert back["seed"] == 4
 
 
-def test_load_dataset_rejects_unknown_kind(tmp_path):
-    path = tmp_path / "weird.json"
-    for kind in ('"mystery"', '"gauss2d"', '["shapes"]', "null"):
-        path.write_text(f'{{"kind": {kind}, "n": 1, "images": [[[[0.5]]]]}}\n')
-        with pytest.raises(FormatError, match="weird.json"):
-            load_dataset(path)
-    # a file without a kind is refused too
-    path.write_text('{"n": 1, "images": [[[[0.5]]]]}\n')
-    with pytest.raises(FormatError, match="weird.json"):
-        load_dataset(path)
-
-
 @pytest.mark.parametrize("text", [
     "not json",
     "[1, 2]",
+    '{"n": 1, "images": [[[[0.5]]]]}',
+    *(f'{{"kind": {kind}, "n": 1, "images": [[[[0.5]]]]}}'
+      for kind in ('"mystery"', '"gauss2d"', '["shapes"]', "null")),
+    pytest.param('{"kind": "' + "x" * 10_000 + '", "images": [[[[0.5]]]]}', id="long-kind"),
     '{"kind": "shapes", "n": 3}',
     '{"kind": "shapes", "images": []}',
     '{"kind": "shapes", "n": "3", "images": []}',
     '{"kind": "shapes", "n": 1, "images": [[1], [1, 2]]}',
     '{"kind": "shapes", "n": 1, "images": [[[0.5]]]}',
     '{"kind": "shapes", "n": 1, "images": [[[[0.5, 0.5]]]]}',
+    pytest.param('{"kind": "shapes", "images": [[[[1' + "0" * 309 + ']]]]}', id="huge-pixel"),
     '{"kind": "gauss2d", "samples": [[0.0, 1.0]], "labels": [0]}',
     '{"kind": "gauss2d", "samples": [["a", 1.0]], "labels": [0], "means": [[0.0, 0.0]]}',
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
 ])
 def test_load_dataset_rejects_malformed_file(tmp_path, text):
+    # named by its path, in a message that does not repeat a large value
     path = tmp_path / "bad.json"
     path.write_text(text)
-    with pytest.raises(FormatError, match="bad.json"):
+    with pytest.raises(FormatError, match="bad.json") as err:
         load_dataset(path)
-
-
-def test_pixel_too_large_for_a_float_is_format_error(tmp_path):
-    path = tmp_path / "huge.json"
-    path.write_text('{"kind": "shapes", "images": [[[[1' + "0" * 309 + ']]]]}')
-    with pytest.raises(FormatError, match="huge.json"):
-        load_dataset(path)
+    assert len(str(err.value)) < 300 + len(str(path))
 
 
 @pytest.fixture(scope="module")

@@ -221,16 +221,22 @@ def test_mlp_train_determinism():
     assert any(not np.array_equal(a.params[k], c.params[k]) for k in a.params)
 
 
-# cemb holds exactly one row: a file from a class-labelled model has more
+# cemb holds exactly one row: a file from a class-labelled model has more; a shape of None
+# leaves the array out
 @pytest.mark.parametrize("name,shape", [("cemb", (0, 5)), ("cemb", ()), ("w1", (3, 5)),
-                                        ("temb", (19, 5)), ("w2", (5, 4)), ("cemb", (3, 5))])
+                                        ("temb", (19, 5)), ("w2", (5, 4)), ("cemb", (3, 5)),
+                                        ("b2", None)])
 def test_mlp_reads_its_sizes_from_its_arrays(name, shape):
     sched = make_linear_schedule(20, 1e-3, 0.05)
     p = invlab.denoiser._init_params(np.random.default_rng(25), 3, 5, 20)
     model = MlpDenoiser(p, sched)
     assert (model.latent_dim, model.width) == (3, 5)
+    if shape is None:
+        del p[name]
+    else:
+        p[name] = np.zeros(shape)
     with rejects(name):
-        MlpDenoiser({**p, name: np.zeros(shape)}, sched)
+        MlpDenoiser(p, sched)
 
 
 def test_mlp_rejects_empty_and_misshapen_data():
@@ -239,6 +245,8 @@ def test_mlp_rejects_empty_and_misshapen_data():
         train_mlp_denoiser(np.empty((0, 2)), sched, MlpTrainConfig())
     with rejects("data"):
         train_mlp_denoiser(np.zeros((4, 2, 2)), sched, MlpTrainConfig())
+    # one example of one coordinate is enough
+    assert train_mlp_denoiser(np.ones((1, 1)), sched, MlpTrainConfig(max_epochs=0)).latent_dim == 1
 
 
 def test_mlp_divergence_names_epoch():

@@ -228,7 +228,8 @@ def test_trace_rows_are_post_step_and_one_indexed(uncond):
     _, rep = ilb_optimize(imgs[0], ae, model, sched, perc, cfg, uncond)
     assert len(rep.trace) == rep.iters_used
     assert [row[0] for row in rep.trace] == list(range(1, rep.iters_used + 1))
-    for _, l_con, l_reg, total in rep.trace:
+    initial = (rep.initial_con, rep.initial_reg, rep.initial_total)
+    for l_con, l_reg, total in [initial] + [row[1:] for row in rep.trace]:
         assert total == pytest.approx(l_con + l_reg, abs=1e-12)
 
 
@@ -240,11 +241,25 @@ def test_best_iterate_guarantee(uncond):
     assert rep.final_total <= min(row[3] for row in rep.trace) + 1e-15
 
 
-def test_early_stop_patience(uncond):
+def test_early_stop_patience(uncond, monkeypatch):
+    # the run stops after the first five consecutive steps that gain less than rel_tol; at
+    # 1e-3 a step that gains more comes between stalled ones and starts the count again
     sched, imgs, ae, model, perc = _linear_setup(seed=6)
-    cfg = IlbConfig(lr=0.05, max_iters=50, dt=2, rel_tol=1.0)
-    _, rep = ilb_optimize(imgs[0], ae, model, sched, perc, cfg, uncond)
-    assert rep.iters_used == 5
+    for rel_tol in (1.0, 1e-3):
+        cfg = IlbConfig(lr=0.05, max_iters=50, dt=2, rel_tol=rel_tol)
+        _, rep = ilb_optimize(imgs[0], ae, model, sched, perc, cfg, uncond)
+        totals = [rep.initial_total] + [row[3] for row in rep.trace]
+        stalled = "".join("s" if (a - b) / abs(a) < rel_tol else "."
+                          for a, b in zip(totals, totals[1:]))
+        assert stalled.find("sssss") + 5 == rep.iters_used, stalled
+    # a gain is measured against a loss of at least 1e-12: 1.5e-12 -> 1e-12 gains a third
+    # and starts no count, and the five steps at 1e-12 (or at 0) that follow end the run
+    for last in (1e-12, 0.0):
+        totals = iter([1.5e-12] + [last] * 50)
+        monkeypatch.setattr(invlab.ilb, "_loss_and_grad",
+                            lambda *args: (0.0, 0.0, next(totals), np.zeros(16)))
+        cfg = IlbConfig(lr=0.05, max_iters=50, dt=2, rel_tol=0.3)
+        assert ilb_optimize(imgs[0], ae, model, sched, perc, cfg, uncond)[1].iters_used == 6
 
 
 def test_optimize_input_validation(x0, ident, perc, uncond):

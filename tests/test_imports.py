@@ -28,7 +28,9 @@ annotation. No module but dynamics.py calls `Trajectory(...)`, and there only
 
 import ast
 import builtins
+import functools
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -312,3 +314,26 @@ def test_lint_scope_names_an_existing_file(scope):
                               for path in scope])
 def test_source_file_passes_its_lint(checker, path):
     assert checker(path.read_text(encoding="utf-8")) == []
+
+
+def test_mutation_harness_draws_one_sample_whose_every_mutant_compiles():
+    # tests/mutate.py is a script pytest does not collect; this runs none of its mutants
+    spec = importlib.util.spec_from_file_location("mutate", ROOT / "tests" / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    trees = mutate.parsed()
+    sample = mutate.draw(trees)
+    assert mutate.draw(mutate.parsed()) == sample and len(sample) >= mutate.SIZE
+    listed = {module: mutate.sites(tree) for module, tree in trees.items()}
+    control = functools.cache(ast.unparse)  # many sites share a statement
+    for module, k, _ in sample:
+        # the statement of the module that holds the site, as the mutant writes it
+        site = listed[module][k]
+        top = next(stmt for stmt in trees[module].body if site.line <= stmt.end_lineno)
+        source = mutate.mutated(top, site)
+        assert source != control(top)
+        compile(source, module, "exec")
+    # the count check of a dataset section, turned off
+    assert any(site.change == "require -> pass" and ast.unparse(site.holder[site.key])
+               == "require(self.count >= 1, 'count', self.count, 'an integer >= 1')"
+               for site in listed["benchmark.py"])

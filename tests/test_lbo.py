@@ -258,7 +258,7 @@ def test_a_residual_equal_to_tol_is_not_converged_and_runs_another_sweep(uncond)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("mode", "annealed"), ("max_iters", -1), ("max_iters", True),  # bool is not an int
+    ("mode", "annealed"), ("mode", 1), ("max_iters", -1), ("max_iters", True),  # bool: no int
     ("tol", 0.0), ("tol", math.inf), ("tol", math.nan),
     ("lr", 0.0), ("lr", -1e-3), ("lr", math.inf), ("lr", math.nan),
     ("tol", "x"), ("tol", True), ("lr", "x"), ("lr", True)])  # True is no number

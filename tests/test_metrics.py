@@ -19,6 +19,7 @@ from invlab import (
     trajectory_divergence,
 )
 import invlab.perceptual
+from invlab.metrics import _window_matrices
 from invlab.perceptual import _conv_forward, _conv_input_vjp, _patch_index
 
 
@@ -170,6 +171,8 @@ def test_perceptual_seed_determinism():
     c = RandomConvPerceptual((8, 8, 1), seed=4)
     assert a.distance(x, y) == b.distance(x, y)
     assert a.distance(x, y) != c.distance(x, y)
+    # a seed's weights are fixed: read-only
+    assert not any(w.flags.writeable for w in (a.k1, a.b1, a.k2, a.b2))
 
 
 def test_perceptual_rejects_tiny_images():
@@ -300,6 +303,10 @@ def test_patch_index_tables_are_cached_and_read_only():
     assert _patch_index(2, 6, 5) is table
     with pytest.raises(ValueError):
         table[0, 0] = 0
+    # so are SSIM's window matrices, windowed (16x16) and global (5x5)
+    for size in [(16, 16), (5, 5)]:
+        mats = _window_matrices(*size)
+        assert _window_matrices(*size) is mats and not any(m.flags.writeable for m in mats)
 
 
 @pytest.mark.parametrize("shape", [(16, 12, 3), (9, 7, 2), (6, 9, 2), (11, 8)])

@@ -62,10 +62,11 @@ def test_linear_interpolation_endpoints():
     np.testing.assert_allclose(diffs, diffs[0], rtol=1e-9)
 
 
-# (t_train, beta_start, beta_end) -> the argument named in the error
+# (t_train, beta_start, beta_end) -> the argument named in the error; one step uses only
+# beta_start, but beta_end must still be below 1
 BAD_SCHEDULES = {(0, 0.1, 0.1): "t_train", (3, 0.0, 0.1): "beta_start", (3, 0.2, 0.1): "beta_end",
                  (3, 0.1, 1.0): "beta_end", (3, -0.1, 0.5): "beta_start",
-                 (3, 1.0, 1.0): "beta_start"}
+                 (3, 1.0, 1.0): "beta_start", (1, 0.5, 1.5): "beta_end"}
 
 
 @pytest.mark.parametrize("t_train,b0,b1", list(BAD_SCHEDULES))
