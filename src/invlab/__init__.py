@@ -10,8 +10,8 @@ from .autoencoder import LinearAutoencoder, fit_linear_autoencoder, identity_aut
 from .benchmark import (BenchmarkRow, RunConfig, config_from_json_dict, load_config,
                         parse_method, run_benchmark)
 from .data import gen_dataset, load_dataset, make_shapes, save_dataset
-from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpDenoiser,
-                       MlpTrainConfig, train_mlp_denoiser)
+from .denoiser import (DenoiserInterface, LinearGaussianDenoiser, MlpDenoiser, MlpTrainConfig,
+                       train_mlp_denoiser)
 from .dynamics import (Trajectory, ddim_invert_step, ddim_invert_trajectory, generate_step,
                        generate_trajectory, walk)
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError,

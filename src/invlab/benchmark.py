@@ -24,13 +24,14 @@ import numpy as np
 from .autoencoder import (MAX_CODEC_BYTES, LinearAutoencoder, fit_linear_autoencoder,
                           identity_autoencoder, require_codec_size)
 from .data import load_dataset, make_shapes
-from .denoiser import (Condition, DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig,
-                       mlp_shapes, train_mlp_denoiser)
+from .denoiser import (DenoiserInterface, LinearGaussianDenoiser, MlpTrainConfig, mlp_shapes,
+                       train_mlp_denoiser)
 from .dynamics import ddim_invert_trajectory, generate_trajectory
 from .errors import (ConfigError, DivergenceError, FormatError, InvalidParameterError, InvlabError,
                      SHOWN_CHARS, check_fields, require, shown)
 from .ilb import IlbConfig, ilb_optimize
-from .lbo import LboConfig, lbo_invert_trajectory
+from . import lbo
+from .lbo import LboConfig
 from .metrics import psnr, ssim
 from .modelio import load_model
 from .perceptual import RandomConvPerceptual
@@ -238,7 +239,8 @@ class BenchmarkBackends:
         self.ae = build_autoencoder(cfg, fit_images)
         self.model = build_denoiser(cfg, self.sched, self.ae, fit_images)
         self.perc = RandomConvPerceptual((ds.height, ds.width, 1))
-        self.condition = Condition()
+        # invbench/test_invbench.py passes b.condition to eval and vjp, which ignore it
+        self.condition = None
 
 
 def _load_instance_images(cfg: RunConfig) -> np.ndarray:
@@ -327,20 +329,25 @@ def build_denoiser(cfg: RunConfig, sched, ae, fit_images: np.ndarray):
 def start_latent(b: BenchmarkBackends, x0: np.ndarray, use_ilb: bool) -> np.ndarray:
     """The image's latent: boosted by ILB when asked, else the plain encoding."""
     if use_ilb:
-        return ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, b.ilb_cfg, b.condition)[0]
+        return ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, b.ilb_cfg)[0]
     return b.ae.encode(x0)
+
+
+# invbench/bench_layers.py's `_lbo_note` reads cfg as args[5]; c is ignored
+def lbo_invert_trajectory(model, sched, grid, z_0, c, cfg):
+    return lbo.lbo_invert_trajectory(model, sched, grid, z_0, cfg)
 
 
 def invert_latent(b: BenchmarkBackends, z0: np.ndarray, base: str):
     """Invert z0 over the grid with a base method; returns (trajectory, step reports)."""
     if base == "ddim":
-        return ddim_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition), []
-    return lbo_invert_trajectory(b.model, b.sched, b.grid, z0, b.condition, LBO_CONFIGS[base])
+        return ddim_invert_trajectory(b.model, b.sched, b.grid, z0), []
+    return lbo_invert_trajectory(b.model, b.sched, b.grid, z0, None, LBO_CONFIGS[base])
 
 
 def replay(b: BenchmarkBackends, z_t: np.ndarray):
     """The generation trajectory from z_t at t_train down to 0."""
-    return generate_trajectory(b.model, b.sched, b.grid, z_t, b.condition)
+    return generate_trajectory(b.model, b.sched, b.grid, z_t)
 
 
 def score_latent(backends: BenchmarkBackends, x0: np.ndarray, z0: np.ndarray) -> tuple:

@@ -148,7 +148,7 @@ def cmd_ilb(cfg: RunConfig, out: Path) -> dict:
     """Boost one instance's image latent; write report, trace CSV and latent."""
     b = BenchmarkBackends(cfg)
     x0 = b.images[0]
-    z0_opt, report = ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, b.ilb_cfg, b.condition)
+    z0_opt, report = ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, b.ilb_cfg)
     rep_path = out / "ilb_report.json"
     write_json(rep_path, {**asdict(report),
                           "trace": [dict(zip(TRACE_COLUMNS, row)) for row in report.trace]})

@@ -1,4 +1,4 @@
-"""Noise predictors F(z, t, c), each written once as `linearize`.
+"""Noise predictors F(z, t), each written once as `linearize`.
 
 Backends:
   - LinearGaussianDenoiser: exact oracle. For data ~ N(mu, Sigma) the noisy
@@ -10,13 +10,10 @@ Backends:
     hidden layer; forward and reverse passes are hand-rolled NumPy so the
     input vjp is exact and bit-reproducible.
 
-Every model is unconditional: the condition `c` that each method takes
-carries nothing.
-
-`linearize(z, t, c)` returns the prediction at z together with its pullback
-v ↦ vᵀ·(∂F/∂z), so a solver that needs both at one point pays for one
-forward pass. It is the one method a backend implements: `eval` is its first
-half and `vjp` applies its second once.
+Every model is unconditional. `linearize(z, t)` returns the prediction at z
+together with its pullback v ↦ vᵀ·(∂F/∂z), so a solver that needs both at one
+point pays for one forward pass. It is the one method a backend implements:
+`eval` is its first half and `vjp` applies its second once.
 """
 
 from __future__ import annotations
@@ -34,28 +31,25 @@ from .rng import derive_rng
 from .schedule import NoiseSchedule
 
 
-@dataclass(frozen=True)
-class Condition:
-    """The conditioning input of the unconditional models here: it holds nothing."""
-
-
 class DenoiserInterface(ABC):
     """The ε-predictor contract: a backend implements `linearize` alone."""
 
     latent_dim: int
 
     @abstractmethod
-    def linearize(self, z: np.ndarray, t: int, c: Condition):
-        """(F(z, t, c), v ↦ vᵀ·(∂F/∂z)): the predicted noise for latent z at timestep t
-        under condition c, and its pullback at z, which checks v's shape."""
+    def linearize(self, z: np.ndarray, t: int):
+        """(F(z, t), v ↦ vᵀ·(∂F/∂z)): the predicted noise for latent z at timestep t and
+        its pullback at z, which checks v's shape."""
 
-    def eval(self, z: np.ndarray, t: int, c: Condition) -> np.ndarray:
-        """F(z, t, c), the prediction of `linearize`."""
-        return self.linearize(z, t, c)[0]
+    # c=None: invbench/test_invbench.py passes `b.condition` as a third argument; c is ignored
+    def eval(self, z: np.ndarray, t: int, c=None) -> np.ndarray:
+        """F(z, t), the prediction of `linearize`."""
+        return self.linearize(z, t)[0]
 
-    def vjp(self, z: np.ndarray, t: int, c: Condition, v: np.ndarray) -> np.ndarray:
+    # c: invbench/test_invbench.py calls vjp(z, t, b.condition, v); c is ignored
+    def vjp(self, z: np.ndarray, t: int, c, v: np.ndarray) -> np.ndarray:
         """vᵀ·(∂F/∂z), the pullback of `linearize`."""
-        return self.linearize(z, t, c)[1](v)
+        return self.linearize(z, t)[1](v)
 
 
 class LinearGaussianDenoiser(DenoiserInterface):
@@ -119,7 +113,7 @@ class LinearGaussianDenoiser(DenoiserInterface):
         self._maps[t] = jac, off
         return jac, off
 
-    def linearize(self, z, t, c):
+    def linearize(self, z, t):
         z = require_shape(z, (self.latent_dim,), "z")
         jac, off = self._affine_map(t)
         return jac @ z - off, functools.partial(self._pullback, jac)
@@ -188,7 +182,7 @@ class MlpDenoiser(DenoiserInterface):
                 "final_loss", final_loss, "None or a finite number >= 0")
         self.final_loss = final_loss
 
-    def linearize(self, z, t, c):
+    def linearize(self, z, t):
         z = require_shape(z, (self.latent_dim,), "z")
         self.sched._check_t(t)
         h1, h2, eps = _batch_forward(self.params, z, t - 1)

@@ -2,8 +2,8 @@
 
 One backward transition on the grid pair (t_prev, t) is
 
-    z_{t_prev} = φ_t·z_t + ψ_t·F(z_t, t, c)                (generation)
-    z_t       = (1/φ_t)·z_{t_prev} − (ψ_t/φ_t)·F(z_{t_prev}, t, c)   (inversion)
+    z_{t_prev} = φ_t·z_t + ψ_t·F(z_t, t)                (generation)
+    z_t       = (1/φ_t)·z_{t_prev} − (ψ_t/φ_t)·F(z_{t_prev}, t)   (inversion)
 
 with F the model's prediction. The inversion step evaluates the model at the
 *target* timestep t; for a constant model the two maps are exact inverses.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Condition, DenoiserInterface
+from .denoiser import DenoiserInterface
 from .errors import is_int, require
 from .schedule import NoiseSchedule, StepCoefficients, TimestepGrid, coefficients
 
@@ -78,30 +78,29 @@ def walk(grid: TimestepGrid, z: np.ndarray, direction: str, step) -> Trajectory:
     return Trajectory(latents, direction, grid)
 
 
-def generate_step(model: DenoiserInterface, co: StepCoefficients, z_t: np.ndarray,
-                  c: Condition) -> np.ndarray:
+def generate_step(model: DenoiserInterface, co: StepCoefficients, z_t: np.ndarray) -> np.ndarray:
     """One backward transition co.t -> co.t_prev."""
     z_t = np.asarray(z_t, dtype=np.float64)
-    return co.generate(z_t, model.eval(z_t, co.t, c))
+    return co.generate(z_t, model.eval(z_t, co.t))
 
 
-def ddim_invert_step(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
-                     c: Condition) -> np.ndarray:
+def ddim_invert_step(model: DenoiserInterface, co: StepCoefficients,
+                     z_prev: np.ndarray) -> np.ndarray:
     """One inversion transition co.t_prev -> co.t (exact algebraic reversal of
     the deterministic generation step under the adjacent-step approximation)."""
     z_prev = np.asarray(z_prev, dtype=np.float64)
-    return co.invert(z_prev, model.eval(z_prev, co.t, c))
+    return co.invert(z_prev, model.eval(z_prev, co.t))
 
 
 def generate_trajectory(model: DenoiserInterface, sched: NoiseSchedule, grid: TimestepGrid,
-                        z_T: np.ndarray, c: Condition) -> Trajectory:
+                        z_T: np.ndarray) -> Trajectory:
     """Full deterministic sweep from z_T down to z_0 along the grid."""
     return walk(grid, z_T, GENERATION, lambda z, t_prev, t: generate_step(
-        model, coefficients(sched, t, t_prev), z, c))
+        model, coefficients(sched, t, t_prev), z))
 
 
 def ddim_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule, grid: TimestepGrid,
-                           z_0: np.ndarray, c: Condition) -> Trajectory:
+                           z_0: np.ndarray) -> Trajectory:
     """Full inversion sweep from z_0 up to z_T along the grid."""
     return walk(grid, z_0, INVERSION, lambda z, t_prev, t: ddim_invert_step(
-        model, coefficients(sched, t, t_prev), z, c))
+        model, coefficients(sched, t, t_prev), z))

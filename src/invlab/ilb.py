@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .autoencoder import LinearAutoencoder
-from .denoiser import Condition, DenoiserInterface
+from .denoiser import DenoiserInterface
 from .errors import DivergenceError, check_fields, require
 from .metrics import ssim_with_grad
 from .optim import AdamState, adam_step
@@ -79,11 +79,11 @@ def _con_value_and_grad(x0, z, ae, perc_ref, weights):
     return value, ae.decoder_vjp(z, gx)
 
 
-def _reg_value_and_grad(model, co, z, c):
+def _reg_value_and_grad(model, co, z):
     # co: the 0 -> δt skip; z goes up to δt and straight back, both legs through F(·, δt)
-    eps, back = model.linearize(z, co.t, c)
+    eps, back = model.linearize(z, co.t)
     z_dt = co.invert(z, eps)
-    eps_dt, back_dt = model.linearize(z_dt, co.t, c)
+    eps_dt, back_dt = model.linearize(z_dt, co.t)
     r = z - co.generate(z_dt, eps_dt)
     value = float(np.mean(np.abs(r)))
     s = np.sign(r) / r.size
@@ -95,20 +95,20 @@ def _reg_value_and_grad(model, co, z, c):
 
 def ilb_loss_and_grad(x0: np.ndarray, z0: np.ndarray, ae: LinearAutoencoder,
                       model: DenoiserInterface, sched: NoiseSchedule,
-                      perc: RandomConvPerceptual, cfg: IlbConfig,
-                      c: Condition) -> tuple[float, float, float, np.ndarray]:
+                      perc: RandomConvPerceptual, cfg: IlbConfig
+                      ) -> tuple[float, float, float, np.ndarray]:
     """(l_con, l_reg, total, ∇_{z0} total) at one point of the boosting objective.
 
     The regularizer is always evaluated; with use_reg=False it is excluded
     from the total and its gradient.
     """
     skip = skip_coefficients(sched, cfg.dt)
-    return _loss_and_grad(x0, z0, ae, model, skip, perc.reference(x0), cfg, c)
+    return _loss_and_grad(x0, z0, ae, model, skip, perc.reference(x0), cfg)
 
 
-def _loss_and_grad(x0, z0, ae, model, skip, perc_ref, cfg, c):
+def _loss_and_grad(x0, z0, ae, model, skip, perc_ref, cfg):
     l_con, g_con = _con_value_and_grad(x0, z0, ae, perc_ref, cfg.weights)
-    l_reg, g_reg = _reg_value_and_grad(model, skip, z0, c)
+    l_reg, g_reg = _reg_value_and_grad(model, skip, z0)
     if cfg.use_reg:
         return l_con, l_reg, l_con + l_reg, g_con + g_reg
     return l_con, l_reg, l_con, g_con
@@ -116,7 +116,7 @@ def _loss_and_grad(x0, z0, ae, model, skip, perc_ref, cfg, c):
 
 def ilb_optimize(x0: np.ndarray, ae: LinearAutoencoder, model: DenoiserInterface,
                  sched: NoiseSchedule, perc: RandomConvPerceptual,
-                 cfg: IlbConfig, c: Condition) -> tuple[np.ndarray, IlbReport]:
+                 cfg: IlbConfig) -> tuple[np.ndarray, IlbReport]:
     """Adam refinement of encode(x0); returns the lowest-loss iterate.
 
     The regularizer is always evaluated for reporting; with use_reg=False it
@@ -134,7 +134,7 @@ def ilb_optimize(x0: np.ndarray, ae: LinearAutoencoder, model: DenoiserInterface
     perc_ref = perc.reference(x0)  # x0's share of the perceptual metric, once per run
 
     def evaluate(z):
-        return _loss_and_grad(x0, z, ae, model, skip, perc_ref, cfg, c)
+        return _loss_and_grad(x0, z, ae, model, skip, perc_ref, cfg)
 
     l_con, l_reg, total, grad = evaluate(z)
     if not np.isfinite(total):

@@ -1,6 +1,6 @@
 """Per-step latent bias optimization for inverting deterministic sampling.
 
-One generation transition maps z_t to z_prev = φ·z_t + ψ·F(z_t, t, c).
+One generation transition maps z_t to z_prev = φ·z_t + ψ·F(z_t, t).
 Inverting the transition exactly means solving a fixed-point problem in z_t;
 the plain reverse step approximates F at the wrong point. Here the unknown is the
 bias b = z_t − z_prev, and its residual r(b) = generate(z_prev + b) − z_prev is
@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .denoiser import Condition, DenoiserInterface
+from .denoiser import DenoiserInterface
 from .dynamics import INVERSION, Trajectory, ddim_invert_step, walk
 from .errors import DivergenceError, check_fields, require
 from .optim import AdamState, adam_step
@@ -74,13 +74,13 @@ class LboStepReport:
 
 
 def lbo_numerical_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
-                          c: Condition, b: np.ndarray) -> tuple[np.ndarray, float]:
+                          b: np.ndarray) -> tuple[np.ndarray, float]:
     """One fixed-point sweep b ← b − r(b); returns (b − r, ‖r‖∞), r the residual at b.
 
     A fixed point b* has r(b*) = 0: (z_prev, z_prev + b*) is an exact generation pair.
     """
     z = z_prev + b
-    r = co.generate(z, model.eval(z, co.t, c)) - z_prev
+    r = co.generate(z, model.eval(z, co.t)) - z_prev
     residual = float(np.abs(r).max())  # a NaN or ±inf anywhere in r reaches the max
     if not math.isfinite(residual):
         raise DivergenceError("numerical sweep produced non-finite bias", t=co.t)
@@ -88,14 +88,14 @@ def lbo_numerical_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev
 
 
 def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
-                       c: Condition, b: np.ndarray) -> tuple[float, np.ndarray, float]:
+                       b: np.ndarray) -> tuple[float, np.ndarray, float]:
     """J(b) = mean|r(b)|, its exact gradient and ‖r(b)‖∞.
 
     r(b) = generate(z_prev + b) − z_prev, so the chain rule only passes through
     one denoiser evaluation.
     """
     z = z_prev + b
-    eps, pullback = model.linearize(z, co.t, c)
+    eps, pullback = model.linearize(z, co.t)
     r = co.generate(z, eps) - z_prev
     s = np.sign(r)
     grad = co.generate(s, pullback(s)) / r.size
@@ -104,11 +104,10 @@ def objective_and_grad(model: DenoiserInterface, co: StepCoefficients, z_prev: n
     return float(np.add.reduce(a) / r.size), grad, float(a.max())
 
 
-def lbo_gradient_iterate(model: DenoiserInterface, co: StepCoefficients,
-                         z_prev: np.ndarray, c: Condition, b: np.ndarray,
-                         state: AdamState) -> tuple[np.ndarray, AdamState, float]:
+def lbo_gradient_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
+                         b: np.ndarray, state: AdamState) -> tuple[np.ndarray, AdamState, float]:
     """One Adam step on J(b); returns (b_next, state, ‖r‖∞ at the pre-step b)."""
-    _, grad, residual = objective_and_grad(model, co, z_prev, c, b)
+    _, grad, residual = objective_and_grad(model, co, z_prev, b)
     if not math.isfinite(residual):  # a NaN or ±inf anywhere in r reaches the max
         raise DivergenceError("gradient objective became non-finite", t=co.t)
     b_next, state = adam_step(state, b, grad)
@@ -116,8 +115,8 @@ def lbo_gradient_iterate(model: DenoiserInterface, co: StepCoefficients,
 
 
 def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.ndarray,
-                    t_prev: int, t: int, c: Condition,
-                    cfg: LboConfig = LboConfig()) -> tuple[np.ndarray, LboStepReport]:
+                    t_prev: int, t: int, cfg: LboConfig = LboConfig()
+                    ) -> tuple[np.ndarray, LboStepReport]:
     """Invert one transition; returns (z_t, step report).
 
     With max_iters=0 this returns the unrefined one-shot inversion unchanged.
@@ -127,7 +126,7 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
     names the iterations run, `iters`.
     """
     co = coefficients(sched, t, t_prev)
-    y0 = ddim_invert_step(model, co, z_prev, c)
+    y0 = ddim_invert_step(model, co, z_prev)
     if cfg.max_iters == 0:
         return y0, LboStepReport(t=t, iters=0, residual=float("inf"), converged=False)
     b = y0 - z_prev
@@ -139,28 +138,27 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
         while k < cfg.max_iters and residual >= cfg.tol:
             k += 1
             if k <= n_adam:
-                b, state, residual = lbo_gradient_iterate(model, co, z_prev, c, b, state)
+                b, state, residual = lbo_gradient_iterate(model, co, z_prev, b, state)
             else:
-                b, residual = lbo_numerical_iterate(model, co, z_prev, c, b)
+                b, residual = lbo_numerical_iterate(model, co, z_prev, b)
     except DivergenceError as e:
         raise DivergenceError(str(e), t=t, iteration=k) from None
     # the report describes the z_t returned, not the iterate the last iteration started from
     z_t = z_prev + b
-    residual = float(np.abs(co.generate(z_t, model.eval(z_t, co.t, c)) - z_prev).max())
+    residual = float(np.abs(co.generate(z_t, model.eval(z_t, co.t)) - z_prev).max())
     if not math.isfinite(residual):
         raise DivergenceError("residual at the returned z_t is non-finite", t=t, iters=k)
     return z_t, LboStepReport(t=t, iters=k, residual=residual, converged=residual < cfg.tol)
 
 
-def lbo_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule,
-                          grid: TimestepGrid, z_0: np.ndarray, c: Condition,
-                          cfg: LboConfig = LboConfig()
+def lbo_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule, grid: TimestepGrid,
+                          z_0: np.ndarray, cfg: LboConfig = LboConfig()
                           ) -> tuple[Trajectory, list[LboStepReport]]:
     """Run refined inversion across the whole grid, from data to noise."""
     reports = []
 
     def step(z, t_prev, t):
-        z_t, report = lbo_invert_step(model, sched, z, t_prev, t, c, cfg)
+        z_t, report = lbo_invert_step(model, sched, z, t_prev, t, cfg)
         reports.append(report)
         return z_t
     return walk(grid, z_0, INVERSION, step), reports

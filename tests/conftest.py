@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from invlab import (
-    Condition,
     DenoiserInterface,
     DivergenceError,
     InvalidParameterError,
@@ -65,13 +64,8 @@ def default_sched():
     return make_linear_schedule(100, 1e-4, 0.05)
 
 
-@pytest.fixture
-def uncond():
-    return Condition()
-
-
 class ConstantDenoiser(DenoiserInterface):
-    """F(z, t, c) == value for every input; Jacobian is zero."""
+    """F(z, t) == value for every input; Jacobian is zero."""
 
 
     def __init__(self, latent_dim: int, value: float | np.ndarray = 0.0):
@@ -84,21 +78,21 @@ class ConstantDenoiser(DenoiserInterface):
         val.setflags(write=False)
         self.value = val
 
-    def linearize(self, z, t, c):
+    def linearize(self, z, t):
         require_shape(z, (self.latent_dim,), "z")
         return self.value.copy(), lambda v: np.zeros_like(
             require_shape(v, (self.latent_dim,), "v"))
 
 
 class ScalingDenoiser(DenoiserInterface):
-    """F(z, t, c) = scale · z at every timestep; Jacobian is scale·I."""
+    """F(z, t) = scale · z at every timestep; Jacobian is scale·I."""
 
 
     def __init__(self, latent_dim: int, scale: float):
         self.latent_dim = int(latent_dim)
         self.scale = float(scale)
 
-    def linearize(self, z, t, c):
+    def linearize(self, z, t):
         return (self.scale * require_shape(z, (self.latent_dim,), "z"),
                 lambda v: self.scale * require_shape(v, (self.latent_dim,), "v"))
 
@@ -174,7 +168,7 @@ def spectral_form(model, t):
 
 def jacobian(model, z, t):
     """∂F/∂z at (z, t) through the public linearize: row i is the pullback of e_i."""
-    _, pullback = model.linearize(z, t, Condition())
+    _, pullback = model.linearize(z, t)
     return np.stack([pullback(e) for e in np.eye(model.latent_dim)])
 
 
@@ -182,7 +176,7 @@ def affine_map(model, t):
     """(J_t, o_t) of a model whose prediction is affine, eval(z, t) = J_t·z − o_t:
     o_t = −eval(0, t), and J_t is the Jacobian anywhere."""
     zero = np.zeros(model.latent_dim)
-    return jacobian(model, zero, t), -model.eval(zero, t, Condition())
+    return jacobian(model, zero, t), -model.eval(zero, t)
 
 
 def exact_step(model, co, z_prev):
@@ -199,11 +193,11 @@ def newton_preimage(model, co, z_prev):
     step, keeping the iterate of least ‖r‖∞, until ‖r‖∞ < 1e-12 or 15 evaluations. (At
     1e-8 the kept iterate replays only to about 3e-9 on the trained MLP, as coarse as the
     sweeps it is the reference for; 1e-12 costs it 0.5 to 1 more evaluation per step.)"""
-    c, eye = Condition(), np.eye(model.latent_dim)
-    z = ddim_invert_step(model, co, z_prev, c)
+    eye = np.eye(model.latent_dim)
+    z = ddim_invert_step(model, co, z_prev)
     best = (math.inf, z)
     for _ in range(15):
-        r = generate_step(model, co, z, c) - z_prev
+        r = generate_step(model, co, z) - z_prev
         err = float(np.abs(r).max())
         if err < best[0]:
             best = (err, z)
@@ -234,14 +228,14 @@ def ilb_exact_optimum(x0, ae, model, sched, cfg):
 
     require(cfg.use_reg and tuple(cfg.weights) == (1.0, 0.0, 0.0), "cfg", cfg,
             "weights (1, 0, 0) with the regularizer")
-    c, d = Condition(), ae.latent_dim
+    d = ae.latent_dim
     eye, zero = np.eye(d), np.zeros(d)
     m = ae.decode(zero).ravel()
     dec = np.stack([ae.decode(e).ravel() - m for e in eye], axis=1)
     skip = skip_coefficients(sched, cfg.dt)
 
     def rt(z):
-        return generate_step(model, skip, ddim_invert_step(model, skip, z, c), c)
+        return generate_step(model, skip, ddim_invert_step(model, skip, z))
 
     rt0 = rt(zero)  # r0 = −rt0
     reg = eye - np.stack([rt(e) - rt0 for e in eye], axis=1)
@@ -333,7 +327,7 @@ def checked_probes(count, probe):
     return worst, skipped
 
 
-def ilb_residual(x0, ae, model, sched, cfg, c):
+def ilb_residual(x0, ae, model, sched, cfg):
     """z ↦ the residuals whose signs ILB's total takes, written as ilb.py writes them: x0 − D(z)
     for the L1 term, joined, with the regularizer on, with z − rt(z) for the skip's round
     trip rt."""
@@ -343,16 +337,16 @@ def ilb_residual(x0, ae, model, sched, cfg, c):
         r = np.ravel(x0 - ae.decode(z))
         if not cfg.use_reg:
             return r
-        z_dt = skip.invert(z, model.eval(z, skip.t, c))
-        return np.concatenate([r, z - skip.generate(z_dt, model.eval(z_dt, skip.t, c))])
+        z_dt = skip.invert(z, model.eval(z, skip.t))
+        return np.concatenate([r, z - skip.generate(z_dt, model.eval(z_dt, skip.t))])
     return residual
 
 
-def lbo_residual(model, co, z_prev, c):
+def lbo_residual(model, co, z_prev):
     """b ↦ r(b) = generate(z_prev + b) − z_prev, whose signs LBO's objective mean|r| takes."""
     def residual(b):
         z = z_prev + b
-        return co.generate(z, model.eval(z, co.t, c)) - z_prev
+        return co.generate(z, model.eval(z, co.t)) - z_prev
     return residual
 
 

@@ -18,7 +18,6 @@ from invlab.benchmark import (BenchmarkBackends, analytic_denoiser, config_from_
                               run_benchmark)
 from invlab.data import make_shapes
 from invlab.denoiser import (
-    Condition,
     MlpTrainConfig,
     train_mlp_denoiser,
 )
@@ -35,7 +34,6 @@ from invlab.rng import derive_rng
 from invlab.schedule import NoiseSchedule, coefficients, make_linear_schedule, make_uniform_grid
 
 SEED = 20260814
-UNCOND = Condition()
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
@@ -44,7 +42,7 @@ def _verdict(n: int, ok: bool, detail: str) -> None:
 
 
 def _roundtrip_rel(model, sched, grid, z0, traj) -> float:
-    gen = generate_trajectory(model, sched, grid, traj.latent_at(sched.t_train), UNCOND)
+    gen = generate_trajectory(model, sched, grid, traj.latent_at(sched.t_train))
     return float(np.linalg.norm(gen.latent_at(0) - z0) / np.linalg.norm(z0))
 
 
@@ -69,9 +67,9 @@ def ilb_study():
     rows = []
     for x0 in b.images:
         base = psnr(x0, np.clip(b.ae.decode(b.ae.encode(x0)), 0.0, 1.0))
-        z_on, rep_on = ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, on_cfg, b.condition)
+        z_on, rep_on = ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, on_cfg)
         boosted = psnr(x0, np.clip(b.ae.decode(z_on), 0.0, 1.0))
-        _, rep_off = ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, off_cfg, b.condition)
+        _, rep_off = ilb_optimize(x0, b.ae, b.model, b.sched, b.perc, off_cfg)
         rows.append((base, boosted, rep_on, rep_off))
     return rows, time.perf_counter() - started
 
@@ -88,7 +86,7 @@ def test_criterion_01_scheduler_algebra():
         grid = make_uniform_grid(sched, t_train)
         z0 = rng.standard_normal(3)
         zT = np.sqrt(sched.alpha_bar(t_train)) * z0
-        traj = generate_trajectory(ConstantDenoiser(3, 0.0), sched, grid, zT, UNCOND)
+        traj = generate_trajectory(ConstantDenoiser(3, 0.0), sched, grid, zT)
         for t in grid.steps:
             closed = np.sqrt(sched.alpha_bar(t)) * z0
             worst_closed = max(worst_closed, float(np.max(np.abs(traj.latent_at(t) - closed))))
@@ -112,17 +110,17 @@ def test_criterion_02_constant_denoiser_exactness(default_sched, grid50):
     for t_prev, t in grid50.transitions():
         z = rng.standard_normal(4)
         co = coefficients(default_sched, t, t_prev)
-        up = ddim_invert_step(model, co, z, UNCOND)
-        worst = max(worst, float(np.max(np.abs(generate_step(model, co, up, UNCOND) - z))))
-        down = generate_step(model, co, z, UNCOND)
-        worst = max(worst, float(np.max(np.abs(ddim_invert_step(model, co, down, UNCOND) - z))))
+        up = ddim_invert_step(model, co, z)
+        worst = max(worst, float(np.max(np.abs(generate_step(model, co, up) - z))))
+        down = generate_step(model, co, z)
+        worst = max(worst, float(np.max(np.abs(ddim_invert_step(model, co, down) - z))))
     z0 = rng.standard_normal(4)
-    inv = ddim_invert_trajectory(model, default_sched, grid50, z0, UNCOND)
-    gen = generate_trajectory(model, default_sched, grid50, inv.latent_at(100), UNCOND)
+    inv = ddim_invert_trajectory(model, default_sched, grid50, z0)
+    gen = generate_trajectory(model, default_sched, grid50, inv.latent_at(100))
     worst_sweep = float(np.max(np.abs(gen.latent_at(0) - z0)))
     zT = rng.standard_normal(4)
-    gen2 = generate_trajectory(model, default_sched, grid50, zT, UNCOND)
-    inv2 = ddim_invert_trajectory(model, default_sched, grid50, gen2.latent_at(0), UNCOND)
+    gen2 = generate_trajectory(model, default_sched, grid50, zT)
+    inv2 = ddim_invert_trajectory(model, default_sched, grid50, gen2.latent_at(0))
     worst_sweep = max(worst_sweep, float(np.max(np.abs(inv2.latent_at(100) - zT))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-10 and worst_sweep <= 1e-10 and elapsed < 1.0
@@ -154,16 +152,16 @@ def test_criterion_03_gradient_fidelity():
         x0 = images[k % len(images)]
         z0 = ae.encode(x0) + 0.05 * rng.standard_normal(16)
         return {
-            "vjp": gradient_check(lambda x: float(v @ model.eval(x, t, UNCOND)),
-                                  model.vjp(z, t, UNCOND, v), z),
+            "vjp": gradient_check(lambda x: float(v @ model.eval(x, t)),
+                                  model.linearize(z, t)[1](v), z),
             "lbo": gradient_check(
-                lambda x: objective_and_grad(model, co, z_prev, UNCOND, x)[0],
-                objective_and_grad(model, co, z_prev, UNCOND, bias)[1], bias,
-                lbo_residual(model, co, z_prev, UNCOND)),
+                lambda x: objective_and_grad(model, co, z_prev, x)[0],
+                objective_and_grad(model, co, z_prev, bias)[1], bias,
+                lbo_residual(model, co, z_prev)),
             "ilb": gradient_check(
-                lambda x: ilb_loss_and_grad(x0, x, ae, model, sched, perc, ilb_cfg, UNCOND)[2],
-                ilb_loss_and_grad(x0, z0, ae, model, sched, perc, ilb_cfg, UNCOND)[3], z0,
-                ilb_residual(x0, ae, model, sched, ilb_cfg, UNCOND)),
+                lambda x: ilb_loss_and_grad(x0, x, ae, model, sched, perc, ilb_cfg)[2],
+                ilb_loss_and_grad(x0, z0, ae, model, sched, perc, ilb_cfg)[3], z0,
+                ilb_residual(x0, ae, model, sched, ilb_cfg)),
         }
 
     worst, skipped = checked_probes(20, probe)
@@ -183,18 +181,18 @@ def test_criterion_04_fixed_point_certificate(default_sched, grid50):
         rng = derive_rng(SEED, "c4", i)
         model = analytic_denoiser(rng, 8, default_sched)
         z0 = rng.standard_normal(8)
-        traj, reports = lbo_invert_trajectory(model, default_sched, grid50, z0, UNCOND, cfg)
+        traj, reports = lbo_invert_trajectory(model, default_sched, grid50, z0, cfg)
         assert all(r.converged for r in reports)
         worst_iters = max(worst_iters, max(r.iters for r in reports))
         worst_res = max(worst_res, max(r.residual for r in reports))
         for t_prev, t in grid50.transitions():
             co = coefficients(default_sched, t, t_prev)
-            back = generate_step(model, co, traj.latent_at(t), UNCOND)
+            back = generate_step(model, co, traj.latent_at(t))
             worst_replay = max(worst_replay, float(np.max(np.abs(back - traj.latent_at(t_prev)))))
         rel = _roundtrip_rel(model, default_sched, grid50, z0, traj)
         rel_ddim = _roundtrip_rel(
             model, default_sched, grid50, z0,
-            ddim_invert_trajectory(model, default_sched, grid50, z0, UNCOND))
+            ddim_invert_trajectory(model, default_sched, grid50, z0))
         worst_rel = max(worst_rel, rel)
         worst_ratio_ok = worst_ratio_ok and (rel * 10.0 <= rel_ddim)
     elapsed = time.perf_counter() - started
@@ -217,7 +215,7 @@ def test_criterion_05_variant_agreement(default_sched, grid50):
         z0 = rng.standard_normal(4)
         zs = {}
         for name, cfg in modes.items():
-            traj, _ = lbo_invert_trajectory(model, default_sched, grid50, z0, UNCOND, cfg)
+            traj, _ = lbo_invert_trajectory(model, default_sched, grid50, z0, cfg)
             zs[name] = traj.latent_at(100)
         ref = float(np.linalg.norm(zs["numerical"]))
         pairs = [("numerical", "hybrid"), ("numerical", "gradient"), ("hybrid", "gradient")]
@@ -236,9 +234,9 @@ def test_criterion_05_variant_agreement(default_sched, grid50):
         z0 = derive_rng(SEED, "c5b", i).standard_normal(2)
         rel_ddim = _roundtrip_rel(
             model, default_sched, grid20, z0,
-            ddim_invert_trajectory(model, default_sched, grid20, z0, UNCOND))
+            ddim_invert_trajectory(model, default_sched, grid20, z0))
         for name, cfg in defaults.items():
-            traj, _ = lbo_invert_trajectory(model, default_sched, grid20, z0, UNCOND, cfg)
+            traj, _ = lbo_invert_trajectory(model, default_sched, grid20, z0, cfg)
             if _roundtrip_rel(model, default_sched, grid20, z0, traj) < rel_ddim:
                 wins[name] += 1
     elapsed = time.perf_counter() - started
@@ -257,10 +255,10 @@ def test_criterion_06_zero_budget_degeneracy(default_sched, grid50):
     backends.append((mlp, rng.standard_normal(2)))
     exact = True
     for model, z0 in backends:
-        ref = ddim_invert_trajectory(model, default_sched, grid50, z0, UNCOND)
+        ref = ddim_invert_trajectory(model, default_sched, grid50, z0)
         for mode in ("numerical", "gradient", "hybrid"):
             traj, reports = lbo_invert_trajectory(
-                model, default_sched, grid50, z0, UNCOND, LboConfig(mode=mode, max_iters=0))
+                model, default_sched, grid50, z0, LboConfig(mode=mode, max_iters=0))
             for t in grid50.steps:
                 exact = exact and np.array_equal(traj.latent_at(t), ref.latent_at(t))
             exact = exact and all(r.iters == 0 for r in reports)

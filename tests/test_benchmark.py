@@ -937,8 +937,8 @@ def test_shared_forward_passes_write_the_same_bytes(kind, tmp_path, monkeypatch)
     # separate paths: the prediction, then a fresh linearization per pullback; distance,
     # then x's features recomputed for each gradient
     for cls in (MlpDenoiser, LinearGaussianDenoiser):
-        def linearize(self, z, t, c, shared=cls.linearize):
-            return shared(self, z, t, c)[0], lambda v: shared(self, z, t, c)[1](v)
+        def linearize(self, z, t, shared=cls.linearize):
+            return shared(self, z, t)[0], lambda v: shared(self, z, t)[1](v)
         monkeypatch.setattr(cls, "linearize", linearize)
     shared_reference = RandomConvPerceptual.reference
 

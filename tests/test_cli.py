@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import operator
+import re
 import struct
 from pathlib import Path
 
@@ -125,6 +126,16 @@ def test_help_still_exits_0(capsys):
         main(["roundtrip", "--help"])
     assert exit_.value.code == 0
     assert "--config" in capsys.readouterr().out
+
+
+def test_readme_names_every_command_and_its_config_blocks_load():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^invlab ([a-z-]+)", readme, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(_COMMANDS)
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        config_from_json_dict(json.loads(block))
 
 
 # ---------------------------------------------------------------- commands

@@ -23,7 +23,9 @@ or `self.… is False`): `errors.check_fields` types every config field from its
 annotation. No module but dynamics.py calls `Trajectory(...)`, and there only
 `walk` does: every trajectory is one walk along its grid. No subclass of
 `DenoiserInterface` defines `eval`: a backend writes its prediction once, in
-`linearize`, and the interface's `eval` is that method's first half.
+`linearize`, and the interface's `eval` is that method's first half. No module under
+src/invlab imports, defines or names `Condition`: every model is unconditional, and the
+denoiser contract is `linearize(z, t)`.
 """
 
 import ast
@@ -221,6 +223,13 @@ def denoiser_evals(source: str) -> list:
     return lines
 
 
+def condition_names(source: str) -> list:
+    """Line numbers of an import, class, name or attribute called `Condition`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if "Condition" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                     getattr(node, "name", None)))
+
+
 TRAJECTORY_EXAMPLE = ("def walk(grid, z, direction, step):\n"
                       "    return Trajectory(z, direction, grid)\n"
                       "def replay(z):\n    return dynamics.Trajectory(z, 'generation', g)\n"
@@ -285,11 +294,18 @@ LINTS = [
     (trajectory_builds_outside_walk, [DYNAMICS], TRAJECTORY_EXAMPLE, [4]),
     (trajectory_builds, [p for p in MODULES if p != DYNAMICS], TRAJECTORY_EXAMPLE, [2, 4]),
     (denoiser_evals, MODULES,
-     "class A(DenoiserInterface):\n    def eval(self, z, t, c):\n        return z\n"
-     "    def linearize(self, z, t, c):\n        return z, lambda v: v\n"
-     "class B(invlab.DenoiserInterface):\n    def eval(self, z, t, c):\n        return z\n"
-     "class C(A):\n    def eval(self, z, t, c):\n        return z\n"
+     "class A(DenoiserInterface):\n    def eval(self, z, t):\n        return z\n"
+     "    def linearize(self, z, t):\n        return z, lambda v: v\n"
+     "class B(invlab.DenoiserInterface):\n    def eval(self, z, t):\n        return z\n"
+     "class C(A):\n    def eval(self, z, t):\n        return z\n"
      "class D:\n    def eval(self, x):\n        return x\n", [2, 7, 10]),
+    (condition_names, PACKAGE,
+     "from .denoiser import Condition, DenoiserInterface\n"
+     "class Condition:\n    pass\n"
+     "c = invlab.Condition()\n"
+     "model.eval(z, t, Condition())\n"
+     "conditional = 'Condition'  # Condition\n"
+     "self.condition = None\n", [1, 2, 4, 5]),
 ]
 LINT_IDS = [checker.__name__ for checker, _, _, _ in LINTS]
 

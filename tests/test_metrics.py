@@ -322,46 +322,46 @@ def test_ssim_gradient_off_square(shape):
     assert err < 1e-6
 
 
-def _paired_trajectories(model, sched, s, z0, c):
+def _paired_trajectories(model, sched, s, z0):
     grid = make_uniform_grid(sched, s)
-    inv = ddim_invert_trajectory(model, sched, grid, z0, c)
-    gen = generate_trajectory(model, sched, grid, inv.end, c)
+    inv = ddim_invert_trajectory(model, sched, grid, z0)
+    gen = generate_trajectory(model, sched, grid, inv.end)
     return inv, gen
 
 
-def test_divergence_zero_for_replayed_constant_model(toy3, uncond):
+def test_divergence_zero_for_replayed_constant_model(toy3):
     m = ConstantDenoiser(2, 0.1)
-    inv, gen = _paired_trajectories(m, toy3, 3, np.array([0.4, -0.2]), uncond)
+    inv, gen = _paired_trajectories(m, toy3, 3, np.array([0.4, -0.2]))
     div = trajectory_divergence(inv, gen)
     assert div.shape == (4,)
     np.testing.assert_allclose(div, np.zeros(4), atol=1e-12)
 
 
-def test_divergence_positive_for_plain_inversion(default_sched, uncond):
+def test_divergence_positive_for_plain_inversion(default_sched):
     m = LinearGaussianDenoiser(np.zeros(2), np.diag([2.0, 0.5]), default_sched)
     rng = np.random.default_rng(13)
-    inv, gen = _paired_trajectories(m, default_sched, 50, rng.standard_normal(2), uncond)
+    inv, gen = _paired_trajectories(m, default_sched, 50, rng.standard_normal(2))
     div = trajectory_divergence(inv, gen)
     assert div.min() >= 0.0
     assert div[0] > 1e-6  # endpoint misalignment of the uncorrected inverse
     assert div[-1] == 0.0  # shared z_T by construction
 
 
-def test_divergence_is_the_distance_between_the_latents_at_each_timestep(default_sched, uncond):
+def test_divergence_is_the_distance_between_the_latents_at_each_timestep(default_sched):
     m = LinearGaussianDenoiser(np.zeros(2), np.diag([2.0, 0.5]), default_sched)
     grid = make_uniform_grid(default_sched, 10)
-    inv = ddim_invert_trajectory(m, default_sched, grid, np.array([0.3, -1.1]), uncond)
-    gen = generate_trajectory(m, default_sched, grid, inv.end + 0.01, uncond)  # perturbed z_T
+    inv = ddim_invert_trajectory(m, default_sched, grid, np.array([0.3, -1.1]))
+    gen = generate_trajectory(m, default_sched, grid, inv.end + 0.01)  # perturbed z_T
     div = trajectory_divergence(inv, gen)
     assert list(div) == [np.linalg.norm(inv.latent_at(t) - gen.latent_at(t))
                          for t in inv.timesteps()]
     assert div.min() > 0.0
 
 
-def test_divergence_requires_matching_grids(toy3, default_sched, uncond):
+def test_divergence_requires_matching_grids(toy3, default_sched):
     m = ConstantDenoiser(1, 0.0)
-    inv, gen = _paired_trajectories(m, toy3, 3, np.array([1.0]), uncond)
-    inv2, _ = _paired_trajectories(m, toy3, 2, np.array([1.0]), uncond)
+    inv, gen = _paired_trajectories(m, toy3, 3, np.array([1.0]))
+    inv2, _ = _paired_trajectories(m, toy3, 2, np.array([1.0]))
     with rejects("gen"):
         trajectory_divergence(inv2, gen)
     with rejects("inv"):

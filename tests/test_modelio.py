@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invlab import (
-    Condition,
     DenoiserInterface,
     FormatError,
     InvlabError,
@@ -52,8 +51,7 @@ def test_gaussian_denoiser_round_trip(tmp_path):
     np.testing.assert_array_equal(back.sched.alpha_bars, model.sched.alpha_bars)
     assert back.sched.t_train == 17
     z = np.array([0.3, -0.7, 1.2])
-    c = Condition()
-    np.testing.assert_array_equal(back.eval(z, 9, c), model.eval(z, 9, c))
+    np.testing.assert_array_equal(back.eval(z, 9), model.eval(z, 9))
 
 
 def test_mlp_denoiser_round_trip(tmp_path):
@@ -67,8 +65,7 @@ def test_mlp_denoiser_round_trip(tmp_path):
         np.testing.assert_array_equal(back.params[k], model.params[k])
     assert back.final_loss == model.final_loss
     z = np.array([0.1, -0.4])
-    c = Condition()
-    np.testing.assert_array_equal(back.eval(z, 7, c), model.eval(z, 7, c))
+    np.testing.assert_array_equal(back.eval(z, 7), model.eval(z, 7))
 
 
 @pytest.mark.parametrize("leak_scale", [0.0, 1.8, None], ids=["linear", "leaky", "identity"])
@@ -360,8 +357,8 @@ def test_file_in_the_older_header_layout_loads_the_same_model(model_files, tmp_p
         assert type(back) is type(model) and back.latent_dim == model.latent_dim
         assert all(np.array_equal(a, b) for a, b in zip(_arrays(back), _arrays(model), strict=True))
         if isinstance(model, DenoiserInterface):  # and predicts the same bits
-            z, c = np.linspace(-1.0, 1.0, model.latent_dim), Condition()
-            assert np.array_equal(back.eval(z, 3, c), model.eval(z, 3, c))
+            z = np.linspace(-1.0, 1.0, model.latent_dim)
+            assert np.array_equal(back.eval(z, 3), model.eval(z, 3))
         # it saves as the model it holds does: for every written kind, the file itself
         save_model(back, tmp_path / "resaved")
         save_model(model, tmp_path / "saved")

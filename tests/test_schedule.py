@@ -10,7 +10,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from invlab import (
-    Condition,
     IlbConfig,
     InvalidParameterError,
     LboConfig,
@@ -207,8 +206,7 @@ def test_grid_rejects_empty_unordered_or_zero_steps():
 
 def _ddim_trajectory(sched, steps=3):
     model = LinearGaussianDenoiser(np.zeros(1), np.eye(1), sched)
-    return ddim_invert_trajectory(model, sched, make_uniform_grid(sched, steps), np.ones(1),
-                                  Condition())
+    return ddim_invert_trajectory(model, sched, make_uniform_grid(sched, steps), np.ones(1))
 
 
 # id -> (the argument named, an integer it accepts, a call on the schedule s and a value v
@@ -223,7 +221,7 @@ INTEGER_SITES = {
     "grid-step": ("steps", 3, lambda s, v: TimestepGrid((1, v))),
     "mlp-eval-t": ("t", 2, lambda s, v: train_mlp_denoiser(
         np.zeros((2, 2)), s, MlpTrainConfig(width=2, max_epochs=0), 0).eval(
-        np.zeros(2), v, Condition())),
+        np.zeros(2), v)),
     "lbo-max_iters": ("max_iters", 3, lambda s, v: LboConfig(max_iters=v)),
     "ilb-max_iters": ("max_iters", 3, lambda s, v: IlbConfig(max_iters=v)),
     "ilb-dt": ("dt", 3, lambda s, v: IlbConfig(dt=v)),

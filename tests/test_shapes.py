@@ -10,7 +10,6 @@ from conftest import rejects
 
 from invlab import (
     AdamState,
-    Condition,
     LinearAutoencoder,
     LinearGaussianDenoiser,
     RandomConvPerceptual,
@@ -23,21 +22,20 @@ from invlab import (
     ssim_with_grad,
 )
 
-C = Condition()
 WRONG = np.zeros(3)  # no argument below takes a (3,) array
 
 
 def _pullback(model, z, v):
-    return model.linearize(z, 5, C)[1](v)
+    return model.linearize(z, 5)[1](v)
 
 
 # id -> (the argument named in the error, a call on the backends b with WRONG in its place)
 CASES = {
-    "analytic-eval": ("z", lambda b: b.gauss.eval(WRONG, 5, C)),
-    "analytic-linearize": ("z", lambda b: b.gauss.linearize(WRONG, 5, C)),
+    "analytic-eval": ("z", lambda b: b.gauss.eval(WRONG, 5)),
+    "analytic-linearize": ("z", lambda b: b.gauss.linearize(WRONG, 5)),
     "analytic-pullback": ("v", lambda b: _pullback(b.gauss, np.zeros(4), WRONG)),
-    "mlp-eval": ("z", lambda b: b.mlp.eval(WRONG, 5, C)),
-    "mlp-linearize": ("z", lambda b: b.mlp.linearize(WRONG, 5, C)),
+    "mlp-eval": ("z", lambda b: b.mlp.eval(WRONG, 5)),
+    "mlp-linearize": ("z", lambda b: b.mlp.linearize(WRONG, 5)),
     "mlp-pullback": ("v", lambda b: _pullback(b.mlp, np.zeros(2), WRONG)),
     "identity-encode": ("x", lambda b: b.identity.encode(WRONG)),
     "identity-decode": ("z", lambda b: b.identity.decode(WRONG)),
