@@ -121,8 +121,8 @@ class RunConfig:
         # one budget, the codec's cap, for each array a size sets, checked before anything
         # is built: the images, the betas, one trajectory's steps + 1 latents and, where
         # the run builds them, the codec's pixel-by-pixel matrix, the fit's left SVD basis
-        # (fit_count squared) and the MLP's flat parameter vector, with a latent as wide as
-        # the image
+        # (fit_count squared) and the MLP's parameter count, which bounds each of its
+        # arrays, with a latent as wide as the image
         ds, ae, den = self.dataset, self.autoencoder, self.denoiser
         pixels = ds.height * ds.width
         side = "height" if ds.height >= ds.width else "width"

@@ -143,7 +143,7 @@ _N_EVAL = 256  # probe rows behind MlpDenoiser.final_loss
 
 
 def mlp_shapes(latent_dim: int, width: int, t_train: int) -> dict[str, tuple[int, ...]]:
-    """The MLP's array shapes by name, in file and flat-vector order: its one layout table."""
+    """The MLP's array shapes by name, in file order: its one layout table."""
     return {"w1": (width, latent_dim), "b1": (width,), "temb": (t_train, width),
             "cemb": (1, width), "w2": (width, width), "b2": (width,),
             "w3": (latent_dim, width), "b3": (latent_dim,)}
@@ -205,20 +205,6 @@ def _init_params(rng: np.random.Generator, latent_dim: int, width: int, t_train:
     return params
 
 
-def _flatten(params: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([params[k].ravel() for k in _PARAM_ORDER])
-
-
-def _unflatten(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    out = {}
-    pos = 0
-    for k, shape in shapes.items():
-        n = math.prod(shape)
-        out[k] = flat[pos : pos + n].reshape(shape)
-        pos += n
-    return out
-
-
 def _batch_forward(p, z, t_idx):
     """Forward pass over rows of z, or one (d,) row; returns the hidden layers too."""
     h1p = z @ p["w1"].T + p["b1"] + p["temb"][t_idx] + p["cemb"][0]
@@ -270,10 +256,8 @@ def train_mlp_denoiser(
             "a non-empty (n, latent_dim) array")
     n, latent_dim = data.shape
 
-    shapes = mlp_shapes(latent_dim, cfg.width, sched.t_train)
     params = _init_params(derive_rng(seed, "mlp-init"), latent_dim, cfg.width, sched.t_train)
-    flat = _flatten(params)
-    state = AdamState(lr=cfg.lr)
+    states = dict.fromkeys(params, AdamState(lr=cfg.lr))
     rows_order = derive_rng(seed, "split").permutation(n)
 
     def noised(x, t, eps):
@@ -297,8 +281,8 @@ def train_mlp_denoiser(
                                       epoch=epoch)
             d_out = 2.0 * resid / resid.size
             grads = _batch_backward(params, zt, t - 1, h1, h2, d_out)
-            flat, state = adam_step(state, flat, _flatten(grads))
-            params = _unflatten(flat, shapes)
+            for k in params:
+                params[k], states[k] = adam_step(states[k], params[k], grads[k])
 
     eval_rng = derive_rng(seed, "eval")
     probe_rows = rows_order[eval_rng.integers(0, n, size=_N_EVAL)]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autoencoder import LinearAutoencoder
 from .denoiser import DenoiserInterface
-from .errors import DivergenceError, check_fields, require
+from .errors import DivergenceError, check_fields, require, require_shape
 from .metrics import ssim_with_grad
 from .optim import AdamState, adam_step
 from .perceptual import RandomConvPerceptual
@@ -125,7 +125,7 @@ def ilb_optimize(x0: np.ndarray, ae: LinearAutoencoder, model: DenoiserInterface
     losses are measured at the post-step point. Early stop after 5 consecutive
     steps of relative improvement below rel_tol.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = require_shape(x0, ae.image_shape, "x0")
     require(np.all((x0 >= 0.0) & (x0 <= 1.0)), "x0",  # NaN fails both
             f"pixels in [{x0.min()}, {x0.max()}]", "pixels in [0, 1]")
     skip = skip_coefficients(sched, cfg.dt)  # refuses an unset or out-of-range dt by name

@@ -22,6 +22,7 @@ from .errors import require, require_shape
 def psnr(x: np.ndarray, y: np.ndarray) -> float:
     """10·log10(1/MSE) for the range [0, 1]; +inf for identical inputs."""
     x = np.asarray(x, dtype=np.float64)
+    require(x.size > 0, "x", x.shape, "a non-empty array")
     y = require_shape(y, x.shape, "y")
     mse = float(np.mean((x - y) ** 2))
     if mse == 0.0:
@@ -64,7 +65,10 @@ def _window_matrices(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return mats
 
 
-def _ssim_impl(x: np.ndarray, y: np.ndarray, want_grad: bool):
+def _ssim_impl(x, y, want_grad: bool):
+    x = np.asarray(x, dtype=np.float64)
+    require(x.ndim in (2, 3) and x.size > 0, "x", x.shape, "a non-empty 2-D or 3-D image")
+    y = require_shape(y, x.shape, "y")
     c1 = 0.01**2
     c2 = 0.03**2
     # (c, h, w) channel planes; a 2-D image is one plane
@@ -101,15 +105,11 @@ def _ssim_impl(x: np.ndarray, y: np.ndarray, want_grad: bool):
 
 def ssim(x: np.ndarray, y: np.ndarray) -> float:
     """Mean local structural similarity over valid window positions."""
-    x = np.asarray(x, dtype=np.float64)
-    y = require_shape(y, x.shape, "y")
     return _ssim_impl(x, y, want_grad=False)[0]
 
 
 def ssim_with_grad(x: np.ndarray, y: np.ndarray):
     """(ssim value, ∂ssim/∂y) with the analytic window-adjoint gradient."""
-    x = np.asarray(x, dtype=np.float64)
-    y = require_shape(y, x.shape, "y")
     return _ssim_impl(x, y, want_grad=True)
 
 

@@ -1,15 +1,19 @@
-"""A pytest selection run once under each OpenBLAS kernel, one subprocess per kernel.
+"""A pytest selection and `tests/digests.py` run once under each OpenBLAS kernel.
 
     python tests/kernels.py [pytest selection ...]
 
 OpenBLAS built with `DYNAMIC_ARCH` picks its kernel at load time, and the
-`OPENBLAS_CORETYPE` environment variable overrides that pick. Each child runs
-under one of KERNELS and prints the core OpenBLAS reports at run time (read
-through ctypes), and this script prints, per kernel, that core, the pass and
-fail counts, each failing test and each acceptance verdict line. Without a
-selection it runs criterion 3 and every test file that calls the gradient
-checker. Only the children's environment is changed. The exit status is 1 when
-any kernel fails a test. pytest does not collect this file.
+`OPENBLAS_CORETYPE` environment variable overrides that pick. Under each of
+KERNELS this script runs two subprocesses. The first runs the selection and
+prints the core OpenBLAS reports at run time (read through ctypes); this script
+prints, per kernel, that core, the pass and fail counts, each failing test and
+each acceptance verdict line. Without a selection it runs criterion 3 and every
+test file that calls the gradient checker. The second runs `tests/digests.py`.
+For each of its runs this script then prints whether the output digests agree
+across kernels and the relative spread of each per-method mean, and last the
+worst spread of any mean. Only the children's environment is changed. The exit
+status is 1 when any kernel fails a test or its digests run. pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -28,6 +33,7 @@ KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Prescott")
 # NumPy's bundled scipy-openblas (64-bit integers) names its functions so; a plain build does not
 _SYMBOLS = ("scipy_openblas_get_{}64_", "openblas_get_{}")
 _RESULT = "kernels.py result: "
+_DIGESTS = ROOT / "tests" / "digests.py"
 
 
 def default_selection() -> list:
@@ -92,6 +98,49 @@ def child(selection: list) -> None:
                                 "invlab": getattr(invlab, "__file__", None)}))
 
 
+def relative_spread(values: list) -> float:
+    """(max − min)/max |v| of one mean over the kernels; 0 where they agree, and inf where
+    some kernel's mean is null (not finite) and another's is not."""
+    if None in values:
+        return 0.0 if all(v is None for v in values) else math.inf
+    top = max(map(abs, values))
+    return (max(values) - min(values)) / top if top else 0.0
+
+
+def spreads(lines: dict) -> dict:
+    """{run: (whether its digests agree, {method: {mean: relative spread}})} over the
+    kernels' `tests/digests.py` lines, given as {kernel: line}."""
+    outs = list(lines.values())
+    report = {}
+    for run, first in outs[0].items():
+        runs = [out[run] for out in outs]
+        digests = [{k: v for k, v in r.items() if k != "means"} for r in runs]
+        report[run] = (all(d == digests[0] for d in digests), {
+            method: {name: relative_spread([r["means"][method][name] for r in runs])
+                     for name in means}
+            for method, means in first["means"].items()})
+    return report
+
+
+def worst_spread(report: dict) -> tuple:
+    """(spread, "run method mean") of the mean that spreads most, or (0.0, None)."""
+    return max(((s, f"{run} {method} {name}") for run, (_, per) in report.items()
+                for method, means in per.items() for name, s in means.items()),
+               default=(0.0, None))
+
+
+def _print_spreads(lines: dict) -> None:
+    report = spreads(lines)
+    print(f"tests/digests.py across {', '.join(lines)}:")
+    for run, (agree, per) in report.items():
+        print(f"{run}: digests {'agree' if agree else 'differ'}")
+        for method, means in per.items():
+            print(f"  {method}: " + ", ".join(f"{name.removeprefix('mean_')} {s:.2g}"
+                                               for name, s in means.items()))
+    spread, where = worst_spread(report)
+    print(f"worst relative spread of a mean: {spread:.2g}" + (f" ({where})" if where else ""))
+
+
 def main(selection: list) -> int:
     info = openblas()
     if info["config"] is None:
@@ -102,10 +151,19 @@ def main(selection: list) -> int:
             print("not a DYNAMIC_ARCH build: OPENBLAS_CORETYPE changes nothing, every run "
                   f"uses {info['core']}")
     failing = 0
+    digest_lines = {}
     for kernel in KERNELS:
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
         run = subprocess.run([sys.executable, __file__, "--child", *selection], cwd=ROOT,
-                             env={**os.environ, "OPENBLAS_CORETYPE": kernel},
-                             capture_output=True, text=True)
+                             env=env, capture_output=True, text=True)
+        digests = subprocess.run([sys.executable, str(_DIGESTS)], cwd=ROOT, env=env,
+                                 capture_output=True, text=True)
+        if digests.returncode == 0:
+            digest_lines[kernel] = json.loads(digests.stdout.splitlines()[-1])
+        else:
+            print(f"{kernel}: tests/digests.py exited {digests.returncode}\n"
+                  f"{digests.stderr[-2000:]}")
+            failing += 1
         lines = [line for line in run.stdout.splitlines() if line.startswith(_RESULT)]
         if not lines:
             print(f"{kernel}: the child exited {run.returncode} without a result\n"
@@ -118,6 +176,8 @@ def main(selection: list) -> int:
               f"{len(res['failed'])} failed")
         for line in res["failed"] + res["verdicts"]:
             print(f"  {line}")
+    if digest_lines:
+        _print_spreads(digest_lines)
     return 1 if failing else 0
 
 

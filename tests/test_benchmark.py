@@ -415,9 +415,10 @@ def test_ilb_dt_outside_schedule_is_config_error(dt, tmp_path, capsys):
 INVBENCH = Path(__file__).resolve().parents[1] / "invbench"
 
 
-def _invbench_module(name):
-    """One module of the benchmark harness, which is a directory of scripts, not a package."""
-    spec = importlib.util.spec_from_file_location(f"invbench_{name}", INVBENCH / f"{name}.py")
+def _script(path: Path):
+    """A script as a module: the benchmark harness is a directory of scripts, not a package,
+    and pytest does not collect the scripts in tests/."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -429,7 +430,7 @@ def _invbench_module(name):
 def test_workload_meets_its_pinned_means_at_three_seeds(workload, seed, tmp_path):
     # the benchmark's own check on its own inputs: a change that moves a pinned
     # mean beyond the benchmark's tolerance fails here first
-    checks, worker = _invbench_module("bench_checks"), _invbench_module("bench_worker")
+    checks, worker = _script(INVBENCH / "bench_checks.py"), _script(INVBENCH / "bench_worker.py")
     doc = {**json.loads((INVBENCH / "workloads" / f"{workload}.json").read_text()), "seed": seed}
     cfg = config_from_json_dict(doc)
     run_benchmark(cfg, tmp_path)
@@ -441,20 +442,43 @@ def test_workload_meets_its_pinned_means_at_three_seeds(workload, seed, tmp_path
 
 
 def test_digest_script_hashes_both_outputs_of_each_of_its_runs(tmp_path):
-    # tests/digests.py, the byte-identity check, is a script pytest does not collect
-    spec = importlib.util.spec_from_file_location("digests", Path(__file__).with_name("digests.py"))
-    digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digests)
-    cfg = RunConfig(steps=2, methods=("ddim",), dataset=DatasetSection(count=1, height=8, width=8))
+    digests = _script(Path(__file__).with_name("digests.py"))  # the byte-identity check
+    cfg = RunConfig(steps=2, methods=("ddim", "lbo-n"),
+                    dataset=DatasetSection(count=1, height=8, width=8))
     got = digests.run_digests(cfg, tmp_path / "a")
-    assert got == {name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
-                   for name in ("benchmark.csv", "summary.json")}
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text("utf-8"))
+    assert got == {**{name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
+                      for name in ("benchmark.csv", "summary.json")},
+                   "means": {m: {k: v for k, v in stats.items() if k not in ("n_ok", "n_error")}
+                             for m, stats in summary["per_method"].items()}}
+    assert sorted(got["means"]) == ["ddim", "lbo-n"]
     assert digests.run_digests(cfg, tmp_path / "b") == got
     runs = digests.configs()
     assert sorted(runs) == [f"{name}@{seed}" for name in ("boost", "default", "invert", "mlp-coarse")
                             for seed in (0, 5)]
     assert runs["default@5"] == RunConfig(seed=5)
     assert runs["invert@0"] == load_config(INVBENCH / "workloads" / "invert.json")
+
+
+def test_kernel_script_spreads_each_mean_over_the_kernels():
+    kernels = _script(Path(__file__).with_name("kernels.py"))
+    assert [kernels.relative_spread(v) for v in ([2.0, 2.0], [0.0, 0.0], [-2.0, 1.0],
+                                                 [None, None], [None, 1.0])] == [
+        0.0, 0.0, 1.5, 0.0, math.inf]
+
+    def run(csv, psnr, ssim=None):
+        return {"benchmark.csv": csv, "summary.json": "s",
+                "means": {"ddim": {"mean_psnr_db": psnr, "mean_ssim": ssim}}}
+
+    lines = {"SkylakeX": {"a@0": run("x", 10.0), "b@5": run("x", 10.0, 0.5)},
+             "Haswell": {"a@0": run("x", 10.0), "b@5": run("y", 10.5, 0.5)},
+             "Nehalem": {"a@0": run("x", 10.0), "b@5": run("x", 9.5, 0.5)}}
+    report = kernels.spreads(lines)
+    # max − min over all three kernels, not each against the first
+    assert report == {"a@0": (True, {"ddim": {"mean_psnr_db": 0.0, "mean_ssim": 0.0}}),
+                      "b@5": (False, {"ddim": {"mean_psnr_db": 1.0 / 10.5, "mean_ssim": 0.0}})}
+    assert kernels.worst_spread(report) == (1.0 / 10.5, "b@5 ddim mean_psnr_db")
+    assert kernels.worst_spread({}) == (0.0, None)
 
 
 def test_rows_cover_grid_sorted(small_run):
@@ -866,7 +890,7 @@ def test_steps_budget_is_one_trajectory_of_latents():
     assert err.value.context["key"] == "steps"
 
 
-def test_mlp_width_budget_is_its_flat_parameter_vector():
+def test_mlp_width_budget_is_its_parameter_count():
     # at 16x16 and t_train 100, width * (2 * 256 + 100 + width + 3) + 256 floats fit in
     # 2**27 bytes up to width 3799
     mlp = {"kind": "mlp", "train": {"width": 3799}}

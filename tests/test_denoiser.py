@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 import invlab.denoiser
 from invlab import (
+    AdamState,
     DivergenceError,
     LinearAutoencoder,
     LinearGaussianDenoiser,
     MlpDenoiser,
     MlpTrainConfig,
+    adam_step,
     derive_rng,
     make_linear_schedule,
     train_mlp_denoiser,
@@ -267,6 +269,28 @@ def test_mlp_final_loss_is_its_probe_recomputed_from_the_documented_streams():
                                 + math.sqrt(1.0 - sched.alpha_bar(t)) * e, t)
                      for row, t, e in zip(rows, ts, eps)])
     assert model.final_loss == float(np.mean((pred - eps) ** 2))
+
+
+def test_a_one_batch_epoch_is_one_adam_step_on_each_named_array():
+    # batch_size above the row count: the epoch is one batch of every row, in the "split"
+    # order permuted by epoch 0's "order" stream, noised from batch 0's "noise" stream
+    sched = make_linear_schedule(20, 1e-3, 0.05)
+    data = np.random.default_rng(6).standard_normal((7, 3))
+    cfg = MlpTrainConfig(width=5, max_epochs=1, batch_size=10, lr=0.01)
+    model = train_mlp_denoiser(data, sched, cfg, 4)
+    p = invlab.denoiser._init_params(derive_rng(4, "mlp-init"), 3, 5, 20)
+    rows = derive_rng(4, "split").permutation(7)[derive_rng(4, "order", 0).permutation(7)]
+    noise = derive_rng(4, "noise", 0, 0)
+    t = noise.integers(1, 21, size=7)
+    eps = noise.standard_normal((7, 3))
+    ab = sched.alpha_bars[t - 1]
+    zt = np.sqrt(ab)[:, None] * data[rows] + np.sqrt(1.0 - ab)[:, None] * eps
+    h1, h2, pred = invlab.denoiser._batch_forward(p, zt, t - 1)
+    grads = invlab.denoiser._batch_backward(p, zt, t - 1, h1, h2, 2.0 * (pred - eps) / eps.size)
+    assert sorted(grads) == sorted(model.params)
+    for k, g in grads.items():
+        want = adam_step(AdamState(lr=0.01), p[k], g)[0]
+        assert model.params[k].tobytes() == want.tobytes(), k
 
 
 def test_mlp_eval_pure(tiny_mlp):

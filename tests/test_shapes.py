@@ -10,12 +10,14 @@ from conftest import rejects
 
 from invlab import (
     AdamState,
+    IlbConfig,
     LinearAutoencoder,
     LinearGaussianDenoiser,
     RandomConvPerceptual,
     adam_step,
     fit_linear_autoencoder,
     identity_autoencoder,
+    ilb_optimize,
     make_shapes,
     psnr,
     ssim,
@@ -29,7 +31,12 @@ def _pullback(model, z, v):
     return model.linearize(z, 5)[1](v)
 
 
-# id -> (the argument named in the error, a call on the backends b with WRONG in its place)
+def _ilb(b, x0):
+    return ilb_optimize(x0, b.linear, b.gauss, b.gauss.sched, b.perc, IlbConfig(dt=10))
+
+
+# id -> (the argument named in the error, a call on the backends b with a wrong shape, WRONG
+# unless the id names another: an empty array, or an image of the wrong rank)
 CASES = {
     "analytic-eval": ("z", lambda b: b.gauss.eval(WRONG, 5)),
     "analytic-linearize": ("z", lambda b: b.gauss.linearize(WRONG, 5)),
@@ -49,9 +56,20 @@ CASES = {
     "perceptual-distance-y": ("y", lambda b: b.perc.distance(b.img, WRONG)),
     "perceptual-reference": ("x", lambda b: b.perc.reference(WRONG)),
     "perceptual-reference-y": ("y", lambda b: b.perc.reference(b.img)(WRONG)),
+    "ilb_optimize": ("x0", lambda b: _ilb(b, WRONG)),
+    "ilb_optimize-empty": ("x0", lambda b: _ilb(b, np.zeros((0,)))),
+    "ilb_optimize-no-channels": ("x0", lambda b: _ilb(b, np.zeros((6, 6, 0)))),
     "psnr": ("y", lambda b: psnr(b.img, WRONG)),
+    "psnr-empty": ("x", lambda b: psnr(np.zeros(0), np.zeros(0))),
     "ssim": ("y", lambda b: ssim(b.img, WRONG)),
+    "ssim-empty": ("x", lambda b: ssim(np.zeros((0, 5, 1)), np.zeros((0, 5, 1)))),
+    "ssim-empty-2d": ("x", lambda b: ssim(np.zeros((0, 0)), np.zeros((0, 0)))),
+    "ssim-1d": ("x", lambda b: ssim(np.zeros(5), np.zeros(5))),
     "ssim_with_grad": ("y", lambda b: ssim_with_grad(b.img, WRONG)),
+    "ssim_with_grad-empty": ("x", lambda b: ssim_with_grad(np.zeros((0, 5, 1)),
+                                                           np.zeros((0, 5, 1)))),
+    "ssim_with_grad-empty-2d": ("x", lambda b: ssim_with_grad(np.zeros((0, 0)), np.zeros((0, 0)))),
+    "ssim_with_grad-1d": ("x", lambda b: ssim_with_grad(np.zeros(5), np.zeros(5))),
     "adam_step": ("grad", lambda b: adam_step(AdamState(lr=1e-3), np.zeros(4), WRONG)),
 }
 
