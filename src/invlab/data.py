@@ -52,12 +52,10 @@ def _draw_ramp(img, rng, value):
     x0 = int(rng.integers(0, w - 3))
     y1 = int(rng.integers(y0 + 3, h + 1))
     x1 = int(rng.integers(x0 + 3, w + 1))
-    ramp = np.linspace(value, v2, x1 - x0)
     if rng.uniform() < 0.5:
-        img[y0:y1, x0:x1] = ramp[np.newaxis, :]
+        img[y0:y1, x0:x1] = np.linspace(value, v2, x1 - x0)[np.newaxis, :]
     else:
-        ramp = np.linspace(value, v2, y1 - y0)
-        img[y0:y1, x0:x1] = ramp[:, np.newaxis]
+        img[y0:y1, x0:x1] = np.linspace(value, v2, y1 - y0)[:, np.newaxis]
 
 
 def make_shapes(n: int, seed: int, height: int = 16, width: int = 16,

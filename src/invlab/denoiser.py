@@ -104,7 +104,7 @@ class LinearGaussianDenoiser(DenoiserInterface):
         except KeyError:
             pass
         self.sched._check_t(t)
-        ab = self.sched.alpha_bars[t - 1]
+        ab = self.sched.alpha_bars[t]
         s = np.sqrt(1.0 - ab) / (self._lam * ab + (1.0 - ab))
         jac = (self._q * s) @ self._q.T
         off = jac @ (np.sqrt(ab) * self.mu)
@@ -261,7 +261,7 @@ def train_mlp_denoiser(
     rows_order = derive_rng(seed, "split").permutation(n)
 
     def noised(x, t, eps):
-        ab = sched.alpha_bars[t - 1]
+        ab = sched.alpha_bars[t]
         return np.sqrt(ab)[:, None] * x + np.sqrt(1.0 - ab)[:, None] * eps
 
     bs = min(cfg.batch_size, n)

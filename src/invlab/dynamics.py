@@ -41,7 +41,7 @@ class Trajectory:
     grid: TimestepGrid
 
     def timesteps(self) -> tuple[int, ...]:
-        steps = (0, *self.grid.steps)
+        steps = self.grid.timesteps
         return steps if self.direction == INVERSION else steps[::-1]
 
     def latent_at(self, t: int) -> np.ndarray:

@@ -137,10 +137,10 @@ def ilb_optimize(x0: np.ndarray, ae: LinearAutoencoder, model: DenoiserInterface
         return _loss_and_grad(x0, z, ae, model, skip, perc_ref, cfg)
 
     l_con, l_reg, total, grad = evaluate(z)
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise DivergenceError("non-finite loss at the initial point", iteration=0)
     initial = (l_con, l_reg, total)
-    best = (total, z.copy(), l_con, l_reg)
+    best = (total, z, l_con, l_reg)  # no copy: adam_step returns each z new, none is written
     state = AdamState(lr=cfg.lr)
     trace = []
     prev = total
@@ -148,11 +148,11 @@ def ilb_optimize(x0: np.ndarray, ae: LinearAutoencoder, model: DenoiserInterface
     for i in range(1, cfg.max_iters + 1):
         z, state = adam_step(state, z, grad)
         l_con, l_reg, total, grad = evaluate(z)
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise DivergenceError("non-finite loss", iteration=i)
         trace.append((i, l_con, l_reg, total))
         if total < best[0]:
-            best = (total, z.copy(), l_con, l_reg)
+            best = (total, z, l_con, l_reg)
         rel = (prev - total) / max(abs(prev), 1e-12)
         stall = stall + 1 if rel < cfg.rel_tol else 0
         prev = total

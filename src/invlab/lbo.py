@@ -17,10 +17,10 @@ gradient mode, five in hybrid mode, none in numerical mode) and the rest are
 sweeps. Every iteration returns ‖r‖∞ at the iterate it started from, and the
 loop stops on that one number in every mode; one more evaluation after the
 loop measures ‖r‖∞ at the iterate the step returns, and the step reports that.
-The per-iteration functions take the transition as its `StepCoefficients`;
-`lbo_invert_step` looks the coefficients up once per step. Both modes write r as
-`co.generate(z, eps) - z_prev`; the gradient objective applies `generate` to
-the pulled-back cotangents too.
+Every step function takes the transition as its `StepCoefficients`, as the
+DDIM steps do; `lbo_invert_trajectory` looks them up once per transition.
+Both modes write r as `co.generate(z, eps) - z_prev`; the gradient objective
+applies `generate` to the pulled-back cotangents too.
 """
 
 from __future__ import annotations
@@ -114,21 +114,18 @@ def lbo_gradient_iterate(model: DenoiserInterface, co: StepCoefficients, z_prev:
     return b_next, state, residual
 
 
-def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.ndarray,
-                    t_prev: int, t: int, cfg: LboConfig = LboConfig()
-                    ) -> tuple[np.ndarray, LboStepReport]:
-    """Invert one transition; returns (z_t, step report).
+def lbo_invert_step(model: DenoiserInterface, co: StepCoefficients, z_prev: np.ndarray,
+                    cfg: LboConfig = LboConfig()) -> tuple[np.ndarray, LboStepReport]:
+    """Invert one transition co.t_prev -> co.t; returns (z_t, step report).
 
     With max_iters=0 this returns the unrefined one-shot inversion unchanged.
-    The step coefficients are looked up once and shared by the one-shot start,
-    every iteration and the evaluation at the returned z_t. A non-finite residual is a
-    DivergenceError naming t and, inside the loop, the iteration; at the returned z_t it
-    names the iterations run, `iters`.
+    The one-shot start, every iteration and the evaluation at the returned z_t share co.
+    A non-finite residual is a DivergenceError naming co.t and, inside the loop, the
+    iteration; at the returned z_t it names the iterations run, `iters`.
     """
-    co = coefficients(sched, t, t_prev)
     y0 = ddim_invert_step(model, co, z_prev)
     if cfg.max_iters == 0:
-        return y0, LboStepReport(t=t, iters=0, residual=float("inf"), converged=False)
+        return y0, LboStepReport(t=co.t, iters=0, residual=float("inf"), converged=False)
     b = y0 - z_prev
     n_adam = _MODES[cfg.mode][1]
     state = AdamState(lr=cfg.lr)
@@ -142,13 +139,13 @@ def lbo_invert_step(model: DenoiserInterface, sched: NoiseSchedule, z_prev: np.n
             else:
                 b, residual = lbo_numerical_iterate(model, co, z_prev, b)
     except DivergenceError as e:
-        raise DivergenceError(str(e), t=t, iteration=k) from None
+        raise DivergenceError(str(e), t=co.t, iteration=k) from None
     # the report describes the z_t returned, not the iterate the last iteration started from
     z_t = z_prev + b
     residual = float(np.abs(co.generate(z_t, model.eval(z_t, co.t)) - z_prev).max())
     if not math.isfinite(residual):
-        raise DivergenceError("residual at the returned z_t is non-finite", t=t, iters=k)
-    return z_t, LboStepReport(t=t, iters=k, residual=residual, converged=residual < cfg.tol)
+        raise DivergenceError("residual at the returned z_t is non-finite", t=co.t, iters=k)
+    return z_t, LboStepReport(t=co.t, iters=k, residual=residual, converged=residual < cfg.tol)
 
 
 def lbo_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule, grid: TimestepGrid,
@@ -158,7 +155,7 @@ def lbo_invert_trajectory(model: DenoiserInterface, sched: NoiseSchedule, grid: 
     reports = []
 
     def step(z, t_prev, t):
-        z_t, report = lbo_invert_step(model, sched, z, t_prev, t, cfg)
+        z_t, report = lbo_invert_step(model, coefficients(sched, t, t_prev), z, cfg)
         reports.append(report)
         return z_t
     return walk(grid, z_0, INVERSION, step), reports

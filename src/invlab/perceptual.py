@@ -90,13 +90,14 @@ def _normalize_vjp(f: np.ndarray, s: np.ndarray, den: np.ndarray, u: np.ndarray)
 
 class RandomConvPerceptual:
     """Frozen-random two-layer conv feature distance on (h, w, c) images:
-    distance(x, x) = 0 and symmetric."""
+    distance(x, x) = 0 and symmetric. The weights are one fixed draw, stream
+    "perceptual-init" of seed 0, so the metric is one function per image shape."""
 
-    def __init__(self, image_shape: tuple, seed: int = 0):
+    def __init__(self, image_shape: tuple):
         h, w, c = self.image_shape = checked_image_shape(image_shape)
         # two valid 3×3 layers eat 4 pixels per axis
         require(h >= 5 and w >= 5, "image_shape", image_shape, "at least 5x5")
-        rng = derive_rng(seed, "perceptual-init")  # which checks the seed
+        rng = derive_rng(0, "perceptual-init")
         c1, c2 = _WIDTHS
         self.k1 = rng.normal(0.0, np.sqrt(2.0 / (c * 9)), size=(c1, c, 3, 3))
         self.b1 = rng.normal(0.0, 0.1, size=c1)

@@ -29,8 +29,8 @@ ALPHA_BAR_MIN = float(np.finfo(np.float64).tiny)
 class NoiseSchedule:
     """β_t sequence, from which ᾱ_t and t_train derive; immutable after build.
 
-    betas[i] is β_{i+1}, alpha_bars[i] is ᾱ_{i+1} (timesteps are 1-based) and
-    t_train is the number of betas; ᾱ_0 = 1 is available through :meth:`alpha_bar`.
+    betas[i] is β_{i+1} (timesteps are 1-based), alpha_bars[t] is ᾱ_t for t = 0..t_train,
+    entry 0 being ᾱ_0 = 1, and t_train is the number of betas.
     """
 
     betas: np.ndarray
@@ -43,7 +43,7 @@ class NoiseSchedule:
                 "one per timestep, at least one")
         require(bool(np.all((self.betas > 0.0) & (self.betas < 1.0))), "betas",
                 (float(self.betas.min()), float(self.betas.max())), "in (0, 1)")
-        alpha_bars = np.cumprod(1.0 - self.betas)
+        alpha_bars = np.concatenate(([1.0], np.cumprod(1.0 - self.betas)))
         require(alpha_bars[-1] >= ALPHA_BAR_MIN, "betas",
                 f"alpha_bar_T = {float(alpha_bars[-1])!r}",
                 f"small enough that alpha_bar_T >= {ALPHA_BAR_MIN!r}")
@@ -57,10 +57,8 @@ class NoiseSchedule:
         require(is_int(t) and 1 <= t <= self.t_train, "t", t, "an integer in [1, t_train]")
 
     def alpha_bar(self, t: int) -> float:
-        if t == 0 and is_int(t):
-            return 1.0
-        self._check_t(t)
-        return float(self.alpha_bars[t - 1])
+        require(is_int(t) and 0 <= t <= self.t_train, "t", t, "an integer in [0, t_train]")
+        return float(self.alpha_bars[t])
 
 
 @dataclass(frozen=True)
@@ -84,28 +82,26 @@ class StepCoefficients:
 @dataclass(frozen=True)
 class TimestepGrid:
     """Strictly increasing timesteps >= 1, kept as Python ints. `make_uniform_grid` ends one
-    at its schedule's t_train; the grid alone does not know T."""
+    at its schedule's t_train; the grid alone does not know T. `timesteps` is the grid with
+    the data end, 0, first: every walk along the grid starts or ends there."""
 
     steps: tuple[int, ...]
+    timesteps: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        steps = (0, *self.steps)  # increasing from 0: every step >= 1
-        require(len(steps) > 1 and all(map(is_int, self.steps))
-                and all(a < b for a, b in zip(steps, steps[1:])), "steps", self.steps,
+        timesteps = (0, *self.steps)  # increasing from 0: every step >= 1
+        require(len(timesteps) > 1 and all(map(is_int, self.steps))
+                and all(a < b for a, b in zip(timesteps, timesteps[1:])), "steps", self.steps,
                 "non-empty integers, strictly increasing and >= 1")
-        object.__setattr__(self, "steps", tuple(map(int, self.steps)))
+        object.__setattr__(self, "timesteps", tuple(map(int, timesteps)))
+        object.__setattr__(self, "steps", self.timesteps[1:])
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def transitions(self) -> list[tuple[int, int]]:
         """(t_prev, t) pairs walking the grid upward, starting from t=0."""
-        prev = 0
-        out = []
-        for t in self.steps:
-            out.append((prev, t))
-            prev = t
-        return out
+        return list(zip(self.timesteps, self.timesteps[1:]))
 
 
 def make_linear_schedule(t_train: int, beta_start: float, beta_end: float) -> NoiseSchedule:
@@ -124,8 +120,8 @@ def coefficients(sched: NoiseSchedule, t: int, t_prev: int) -> StepCoefficients:
     """(φ, ψ) for the transition t_prev -> t."""
     sched._check_t(t)  # first, so that the comparison below is between integers
     require(is_int(t_prev) and 0 <= t_prev < t, "t_prev", t_prev, "an integer in [0, t)")
-    ab_t = sched.alpha_bar(t)
-    ab_p = sched.alpha_bar(t_prev)
+    ab_t = float(sched.alpha_bars[t])
+    ab_p = float(sched.alpha_bars[t_prev])
     # math.sqrt on Python floats: IEEE sqrt is correctly rounded, as np.sqrt's is
     phi = math.sqrt(ab_p / ab_t)
     psi = math.sqrt(1.0 - ab_p) - math.sqrt((1.0 - ab_t) * ab_p / ab_t)

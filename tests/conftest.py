@@ -1,4 +1,5 @@
-"""Shared fixtures: small schedules, the two stub denoisers, 2-d mixture MLPs, exact inverses
+"""Shared fixtures: small schedules, the two stub denoisers, the Gaussian-mixture oracle, 2-d
+mixture MLPs, exact inverses
 under an affine model and Newton preimages under any model, ILB's exact optimum under an
 affine model, the finite-difference gradient checker and the residuals whose kinks it steps
 around, model-file surgery, JSON mutation, strict JSON parsing, hypothesis profile, and
@@ -148,6 +149,39 @@ def train_tiny_mlp(seed: int = 0):
 @pytest.fixture(scope="session")
 def tiny_mlp():
     return train_tiny_mlp()
+
+
+class GaussianMixtureDenoiser(DenoiserInterface):
+    """The exact ε-predictor of data drawn from Σ_k (1/K)·N(μ_k, s²·I), μ_k the rows of mus.
+
+    At t the noisy marginal's components are N(√ᾱ_t·μ_k, v_t·I), v_t = ᾱ_t·s² + 1 − ᾱ_t, so
+    F(z, t) = √(1 − ᾱ_t)/v_t · Σ_k w_k·(z − √ᾱ_t·μ_k), w the components' posterior weights
+    (a softmax). Its Jacobian √(1 − ᾱ_t)/v_t · (I − Cov_w(z − √ᾱ_t·μ)/v_t) is symmetric, so
+    the pullback applies it to v: a nonlinear backend whose pullback is exact with no
+    training."""
+
+    def __init__(self, mus, s: float, sched):
+        self.mus = np.array(mus, dtype=np.float64)
+        self.latent_dim = self.mus.shape[1]
+        self.s = float(s)
+        self.sched = sched
+
+    def linearize(self, z, t):
+        z = require_shape(z, (self.latent_dim,), "z")
+        ab = self.sched.alpha_bar(t)
+        var = ab * self.s**2 + 1.0 - ab
+        diff = z - math.sqrt(ab) * self.mus  # (K, d)
+        logits = -np.sum(diff * diff, axis=1) / (2.0 * var)
+        w = np.exp(logits - logits.max())
+        w /= w.sum()
+        mean = w @ diff
+        centred = diff - mean
+        scale = math.sqrt(1.0 - ab) / var
+
+        def pullback(v):
+            v = require_shape(v, (self.latent_dim,), "v")
+            return scale * (v - (w * (centred @ v)) @ centred / var)
+        return scale * mean, pullback
 
 
 def spectral_form(model, t):

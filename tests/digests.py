@@ -43,13 +43,14 @@ def run_digests(cfg: RunConfig, out_dir) -> dict:
     return out
 
 
-def configs() -> dict:
-    """{`<config>@<seed>`: RunConfig} for the default config and every workload file."""
+def configs(seeds=SEEDS) -> dict:
+    """{`<config>@<seed>`: RunConfig} for the default config and every workload file, at each
+    of `seeds`."""
     base = {"default": RunConfig()}
     for path in sorted((ROOT / "invbench" / "workloads").glob("*.json")):
         base[path.stem] = load_config(path)
     return {f"{name}@{seed}": replace(cfg, seed=seed)
-            for name, cfg in base.items() for seed in SEEDS}
+            for name, cfg in base.items() for seed in seeds}
 
 
 def main() -> None:

@@ -1,4 +1,5 @@
-"""A pytest selection and `tests/digests.py` run once under each OpenBLAS kernel.
+"""A pytest selection, `tests/digests.py` and the pinned workloads run once under each
+OpenBLAS kernel.
 
     python tests/kernels.py [pytest selection ...]
 
@@ -11,9 +12,12 @@ each acceptance verdict line. Without a selection it runs criterion 3 and every
 test file that calls the gradient checker. The second runs `tests/digests.py`.
 For each of its runs this script then prints whether the output digests agree
 across kernels and the relative spread of each per-method mean, and last the
-worst spread of any mean. Only the children's environment is changed. The exit
-status is 1 when any kernel fails a test or its digests run. pytest does not
-collect this file.
+worst spread of any mean. The third runs every invbench workload at the seeds
+tier-1 holds to `invbench/pins.json` (PIN_SEEDS); this script prints, per kernel,
+the worst relative deviation of each pinned field from that file, which it only
+reads. Only the children's environment is changed. The exit status is 1 when any
+kernel fails a test, its digests run or its pinned run. pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,7 +38,10 @@ KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Prescott")
 # NumPy's bundled scipy-openblas (64-bit integers) names its functions so; a plain build does not
 _SYMBOLS = ("scipy_openblas_get_{}64_", "openblas_get_{}")
 _RESULT = "kernels.py result: "
+_PINNED = "kernels.py pinned means: "
 _DIGESTS = ROOT / "tests" / "digests.py"
+_PINS = ROOT / "invbench" / "pins.json"
+PIN_SEEDS = (0, 15, 31)  # test_workload_meets_its_pinned_means_at_three_seeds's seeds
 
 
 def default_selection() -> list:
@@ -98,6 +106,55 @@ def child(selection: list) -> None:
                                 "invlab": getattr(invlab, "__file__", None)}))
 
 
+def pinned_child() -> None:
+    """Print {`<workload>@<seed>`: {method: {"mean_<field>": value}}} at PIN_SEEDS."""
+    import digests
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {run: digests.run_digests(cfg, Path(tmp) / run)["means"]
+               for run, cfg in digests.configs(PIN_SEEDS).items()
+               if not run.startswith("default@")}
+    print(_PINNED + json.dumps(out))
+
+
+def relative_deviation(value, pin) -> float:
+    """|value − pin|/|pin|, or |value| against a pin of 0; 0 where both are null (not
+    finite) and inf where only one is."""
+    if value is None or pin is None:
+        return 0.0 if value is pin else math.inf
+    return abs(value - pin) / abs(pin) if pin else abs(value)
+
+
+def pin_deviations(means: dict, pins: dict) -> dict:
+    """{pinned field: (worst relative deviation, "run method")} of one kernel's
+    `pinned_child` means from pins.json's {workload: {seed: {method: {field: pin}}}}."""
+    worst = {}
+    for run, per_method in means.items():
+        workload, seed = run.split("@")
+        for method, fields in pins[workload][seed].items():
+            for field, pin in fields.items():
+                here = (relative_deviation(per_method[method]["mean_" + field], pin),
+                        f"{run} {method}")
+                worst[field] = max(worst.get(field, here), here, key=lambda p: p[0])
+    return worst
+
+
+def _print_pin_deviations(means: dict) -> None:
+    pins = json.loads(_PINS.read_text("utf-8"))
+    print(f"invbench/pins.json at seeds {', '.join(map(str, PIN_SEEDS))}: worst relative "
+          "deviation of each pinned field")
+    worst = (0.0, None)
+    for kernel, kernel_means in means.items():
+        per_field = pin_deviations(kernel_means, pins)
+        print(f"{kernel}: " + ", ".join(
+            f"{field} {dev:.2g}" + (f" ({where})" if dev else "")
+            for field, (dev, where) in per_field.items()))
+        worst = max(worst, *((dev, f"{kernel} {where} {field}")
+                             for field, (dev, where) in per_field.items()), key=lambda p: p[0])
+    print(f"worst relative deviation from a pin: {worst[0]:.2g}"
+          + (f" ({worst[1]})" if worst[0] else ""))
+
+
 def relative_spread(values: list) -> float:
     """(max − min)/max |v| of one mean over the kernels; 0 where they agree, and inf where
     some kernel's mean is null (not finite) and another's is not."""
@@ -151,7 +208,7 @@ def main(selection: list) -> int:
             print("not a DYNAMIC_ARCH build: OPENBLAS_CORETYPE changes nothing, every run "
                   f"uses {info['core']}")
     failing = 0
-    digest_lines = {}
+    digest_lines, pinned_means = {}, {}
     for kernel in KERNELS:
         env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
         run = subprocess.run([sys.executable, __file__, "--child", *selection], cwd=ROOT,
@@ -163,6 +220,14 @@ def main(selection: list) -> int:
         else:
             print(f"{kernel}: tests/digests.py exited {digests.returncode}\n"
                   f"{digests.stderr[-2000:]}")
+            failing += 1
+        pinned = subprocess.run([sys.executable, __file__, "--pins"], cwd=ROOT, env=env,
+                                capture_output=True, text=True)
+        lines = [line for line in pinned.stdout.splitlines() if line.startswith(_PINNED)]
+        if pinned.returncode == 0 and lines:
+            pinned_means[kernel] = json.loads(lines[-1][len(_PINNED):])
+        else:
+            print(f"{kernel}: the pinned run exited {pinned.returncode}\n{pinned.stderr[-2000:]}")
             failing += 1
         lines = [line for line in run.stdout.splitlines() if line.startswith(_RESULT)]
         if not lines:
@@ -178,6 +243,8 @@ def main(selection: list) -> int:
             print(f"  {line}")
     if digest_lines:
         _print_spreads(digest_lines)
+    if pinned_means:
+        _print_pin_deviations(pinned_means)
     return 1 if failing else 0
 
 
@@ -185,5 +252,7 @@ if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--child"]:
         child(args[1:])
+    elif args == ["--pins"]:
+        pinned_child()
     else:
         sys.exit(main(args or default_selection()))

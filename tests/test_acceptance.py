@@ -137,7 +137,7 @@ def test_criterion_03_gradient_fidelity():
     model = train_mlp_denoiser(latents, sched, MlpTrainConfig(
         width=16, max_epochs=3, batch_size=8, lr=1e-2), 0)
     from invlab.perceptual import RandomConvPerceptual
-    perc = RandomConvPerceptual((8, 8, 1), seed=0)
+    perc = RandomConvPerceptual((8, 8, 1))
     ilb_cfg = IlbConfig(dt=10)
 
     def probe(k):

@@ -481,6 +481,21 @@ def test_kernel_script_spreads_each_mean_over_the_kernels():
     assert kernels.worst_spread({}) == (0.0, None)
 
 
+def test_kernel_script_measures_each_pinned_field_against_its_pin():
+    kernels = _script(Path(__file__).with_name("kernels.py"))
+    assert [kernels.relative_deviation(v, pin) for v, pin in (
+        (2.0, 2.0), (1.5, 2.0), (0.25, 0.0), (None, None), (None, 1.0), (1.0, None))] == [
+        0.0, 0.25, 0.25, 0.0, math.inf, math.inf]
+    pins = {"w": {"0": {"ddim": {"psnr_db": 10.0, "ssim": 0.5}},
+                  "15": {"ddim": {"psnr_db": 20.0, "ssim": 0.5}, "lbo-n": {"psnr_db": 20.0}}}}
+    means = {"w@0": {"ddim": {"mean_psnr_db": 10.5, "mean_ssim": 0.5}},
+             "w@15": {"ddim": {"mean_psnr_db": 20.0, "mean_ssim": 0.5},
+                      "lbo-n": {"mean_psnr_db": 19.5, "mean_ssim": 0.1}}}  # ssim: not pinned
+    # the worst over every run and method, each against its own pin
+    assert kernels.pin_deviations(means, pins) == {"psnr_db": (0.05, "w@0 ddim"),
+                                                   "ssim": (0.0, "w@0 ddim")}
+
+
 def test_rows_cover_grid_sorted(small_run):
     cfg, _, rows, _ = small_run
     assert len(rows) == cfg.dataset.count * len(cfg.methods)

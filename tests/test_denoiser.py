@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (ConstantDenoiser, ScalingDenoiser, gradient_check, rejects, spectral_form,
-                      train_tiny_mlp)
+from conftest import (ConstantDenoiser, GaussianMixtureDenoiser, ScalingDenoiser, gradient_check,
+                      rejects, spectral_form, train_tiny_mlp)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -129,7 +129,7 @@ def test_gaussian_eval_and_vjp_are_the_affine_map_bits(gauss_nd, default_sched):
     rng = np.random.default_rng(12)
     for t in range(1, default_sched.t_train + 1):
         z, v = rng.standard_normal(4), rng.standard_normal(4)
-        ab = default_sched.alpha_bars[t - 1]
+        ab = default_sched.alpha_bars[t]
         jac = (q * (np.sqrt(1.0 - ab) / (lam * ab + (1.0 - ab)))) @ q.T
         off = jac @ (np.sqrt(ab) * gauss_nd.mu)
         got_eval, got_vjp = gauss_nd.eval(z, t), gauss_nd.linearize(z, t)[1](v)
@@ -283,7 +283,7 @@ def test_a_one_batch_epoch_is_one_adam_step_on_each_named_array():
     noise = derive_rng(4, "noise", 0, 0)
     t = noise.integers(1, 21, size=7)
     eps = noise.standard_normal((7, 3))
-    ab = sched.alpha_bars[t - 1]
+    ab = sched.alpha_bars[t]
     zt = np.sqrt(ab)[:, None] * data[rows] + np.sqrt(1.0 - ab)[:, None] * eps
     h1, h2, pred = invlab.denoiser._batch_forward(p, zt, t - 1)
     grads = invlab.denoiser._batch_backward(p, zt, t - 1, h1, h2, 2.0 * (pred - eps) / eps.size)
@@ -325,6 +325,34 @@ def test_gaussian_vjp_matches_finite_differences(gauss_nd):
     err = gradient_check(lambda x: float(v @ gauss_nd.eval(x, 60)),
                          gauss_nd.linearize(z, 60)[1](v), z)
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("s", [0.3, 0.05])
+def test_gaussian_mixture_pullback_matches_finite_differences(default_sched, s):
+    # K = 8 means in d = 16, probed where the noisy marginal puts its mass, so the weights
+    # move with z
+    rng = np.random.default_rng(41)
+    model = GaussianMixtureDenoiser(rng.standard_normal((8, 16)), s, default_sched)
+    for t in (1, 10, 50, 100):
+        ab = default_sched.alpha_bar(t)
+        z = (math.sqrt(ab) * model.mus[rng.integers(8)]
+             + math.sqrt(ab * s**2 + 1.0 - ab) * rng.standard_normal(16))
+        v = rng.standard_normal(16)
+        err = gradient_check(lambda x: float(v @ model.eval(x, t)), model.linearize(z, t)[1](v), z)
+        assert err < 1e-6, (t, err)
+
+
+def test_gaussian_mixture_of_one_component_is_the_gaussian_oracle(default_sched):
+    # K = 1: the posterior weight is 1, and the mixture is N(μ, s²·I)
+    rng = np.random.default_rng(42)
+    mu, s = rng.standard_normal(4), 0.3
+    mixture = GaussianMixtureDenoiser(mu[None], s, default_sched)
+    oracle = LinearGaussianDenoiser(mu, s**2 * np.eye(4), default_sched)
+    for t in (1, 37, 100):
+        z, v = rng.standard_normal(4), rng.standard_normal(4)
+        (eps_m, back_m), (eps_o, back_o) = mixture.linearize(z, t), oracle.linearize(z, t)
+        np.testing.assert_allclose(eps_m, eps_o, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back_m(v), back_o(v), rtol=0, atol=1e-12)
 
 
 @given(st.integers(1, 99), st.integers(0, 2**31 - 1))

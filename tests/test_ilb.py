@@ -47,7 +47,7 @@ def ident():
 
 @pytest.fixture
 def perc():
-    return RandomConvPerceptual(SHAPE, seed=0)
+    return RandomConvPerceptual(SHAPE)
 
 
 def consistency(x0, z, ae, perc, weights):
@@ -62,7 +62,7 @@ def regularization(model, sched, z0, dt):
     the image only feed the consistency loss."""
     ae = LinearAutoencoder(np.eye(z0.size, 25), np.zeros(25), (5, 5, 1))
     x0 = np.zeros(ae.image_shape)
-    perc = RandomConvPerceptual(ae.image_shape, seed=0)
+    perc = RandomConvPerceptual(ae.image_shape)
     return ilb_loss_and_grad(x0, z0, ae, model, sched, perc, IlbConfig(dt=dt))[1]
 
 
@@ -134,7 +134,7 @@ def _linear_setup(seed=1):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((16, 16))
     model = LinearGaussianDenoiser(np.zeros(16), a @ a.T + np.eye(16), sched)
-    perc = RandomConvPerceptual(SHAPE, seed=0)
+    perc = RandomConvPerceptual(SHAPE)
     return sched, imgs, ae, model, perc
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import (ScalingDenoiser, checked_probes, exact_preimage, exact_step,
+from conftest import (ConstantDenoiser, ScalingDenoiser, checked_probes, exact_preimage, exact_step,
                       gradient_check, jacobian, lbo_residual, newton_preimage, rejects,
                       spectral_form)
 
@@ -19,6 +19,7 @@ from invlab import (
     LboConfig,
     LboStepReport,
     LinearGaussianDenoiser,
+    StepCoefficients,
     coefficients,
     ddim_invert_step,
     ddim_invert_trajectory,
@@ -92,7 +93,7 @@ def test_numerical_iterate_raises_on_blowup(toy3):
     wild = ScalingDenoiser(1, 1e22)
     cfg = LboConfig(mode="numerical", max_iters=20)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
-        lbo_invert_step(wild, toy3, ONE, 1, 2, cfg)
+        lbo_invert_step(wild, coefficients(toy3, 2, 1), ONE, cfg)
     assert exc.value.context["iteration"] == 14
 
 
@@ -103,7 +104,7 @@ def test_blowup_at_the_returned_z_t_names_the_iterations_run(toy3, mode, max_ite
     wild = ScalingDenoiser(1, 1e22)
     cfg = LboConfig(mode=mode, max_iters=max_iters)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
-        lbo_invert_step(wild, toy3, ONE, 1, 2, cfg)
+        lbo_invert_step(wild, coefficients(toy3, 2, 1), ONE, cfg)
     assert str(exc.value) == "residual at the returned z_t is non-finite"
     assert exc.value.context == {"t": 2, "iters": max_iters}
 
@@ -116,7 +117,7 @@ def test_gradient_and_hybrid_blowup_name_step_and_iteration(toy3, mode, scale):
     wild = ScalingDenoiser(1, scale)
     cfg = LboConfig(mode=mode, max_iters=20)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
-        lbo_invert_step(wild, toy3, ONE, 1, 2, cfg)
+        lbo_invert_step(wild, coefficients(toy3, 2, 1), ONE, cfg)
     assert exc.value.context["t"] == 2
     # the first Adam step at 1e200; the 14th sweep after 5 warm-up steps at 1e22
     assert exc.value.context["iteration"] == (19 if scale == 1e22 else 1)
@@ -127,7 +128,7 @@ def test_hybrid_blowup_counts_iterations_from_the_start_of_the_step(toy3):
     wild = ScalingDenoiser(1, 1e22)
     cfg = LboConfig(mode="hybrid", max_iters=20)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
-        lbo_invert_step(wild, toy3, ONE, 1, 2, cfg)
+        lbo_invert_step(wild, coefficients(toy3, 2, 1), ONE, cfg)
     assert exc.value.context["iteration"] == 19
 
 
@@ -193,7 +194,7 @@ def test_objective_is_the_straightforward_form_bit_for_bit(
 
 def test_invert_step_numerical_hand_fixed_point(toy3, stub_half):
     cfg = LboConfig(mode="numerical", max_iters=15, tol=1e-12)
-    z_t, rep = lbo_invert_step(stub_half, toy3, ONE, 1, 2, cfg)
+    z_t, rep = lbo_invert_step(stub_half, coefficients(toy3, 2, 1), ONE, cfg)
     assert z_t[0] == pytest.approx(1.0 + BSTAR, abs=1e-9)
     assert rep.converged and rep.iters <= 15 and rep.residual < 1e-12
     assert rep.t == 2
@@ -202,7 +203,7 @@ def test_invert_step_numerical_hand_fixed_point(toy3, stub_half):
 @pytest.mark.parametrize("mode,iters_cap", [("numerical", 1), ("gradient", 1)])
 def test_invert_step_stub_zero_converges_immediately(toy3, stub0, mode, iters_cap):
     cfg = LboConfig(mode=mode, max_iters=10)
-    z_t, rep = lbo_invert_step(stub0, toy3, ONE, 1, 2, cfg)
+    z_t, rep = lbo_invert_step(stub0, coefficients(toy3, 2, 1), ONE, cfg)
     assert rep.converged
     assert rep.iters <= iters_cap
     assert rep.residual <= 1e-14
@@ -213,16 +214,27 @@ def test_invert_step_stub_zero_converges_immediately(toy3, stub0, mode, iters_ca
 def test_invert_step_hybrid_stub_zero(toy3, stub0, stub_half):
     # the first warm-up step reads r = 0 at the exact solution and stops, as the other modes do
     cfg = LboConfig(mode="hybrid", max_iters=10)
-    z_t, rep = lbo_invert_step(stub0, toy3, ONE, 1, 2, cfg)
+    z_t, rep = lbo_invert_step(stub0, coefficients(toy3, 2, 1), ONE, cfg)
     assert rep.converged and rep.iters == 1 and rep.residual <= 1e-14
     # a budget inside the five-step warm-up is the gradient mode's, with its finite residual
     for max_iters in (1, 3, 5):
-        z_h, rep_h = lbo_invert_step(stub_half, toy3, ONE, 1, 2,
+        z_h, rep_h = lbo_invert_step(stub_half, coefficients(toy3, 2, 1), ONE,
                                      LboConfig(mode="hybrid", max_iters=max_iters))
-        z_g, rep_g = lbo_invert_step(stub_half, toy3, ONE, 1, 2,
+        z_g, rep_g = lbo_invert_step(stub_half, coefficients(toy3, 2, 1), ONE,
                                      LboConfig(mode="gradient", max_iters=max_iters))
         assert rep_h.iters == max_iters and 0.0 < rep_h.residual < np.inf and not rep_h.converged
         assert np.array_equal(z_h, z_g) and rep_h == rep_g
+
+
+@pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
+def test_invert_step_under_a_constant_prediction_is_the_closed_form_preimage(mode):
+    # generate(z) = φ·z + ψ·c is z_prev at z = (z_prev − ψ·c)/φ. The step reads its transition
+    # from co alone: t = 7 is on no schedule. Dyadic values keep every operation exact.
+    co = StepCoefficients(phi=2.0, psi=-0.5, t=7, t_prev=3)
+    c, z_prev = np.array([0.25, -1.5, 3.0]), np.array([1.0, -0.5, 0.75])
+    z_t, rep = lbo_invert_step(ConstantDenoiser(3, c), co, z_prev, LboConfig(mode=mode))
+    assert np.array_equal(z_t, (z_prev - co.psi * c) / co.phi)
+    assert rep == LboStepReport(t=7, iters=1, residual=0.0, converged=True)
 
 
 @pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
@@ -230,7 +242,7 @@ def test_zero_budget_is_one_shot_inversion(gauss_nd, default_sched, mode):
     rng = np.random.default_rng(3)
     z = rng.standard_normal(4)
     cfg = LboConfig(mode=mode, max_iters=0)
-    z_t, rep = lbo_invert_step(gauss_nd, default_sched, z, 30, 40, cfg)
+    z_t, rep = lbo_invert_step(gauss_nd, coefficients(default_sched, 40, 30), z, cfg)
     np.testing.assert_array_equal(
         z_t, ddim_invert_step(gauss_nd, coefficients(default_sched, 40, 30), z))
     assert rep.iters == 0 and rep.residual == np.inf and not rep.converged
@@ -245,7 +257,7 @@ def test_a_residual_equal_to_tol_is_not_converged_and_runs_another_sweep():
 
     def report(max_iters, tol=1e-8):
         cfg = LboConfig("numerical", max_iters=max_iters, tol=tol)
-        return lbo_invert_step(b.model, b.sched, z_prev, 0, 2, cfg)[1]
+        return lbo_invert_step(b.model, coefficients(b.sched, 2, 0), z_prev, cfg)[1]
     r = report(1).residual
     assert 0.0 < r < 1e-8
     assert report(1, r) == LboStepReport(t=2, iters=1, residual=r, converged=False)
@@ -291,9 +303,10 @@ def test_single_step_replay_within_tolerance(gauss_nd, default_sched):
     rng = np.random.default_rng(5)
     z_prev = rng.standard_normal(4)
     for t_prev, t in [(0, 2), (30, 40), (98, 100)]:
-        z_t, rep = lbo_invert_step(gauss_nd, default_sched, z_prev, t_prev, t, cfg)
+        co = coefficients(default_sched, t, t_prev)
+        z_t, rep = lbo_invert_step(gauss_nd, co, z_prev, cfg)
         assert rep.converged
-        back = generate_step(gauss_nd, coefficients(default_sched, t, t_prev), z_t)
+        back = generate_step(gauss_nd, co, z_t)
         assert np.max(np.abs(back - z_prev)) <= 10.0 * tol
 
 
@@ -323,8 +336,8 @@ def test_gradient_step_on_the_oracle_matches_the_spectral_formula(
     cfg = LboConfig(mode="gradient")
     z_prev = np.random.default_rng(6).standard_normal(4)
     for t_prev, t in [(0, 2), (30, 40), (98, 100)]:
-        z_t, rep = lbo_invert_step(gauss_nd, default_sched, z_prev, t_prev, t, cfg)
         co = coefficients(default_sched, t, t_prev)
+        z_t, rep = lbo_invert_step(gauss_nd, co, z_prev, cfg)
         eval_, pullback = spectral_form(gauss_nd, t)
         b = (1.0 / co.phi) * z_prev - (co.psi / co.phi) * eval_(z_prev) - z_prev
         m, v = np.zeros(4), np.zeros(4)
@@ -389,11 +402,10 @@ def test_modes_agree_on_smooth_model(gauss_nd, default_sched):
     assert rel_g < 1e-3
 
 
-def _reference_step(model, sched, z_prev, t_prev, t, cfg):
+def _reference_step(model, co, z_prev, cfg):
     """lbo_invert_step written out with the public per-iteration functions: Adam steps (every
     one in gradient mode, the first five in hybrid mode), then sweeps, until ‖r‖∞ < tol; the
     reported ‖r‖∞ is the one at the returned b, from one more sweep whose b is dropped."""
-    co = coefficients(sched, t, t_prev)
     b = ddim_invert_step(model, co, z_prev) - z_prev
     n_adam = {"numerical": 0, "gradient": cfg.max_iters, "hybrid": 5}[cfg.mode]
     state = AdamState(lr=cfg.lr)
@@ -422,8 +434,9 @@ def test_invert_step_is_bit_identical_to_the_public_iterates(
     # the default budget and tolerance, then a budget that runs out first
     for cfg in (LboConfig(mode=mode), LboConfig(mode=mode, max_iters=7, tol=1e-30)):
         for t_prev, t in pairs:
-            z_t, rep = lbo_invert_step(model, sched, z, t_prev, t, cfg)
-            ref_z, ref_iters, ref_residual = _reference_step(model, sched, z, t_prev, t, cfg)
+            co = coefficients(sched, t, t_prev)
+            z_t, rep = lbo_invert_step(model, co, z, cfg)
+            ref_z, ref_iters, ref_residual = _reference_step(model, co, z, cfg)
             assert np.array_equal(z_t, ref_z)
             assert (rep.iters, rep.residual) == (ref_iters, ref_residual)
             z = z_t
@@ -432,7 +445,7 @@ def test_invert_step_is_bit_identical_to_the_public_iterates(
 @pytest.mark.parametrize("mode", ["numerical", "gradient", "hybrid"])
 def test_coefficients_looked_up_per_step_not_per_iteration(
         gauss_nd, default_sched, monkeypatch, mode):
-    # one lookup serves the one-shot start and every iteration of the loop
+    # one lookup per transition serves the step's one-shot start and every iteration
     real = invlab.lbo.coefficients
     calls = []
 
@@ -443,14 +456,15 @@ def test_coefficients_looked_up_per_step_not_per_iteration(
     monkeypatch.setattr(invlab.lbo, "coefficients", counting)
     monkeypatch.setattr(invlab.dynamics, "coefficients", counting)
     z = np.array([0.3, -1.2, 0.7, 0.1])
-    per_step = []
+    grid = make_uniform_grid(default_sched, 4)
+    lookups = []
     for max_iters in (1, 15):
         calls.clear()
-        _, rep = lbo_invert_step(gauss_nd, default_sched, z, 30, 40,
-                                 LboConfig(mode=mode, max_iters=max_iters, tol=1e-30))
-        assert rep.iters >= min(max_iters, 6)
-        per_step.append(len(calls))
-    assert per_step == [1, 1]
+        _, reports = lbo_invert_trajectory(gauss_nd, default_sched, grid, z,
+                                           LboConfig(mode=mode, max_iters=max_iters, tol=1e-30))
+        assert all(rep.iters >= min(max_iters, 6) for rep in reports)
+        lookups.append(len(calls))
+    assert lookups == [len(grid)] * 2
 
 
 def _count_forward_passes(monkeypatch):
@@ -470,7 +484,7 @@ def test_a_step_runs_one_forward_pass_per_iteration_and_one_for_its_report(
     calls = _count_forward_passes(monkeypatch)
     for max_iters in (0, 1, 7):
         calls.clear()
-        _, rep = lbo_invert_step(model, sched, np.array([0.4, -0.2]), 4, 10,
+        _, rep = lbo_invert_step(model, coefficients(sched, 10, 4), np.array([0.4, -0.2]),
                                  LboConfig(mode=mode, max_iters=max_iters, tol=1e-30))
         assert rep.iters == max_iters
         assert len(calls) == 1 + max_iters + (max_iters > 0)
@@ -521,14 +535,14 @@ def test_exact_preimage_replays_onto_its_start(oracle):
         np.testing.assert_allclose(replayed, z0, rtol=0.0, atol=1e-12)
 
 
-def _stopped_on_its_test(model, sched, z_prev, t_prev, t, cfg, rep):
+def _stopped_on_its_test(model, co, z_prev, cfg, rep):
     """Whether the step's loop stopped on ‖r‖∞ < tol rather than on its budget: given one
     more iteration, it runs no further. `converged` cannot tell, since it also holds when the
     budget ran out at a z_t whose residual is below tol."""
     if rep.iters < cfg.max_iters:
         return True
     more = replace(cfg, max_iters=cfg.max_iters + 1)
-    return lbo_invert_step(model, sched, z_prev, t_prev, t, more)[1].iters == rep.iters
+    return lbo_invert_step(model, co, z_prev, more)[1].iters == rep.iters
 
 
 # steps -> how many steps of one trajectory converge, that is stop on their test, for lbo-n
@@ -552,9 +566,8 @@ def test_converged_sweeps_land_within_their_bound_of_the_exact_preimage(oracle, 
         for z0 in z0s:
             traj, reports = lbo_invert_trajectory(model, sched, grid, z0, cfg)
             latents = traj.latents
-            stopped = [_stopped_on_its_test(model, sched, z_prev, t_prev, t, cfg, rep)
-                       for (t_prev, t), z_prev, rep in zip(grid.transitions(), latents[:-1],
-                                                           reports, strict=True)]
+            stopped = [_stopped_on_its_test(model, co, z_prev, cfg, rep)
+                       for co, z_prev, rep in zip(cos, latents[:-1], reports, strict=True)]
             for co, stop, bound, z_prev, z_t in zip(cos, stopped, local, latents[:-1],
                                                     latents[1:], strict=True):
                 if stop:
@@ -599,14 +612,14 @@ def test_plain_sweep_runs_out_of_budget_at_one_step(oracle):
     # each sweep shrinks the error by about ρ ≈ 0.8, so reaching tol from the
     # first sweep's step takes log(tol / Δ₁) / log ρ sweeps, over 80, where the budget is 15
     model, sched, z0s = oracle
-    t = sched.t_train
-    rho = _sweep_radius(model, coefficients(sched, t, 0))
+    co = coefficients(sched, sched.t_train, 0)
+    rho = _sweep_radius(model, co)
     assert 0.75 < rho < 0.85
     cfg = LboConfig(mode="numerical")
     for z0 in z0s:
-        first = _first_sweep(model, coefficients(sched, t, 0), z0)
+        first = _first_sweep(model, co, z0)
         assert math.log(cfg.tol / first) / math.log(rho) > cfg.max_iters
-        _, rep = lbo_invert_step(model, sched, z0, 0, t, cfg)
+        _, rep = lbo_invert_step(model, co, z0, cfg)
         assert not rep.converged and rep.iters == cfg.max_iters and rep.residual >= cfg.tol
 
 
@@ -662,9 +675,9 @@ def test_converged_sweeps_land_within_their_bound_of_the_newton_preimage(default
             latents = traj.latents
             for (t_prev, t), rep, z_prev, z_t in zip(grid.transitions(), reports, latents[:-1],
                                                      latents[1:], strict=True):
-                if not _stopped_on_its_test(model, sched, z_prev, t_prev, t, cfg, rep):
-                    continue
                 co = coefficients(sched, t, t_prev)
+                if not _stopped_on_its_test(model, co, z_prev, cfg, rep):
+                    continue
                 exact = newton_preimage(model, co, z_prev)
                 rho = _sweep_radius(model, co, exact)
                 if rho < 1.0:

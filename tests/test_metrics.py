@@ -154,7 +154,7 @@ def test_psnr_permutation_invariance():
 
 
 def test_perceptual_self_distance_zero_and_symmetry():
-    perc = RandomConvPerceptual((12, 12, 1), seed=0)
+    perc = RandomConvPerceptual((12, 12, 1))
     rng = np.random.default_rng(8)
     x = rng.random((12, 12, 1))
     y = rng.random((12, 12, 1))
@@ -164,24 +164,23 @@ def test_perceptual_self_distance_zero_and_symmetry():
 
 
 def test_perceptual_seed_determinism():
+    # the metric is one fixed function per image shape, its weights one fixed draw
     x = np.random.default_rng(9).random((8, 8, 1))
     y = np.random.default_rng(10).random((8, 8, 1))
-    a = RandomConvPerceptual((8, 8, 1), seed=3)
-    b = RandomConvPerceptual((8, 8, 1), seed=3)
-    c = RandomConvPerceptual((8, 8, 1), seed=4)
+    a = RandomConvPerceptual((8, 8, 1))
+    b = RandomConvPerceptual((8, 8, 1))
     assert a.distance(x, y) == b.distance(x, y)
-    assert a.distance(x, y) != c.distance(x, y)
-    # a seed's weights are fixed: read-only
+    # the weights are fixed: read-only
     assert not any(w.flags.writeable for w in (a.k1, a.b1, a.k2, a.b2))
 
 
 def test_perceptual_rejects_tiny_images():
     with rejects("image_shape"):
-        RandomConvPerceptual((4, 4, 1), seed=0)
+        RandomConvPerceptual((4, 4, 1))
 
 
 def test_perceptual_grad_matches_finite_differences():
-    perc = RandomConvPerceptual((8, 8, 1), seed=1)
+    perc = RandomConvPerceptual((8, 8, 1))
     rng = np.random.default_rng(11)
     x = rng.random((8, 8, 1))
     y = rng.random((8, 8, 1))
@@ -232,7 +231,7 @@ def test_conv_input_vjp_is_the_adjoint(c_in, c_out, h, w):
 
 @pytest.mark.parametrize("shape", [(16, 12, 3), (9, 7, 2)])
 def test_perceptual_value_and_grad_off_square(shape):
-    perc = RandomConvPerceptual(shape, seed=2)
+    perc = RandomConvPerceptual(shape)
     rng = np.random.default_rng(16)
     x = rng.random(shape)
     y = rng.random(shape)
@@ -268,7 +267,7 @@ def _add_at_conv_input_vjp(u, kernels):
 
 @pytest.mark.parametrize("shape", [(16, 16, 1), (16, 12, 3), (9, 7, 2), (5, 5, 1)])
 def test_gather_convolutions_are_bit_identical_to_windowed_contractions(shape, monkeypatch):
-    perc = RandomConvPerceptual(shape, seed=4)
+    perc = RandomConvPerceptual(shape)
     rng = np.random.default_rng(18)
     x = rng.random(shape)
     y = rng.random(shape)
@@ -381,7 +380,7 @@ def test_ssim_upper_bound(seed):
 def test_perceptual_reference_is_value_and_grad_bit_for_bit():
     rng = np.random.default_rng(31)
     for shape in ((16, 16, 1), (9, 7, 2)):
-        perc = RandomConvPerceptual(shape, seed=4)
+        perc = RandomConvPerceptual(shape)
         x = rng.random(shape)
         ref = perc.reference(x)
         # one binding serves many second images and holds no state between them
